@@ -11,6 +11,12 @@
      store to a global real buffer, exactly like [Exec]/[Jit];
    - ints are [int64_t] (OCaml's 63-bit ints embed exactly); [/], [%],
      [>>] and real->int casts truncate the same way on both sides;
+   - global int buffers are OCaml int arrays read and written in place,
+     as tagged words: a load untags with an arithmetic shift
+     ([(b[i] >> 1)], OCaml's [Long_val]) and a store retags
+     ([(int64_t)(((uint64_t)(v) << 1) | 1u)], [Val_long]), so a stored
+     value wraps to 63 bits exactly as an OCaml int does.  Private and
+     [__local] int arrays are plain untagged [int64_t];
    - real [Mod] is C [fmod] (= OCaml [Float.rem]); [Fmin]/[Fmax] are
      emitted as helpers replicating OCaml's [Float.min]/[Float.max]
      branch-for-branch (NaN propagation, [-0. < +0.]), not C's
@@ -23,9 +29,15 @@
 
    The fixed entry ABI (see {!entry_symbol}) receives the kernel's
    parameters split by kind — real buffers as [double*], int buffers as
-   [int64_t*], scalars in two flat arrays — plus the NDRange sizes.
-   The work-item loops live inside the entry, row-major z/y/x exactly
-   like [Exec.launch]/[Jit.run_range]. *)
+   [int64_t*] to their tagged words, scalars (untagged) in two flat
+   arrays — plus the NDRange sizes.  The work-item loops live inside the
+   entry, row-major z/y/x exactly like [Exec.launch]/[Jit.run_range].
+
+   Body-declared locals are renamed [rk_v<i>_<stem>], numbered in
+   declaration order, where the stem drops Lift's gensym suffixes
+   ([idx_19_2] -> [idx]).  The source, hence the binary cache key, is a
+   function of the kernel's structure only: lifting one program twice
+   renders the same C. *)
 
 open Cast
 
@@ -87,6 +99,7 @@ type slot =
 type env = {
   slots : (string, slot) Hashtbl.t;
   mutable locals : (string * slot) list;  (* body-declared, reversed scan order *)
+  local_ix : (string, int) Hashtbl.t;  (* body-declared local -> declaration index *)
   env_grouped : bool;
   l3 : int array;  (* work-group size, [|1;1;1|] when flat *)
   sparams : (string, unit) Hashtbl.t;  (* scalar parameter names *)
@@ -114,6 +127,7 @@ let build_env (k : kernel) =
     {
       slots = Hashtbl.create 32;
       locals = [];
+      local_ix = Hashtbl.create 32;
       env_grouped = is_grouped;
       l3 = local3 k;
       sparams = Hashtbl.create 8;
@@ -148,7 +162,26 @@ let build_env (k : kernel) =
   in
   List.iter scan k.body;
   env.locals <- List.rev env.locals;
+  List.iteri (fun i (v, _) -> Hashtbl.replace env.local_ix v i) env.locals;
   env
+
+(* [v] without its trailing [_<digits>] gensym suffixes. *)
+let rec stem v =
+  match String.rindex_opt v '_' with
+  | Some i
+    when i > 0
+         && i < String.length v - 1
+         && String.for_all
+              (fun c -> c >= '0' && c <= '9')
+              (String.sub v (i + 1) (String.length v - i - 1)) ->
+      stem (String.sub v 0 i)
+  | _ -> v
+
+(* The C name of a parameter or body-declared local. *)
+let cname env v =
+  match Hashtbl.find_opt env.local_ix v with
+  | Some i -> Printf.sprintf "rk_v%d_%s" i (stem v)
+  | None -> mangle v
 
 (* Whether [v] may appear in a uniform-loop header and how it renders
    there: scalar parameters and uniform-loop variables are plain shared
@@ -172,7 +205,7 @@ let rec expr_uniform env = function
 
 (* How a scalar variable reference renders at the current point. *)
 let var_ref env v =
-  let n = mangle v in
+  let n = cname env v in
   if not env.env_grouped then n
   else
     match Hashtbl.find_opt env.slots v with
@@ -264,12 +297,19 @@ let rec emit env buf ~prec (e : expr) =
       match Hashtbl.find_opt env.slots b with
       | Some (S_parr (_, n)) when env.env_grouped ->
           (* per-work-item array: this lane's slice *)
-          add (mangle b);
+          add (cname env b);
           add (Printf.sprintf "[rk_l * %dLL + " n);
           as_int_prec env buf ~prec:10 i;
           add "]"
+      | Some (S_gbuf Int) ->
+          (* a tagged OCaml word, untagged in place (Long_val) *)
+          add "(";
+          add (cname env b);
+          add "[";
+          as_int env buf i;
+          add "] >> 1)"
       | _ ->
-          add (mangle b);
+          add (cname env b);
           add "[";
           as_int env buf i;
           add "]")
@@ -433,12 +473,13 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
           ()
       | Some (S_parr _) when env.env_grouped ->
           (* fresh per work-item: zero this lane's slice *)
+          let n' = cname env v in
           add
-            (Printf.sprintf "%smemset(&%s[rk_l * %dLL], 0, %d * sizeof(%s[0]));\n" pad
-               (mangle v) n n (mangle v))
+            (Printf.sprintf "%smemset(&%s[rk_l * %dLL], 0, %d * sizeof(%s[0]));\n" pad n' n n
+               n')
       | _ ->
-          add (Printf.sprintf "%smemset(%s, 0, sizeof(%s));\n" pad (mangle v) (mangle v))
-      )
+          let n' = cname env v in
+          add (Printf.sprintf "%smemset(%s, 0, sizeof(%s));\n" pad n' n'))
   | Barrier ->
       if env.env_grouped then
         failwith "native_c: barrier under work-item-varying control flow"
@@ -462,12 +503,16 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
         | Some (S_parr (_, n)) when env.env_grouped ->
             let buf' = Buffer.create 32 in
             as_int_prec env buf' ~prec:10 i;
-            Printf.sprintf "%s[rk_l * %dLL + %s]" (mangle b) n (Buffer.contents buf')
-        | _ -> Printf.sprintf "%s[%s]" (mangle b) (as_int_c env i)
+            Printf.sprintf "%s[rk_l * %dLL + %s]" (cname env b) n (Buffer.contents buf')
+        | _ -> Printf.sprintf "%s[%s]" (cname env b) (as_int_c env i)
       in
       let rhs =
         match Hashtbl.find_opt env.slots b with
-        | Some (S_gbuf Int | S_parr (Int, _) | S_larr (Int, _)) -> as_int_c env e
+        | Some (S_gbuf Int) ->
+            (* tag in place (Val_long); the unsigned shift wraps to 63
+               bits like OCaml int arithmetic *)
+            Printf.sprintf "(int64_t)(((uint64_t)(%s) << 1) | 1u)" (as_int_c env e)
+        | Some (S_parr (Int, _) | S_larr (Int, _)) -> as_int_c env e
         | Some (S_gbuf Real) when round_store ->
             (* single precision: round on store to a global real buffer,
                always through double first so an int value takes the
@@ -492,7 +537,7 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
          is the entry-scope register, assigned at the top of each
          iteration; [bound] is re-evaluated per iteration before that
          assignment. *)
-      let it = Printf.sprintf "rk_it_%s" (mangle l.var) in
+      let it = "rk_it_" ^ cname env l.var in
       add (Printf.sprintf "%s{\n" pad);
       add (Printf.sprintf "%s  int64_t %s = %s;\n" pad it (as_int_c env l.init));
       add (Printf.sprintf "%s  while (%s < (%s)) {\n" pad it (as_int_c env l.bound));
@@ -593,7 +638,7 @@ and emit_uniform_loop env buf ~indent ~round_store (l : for_loop) =
     failwith "native_c: barrier inside a loop with work-item-varying bounds";
   let pad = String.make indent ' ' in
   let add = Buffer.add_string buf in
-  let it = Printf.sprintf "rk_it_%s" (mangle l.var) in
+  let it = "rk_it_" ^ cname env l.var in
   add (Printf.sprintf "%s{\n" pad);
   add (Printf.sprintf "%s  int64_t %s = %s;\n" pad it (uniform_int_c env l.init));
   add (Printf.sprintf "%s  while (%s < (%s)) {\n" pad it (uniform_int_c env l.bound));
@@ -694,7 +739,7 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
   in
   List.iter2
     (fun p b ->
-      let n = mangle p.p_name in
+      let n = cname env p.p_name in
       match b with
       | Arg_fbuf s ->
           let cst, res = quals p.p_name in
@@ -716,15 +761,15 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
     (fun (v, s) ->
       match s with
       | S_scalar t when env.env_grouped && not (Hashtbl.mem env.uniform_store v) ->
-          add (Printf.sprintf "  %s %s[%d] = {0};\n" (c_ty t) (mangle v) gthreads)
+          add (Printf.sprintf "  %s %s[%d] = {0};\n" (c_ty t) (cname env v) gthreads)
       | S_scalar t ->
           add
-            (Printf.sprintf "  %s %s = %s;\n" (c_ty t) (mangle v)
+            (Printf.sprintf "  %s %s = %s;\n" (c_ty t) (cname env v)
                (match t with Int -> "0" | Real -> "0.0"))
       | S_parr (t, n) ->
           let n = if env.env_grouped then gthreads * n else n in
-          add (Printf.sprintf "  %s %s[%d] = {0};\n" (c_ty t) (mangle v) n)
-      | S_larr (t, n) -> add (Printf.sprintf "  %s %s[%d];\n" (c_ty t) (mangle v) n)
+          add (Printf.sprintf "  %s %s[%d] = {0};\n" (c_ty t) (cname env v) n)
+      | S_larr (t, n) -> add (Printf.sprintf "  %s %s[%d];\n" (c_ty t) (cname env v) n)
       | S_gbuf _ -> assert false)
     env.locals;
   let round_store = k.precision = Single in
@@ -754,7 +799,8 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
       (fun (v, s) ->
         match s with
         | S_larr _ ->
-            add (Printf.sprintf "    memset(%s, 0, sizeof(%s));\n" (mangle v) (mangle v))
+            let n = cname env v in
+            add (Printf.sprintf "    memset(%s, 0, sizeof(%s));\n" n n)
         | _ -> ())
       env.locals;
     Hashtbl.reset env.uniform_vals;

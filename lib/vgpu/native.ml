@@ -133,7 +133,10 @@ type compiled = {
 
 let source ?noalias k = Native_c.kernel_source ?noalias k
 
-let key_of_source src = Digest.to_hex (Digest.string (String.concat "\x00" [ "racs-native-v1"; cc (); flags (); src ]))
+(* The salt names the entry ABI (v2: int arrays as tagged words).  Bump
+   it whenever the ABI changes, so a cached binary of another ABI is
+   never loaded. *)
+let key_of_source src = Digest.to_hex (Digest.string (String.concat "\x00" [ "racs-native-v2"; cc (); flags (); src ]))
 
 (* Key of the binary a kernel would compile to under the current
    toolchain configuration (exposed so tests can check that different

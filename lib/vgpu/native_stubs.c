@@ -6,14 +6,15 @@
  *
  * The trampoline performs no OCaml allocation between reading the
  * packet and returning, so the GC cannot run on this domain and no
- * block can move while the kernel holds raw pointers into the heap:
- * float arrays are passed in place (an OCaml float array is a flat
- * double vector), int arrays are untagged into malloc'd int64 scratch
- * and retagged afterwards.  The domain keeps the runtime lock for the
- * whole launch; a concurrent domain requesting a stop-the-world
- * collection simply waits until the kernel returns (launches are the
- * unit of work of the whole simulator, same granularity as a JIT
- * launch).
+ * block can move while the kernel holds raw pointers into the heap.
+ * Every buffer is passed in place: a float array is a flat double
+ * vector, and an int array is a vector of tagged words that the
+ * generated code untags on load and retags on store (Native_c).  A
+ * store writes an immediate, which needs no write barrier.  The domain
+ * keeps the runtime lock for the whole launch; a concurrent domain
+ * requesting a stop-the-world collection simply waits until the kernel
+ * returns (launches are the unit of work of the whole simulator, same
+ * granularity as a JIT launch).
  */
 
 #include <caml/mlvalues.h>
@@ -23,7 +24,9 @@
 
 #include <dlfcn.h>
 #include <stdint.h>
-#include <stdlib.h>
+
+_Static_assert(sizeof(intnat) == sizeof(int64_t),
+               "the native engine passes OCaml int arrays as int64_t words");
 
 CAMLprim value racs_native_dlopen(value vpath)
 {
@@ -80,7 +83,7 @@ CAMLprim value racs_native_launch(value vpk)
   mlsize_t nfb = Wosize_val(vfb);
   mlsize_t nib = Wosize_val(vib);
   mlsize_t nisc = Wosize_val(visc);
-  mlsize_t i, k;
+  mlsize_t i;
 
   double *fb[RACS_MAX_SLOTS];
   int64_t *ib[RACS_MAX_SLOTS];
@@ -94,34 +97,11 @@ CAMLprim value racs_native_launch(value vpk)
 
   for (i = 0; i < nfb; i++)
     fb[i] = (double *)Field(vfb, i); /* float array: flat double vector */
-
-  /* int arrays are tagged; untag into 64-bit scratch */
-  int64_t *iscratch[RACS_MAX_SLOTS];
-  for (i = 0; i < nib; i++) {
-    value arr = Field(vib, i);
-    mlsize_t len = Wosize_val(arr);
-    int64_t *s = (int64_t *)malloc((len == 0 ? 1 : len) * sizeof(int64_t));
-    if (s == NULL) {
-      for (k = 0; k < i; k++) free(iscratch[k]);
-      caml_failwith("racs_native_launch: out of memory");
-    }
-    for (k = 0; k < len; k++) s[k] = (int64_t)Long_val(Field(arr, k));
-    iscratch[i] = s;
-    ib[i] = s;
-  }
-
+  for (i = 0; i < nib; i++)
+    ib[i] = (int64_t *)Op_val(Field(vib, i)); /* int array: tagged words */
   for (i = 0; i < nisc; i++) isc[i] = (int64_t)Long_val(Field(visc, i));
   for (i = 0; i < 3; i++) gsz[i] = (int64_t)Long_val(Field(vgsz, i));
 
   fn(fb, ib, isc, (const double *)vfsc, gsz);
-
-  /* write back int buffers (immediates: no write barrier needed) */
-  for (i = 0; i < nib; i++) {
-    value arr = Field(vib, i);
-    mlsize_t len = Wosize_val(arr);
-    for (k = 0; k < len; k++) Field(arr, k) = Val_long((intnat)iscratch[i][k]);
-    free(iscratch[i]);
-  }
-
   return Val_unit;
 }

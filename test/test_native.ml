@@ -6,7 +6,15 @@
    native backend on identical inputs; every output buffer must match
    bit-for-bit.  A qcheck property pins integer Div/Mod and real Mod
    semantics over signed operands across the three engines (C truncates
-   toward zero, like OCaml; real Mod is fmod = Float.rem).
+   toward zero, like OCaml; real Mod is fmod = Float.rem), together with
+   the edges of the in-place tagged int ABI: [max_int]/[min_int]
+   scalars stored and wrapped to 63 bits, a store read back within the
+   launch, a read-only int buffer left untouched, a zero-length binding.
+   Int arrays young enough to move at the next minor collection are
+   launched on while collections run, and must match the interpreter.
+
+   The native source is a function of kernel structure only: lifting a
+   program twice gives one cache key.
 
    Cache: compiles populate a content-addressed disk cache (atomic
    install); a warm run loads without recompiling, a corrupted entry is
@@ -164,6 +172,8 @@ let moddiv_kernel =
         param ~kind:Scalar_param "b" Int;
         param ~kind:Scalar_param "x" Real;
         param ~kind:Scalar_param "y" Real;
+        param "iin" Int;
+        param "iempty" Int;
       ];
     global_size = [ Int_lit 1 ];
     local_size = [];
@@ -172,24 +182,41 @@ let moddiv_kernel =
         Store ("iout", Int_lit 0, Var "a" /: Var "b");
         Store ("iout", Int_lit 1, Var "a" %: Var "b");
         Store ("out", Int_lit 0, Binop (Mod, Var "x", Var "y"));
+        (* scalars stored as they are, then a store wrapping past
+           max_int read back within the same launch *)
+        Store ("iout", Int_lit 2, Var "a");
+        Store ("iout", Int_lit 3, Var "b");
+        Store ("iout", Int_lit 4, Var "a" +: Int_lit 1);
+        Store ("iout", Int_lit 5, Load ("iout", Int_lit 4) /: Int_lit 2);
+        (* a read-only int buffer; [iempty] is bound to [||] *)
+        Store ("iout", Int_lit 6, Load ("iin", Int_lit 0) +: Load ("iin", Int_lit 1));
+        Store ("iout", Int_lit 7, Load ("iin", Int_lit 2) -: Var "a");
       ];
   }
 
+(* Mostly small operands, often the ends of OCaml's int range. *)
+let edge_int =
+  QCheck.make ~print:string_of_int
+    QCheck.Gen.(
+      oneof
+        [
+          int_range (-1000) 1000;
+          oneofl [ 0; -1; 1; max_int; min_int; max_int - 1; min_int + 1 ];
+        ])
+
 let qcheck_signed_moddiv =
   QCheck.Test.make ~name:"signed Div/Mod agree across interp/jit/native" ~count:200
-    QCheck.(
-      quad (int_range (-1000) 1000)
-        (int_range (-50) 50)
-        (float_range (-100.) 100.)
-        (float_range (-10.) 10.))
+    QCheck.(quad edge_int edge_int (float_range (-100.) 100.) (float_range (-10.) 10.))
     (fun (a, b, x, y) ->
       use_scratch_cache ();
       let b = if b = 0 then 1 else b in
       let y = if y = 0. then 0.5 else y in
+      let iin0 = [| max_int; min_int; -7 |] in
       let runs =
         List.map
           (fun (label, run) ->
-            let iout = Array.make 2 0 and out = Array.make 1 0. in
+            let iout = Array.make 8 0 and out = Array.make 1 0. in
+            let iin = Array.copy iin0 in
             let args =
               Vgpu.Args.
                 [
@@ -199,20 +226,78 @@ let qcheck_signed_moddiv =
                   Int_arg b;
                   Real_arg x;
                   Real_arg y;
+                  Buf (Vgpu.Buffer.I iin);
+                  Buf (Vgpu.Buffer.I [||]);
                 ]
             in
             run moddiv_kernel args [ 1 ];
-            (label, iout, out))
+            (label, iout, out, iin))
           engines
       in
       List.for_all
-        (fun (_, iout, out) ->
-          (* pinned semantics: truncation toward zero, fmod = Float.rem *)
-          iout.(0) = a / b
-          && iout.(1) = a mod b
+        (fun (_, iout, out, iin) ->
+          (* pinned semantics: truncation toward zero, fmod = Float.rem,
+             OCaml's 63-bit wraparound on every stored int *)
+          iout = [| a / b; a mod b; a; b; a + 1; (a + 1) / 2; max_int + min_int; -7 - a |]
           && Int64.equal (Int64.bits_of_float out.(0))
-               (Int64.bits_of_float (Float.rem x y)))
+               (Int64.bits_of_float (Float.rem x y))
+          && iin = iin0)
         runs)
+
+(* -- GC safety of the in-place int ABI -------------------------------- *)
+
+(* Accumulates into an int buffer read and written in place. *)
+let accum_kernel =
+  let g = Global_id 0 in
+  {
+    name = "native_gc_accum";
+    precision = Double;
+    params = [ param "acc" Int; param "src" Int; param ~kind:Scalar_param "k" Int ];
+    global_size = [ Int_lit n ];
+    local_size = [];
+    body = [ Store ("acc", g, (Load ("acc", g) *: Int_lit 3) +: (Load ("src", g) *: Var "k") -: g) ];
+  }
+
+(* The arrays are small enough to be allocated in the minor heap, so the
+   first collection after a launch moves them.  Each round launches on
+   fresh young arrays, collects, and launches again on the moved ones,
+   while a second domain allocates and forces minor collections (each
+   stops the world, which must wait for a launch to return).  A
+   trampoline that released the runtime lock around the kernel fails
+   this test.  Interp replays the same launches on copies. *)
+let test_gc_safety () =
+  use_scratch_cache ();
+  let c = Vgpu.Native.compile accum_kernel in
+  let native args = Vgpu.Native.launch c ~args ~global:[ n ] in
+  let interp args = Vgpu.Exec.launch accum_kernel ~args ~global:[ n ] in
+  let stop = Atomic.make false in
+  let churn =
+    Domain.spawn (fun () ->
+        let keep = ref [] and count = ref 0 in
+        while not (Atomic.get stop) do
+          keep := Array.make 32 !count :: (if !count land 1023 = 0 then [] else !keep);
+          if !count land 15 = 0 then Gc.minor ();
+          incr count
+        done)
+  in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      Domain.join churn)
+    (fun () ->
+      for round = 1 to 200 do
+        let acc = Array.init n (fun i -> (i * round) - 40) in
+        let src = Array.init n (fun i -> if i = 0 then max_int else (i * 7) - round) in
+        let acc' = Array.copy acc and src' = Array.copy src in
+        let args a s k = Vgpu.Args.[ Buf (Vgpu.Buffer.I a); Buf (Vgpu.Buffer.I s); Int_arg k ] in
+        native (args acc src round);
+        interp (args acc' src' round);
+        if round mod 2 = 0 then Gc.minor () else Gc.full_major ();
+        native (args acc src (-round));
+        interp (args acc' src' (-round));
+        Alcotest.(check (array int)) (Printf.sprintf "round %d acc" round) acc' acc;
+        Alcotest.(check (array int)) (Printf.sprintf "round %d src unchanged" round) src' src
+      done)
 
 (* -- Binary cache behaviour ------------------------------------------ *)
 
@@ -323,6 +408,25 @@ let test_opt_changes_cache_key () =
   (* same kernel, same toolchain: key is stable *)
   Alcotest.(check string)
     "cache key is deterministic" (Vgpu.Native.cache_key k) (Vgpu.Native.cache_key k)
+
+(* Lift numbers generated names from a process-wide counter; the native
+   source renames locals by declaration order, so a second lift of the
+   same program maps to the same binary. *)
+let test_lift_twice_same_key () =
+  let module P = Lift_acoustics.Programs in
+  List.iter
+    (fun (name, prog) ->
+      let lift () = (P.compile ~name ~optimize:false ~precision:Double (prog ())).Lift.Codegen.kernel in
+      let k1 = lift () and k2 = lift () in
+      Alcotest.(check bool) (name ^ ": the two lifts differ in names") true (k1 <> k2);
+      Alcotest.(check string) (name ^ ": one cache key") (Vgpu.Native.cache_key k1)
+        (Vgpu.Native.cache_key k2))
+    [
+      ("volume", P.volume);
+      ("boundary_fi", P.boundary_fi);
+      ("boundary_fi_mm", P.boundary_fi_mm);
+      ("boundary_fd_mm", fun () -> P.boundary_fd_mm ~mb:3 ());
+    ]
 
 
 (* -- Simulation-level differential: the acceptance criterion ---------- *)
@@ -542,6 +646,8 @@ let suite =
       test_corrupt_entry_recompiled;
     Alcotest.test_case "optimization changes the cache key" `Quick
       test_opt_changes_cache_key;
+    Alcotest.test_case "lifting twice gives one cache key" `Quick test_lift_twice_same_key;
+    Alcotest.test_case "GC safety: launches on moving int arrays" `Quick test_gc_safety;
     Alcotest.test_case "simulation bit-identical: schemes x precisions x shards" `Quick
       test_sim_differential;
     Alcotest.test_case "runtime cache counters in stats" `Quick test_runtime_cache_counters;

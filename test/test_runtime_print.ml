@@ -270,20 +270,23 @@ let test_tiled_kernel_goldens () =
       if not (Test_util.contains c needle) then
         Alcotest.failf "native C for tiled kernel missing %S in:\n%s" needle c)
     [
-      (* the local tile is one plain per-group array, cleared per group *)
-      "double tile[24];";
-      "memset(tile, 0, sizeof(tile));";
+      (* locals are renamed by declaration order, keeping their stem;
+         the local tile is one plain per-group array, cleared per group *)
+      "double rk_v2_tile[24];";
+      "memset(rk_v2_tile, 0, sizeof(rk_v2_tile));";
       (* per-work-item registers are widened over the group *)
-      "double cb[8] = {0};";
-      "cb[rk_l] = ";
+      "double rk_v3_cb[8] = {0};";
+      "rk_v3_cb[rk_l] = ";
+      (* the int neighbour grid is read in place as tagged words *)
+      "(nbrs[rk_v5_idx[rk_l]] >> 1)";
       (* the group loop nest and the flattened local id *)
       "for (int64_t rk_wg0 = 0; rk_wg0 < rk_gs0 / 4LL; rk_wg0++)";
       "for (int64_t rk_l0 = 0; rk_l0 < 4LL; rk_l0++)";
       "const int64_t rk_l = (rk_l2 * 2LL + rk_l1) * 4LL + rk_l0;";
       (* the barrier-carrying z loop becomes a uniform while *)
-      "int64_t rk_it_z = 0LL;";
-      "while (rk_it_z < (Nz)) {";
-      "rk_it_z += 1LL;";
+      "int64_t rk_it_rk_v4_z = 0LL;";
+      "while (rk_it_rk_v4_z < (Nz)) {";
+      "rk_it_rk_v4_z += 1LL;";
     ];
   (* no barrier survives as a statement: fission consumed them all *)
   Alcotest.(check bool) "no barrier() call in C" false (Test_util.contains c "barrier(");
