@@ -870,16 +870,14 @@ let run_tiled_bench ~json_file ~smoke () =
 (* -- Temporal blocking: deep halos, one exchange per T steps --------- *)
 
 (* FI scheme on the native engine, 2 Z-shards: sweep the temporal block
-   depth T over {1, 2, 4} in both cadences — per-step kernels under the
-   depth-T exchange plan, and the fused T-step volume kernel — measure
-   ns per physical step, read the static cost profile (exchange rounds,
-   deep-halo bytes, redundant frontier points) off the block exchange
-   plan, and check every variant lands bit-identical to T=1.  The
-   exchange-round count falls as 1/T; the per-step byte count is
-   (2T-1)/(2T) of baseline (the once-per-block exchange ships 2T-1
-   planes where T per-step rounds ship 2T), so the bandwidth win is
-   modest and the latency amortisation is the real prize — the numbers
-   below report both honestly.  A cache-bypassed autotune run records
+   depth T over {1, 2, 4}, measure ns per step, read the static cost
+   profile (exchange rounds, deep-halo bytes, redundant frontier points)
+   off the block exchange plan, and check every T lands bit-identical
+   to T=1.  The exchange-round count falls as 1/T; the per-step byte
+   count is (2T-1)/(2T) of baseline (the once-per-block exchange ships
+   2T-1 planes where T per-step rounds ship 2T), so the bandwidth win
+   is modest and the latency amortisation is the real prize — the
+   numbers below report both honestly.  A cache-bypassed autotune run records
    which T the measured search actually selects. *)
 let run_tblock_bench ~json_file ~smoke () =
   Printf.printf "\n== Temporal blocking: exchange amortisation vs redundant frontier (native) ==\n";
@@ -890,7 +888,6 @@ let run_tblock_bench ~json_file ~smoke () =
   let shards = 2 in
   Printf.printf "room %dx%dx%d box, fi scheme, double precision, %d shards, %d steps\n"
     dims.Geometry.nx dims.Geometry.ny dims.Geometry.nz shards steps;
-  let per_step_kernels = [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ] in
   let bits_equal a b =
     Array.for_all2
       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
@@ -906,12 +903,12 @@ let run_tblock_bench ~json_file ~smoke () =
     State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
     sim
   in
-  (* one configuration: [launches] calls advance [steps] physical steps *)
-  let run ~tblock ~kernels ~phys_per_launch =
-    let launches = steps / phys_per_launch in
-    (* identity pass: no warm-up launch, exactly [steps] physical steps *)
+  let kernels = [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ] in
+  (* one configuration: [steps] steps at block depth [tblock] *)
+  let run ~tblock =
+    (* identity pass: no warm-up launch, exactly [steps] steps *)
     let sim = mk_sim ~tblock in
-    for _ = 1 to launches do
+    for _ = 1 to steps do
       Gpu_sim.step sim kernels
     done;
     Gpu_sim.sync sim;
@@ -921,28 +918,14 @@ let run_tblock_bench ~json_file ~smoke () =
     let sim = mk_sim ~tblock in
     Gpu_sim.step sim kernels;
     let t0 = Unix.gettimeofday () in
-    for _ = 1 to launches do
+    for _ = 1 to steps do
       Gpu_sim.step sim kernels
     done;
     let per_step = (Unix.gettimeofday () -. t0) /. float_of_int steps in
     (per_step, final, bs)
   in
-  let tblocks = [ 1; 2; 4 ] in
-  let sweep =
-    List.map
-      (fun t -> (t, run ~tblock:t ~kernels:per_step_kernels ~phys_per_launch:1))
-      tblocks
-  in
+  let sweep = List.map (fun t -> (t, run ~tblock:t)) [ 1; 2; 4 ] in
   let _, (_, ref_final, _) = List.hd sweep in
-  let fused =
-    List.map
-      (fun t ->
-        ( t,
-          run ~tblock:t
-            ~kernels:[ Lift_acoustics.Programs.blocked_volume ~precision ~tblock:t () ]
-            ~phys_per_launch:t ))
-      [ 2; 4 ]
-  in
   Printf.printf "%-16s %3s %13s %9s %11s %10s %6s\n" "cadence" "T" "ns/step" "exch/step"
     "bytes/step" "redundant" "ident";
   let row label (t, (per_step, final, bs)) =
@@ -959,9 +942,7 @@ let run_tblock_bench ~json_file ~smoke () =
       rd ident;
     (label, t, per_step, ex, by, rd, ident)
   in
-  let per_step_rows = List.map (row "per-step") sweep in
-  let fused_rows = List.map (row "fused") fused in
-  let rows = per_step_rows @ fused_rows in
+  let rows = List.map (row "per-step") sweep in
   (* which T does the measured autotuner actually pick for this workload? *)
   let topk, warmup, repeats, tsteps, explore_depth =
     if smoke then (4, 1, 2, 4, 1) else (8, 1, 3, 10, 1)

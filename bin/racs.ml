@@ -479,7 +479,7 @@ let cmd_check shape nx ny nz precision engine json =
          [ ("raw", false); ("optimized", true) ])
      [ ("interp", `Interp); ("jit", `Jit); ("jit-parallel", `Jit_parallel 3);
        ("native", `Native) ]);
-  (* host-plan lint (structure) and whole-plan dataflow verification
+  (* host-plan lint and whole-plan dataflow verification
      (footprint-driven): the paper's host programs, plus the real
      sequential and overlapped multi-device plans of every scheme at 1-4
      shards, checked against the slab geometry they launch over *)
@@ -529,13 +529,9 @@ let cmd_check shape nx ny nz precision engine json =
           let ssim = mk () in
           let snx, sny, planes = Gpu_sim.slab_geometry ssim in
           let slab = { Lift.Lint.sl_nx = snx; sl_ny = sny; sl_planes = planes } in
-          let plan = Gpu_sim.step_plan ssim kernels ~steps:2 in
-          lint
-            (Printf.sprintf "sync %s plan, %d shard(s), structure" label shards)
-            (Lift.Lint.check_sharded plan);
           lint
             (Printf.sprintf "sync %s plan, %d shard(s), halo dataflow" label shards)
-            (Lift.Lint.verify_plan slab plan);
+            (Lift.Lint.verify_plan slab (Gpu_sim.step_plan ssim kernels ~steps:2));
           let aplan = Gpu_sim.overlap_plan (mk ()) kernels ~steps:2 in
           lint
             (Printf.sprintf "async %s plan, %d shard(s), structure" label shards)
@@ -545,12 +541,12 @@ let cmd_check shape nx ny nz precision engine json =
             (Lift.Lint.verify_async slab aplan))
         [ 1; 2; 3; 4 ])
     plan_schemes;
-  (* temporally-blocked cadences: depth-T ghost zones exchanged once per
+  (* temporally-blocked cadence: depth-T ghost zones exchanged once per
      block, verified under the footprint dataflow checker at ~halo:T
-     (sync and overlapped), plus the fused T-step kernel's plan *)
+     (sync and overlapped) *)
   let state_bufs = [ "g1"; "v1" ] in
   List.iter
-    (fun (label, kernels_of_t) ->
+    (fun (label, kernels) ->
       List.iter
         (fun (shards, tblock) ->
           let mk () =
@@ -559,7 +555,6 @@ let cmd_check shape nx ny nz precision engine json =
           in
           let ssim = mk () in
           let t = Gpu_sim.tblock ssim in
-          let kernels = kernels_of_t t in
           let snx, sny, planes = Gpu_sim.slab_geometry ssim in
           let slab = { Lift.Lint.sl_nx = snx; sl_ny = sny; sl_planes = planes } in
           lint
@@ -573,9 +568,7 @@ let cmd_check shape nx ny nz precision engine json =
             (Lift.Lint.verify_async ~halo:t ~state_bufs slab
                (Gpu_sim.overlap_plan (mk ()) kernels ~steps:(2 * t))))
         [ (2, 2); (3, 3) ])
-    (List.map (fun (label, kernels) -> (label, fun _ -> kernels)) plan_schemes
-    @ [ ("fused fi",
-         fun t -> [ Lift_acoustics.Programs.blocked_volume ~precision ~tblock:t () ]) ]);
+    plan_schemes;
   out
     "@.%d kernel report(s) unsafe, %d unproven (sanitizer-covered), %d lint error(s), %d \
      tiled conformance failure(s)%s@."

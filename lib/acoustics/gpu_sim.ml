@@ -212,7 +212,6 @@ let buffer t name : Vgpu.Buffer.t =
       | "prev" -> Vgpu.Buffer.F st.prev
       | "curr" -> Vgpu.Buffer.F st.curr
       | "next" -> Vgpu.Buffer.F st.next
-      | "next2" -> Vgpu.Buffer.F st.next2
       | "nbrs" -> Vgpu.Buffer.I room.Geometry.nbrs
       | "bidx" -> Vgpu.Buffer.I room.Geometry.boundary_indices
       | "material" -> Vgpu.Buffer.I room.Geometry.material
@@ -232,7 +231,6 @@ let buffer_shard t (sh : Shard.shard) (ss : Shard.shard_state) name : Vgpu.Buffe
       | "prev" -> Vgpu.Buffer.F ss.Shard.prev
       | "curr" -> Vgpu.Buffer.F ss.Shard.curr
       | "next" -> Vgpu.Buffer.F ss.Shard.next
-      | "next2" -> Vgpu.Buffer.F ss.Shard.next2
       | "nbrs" -> Vgpu.Buffer.I sh.Shard.nbrs
       | "bidx" -> Vgpu.Buffer.I sh.Shard.bidx
       | "material" -> Vgpu.Buffer.I sh.Shard.material
@@ -300,28 +298,6 @@ let launch_shard t s i (k : kernel) =
 let splittable (k : kernel) =
   match k.global_size with [ Var "N" ] -> true | _ -> false
 
-(* A fused T-step kernel advances the leapfrog [depth] generations in
-   one launch (writing u(t+T) to [next] and u(t+T-1) to [next2]); the
-   depth is encoded in the name by {!Programs.blocked_volume}'s
-   [blocked…_t<T>] convention. *)
-let fused_kernel_depth (k : kernel) =
-  let n = k.name in
-  if String.length n >= 7 && String.sub n 0 7 = "blocked" then
-    match String.rindex_opt n '_' with
-    | Some i when i + 1 < String.length n && n.[i + 1] = 't' -> (
-        match int_of_string_opt (String.sub n (i + 2) (String.length n - i - 2)) with
-        | Some d when d >= 1 -> Some d
-        | _ -> None)
-    | _ -> None
-  else None
-
-(* The fused depth of a kernel sequence: the depth of its fused volume
-   kernel, if any.  [None] for the per-step kernel sequences. *)
-let fused_depth (kernels : kernel list) =
-  List.fold_left
-    (fun acc k -> match fused_kernel_depth k with Some d -> Some d | None -> acc)
-    None kernels
-
 (* Does the kernel sequence carry persistent per-boundary-point branch
    state (the FD-MM scheme)?  If so, a block boundary must also refresh
    the ghost slices of [g1]/[v1]: a ghost boundary point at depth d only
@@ -333,21 +309,15 @@ let uses_branch_state (kernels : kernel list) =
 
 (* The exchanges of one block boundary: the freshly written [next] at
    full depth T (it becomes [curr], whose ghosts the next block reads to
-   depth T); the previous generation ([curr], or [next2] for fused
-   kernels) at depth T-1 (it becomes [prev], read at radius 0 by writes
-   of validity up to T-1) — skipped for T ≤ 2 on the per-step cadence,
-   where the redundant in-block recompute already left it valid to depth
-   1 locally (fused kernels exchange [next2] from T = 2 up: their single
-   launch confers no recomputed ghost validity the flow verifier could
-   credit); and the ghost branch-state slices for schemes that carry
-   them.  At T = 1 this reduces to exactly the original per-step [next]
-   exchange. *)
-let block_exchange_plan (p : Shard.plan) ~tblock ~fused ~has_state : Vgpu.Multi.plan =
+   depth T); the previous generation [curr] at depth T-1 (it becomes
+   [prev], read at radius 0 by writes of validity up to T-1) — skipped
+   for T ≤ 2, where the redundant in-block recompute already left it
+   valid to depth 1 locally; and the ghost branch-state slices for
+   schemes that carry them.  At T = 1 this reduces to exactly the
+   original per-step [next] exchange. *)
+let block_exchange_plan (p : Shard.plan) ~tblock ~has_state : Vgpu.Multi.plan =
   Shard.exchange_ops ~depth:tblock p ~buffer:"next"
-  @ (if (if fused then tblock > 1 else tblock > 2) then
-       Shard.exchange_ops ~depth:(tblock - 1) p
-         ~buffer:(if fused then "next2" else "curr")
-     else [])
+  @ (if tblock > 2 then Shard.exchange_ops ~depth:(tblock - 1) p ~buffer:"curr" else [])
   @ (if has_state && tblock > 1 then
        Shard.state_exchange_ops p ~buffer:"g1" @ Shard.state_exchange_ops p ~buffer:"v1"
      else [])
@@ -372,13 +342,12 @@ let drain t =
    ghost branch state).  Mid-block steps (0 < bpos < T-1) launch
    full-range with no waits: per-queue FIFO already orders them after
    the same device's previous step, and they touch no freshly exchanged
-   data.  At a block end (bpos = T-1, or every step for fused kernels)
-   the block's halo exchanges run on their source device's queue — FIFO
-   puts them after the source's writes — each waiting on the
-   *destination* device's last in-block launch when T ≥ 2 (those
-   launches redundantly write the very ghost planes the exchange
-   overwrites), and each signalling a fresh event that becomes a
-   block-start wait of the next block.  [eid] supplies fresh event ids;
+   data.  At a block end (bpos = T-1) the block's halo exchanges run on
+   their source device's queue — FIFO puts them after the source's
+   writes — each waiting on the *destination* device's last in-block
+   launch when T ≥ 2 (those launches redundantly write the very ghost
+   planes the exchange overwrites), and each signalling a fresh event
+   that becomes a block-start wait of the next block.  [eid] supplies fresh event ids;
    [incs] carries each device's (bottom, top) incoming-exchange events
    across steps and is updated in place.  Buffer params are (re)bound as
    a side effect, as in the sequential path. *)
@@ -402,9 +371,8 @@ let overlap_step_ops t ~(eid : int ref) ~(incs : (int list * int list) array)
       in
       let n = Shard.n_shards s.plan in
       let tb = s.tblock in
-      let fused = fused_depth kernels <> None in
       let block_start = bpos = 0 in
-      let block_end = fused || bpos = tb - 1 in
+      let block_end = bpos = tb - 1 in
       let ops = ref [] in
       let push op = ops := op :: !ops in
       (* at a deep block end, the last launch of each device signals so
@@ -453,17 +421,16 @@ let overlap_step_ops t ~(eid : int ref) ~(incs : (int list * int list) array)
               in
               let global = global_size ~int_scalar k in
               (* At a block start, a non-splittable volume kernel (the
-                 2.5D-tiled stencil, or a fused T-step kernel) reads the
-                 [curr] ghost planes without a frontier launch before it
-                 on this queue, so it carries the incoming-exchange waits
-                 itself; at T ≥ 2 the boundary kernels read exchanged
-                 ghost branch state and carry them too.  Mid-block
-                 launches wait on nothing — FIFO order suffices. *)
+                 2.5D-tiled stencil) reads the [curr] ghost planes without
+                 a frontier launch before it on this queue, so it carries
+                 the incoming-exchange waits itself; at T ≥ 2 the
+                 boundary kernels read exchanged ghost branch state and
+                 carry them too.  Mid-block launches wait on nothing —
+                 FIFO order suffices. *)
               let waits =
                 if
                   block_start
-                  && (tb > 1 || fused
-                     || List.exists (fun p -> p.p_name = "curr") k.params)
+                  && (tb > 1 || List.exists (fun p -> p.p_name = "curr") k.params)
                 then fst incs.(i) @ snd incs.(i)
                 else []
               in
@@ -507,7 +474,7 @@ let overlap_step_ops t ~(eid : int ref) ~(incs : (int list * int list) array)
                    branch-state slices order both sides conservatively *)
                 let side =
                   match dst with
-                  | "next" | "next2" | "curr" | "prev" ->
+                  | "next" | "curr" | "prev" ->
                       if dst_off < dsh.Shard.halo * dsh.Shard.plane then `Lo else `Hi
                   | _ -> `Both
                 in
@@ -517,8 +484,7 @@ let overlap_step_ops t ~(eid : int ref) ~(incs : (int list * int list) array)
                   | `Hi -> (lo, hi @ [ ev ])
                   | `Both -> (lo @ [ ev ], hi @ [ ev ]))
             | _ -> ())
-          (block_exchange_plan s.plan ~tblock:tb ~fused
-             ~has_state:(uses_branch_state kernels));
+          (block_exchange_plan s.plan ~tblock:tb ~has_state:(uses_branch_state kernels));
       Array.blit next_incs 0 incs 0 n;
       List.rev !ops
 
@@ -558,37 +524,21 @@ let launch t (k : kernel) =
       done;
       t.launches <- t.launches + n
 
-(* A fused kernel's depth must match the shards' halo depth: the block
-   exchange sources [depth] owned planes and fills [depth] ghosts. *)
-let check_fused_depth s kernels =
-  match (s, fused_depth kernels) with
-  | Sharded sh, Some d when d <> sh.tblock ->
-      invalid_arg
-        (Printf.sprintf
-           "gpu_sim: fused kernel depth %d needs ~tblock:%d (shards have halo %d)" d d
-           sh.tblock)
-  | _ -> ()
-
 (* One time step: run each kernel in order, then rotate the buffers.
    Sharded: kernels per shard ([`Concurrent]: through the domain pool;
    [`Overlap]: submitted to the per-device command queues without a
    per-step barrier, steps pipelining through the event graph); at a
    block boundary (every step at T = 1), halo-exchange the deep ghost
-   zones; rotate each shard every step.  A fused T-step kernel advances
-   T generations per call: every call is a whole block, and the rotation
-   is the four-buffer fused rotation. *)
+   zones; rotate each shard every step. *)
 let step t (kernels : kernel list) =
   match t.backend with
   | Single _ ->
       List.iter (launch t) kernels;
-      if fused_depth kernels <> None then State.rotate_fused t.state
-      else State.rotate t.state
+      State.rotate t.state
   | Sharded s ->
-      check_fused_depth t.backend kernels;
       ensure_scattered t;
       let n = Shard.n_shards s.plan in
-      let fused = fused_depth kernels <> None in
-      let block_end = fused || s.bpos = s.tblock - 1 in
+      let block_end = s.bpos = s.tblock - 1 in
       (match s.schedule with
       | `Overlap ->
           let eid = ref s.ov_eid in
@@ -610,20 +560,18 @@ let step t (kernels : kernel list) =
             Array.iteri
               (fun i (ss : Shard.shard_state) ->
                 Vgpu.Multi.bind s.multi i "next" (Vgpu.Buffer.F ss.Shard.next);
-                Vgpu.Multi.bind s.multi i "next2" (Vgpu.Buffer.F ss.Shard.next2);
                 Vgpu.Multi.bind s.multi i "curr" (Vgpu.Buffer.F ss.Shard.curr);
                 Vgpu.Multi.bind s.multi i "g1" (Vgpu.Buffer.F ss.Shard.g1);
                 Vgpu.Multi.bind s.multi i "v1" (Vgpu.Buffer.F ss.Shard.vel_next))
               s.sstates;
             Vgpu.Multi.run s.multi
-              (block_exchange_plan s.plan ~tblock:s.tblock ~fused
+              (block_exchange_plan s.plan ~tblock:s.tblock
                  ~has_state:(uses_branch_state kernels))
           end);
       (* host-side rotation is safe while commands are still queued:
          every queued op resolved its buffers at submission *)
-      if fused then Array.iter Shard.rotate_state_fused s.sstates
-      else Array.iter Shard.rotate_state s.sstates;
-      s.bpos <- (if fused then 0 else (s.bpos + 1) mod s.tblock)
+      Array.iter Shard.rotate_state s.sstates;
+      s.bpos <- (s.bpos + 1) mod s.tblock
 
 (* One overlapped time step replayed deterministically on the calling
    domain: the same event graph as [`Overlap], executed in the legal
@@ -635,9 +583,7 @@ let step_overlap_with ?pick t (kernels : kernel list) =
   match t.backend with
   | Single _ -> invalid_arg "gpu_sim: step_overlap_with needs a sharded backend"
   | Sharded s ->
-      check_fused_depth t.backend kernels;
       ensure_scattered t;
-      let fused = fused_depth kernels <> None in
       let eid = ref s.ov_eid in
       let ops = overlap_step_ops t ~eid ~incs:s.ov_inc ~bpos:s.bpos kernels in
       s.ov_eid <- !eid;
@@ -646,9 +592,8 @@ let step_overlap_with ?pick t (kernels : kernel list) =
         List.filter_map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_signal) ops
         @ s.ov_fired;
       t.launches <- t.launches + count_launches ops;
-      if fused then Array.iter Shard.rotate_state_fused s.sstates
-      else Array.iter Shard.rotate_state s.sstates;
-      s.bpos <- (if fused then 0 else (s.bpos + 1) mod s.tblock)
+      Array.iter Shard.rotate_state s.sstates;
+      s.bpos <- (s.bpos + 1) mod s.tblock
 
 (* The async plan of [steps] overlapped time steps, for static analysis
    ({!Lift.Lint.check_async} via [racs check]).  Buffer rotation appears
@@ -660,9 +605,7 @@ let overlap_plan t (kernels : kernel list) ~steps : Vgpu.Multi.async_plan =
   match t.backend with
   | Single _ -> invalid_arg "gpu_sim: overlap_plan needs a sharded backend"
   | Sharded s ->
-      check_fused_depth t.backend kernels;
       let n = Shard.n_shards s.plan in
-      let fused = fused_depth kernels <> None in
       let eid = ref 0 and incs = Array.make n ([], []) in
       let acc = ref [] in
       let aswap i (a, b) =
@@ -673,20 +616,10 @@ let overlap_plan t (kernels : kernel list) ~steps : Vgpu.Multi.async_plan =
         }
       in
       for st = 0 to steps - 1 do
-        let bpos = if fused then 0 else st mod s.tblock in
-        let ops = overlap_step_ops t ~eid ~incs ~bpos kernels in
+        let ops = overlap_step_ops t ~eid ~incs ~bpos:(st mod s.tblock) kernels in
         let rot =
           List.concat_map
-            (fun i ->
-              if fused then
-                (* prev <- next2, curr <- next, recycling the two stale
-                   grids as the new write targets *)
-                [
-                  aswap i ("prev", "next2");
-                  aswap i ("curr", "next");
-                  aswap i ("next", "next2");
-                ]
-              else [ aswap i ("prev", "curr"); aswap i ("curr", "next") ])
+            (fun i -> [ aswap i ("prev", "curr"); aswap i ("curr", "next") ])
             (List.init n Fun.id)
         in
         acc := !acc @ ops @ rot
@@ -703,9 +636,7 @@ let step_plan t (kernels : kernel list) ~steps : Vgpu.Multi.plan =
   match t.backend with
   | Single _ -> invalid_arg "gpu_sim: step_plan needs a sharded backend"
   | Sharded s ->
-      check_fused_depth t.backend kernels;
       let n = Shard.n_shards s.plan in
-      let fused = fused_depth kernels <> None in
       let acc = ref [] in
       let push op = acc := op :: !acc in
       for st = 0 to steps - 1 do
@@ -723,20 +654,13 @@ let step_plan t (kernels : kernel list) ~steps : Vgpu.Multi.plan =
               push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Launch { kernel = k; args; global })))
             kernels
         done;
-        if fused || st mod s.tblock = s.tblock - 1 then
+        if st mod s.tblock = s.tblock - 1 then
           List.iter push
-            (block_exchange_plan s.plan ~tblock:s.tblock ~fused
+            (block_exchange_plan s.plan ~tblock:s.tblock
                ~has_state:(uses_branch_state kernels));
         for i = 0 to n - 1 do
-          if fused then begin
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("prev", "next2")));
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("curr", "next")));
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("next", "next2")))
-          end
-          else begin
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("prev", "curr")));
-            push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("curr", "next")))
-          end
+          push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("prev", "curr")));
+          push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("curr", "next")))
         done
       done;
       List.rev !acc
@@ -856,10 +780,8 @@ let blocked_stats t (kernels : kernel list) =
   match t.backend with
   | Single _ -> None
   | Sharded s ->
-      let fused = fused_depth kernels <> None in
       let exs =
-        block_exchange_plan s.plan ~tblock:s.tblock ~fused
-          ~has_state:(uses_branch_state kernels)
+        block_exchange_plan s.plan ~tblock:s.tblock ~has_state:(uses_branch_state kernels)
       in
       let elem = match t.precision with Double -> 8 | Single -> 4 in
       let bytes =

@@ -153,19 +153,11 @@ val step : t -> Kernel_ast.Cast.kernel list -> unit
     exchange of the freshly written ghost zones ([next] at depth T,
     [curr] at depth T-1 when T > 2, plus the ghost branch-state slices
     for FD-MM);
-    local rotations every step.  A kernel list containing a fused
-    T-step kernel ({!Programs.blocked_volume} naming convention)
-    advances T generations per call: every call is a whole block and
-    the rotation is the four-buffer fused one.  Under [`Overlap] the
-    step is submitted asynchronously and may still be in flight when
+    local rotations every step.  Every call advances exactly one
+    generation, so a block of depth T spans T calls.  Under [`Overlap]
+    the step is submitted asynchronously and may still be in flight when
     [step] returns; any host-side observation ({!sync}, {!read},
-    {!stats}, ...) drains the queues first.
-    @raise Invalid_argument if a fused kernel's depth differs from the
-    shards' halo depth. *)
-
-val fused_depth : Kernel_ast.Cast.kernel list -> int option
-(** The fused depth of a kernel sequence (from the [blocked…_t<T>] name
-    convention); [None] for per-step kernel sequences. *)
+    {!stats}, ...) drains the queues first. *)
 
 val drain : t -> unit
 (** Wait for all queued async work (no-op on a single device or when the

@@ -141,7 +141,6 @@ type shard_state = {
   mutable prev : float array;
   mutable curr : float array;
   mutable next : float array;
-  mutable next2 : float array;  (* u at t+T-1, written by fused kernels *)
   mutable g1 : float array;
   mutable vel_prev : float array;  (* v2 *)
   mutable vel_next : float array;  (* v1 *)
@@ -154,7 +153,6 @@ let create_state p (s : shard) =
     prev = grid ();
     curr = grid ();
     next = grid ();
-    next2 = grid ();
     g1 = bstate ();
     vel_prev = bstate ();
     vel_next = bstate ();
@@ -171,15 +169,6 @@ let rotate_state ss =
   let old_vel = ss.vel_prev in
   ss.vel_prev <- ss.vel_next;
   ss.vel_next <- old_vel
-
-(* Mirror of [State.rotate_fused]: a fused T-step launch wrote u(t+T)
-   into [next] and u(t+T-1) into [next2]. *)
-let rotate_state_fused ss =
-  let old_prev = ss.prev and old_curr = ss.curr in
-  ss.prev <- ss.next2;
-  ss.curr <- ss.next;
-  ss.next <- old_prev;
-  ss.next2 <- old_curr
 
 (* Global grid -> shard-local slab, plane by plane: owned and interior
    ghost planes copy from the global array, out-of-grid ghosts zero. *)
@@ -222,7 +211,6 @@ let scatter p (st : State.t) (sstates : shard_state array) =
       scatter_slab s ~src:st.State.prev ~dst:ss.prev;
       scatter_slab s ~src:st.State.curr ~dst:ss.curr;
       scatter_slab s ~src:st.State.next ~dst:ss.next;
-      scatter_slab s ~src:st.State.next2 ~dst:ss.next2;
       scatter_bstate p s ~src:st.State.g1 ~dst:ss.g1;
       scatter_bstate p s ~src:st.State.vel_prev ~dst:ss.vel_prev;
       scatter_bstate p s ~src:st.State.vel_next ~dst:ss.vel_next)
@@ -235,7 +223,6 @@ let gather p (sstates : shard_state array) (st : State.t) =
       gather_slab s ~src:ss.prev ~dst:st.State.prev;
       gather_slab s ~src:ss.curr ~dst:st.State.curr;
       gather_slab s ~src:ss.next ~dst:st.State.next;
-      gather_slab s ~src:ss.next2 ~dst:st.State.next2;
       gather_bstate p s ~src:ss.g1 ~dst:st.State.g1;
       gather_bstate p s ~src:ss.vel_prev ~dst:st.State.vel_prev;
       gather_bstate p s ~src:ss.vel_next ~dst:st.State.vel_next)

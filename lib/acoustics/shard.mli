@@ -66,8 +66,6 @@ type shard_state = {
   mutable prev : float array;
   mutable curr : float array;
   mutable next : float array;
-  mutable next2 : float array;
-      (** u at t+T-1, written by fused T-step kernels *)
   mutable g1 : float array;
   mutable vel_prev : float array;  (** v2 *)
   mutable vel_next : float array;  (** v1 *)
@@ -77,10 +75,6 @@ val create_states : plan -> shard_state array
 
 val rotate_state : shard_state -> unit
 (** Mirror of {!State.rotate} on a shard's local arrays. *)
-
-val rotate_state_fused : shard_state -> unit
-(** Mirror of {!State.rotate_fused}: next becomes curr, next2 becomes
-    prev, the two stale grids recycle as write targets. *)
 
 val scatter : plan -> State.t -> shard_state array -> unit
 (** Distribute the global state to the shards (owned + ghost planes;

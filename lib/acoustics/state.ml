@@ -10,9 +10,6 @@ type t = {
   mutable prev : float array;  (* u at t-1 *)
   mutable curr : float array;  (* u at t   *)
   mutable next : float array;  (* u at t+1, written by the kernels *)
-  mutable next2 : float array;
-  (* u at t+T-1 when a fused T-step kernel writes its last two
-     generations; unused (all zero) by the per-step kernels *)
   (* FD-MM branch state, length n_branches * n_boundary, branch-major
      (ci = b * numBoundaryPoints + i) as in the paper's Listing 4. *)
   mutable g1 : float array;
@@ -30,7 +27,6 @@ let create ?(n_branches = 0) room =
     prev = Array.make n 0.;
     curr = Array.make n 0.;
     next = Array.make n 0.;
-    next2 = Array.make n 0.;
     g1 = bstate ();
     vel_prev = bstate ();
     vel_next = bstate ();
@@ -46,16 +42,6 @@ let rotate t =
   let old_vel = t.vel_prev in
   t.vel_prev <- t.vel_next;
   t.vel_next <- old_vel
-
-(* Rotate after a fused T-step launch that wrote u(t+T) into [next] and
-   u(t+T-1) into [next2]: those become the new curr/prev pair and the two
-   stale arrays are recycled as the new write targets. *)
-let rotate_fused t =
-  let old_prev = t.prev and old_curr = t.curr in
-  t.prev <- t.next2;
-  t.curr <- t.next;
-  t.next <- old_prev;
-  t.next2 <- old_curr
 
 let idx_of t ~x ~y ~z =
   let { Geometry.nx; ny; _ } = t.room.Geometry.dims in

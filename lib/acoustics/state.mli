@@ -9,8 +9,6 @@ type t = {
   mutable prev : float array;  (** u at t-1 *)
   mutable curr : float array;  (** u at t *)
   mutable next : float array;  (** u at t+1, written by the kernels *)
-  mutable next2 : float array;
-      (** u at t+T-1, written by fused T-step kernels; zero otherwise *)
   mutable g1 : float array;
       (** FD branch displacement, branch-major: ci = b*nB + i *)
   mutable vel_prev : float array;  (** v2: branch velocity, previous step *)
@@ -22,11 +20,6 @@ val create : ?n_branches:int -> Geometry.room -> t
 val rotate : t -> unit
 (** After a completed step: next becomes curr, curr becomes prev, and
     the branch velocities advance. *)
-
-val rotate_fused : t -> unit
-(** After a fused T-step launch: next becomes curr, next2 (u at t+T-1)
-    becomes prev, and the two stale grids are recycled as the new
-    next/next2 write targets. *)
 
 val idx_of : t -> x:int -> y:int -> z:int -> int
 

@@ -9,10 +9,10 @@
      consumed afterwards (dead transfer);
    - kernel calls ([check_host]): argument arity against the Lift
      lambda, and scalar/buffer kind mismatches per parameter;
-   - sharded plans ([check_sharded], over [Vgpu.Multi.plan]): a Z-cut
-     stepped again without a halo exchange between the adjacent devices
-     in the previous step — the bug class the paper's ghost-plane
-     protocol exists to prevent. *)
+   - sharded plans ([check_async], [verify_plan], [verify_async], over
+     [Vgpu.Multi] plans): event well-formedness, and ghost planes read
+     before an exchange refreshed them — the bug class the paper's
+     ghost-plane protocol exists to prevent. *)
 
 type severity =
   | Error
@@ -184,85 +184,11 @@ let check_host (e : Host.hexpr) : issue list =
     st.pending_to_gpu;
   List.rev st.issues
 
-(* -- Sharded multi-device plans --------------------------------------- *)
-
-(* A sharded time step ends with the per-device buffer rotation (Swap
-   ops).  Between two consecutive steps that both launch kernels on
-   devices i and i+1, the freshly written ghost planes must have been
-   exchanged across that Z-cut — otherwise step k+1 consumes stale halo
-   data.  We segment the plan at Swap boundaries and check every
-   adjacent launching pair for an exchange in the earlier segment. *)
-(* [tblock] is the temporal block depth: with depth-T ghost zones a cut
-   legitimately goes T consecutive steps between exchanges, so the
-   missing-exchange error fires only when a pair of adjacent devices
-   launches in more than [tblock] consecutive segments with no exchange
-   across their cut. *)
-let check_sharded ?(tblock = 1) (plan : Vgpu.Multi.plan) : issue list =
-  (* split into segments: a run of non-Swap ops terminated by Swaps *)
-  let segments = ref [] and current = ref [] and saw_swap = ref false in
-  let flush () =
-    if !current <> [] || !saw_swap then begin
-      segments := List.rev !current :: !segments;
-      current := [];
-      saw_swap := false
-    end
-  in
-  List.iter
-    (fun (op : Vgpu.Multi.op) ->
-      match op with
-      | Vgpu.Multi.Dev (_, Vgpu.Runtime.Swap _) -> saw_swap := true
-      | op ->
-          if !saw_swap then flush ();
-          current := op :: !current)
-    plan;
-  flush ();
-  let segments = List.rev !segments in
-  let launching seg =
-    List.filter_map
-      (function Vgpu.Multi.Dev (i, Vgpu.Runtime.Launch _) -> Some i | _ -> None)
-      seg
-    |> List.sort_uniq compare
-  in
-  let exchanged_pairs seg =
-    List.filter_map
-      (function
-        | Vgpu.Multi.Exchange { src_dev; dst_dev; _ } ->
-            Some (min src_dev dst_dev, max src_dev dst_dev)
-        | _ -> None)
-      seg
-    |> List.sort_uniq compare
-  in
-  let issues = ref [] in
-  (* per adjacent pair: launching segments since the last exchange *)
-  let since : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun seg ->
-      let l = launching seg in
-      let ex = exchanged_pairs seg in
-      List.iter
-        (fun i ->
-          if List.mem i l && List.mem (i + 1) l then begin
-            let n = Option.value ~default:0 (Hashtbl.find_opt since i) in
-            if n >= tblock then
-              issues :=
-                issue Error "missing-halo-exchange"
-                  "devices %d and %d step again without a halo exchange across their Z-cut" i
-                  (i + 1)
-                :: !issues;
-            Hashtbl.replace since i (n + 1)
-          end)
-        l;
-      (* an exchange covers the boundary to the next segment, whether or
-         not this segment launched *)
-      List.iter (fun (i, _) -> Hashtbl.replace since i 0) ex)
-    segments;
-  List.rev !issues
-
 (* -- Asynchronous (overlapped) multi-device plans --------------------- *)
 
-(* Event-ordered async plans drop the per-step barrier of [check_sharded]'s
-   world: ordering is per-queue FIFO plus explicit signal->wait edges.
-   The checks:
+(* Event-ordered async plans drop the per-step barrier of the
+   synchronous schedule: ordering is per-queue FIFO plus explicit
+   signal->wait edges.  The checks:
 
    - wait/signal well-formedness: a wait must name an imported event or
      one signaled by an earlier op; an event may be signaled once;
@@ -519,8 +445,8 @@ type flow = {
   funinit : (int * string, unit) Hashtbl.t;
   fwarned : (string, unit) Hashtbl.t;
   fhalo : (string, unit) Hashtbl.t;
-      (* buffer names under the halo protocol: exchange endpoints and
-         their closure under the Swap rotation.  Ghost-plane checks
+      (* buffer names under the halo protocol: the endpoints of
+         exchanges and of the Swap rotation.  Ghost-plane checks
          apply only to these — other buffers (boundary tables, branch
          state) are replicated or shard-local, not slab-shaped. *)
   fstate : (string, unit) Hashtbl.t;
@@ -546,33 +472,23 @@ let make_flow ?(halo = 1) ?(state_bufs = []) (slab : slab) =
     fstate;
   }
 
-(* Seed [fhalo] with the exchange endpoints, closed under Swap pairs. *)
+(* Seed [fhalo] with the endpoints of exchanges and of the Swap
+   rotation.  Swaps count too: a plan whose exchanges were all dropped
+   still rotates its grids, and its ghost reads must still be checked. *)
 let fl_seed_halo fl (raw_ops : Vgpu.Multi.op list) =
-  let swaps = ref [] in
+  let seed a b =
+    if not (Hashtbl.mem fl.fstate a || Hashtbl.mem fl.fstate b) then begin
+      Hashtbl.replace fl.fhalo a ();
+      Hashtbl.replace fl.fhalo b ()
+    end
+  in
   List.iter
     (fun (op : Vgpu.Multi.op) ->
       match op with
-      | Vgpu.Multi.Exchange { src; dst; _ } ->
-          if not (Hashtbl.mem fl.fstate src || Hashtbl.mem fl.fstate dst) then begin
-            Hashtbl.replace fl.fhalo src ();
-            Hashtbl.replace fl.fhalo dst ()
-          end
-      | Vgpu.Multi.Dev (_, Vgpu.Runtime.Swap (a, b)) -> swaps := (a, b) :: !swaps
+      | Vgpu.Multi.Exchange { src; dst; _ } -> seed src dst
+      | Vgpu.Multi.Dev (_, Vgpu.Runtime.Swap (a, b)) -> seed a b
       | Vgpu.Multi.Dev _ -> ())
-    raw_ops;
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    List.iter
-      (fun (a, b) ->
-        let ma = Hashtbl.mem fl.fhalo a and mb = Hashtbl.mem fl.fhalo b in
-        if ma <> mb then begin
-          Hashtbl.replace fl.fhalo a ();
-          Hashtbl.replace fl.fhalo b ();
-          changed := true
-        end)
-      !swaps
-  done
+    raw_ops
 
 let fl_add fl i = fl.fissues := i :: !(fl.fissues)
 
@@ -615,9 +531,13 @@ let fl_ghost fl d p side =
 (* Age (or clobber) one side's ghost of a written buffer.  The write
    covers plane range [wrange] ([None] = data-dependent scatter that may
    touch any site) and confers validity [c] on the planes it rewrites
-   (planes correct to depth < c from the cut); untouched planes keep the
-   old entry's correctness.  The new validity is the longest correct
-   prefix from the cut outward. *)
+   (planes correct to depth < c from the cut).  A plain overwrite
+   ([clobbering]: a copy) leaves the planes it skips as they were; a
+   launch computes a new generation, so the ghost planes it skips fall a
+   generation behind.  The new validity is the longest correct prefix
+   from the cut outward.  A scatter that leaves validity intact keeps
+   the old entry, whose neighbour-frontier provenance [stale-halo]
+   still needs. *)
 let fl_age_side fl d p side ~op ~wrange ~c ~cf ~cexch ~clobbering =
   let h = fl.fhalo_w in
   let planes_d = fl.fslab.sl_planes.(d) in
@@ -647,31 +567,33 @@ let fl_age_side fl d p side ~op ~wrange ~c ~cf ~cexch ~clobbering =
       for k = 0 to h - 1 do
         if not !stop then begin
           let written = dlo <= k && k <= dhi in
-          let ok =
-            if written then
-              if sparse then k < c && k < g_old.g_valid else k < c
-            else k < g_old.g_valid
+          (* is plane k still correct, and if not, did this write break it? *)
+          let ok, by_write =
+            if written then (k < c && ((not sparse) || k < g_old.g_valid), not (k < c))
+            else if clobbering then (k < g_old.g_valid, false)
+            else (false, true)
           in
           if ok then incr v
           else begin
             stop := true;
-            broke_on_write := written && not (k < c)
+            broke_on_write := by_write
           end
         end
       done;
-      let fresh = !broke_on_write || not !stop in
-      let fill = if fresh then cf else g_old.g_fill in
-      Hashtbl.replace fl.fghosts (d, p, side)
-        {
-          g_op = op;
-          g_fill = fill;
-          g_exch = (if fresh then cexch else g_old.g_exch);
-          g_valid = !v;
-          g_clobbered = (if !broke_on_write then clobbering else g_old.g_clobbered);
-          g_src = (d, p);
-          g_src_lo = 1;
-          g_src_hi = 0;  (* locally recomputed: no remote frontier backs it *)
-        }
+      if not (sparse && !v = g_old.g_valid) then begin
+        let fresh = !broke_on_write || not !stop in
+        Hashtbl.replace fl.fghosts (d, p, side)
+          {
+            g_op = op;
+            g_fill = (if fresh then cf else g_old.g_fill);
+            g_exch = (if fresh then cexch else g_old.g_exch);
+            g_valid = !v;
+            g_clobbered = (if !broke_on_write then clobbering else g_old.g_clobbered);
+            g_src = (d, p);
+            g_src_lo = 1;
+            g_src_hi = 0;  (* locally recomputed: no remote frontier backs it *)
+          }
+      end
 
 let floor_div a b = if a >= 0 then a / b else -(((-a) + b - 1) / b)
 

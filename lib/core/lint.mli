@@ -12,15 +12,9 @@
       the Lift lambda's parameters — wrong argument count, scalar where
       a buffer is expected and vice versa.
 
-    {!check_sharded} checks a {!Vgpu.Multi.plan} for halo-exchange
-    coverage: a Z-cut whose two devices launch in consecutive steps
-    (segments separated by the buffer-rotation [Swap]s) with no
-    [Exchange] across the cut in the earlier step is reported as an
-    error — step k+1 would consume stale ghost planes.
-
-    {!check_async} extends the discipline to event-ordered async plans
-    (the overlapped schedule), where per-queue FIFO order plus explicit
-    signal→wait edges must cover the halo hazards a barrier used to.
+    {!check_async} checks event-ordered async plans (the overlapped
+    schedule), where per-queue FIFO order plus explicit signal→wait
+    edges must cover the halo hazards a barrier used to.
 
     {!verify_plan} / {!verify_async} go beyond structure: they run the
     static stencil-footprint inference ({!Kernel_ast.Footprint}) on
@@ -40,11 +34,6 @@ type issue = {
 
 val check_host : Host.hexpr -> issue list
 (** Issues in program order (dead-transfer warnings last). *)
-
-val check_sharded : ?tblock:int -> Vgpu.Multi.plan -> issue list
-(** [tblock] (default 1) is the temporal block depth: with depth-T ghost
-    zones a cut legitimately goes T consecutive steps between exchanges,
-    so the missing-exchange error fires only past that bound. *)
 
 val check_async : ?imports:int list -> Vgpu.Multi.async_plan -> issue list
 (** Overlap-aware checks on an event-ordered async plan, where ordering
@@ -91,7 +80,10 @@ val verify_plan :
     recompute of a temporally-blocked schedule) carries validity one
     read-radius shallower than its most-decayed input, so a depth-T
     exchange proves exactly T steps of re-launches and one plane too few
-    is caught at the step where validity runs out.  [state_bufs] names
+    is caught at the step where validity runs out; ghost planes a launch
+    skips fall a generation behind.  Ghosts are tracked for every buffer
+    an [Exchange] or [Swap] names, so a plan with its exchanges dropped
+    is still checked.  [state_bufs] names
     branch-state buffers (exchanged at block boundaries but not
     slab-shaped), which are excluded from the ghost-plane model.
     - {b halo-too-narrow} (error): a kernel's inferred read radius

@@ -121,7 +121,7 @@ let rec expr_is_real env = function
           match Hashtbl.find_opt env.locals b with
           | Some l -> l.l_ty = Real
           | None -> true))
-  | Unop ((To_real | Round), _) -> true
+  | Unop (To_real, _) -> true
   | Unop (To_int, _) -> false
   | Unop (_, a) -> expr_is_real env a
   | Ternary (_, a, b) -> expr_is_real env a || expr_is_real env b

@@ -38,7 +38,6 @@ type unop =
   | Not
   | To_real (* int -> real conversion *)
   | To_int  (* real -> int truncation *)
-  | Round   (* round to nearest float32, kept as real *)
 
 (* Math builtins kept abstract so the interpreter, the JIT and the printer
    agree on the supported set. *)
@@ -239,7 +238,6 @@ let rec simplify e =
       | Neg, Real_lit r -> Real_lit (-.r)
       | To_real, Int_lit n -> Real_lit (float_of_int n)
       | To_int, Real_lit r -> Int_lit (int_of_float r)
-      | Round, Real_lit r -> Real_lit (Int32.float_of_bits (Int32.bits_of_float r))
       | Not, Int_lit n -> Int_lit (if n = 0 then 1 else 0)
       | _ -> Unop (op, a))
   | Ternary (c, a, b) -> (

@@ -36,19 +36,14 @@ type binop =
   | Shr   (** arithmetic shift right; produced by strength reduction *)
   | BAnd  (** bitwise and; produced by strength reduction *)
 
+(** Unary operators.  None of them rounds to float32: a
+    [Single]-precision kernel rounds only where it stores to a global real
+    buffer, so register values always carry double precision. *)
 type unop =
   | Neg
   | Not
   | To_real  (** int -> real conversion *)
   | To_int   (** real -> int truncation *)
-  | Round
-      (** round to the nearest representable float32, kept as a real:
-          the rounding a store to a [Single]-precision buffer performs,
-          available on register values — temporally-fused kernels use it
-          to reproduce the store-rounding of the per-step pipeline on
-          generations that never leave registers.  Identity under
-          [Double]-precision semantics only if the value already fits;
-          emit it unconditionally only in [Single]-precision kernels. *)
 
 (** Math builtins, kept abstract so the interpreter, the JIT and the
     printer agree on the supported set. *)

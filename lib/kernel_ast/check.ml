@@ -187,7 +187,7 @@ let rec eval cenv (expr : expr) : absval =
             v_tainted = av.v_tainted;
           }
       | Not -> { v_itv = bool_itv; v_aff = None; v_tainted = av.v_tainted }
-      | To_real | To_int | Round -> { top with v_tainted = av.v_tainted })
+      | To_real | To_int -> { top with v_tainted = av.v_tainted })
   | Ternary (c, a, b) ->
       let cv = eval cenv c in
       let av = eval cenv a and bv = eval cenv b in
@@ -433,11 +433,7 @@ let rec ceval r (expr : expr) : cval =
       | Neg, Kr x -> Kr (-.x)
       | Not, _ -> ( match as_int_c v with Some i -> Ki (if i = 0 then 1 else 0) | None -> Kunknown)
       | To_real, _ -> ( match as_real_c v with Some x -> Kr x | None -> Kunknown)
-      | To_int, _ -> ( match as_int_c v with Some i -> Ki i | None -> Kunknown)
-      | Round, _ -> (
-          match as_real_c v with
-          | Some x -> Kr (Int32.float_of_bits (Int32.bits_of_float x))
-          | None -> Kunknown))
+      | To_int, _ -> ( match as_int_c v with Some i -> Ki i | None -> Kunknown))
   | Ternary (c, a, b) -> (
       match as_int_c (ceval r c) with
       | Some 0 -> ceval r b

@@ -154,7 +154,7 @@ let rec eval fenv (expr : expr) : fval =
             fo = av.fo;
           }
       | Not -> { fa = { v_itv = bool_itv; v_aff = None; v_tainted = av.fa.v_tainted }; fo = av.fo }
-      | To_real | To_int | Round ->
+      | To_real | To_int ->
           { fa = { top with v_tainted = av.fa.v_tainted }; fo = av.fo })
   | Ternary (c, a, b) ->
       let cv = eval fenv c in

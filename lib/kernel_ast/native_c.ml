@@ -232,7 +232,7 @@ let rec type_of env (e : expr) : ty =
       | Some (S_gbuf t | S_parr (t, _) | S_larr (t, _)) -> t
       | Some _ -> failwith (Printf.sprintf "native_c: %s is not an array" b)
       | None -> failwith (Printf.sprintf "native_c: unbound buffer %s" b))
-  | Unop ((To_real | Round), _) -> Real
+  | Unop (To_real, _) -> Real
   | Unop ((To_int | Not), _) -> Int
   | Unop (Neg, a) -> type_of env a
   | Ternary (_, a, b) -> (
@@ -333,12 +333,6 @@ let rec emit env buf ~prec (e : expr) =
       add ")"
   | Unop (To_real, a) ->
       add "(double)(";
-      emit env buf ~prec:0 a;
-      add ")"
-  | Unop (Round, a) ->
-      (* float32 store-rounding on a register value: narrow and widen
-         back, exactly what a round-trip through a float buffer does *)
-      add "(double)(float)(";
       emit env buf ~prec:0 a;
       add ")"
   | Unop (To_int, a) ->

@@ -150,7 +150,7 @@ let rec ty_of tenv = function
   | Real_lit _ -> Some Real
   | Var v -> StrMap.find_opt v tenv
   | Load _ -> None
-  | Unop ((To_real | Round), _) -> Some Real
+  | Unop (To_real, _) -> Some Real
   | Unop ((To_int | Not), _) -> Some Int
   | Unop (Neg, a) -> ty_of tenv a
   | Call _ -> Some Real

@@ -61,7 +61,7 @@ let rec expr_ty tyenv e =
   | Real_lit _ -> Real
   | Var v -> Option.value (tyenv v) ~default:Int
   | Load (b, _) -> Option.value (tyenv b) ~default:Int
-  | Unop ((To_real | Round), _) -> Real
+  | Unop (To_real, _) -> Real
   | Unop ((To_int | Not), _) -> Int
   | Unop (Neg, a) -> expr_ty tyenv a
   | Ternary (_, a, b) -> (
@@ -121,12 +121,6 @@ let rec expr_prec ?(precision = Double) ?(tyenv = no_tyenv) ~prec buf e =
           add_char buf ')'
       | To_int ->
           add_string buf "(int)(";
-          expr_prec ~prec:0 buf a;
-          add_char buf ')'
-      | Round ->
-          (* the store-rounding made explicit; a float-typed no-op under
-             Single, a genuine narrowing round-trip under Double *)
-          add_string buf "(float)(";
           expr_prec ~prec:0 buf a;
           add_char buf ')')
   | Ternary (c, a, b) ->

@@ -558,170 +558,6 @@ let tiled_volume ?(name = "volume_tiled") ~precision ~tile:(tw, th) () :
     local_size = [ tw; th ];
   }
 
-(* Temporally-blocked (fused T-step) volume kernel.
-
-   One launch advances the leapfrog [tblock] generations: a work-item
-   per voxel evaluates the pyramid of intermediate generations it
-   depends on — generation g at every offset within L1 radius
-   tblock - g of its voxel — entirely in registers, and stores only the
-   final two generations: u(t+T) to [next] and u(t+T-1) to [next2]
-   (which the fused four-buffer rotation turns into the next block's
-   [curr]/[prev]).  The per-node update reproduces the exact operand
-   association of [Hand_kernels.volume] followed by
-   [Hand_kernels.boundary_fi] — interior leapfrog, then the FI loss
-   correction wherever 0 < nbr < 6 — so a fused launch is bit-identical
-   to T sequential steps of the FI scheme.
-
-   Each node guards on its own neighbour count, fetched through a
-   coordinate predicate (outside the grid the count is 0): a zero count
-   yields zero without reading anything, which both respects the
-   physical shell (where the per-step kernels never write) and keeps
-   every load in bounds — on sharded slabs the extreme ghost planes
-   carry zero counts ([Shard.slab]), so nodes whose dependency cone
-   leaves the slab collapse to the same tolerated-garbage planes the
-   per-step blocked cadence produces, and the deep halo exchange
-   overwrites them before they are ever consumed.
-
-   Reads of [curr] reach L1 radius T and [prev] radius T-1 as plain
-   affine offsets, so [Kernel_ast.Footprint] reports the depth-T
-   extents directly and [Lift.Lint.verify_plan] proves the depth-T
-   ghost zones sufficient.  The [blocked…_t<T>] name is the convention
-   [Acoustics.Gpu_sim] recognises fused kernels by.
-
-   Direct [Cast] construction, like [tiled_volume]: the register
-   pyramid (per-node guards over a growing neighbourhood) has no Lift
-   vocabulary yet.  Box or arbitrary geometry alike — the neighbour
-   counts come from the [nbrs] array, not from coordinates. *)
-let blocked_volume ?(name = "blocked_volume") ~precision ~tblock () :
-    Kernel_ast.Cast.kernel =
-  let open Kernel_ast.Cast in
-  if tblock < 1 then
-    invalid_arg (Printf.sprintf "blocked_volume: tblock must be >= 1, got %d" tblock);
-  let t = tblock in
-  let i k = Int_lit k in
-  let x = var "x" and y = var "y" and z = var "z" in
-  let nx = var "Nx" and ny = var "Ny" and nzv = var "Nz" and nxny = var "NxNy" in
-  let l = var "l" and l2 = var "l2" and beta = var "beta" in
-  let idx = var "idx" in
-  (* offsets within L1 radius r, in a fixed deterministic order *)
-  let ball r =
-    let o = ref [] in
-    for dz = r downto -r do
-      for dy = r downto -r do
-        for dx = r downto -r do
-          if abs dx + abs dy + abs dz <= r then o := (dx, dy, dz) :: !o
-        done
-      done
-    done;
-    !o
-  in
-  let suf d = if d < 0 then "m" ^ string_of_int (-d) else string_of_int d in
-  let osuf (dx, dy, dz) = Printf.sprintf "%s_%s_%s" (suf dx) (suf dy) (suf dz) in
-  let nbr_name off = "nb_" ^ osuf off in
-  let u_name g off = Printf.sprintf "u%d_%s" g (osuf off) in
-  let qoff (dx, dy, dz) =
-    let e = idx in
-    let e = if dz = 0 then e else e +: (i dz *: nxny) in
-    let e = if dy = 0 then e else e +: (i dy *: nx) in
-    if dx = 0 then e else e +: i dx
-  in
-  (* in-grid predicate of an offset node, on coordinates (linear-index
-     arithmetic would wrap across rows); axes with zero offset need no
-     test — the NDRange already confines them *)
-  let in_grid (dx, dy, dz) =
-    let axis v lim d =
-      if d < 0 then [ v >=: i (-d) ] else if d > 0 then [ v <: lim -: i d ] else []
-    in
-    match axis x nx dx @ axis y ny dy @ axis z nzv dz with
-    | [] -> None
-    | c :: cs -> Some (List.fold_left ( &&: ) c cs)
-  in
-  let nbr_decl off =
-    let ld = load "nbrs" (qoff off) in
-    Decl
-      ( Int,
-        nbr_name off,
-        Some (match in_grid off with None -> ld | Some c -> Ternary (c, ld, i 0)) )
-  in
-  (* generation [g] at [off]: registers for 1 <= g, direct loads for
-     g = 0 ([curr]) and g = -1 ([prev]) *)
-  let gval g off =
-    if g = 0 then load "curr" (qoff off)
-    else if g = -1 then load "prev" (qoff off)
-    else var (u_name g off)
-  in
-  let shift (dx, dy, dz) (ax, ay, az) = (dx + ax, dy + ay, dz + az) in
-  (* stencil arms in [Hand_kernels.volume]'s summation order *)
-  let arms = [ (-1, 0, 0); (1, 0, 0); (0, -1, 0); (0, 1, 0); (0, 0, -1); (0, 0, 1) ] in
-  let u_decl g off =
-    let nbr = var (nbr_name off) in
-    let fnbr = Unop (To_real, nbr) in
-    let s =
-      match List.map (fun a -> gval (g - 1) (shift off a)) arms with
-      | e :: es -> List.fold_left ( +: ) e es
-      | [] -> assert false
-    in
-    let c = gval (g - 1) off and p = gval (g - 2) off in
-    (* the volume kernel's association: ((2 - l2*nbr)*c + l2*s) - p,
-       then boundary_fi's (v + cf*p) / (1 + cf) where 0 < nbr < 6.
-       Under Single, every generation is rounded where the per-step
-       pipeline's stores round it: volume's store of v (which
-       boundary_fi then loads back), and boundary_fi's own store. *)
-    let rnd e = match precision with Single -> Unop (Round, e) | Double -> e in
-    let v = rnd (((Real_lit 2.0 -: (l2 *: fnbr)) *: c) +: (l2 *: s) -: p) in
-    let cf = Real_lit 0.5 *: l *: Unop (To_real, i 6 -: nbr) *: beta in
-    let bdy = rnd ((v +: (cf *: p)) /: (Real_lit 1.0 +: cf)) in
-    Decl
-      ( Real,
-        u_name g off,
-        Some (Ternary (nbr >: i 0, Ternary (nbr <: i 6, bdy, v), Real_lit 0.0)) )
-  in
-  let decls =
-    List.map nbr_decl (ball (t - 1))
-    @ List.concat_map
-        (fun g -> List.map (u_decl g) (ball (t - g)))
-        (List.init t (fun k -> k + 1))
-  in
-  let centre = (0, 0, 0) in
-  let store =
-    If
-      ( var (nbr_name centre) >: i 0,
-        [
-          Store ("next", idx, gval t centre);
-          Store ("next2", idx, gval (t - 1) centre);
-        ],
-        [] )
-  in
-  {
-    name = Printf.sprintf "%s_t%d" name t;
-    precision;
-    params =
-      [
-        param "nbrs" Int;
-        param "prev" Real;
-        param "curr" Real;
-        param "next" Real;
-        param "next2" Real;
-        param ~kind:Scalar_param "Nx" Int;
-        param ~kind:Scalar_param "Ny" Int;
-        param ~kind:Scalar_param "Nz" Int;
-        param ~kind:Scalar_param "NxNy" Int;
-        param ~kind:Scalar_param "l" Real;
-        param ~kind:Scalar_param "l2" Real;
-        param ~kind:Scalar_param "beta" Real;
-      ];
-    global_size = [ Var "Nx"; Var "Ny"; Var "Nz" ];
-    local_size = [];
-    body =
-      [
-        Decl (Int, "x", Some (Global_id 0));
-        Decl (Int, "y", Some (Global_id 1));
-        Decl (Int, "z", Some (Global_id 2));
-        Decl (Int, "idx", Some (((z *: nxny) +: (y *: nx)) +: x));
-      ]
-      @ decls @ [ store ];
-  }
-
 (* Compile any of the programs above into a kernel with a given
    precision, after the standard rewrite normalisation.  By default the
    kernel then goes through the [Kernel_ast.Opt] pass pipeline, matching

@@ -84,30 +84,6 @@ val tiled_volume :
     {!Acoustics.Gpu_sim} step lists (same parameter names).
     @raise Invalid_argument when a tile dimension is not positive. *)
 
-val blocked_volume :
-  ?name:string ->
-  precision:Kernel_ast.Cast.precision ->
-  tblock:int ->
-  unit ->
-  Kernel_ast.Cast.kernel
-(** Temporally-blocked (fused T-step) FI kernel: one launch advances the
-    leapfrog [tblock] generations, keeping the pyramid of intermediate
-    generations in registers — generation g is evaluated at every offset
-    within L1 radius [tblock - g] of the work-item's voxel — and storing
-    only the final two: u(t+T) to [next] and u(t+T-1) to [next2], which
-    the fused four-buffer rotation ({!Acoustics.Gpu_sim}) turns into the
-    next block's [curr] / [prev].  Each node applies the exact
-    volume-then-boundary_fi update of the per-step kernels (identical
-    operand association), so one fused launch is bit-identical to T
-    sequential FI steps.  Reads reach [curr] at L1 radius T and [prev]
-    at T-1 as plain affine offsets, so {!Kernel_ast.Footprint} reports
-    the depth-T extents and {!Lift.Lint.verify_plan} can prove depth-T
-    ghost zones sufficient.  The kernel is named
-    [<name>_t<T>] — the convention {!Acoustics.Gpu_sim.fused_depth}
-    recognises fused kernels by.  FI scheme only (single material, no
-    branch state).
-    @raise Invalid_argument when [tblock < 1]. *)
-
 val compile :
   ?name:string ->
   ?optimize:bool ->

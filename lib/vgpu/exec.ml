@@ -139,8 +139,7 @@ let rec eval env (e : expr) : value =
       | Neg -> ( match v with Vi i -> Vi (-i) | Vr r -> Vr (-.r))
       | Not -> Vi (if as_int v = 0 then 1 else 0)
       | To_real -> Vr (as_real v)
-      | To_int -> Vi (as_int v)
-      | Round -> Vr (Buffer.round32 (as_real v)))
+      | To_int -> Vi (as_int v))
   | Ternary (c, a, b) -> if as_int (eval env c) <> 0 then eval env a else eval env b
   | Call (f, args) -> Vr (builtin_eval f (List.map (fun a -> as_real (eval env a)) args))
   | Binop (op, a, b) -> binop op (eval env a) (eval env b)

@@ -175,7 +175,7 @@ let type_of cenv (e : expr) : ty =
         | Some (Real_gbuf _ | Real_parr _ | Real_larr _) -> Real
         | Some _ -> failwith (Printf.sprintf "jit: %s is not an array" b)
         | None -> failwith (Printf.sprintf "jit: unbound buffer %s" b))
-    | Unop ((To_real | Round), _) -> Real
+    | Unop (To_real, _) -> Real
     | Unop (To_int, _) -> Int
     | Unop (Not, _) -> Int
     | Unop (Neg, a) -> go a
@@ -239,7 +239,7 @@ and compile_int cenv (e : expr) : rt -> int =
   | Unop (To_int, a) ->
       let fa = as_real cenv a in
       fun rt -> int_of_float (fa rt)
-  | Unop ((To_real | Round), _) -> failwith "jit: to_real in int context"
+  | Unop (To_real, _) -> failwith "jit: to_real in int context"
   | Ternary (c, a, b) ->
       let fc = as_int cenv c and fa = compile_int cenv a and fb = compile_int cenv b in
       fun rt -> if fc rt <> 0 then fa rt else fb rt
@@ -313,9 +313,6 @@ and compile_real cenv (e : expr) : rt -> float =
   | Unop (To_real, a) ->
       let fa = as_real cenv a in
       fa
-  | Unop (Round, a) ->
-      let fa = as_real cenv a in
-      fun rt -> Buffer.round32 (fa rt)
   | Ternary (c, a, b) ->
       let fc = as_int cenv c and fa = as_real cenv a and fb = as_real cenv b in
       fun rt -> if fc rt <> 0 then fa rt else fb rt

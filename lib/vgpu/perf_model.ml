@@ -344,15 +344,12 @@ let predict_overlapped ?(link_gb_s = 12.) ?radius (device : Device.t) (kernel : 
    the tradeoff the autotuner's time-block axis searches.  Per block of
    T steps the cut exchanges once — so the per-round transfer latency
    amortises to 1/T — at depth T*r for the new generation plus depth
-   (T-1)*r for the previous one (per-step cadence skips the latter up to
-   T = 2, where the in-block recompute leaves it valid; fused kernels
-   exchange it from T = 2 up), while every in-block launch redundantly
+   (T-1)*r for the previous one (skipped up to T = 2, where the in-block
+   recompute leaves it valid), while every in-block launch redundantly
    recomputes the decaying ghost planes: 2*(shards-1)*(T*r - 1) planes
-   of extra active points per step.  [kernel] is the per-step kernel
-   either way — the model prices work and traffic, which the fused form
-   reorganises but does not change.  At T = 1 this is [predict_sharded]
+   of extra active points per step.  At T = 1 this is [predict_sharded]
    plus the round-latency term. *)
-let predict_blocked ?(link_gb_s = 12.) ?(link_latency_s = 10e-6) ?radius ?(fused = false)
+let predict_blocked ?(link_gb_s = 12.) ?(link_latency_s = 10e-6) ?radius
     (device : Device.t) (kernel : Cast.kernel) (w : workload) ~plane_elems ~shards
     ~tblock =
   let shards = max 1 shards and tblock = max 1 tblock in
@@ -368,7 +365,7 @@ let predict_blocked ?(link_gb_s = 12.) ?(link_latency_s = 10e-6) ?radius ?(fused
   in
   let compute_s = predict device kernel per_shard in
   let elem = match kernel.Cast.precision with Cast.Single -> 4 | Cast.Double -> 8 in
-  let prev_depth = if (if fused then tblock > 1 else tblock > 2) then h - r else 0 in
+  let prev_depth = if tblock > 2 then h - r else 0 in
   let planes_per_block = h + prev_depth in
   let bytes_per_step =
     2. *. float_of_int (cuts * planes_per_block * plane_elems * elem)

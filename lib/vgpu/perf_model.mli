@@ -176,7 +176,6 @@ val predict_blocked :
   ?link_gb_s:float ->
   ?link_latency_s:float ->
   ?radius:int ->
-  ?fused:bool ->
   Device.t ->
   Kernel_ast.Cast.kernel ->
   workload ->
@@ -188,11 +187,9 @@ val predict_blocked :
     one exchange round per block — the per-round latency
     ([link_latency_s], default 10 us per d2d op) amortises to 1/T — of
     depth [T*radius] (plus [T-1]*radius for the previous generation when
-    the cadence exchanges it: per-step for T > 2, fused for T > 1),
-    against 2*(shards-1)*(T*radius - 1) redundantly recomputed ghost
-    planes added to every launch.  [kernel] is the {e per-step} kernel
-    in both cases; [fused] only selects the exchange cadence.  At
-    [tblock = 1] this coincides with {!predict_sharded} plus the
-    round-latency term. *)
+    T > 2), against 2*(shards-1)*(T*radius - 1) redundantly recomputed
+    ghost planes added to every launch.  [kernel] is the per-step kernel
+    every launch of the block runs.  At [tblock = 1] this coincides with
+    {!predict_sharded} plus the round-latency term. *)
 
 val pp_breakdown : Format.formatter -> breakdown -> unit

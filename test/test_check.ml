@@ -14,8 +14,8 @@
      unsanitized engines.
 
    - Lift.Lint (host plans): use-before-ToGPU, dead transfers, arity and
-     kind mismatches on hexprs; missing halo exchanges on sharded
-     multi-device plans.
+     kind mismatches on hexprs; missing halo exchanges on the real
+     sharded multi-device plan.
 
    Plus a qcheck property tying the legs together: for random affine
    store kernels, a static Safe verdict implies zero dynamic violations
@@ -389,31 +389,29 @@ let test_lint_host () =
   Alcotest.(check bool) "kind mismatch reported" true
     (List.mem "kind-mismatch" (lint_codes (Lift.Lint.check_host swapped)))
 
+(* The real 2-shard FI plan under the halo verifier: with its exchanges
+   it is clean; without them the second step reads stale ghost planes. *)
 let test_lint_sharded () =
-  let k = Hand_kernels.volume ~precision:Cast.Double in
-  let launch d =
-    Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch { kernel = k; args = []; global = [ 1 ] })
+  let room = Geometry.build ~n_materials:4 Geometry.Box dims in
+  let sim = Gpu_sim.create ~engine:`Jit ~shards:2 ~fi_beta:0.2 ~n_branches:3 params room in
+  let nx, ny, planes = Gpu_sim.slab_geometry sim in
+  let slab = { Lift.Lint.sl_nx = nx; sl_ny = ny; sl_planes = planes } in
+  let kernels =
+    [ Hand_kernels.volume ~precision:Cast.Double; Hand_kernels.boundary_fi ~precision:Cast.Double ]
   in
-  let swap d = Vgpu.Multi.Dev (d, Vgpu.Runtime.Swap ("curr", "next")) in
-  let exchange =
-    [
-      Vgpu.Multi.Exchange
-        { src_dev = 0; src = "next"; src_off = 0; dst_dev = 1; dst = "next"; dst_off = 0; elems = 4 };
-      Vgpu.Multi.Exchange
-        { src_dev = 1; src = "next"; src_off = 4; dst_dev = 0; dst = "next"; dst_off = 4; elems = 4 };
-    ]
+  let plan ~steps ~exchanged =
+    List.filter
+      (function Vgpu.Multi.Exchange _ -> exchanged | _ -> true)
+      (Gpu_sim.step_plan sim kernels ~steps)
   in
-  let step ~exchanged =
-    [ launch 0; launch 1 ] @ (if exchanged then exchange else []) @ [ swap 0; swap 1 ]
-  in
+  let error_codes p = lint_codes (Lift.Lint.errors (Lift.Lint.verify_plan slab p)) in
   Alcotest.(check (list string)) "exchanged plan is clean" []
-    (lint_codes (Lift.Lint.check_sharded (step ~exchanged:true @ step ~exchanged:true)));
-  Alcotest.(check (list string)) "missing exchange flagged"
-    [ "missing-halo-exchange" ]
-    (lint_codes (Lift.Lint.check_sharded (step ~exchanged:false @ step ~exchanged:false)));
+    (error_codes (plan ~steps:2 ~exchanged:true));
+  Alcotest.(check bool) "missing exchange flagged" true
+    (List.mem "stale-halo" (error_codes (plan ~steps:2 ~exchanged:false)));
   (* a single step has no successor: nothing to flag *)
   Alcotest.(check (list string)) "single step is clean" []
-    (lint_codes (Lift.Lint.check_sharded (step ~exchanged:false)))
+    (error_codes (plan ~steps:1 ~exchanged:false))
 
 (* -- Emitted C: every buffer concretely sized ------------------------ *)
 

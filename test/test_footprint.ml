@@ -15,7 +15,9 @@
      reject broken plans with pointed diagnostics: a width-0 exchange
      (halo-too-narrow), a skipped exchange (stale/clobbered halo), a
      dropped frontier wait (unordered-ghost-read), a read of an
-     allocation nothing wrote (uninit-read).
+     allocation nothing wrote (uninit-read).  A mutation sweep drops
+     exchanges from every scheme's plans at several shard counts and
+     block depths; every mutant must be rejected.
 
    - qcheck ties statics to dynamics: on random affine stencils the
      sanitizer's observed access extents fall inside the inferred
@@ -291,6 +293,73 @@ let test_uninit_read_detected () =
   let cs = codes (Lift.Lint.verify_plan slab plan) in
   Alcotest.(check bool) "uninit-read raised" true (List.mem "uninit-read" cs)
 
+(* -- Mutation completeness: a missing exchange never verifies --------- *)
+
+(* Every scheme's real sync and overlapped plan, at several shard counts
+   and block depths, with exchanges removed: all of them, or any one
+   grid exchange that a later launch in the plan consumes (a final-round
+   exchange feeds no launch, so dropping it changes no owned cell).
+   Each such mutant diverges when executed, so the verifier must reject
+   every one.  Branch-state ([g1]/[v1]) exchanges lie outside the ghost
+   model and are only dropped in the drop-all mutant. *)
+let state_bufs = [ "g1"; "v1" ]
+
+(* The mutants of a plan whose ops [op_of] projects to [Multi.op]s. *)
+let mutants (op_of : 'a -> Vgpu.Multi.op) (plan : 'a list) =
+  let ops = Array.of_list (List.map op_of plan) in
+  let n = Array.length ops in
+  let is_launch = function Vgpu.Multi.Dev (_, Vgpu.Runtime.Launch _) -> true | _ -> false in
+  let consumed i = Array.exists is_launch (Array.sub ops (i + 1) (n - i - 1)) in
+  ( "drop all exchanges",
+    List.filter (fun o -> match op_of o with Vgpu.Multi.Exchange _ -> false | _ -> true) plan )
+  :: List.filter_map
+       (fun i ->
+         match ops.(i) with
+         | Vgpu.Multi.Exchange { dst; _ } when (not (List.mem dst state_bufs)) && consumed i ->
+             Some (Printf.sprintf "drop exchange op %d" i, List.filteri (fun j _ -> j <> i) plan)
+         | _ -> None)
+       (List.init n Fun.id)
+
+let test_dropped_exchanges_all_rejected () =
+  let room = Geometry.build ~n_materials:4 Geometry.Dome (Geometry.dims ~nx:12 ~ny:10 ~nz:12) in
+  let mk ~shards ~tblock =
+    Gpu_sim.create ~engine:`Jit ~shards ~schedule:`Seq ~tblock ~fi_beta:0.1 ~n_branches:3
+      ~precision:Cast.Double Params.default room
+  in
+  let accepted = ref [] and total = ref 0 in
+  let expect_rejected label issues =
+    incr total;
+    if Lift.Lint.errors issues = [] then accepted := label :: !accepted
+  in
+  List.iter
+    (fun (sname, kernels) ->
+      List.iter
+        (fun (shards, tblock) ->
+          let sim = mk ~shards ~tblock in
+          let t = Gpu_sim.tblock sim in
+          let slab = slab_of sim in
+          let steps = 3 * t in
+          let where = Printf.sprintf "%s shards=%d T=%d" sname shards t in
+          List.iter
+            (fun (m, plan) ->
+              expect_rejected
+                (Printf.sprintf "%s sync: %s" where m)
+                (Lift.Lint.verify_plan ~halo:t ~state_bufs slab plan))
+            (mutants Fun.id (Gpu_sim.step_plan sim kernels ~steps));
+          List.iter
+            (fun (m, plan) ->
+              expect_rejected
+                (Printf.sprintf "%s async: %s" where m)
+                (Lift.Lint.verify_async ~halo:t ~state_bufs slab plan))
+            (mutants
+               (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_op)
+               (Gpu_sim.overlap_plan (mk ~shards ~tblock) kernels ~steps)))
+        [ (2, 1); (3, 1); (4, 1); (2, 2); (3, 2); (2, 3); (3, 3) ])
+    (schemes Cast.Double);
+  (* the sweep's size: a change means the plans changed shape *)
+  Alcotest.(check int) "mutants checked" 536 !total;
+  Alcotest.(check (list string)) "every mutant rejected" [] (List.rev !accepted)
+
 (* -- qcheck: statics bound dynamics ----------------------------------- *)
 
 (* Random 3D affine stencils: out[x,y,z] = sum of inp[x+dx, y+dy, z+dz]
@@ -412,6 +481,8 @@ let suite =
     Alcotest.test_case "dropped frontier wait: unordered read" `Quick
       test_dropped_wait_detected;
     Alcotest.test_case "read of unwritten allocation" `Quick test_uninit_read_detected;
+    Alcotest.test_case "every dropped exchange rejected" `Quick
+      test_dropped_exchanges_all_rejected;
     QCheck_alcotest.to_alcotest qcheck_footprint_bounds_sanitizer;
     QCheck_alcotest.to_alcotest qcheck_opt_never_widens;
   ]

@@ -562,11 +562,11 @@ let test_written_params () =
   let wb = Kernel_ast.Native_c.written_params (Hand_kernels.boundary_fi ~precision:Double) in
   Alcotest.(check bool) "boundary scatter counts as a write" true (List.mem "next" wb);
   Alcotest.(check bool) "boundary index array is read-only" false (List.mem "bidx" wb);
-  let wf =
-    Kernel_ast.Native_c.written_params
-      (Lift_acoustics.Programs.blocked_volume ~precision:Double ~tblock:2 ())
+  let wd =
+    Kernel_ast.Native_c.written_params (Hand_kernels.boundary_fd_mm ~precision:Double ~mb:3)
   in
-  Alcotest.(check (list string)) "fused kernel writes both generations" [ "next"; "next2" ] wf
+  Alcotest.(check (list string)) "FD-MM boundary writes the grid and its branch state"
+    [ "next"; "g1"; "v1" ] wd
 
 let test_restrict_qualifiers () =
   let open Acoustics in

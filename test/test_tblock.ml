@@ -281,150 +281,6 @@ let test_depth_short_exchange_rejected () =
   in
   Alcotest.(check bool) "diagnostic names the required depth" true pointed
 
-(* check_sharded understands the blocked cadence: one exchange round per
-   T steps is clean at [~tblock:T] but an error under the per-step
-   discipline. *)
-let test_check_sharded_blocked_cadence () =
-  let kernels = kernels_of `Fi Double in
-  let sim = mk_plan_sim ~shards:2 ~tblock:2 in
-  let plan = Gpu_sim.step_plan sim kernels ~steps:4 in
-  let codes issues = List.map (fun i -> i.Lift.Lint.code) issues in
-  Alcotest.(check (list string))
-    "blocked plan clean at its own depth" []
-    (codes (Lift.Lint.check_sharded ~tblock:2 plan));
-  Alcotest.(check bool) "per-step analysis flags the skipped exchange" true
-    (List.mem "missing-halo-exchange" (codes (Lift.Lint.check_sharded plan)))
-
-(* -- The fused T-step kernel ------------------------------------------ *)
-
-(* Run [blocks] fused launches of {!Programs.blocked_volume} (each
-   advancing T generations) and return the gathered state. *)
-let run_fused ?shards ?schedule ?(engine = `Jit) ?(precision = Double) ~tblock ~blocks
-    () =
-  let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-  let sim =
-    Gpu_sim.create ~engine ?shards ?schedule ~tblock ~fi_beta:0.2 ~n_branches:3
-      params room
-  in
-  let fused = [ Lift_acoustics.Programs.blocked_volume ~precision ~tblock () ] in
-  let cx, cy, cz = State.centre sim.Gpu_sim.state in
-  State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
-  for _ = 1 to blocks do
-    Gpu_sim.step sim fused
-  done;
-  Gpu_sim.sync sim;
-  sim
-
-(* One fused T-step launch is bit-identical to T sequential
-   volume + boundary_fi steps: single device and sharded, every depth,
-   both precisions. *)
-let test_fused_bit_identical () =
-  List.iter
-    (fun precision ->
-      List.iter
-        (fun tblock ->
-          let blocks = 3 in
-          let kernels = kernels_of `Fi precision in
-          let reference =
-            (run ~steps:(tblock * blocks) ~precision ~kernels ()).Gpu_sim.state
-          in
-          let single = run_fused ~precision ~tblock ~blocks () in
-          check_state
-            (Printf.sprintf "fused single T=%d %s" tblock
-               (match precision with Single -> "single" | Double -> "double"))
-            reference single.Gpu_sim.state;
-          let sharded = run_fused ~shards:2 ~precision ~tblock ~blocks () in
-          check_state
-            (Printf.sprintf "fused sharded T=%d %s" tblock
-               (match precision with Single -> "single" | Double -> "double"))
-            reference sharded.Gpu_sim.state)
-        [ 1; 2; 3; 4 ])
-    [ Double; Single ]
-
-(* The fused kernel agrees across engines and schedules. *)
-let test_fused_engines_schedules_agree () =
-  let kernels = kernels_of `Fi Double in
-  let reference = (run ~steps:6 ~kernels ()).Gpu_sim.state in
-  List.iter
-    (fun (label, engine) ->
-      let sim = run_fused ~shards:2 ~engine ~tblock:2 ~blocks:3 () in
-      check_state ("fused " ^ label) reference sim.Gpu_sim.state)
-    [
-      ("interp", `Interp);
-      ("jit", `Jit);
-      ("jit-parallel", `Jit_parallel 2);
-      ("native", `Native);
-    ];
-  List.iter
-    (fun (label, schedule) ->
-      let sim = run_fused ~shards:3 ~schedule ~tblock:2 ~blocks:3 () in
-      check_state ("fused " ^ label) reference sim.Gpu_sim.state)
-    [ ("seq", `Seq); ("concurrent", `Concurrent); ("overlap", `Overlap) ]
-
-(* Footprint sees straight through the register pyramid: the fused
-   kernel's [curr] reads reach L1 radius T and [prev] radius T-1 as
-   plain affine extents, exactly what verify_plan prices deep halos
-   against. *)
-let test_fused_footprint_depth () =
-  let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-  let sim = Gpu_sim.create ~fi_beta:0.2 ~n_branches:3 params room in
-  let env = Gpu_sim.check_env sim in
-  let strides = [| 1; dims.Geometry.nx; dims.Geometry.nx * dims.Geometry.ny |] in
-  List.iter
-    (fun t ->
-      let k = Lift_acoustics.Programs.blocked_volume ~precision:Double ~tblock:t () in
-      let fp = Kernel_ast.Footprint.infer ~strides env k in
-      Alcotest.(check (option string))
-        (Printf.sprintf "T=%d anchored on next" t)
-        (Some "next") fp.Kernel_ast.Footprint.fp_anchor;
-      Alcotest.(check (option int))
-        (Printf.sprintf "T=%d curr radius" t)
-        (Some t)
-        (Kernel_ast.Footprint.read_radius fp "curr");
-      Alcotest.(check (option int))
-        (Printf.sprintf "T=%d prev radius" t)
-        (Some (t - 1))
-        (Kernel_ast.Footprint.read_radius fp "prev"))
-    [ 1; 2; 3 ]
-
-(* A fused kernel whose depth disagrees with the shards' ghost depth is
-   rejected up front — the block exchange would be too shallow. *)
-let test_fused_depth_mismatch_rejected () =
-  let sim = mk_plan_sim ~shards:2 ~tblock:2 in
-  let fused = [ Lift_acoustics.Programs.blocked_volume ~precision:Double ~tblock:3 () ] in
-  Alcotest.check_raises "depth mismatch"
-    (Invalid_argument
-       "gpu_sim: fused kernel depth 3 needs ~tblock:3 (shards have halo 2)")
-    (fun () -> Gpu_sim.step sim fused)
-
-(* The fused plans prove out under the footprint verifier at depth T,
-   sync and overlapped alike: the deep exchanges cover the radius-T
-   reads Footprint reports. *)
-let test_fused_plans_verify_clean () =
-  List.iter
-    (fun tblock ->
-      let fused =
-        [ Lift_acoustics.Programs.blocked_volume ~precision:Double ~tblock () ]
-      in
-      let sim = mk_plan_sim ~shards:2 ~tblock in
-      let t = Gpu_sim.tblock sim in
-      let issues =
-        Lift.Lint.verify_plan ~halo:t ~state_bufs (slab_of sim)
-          (Gpu_sim.step_plan sim fused ~steps:3)
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "sync fused T=%d error-free" t)
-        [] (err_codes issues);
-      let sim = mk_plan_sim ~shards:2 ~tblock in
-      let issues =
-        Lift.Lint.verify_async ~halo:t ~state_bufs (slab_of sim)
-          (Gpu_sim.overlap_plan sim fused ~steps:3)
-      in
-      Alcotest.(check (list string))
-        (Printf.sprintf "async fused T=%d error-free" t)
-        [] (err_codes issues))
-    [ 2; 3 ]
-
 (* The 2.5D-tiled volume kernel composes with temporal blocking through
    the per-step blocked cadence (the cadence is kernel-agnostic): tiled
    under T=2 matches the flat single-device run bit-for-bit. *)
@@ -443,7 +299,7 @@ let test_tiled_under_tblock () =
    schedule / step count, the blocked run equals the unblocked
    single-device run bit-for-bit. *)
 let qcheck_blocked_matches_sequential =
-  QCheck.Test.make ~name:"fused/blocked T-step launch == T sequential steps"
+  QCheck.Test.make ~name:"blocked T-step cadence == T sequential steps"
     ~count:25
     QCheck.(quad (int_range 0 2) (int_range 1 4) (int_range 1 4) (int_range 0 2))
     (fun (scheme_i, shards, tblock, sched_i) ->
@@ -476,18 +332,6 @@ let suite =
       test_blocked_plans_verify_clean;
     Alcotest.test_case "depth T-1 exchange rejected, pointed" `Quick
       test_depth_short_exchange_rejected;
-    Alcotest.test_case "check_sharded knows the blocked cadence" `Quick
-      test_check_sharded_blocked_cadence;
-    Alcotest.test_case "fused T-step launch bit-identical to T steps" `Quick
-      test_fused_bit_identical;
-    Alcotest.test_case "fused launches agree across engines and schedules" `Quick
-      test_fused_engines_schedules_agree;
-    Alcotest.test_case "fused footprint reads reach depth T" `Quick
-      test_fused_footprint_depth;
-    Alcotest.test_case "fused depth mismatch rejected" `Quick
-      test_fused_depth_mismatch_rejected;
-    Alcotest.test_case "fused plans verify at depth T" `Quick
-      test_fused_plans_verify_clean;
     Alcotest.test_case "tiled kernel under the blocked cadence" `Quick
       test_tiled_under_tblock;
     QCheck_alcotest.to_alcotest qcheck_blocked_matches_sequential;
