@@ -225,6 +225,13 @@ let cmd_simulate shape nx ny nz scheme steps backend engine domains shards tbloc
     (Energy.max_abs sim.Gpu_sim.state.State.curr);
   if show_stats then begin
     Fmt.pr "\n%a" Gpu_sim.pp_stats sim;
+    (* the process-wide compile cache: a warm rerun of the same
+       configuration runs cc zero times *)
+    if engine = `Native then begin
+      let c = Vgpu.Native.counters () in
+      Fmt.pr "native compile cache: %d cc run(s), %d disk hit(s), %d memo hit(s)@."
+        c.Vgpu.Native.c_compiles c.Vgpu.Native.c_disk_hits c.Vgpu.Native.c_memo_hits
+    end;
     (* the temporal-blocking tradeoff, observable at runtime: what one
        step costs in exchange rounds, deep-halo bytes and redundantly
        recomputed frontier points under the configured block depth *)
@@ -413,7 +420,8 @@ let cmd_check shape nx ny nz precision engine json =
     (all_kernels ~optimize:false precision);
   (* --engine native: also push every kernel (raw + optimized) through
      the C renderer, the system C compiler and dlopen, so the gate
-     covers the compiled path, not just the static verdicts *)
+     covers the compiled path, not just the static verdicts — both as
+     lifted and in the device form Gpu_sim launches (byte nbrs) *)
   let native_failures = ref 0 in
   (if engine = `Native then
      let compile_one origin variant (k : Kernel_ast.Cast.kernel) =
@@ -432,9 +440,14 @@ let cmd_check shape nx ny nz precision engine json =
      in
      List.iter
        (fun (origin, k) ->
-         compile_one origin "raw" k;
          let opt, _ = Kernel_ast.Opt.optimize k in
-         compile_one origin "optimized" opt)
+         compile_one origin "raw" k;
+         compile_one origin "optimized" opt;
+         let dev = Gpu_sim.device_form k in
+         if dev != k then begin
+           compile_one origin "raw, device form" dev;
+           compile_one origin "optimized, device form" (fst (Kernel_ast.Opt.optimize dev))
+         end)
        (all_kernels ~optimize:false precision));
   (* work-group tier gate: the tiled volume kernel, raw and optimized,
      must reproduce the flat kernel bit-for-bit on every engine.  Static

@@ -390,7 +390,7 @@ let tune ?(engine : engine = `Native) ?(precision = Kernel_ast.Cast.Double)
         r_from_cache = true;
       }
   | None ->
-      let clk = Option.value clock ~default:Unix.gettimeofday in
+      let clk = Option.value clock ~default:Vgpu.Clock.now in
       (* inject the clock into the runtimes' launch timing too, so the
          per-kernel calibration observations share the timer *)
       (match clock with Some c -> Vgpu.Runtime.set_clock c | None -> ());

@@ -94,10 +94,20 @@ type param_kind =
   | Global_buf   (* __global pointer *)
   | Scalar_param
 
+(* How a global buffer is stored on the device.  [U8] holds an [Int]
+   buffer as unsigned bytes (OpenCL [uchar *]): loads zero-extend,
+   stores keep the low 8 bits.  The values a kernel computes with are
+   the same ints either way, so only the engines and renderers look at
+   it. *)
+type storage =
+  | Word
+  | U8
+
 type param = {
   p_name : string;
   p_ty : ty;
   p_kind : param_kind;
+  p_storage : storage;
 }
 
 type kernel = {
@@ -139,7 +149,32 @@ let ( ||: ) a b = Binop (Or, a, b)
 let for_ var ~from ~below ?(step = Int_lit 1) body =
   For { var; init = from; bound = below; step; body }
 
-let param ?(kind = Global_buf) name ty = { p_name = name; p_ty = ty; p_kind = kind }
+let param ?(kind = Global_buf) name ty =
+  { p_name = name; p_ty = ty; p_kind = kind; p_storage = Word }
+
+(* Whether any statement of [body], at any depth, stores to [name]. *)
+let rec stores_to name body =
+  List.exists
+    (function
+      | Store (b, _, _) -> b = name
+      | If (_, t, f) -> stores_to name t || stores_to name f
+      | For l -> stores_to name l.body
+      | Decl _ | Decl_arr _ | Decl_local _ | Assign _ | Barrier | Comment _ -> false)
+    body
+
+(* The kernel with global int buffer [name] stored as bytes; unchanged
+   when it has no such parameter. *)
+let with_u8 name k =
+  {
+    k with
+    params =
+      List.map
+        (fun p ->
+          if p.p_name = name && p.p_kind = Global_buf && p.p_ty = Int then
+            { p with p_storage = U8 }
+          else p)
+        k.params;
+  }
 
 (* Work-group geometry helpers shared by the engines. *)
 

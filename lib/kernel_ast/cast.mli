@@ -101,10 +101,22 @@ type param_kind =
   | Global_buf    (** [__global] pointer *)
   | Scalar_param
 
+(** Device storage of a global buffer.  [U8] stores an [Int] buffer as
+    unsigned bytes, like an OpenCL [uchar *] parameter: a load
+    zero-extends and a store keeps the low 8 bits (it wraps mod 256).
+    The values a kernel computes with are the same ints either way, so
+    {!module:Opt}, {!module:Check} and {!module:Footprint} ignore the
+    attribute; the engines and the C renderers honour it, and it is
+    part of the kernel value, hence of every digest-keyed cache. *)
+type storage =
+  | Word  (** one word per element (the default) *)
+  | U8  (** one unsigned byte per element *)
+
 type param = {
   p_name : string;
   p_ty : ty;
   p_kind : param_kind;
+  p_storage : storage;
 }
 
 type kernel = {
@@ -149,8 +161,13 @@ val ( ||: ) : expr -> expr -> expr
 val for_ : string -> from:expr -> below:expr -> ?step:expr -> stmt list -> stmt
 
 (** [param ?kind name ty] builds a kernel parameter (a global buffer by
-    default). *)
+    default) with [Word] storage. *)
 val param : ?kind:param_kind -> string -> ty -> param
+
+val with_u8 : string -> kernel -> kernel
+(** [with_u8 name k] is [k] with its global [Int] buffer parameter
+    [name] stored as [U8]; [k] unchanged (a copy) when it has no such
+    parameter. *)
 
 (** {1 Work-group geometry} *)
 
@@ -169,6 +186,9 @@ val group_counts : kernel -> global:int array -> int array
 
 val contains_barrier : stmt list -> bool
 (** Whether any statement (at any depth) is a [Barrier]. *)
+
+val stores_to : string -> stmt list -> bool
+(** Whether any statement (at any depth) stores to the named array. *)
 
 (** {1 Simplification}
 

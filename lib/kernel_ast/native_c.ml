@@ -15,8 +15,11 @@
      as tagged words: a load untags with an arithmetic shift
      ([(b[i] >> 1)], OCaml's [Long_val]) and a store retags
      ([(int64_t)(((uint64_t)(v) << 1) | 1u)], [Val_long]), so a stored
-     value wraps to 63 bits exactly as an OCaml int does.  Private and
-     [__local] int arrays are plain untagged [int64_t];
+     value wraps to 63 bits exactly as an OCaml int does.  A byte-stored
+     int buffer ([Cast.U8]) is a [uint8_t] vector read and written in
+     place: a load zero-extends ([(int64_t)b[i]]) and a store truncates
+     ([(uint8_t)(v)], wrapping mod 256 like OpenCL [uchar]).  Private
+     and [__local] int arrays are plain untagged [int64_t];
    - real [Mod] is C [fmod] (= OCaml [Float.rem]); [Fmin]/[Fmax] are
      emitted as helpers replicating OCaml's [Float.min]/[Float.max]
      branch-for-branch (NaN propagation, [-0. < +0.]), not C's
@@ -29,9 +32,10 @@
 
    The fixed entry ABI (see {!entry_symbol}) receives the kernel's
    parameters split by kind — real buffers as [double*], int buffers as
-   [int64_t*] to their tagged words, scalars (untagged) in two flat
-   arrays — plus the NDRange sizes.  The work-item loops live inside the
-   entry, row-major z/y/x exactly like [Exec.launch]/[Jit.run_range].
+   [int64_t*] to their tagged words, byte buffers as [uint8_t*],
+   scalars (untagged) in two flat arrays — plus the NDRange sizes.  The
+   work-item loops live inside the entry, row-major z/y/x exactly like
+   [Exec.launch]/[Jit.run_range].
 
    Body-declared locals are renamed [rk_v<i>_<stem>], numbered in
    declaration order, where the stem drops Lift's gensym suffixes
@@ -52,11 +56,12 @@ let entry_symbol = "racs_kernel_entry"
 type binding =
   | Arg_fbuf of int  (** real buffer -> [fb[slot]] *)
   | Arg_ibuf of int  (** int buffer -> [ib[slot]] *)
+  | Arg_u8buf of int  (** byte-stored int buffer -> [u8b[slot]] *)
   | Arg_iscalar of int  (** int scalar -> [isc[slot]] *)
   | Arg_rscalar of int  (** real scalar -> [fsc[slot]] *)
 
 let bindings (k : kernel) : binding list =
-  let nf = ref 0 and ni = ref 0 and nis = ref 0 and nrs = ref 0 in
+  let nf = ref 0 and ni = ref 0 and nb = ref 0 and nis = ref 0 and nrs = ref 0 in
   List.map
     (fun p ->
       let next r =
@@ -66,6 +71,7 @@ let bindings (k : kernel) : binding list =
       in
       match (p.p_kind, p.p_ty) with
       | Global_buf, Real -> Arg_fbuf (next nf)
+      | Global_buf, Int when p.p_storage = U8 -> Arg_u8buf (next nb)
       | Global_buf, Int -> Arg_ibuf (next ni)
       | Scalar_param, Int -> Arg_iscalar (next nis)
       | Scalar_param, Real -> Arg_rscalar (next nrs))
@@ -80,7 +86,7 @@ let c_reserved =
     "double"; "else"; "enum"; "extern"; "float"; "for"; "goto"; "if";
     "inline"; "int"; "long"; "register"; "restrict"; "return"; "short";
     "signed"; "sizeof"; "static"; "struct"; "switch"; "typedef"; "union";
-    "unsigned"; "void"; "volatile"; "while"; "fb"; "ib"; "isc"; "fsc";
+    "unsigned"; "void"; "volatile"; "while"; "fb"; "ib"; "u8b"; "isc"; "fsc";
     "gsz"; "memset"; "fmod"; "sqrt"; "fabs"; "exp"; "log"; "sin"; "cos";
     "floor"; "signbit";
   ]
@@ -93,6 +99,7 @@ let mangle name =
 type slot =
   | S_scalar of ty
   | S_gbuf of ty  (* global buffer parameter *)
+  | S_gbyte  (* byte-stored global int buffer parameter *)
   | S_parr of ty * int  (* private (work-item local) array *)
   | S_larr of ty * int  (* work-group local array (grouped kernels) *)
 
@@ -139,6 +146,7 @@ let build_env (k : kernel) =
   List.iter
     (fun p ->
       match p.p_kind with
+      | Global_buf when p.p_storage = U8 -> Hashtbl.replace env.slots p.p_name S_gbyte
       | Global_buf -> Hashtbl.replace env.slots p.p_name (S_gbuf p.p_ty)
       | Scalar_param ->
           Hashtbl.replace env.slots p.p_name (S_scalar p.p_ty);
@@ -230,6 +238,7 @@ let rec type_of env (e : expr) : ty =
   | Load (b, _) -> (
       match Hashtbl.find_opt env.slots b with
       | Some (S_gbuf t | S_parr (t, _) | S_larr (t, _)) -> t
+      | Some S_gbyte -> Int
       | Some _ -> failwith (Printf.sprintf "native_c: %s is not an array" b)
       | None -> failwith (Printf.sprintf "native_c: unbound buffer %s" b))
   | Unop (To_real, _) -> Real
@@ -308,6 +317,13 @@ let rec emit env buf ~prec (e : expr) =
           add "[";
           as_int env buf i;
           add "] >> 1)"
+      | Some S_gbyte ->
+          (* an unsigned byte, zero-extended *)
+          add "((int64_t)";
+          add (cname env b);
+          add "[";
+          as_int env buf i;
+          add "])"
       | _ ->
           add (cname env b);
           add "[";
@@ -506,6 +522,7 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
             (* tag in place (Val_long); the unsigned shift wraps to 63
                bits like OCaml int arithmetic *)
             Printf.sprintf "(int64_t)(((uint64_t)(%s) << 1) | 1u)" (as_int_c env e)
+        | Some S_gbyte -> Printf.sprintf "(uint8_t)(%s)" (as_int_c env e)
         | Some (S_parr (Int, _) | S_larr (Int, _)) -> as_int_c env e
         | Some (S_gbuf Real) when round_store ->
             (* single precision: round on store to a global real buffer,
@@ -679,16 +696,6 @@ let preamble =
    launch and falls back to a [~noalias:false] compilation). *)
 
 let written_params (k : kernel) : string list =
-  let syntactic = Hashtbl.create 8 in
-  let rec stmt = function
-    | Store (n, _, _) -> Hashtbl.replace syntactic n ()
-    | If (_, t, f) ->
-        List.iter stmt t;
-        List.iter stmt f
-    | For l -> List.iter stmt l.body
-    | Decl _ | Decl_arr _ | Decl_local _ | Assign _ | Barrier | Comment _ -> ()
-  in
-  List.iter stmt k.body;
   let fp_writes =
     match Footprint.infer (Check.env ()) k with
     | fp -> (
@@ -700,7 +707,7 @@ let written_params (k : kernel) : string list =
   in
   List.filter_map
     (fun p ->
-      if p.p_kind = Global_buf && (Hashtbl.mem syntactic p.p_name || fp_writes p.p_name) then
+      if p.p_kind = Global_buf && (stores_to p.p_name k.body || fp_writes p.p_name) then
         Some p.p_name
       else None)
     k.params
@@ -717,10 +724,10 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
   add "\n";
   add
     (Printf.sprintf
-       "RK_EXPORT void %s(double **fb, int64_t **ib, const int64_t *isc,\n\
-       \                  const double *fsc, const int64_t *gsz)\n{\n"
+       "RK_EXPORT void %s(double **fb, int64_t **ib, uint8_t **u8b,\n\
+       \                  const int64_t *isc, const double *fsc, const int64_t *gsz)\n{\n"
        entry_symbol);
-  add "  (void)fb; (void)ib; (void)isc; (void)fsc;\n";
+  add "  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;\n";
   (* parameter prologue, in [bindings] order: read-only buffers (proven
      by [written_params]) are [const]; [restrict] is emitted only when
      the launcher vouches that no written buffer aliases another
@@ -741,6 +748,9 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
       | Arg_ibuf s ->
           let cst, res = quals p.p_name in
           add (Printf.sprintf "  %sint64_t *%s %s = ib[%d];\n" cst res n s)
+      | Arg_u8buf s ->
+          let cst, res = quals p.p_name in
+          add (Printf.sprintf "  %suint8_t *%s %s = u8b[%d];\n" cst res n s)
       | Arg_iscalar s -> add (Printf.sprintf "  int64_t %s = isc[%d];\n" n s)
       | Arg_rscalar s -> add (Printf.sprintf "  double %s = fsc[%d];\n" n s))
     k.params (bindings k);
@@ -764,7 +774,7 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
           let n = if env.env_grouped then gthreads * n else n in
           add (Printf.sprintf "  %s %s[%d] = {0};\n" (c_ty t) (cname env v) n)
       | S_larr (t, n) -> add (Printf.sprintf "  %s %s[%d];\n" (c_ty t) (cname env v) n)
-      | S_gbuf _ -> assert false)
+      | S_gbuf _ | S_gbyte -> assert false)
     env.locals;
   let round_store = k.precision = Single in
   if not env.env_grouped then begin

@@ -12,16 +12,18 @@
 
 val entry_symbol : string
 (** Name of the exported entry:
-    [void racs_kernel_entry(double **fb, int64_t **ib,
+    [void racs_kernel_entry(double **fb, int64_t **ib, uint8_t **u8b,
                             const int64_t *isc, const double *fsc,
                             const int64_t *gsz)]
-    — real buffers, int buffers, int scalars, real scalars (each indexed
-    by the slots of {!bindings}), and the three NDRange sizes (missing
+    — real buffers, int buffers (tagged OCaml words), byte-stored int
+    buffers ({!Cast.U8}), int scalars, real scalars (each indexed by the
+    slots of {!bindings}), and the three NDRange sizes (missing
     dimensions padded with 1). *)
 
 type binding =
   | Arg_fbuf of int  (** real buffer -> [fb[slot]] *)
   | Arg_ibuf of int  (** int buffer -> [ib[slot]] *)
+  | Arg_u8buf of int  (** byte-stored int buffer -> [u8b[slot]] *)
   | Arg_iscalar of int  (** int scalar -> [isc[slot]] *)
   | Arg_rscalar of int  (** real scalar -> [fsc[slot]] *)
 

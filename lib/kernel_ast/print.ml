@@ -201,10 +201,17 @@ let rec stmt ~precision ~tyenv ~indent buf s =
       List.iter (stmt ~precision ~tyenv ~indent:(indent + 2) buf) l.body;
       line "}"
 
-let kernel_param ~precision p =
-  match p.p_kind with
-  | Global_buf -> Printf.sprintf "__global %s* restrict %s" (ty_name precision p.p_ty) p.p_name
-  | Scalar_param -> Printf.sprintf "const %s %s" (ty_name precision p.p_ty) p.p_name
+(* A byte-stored buffer prints as [uchar], [const] when never stored
+   to. *)
+let kernel_param (k : kernel) p =
+  match (p.p_kind, p.p_storage) with
+  | Global_buf, U8 ->
+      Printf.sprintf "__global %suchar* restrict %s"
+        (if stores_to p.p_name k.body then "" else "const ")
+        p.p_name
+  | Global_buf, Word ->
+      Printf.sprintf "__global %s* restrict %s" (ty_name k.precision p.p_ty) p.p_name
+  | Scalar_param, _ -> Printf.sprintf "const %s %s" (ty_name k.precision p.p_ty) p.p_name
 
 (* Render a kernel as a self-contained OpenCL C function.  [Real] is
    resolved per [k.precision] so the same AST prints as a float or double
@@ -212,7 +219,7 @@ let kernel_param ~precision p =
 let kernel_to_string (k : kernel) =
   let buf = Buffer.create 1024 in
   let tyenv = kernel_tyenv k in
-  let params = List.map (kernel_param ~precision:k.precision) k.params in
+  let params = List.map (kernel_param k) k.params in
   let attr =
     if grouped k then
       let l = local3 k in

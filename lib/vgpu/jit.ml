@@ -27,6 +27,7 @@ type rt = {
   mutable flarr : float array array; (* group-shared local real arrays *)
   mutable ibuf : int array array;   (* global int buffers, by slot *)
   mutable fbuf : float array array; (* global real buffers, by slot *)
+  mutable bbuf : Bytes.t array;     (* global byte-stored int buffers, by slot *)
 }
 
 (* Work-group synchronisation: [Barrier] in a grouped kernel performs
@@ -43,6 +44,7 @@ type slot =
   | Real_larr of int * int
   | Int_gbuf of int
   | Real_gbuf of int
+  | U8_gbuf of int  (* byte-stored int buffer: zero-extending loads *)
 
 type cenv = {
   slots : (string, slot) Hashtbl.t;
@@ -171,7 +173,7 @@ let type_of cenv (e : expr) : ty =
         | None -> failwith (Printf.sprintf "jit: unbound variable %s" v))
     | Load (b, _) -> (
         match Hashtbl.find_opt cenv.slots b with
-        | Some (Int_gbuf _ | Int_parr _ | Int_larr _) -> Int
+        | Some (Int_gbuf _ | U8_gbuf _ | Int_parr _ | Int_larr _) -> Int
         | Some (Real_gbuf _ | Real_parr _ | Real_larr _) -> Real
         | Some _ -> failwith (Printf.sprintf "jit: %s is not an array" b)
         | None -> failwith (Printf.sprintf "jit: unbound buffer %s" b))
@@ -227,6 +229,7 @@ and compile_int cenv (e : expr) : rt -> int =
       let fi = as_int cenv i in
       match Hashtbl.find cenv.slots b with
       | Int_gbuf s -> fun rt -> rt.ibuf.(s).(fi rt)
+      | U8_gbuf s -> fun rt -> Bytes.get_uint8 rt.bbuf.(s) (fi rt)
       | Int_parr (s, _) -> fun rt -> rt.iarr.(s).(fi rt)
       | Int_larr (s, _) -> fun rt -> rt.ilarr.(s).(fi rt)
       | _ -> failwith (Printf.sprintf "jit: %s not an int array" b))
@@ -394,6 +397,10 @@ let rec compile_stmt cenv ~round_store (s : stmt) : rt -> unit =
       | Some (Int_gbuf s) ->
           let f = as_int cenv e in
           fun rt -> rt.ibuf.(s).(fi rt) <- f rt
+      | Some (U8_gbuf s) ->
+          (* keep the low 8 bits, like a C store to [uchar] *)
+          let f = as_int cenv e in
+          fun rt -> Bytes.set_uint8 rt.bbuf.(s) (fi rt) (f rt land 0xff)
       | Some (Int_parr (s, _)) ->
           let f = as_int cenv e in
           fun rt -> rt.iarr.(s).(fi rt) <- f rt
@@ -444,6 +451,7 @@ and compile_body cenv ~round_store body =
 type param_binding =
   | Bind_ibuf of int
   | Bind_fbuf of int
+  | Bind_u8buf of int
   | Bind_ireg of int
   | Bind_freg of int
 
@@ -452,6 +460,7 @@ type compiled = {
   bindings : param_binding list;
   n_ibuf : int;
   n_fbuf : int;
+  n_u8buf : int;
   make_rt : unit -> rt;
   body : rt -> unit;
 }
@@ -459,11 +468,16 @@ type compiled = {
 (* Compile a kernel once; the result can be launched many times. *)
 let compile (k : kernel) : compiled =
   let cenv = fresh_cenv k in
-  let n_ibuf = ref 0 and n_fbuf = ref 0 in
+  let n_ibuf = ref 0 and n_fbuf = ref 0 and n_u8buf = ref 0 in
   let bindings =
     List.map
       (fun p ->
         match (p.p_kind, p.p_ty) with
+        | Global_buf, Int when p.p_storage = U8 ->
+            let s = !n_u8buf in
+            incr n_u8buf;
+            Hashtbl.replace cenv.slots p.p_name (U8_gbuf s);
+            Bind_u8buf s
         | Global_buf, Int ->
             let s = !n_ibuf in
             incr n_ibuf;
@@ -505,9 +519,10 @@ let compile (k : kernel) : compiled =
       flarr = Array.map (fun n -> Array.make n 0.) larr_f;
       ibuf = [||];
       fbuf = [||];
+      bbuf = [||];
     }
   in
-  { kernel = k; bindings; n_ibuf = !n_ibuf; n_fbuf = !n_fbuf; make_rt; body }
+  { kernel = k; bindings; n_ibuf = !n_ibuf; n_fbuf = !n_fbuf; n_u8buf = !n_u8buf; make_rt; body }
 
 (* Bind launch arguments into a fresh rt.  Buffers are shared with the
    caller (stores are visible after the launch); scalars are copied into
@@ -520,19 +535,22 @@ let bind (c : compiled) ~(args : Args.t list) ~(global : int list) : rt =
   let rt = c.make_rt () in
   rt.ibuf <- Array.make (max 1 c.n_ibuf) [||];
   rt.fbuf <- Array.make (max 1 c.n_fbuf) [||];
+  rt.bbuf <- Array.make (max 1 c.n_u8buf) Bytes.empty;
   List.iteri (fun d n -> rt.gsize.(d) <- n) global;
   List.iter2
     (fun binding (a : Args.t) ->
       match (binding, a) with
       | Bind_ibuf s, Buf (Buffer.I arr) -> rt.ibuf.(s) <- arr
       | Bind_fbuf s, Buf (Buffer.F arr) -> rt.fbuf.(s) <- arr
+      | Bind_u8buf s, Buf (Buffer.U8 b) -> rt.bbuf.(s) <- b
       | Bind_ireg s, Int_arg v -> rt.ir.(s) <- v
       | Bind_freg s, Real_arg v -> rt.fr.(s) <- v
       | Bind_ireg s, Real_arg v -> rt.ir.(s) <- int_of_float v
       | Bind_freg s, Int_arg v -> rt.fr.(s) <- float_of_int v
       | _ ->
           invalid_arg
-            (Printf.sprintf "vgpu jit: kernel %s: argument kind mismatch" c.kernel.name))
+            (Printf.sprintf "vgpu jit: kernel %s: argument kind or storage mismatch"
+               c.kernel.name))
     c.bindings args;
   rt
 
@@ -547,6 +565,7 @@ let clone_rt (c : compiled) (src : rt) : rt =
   Array.blit src.gsize 0 rt.gsize 0 3;
   rt.ibuf <- Array.copy src.ibuf;
   rt.fbuf <- Array.copy src.fbuf;
+  rt.bbuf <- Array.copy src.bbuf;
   rt
 
 (* Run the kernel body over the NDRange with dimension [dim] restricted

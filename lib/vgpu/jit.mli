@@ -15,6 +15,7 @@ type compiled = private {
   bindings : param_binding list;
   n_ibuf : int;
   n_fbuf : int;
+  n_u8buf : int;
   make_rt : unit -> rt;
   body : rt -> unit;
 }
@@ -30,9 +31,11 @@ val compile : Kernel_ast.Cast.kernel -> compiled
 val launch : compiled -> args:Args.t list -> global:int list -> unit
 (** Launch a compiled kernel.  Buffers are shared with the caller
     (stores are visible after the launch); scalars are copied into
-    registers.
+    registers.  A {!Kernel_ast.Cast.U8} parameter takes a {!Buffer.U8}
+    argument: loads zero-extend, stores keep the low 8 bits.
 
-    @raise Invalid_argument on arity or argument-kind mismatch. *)
+    @raise Invalid_argument on arity, argument-kind or storage
+    mismatch. *)
 
 (** {2 Partitioned execution}
 

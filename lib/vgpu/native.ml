@@ -33,6 +33,7 @@ type packet = {
   pk_fn : nativeint;
   pk_fb : float array array;
   pk_ib : int array array;
+  pk_u8b : Bytes.t array;
   pk_isc : int array;
   pk_fsc : float array;
   pk_gsz : int array;
@@ -124,6 +125,7 @@ type compiled = {
   noalias : bool;  (** source rendered with [restrict] qualifiers *)
   n_fb : int;
   n_ib : int;
+  n_u8b : int;
   n_isc : int;
   n_fsc : int;
   fn : nativeint;
@@ -133,10 +135,11 @@ type compiled = {
 
 let source ?noalias k = Native_c.kernel_source ?noalias k
 
-(* The salt names the entry ABI (v2: int arrays as tagged words).  Bump
-   it whenever the ABI changes, so a cached binary of another ABI is
-   never loaded. *)
-let key_of_source src = Digest.to_hex (Digest.string (String.concat "\x00" [ "racs-native-v2"; cc (); flags (); src ]))
+(* The salt names the entry ABI (v3: int arrays as tagged words, plus a
+   slot array for byte buffers).  Bump it whenever the ABI changes, so a
+   cached binary of another ABI is never loaded. *)
+let key_of_source src =
+  Digest.to_hex (Digest.string (String.concat "\x00" [ "racs-native-v3"; cc (); flags (); src ]))
 
 (* Key of the binary a kernel would compile to under the current
    toolchain configuration (exposed so tests can check that different
@@ -221,15 +224,23 @@ let reset_memo () =
   Hashtbl.reset memo;
   Mutex.unlock memo_mutex
 
+(* Slots per ABI category: real, int and byte buffers, int and real
+   scalars. *)
 let count_bindings bs =
-  List.fold_left
-    (fun (f, i, is, rs) b ->
-      match (b : Native_c.binding) with
-      | Arg_fbuf _ -> (f + 1, i, is, rs)
-      | Arg_ibuf _ -> (f, i + 1, is, rs)
-      | Arg_iscalar _ -> (f, i, is + 1, rs)
-      | Arg_rscalar _ -> (f, i, is, rs + 1))
-    (0, 0, 0, 0) bs
+  let n = Array.make 5 0 in
+  List.iter
+    (fun (b : Native_c.binding) ->
+      let c =
+        match b with
+        | Arg_fbuf _ -> 0
+        | Arg_ibuf _ -> 1
+        | Arg_u8buf _ -> 2
+        | Arg_iscalar _ -> 3
+        | Arg_rscalar _ -> 4
+      in
+      n.(c) <- n.(c) + 1)
+    bs;
+  n
 
 let compile ?(noalias = true) (k : Cast.kernel) : compiled =
   let src = source ~noalias k in
@@ -250,9 +261,22 @@ let compile ?(noalias = true) (k : Cast.kernel) : compiled =
           let bindings = Native_c.bindings k in
           let written_names = Native_c.written_params k in
           let written = List.map (fun p -> List.mem p.Cast.p_name written_names) k.params in
-          let n_fb, n_ib, n_isc, n_fsc = count_bindings bindings in
+          let n = count_bindings bindings in
           let c =
-            { kernel = k; bindings; written; noalias; n_fb; n_ib; n_isc; n_fsc; fn; key; so_path }
+            {
+              kernel = k;
+              bindings;
+              written;
+              noalias;
+              n_fb = n.(0);
+              n_ib = n.(1);
+              n_u8b = n.(2);
+              n_isc = n.(3);
+              n_fsc = n.(4);
+              fn;
+              key;
+              so_path;
+            }
           in
           Hashtbl.replace memo key c;
           Ok c
@@ -275,11 +299,16 @@ let alias_hazard (c : compiled) (args : Args.t list) =
         match a with
         | Buf (Buffer.F arr) -> (`F arr, w) :: acc
         | Buf (Buffer.I arr) -> (`I arr, w) :: acc
+        | Buf (Buffer.U8 b) -> (`U8 b, w) :: acc
         | _ -> acc)
       [] c.written args
   in
   let same a b =
-    match (a, b) with `F x, `F y -> x == y | `I x, `I y -> x == y | _ -> false
+    match (a, b) with
+    | `F x, `F y -> x == y
+    | `I x, `I y -> x == y
+    | `U8 x, `U8 y -> x == y
+    | _ -> false
   in
   let rec go = function
     | [] -> false
@@ -298,6 +327,7 @@ let launch (c : compiled) ~(args : Args.t list) ~(global : int list) =
   let c = if c.noalias && alias_hazard c args then compile ~noalias:false c.kernel else c in
   let fb = Array.make (max 1 c.n_fb) [||] in
   let ib = Array.make (max 1 c.n_ib) [||] in
+  let u8b = Array.make (max 1 c.n_u8b) Bytes.empty in
   let isc = Array.make (max 1 c.n_isc) 0 in
   let fsc = Array.make (max 1 c.n_fsc) 0. in
   (* same scalar coercions as [Jit.bind] *)
@@ -306,17 +336,20 @@ let launch (c : compiled) ~(args : Args.t list) ~(global : int list) =
       match (b, a) with
       | Arg_fbuf s, Buf (Buffer.F arr) -> fb.(s) <- arr
       | Arg_ibuf s, Buf (Buffer.I arr) -> ib.(s) <- arr
+      | Arg_u8buf s, Buf (Buffer.U8 b) -> u8b.(s) <- b
       | Arg_iscalar s, Int_arg v -> isc.(s) <- v
       | Arg_rscalar s, Real_arg v -> fsc.(s) <- v
       | Arg_iscalar s, Real_arg v -> isc.(s) <- int_of_float v
       | Arg_rscalar s, Int_arg v -> fsc.(s) <- float_of_int v
       | _ ->
           invalid_arg
-            (Printf.sprintf "vgpu native: kernel %s: argument kind mismatch" c.kernel.name))
+            (Printf.sprintf "vgpu native: kernel %s: argument kind or storage mismatch"
+               c.kernel.name))
     c.bindings args;
   let gsz = [| 1; 1; 1 |] in
   List.iteri (fun d n -> gsz.(d) <- n) global;
   (* the compiled group loops truncate-divide the NDRange, so reject a
      non-dividing launch here like the other engines *)
   if Cast.grouped c.kernel then ignore (Cast.group_counts c.kernel ~global:gsz);
-  launch_packet { pk_fn = c.fn; pk_fb = fb; pk_ib = ib; pk_isc = isc; pk_fsc = fsc; pk_gsz = gsz }
+  launch_packet
+    { pk_fn = c.fn; pk_fb = fb; pk_ib = ib; pk_u8b = u8b; pk_isc = isc; pk_fsc = fsc; pk_gsz = gsz }

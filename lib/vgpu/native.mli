@@ -30,8 +30,10 @@ val launch : compiled -> args:Args.t list -> global:int list -> unit
     a [~noalias:false] compilation of the same kernel (its own cache
     entry) so the restrict promise is never broken; alias-free launches
     — every launch the simulation runtimes issue — keep the qualified
-    fast path.
-    @raise Invalid_argument on an argument count or kind mismatch. *)
+    fast path.  A {!Kernel_ast.Cast.U8} parameter takes a
+    {!Buffer.U8} argument, passed in place like every buffer.
+    @raise Invalid_argument on an argument count, kind or storage
+    mismatch (a [U8] buffer for a word parameter, or the reverse). *)
 
 val source : ?noalias:bool -> Kernel_ast.Cast.kernel -> string
 (** The C translation unit [compile] builds (for inspection/tests). *)

@@ -112,9 +112,9 @@ let worker_loop (t : t) =
         if poisoned then Option.value c.c_vcost ~default:0.
         else begin
           Mutex.lock exec_lock;
-          let t0 = Unix.gettimeofday () in
+          let t0 = Clock.now_ns () in
           let err = try c.c_run (); None with e -> Some e in
-          let wall_ns = (Unix.gettimeofday () -. t0) *. 1e9 in
+          let wall_ns = float_of_int (Clock.now_ns () - t0) in
           Mutex.unlock exec_lock;
           (match err with
           | Some e ->

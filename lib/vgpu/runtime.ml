@@ -85,13 +85,14 @@ type t = {
   mutable d2d_bytes : int;  (* device-to-device copies: halo exchanges *)
 }
 
-(* Wall-clock source for per-launch timing.  Swappable so the autotuner
-   tests can inject a deterministic fake timer; everything that reads
-   launch durations (kernel stats, measured tuning) sees the same
-   clock. *)
-let clock : (unit -> float) ref = ref Unix.gettimeofday
+(* Clock for per-launch timing: monotonic, so launch times neither step
+   with wall-clock adjustments nor quantize to a microsecond.  Swappable
+   so the autotuner tests can inject a deterministic fake timer;
+   everything that reads launch durations (kernel stats, measured
+   tuning) sees the same clock. *)
+let clock : (unit -> float) ref = ref Clock.now
 let set_clock f = clock := f
-let reset_clock () = clock := Unix.gettimeofday
+let reset_clock () = clock := Clock.now
 let now () = !clock ()
 
 let verify_from_env () =
@@ -141,25 +142,23 @@ let resolve_arg t = function
 
 let real_bytes = function Cast.Single -> 4 | Cast.Double -> 8
 
-let transfer_bytes ~precision buf =
-  match buf with
-  | Buffer.F a -> real_bytes precision * Array.length a
-  | Buffer.I a -> 4 * Array.length a
-
 (* Bytes moved by a sub-buffer copy of [elems] elements, at the runtime's
-   transfer precision. *)
+   transfer precision: an int is 4 bytes (OpenCL [int]), a byte-stored
+   int 1. *)
 let slice_bytes ~precision buf elems =
   match buf with
   | Buffer.F _ -> real_bytes precision * elems
   | Buffer.I _ -> 4 * elems
+  | Buffer.U8 _ -> elems
 
-(* Raw sub-buffer copy between two device buffers; the element types must
+let transfer_bytes ~precision buf = slice_bytes ~precision buf (Buffer.length buf)
+
+(* Raw sub-buffer copy between two device buffers; the storage kinds must
    agree, as they would for clEnqueueCopyBuffer. *)
 let blit_buffers ~(src : Buffer.t) ~src_off ~(dst : Buffer.t) ~dst_off ~elems =
-  match (src, dst) with
-  | Buffer.F a, Buffer.F b -> Array.blit a src_off b dst_off elems
-  | Buffer.I a, Buffer.I b -> Array.blit a src_off b dst_off elems
-  | _ -> failwith "vgpu runtime: buffer copy between int and real buffers"
+  if Buffer.ty src <> Buffer.ty dst then
+    failwith "vgpu runtime: buffer copy between int and real buffers";
+  Buffer.blit ~src ~src_off ~dst ~dst_off ~elems
 
 let account_d2d t bytes = t.d2d_bytes <- t.d2d_bytes + bytes
 
@@ -283,19 +282,29 @@ let launch_resolved t kernel ~(args : Args.t list) ~global =
       0 args
   in
   if t.verify then verify_launch t kernel ~args ~global;
+  (* compiled code is resolved before the timer starts: a first launch's
+     cc + dlopen, or its JIT closure building, is not kernel time *)
+  let run =
+    match t.sanitizer with
+    | Some s ->
+        (* checked execution needs the interpreter's access hooks, so the
+           sanitizer overrides the configured engine *)
+        fun () -> Sanitizer.launch s kernel ~args ~global
+    | None -> (
+        match t.engine with
+        | Interp -> fun () -> Exec.launch kernel ~args ~global
+        | Jit ->
+            let c = jit_compiled t kernel in
+            fun () -> Jit.launch c ~args ~global
+        | Jit_parallel { domains } ->
+            let c = jit_compiled t kernel in
+            fun () -> Pool.launch ~domains c ~args ~global
+        | Native ->
+            let c = native_compiled t kernel in
+            fun () -> Native.launch c ~args ~global)
+  in
   let t0 = now () in
-  (match t.sanitizer with
-  | Some s ->
-      (* checked execution needs the interpreter's access hooks, so the
-         sanitizer overrides the configured engine *)
-      Sanitizer.launch s kernel ~args ~global
-  | None -> (
-      match t.engine with
-      | Interp -> Exec.launch kernel ~args ~global
-      | Jit -> Jit.launch (jit_compiled t kernel) ~args ~global
-      | Jit_parallel { domains } ->
-          Pool.launch ~domains (jit_compiled t kernel) ~args ~global
-      | Native -> Native.launch (native_compiled t kernel) ~args ~global));
+  run ();
   let dt = now () -. t0 in
   let s = kstat t kernel.Cast.name in
   (match report with Some _ -> s.k_opt <- report | None -> ());

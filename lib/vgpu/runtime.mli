@@ -141,12 +141,14 @@ val buffer_opt : t -> string -> Buffer.t option
 
 val slice_bytes : precision:Kernel_ast.Cast.precision -> Buffer.t -> int -> int
 (** Bytes moved by a sub-buffer copy of [elems] elements of the given
-    buffer, at the runtime's transfer precision. *)
+    buffer, at the runtime's transfer precision: 4 per int element, 1
+    per element of a byte-stored ({!Buffer.U8}) buffer. *)
 
 val blit_buffers :
   src:Buffer.t -> src_off:int -> dst:Buffer.t -> dst_off:int -> elems:int -> unit
 (** Raw sub-buffer copy between two device buffers.
-    @raise Failure if the element types disagree. *)
+    @raise Failure if the element types disagree.
+    @raise Invalid_argument if an int buffer meets a byte-stored one. *)
 
 val account_d2d : t -> int -> unit
 (** Charge [bytes] to the device-to-device transfer counter (used by
@@ -195,9 +197,12 @@ val reset_stats : t -> unit
 val pp_stats : Format.formatter -> stats -> unit
 
 val set_clock : (unit -> float) -> unit
-(** Replace the wall-clock source used to time kernel launches
-    (process-wide).  The autotuner's determinism tests inject a fake
-    timer here; production code never needs it. *)
+(** Replace the clock used to time kernel launches (process-wide; the
+    default is the monotonic {!Clock.now}).  The autotuner's determinism
+    tests inject a fake timer here; production code never needs it.
+    A launch's timed window covers the kernel run only: its compiled
+    code (JIT closures, or cc + dlopen) is resolved before the timer
+    starts. *)
 
 val reset_clock : unit -> unit
-(** Restore {!set_clock} to [Unix.gettimeofday]. *)
+(** Restore {!set_clock} to {!Clock.now}. *)

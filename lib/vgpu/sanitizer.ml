@@ -16,19 +16,26 @@
 
    Shadows are keyed on the physical identity of the underlying arrays,
    not on [Buffer.t] values: the runtime re-wraps arrays in fresh
-   [Buffer.F]/[Buffer.I] constructors per resolution, but the storage —
-   and therefore the write history — is the array itself. *)
+   [Buffer.F]/[Buffer.I]/[Buffer.U8] constructors per resolution, but
+   the storage — and therefore the write history — is the array (or
+   byte string) itself. *)
 
 type key =
   | KF of float array
   | KI of int array
+  | KU8 of Bytes.t
 
 let key_of_buffer : Buffer.t -> key = function
   | Buffer.F a -> KF a
   | Buffer.I a -> KI a
+  | Buffer.U8 b -> KU8 b
 
 let same_key a b =
-  match (a, b) with KF x, KF y -> x == y | KI x, KI y -> x == y | _ -> false
+  match (a, b) with
+  | KF x, KF y -> x == y
+  | KI x, KI y -> x == y
+  | KU8 x, KU8 y -> x == y
+  | _ -> false
 
 type shadow = {
   last_epoch : int array;  (* launch epoch of the last store, 0 = never *)

@@ -4,7 +4,8 @@
       other (fused == two-kernel on a box);
    2. hand-written kernel ASTs (interpreter and JIT) against references;
    3. Lift-generated kernels against references;
-   plus geometry invariants and physical energy behaviour. *)
+   plus geometry invariants, physical energy behaviour, and the device
+   form in which Gpu_sim launches kernels (byte-stored nbrs). *)
 
 open Acoustics
 
@@ -353,6 +354,45 @@ let test_single_precision () =
   if !same then Alcotest.fail "single precision identical to double (rounding not applied)";
   if !diff > 1e-3 then Alcotest.failf "single precision diverged: max diff %g" !diff
 
+(* Gpu_sim stores nbrs as bytes: kernels run in a device form with the
+   nbrs parameter marked U8 (name kept, one memoized value per kernel),
+   the device copy holds the room's values, and a kernel that would
+   write nbrs is refused. *)
+let test_device_form () =
+  let open Kernel_ast.Cast in
+  let room = Geometry.build Geometry.Dome dome_dims in
+  let volume = Hand_kernels.volume ~precision:Double in
+  let kernels = [ volume; Hand_kernels.boundary_fi ~precision:Double ] in
+  let dev = Gpu_sim.device_form volume in
+  Alcotest.(check string) "name kept" volume.name dev.name;
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p.p_name ^ " storage") (p.p_name = "nbrs") (p.p_storage = U8))
+    dev.params;
+  let fused = Hand_kernels.fused_fi ~precision:Double in
+  Alcotest.(check bool) "a kernel without nbrs is kept as it is" true
+    (Gpu_sim.device_form fused == fused);
+  Alcotest.(check bool) "printed as uchar" true
+    (Test_util.contains (Kernel_ast.Print.kernel_to_string dev)
+       "__global const uchar* restrict nbrs");
+  let sim = Gpu_sim.create ~engine:`Jit params room in
+  (match sim.Gpu_sim.nbrs_dev with
+  | Vgpu.Buffer.U8 b ->
+      Alcotest.(check (array int)) "device copy" room.Geometry.nbrs
+        (Array.init (Bytes.length b) (Bytes.get_uint8 b))
+  | _ -> Alcotest.fail "nbrs is not stored as bytes");
+  for _ = 1 to 3 do
+    Gpu_sim.step sim kernels
+  done;
+  Alcotest.(check int) "one device form per kernel across steps" 2
+    (List.length sim.Gpu_sim.device_forms);
+  let writer =
+    { volume with name = "nbrs_writer"; body = Store ("nbrs", Global_id 0, Int_lit 1) :: volume.body }
+  in
+  match Gpu_sim.launch sim writer with
+  | () -> Alcotest.fail "a kernel writing nbrs was launched"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "fused == two-kernel (reference)" `Quick test_fused_equals_two_kernel;
@@ -365,4 +405,5 @@ let suite =
     Alcotest.test_case "geometry invariants" `Quick test_geometry;
     Alcotest.test_case "energy behaviour" `Quick test_energy_behaviour;
     Alcotest.test_case "single precision rounding" `Quick test_single_precision;
+    Alcotest.test_case "device form: byte nbrs, nbrs writers refused" `Quick test_device_form;
   ]

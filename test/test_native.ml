@@ -10,11 +10,13 @@
    the edges of the in-place tagged int ABI: [max_int]/[min_int]
    scalars stored and wrapped to 63 bits, a store read back within the
    launch, a read-only int buffer left untouched, a zero-length binding.
-   Int arrays young enough to move at the next minor collection are
-   launched on while collections run, and must match the interpreter.
+   Int arrays and byte buffers young enough to move at the next minor
+   collection are launched on while collections run, and must match the
+   interpreter.
 
    The native source is a function of kernel structure only: lifting a
-   program twice gives one cache key.
+   program twice gives one cache key, and the simulation's device form
+   (byte-stored nbrs) has a key of its own.
 
    Cache: compiles populate a content-addressed disk cache (atomic
    install); a warm run loads without recompiling, a corrupted entry is
@@ -258,18 +260,28 @@ let accum_kernel =
     body = [ Store ("acc", g, (Load ("acc", g) *: Int_lit 3) +: (Load ("src", g) *: Var "k") -: g) ];
   }
 
+(* The same accumulation through byte-stored buffers (wrapping mod
+   256). *)
+let accum_u8_kernel =
+  with_u8 "acc" (with_u8 "src" { accum_kernel with name = "native_gc_accum_u8" })
+
 (* The arrays are small enough to be allocated in the minor heap, so the
    first collection after a launch moves them.  Each round launches on
    fresh young arrays, collects, and launches again on the moved ones,
    while a second domain allocates and forces minor collections (each
    stops the world, which must wait for a launch to return).  A
    trampoline that released the runtime lock around the kernel fails
-   this test.  Interp replays the same launches on copies. *)
+   this test.  Interp replays the same launches on copies.  A second leg
+   does the same with young [Bytes] buffers, moved by a minor
+   collection between its two launches. *)
 let test_gc_safety () =
   use_scratch_cache ();
   let c = Vgpu.Native.compile accum_kernel in
+  let cb = Vgpu.Native.compile accum_u8_kernel in
   let native args = Vgpu.Native.launch c ~args ~global:[ n ] in
   let interp args = Vgpu.Exec.launch accum_kernel ~args ~global:[ n ] in
+  let native_u8 args = Vgpu.Native.launch cb ~args ~global:[ n ] in
+  let interp_u8 args = Vgpu.Exec.launch accum_u8_kernel ~args ~global:[ n ] in
   let stop = Atomic.make false in
   let churn =
     Domain.spawn (fun () ->
@@ -296,7 +308,20 @@ let test_gc_safety () =
         native (args acc src (-round));
         interp (args acc' src' (-round));
         Alcotest.(check (array int)) (Printf.sprintf "round %d acc" round) acc' acc;
-        Alcotest.(check (array int)) (Printf.sprintf "round %d src unchanged" round) src' src
+        Alcotest.(check (array int)) (Printf.sprintf "round %d src unchanged" round) src' src;
+        let acc = Bytes.init n (fun i -> Char.chr (((i * round) + 40) land 0xff)) in
+        let src = Bytes.init n (fun i -> Char.chr (((i * 7) + round) land 0xff)) in
+        let acc' = Bytes.copy acc and src' = Bytes.copy src in
+        let args a s k = Vgpu.Args.[ Buf (Vgpu.Buffer.U8 a); Buf (Vgpu.Buffer.U8 s); Int_arg k ] in
+        native_u8 (args acc src round);
+        interp_u8 (args acc' src' round);
+        Gc.minor ();
+        native_u8 (args acc src (-round));
+        interp_u8 (args acc' src' (-round));
+        Alcotest.(check string) (Printf.sprintf "round %d u8 acc" round) (Bytes.to_string acc')
+          (Bytes.to_string acc);
+        Alcotest.(check string) (Printf.sprintf "round %d u8 src unchanged" round)
+          (Bytes.to_string src') (Bytes.to_string src)
       done)
 
 (* -- Binary cache behaviour ------------------------------------------ *)
@@ -411,7 +436,9 @@ let test_opt_changes_cache_key () =
 
 (* Lift numbers generated names from a process-wide counter; the native
    source renames locals by declaration order, so a second lift of the
-   same program maps to the same binary. *)
+   same program maps to the same binary.  The device form the simulation
+   launches (byte-stored nbrs) is another binary, again one per
+   program. *)
 let test_lift_twice_same_key () =
   let module P = Lift_acoustics.Programs in
   List.iter
@@ -420,7 +447,12 @@ let test_lift_twice_same_key () =
       let k1 = lift () and k2 = lift () in
       Alcotest.(check bool) (name ^ ": the two lifts differ in names") true (k1 <> k2);
       Alcotest.(check string) (name ^ ": one cache key") (Vgpu.Native.cache_key k1)
-        (Vgpu.Native.cache_key k2))
+        (Vgpu.Native.cache_key k2);
+      let d1 = Acoustics.Gpu_sim.device_form k1 and d2 = Acoustics.Gpu_sim.device_form k2 in
+      Alcotest.(check string) (name ^ ": one device-form cache key") (Vgpu.Native.cache_key d1)
+        (Vgpu.Native.cache_key d2);
+      Alcotest.(check bool) (name ^ ": the device form has its own key") true
+        (Vgpu.Native.cache_key d1 <> Vgpu.Native.cache_key k1))
     [
       ("volume", P.volume);
       ("boundary_fi", P.boundary_fi);
@@ -630,7 +662,52 @@ let test_aliased_launch_falls_back () =
     ~args:[ Vgpu.Args.Buf (Vgpu.Buffer.F buf2); Vgpu.Args.Buf (Vgpu.Buffer.F buf2) ]
     ~global:[ 8 ];
   let counters = Vgpu.Native.counters () in
-  Alcotest.(check int) "memoized fallback, no third compile" 0 counters.Vgpu.Native.c_compiles
+  Alcotest.(check int) "memoized fallback, no third compile" 0 counters.Vgpu.Native.c_compiles;
+  (* byte storage: one Bytes bound to two byte parameters is aliased too *)
+  let k8 =
+    {
+      k with
+      name = "native_alias_probe_u8";
+      params = [ param "dst" Int; param "src" Int ];
+      body = [ Store ("dst", Global_id 0, Load ("src", Global_id 0) *: Int_lit 2) ];
+    }
+  in
+  let c8 = Vgpu.Native.compile (with_u8 "dst" (with_u8 "src" k8)) in
+  Vgpu.Native.reset_counters ();
+  let b = Bytes.init 8 Char.chr in
+  Vgpu.Native.launch c8
+    ~args:[ Vgpu.Args.Buf (Vgpu.Buffer.U8 b); Vgpu.Args.Buf (Vgpu.Buffer.U8 b) ]
+    ~global:[ 8 ];
+  Alcotest.(check string) "aliased u8 launch doubles in place"
+    (String.init 8 (fun i -> Char.chr (2 * i)))
+    (Bytes.to_string b);
+  Alcotest.(check int) "u8 aliasing detected: no-restrict variant compiled" 1
+    (Vgpu.Native.counters ()).Vgpu.Native.c_compiles
+
+(* A first native launch compiles (cc + dlopen) before the launch timer
+   starts: on a fresh cache the compile happens, yet the recorded launch
+   time is the kernel's alone. *)
+let test_compile_not_timed () =
+  let dir = Filename.concat (Lazy.force scratch_cache) "fresh" in
+  Fun.protect
+    ~finally:(fun () -> Vgpu.Native.set_cache_dir (Lazy.force scratch_cache))
+    (fun () ->
+      Vgpu.Native.set_cache_dir dir;
+      Vgpu.Native.reset_counters ();
+      let k = unique_kernel () in
+      let rt = Vgpu.Runtime.create ~engine:Vgpu.Runtime.Native ~optimize:false () in
+      Vgpu.Runtime.bind rt "out" (Vgpu.Buffer.F (Array.make 8 0.));
+      Vgpu.Runtime.run rt
+        [ Vgpu.Runtime.Launch { kernel = k; args = [ Vgpu.Runtime.A_buf "out" ]; global = [ 8 ] } ];
+      Alcotest.(check int) "the first launch ran cc" 1
+        (Vgpu.Native.counters ()).Vgpu.Native.c_compiles;
+      match (Vgpu.Runtime.stats rt).Vgpu.Runtime.per_kernel with
+      | [ (_, s) ] ->
+          Alcotest.(check bool)
+            (Printf.sprintf "launch time %.3f ms excludes the compile"
+               (s.Vgpu.Runtime.max_s *. 1e3))
+            true (s.Vgpu.Runtime.max_s < 1e-3)
+      | _ -> Alcotest.fail "expected one kernel's stats")
 
 let suite =
   [
@@ -651,5 +728,6 @@ let suite =
     Alcotest.test_case "simulation bit-identical: schemes x precisions x shards" `Quick
       test_sim_differential;
     Alcotest.test_case "runtime cache counters in stats" `Quick test_runtime_cache_counters;
+    Alcotest.test_case "a first launch's compile is not kernel time" `Quick test_compile_not_timed;
     Alcotest.test_case "LRU eviction at capacity" `Quick test_lru_eviction;
   ]
