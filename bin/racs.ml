@@ -531,56 +531,35 @@ let cmd_check shape nx ny nz precision engine json =
          Hand_kernels.boundary_fi ~precision ]);
     ]
   in
-  List.iter
-    (fun (label, kernels) ->
-      List.iter
-        (fun shards ->
-          let mk () =
-            Gpu_sim.create ~engine:`Jit ~shards ~schedule:`Seq ~fi_beta:0.1 ~n_branches:3
-              ~precision Params.default room
-          in
-          let ssim = mk () in
-          let snx, sny, planes = Gpu_sim.slab_geometry ssim in
-          let slab = { Lift.Lint.sl_nx = snx; sl_ny = sny; sl_planes = planes } in
-          lint
-            (Printf.sprintf "sync %s plan, %d shard(s), halo dataflow" label shards)
-            (Lift.Lint.verify_plan slab (Gpu_sim.step_plan ssim kernels ~steps:2));
-          let aplan = Gpu_sim.overlap_plan (mk ()) kernels ~steps:2 in
-          lint
-            (Printf.sprintf "async %s plan, %d shard(s), structure" label shards)
-            (Lift.Lint.check_async aplan);
-          lint
-            (Printf.sprintf "async %s plan, %d shard(s), halo dataflow" label shards)
-            (Lift.Lint.verify_async slab aplan))
-        [ 1; 2; 3; 4 ])
-    plan_schemes;
-  (* temporally-blocked cadence: depth-T ghost zones exchanged once per
-     block, verified under the footprint dataflow checker at ~halo:T
-     (sync and overlapped) *)
+  (* every plan is built by Gpu_sim.plan — the ops Gpu_sim.step runs —
+     for the sync and overlapped schedules, at 1-4 shards and under
+     temporal blocking (depth-T ghost zones exchanged once per block) *)
   let state_bufs = [ "g1"; "v1" ] in
   List.iter
     (fun (label, kernels) ->
       List.iter
         (fun (shards, tblock) ->
-          let mk () =
-            Gpu_sim.create ~engine:`Jit ~shards ~schedule:`Seq ~tblock ~fi_beta:0.1
-              ~n_branches:3 ~precision Params.default room
-          in
-          let ssim = mk () in
-          let t = Gpu_sim.tblock ssim in
-          let snx, sny, planes = Gpu_sim.slab_geometry ssim in
-          let slab = { Lift.Lint.sl_nx = snx; sl_ny = sny; sl_planes = planes } in
-          lint
-            (Printf.sprintf "blocked sync %s plan, %d shard(s), T=%d, halo dataflow" label
-               shards t)
-            (Lift.Lint.verify_plan ~halo:t ~state_bufs slab
-               (Gpu_sim.step_plan ssim kernels ~steps:(2 * t)));
-          lint
-            (Printf.sprintf "blocked async %s plan, %d shard(s), T=%d, halo dataflow" label
-               shards t)
-            (Lift.Lint.verify_async ~halo:t ~state_bufs slab
-               (Gpu_sim.overlap_plan (mk ()) kernels ~steps:(2 * t))))
-        [ (2, 2); (3, 3) ])
+          List.iter
+            (fun (sname, schedule) ->
+              let sim =
+                Gpu_sim.create ~engine:`Jit ~shards ~schedule ~tblock ~fi_beta:0.1
+                  ~n_branches:3 ~precision Params.default room
+              in
+              let t = Gpu_sim.tblock sim in
+              let snx, sny, planes = Gpu_sim.slab_geometry sim in
+              let slab = { Lift.Lint.sl_nx = snx; sl_ny = sny; sl_planes = planes } in
+              let plan = Gpu_sim.plan sim kernels ~steps:(2 * t) in
+              let what =
+                Printf.sprintf "%s%s %s plan, %d shard(s)%s"
+                  (if tblock > 1 then "blocked " else "")
+                  sname label shards
+                  (if tblock > 1 then Printf.sprintf ", T=%d" t else "")
+              in
+              lint (what ^ ", events") (Lift.Lint.check_async plan);
+              lint (what ^ ", halo dataflow")
+                (Lift.Lint.verify_async ~halo:t ~state_bufs slab plan))
+            [ ("sync", `Seq); ("async", `Overlap) ])
+        [ (1, 1); (2, 1); (3, 1); (4, 1); (2, 2); (3, 3) ])
     plan_schemes;
   out
     "@.%d kernel report(s) unsafe, %d unproven (sanitizer-covered), %d lint error(s), %d \

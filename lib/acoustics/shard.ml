@@ -138,12 +138,12 @@ let owner p ~z =
 (* -- Shard-local simulation state ----------------------------------- *)
 
 type shard_state = {
-  mutable prev : float array;
-  mutable curr : float array;
-  mutable next : float array;
-  mutable g1 : float array;
-  mutable vel_prev : float array;  (* v2 *)
-  mutable vel_next : float array;  (* v1 *)
+  prev : float array;
+  curr : float array;
+  next : float array;
+  g1 : float array;
+  vel_prev : float array;  (* v2 *)
+  vel_next : float array;  (* v1 *)
 }
 
 let create_state p (s : shard) =
@@ -159,16 +159,6 @@ let create_state p (s : shard) =
   }
 
 let create_states p = Array.map (create_state p) p.shards
-
-(* Mirror of [State.rotate] on a shard's local arrays. *)
-let rotate_state ss =
-  let old_prev = ss.prev in
-  ss.prev <- ss.curr;
-  ss.curr <- ss.next;
-  ss.next <- old_prev;
-  let old_vel = ss.vel_prev in
-  ss.vel_prev <- ss.vel_next;
-  ss.vel_next <- old_vel
 
 (* Global grid -> shard-local slab, plane by plane: owned and interior
    ghost planes copy from the global array, out-of-grid ghosts zero. *)

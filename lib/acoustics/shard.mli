@@ -63,18 +63,18 @@ val owner : plan -> z:int -> shard
 (** {2 Shard-local simulation state} *)
 
 type shard_state = {
-  mutable prev : float array;
-  mutable curr : float array;
-  mutable next : float array;
-  mutable g1 : float array;
-  mutable vel_prev : float array;  (** v2 *)
-  mutable vel_next : float array;  (** v1 *)
+  prev : float array;
+  curr : float array;
+  next : float array;
+  g1 : float array;
+  vel_prev : float array;  (** v2 *)
+  vel_next : float array;  (** v1 *)
 }
+(** One shard's grids and branch state.  The sharded driver binds them
+    into its device tables once and rotates the bindings with [Swap]
+    ops, so it reads a shard's current arrays from those tables. *)
 
 val create_states : plan -> shard_state array
-
-val rotate_state : shard_state -> unit
-(** Mirror of {!State.rotate} on a shard's local arrays. *)
 
 val scatter : plan -> State.t -> shard_state array -> unit
 (** Distribute the global state to the shards (owned + ghost planes;

@@ -9,10 +9,10 @@
      consumed afterwards (dead transfer);
    - kernel calls ([check_host]): argument arity against the Lift
      lambda, and scalar/buffer kind mismatches per parameter;
-   - sharded plans ([check_async], [verify_plan], [verify_async], over
-     [Vgpu.Multi] plans): event well-formedness, and ghost planes read
-     before an exchange refreshed them — the bug class the paper's
-     ghost-plane protocol exists to prevent. *)
+   - sharded plans ([check_async], [verify_async], over
+     [Vgpu.Multi.async_plan]s): event well-formedness, and ghost planes
+     read before an exchange refreshed them or overwritten after — the
+     bug class the paper's ghost-plane protocol exists to prevent. *)
 
 type severity =
   | Error
@@ -184,34 +184,16 @@ let check_host (e : Host.hexpr) : issue list =
     st.pending_to_gpu;
   List.rev st.issues
 
-(* -- Asynchronous (overlapped) multi-device plans --------------------- *)
+(* -- Asynchronous multi-device plans: event well-formedness ----------- *)
 
-(* Event-ordered async plans drop the per-step barrier of the
-   synchronous schedule: ordering is per-queue FIFO plus explicit
-   signal->wait edges.  The checks:
+(* An async plan orders its ops by per-queue FIFO plus explicit
+   signal->wait edges (an Exchange queues on its source device).  A wait
+   must name an imported event or one signaled by an earlier op; an
+   event may be signaled once.  Ordering *hazards* are the flow
+   verifier's business below, which proves them per ghost plane. *)
 
-   - wait/signal well-formedness: a wait must name an imported event or
-     one signaled by an earlier op; an event may be signaled once;
-   - halo-producer ordering: an Exchange must happen after some earlier
-     launch on its source device that references the source buffer (the
-     plane it copies must already be written);
-   - halo-consumer ordering: among the *later* launches on the
-     destination device that reference the exchanged buffer, at least
-     one must be ordered after the exchange — the frontier launch whose
-     wait the overlapped schedule exists to carry.  No ordered consumer
-     means the next step can read a stale ghost plane: exactly the race
-     a dropped [a_waits] introduces.  (Interior launches are legitimately
-     concurrent with the exchange, so the rule demands one ordered
-     consumer, not all.)
-
-   Buffer identities are tracked through per-device [Swap] rotation
-   markers (see [Gpu_sim.overlap_plan]), so "the exchanged buffer" stays
-   meaningful across time steps.  Happens-before is computed on whole
-   ops: FIFO chains ops sharing a queue (an Exchange queues on its
-   source device), signal->wait edges bridge queues. *)
-
-(* Event ids are allocated monotonically across submissions
-   ([Gpu_sim.overlap_plan] keeps numbering across steps), so the waits a
+(* Event ids are allocated monotonically across steps
+   ([Gpu_sim.plan] continues the simulation's numbering), so the waits a
    plan can legitimately import from earlier submissions are exactly the
    waited ids below everything the plan itself signals. *)
 let default_imports (plan : Vgpu.Multi.async_plan) =
@@ -279,13 +261,10 @@ let async_order (ops : Vgpu.Multi.async_op array) =
 
 let check_async ?imports (plan : Vgpu.Multi.async_plan) : issue list =
   let imports = match imports with Some l -> l | None -> default_imports plan in
-  let ops = Array.of_list plan in
-  let n = Array.length ops in
   let issues = ref [] in
   let add i = issues := i :: !issues in
-  (* signal/wait well-formedness *)
   let signal_idx : (int, int) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
+  List.iteri
     (fun i (o : Vgpu.Multi.async_op) ->
       match o.Vgpu.Multi.a_signal with
       | Some e ->
@@ -293,8 +272,8 @@ let check_async ?imports (plan : Vgpu.Multi.async_plan) : issue list =
             add (issue Error "duplicate-event" "async op %d: event %d is signaled twice" i e)
           else Hashtbl.replace signal_idx e i
       | None -> ())
-    ops;
-  Array.iteri
+    plan;
+  List.iteri
     (fun i (o : Vgpu.Multi.async_op) ->
       List.iter
         (fun e ->
@@ -307,93 +286,29 @@ let check_async ?imports (plan : Vgpu.Multi.async_plan) : issue list =
                      "async op %d waits on event %d, which no earlier op signals (and is not imported)"
                      i e))
         o.Vgpu.Multi.a_waits)
-    ops;
-  (* buffer identity through rotation Swaps: per (device, name) -> the
-     physical buffer currently bound to that name *)
-  let phys : (int * string, string) Hashtbl.t = Hashtbl.create 64 in
-  let resolve d name = Option.value ~default:name (Hashtbl.find_opt phys (d, name)) in
-  (* per-op resolved references, in plan order *)
-  let launch_refs = Array.make n None in (* (device, phys names) for launches *)
-  let exch = Array.make n None in (* (src_dev, src_phys, dst_dev, dst_phys) *)
-  Array.iteri
-    (fun i (o : Vgpu.Multi.async_op) ->
-      match o.Vgpu.Multi.a_op with
-      | Vgpu.Multi.Dev (d, Vgpu.Runtime.Swap (a, b)) ->
-          let pa = resolve d a and pb = resolve d b in
-          Hashtbl.replace phys (d, a) pb;
-          Hashtbl.replace phys (d, b) pa
-      | Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch { kernel; args; _ }) ->
-          let names =
-            List.filter_map
-              (function Vgpu.Runtime.A_buf b -> Some (resolve d b) | _ -> None)
-              args
-          in
-          ignore kernel;
-          launch_refs.(i) <- Some (d, names)
-      | Vgpu.Multi.Dev (_, _) -> ()
-      | Vgpu.Multi.Exchange { src_dev; src; dst_dev; dst; _ } ->
-          exch.(i) <- Some (src_dev, resolve src_dev src, dst_dev, resolve dst_dev dst))
-    ops;
-  (* happens-before: successor edges are next-op-on-same-queue (FIFO) and
-     signal->wait; [reach from] marks every op ordered after [from] *)
-  let reach = async_order ops in
-  Array.iteri
-    (fun x o ->
-      match exch.(x) with
-      | None -> ()
-      | Some (src_dev, src_phys, dst_dev, dst_phys) ->
-          ignore o;
-          let after = reach x in
-          (* producer: some earlier src-device launch touching the source
-             buffer must be ordered before the exchange *)
-          let producers = ref [] and ordered_producer = ref false in
-          for l = 0 to x - 1 do
-            match launch_refs.(l) with
-            | Some (d, names) when d = src_dev && List.mem src_phys names ->
-                producers := l :: !producers;
-                (* hb(l, x): x reachable from l *)
-                if (reach l).(x) then ordered_producer := true
-            | _ -> ()
-          done;
-          if !producers <> [] && not !ordered_producer then
-            add
-              (issue Error "unordered-halo-producer"
-                 "async op %d: exchange of %s from device %d is not ordered after any launch writing it"
-                 x src_phys src_dev);
-          (* consumer: among later dst-device launches touching the
-             exchanged buffer, at least one must wait (transitively) on
-             the exchange *)
-          let consumers = ref [] and ordered_consumer = ref false in
-          for l = x + 1 to n - 1 do
-            match launch_refs.(l) with
-            | Some (d, names) when d = dst_dev && List.mem dst_phys names ->
-                consumers := l :: !consumers;
-                if after.(l) then ordered_consumer := true
-            | _ -> ()
-          done;
-          if !consumers <> [] && not !ordered_consumer then
-            add
-              (issue Error "unordered-halo-consumer"
-                 "async op %d: exchange of %s into device %d has no later launch ordered after it — a dropped frontier wait would read a stale ghost plane"
-                 x dst_phys dst_dev))
-    ops;
+    plan;
   List.rev !issues
 
 (* -- Whole-plan dataflow verification (footprint-driven) --------------- *)
 
-(* The checks above are structural: they prove ordering between named
-   ops.  The flow verifier below is semantic: it walks a plan's launches
-   with the statically inferred stencil footprint of each kernel
-   ([Kernel_ast.Footprint]) and proves, per ghost plane, that
+(* The flow verifier walks a plan's launches with the statically
+   inferred stencil footprint of each kernel ([Kernel_ast.Footprint]),
+   under the plan's happens-before order (per-queue FIFO plus
+   signal->wait edges; a plan run in list order states its barriers as
+   events too), and proves, per ghost plane, that
 
    - every halo exchange is at least as wide as the consuming kernel's
      inferred read radius (halo-too-narrow);
    - no launch reads a ghost plane whose source frontier was rewritten
      after the exchange that filled it (stale-halo), or whose planes the
      device itself overwrote after the fill (clobbered-halo);
-   - in async plans, a ghost-reading launch is happens-before-ordered
-     after the exchange that filled the ghost (unordered-ghost-read) —
-     the precise form of the dropped-frontier-wait race;
+   - a ghost-reading launch is ordered after the exchange that filled
+     the ghost (unordered-ghost-read) — the precise form of the
+     dropped-frontier-wait race;
+   - an exchange filling ghost planes is ordered after every earlier
+     launch on the destination that writes those planes at an affine
+     (known) range (unordered-ghost-write) — otherwise the launch can
+     land last and overwrite the fresh halo;
    - no kernel reads a buffer that was allocated in the plan but never
      written or uploaded (uninit-read).
 
@@ -439,8 +354,9 @@ type flow = {
   fhalo_w : int;  (* ghost planes per side (the temporal block depth T) *)
   fissues : issue list ref;
   fphys : (int * string, string) Hashtbl.t;
-  fwrites : (int * string, (int * int * int) list ref) Hashtbl.t;
-      (* (device, phys) -> (op index, plane lo, plane hi) writes *)
+  fwrites : (int * string, (int * int * int * bool) list ref) Hashtbl.t;
+      (* (device, phys) -> (op index, plane lo, plane hi, affine launch
+         write) writes *)
   fghosts : (int * string * [ `Lo | `Hi ], ghost) Hashtbl.t;
   funinit : (int * string, unit) Hashtbl.t;
   fwarned : (string, unit) Hashtbl.t;
@@ -626,7 +542,7 @@ let launch_env (k : Kernel_ast.Cast.kernel) (args : Vgpu.Runtime.arg list) ~glob
   ( Kernel_ast.Check.env ~param_value:(fun v -> Hashtbl.find_opt scalars v) ~global (),
     List.rev !roles )
 
-let flow_launch fl ~async ~hb i d (kernel : Kernel_ast.Cast.kernel) args global =
+let flow_launch fl ~hb i d (kernel : Kernel_ast.Cast.kernel) args global =
   let open Kernel_ast in
   let env, roles = launch_env kernel args ~global in
   (* degenerate slabs (nx or ny of 1) collapse the axis strides; fall
@@ -672,7 +588,7 @@ let flow_launch fl ~async ~hb i d (kernel : Kernel_ast.Cast.kernel) args global 
                     if
                       g.g_src_hi >= g.g_src_lo
                       && List.exists
-                           (fun (wop, wl, wh) ->
+                           (fun (wop, wl, wh, _) ->
                              wop > g.g_op && wop < i && wl <= g.g_src_hi
                              && wh >= g.g_src_lo)
                            !(fl_writes fl sd sp)
@@ -703,7 +619,7 @@ let flow_launch fl ~async ~hb i d (kernel : Kernel_ast.Cast.kernel) args global 
                           | `Hi -> (h, (2 * h) - 1)
                         in
                         List.exists
-                          (fun (wop, wl, wh) -> wop < i && wl <= fr_hi && wh >= fr_lo)
+                          (fun (wop, wl, wh, _) -> wop < i && wl <= fr_hi && wh >= fr_lo)
                           !(fl_writes fl nd p)
                       then
                         fl_add fl
@@ -725,7 +641,7 @@ let flow_launch fl ~async ~hb i d (kernel : Kernel_ast.Cast.kernel) args global 
                              i kernel.Cast.name d radius p side_name fill
                              (g.g_fill + radius - g.g_valid))
                       end;
-                    if async && g.g_op >= 0 && not (hb g.g_op i) then
+                    if g.g_op >= 0 && not (hb g.g_op i) then
                       fl_add fl
                         (issue Error "unordered-ghost-read"
                            "op %d: kernel %s reads the %s ghost of %s on device %d but is not ordered after the exchange at op %d that fills it — a dropped frontier wait"
@@ -773,7 +689,7 @@ let flow_launch fl ~async ~hb i d (kernel : Kernel_ast.Cast.kernel) args global 
             let zr = z_range fl d fb.Footprint.fb_write.Footprint.s_lin in
             let zl, zh = match zr with Some r -> r | None -> (0, planes_d - 1) in
             let r = fl_writes fl d p in
-            r := (i, zl, zh) :: !r;
+            r := (i, zl, zh, zr <> None) :: !r;
             if Hashtbl.mem fl.fhalo rn || Hashtbl.mem fl.fhalo p then
               List.iter
                 (fun side ->
@@ -786,7 +702,7 @@ let flow_launch fl ~async ~hb i d (kernel : Kernel_ast.Cast.kernel) args global 
           end)
     roles
 
-let flow_exchange fl i ~src_dev ~src ~src_off ~dst_dev ~dst ~dst_off ~elems =
+let flow_exchange fl ~hb i ~src_dev ~src ~src_off ~dst_dev ~dst ~dst_off ~elems =
   let sp = fl_resolve fl src_dev src and dp = fl_resolve fl dst_dev dst in
   if Hashtbl.mem fl.funinit (src_dev, sp) then
     fl_add fl
@@ -824,16 +740,31 @@ let flow_exchange fl i ~src_dev ~src ~src_off ~dst_dev ~dst ~dst_off ~elems =
                "op %d: %s ghost of device %d filled from device %d, expected neighbour %d" i
                (match side with `Lo -> "low" | `Hi -> "high")
                dst_dev src_dev expect_src)
-        else
+        else begin
+          (match
+             List.find_opt
+               (fun (wop, wl, wh, affine) ->
+                 affine && wl <= d0 + we - 1 && wh >= d0 && not (hb wop i))
+               !(fl_writes fl dst_dev dp)
+           with
+          | Some (wop, _, _, _) ->
+              fl_add fl
+                (issue Error "unordered-ghost-write"
+                   "op %d: exchange into the %s ghost of %s on device %d is not ordered after op %d, which writes those planes — the launch can overwrite the fresh halo"
+                   i
+                   (match side with `Lo -> "low" | `Hi -> "high")
+                   dp dst_dev wop)
+          | None -> ());
           let src_lo = src_off / fl.plane in
           Hashtbl.replace fl.fghosts (dst_dev, dp, side)
             { g_op = i; g_fill = w; g_valid = w; g_clobbered = false; g_exch = i;
               g_src = (src_dev, sp); g_src_lo = src_lo; g_src_hi = src_lo + we - 1 }
+        end
     | None ->
         (* a general inter-device copy: a plain write into the target *)
         let wl = d0 and wh = (dst_off + max 0 (elems - 1)) / fl.plane in
         let r = fl_writes fl dst_dev dp in
-        r := (i, wl, wh) :: !r;
+        r := (i, wl, wh, false) :: !r;
         if Hashtbl.mem fl.fhalo dst || Hashtbl.mem fl.fhalo dp then
           List.iter
             (fun side ->
@@ -844,7 +775,7 @@ let flow_exchange fl i ~src_dev ~src ~src_off ~dst_dev ~dst ~dst_off ~elems =
             [ `Lo; `Hi ]
   end
 
-let flow_dev_op fl ~async ~hb i d (op : Vgpu.Runtime.op) =
+let flow_dev_op fl ~hb i d (op : Vgpu.Runtime.op) =
   match op with
   | Vgpu.Runtime.Swap (a, b) ->
       let pa = fl_resolve fl d a and pb = fl_resolve fl d b in
@@ -867,7 +798,7 @@ let flow_dev_op fl ~async ~hb i d (op : Vgpu.Runtime.op) =
       Hashtbl.remove fl.funinit (d, dp);
       let wl = dst_off / fl.plane and wh = (dst_off + max 0 (elems - 1)) / fl.plane in
       let r = fl_writes fl d dp in
-      r := (i, wl, wh) :: !r;
+      r := (i, wl, wh, false) :: !r;
       if Hashtbl.mem fl.fhalo dst || Hashtbl.mem fl.fhalo dp then
         List.iter
           (fun side ->
@@ -877,22 +808,7 @@ let flow_dev_op fl ~async ~hb i d (op : Vgpu.Runtime.op) =
                 ~cexch:(-1) ~clobbering:true)
           [ `Lo; `Hi ]
   | Vgpu.Runtime.Launch { kernel; args; global } ->
-      flow_launch fl ~async ~hb i d kernel args global
-
-let verify_plan ?halo ?state_bufs (slab : slab) (plan : Vgpu.Multi.plan) : issue list =
-  let fl = make_flow ?halo ?state_bufs slab in
-  fl_seed_halo fl plan;
-  (* [Multi.run] executes ops in list order: submission order is
-     execution order, so happens-before is the total order *)
-  let hb a b = a < b in
-  List.iteri
-    (fun i (op : Vgpu.Multi.op) ->
-      match op with
-      | Vgpu.Multi.Dev (d, rop) -> flow_dev_op fl ~async:false ~hb i d rop
-      | Vgpu.Multi.Exchange { src_dev; src; src_off; dst_dev; dst; dst_off; elems } ->
-          flow_exchange fl i ~src_dev ~src ~src_off ~dst_dev ~dst ~dst_off ~elems)
-    plan;
-  List.rev !(fl.fissues)
+      flow_launch fl ~hb i d kernel args global
 
 let verify_async ?halo ?state_bufs (slab : slab) (plan : Vgpu.Multi.async_plan) : issue list =
   let fl = make_flow ?halo ?state_bufs slab in
@@ -903,8 +819,8 @@ let verify_async ?halo ?state_bufs (slab : slab) (plan : Vgpu.Multi.async_plan) 
   List.iteri
     (fun i (o : Vgpu.Multi.async_op) ->
       match o.Vgpu.Multi.a_op with
-      | Vgpu.Multi.Dev (d, rop) -> flow_dev_op fl ~async:true ~hb i d rop
+      | Vgpu.Multi.Dev (d, rop) -> flow_dev_op fl ~hb i d rop
       | Vgpu.Multi.Exchange { src_dev; src; src_off; dst_dev; dst; dst_off; elems } ->
-          flow_exchange fl i ~src_dev ~src ~src_off ~dst_dev ~dst ~dst_off ~elems)
+          flow_exchange fl ~hb i ~src_dev ~src ~src_off ~dst_dev ~dst ~dst_off ~elems)
     plan;
   List.rev !(fl.fissues)

@@ -12,15 +12,13 @@
       the Lift lambda's parameters — wrong argument count, scalar where
       a buffer is expected and vice versa.
 
-    {!check_async} checks event-ordered async plans (the overlapped
-    schedule), where per-queue FIFO order plus explicit signal→wait
-    edges must cover the halo hazards a barrier used to.
-
-    {!verify_plan} / {!verify_async} go beyond structure: they run the
-    static stencil-footprint inference ({!Kernel_ast.Footprint}) on
-    every launch and prove per ghost plane that exchanges are wide
-    enough, fresh enough, and ordered before the launches that consume
-    them. *)
+    Sharded plans are {!Vgpu.Multi.async_plan}s — the values
+    {!Acoustics.Gpu_sim.plan} returns and {!Acoustics.Gpu_sim.step}
+    executes, for every schedule.  {!check_async} checks their events
+    are well-formed; {!verify_async} runs the static stencil-footprint
+    inference ({!Kernel_ast.Footprint}) on every launch and proves per
+    ghost plane that exchanges are wide enough, fresh enough, and
+    ordered between the launches that write and read those planes. *)
 
 type severity =
   | Error
@@ -36,24 +34,15 @@ val check_host : Host.hexpr -> issue list
 (** Issues in program order (dead-transfer warnings last). *)
 
 val check_async : ?imports:int list -> Vgpu.Multi.async_plan -> issue list
-(** Overlap-aware checks on an event-ordered async plan, where ordering
-    is per-queue FIFO plus explicit signal→wait edges:
-    - {b wait-unsignaled} / {b duplicate-event} (error): a wait naming
-      an event no earlier op signals (and that is not in [imports]), or
-      an event signaled twice.  [imports] defaults to the events waited
-      on before any op signals them — the carried-over signals of a
-      preceding plan segment (e.g. the previous time step's tail);
-    - {b unordered-halo-producer} (error): an [Exchange] not ordered
-      after any source-device launch that references the source buffer;
-    - {b unordered-halo-consumer} (error): an [Exchange] with later
-      destination-device launches referencing the exchanged buffer but
-      none ordered after it — the race a dropped frontier wait
-      introduces.  Interior launches are legitimately concurrent with
-      the exchange, so one ordered consumer suffices.
+(** Event well-formedness of an async plan:
+    - {b wait-unsignaled} (error): a wait naming an event no earlier op
+      signals and that is not in [imports].  [imports] defaults to the
+      events waited on before any op signals them — the carried-over
+      signals of a preceding plan segment (e.g. the previous time
+      step's exchanges);
+    - {b duplicate-event} (error): an event signaled twice.
 
-    Buffer identities are tracked through per-device [Swap] rotation
-    markers (see {!Acoustics.Gpu_sim.overlap_plan} — the runtime path
-    rotates host-side instead). *)
+    Ordering hazards are {!verify_async}'s. *)
 
 (* -- Footprint-driven dataflow verification --------------------------- *)
 
@@ -67,25 +56,29 @@ type slab = {
 (** Slab geometry of a Z-cut sharded run, against which plane ranges of
     launches and exchange offsets are interpreted. *)
 
-val verify_plan :
-  ?halo:int -> ?state_bufs:string list -> slab -> Vgpu.Multi.plan -> issue list
-(** Symbolic dataflow verification of a synchronous sharded plan.  Every
-    [Launch] is analysed with {!Kernel_ast.Footprint.infer} under the
-    environment its resolved arguments define; reads reaching a ghost
-    plane of the device's slab are checked against the {e validity} of
-    that ghost.  [halo] (default 1) is the ghost depth per side — the
-    temporal block depth T.  Ghost validity starts at the fill width of
-    the exchange (or [halo] for host-seeded ghosts) and {e ages}: each
-    in-block launch that rewrites ghost planes (the redundant frontier
-    recompute of a temporally-blocked schedule) carries validity one
-    read-radius shallower than its most-decayed input, so a depth-T
-    exchange proves exactly T steps of re-launches and one plane too few
-    is caught at the step where validity runs out; ghost planes a launch
-    skips fall a generation behind.  Ghosts are tracked for every buffer
-    an [Exchange] or [Swap] names, so a plan with its exchanges dropped
-    is still checked.  [state_bufs] names
-    branch-state buffers (exchanged at block boundaries but not
-    slab-shaped), which are excluded from the ghost-plane model.
+val verify_async :
+  ?halo:int -> ?state_bufs:string list -> slab -> Vgpu.Multi.async_plan -> issue list
+(** Symbolic dataflow verification of a sharded plan under its
+    happens-before order: per-queue FIFO ([Exchange] on its source
+    device's queue) plus signal→wait edges.  A plan run in list order
+    states the barriers that order provides as events, so one verifier
+    covers every schedule.  Every [Launch] is analysed with
+    {!Kernel_ast.Footprint.infer} under the environment its arguments
+    define; reads reaching a ghost plane of the device's slab are
+    checked against the {e validity} of that ghost.  [halo] (default 1)
+    is the ghost depth per side — the temporal block depth T.  Ghost
+    validity starts at the fill width of the exchange (or [halo] for
+    host-seeded ghosts) and {e ages}: each in-block launch that rewrites
+    ghost planes (the redundant frontier recompute of a temporally-
+    blocked schedule) carries validity one read-radius shallower than
+    its most-decayed input, so a depth-T exchange proves exactly T steps
+    of re-launches and one plane too few is caught at the step where
+    validity runs out; ghost planes a launch skips fall a generation
+    behind.  Buffer identities follow the plan's [Swap] rotation, and
+    ghosts are tracked for every buffer an [Exchange] or [Swap] names,
+    so a plan with its exchanges dropped is still checked.  [state_bufs]
+    names branch-state buffers (exchanged at block boundaries, rotated,
+    but not slab-shaped), which are excluded from the ghost-plane model.
     - {b halo-too-narrow} (error): a kernel's inferred read radius
       (planes) exceeds the ghost validity at that launch — the
       acceptance-defeating cases being a width-0 exchange against a
@@ -96,6 +89,13 @@ val verify_plan :
       planes backing the ghost after the exchange copied them;
     - {b clobbered-halo} (error): the reading device itself overwrote
       its ghost planes after the fill;
+    - {b unordered-ghost-read} (error): a launch reads a ghost plane but
+      is not ordered after the exchange that fills it — the race a
+      dropped frontier wait introduces;
+    - {b unordered-ghost-write} (error): an exchange fills ghost planes
+      that an earlier launch on the destination writes (at an affine,
+      statically known range) but is not ordered after that launch, so
+      the launch can land last and overwrite the fresh halo;
     - {b uninit-read} (error): a launch, readback, copy or exchange
       consumes a buffer that an [Alloc] created but nothing wrote or
       uploaded;
@@ -109,18 +109,8 @@ val verify_plan :
 
     Buffers not mentioned in the plan are assumed host-seeded with
     coherent depth-[halo] ghosts (the scatter performed by
-    {!Acoustics.Gpu_sim} before stepping). *)
-
-val verify_async :
-  ?halo:int -> ?state_bufs:string list -> slab -> Vgpu.Multi.async_plan -> issue list
-(** {!verify_plan}'s checks with happens-before from per-queue FIFO
-    order plus signal→wait edges, plus
-    - {b unordered-ghost-read} (error): a launch reads a ghost plane but
-      is not ordered after the exchange that fills it — the precise race
-      a dropped frontier wait introduces.
-
-    Flow checks only; run {!check_async} as well for event
-    well-formedness. *)
+    {!Acoustics.Gpu_sim} before stepping).  Flow checks only; run
+    {!check_async} as well for event well-formedness. *)
 
 val errors : issue list -> issue list
 (** The [Error]-severity subset. *)

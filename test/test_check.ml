@@ -401,10 +401,11 @@ let test_lint_sharded () =
   in
   let plan ~steps ~exchanged =
     List.filter
-      (function Vgpu.Multi.Exchange _ -> exchanged | _ -> true)
-      (Gpu_sim.step_plan sim kernels ~steps)
+      (fun (o : Vgpu.Multi.async_op) ->
+        match o.Vgpu.Multi.a_op with Vgpu.Multi.Exchange _ -> exchanged | _ -> true)
+      (Gpu_sim.plan sim kernels ~steps)
   in
-  let error_codes p = lint_codes (Lift.Lint.errors (Lift.Lint.verify_plan slab p)) in
+  let error_codes p = lint_codes (Lift.Lint.errors (Lift.Lint.verify_async slab p)) in
   Alcotest.(check (list string)) "exchanged plan is clean" []
     (error_codes (plan ~steps:2 ~exchanged:true));
   Alcotest.(check bool) "missing exchange flagged" true

@@ -198,9 +198,9 @@ let test_blocked_stats_profile () =
 
 (* -- Static verification of the blocked plans ------------------------- *)
 
-let mk_plan_sim ~shards ~tblock =
+let mk_plan_sim ?(schedule = `Seq) ~shards ~tblock () =
   let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-  Gpu_sim.create ~engine:`Jit ~shards ~schedule:`Seq ~tblock ~fi_beta:0.2
+  Gpu_sim.create ~engine:`Jit ~shards ~schedule ~tblock ~fi_beta:0.2
     ~n_branches:3 Params.default room
 
 let slab_of sim =
@@ -219,23 +219,18 @@ let test_blocked_plans_verify_clean () =
       let kernels = kernels_of scheme Double in
       List.iter
         (fun (shards, tblock) ->
-          let sim = mk_plan_sim ~shards ~tblock in
-          let t = Gpu_sim.tblock sim in
-          let issues =
-            Lift.Lint.verify_plan ~halo:t ~state_bufs (slab_of sim)
-              (Gpu_sim.step_plan sim kernels ~steps:(2 * t))
-          in
-          Alcotest.(check (list string))
-            (Printf.sprintf "sync %s shards=%d T=%d error-free" label shards t)
-            [] (err_codes issues);
-          let sim = mk_plan_sim ~shards ~tblock in
-          let issues =
-            Lift.Lint.verify_async ~halo:t ~state_bufs (slab_of sim)
-              (Gpu_sim.overlap_plan sim kernels ~steps:(2 * t))
-          in
-          Alcotest.(check (list string))
-            (Printf.sprintf "async %s shards=%d T=%d error-free" label shards t)
-            [] (err_codes issues))
+          List.iter
+            (fun (sname, schedule) ->
+              let sim = mk_plan_sim ~schedule ~shards ~tblock () in
+              let t = Gpu_sim.tblock sim in
+              let issues =
+                Lift.Lint.verify_async ~halo:t ~state_bufs (slab_of sim)
+                  (Gpu_sim.plan sim kernels ~steps:(2 * t))
+              in
+              Alcotest.(check (list string))
+                (Printf.sprintf "%s %s shards=%d T=%d error-free" sname label shards t)
+                [] (err_codes issues))
+            [ ("sync", `Seq); ("async", `Overlap) ])
         [ (2, 2); (3, 3); (2, 4) ])
     [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
 
@@ -244,32 +239,31 @@ let test_blocked_plans_verify_clean () =
    diagnostic must name the depth the exchange should have had. *)
 let test_depth_short_exchange_rejected () =
   let kernels = kernels_of `Fi Double in
-  let sim = mk_plan_sim ~shards:2 ~tblock:2 in
+  let sim = mk_plan_sim ~shards:2 ~tblock:2 () in
   let slab = slab_of sim in
-  let plan = Gpu_sim.step_plan sim kernels ~steps:4 in
+  let plan = Gpu_sim.plan sim kernels ~steps:4 in
   let plane = slab.Lift.Lint.sl_nx * slab.Lift.Lint.sl_ny in
   let h = 2 in
-  let narrowed =
-    List.map
-      (function
-        | Vgpu.Multi.Exchange ({ src_off; dst_off; elems; _ } as e)
-          when elems > plane ->
-            let w = elems / plane in
-            let d0 = dst_off / plane in
-            if d0 + w - 1 = h - 1 then
-              (* low-side fill: keep only the cut-adjacent plane *)
-              Vgpu.Multi.Exchange
-                {
-                  e with
-                  src_off = src_off + ((w - 1) * plane);
-                  dst_off = dst_off + ((w - 1) * plane);
-                  elems = plane;
-                }
-            else Vgpu.Multi.Exchange { e with elems = plane }
-        | op -> op)
-      plan
+  let narrow = function
+    | Vgpu.Multi.Exchange ({ src_off; dst_off; elems; _ } as e) when elems > plane ->
+        let w = elems / plane in
+        let d0 = dst_off / plane in
+        if d0 + w - 1 = h - 1 then
+          (* low-side fill: keep only the cut-adjacent plane *)
+          Vgpu.Multi.Exchange
+            {
+              e with
+              src_off = src_off + ((w - 1) * plane);
+              dst_off = dst_off + ((w - 1) * plane);
+              elems = plane;
+            }
+        else Vgpu.Multi.Exchange { e with elems = plane }
+    | op -> op
   in
-  let issues = Lift.Lint.verify_plan ~halo:h ~state_bufs slab narrowed in
+  let narrowed =
+    List.map (fun (o : Vgpu.Multi.async_op) -> { o with Vgpu.Multi.a_op = narrow o.Vgpu.Multi.a_op }) plan
+  in
+  let issues = Lift.Lint.verify_async ~halo:h ~state_bufs slab narrowed in
   Alcotest.(check bool) "halo-too-narrow raised" true
     (List.mem "halo-too-narrow" (err_codes issues));
   let pointed =
