@@ -10,10 +10,10 @@
 
    2. *Measured* micro-benchmarks (Bechamel): wall-clock execution of the
       same kernels — Lift-generated vs hand-written — on the virtual
-      GPU's JIT, one group per paper table/figure, on a small room.
-      These verify that the Lift-generated kernels are on par with the
-      hand-written ones when both run on identical hardware, which is
-      the paper's headline claim. *)
+      GPU's native engine, one group per paper table/figure, on a small
+      room.  These verify that the Lift-generated kernels are on par
+      with the hand-written ones when both run on identical hardware,
+      which is the paper's headline claim. *)
 
 open Bechamel
 open Acoustics
@@ -34,10 +34,10 @@ type bench_sim = {
 
 let make_sim shape kernels =
   let room = Geometry.build ~n_materials:4 shape bench_dims in
-  let sim = Gpu_sim.create ~engine:`Jit ~fi_beta:0.1 ~n_branches:3 params room in
+  let sim = Gpu_sim.create ~fi_beta:0.1 ~n_branches:3 params room in
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
   State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
-  (* warm the JIT cache *)
+  (* warm the kernel caches: optimize, cc + dlopen *)
   List.iter (Gpu_sim.launch sim) kernels;
   { sim; kernels }
 
@@ -197,7 +197,7 @@ let run_ablations () =
       ("boundary indices shuffled (0.0)", 0.0);
       ("perfectly contiguous (1.0)", 1.0);
     ];
-  (* measured: staging ablation on the virtual GPU JIT *)
+  (* measured: staging ablation on the virtual GPU's native engine *)
   let measure staging =
     let bs =
       make_sim Geometry.Box
@@ -210,64 +210,12 @@ let run_ablations () =
     (Unix.gettimeofday () -. t0) /. 40.
   in
   let tp = measure `Private and tg = measure `Global in
-  Printf.printf "measured JIT: private %.3f ms, global re-reads %.3f ms (x%.2f)\n" (tp *. 1e3)
+  Printf.printf "measured native: private %.3f ms, global re-reads %.3f ms (x%.2f)\n" (tp *. 1e3)
     (tg *. 1e3) (tg /. tp)
-
-(* The parallel virtual GPU: sequential JIT vs the domain-pool backend
-   on an FD-MM-sized NDRange (full step: volume + FD-MM boundary).
-   Verifies bit-identical grids, then reports wall-clock speedup and the
-   runtime's per-kernel launch statistics. *)
-let run_parallel_speedup () =
-  Printf.printf "\n== Parallel virtual GPU: sequential JIT vs domain pool ==\n";
-  let dims = Geometry.dims ~nx:96 ~ny:80 ~nz:64 in
-  let kernels = [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fd_mm ~precision ~mb:3 ] in
-  let make engine =
-    let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-    let sim = Gpu_sim.create ~engine ~fi_beta:0.1 ~n_branches:3 params room in
-    let cx, cy, cz = State.centre sim.Gpu_sim.state in
-    State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
-    Gpu_sim.step sim kernels;
-    (* warm-up: JIT compile + pool spawn *)
-    sim
-  in
-  let reps = 5 in
-  let measure sim =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to reps do
-      Gpu_sim.step sim kernels
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int reps
-  in
-  let seq_sim = make `Jit in
-  let t_seq = measure seq_sim in
-  Printf.printf "room %dx%dx%d, %d reps; host has %d core(s)\n" dims.Geometry.nx
-    dims.Geometry.ny dims.Geometry.nz reps
-    (Domain.recommended_domain_count ());
-  Printf.printf "%-24s %10.3f ms/step\n" "jit (sequential)" (t_seq *. 1e3);
-  let last_par = ref None in
-  List.iter
-    (fun d ->
-      let sim = make (`Jit_parallel d) in
-      let t = measure sim in
-      last_par := Some sim;
-      Printf.printf "%-24s %10.3f ms/step   speedup x%.2f\n"
-        (Printf.sprintf "jit-parallel, %d domains" d)
-        (t *. 1e3) (t_seq /. t))
-    [ 1; 2; 4 ];
-  (match !last_par with
-  | Some par_sim ->
-      let same =
-        Array.for_all2
-          (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-          seq_sim.Gpu_sim.state.State.curr par_sim.Gpu_sim.state.State.curr
-      in
-      Printf.printf "parallel grid bit-identical to sequential: %b\n" same;
-      Fmt.pr "@.%a" Vgpu.Runtime.pp_stats (Gpu_sim.stats par_sim)
-  | None -> ())
 
 (* Z-sharded multi-device execution: the grid cut into slabs along Z,
    one virtual device per slab, ghost planes exchanged every step.
-   Verifies the sharded grid is bit-identical to the single-device JIT
+   Verifies the sharded grid is bit-identical to the single-device run
    after the same number of steps, then reports wall-clock per step,
    total halo traffic, and the analytic model's view of the split. *)
 let run_shard_scaling () =
@@ -279,11 +227,11 @@ let run_shard_scaling () =
   let steps = 5 in
   let make ?shards () =
     let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-    let sim = Gpu_sim.create ~engine:`Jit ?shards ~fi_beta:0.1 ~n_branches:3 params room in
+    let sim = Gpu_sim.create ?shards ~fi_beta:0.1 ~n_branches:3 params room in
     let cx, cy, cz = State.centre sim.Gpu_sim.state in
     State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
     Gpu_sim.step sim kernels;
-    (* warm-up: JIT compile + scatter *)
+    (* warm-up: compile + scatter *)
     sim
   in
   let measure sim =
@@ -297,7 +245,7 @@ let run_shard_scaling () =
   let t_base = measure base in
   Printf.printf "room %dx%dx%d, fd-mm step, %d reps\n" dims.Geometry.nx dims.Geometry.ny
     dims.Geometry.nz steps;
-  Printf.printf "%-24s %10.3f ms/step\n" "jit, single device" (t_base *. 1e3);
+  Printf.printf "%-24s %10.3f ms/step\n" "native, single device" (t_base *. 1e3);
   List.iter
     (fun shards ->
       let sim = make ~shards () in
@@ -311,7 +259,7 @@ let run_shard_scaling () =
       let s = Gpu_sim.stats sim in
       Printf.printf
         "%-24s %10.3f ms/step   speedup x%.2f   halo %6.2f MB   bit-identical %b\n"
-        (Printf.sprintf "jit, %d shards" shards)
+        (Printf.sprintf "native, %d shards" shards)
         (t *. 1e3) (t_base /. t)
         (float_of_int s.Vgpu.Runtime.s_d2d_bytes /. 1e6)
         same)
@@ -362,12 +310,12 @@ let run_opt_trajectory ~json_file ~smoke () =
     let room = Geometry.build ~n_materials:4 Geometry.Box dims in
     let shards = if shards > 0 then Some shards else None in
     let sim =
-      Gpu_sim.create ~engine:`Jit ~optimize ?shards ~fi_beta:0.1 ~n_branches:3 params room
+      Gpu_sim.create ~optimize ?shards ~fi_beta:0.1 ~n_branches:3 params room
     in
     let cx, cy, cz = State.centre sim.Gpu_sim.state in
     State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
     Gpu_sim.step sim kernels;
-    (* warm-up: optimize + JIT compile *)
+    (* warm-up: optimize + compile *)
     sim
   in
   let time sim kernels =
@@ -378,7 +326,7 @@ let run_opt_trajectory ~json_file ~smoke () =
     (Unix.gettimeofday () -. t0) /. float_of_int reps
   in
   Printf.printf "\n== Optimizer pipeline: ns/step with Kernel_ast.Opt off vs on ==\n";
-  Printf.printf "room %dx%dx%d box, jit engine, %d rep(s)\n" dims.Geometry.nx dims.Geometry.ny
+  Printf.printf "room %dx%dx%d box, native engine, %d rep(s)\n" dims.Geometry.nx dims.Geometry.ny
     dims.Geometry.nz reps;
   Printf.printf "%-10s %7s %15s %15s %8s\n" "workload" "shards" "raw ns/step" "opt ns/step" "gain";
   let rows =
@@ -417,7 +365,7 @@ let run_opt_trajectory ~json_file ~smoke () =
       List.iteri
         (fun i (name, shards, raw_ns, opt_ns, gain) ->
           Printf.fprintf oc
-            "    { \"workload\": %S, \"engine\": \"jit\", \"shards\": %d, \
+            "    { \"workload\": %S, \"engine\": \"native\", \"shards\": %d, \
              \"ns_per_step_raw\": %.0f, \"ns_per_step_opt\": %.0f, \"gain_pct\": %.2f }%s\n"
             name shards raw_ns opt_ns gain
             (if i = List.length rows - 1 then "" else ","))
@@ -454,8 +402,7 @@ let run_overlap_bench ~json_file ~opt_rows ~smoke () =
   let make ?shards ?schedule precision =
     let room = Geometry.build ~n_materials:4 Geometry.Box dims in
     let sim =
-      Gpu_sim.create ~engine:`Jit ?shards ?schedule ~precision ~fi_beta:0.1 ~n_branches:3
-        params room
+      Gpu_sim.create ?shards ?schedule ~precision ~fi_beta:0.1 ~n_branches:3 params room
     in
     let cx, cy, cz = State.centre sim.Gpu_sim.state in
     State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
@@ -472,7 +419,7 @@ let run_overlap_bench ~json_file ~opt_rows ~smoke () =
       a b
   in
   let plane = dims.Geometry.nx * dims.Geometry.ny in
-  Printf.printf "room %dx%dx%d box, jit engine, %d-step interval, virtual device time\n"
+  Printf.printf "room %dx%dx%d box, native engine, %d-step interval, virtual device time\n"
     dims.Geometry.nx dims.Geometry.ny dims.Geometry.nz steps;
   Printf.printf "%-10s %7s %15s %15s %9s %6s\n" "workload" "shards" "seq ns/step"
     "ovlp ns/step" "speedup" "ident";
@@ -643,131 +590,6 @@ let run_sanitizer_overhead () =
   Printf.printf "%-24s %15.0f\n" "plain interpreter" (plain *. 1e9);
   Printf.printf "%-24s %15.0f  (%.1fx)\n" "sanitized interpreter" (checked *. 1e9)
     (checked /. plain)
-
-
-(* Native compiled backend vs the closure JIT: the same full time step
-   (volume + boundary) rendered to C, compiled with the system compiler
-   and dlopened, for every scheme.  Bit-identity against the JIT grid is
-   asserted per row, and the content-addressed binary cache is exercised
-   cold (fresh cache directory: every kernel compiles) then warm (memo
-   dropped: every kernel loads from disk without a cc run). *)
-let run_native_bench ~json_file ~smoke () =
-  Printf.printf "\n== Native compiled backend: ns/step, jit vs cc+dlopen ==\n";
-  let dims =
-    if smoke then Geometry.dims ~nx:16 ~ny:12 ~nz:10 else Geometry.dims ~nx:32 ~ny:28 ~nz:24
-  in
-  let steps = if smoke then 4 else 20 in
-  (* a fresh cache directory makes the cold run genuinely cold *)
-  let cache_dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "racs-native-bench-%d" (Unix.getpid ()))
-  in
-  (try Unix.mkdir cache_dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  Vgpu.Native.set_cache_dir cache_dir;
-  Vgpu.Native.reset_memo ();
-  Vgpu.Native.reset_counters ();
-  let kernels_of scheme =
-    match scheme with
-    | `Fi -> [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ]
-    | `Fi_mm -> [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi_mm ~precision ~betas ]
-    | `Fd_mm -> [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]
-  in
-  let make engine =
-    let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-    let sim = Gpu_sim.create ~engine ~precision ~fi_beta:0.1 ~n_branches:3 params room in
-    let cx, cy, cz = State.centre sim.Gpu_sim.state in
-    State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
-    sim
-  in
-  let advance sim kernels n =
-    for _ = 1 to n do
-      Gpu_sim.step sim kernels
-    done
-  in
-  let bits_equal a b =
-    Array.for_all2
-      (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-      a b
-  in
-  let time engine kernels =
-    let sim = make engine in
-    advance sim kernels 1;
-    (* warm-up: optimize + compile *)
-    let t0 = Unix.gettimeofday () in
-    advance sim kernels steps;
-    ((Unix.gettimeofday () -. t0) /. float_of_int steps, sim)
-  in
-  Printf.printf "room %dx%dx%d box, double precision, %d steps (cc: %s %s)\n" dims.Geometry.nx
-    dims.Geometry.ny dims.Geometry.nz steps (Vgpu.Native.cc ()) (Vgpu.Native.flags ());
-  Printf.printf "%-10s %15s %15s %9s %6s\n" "workload" "jit ns/step" "native ns/step"
-    "speedup" "ident";
-  let rows =
-    List.map
-      (fun (name, scheme) ->
-        let kernels = kernels_of scheme in
-        let t_jit, jit_sim = time `Jit kernels in
-        let t_nat, nat_sim = time `Native kernels in
-        let ident =
-          bits_equal jit_sim.Gpu_sim.state.State.curr nat_sim.Gpu_sim.state.State.curr
-        in
-        let speedup = t_jit /. t_nat in
-        Printf.printf "%-10s %15.0f %15.0f %8.2fx %6b\n" name (t_jit *. 1e9) (t_nat *. 1e9)
-          speedup ident;
-        (name, t_jit *. 1e9, t_nat *. 1e9, speedup, ident))
-      [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
-  in
-  (* cold-then-warm cache behaviour: the timing runs above compiled each
-     distinct kernel exactly once (cold); dropping the in-process memo
-     and re-creating the simulations must hit the disk cache with zero
-     further cc runs (warm) *)
-  let cold = Vgpu.Native.counters () in
-  Vgpu.Native.reset_memo ();
-  Vgpu.Native.reset_counters ();
-  List.iter
-    (fun (_, scheme) ->
-      let sim = make `Native in
-      advance sim (kernels_of scheme) 1)
-    [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ];
-  let warm = Vgpu.Native.counters () in
-  let pp_counters label (c : Vgpu.Native.counters) =
-    Printf.printf "%s cache: %d compile(s), %d disk hit(s), %d memo hit(s)\n" label
-      c.Vgpu.Native.c_compiles c.Vgpu.Native.c_disk_hits c.Vgpu.Native.c_memo_hits
-  in
-  pp_counters "cold" cold;
-  pp_counters "warm" warm;
-  if warm.Vgpu.Native.c_compiles > 0 then
-    Printf.printf "WARNING: warm cache run recompiled %d kernel(s)\n"
-      warm.Vgpu.Native.c_compiles;
-  (match json_file with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      Printf.fprintf oc "{\n  \"bench\": \"native_vs_jit\",\n";
-      Printf.fprintf oc "  \"room\": { \"nx\": %d, \"ny\": %d, \"nz\": %d },\n"
-        dims.Geometry.nx dims.Geometry.ny dims.Geometry.nz;
-      Printf.fprintf oc "  \"precision\": \"double\",\n  \"steps\": %d,\n" steps;
-      Printf.fprintf oc "  \"cc\": %S,\n  \"cflags\": %S,\n" (Vgpu.Native.cc ())
-        (Vgpu.Native.flags ());
-      Printf.fprintf oc "  \"results\": [\n";
-      List.iteri
-        (fun i (name, jit_ns, nat_ns, speedup, ident) ->
-          Printf.fprintf oc
-            "    { \"workload\": %S, \"ns_per_step_jit\": %.0f, \"ns_per_step_native\": \
-             %.0f, \"speedup\": %.3f, \"bit_identical\": %b }%s\n"
-            name jit_ns nat_ns speedup ident
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      let pp_json_counters (c : Vgpu.Native.counters) =
-        Printf.sprintf "{ \"compiles\": %d, \"disk_hits\": %d, \"memo_hits\": %d }"
-          c.Vgpu.Native.c_compiles c.Vgpu.Native.c_disk_hits c.Vgpu.Native.c_memo_hits
-      in
-      Printf.fprintf oc "  ],\n  \"cache\": { \"cold\": %s, \"warm\": %s }\n}\n"
-        (pp_json_counters cold) (pp_json_counters warm);
-      close_out oc;
-      Printf.printf "wrote %s\n" file);
-  rows
-
-(* -- Work-group tier: the 2.5D-tiled volume kernel vs the flat one --- *)
 
 (* Per scheme (volume + FI / FI-MM / FD-MM boundary), step the same
    simulation with the flat volume kernel and with the tiled one on the
@@ -1127,10 +949,9 @@ let run_autotune_bench ~json_file ~smoke () =
   results
 
 let () =
-  let json_file = ref None and overlap_json = ref None and native_json = ref None
-  and tiled_json = ref None and autotune_json = ref None and tblock_json = ref None
-  and smoke = ref false and native_only = ref false and tiled_only = ref false
-  and autotune_only = ref false and tblock_only = ref false in
+  let json_file = ref None and overlap_json = ref None and tiled_json = ref None
+  and autotune_json = ref None and tblock_json = ref None and smoke = ref false
+  and tiled_only = ref false and autotune_only = ref false and tblock_only = ref false in
   let rec parse = function
     | [] -> ()
     | "--json" :: file :: rest ->
@@ -1138,9 +959,6 @@ let () =
         parse rest
     | "--overlap-json" :: file :: rest ->
         overlap_json := Some file;
-        parse rest
-    | "--native-json" :: file :: rest ->
-        native_json := Some file;
         parse rest
     | "--tiled-json" :: file :: rest ->
         tiled_json := Some file;
@@ -1150,9 +968,6 @@ let () =
         parse rest
     | "--tblock-json" :: file :: rest ->
         tblock_json := Some file;
-        parse rest
-    | "--native-only" :: rest ->
-        native_only := true;
         parse rest
     | "--tiled-only" :: rest ->
         tiled_only := true;
@@ -1168,16 +983,14 @@ let () =
         parse rest
     | arg :: _ ->
         Printf.eprintf
-          "unknown argument %s (expected --json FILE, --overlap-json FILE, --native-json \
-           FILE, --tiled-json FILE, --autotune-json FILE, --tblock-json FILE, \
-           --native-only, --tiled-only, --autotune-only, --tblock-only and/or --smoke)\n"
+          "unknown argument %s (expected --json FILE, --overlap-json FILE, --tiled-json \
+           FILE, --autotune-json FILE, --tblock-json FILE, --tiled-only, --autotune-only, \
+           --tblock-only and/or --smoke)\n"
           arg;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !native_only then
-    ignore (run_native_bench ~json_file:!native_json ~smoke:!smoke ())
-  else if !tiled_only then
+  if !tiled_only then
     ignore (run_tiled_bench ~json_file:!tiled_json ~smoke:!smoke ())
   else if !autotune_only then
     ignore (run_autotune_bench ~json_file:!autotune_json ~smoke:!smoke ())
@@ -1187,7 +1000,6 @@ let () =
     (* CI smoke: tiny rooms, opt-trajectory + overlapped-queue sections. *)
     let opt_rows = run_opt_trajectory ~json_file:!json_file ~smoke:true () in
     run_overlap_bench ~json_file:!overlap_json ~opt_rows ~smoke:true ();
-    ignore (run_native_bench ~json_file:!native_json ~smoke:true ());
     ignore (run_tiled_bench ~json_file:!tiled_json ~smoke:true ());
     ignore (run_autotune_bench ~json_file:!autotune_json ~smoke:true ());
     ignore (run_tblock_bench ~json_file:!tblock_json ~smoke:true ())
@@ -1196,18 +1008,16 @@ let () =
     print_endline "Room acoustics with complex boundary conditions: paper reproduction";
     print_endline "Part 1: analytic GPU model vs the paper's reported numbers";
     ignore (Harness.Experiments.all ());
-    print_endline "\nPart 2: measured kernels (Bechamel) on the virtual GPU JIT";
+    print_endline "\nPart 2: measured kernels (Bechamel) on the virtual GPU's native engine";
     Printf.printf "room %dx%dx%d box, double precision\n" bench_dims.Geometry.nx
       bench_dims.Geometry.ny bench_dims.Geometry.nz;
     run_benchmarks ();
-    run_parallel_speedup ();
     run_shard_scaling ();
     run_ablations ();
     run_tuning_table ();
     run_sanitizer_overhead ();
     let opt_rows = run_opt_trajectory ~json_file:!json_file ~smoke:false () in
     run_overlap_bench ~json_file:!overlap_json ~opt_rows ~smoke:false ();
-    ignore (run_native_bench ~json_file:!native_json ~smoke:false ());
     ignore (run_tiled_bench ~json_file:!tiled_json ~smoke:false ());
     ignore (run_autotune_bench ~json_file:!autotune_json ~smoke:false ())
   end

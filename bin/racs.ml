@@ -23,6 +23,10 @@ let precision_conv =
   in
   Arg.conv (parse, print)
 
+(* --engine, on every subcommand that takes one *)
+let engine_conv : Gpu_sim.engine Arg.conv =
+  Arg.enum [ ("interp", `Interp); ("native", `Native) ]
+
 let shape_conv =
   let parse = function
     | "box" -> Ok Geometry.Box
@@ -77,7 +81,7 @@ let parse_tile s =
       | _ -> None)
   | _ -> None
 
-let cmd_simulate shape nx ny nz scheme steps backend engine domains shards tblock overlap
+let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overlap
     no_overlap no_opt show_stats sanitize verify tile tuned =
   let params = Params.default in
   let dims = Geometry.dims ~nx ~ny ~nz in
@@ -124,13 +128,6 @@ let cmd_simulate shape nx ny nz scheme steps backend engine domains shards tbloc
         | Some (tw, th) ->
             Lift_acoustics.Programs.tiled_volume ~precision ~tile:(tw, th) ()
             :: List.tl kernels)
-  in
-  let engine : Gpu_sim.engine =
-    match engine with
-    | `Interp -> `Interp
-    | `Jit -> `Jit
-    | `Jit_parallel -> `Jit_parallel domains
-    | `Native -> `Native
   in
   let shards = if shards > 0 then Some shards else None in
   if tblock < 1 then begin
@@ -192,6 +189,22 @@ let cmd_simulate shape nx ny nz scheme steps backend engine domains shards tbloc
       ?verify:(if verify then Some true else None)
       ~sanitize params room
   in
+  (* the library clamps the shard count to the planes and T to the
+     thinnest slab; a hand-given value that does not survive is an error
+     (a tuned plan's values come from the library and always do) *)
+  if not tuned then begin
+    (match shards with
+    | Some n when Gpu_sim.n_shards sim <> n ->
+        Fmt.epr "racs: --shards %d exceeds the room's %d Z planes; it would run %d shard(s)@." n
+          nz (Gpu_sim.n_shards sim);
+        exit 2
+    | _ -> ());
+    if Gpu_sim.tblock sim <> tblock then begin
+      Fmt.epr "racs: --tblock %d is deeper than the thinnest slab; the effective depth is T=%d@."
+        tblock (Gpu_sim.tblock sim);
+      exit 2
+    end
+  end;
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
   State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
   let rx = cx + ((nx - 2) / 4) in
@@ -200,11 +213,7 @@ let cmd_simulate shape nx ny nz scheme steps backend engine domains shards tbloc
   Printf.printf "room %s %dx%dx%d, %d boundary points, %d steps (%s kernels, %s engine%s)\n"
     (Geometry.shape_label shape) nx ny nz (Geometry.n_boundary room) steps
     (match backend with `Hand -> "hand-written" | `Lift -> "lift-generated")
-    (match engine with
-    | `Interp -> "interp"
-    | `Jit -> "jit"
-    | `Jit_parallel d -> Printf.sprintf "jit-parallel[%d]" d
-    | `Native -> "native")
+    (Harness.Autotune.engine_label engine)
     ((match shards with
      | None -> ""
      | Some _ ->
@@ -425,18 +434,22 @@ let cmd_check shape nx ny nz precision engine json =
   let native_failures = ref 0 in
   (if engine = `Native then
      let compile_one origin variant (k : Kernel_ast.Cast.kernel) =
+       let fail msg =
+         incr native_failures;
+         jadd ~scope:"kernel"
+           ~target:(Printf.sprintf "%s (%s, %s)" k.Kernel_ast.Cast.name origin variant)
+           ~severity:"error" ~code:"native-compile-failed" msg;
+         out "== native: %s (%s, %s) ==@.  FAILED: %s@." k.Kernel_ast.Cast.name origin
+           variant msg
+       in
        match Vgpu.Native.compile k with
        | (_ : Vgpu.Native.compiled) ->
            out "== native: %s (%s, %s) ==@.  compiled and loaded (key %s)@."
              k.Kernel_ast.Cast.name origin variant
              (String.sub (Vgpu.Native.cache_key k) 0 12)
-       | exception Failure msg ->
-           incr native_failures;
-           jadd ~scope:"kernel"
-             ~target:(Printf.sprintf "%s (%s, %s)" k.Kernel_ast.Cast.name origin variant)
-             ~severity:"error" ~code:"native-compile-failed" msg;
-           out "== native: %s (%s, %s) ==@.  FAILED: %s@." k.Kernel_ast.Cast.name
-             origin variant msg
+       | exception Failure msg -> fail msg
+       | exception Vgpu.Native.No_compiler cc ->
+           fail (Printf.sprintf "C compiler %S cannot be run" cc)
      in
      List.iter
        (fun (origin, k) ->
@@ -490,8 +503,7 @@ let cmd_check shape nx ny nz precision engine json =
                "tiled volume kernel does not reproduce the flat kernel bit-for-bit"
            end)
          [ ("raw", false); ("optimized", true) ])
-     [ ("interp", `Interp); ("jit", `Jit); ("jit-parallel", `Jit_parallel 3);
-       ("native", `Native) ]);
+     [ ("interp", `Interp); ("native", `Native) ]);
   (* host-plan lint and whole-plan dataflow verification
      (footprint-driven): the paper's host programs, plus the real
      sequential and overlapped multi-device plans of every scheme at 1-4
@@ -533,7 +545,8 @@ let cmd_check shape nx ny nz precision engine json =
   in
   (* every plan is built by Gpu_sim.plan — the ops Gpu_sim.step runs —
      for the sync and overlapped schedules, at 1-4 shards and under
-     temporal blocking (depth-T ghost zones exchanged once per block) *)
+     temporal blocking (depth-T ghost zones exchanged once per block);
+     plans are verified, never executed, so no engine compiles here *)
   let state_bufs = [ "g1"; "v1" ] in
   List.iter
     (fun (label, kernels) ->
@@ -542,7 +555,7 @@ let cmd_check shape nx ny nz precision engine json =
           List.iter
             (fun (sname, schedule) ->
               let sim =
-                Gpu_sim.create ~engine:`Jit ~shards ~schedule ~tblock ~fi_beta:0.1
+                Gpu_sim.create ~engine:`Interp ~shards ~schedule ~tblock ~fi_beta:0.1
                   ~n_branches:3 ~precision Params.default room
               in
               let t = Gpu_sim.tblock sim in
@@ -716,17 +729,10 @@ let tune_result_json (r : Harness.Autotune.result) =
   p "  ]\n}\n";
   Buffer.contents b
 
-let cmd_tune shape scheme nx ny nz engine domains json smoke no_cache model
-    max_shards topk repeats steps warmup tune_domains explore_depth =
+let cmd_tune shape scheme nx ny nz engine json smoke no_cache model max_shards topk
+    repeats steps warmup tune_domains explore_depth =
   if model then cmd_tune_model shape scheme
   else begin
-    let engine : Harness.Autotune.engine =
-      match engine with
-      | `Interp -> `Interp
-      | `Jit -> `Jit
-      | `Jit_parallel -> `Jit_parallel domains
-      | `Native -> `Native
-    in
     (* --smoke: a small room and short measurement intervals — enough to
        exercise the full pipeline (and warm the cache) in CI seconds *)
     let dims, topk, repeats, steps, warmup, explore_depth =
@@ -806,32 +812,13 @@ let simulate_cmd =
   let backend =
     Arg.(value & opt backend_conv `Lift & info [ "backend" ] ~doc:"hand or lift")
   in
-  let engine_conv =
-    Arg.conv
-      ( (function
-        | "interp" -> Ok `Interp
-        | "jit" -> Ok `Jit
-        | "jit-parallel" -> Ok `Jit_parallel
-        | "native" -> Ok `Native
-        | s -> Error (`Msg (Printf.sprintf "unknown engine %s" s))),
-        fun ppf e ->
-          Fmt.string ppf
-            (match e with
-            | `Interp -> "interp"
-            | `Jit -> "jit"
-            | `Jit_parallel -> "jit-parallel"
-            | `Native -> "native") )
-  in
   let engine =
     Arg.(
-      value & opt engine_conv `Jit
-      & info [ "engine" ] ~doc:"virtual-GPU engine: interp, jit, jit-parallel or native")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt int (Domain.recommended_domain_count ())
-      & info [ "domains" ] ~doc:"domains for --engine jit-parallel")
+      value & opt engine_conv `Native
+      & info [ "engine" ]
+          ~doc:
+            "virtual-GPU engine: native (compiled C; the interpreter when no C compiler \
+             can be run) or interp (the reference interpreter)")
   in
   let shards =
     Arg.(
@@ -846,7 +833,7 @@ let simulate_cmd =
           ~doc:
             "sharded runs: temporal block depth — allocate depth-T ghost zones, \
              recompute frontier planes redundantly, and exchange halos once per T steps \
-             instead of every step (bit-identical results; clamped to the thinnest slab)")
+             instead of every step (bit-identical results; at most the thinnest slab)")
   in
   let overlap =
     Arg.(
@@ -901,8 +888,8 @@ let simulate_cmd =
   Cmd.v (Cmd.info "simulate" ~doc:"Run an impulse-response simulation")
     Term.(
       const cmd_simulate $ shape $ nx $ ny $ nz $ scheme $ steps $ backend $ engine
-      $ domains $ shards $ tblock $ overlap $ no_overlap $ no_opt_arg $ stats $ sanitize
-      $ verify $ tile $ tuned)
+      $ shards $ tblock $ overlap $ no_overlap $ no_opt_arg $ stats $ sanitize $ verify
+      $ tile $ tuned)
 
 let experiments_cmd =
   let which = Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT") in
@@ -925,14 +912,6 @@ let check_cmd =
   let nx = Arg.(value & opt int 40 & info [ "nx" ]) in
   let ny = Arg.(value & opt int 32 & info [ "ny" ]) in
   let nz = Arg.(value & opt int 24 & info [ "nz" ]) in
-  let engine_conv =
-    Arg.conv
-      ( (function
-        | "interp" -> Ok `Interp
-        | "native" -> Ok `Native
-        | s -> Error (`Msg (Printf.sprintf "unknown check engine %s (interp | native)" s))),
-        fun ppf e -> Fmt.string ppf (match e with `Interp -> "interp" | `Native -> "native") )
-  in
   let engine =
     Arg.(
       value & opt engine_conv `Interp
@@ -963,32 +942,10 @@ let tune_cmd =
   let nx = Arg.(value & opt int 24 & info [ "nx" ]) in
   let ny = Arg.(value & opt int 20 & info [ "ny" ]) in
   let nz = Arg.(value & opt int 16 & info [ "nz" ]) in
-  let engine_conv =
-    Arg.conv
-      ( (function
-        | "interp" -> Ok `Interp
-        | "jit" -> Ok `Jit
-        | "jit-parallel" -> Ok `Jit_parallel
-        | "native" -> Ok `Native
-        | s -> Error (`Msg (Printf.sprintf "unknown engine %s" s))),
-        fun ppf e ->
-          Fmt.string ppf
-            (match e with
-            | `Interp -> "interp"
-            | `Jit -> "jit"
-            | `Jit_parallel -> "jit-parallel"
-            | `Native -> "native") )
-  in
   let engine =
     Arg.(
       value & opt engine_conv `Native
-      & info [ "engine" ] ~doc:"engine to measure on: interp, jit, jit-parallel or native")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt int (Domain.recommended_domain_count ())
-      & info [ "domains" ] ~doc:"domains for --engine jit-parallel")
+      & info [ "engine" ] ~doc:"engine to measure on: native or interp")
   in
   let json = Arg.(value & flag & info [ "json" ] ~doc:"machine-readable JSON on stdout") in
   let smoke =
@@ -1040,9 +997,8 @@ let tune_cmd =
           shards x schedule, with a persistent best-plan cache (racs simulate --tuned \
           replays the winner)")
     Term.(
-      const cmd_tune $ shape $ scheme $ nx $ ny $ nz $ engine $ domains $ json $ smoke
-      $ no_cache $ model $ max_shards $ topk $ repeats $ steps $ warmup $ tune_domains
-      $ explore_depth)
+      const cmd_tune $ shape $ scheme $ nx $ ny $ nz $ engine $ json $ smoke $ no_cache
+      $ model $ max_shards $ topk $ repeats $ steps $ warmup $ tune_domains $ explore_depth)
 
 let emit_c_cmd =
   Cmd.v

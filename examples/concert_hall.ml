@@ -60,7 +60,7 @@ let run_hall ~materials ~scheme ~label =
     | `Fi_mm -> compile "boundary_fi_mm" (Lift_acoustics.Programs.boundary_fi_mm ())
     | `Fd_mm -> compile "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ())
   in
-  let sim = Gpu_sim.create ~engine:`Jit ~materials ~n_branches:3 params room in
+  let sim = Gpu_sim.create ~materials ~n_branches:3 params room in
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
   (* impulse at the stage: front third of the hall *)
   State.add_impulse sim.Gpu_sim.state ~x:(cx / 2) ~y:cy ~z:cz;

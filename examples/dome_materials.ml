@@ -20,7 +20,7 @@ let half_life_steps params room materials =
        (Lift_acoustics.Programs.boundary_fi_mm ()))
       .Lift.Codegen.kernel
   in
-  let sim = Gpu_sim.create ~engine:`Jit ~materials ~n_branches:3 params room in
+  let sim = Gpu_sim.create ~materials ~n_branches:3 params room in
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
   State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:(cz / 2);
   (* settle, then measure windowed kinetic energy until it halves *)

@@ -26,7 +26,7 @@ let record ~materials =
       compile "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ());
     ]
   in
-  let sim = Gpu_sim.create ~engine:`Jit ~materials ~n_branches:3 params room in
+  let sim = Gpu_sim.create ~materials ~n_branches:3 params room in
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
   State.add_impulse sim.Gpu_sim.state ~x:(cx - 8) ~y:cy ~z:cz;
   Gpu_sim.run sim kernels ~steps ~receiver:(cx + 10, cy + 6, cz)

@@ -33,7 +33,7 @@ let () =
   print_endline (Kernel_ast.Print.kernel_to_string boundary_k);
 
   (* 4. Simulate an impulse and record the response at a receiver. *)
-  let sim = Gpu_sim.create ~engine:`Jit ~fi_beta:0.2 params room in
+  let sim = Gpu_sim.create ~fi_beta:0.2 params room in
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
   State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
   let response =

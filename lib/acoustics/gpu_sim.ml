@@ -7,8 +7,8 @@
    coefficient tables, g1/v1/v2 branch state).
 
    Launches go through a [Vgpu.Runtime] so the engine choice (reference
-   interpreter, sequential JIT, domain-parallel JIT), the JIT cache and
-   the per-kernel launch statistics are shared with host-program plans.
+   interpreter or compiled C), the kernel caches and the per-kernel
+   launch statistics are shared with host-program plans.
 
    The per-step kernel sequence is the paper's two-kernel structure:
    volume handling first, boundary handling second, then buffer rotation.
@@ -42,8 +42,6 @@ open Kernel_ast.Cast
 
 type engine =
   [ `Interp  (** reference interpreter *)
-  | `Jit  (** sequential JIT *)
-  | `Jit_parallel of int  (** JIT over this many OCaml domains *)
   | `Native  (** compiled-C backend, loaded via [dlopen] *) ]
 
 (* How a sharded step's plan is executed:
@@ -100,8 +98,6 @@ type t = {
 
 let runtime_engine : engine -> Vgpu.Runtime.engine = function
   | `Interp -> Vgpu.Runtime.Interp
-  | `Jit -> Vgpu.Runtime.Jit
-  | `Jit_parallel domains -> Vgpu.Runtime.Jit_parallel { domains }
   | `Native -> Vgpu.Runtime.Native
 
 let table_buffer (tables : Material.tables) name : Vgpu.Buffer.t option =
@@ -137,7 +133,7 @@ let bind_shards multi (p : Shard.plan) tables =
         [ "beta"; "beta_fd"; "bi"; "d"; "f"; "di" ])
     p.Shard.shards
 
-let create ?(engine = `Jit) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1)
+let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1)
     ?(materials = Material.defaults) ?(n_branches = 3) ?shards ?schedule ?(precision = Double)
     ?(tblock = 1) ?verify ?(sanitize = false) params room =
   let re = runtime_engine engine in
@@ -159,10 +155,7 @@ let create ?(engine = `Jit) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1)
                  the sequential schedule, which sanitizes fine *)
               `Seq
           | Some s -> s
-          | None -> (
-              (* legacy default: concurrent, except under [`Jit_parallel]
-                 whose launches already occupy the pool exclusively *)
-              match engine with `Jit_parallel _ -> `Seq | _ -> `Concurrent)
+          | None -> `Concurrent
         in
         let multi =
           Vgpu.Multi.create ~engine:re ~optimize ?unroll_budget ~precision ?verify ~sanitize

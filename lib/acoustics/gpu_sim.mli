@@ -8,7 +8,7 @@
     and the scalars Nx/Ny/Nz/NxNy/N/nB/NM/MB/l/l2/beta).
 
     Launches go through a {!Vgpu.Runtime}, which provides the engine
-    choice, the JIT cache and per-kernel launch statistics.
+    choice, the kernel caches and per-kernel launch statistics.
 
     With [create ~shards:n] the driver runs Z-sharded instead: the grid
     is cut into slabs ({!Shard.plan}), one {!Vgpu.Multi} device per
@@ -29,9 +29,9 @@
 
 type engine =
   [ `Interp  (** reference interpreter *)
-  | `Jit  (** sequential JIT *)
-  | `Jit_parallel of int  (** JIT over this many OCaml domains *)
-  | `Native  (** compiled-C backend, loaded via [dlopen] *) ]
+  | `Native
+    (** compiled-C backend, loaded via [dlopen]; runs on the interpreter
+        when no C compiler can be run ({!Vgpu.Runtime.engine}) *) ]
 
 (** How a sharded step's plan is executed:
 
@@ -112,13 +112,13 @@ val create :
   t
 (** [shards] selects the sharded backend ([~shards:1] exercises the
     sharded machinery on a single slab; omitting it keeps the original
-    single-device path).  [schedule] picks the sharded step schedule;
-    the default is [`Concurrent], except under [`Jit_parallel] (whose
-    launches already occupy the pool) where it is [`Seq].  [`Overlap]
-    with [~sanitize:true] falls back to [`Seq] — checked execution needs
-    deterministic scheduling (use {!step_overlap_with} to sanitize an
-    overlapped interleaving).  [optimize] (default [true]) is forwarded to the
-    underlying runtimes: launched kernels pass through the
+    single-device path).  [engine] defaults to [`Native].  [schedule]
+    picks the sharded step schedule; the default is [`Concurrent].
+    [`Overlap] with [~sanitize:true] falls back to [`Seq] — checked
+    execution needs deterministic scheduling (use {!step_overlap_with}
+    to sanitize an overlapped interleaving).  [optimize] (default
+    [true]) is forwarded to the underlying runtimes: launched kernels
+    pass through the
     {!module:Kernel_ast.Opt} pipeline before dispatch.  [precision]
     (default [Double]) sets the transfer-accounting element width of the
     underlying runtimes.  [tblock] (default 1) is the temporal block
@@ -158,7 +158,7 @@ val n_shards : t -> int
 (** 1 on a single device, the (clamped) slab count when sharded. *)
 
 val launch : t -> Kernel_ast.Cast.kernel -> unit
-(** Launch one kernel against the current state (JIT-cached per kernel);
+(** Launch one kernel against the current state (compiled once per kernel);
     on every shard, sequentially, when sharded.
     @raise Failure on unknown parameter names. *)
 

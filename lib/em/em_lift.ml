@@ -89,8 +89,7 @@ let update_e () : Ast.lam =
 type compiled = {
   kernel_h : Kernel_ast.Cast.kernel;
   kernel_e : Kernel_ast.Cast.kernel;
-  jit_h : Vgpu.Jit.compiled;
-  jit_e : Vgpu.Jit.compiled;
+  rt : Vgpu.Runtime.t;
 }
 
 let compile ?(precision = Kernel_ast.Cast.Double) () =
@@ -99,7 +98,7 @@ let compile ?(precision = Kernel_ast.Cast.Double) () =
   in
   let kernel_h = ck "em_update_h" (update_h ()) in
   let kernel_e = ck "em_update_e" (update_e ()) in
-  { kernel_h; kernel_e; jit_h = Vgpu.Jit.compile kernel_h; jit_e = Vgpu.Jit.compile kernel_e }
+  { kernel_h; kernel_e; rt = Vgpu.Runtime.create ~precision () }
 
 (* One full time step on a grid, through the virtual GPU. *)
 let step (c : compiled) (g : Em_grid.t) =
@@ -120,5 +119,5 @@ let step (c : compiled) (g : Em_grid.t) =
         | other -> failwith (Printf.sprintf "em: unknown kernel parameter %s" other))
       k.params
   in
-  Vgpu.Jit.launch c.jit_h ~args:(resolve c.kernel_h) ~global:[ n ];
-  Vgpu.Jit.launch c.jit_e ~args:(resolve c.kernel_e) ~global:[ n ]
+  Vgpu.Runtime.launch_resolved c.rt c.kernel_h ~args:(resolve c.kernel_h) ~global:[ n ];
+  Vgpu.Runtime.launch_resolved c.rt c.kernel_e ~args:(resolve c.kernel_e) ~global:[ n ]

@@ -15,11 +15,12 @@ val update_e : unit -> Lift.Ast.lam
 type compiled = {
   kernel_h : Kernel_ast.Cast.kernel;
   kernel_e : Kernel_ast.Cast.kernel;
-  jit_h : Vgpu.Jit.compiled;
-  jit_e : Vgpu.Jit.compiled;
+  rt : Vgpu.Runtime.t;  (** the virtual GPU both kernels launch on *)
 }
 
 val compile : ?precision:Kernel_ast.Cast.precision -> unit -> compiled
+(** Lift both kernels; they launch on a fresh {!Vgpu.Runtime} with its
+    default engine. *)
 
 val step : compiled -> Em_grid.t -> unit
 (** One full time step (H then E) on a grid, through the virtual GPU. *)

@@ -29,8 +29,6 @@
 
 open Acoustics
 
-type engine = [ `Interp | `Jit | `Jit_parallel of int | `Native ]
-
 type measured = {
   m_plan : Plan_cache.plan;
   m_predicted_s : float;  (* calibrated model time per step *)
@@ -49,10 +47,8 @@ type result = {
 
 (* -- Labels ----------------------------------------------------------- *)
 
-let engine_label : engine -> string = function
+let engine_label : Gpu_sim.engine -> string = function
   | `Interp -> "interp"
-  | `Jit -> "jit"
-  | `Jit_parallel n -> Printf.sprintf "jit-parallel-%d" n
   | `Native -> "native"
 
 let precision_label = function
@@ -126,7 +122,7 @@ let code_digest ~precision ~n_branches ~scheme =
   let lift_src = Lift.Explore.key (Lift_acoustics.Programs.volume ()) in
   Digest.to_hex (Digest.string (String.concat "\x00" ("racs-autotune-v1" :: lift_src :: prints)))
 
-let key ~(engine : engine) ~precision ~n_branches ~scheme ~shape
+let key ~(engine : Gpu_sim.engine) ~precision ~n_branches ~scheme ~shape
     ~(dims : Geometry.dims) : Plan_cache.key =
   {
     Plan_cache.k_scheme = scheme;
@@ -341,7 +337,7 @@ let measure_plan ~clock ~engine ~precision ~n_branches ~scheme ~params ~room
 
 (* Run measurements, optionally fanned out over extra domains.  Each
    candidate simulation owns its virtual devices; shared process state
-   (the JIT pool, the native binary memo) is lock-protected, so domains
+   (the domain pool, the native binary memo) is lock-protected, so domains
    only contend for host cores.  Results keep candidate order; a
    candidate whose measurement raises is dropped ([None]). *)
 let measure_all ~domains measure (candidates : 'a list) =
@@ -372,7 +368,7 @@ let measure_all ~domains measure (candidates : 'a list) =
 
 (* -- The tuner --------------------------------------------------------- *)
 
-let tune ?(engine : engine = `Native) ?(precision = Kernel_ast.Cast.Double)
+let tune ?(engine : Gpu_sim.engine = `Native) ?(precision = Kernel_ast.Cast.Double)
     ?(device = Vgpu.Device.host) ?(n_branches = 3) ?(topk = 8) ?(warmup = 2)
     ?(repeats = 5) ?(steps = 20) ?(max_shards = 2) ?(domains = 1) ?clock
     ?(use_cache = true) ?(explore_depth = 2) ?tiles ?tblocks ~scheme ~shape ~dims () :

@@ -13,8 +13,6 @@
     mispredictions (BENCH_PR7: predicted 0.97x for the tiled kernel,
     measured 1.6-2x). *)
 
-type engine = [ `Interp | `Jit | `Jit_parallel of int | `Native ]
-
 (** One measured candidate. *)
 type measured = {
   m_plan : Plan_cache.plan;
@@ -37,7 +35,7 @@ type result = {
 }
 
 val tune :
-  ?engine:engine ->
+  ?engine:Acoustics.Gpu_sim.engine ->
   ?precision:Kernel_ast.Cast.precision ->
   ?device:Vgpu.Device.t ->
   ?n_branches:int ->
@@ -76,7 +74,7 @@ val tune :
     @raise Invalid_argument on an unknown scheme. *)
 
 val key :
-  engine:engine ->
+  engine:Acoustics.Gpu_sim.engine ->
   precision:Kernel_ast.Cast.precision ->
   n_branches:int ->
   scheme:string ->
@@ -101,7 +99,7 @@ val plan_label : Plan_cache.plan -> string
 (** Human-readable one-liner, e.g.
     ["tile8x8 ls=64 unroll=default shards=2/overlap"]. *)
 
-val engine_label : engine -> string
+val engine_label : Acoustics.Gpu_sim.engine -> string
 val precision_label : Kernel_ast.Cast.precision -> string
 
 val default_unrolls : int option list

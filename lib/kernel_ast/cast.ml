@@ -39,8 +39,8 @@ type unop =
   | To_real (* int -> real conversion *)
   | To_int  (* real -> int truncation *)
 
-(* Math builtins kept abstract so the interpreter, the JIT and the printer
-   agree on the supported set. *)
+(* Math builtins kept abstract so the interpreter, the C renderer and the
+   printer agree on the supported set. *)
 type builtin =
   | Sqrt
   | Fabs

@@ -4,11 +4,11 @@
    this module emits a kernel as a self-contained C99 translation unit
    that the system C compiler turns into a shared object ([Vgpu.Native]
    compiles, caches and dlopens it).  The rendering is semantics-exact
-   against the reference interpreter and the closure JIT:
+   against the reference interpreter:
 
    - all real arithmetic is IEEE double ([Vgpu.Buffer] stores doubles
      even for single-precision kernels); single precision rounds on
-     store to a global real buffer, exactly like [Exec]/[Jit];
+     store to a global real buffer, exactly like [Exec];
    - ints are [int64_t] (OCaml's 63-bit ints embed exactly); [/], [%],
      [>>] and real->int casts truncate the same way on both sides;
    - global int buffers are OCaml int arrays read and written in place,
@@ -27,15 +27,15 @@
    - wherever the engines truncate a real to an int ([as_int]), the
      emitted C carries an explicit [(int64_t)] cast — C truthiness of a
      bare double would otherwise diverge from truncate-then-test;
-   - [&&]/[||] short-circuit like the JIT (the interpreter evaluates
-     both operands; observably identical on verified kernels).
+   - [&&]/[||] short-circuit (the interpreter evaluates both operands;
+     observably identical on verified kernels).
 
    The fixed entry ABI (see {!entry_symbol}) receives the kernel's
    parameters split by kind — real buffers as [double*], int buffers as
    [int64_t*] to their tagged words, byte buffers as [uint8_t*],
    scalars (untagged) in two flat arrays — plus the NDRange sizes.  The
    work-item loops live inside the entry, row-major z/y/x exactly like
-   [Exec.launch]/[Jit.run_range].
+   [Exec.launch].
 
    Body-declared locals are renamed [rk_v<i>_<stem>], numbered in
    declaration order, where the stem drops Lift's gensym suffixes
@@ -47,12 +47,10 @@ open Cast
 
 let entry_symbol = "racs_kernel_entry"
 
-(* How each parameter maps onto the entry ABI, in parameter order.
-   Mirrors [Jit.compile]'s binding construction: slot indices count per
-   category in order of appearance.  The host launcher uses this to
-   marshal [Args.t] values, with the same scalar coercions as
-   [Jit.bind] (real arg to int param truncates, int arg to real param
-   widens). *)
+(* How each parameter maps onto the entry ABI, in parameter order: slot
+   indices count per category in order of appearance.  The host
+   launcher uses this to marshal [Args.t] values, coercing scalars (real
+   arg to int param truncates, int arg to real param widens). *)
 type binding =
   | Arg_fbuf of int  (** real buffer -> [fb[slot]] *)
   | Arg_ibuf of int  (** int buffer -> [ib[slot]] *)
@@ -223,8 +221,8 @@ let var_ref env v =
     | Some (S_scalar _) -> if env.in_uniform then n ^ "[0]" else n ^ "[rk_l]"
     | _ -> n
 
-(* Expression typing, mirroring [Jit.type_of] exactly: C promotion
-   rules, builtin calls are real, comparisons and logic are int. *)
+(* Expression typing by C promotion rules: builtin calls are real,
+   comparisons and logic are int. *)
 let rec type_of env (e : expr) : ty =
   match e with
   | Int_lit _ | Global_id _ | Global_size _ | Group_id _ | Local_id _ | Local_size _ ->
@@ -352,8 +350,8 @@ let rec emit env buf ~prec (e : expr) =
       emit env buf ~prec:0 a;
       add ")"
   | Unop (To_int, a) ->
-      (* the JIT routes To_int through as_real first; keep the exact
-         widen-then-truncate round-trip *)
+      (* truncate through double, as the interpreter's int_of_float
+         does for a real operand *)
       add "(int64_t)(double)(";
       emit env buf ~prec:0 a;
       add ")"
@@ -527,7 +525,7 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
         | Some (S_gbuf Real) when round_store ->
             (* single precision: round on store to a global real buffer,
                always through double first so an int value takes the
-               same widen-then-round path as [Jit]'s float_of_int +
+               same widen-then-round path as [Exec]'s as_real +
                round32 *)
             Printf.sprintf "(double)(float)(double)(%s)" (expr_c env e)
         | Some (S_gbuf Real | S_parr (Real, _) | S_larr (Real, _)) -> expr_c env e
@@ -543,7 +541,7 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
       end;
       add (Printf.sprintf "%s}\n" pad)
   | For l ->
-      (* Replicates [Jit]'s loop structure literally: a hidden iterator
+      (* Replicates [Exec]'s loop structure literally: a hidden iterator
          advances by [step] evaluated after the body; the loop variable
          is the entry-scope register, assigned at the top of each
          iteration; [bound] is re-evaluated per iteration before that
@@ -778,7 +776,7 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
     env.locals;
   let round_store = k.precision = Single in
   if not env.env_grouped then begin
-    (* the NDRange loop nest: row-major z/y/x like Exec.launch/Jit.run_range *)
+    (* the NDRange loop nest: row-major z/y/x like Exec.launch *)
     add "  for (int64_t rk_g2 = 0; rk_g2 < rk_gs2; rk_g2++)\n";
     add "  for (int64_t rk_g1 = 0; rk_g1 < rk_gs1; rk_g1++)\n";
     add "  for (int64_t rk_g0 = 0; rk_g0 < rk_gs0; rk_g0++)\n";

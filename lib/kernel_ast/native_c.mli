@@ -3,8 +3,7 @@
     Renders a {!Cast.kernel} as a self-contained C99 translation unit
     exporting a single entry point ({!entry_symbol}) that runs the full
     NDRange.  The rendering is semantics-exact against the reference
-    interpreter ([Vgpu.Exec]) and the closure JIT ([Vgpu.Jit]): IEEE
-    double arithmetic, [int64_t] integers with truncating division,
+    interpreter ([Vgpu.Exec]): IEEE double arithmetic, [int64_t] integers with truncating division,
     [fmod] for real [Mod], OCaml-faithful [Fmin]/[Fmax] helpers, and
     single-precision rounding on stores to global real buffers.
     [Vgpu.Native] compiles the source with the system C compiler and
@@ -29,9 +28,8 @@ type binding =
 
 val bindings : Cast.kernel -> binding list
 (** ABI slot of each parameter, in parameter order; slot indices count
-    per category in order of appearance, mirroring the JIT's binding
-    construction.  The launcher must apply the JIT's scalar coercions
-    when marshalling arguments (real argument to int parameter
+    per category in order of appearance.  The launcher must coerce
+    scalars when marshalling arguments (real argument to int parameter
     truncates, int argument to real parameter widens). *)
 
 val written_params : Cast.kernel -> string list
@@ -56,4 +54,4 @@ val kernel_source : ?noalias:bool -> Cast.kernel -> string
     rare aliased launch, so the fast path keeps the qualifier without
     ever lying to the C compiler.
     @raise Failure on an unbound identifier (the kernel would not
-    interpret or JIT either). *)
+    interpret either). *)

@@ -1,10 +1,9 @@
 (* Kernel-AST optimizer pipeline.
 
-   Runs after code generation and before JIT compilation / C emission.
-   The closure-compiling JIT pays for every AST node on the hot path, so
-   removing redundant nodes translates directly into wall-clock gains;
-   on a real GPU the same rewrites reduce the work the driver compiler
-   must rediscover per build.
+   Runs after code generation and before interpretation / C emission.
+   The interpreter pays for every AST node on the hot path; for compiled
+   C, as for a GPU driver compiler, the same rewrites reduce the work
+   the compiler must rediscover per build.
 
    Pass order (see ARCHITECTURE.md):
 
@@ -48,7 +47,8 @@
 
    Every pass is semantics-preserving bit-for-bit; the test suite
    validates optimized kernels differentially against the unoptimized
-   interpreter and JIT on random kernels and on the acoustics schemes. *)
+   ones, on the interpreter for random kernels and on both engines for
+   the acoustics schemes. *)
 
 open Cast
 
@@ -142,8 +142,8 @@ let candidate = function
   | _ -> false
 
 (* Static type of a hoistable expression under [tenv] (declared scalars
-   and parameters), mirroring the JIT's C promotion rules; [None] when a
-   variable is out of scope. *)
+   and parameters), by C promotion rules as [Native_c] renders them;
+   [None] when a variable is out of scope. *)
 let rec ty_of tenv = function
   | Int_lit _ | Global_id _ | Global_size _ | Group_id _ | Local_id _
   | Local_size _ -> Some Int
@@ -311,8 +311,7 @@ let unroll_budget = 512
 
 (* Copy a loop body for one unrolled iteration: substitute the loop
    variable by its literal value and alpha-rename every name the body
-   declares, so the spliced copies stay a valid C block (and distinct
-   JIT register slots). *)
+   declares, so the spliced copies stay a valid C block. *)
 let rec subst_expr ren sub e =
   match e with
   | Var v -> (
@@ -674,8 +673,9 @@ let optimize ?unroll_budget:budget (k0 : kernel) : kernel * report =
   let k = Cast.simplify_kernel k in
   let k, dead_removed = dce_kernel k in
   (* a no-op pipeline returns the input kernel *physically*, so callers
-     keying caches on physical identity (JIT cache, ranged-launch
-     variants) share entries between the raw and "optimized" kernel *)
+     keying caches on physical identity (the runtime's digest memo,
+     ranged-launch variants) share entries between the raw and
+     "optimized" kernel *)
   let k =
     if
       unrolled = 0 && cse_fired = 0 && licm_hoisted = 0 && dead_removed = 0

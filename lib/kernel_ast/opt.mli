@@ -1,6 +1,6 @@
 (** Optimization pipeline over kernel ASTs.
 
-    Runs after code generation and before JIT compilation or C emission.
+    Runs after code generation and before interpretation or C emission.
     Passes, in order: algebraic simplification and constant folding
     (via {!Cast.simplify_kernel}, which includes bit-exact strength
     reduction), full unrolling of small constant-trip loops,

@@ -50,7 +50,7 @@ let binop_prec = function
   | Or -> 3
 
 (* Static type of an expression under a name-typing oracle, following C
-   promotion rules like the engines ([Jit.type_of]).  Names the oracle
+   promotion rules like the engines ([Native_c.type_of]).  Names the oracle
    does not know default to [Int] — the pre-existing behaviour of the
    untyped printer; [kernel_to_string] supplies a complete oracle built
    from the kernel's parameters and declarations, so kernel-level
@@ -133,7 +133,7 @@ let rec expr_prec ?(precision = Double) ?(tyenv = no_tyenv) ~prec buf e =
       if prec > 1 then add_char buf ')'
   | Binop (Mod, a, b) when expr_ty tyenv e = Real ->
       (* C's % is integer-only; real modulo is the fmod builtin (which
-         the interpreter and JIT compute as Float.rem = fmod) *)
+         the interpreter computes as Float.rem = fmod) *)
       add_string buf "fmod(";
       expr_prec ~prec:0 buf a;
       add_string buf ", ";

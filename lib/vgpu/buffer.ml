@@ -1,8 +1,9 @@
 (* Device global-memory buffers.
 
    Numeric execution is IEEE double internally; single-precision kernels
-   round on store (see [Exec] and [Jit]) so that float and double runs
-   produce genuinely different numerics, as on real hardware.
+   round on store (see [Exec] and [Kernel_ast.Native_c]) so that float
+   and double runs produce genuinely different numerics, as on real
+   hardware.
 
    [U8] is the byte storage kind of an int buffer (OpenCL [uchar *]): it
    holds ints, loads zero-extend and stores keep the low 8 bits. *)

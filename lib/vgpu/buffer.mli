@@ -1,9 +1,9 @@
 (** Device global-memory buffers.
 
     Numeric execution is IEEE double internally; single-precision kernels
-    round on store (see {!module:Exec} and {!module:Jit}) so float and
-    double runs produce genuinely different numerics, as on real
-    hardware. *)
+    round on store (see {!module:Exec} and {!module:Kernel_ast.Native_c})
+    so float and double runs produce genuinely different numerics, as on
+    real hardware. *)
 
 type t =
   | F of float array

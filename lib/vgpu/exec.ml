@@ -2,16 +2,20 @@
 
    Executes a kernel over an NDRange exactly as an OpenCL device would,
    one work-item at a time.  This is the slow, obviously-correct
-   implementation used to cross-validate the JIT ([Jit]) and the Lift
-   code generator; benchmarks use the JIT.
+   implementation: the oracle the native backend ([Native]) and the Lift
+   code generator are cross-validated against, and the engine the
+   sanitizer runs on; benchmarks use the native backend.
 
-   Work-items run sequentially in row-major NDRange order.  The kernels in
-   this project never communicate through local memory, so sequential
-   execution is observationally equivalent to any parallel schedule as
-   long as distinct work-items write distinct locations.  That claim is
-   checked rather than assumed: [Kernel_ast.Check] proves it statically
-   where it can, and the [hook] below lets [Sanitizer] observe every
-   memory access to verify the rest at runtime. *)
+   Flat kernels run their work-items sequentially in row-major NDRange
+   order.  Their work-items share nothing but global buffers, so
+   sequential execution is observationally equivalent to any parallel
+   schedule as long as distinct work-items write distinct locations.
+   That claim is checked rather than assumed: [Kernel_ast.Check] proves
+   it statically where it can, and the [hook] below lets [Sanitizer]
+   observe every memory access to verify the rest at runtime.  Grouped
+   kernels (the work-group tier) also share local memory within a group,
+   ordered by barriers; they run one group at a time, each work-item a
+   fiber suspended at every barrier (see [launch]). *)
 
 open Kernel_ast.Cast
 

@@ -1,16 +1,20 @@
 (** Reference interpreter for kernel ASTs.
 
     Executes a kernel over an NDRange exactly as an OpenCL device would,
-    one work-item at a time (row-major order).  The kernels in this
-    project never communicate through local memory, so sequential
-    execution is observationally equivalent to any parallel schedule as
-    long as distinct work-items write distinct locations.  That claim is
+    one work-item at a time (row-major order).  Work-items of a flat
+    kernel share nothing but global buffers, so sequential execution is
+    observationally equivalent to any parallel schedule as long as
+    distinct work-items write distinct locations.  That claim is
     machine-checked rather than assumed: {!module:Kernel_ast.Check}
     proves it statically per kernel, and {!module:Sanitizer} verifies it
-    dynamically through the access hook below.
+    dynamically through the access hook below.  Work-items of a grouped
+    kernel also share local memory within their group, ordered by
+    barriers; groups run one at a time, their work-items as fibers.
 
-    This is the slow, obviously-correct engine used to cross-validate
-    the JIT and the Lift code generator; benchmarks use {!module:Jit}. *)
+    This is the slow, obviously-correct engine: the oracle that
+    {!module:Native} and the Lift code generator are cross-validated
+    against, and the engine the sanitizer runs on; benchmarks use
+    {!module:Native}. *)
 
 exception
   Exec_error of {

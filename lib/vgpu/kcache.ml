@@ -1,6 +1,6 @@
 (* Bounded LRU cache keyed by content digest.
 
-   The runtime's per-kernel caches (JIT code, optimizer output, clean
+   The runtime's per-kernel caches (optimizer output, clean
    verification verdicts, native binaries) were previously name-keyed
    unbounded lists scanned by structural equality: colliding names
    degraded every lookup to O(n * |AST|) and entries were never

@@ -1,7 +1,7 @@
 (** Bounded LRU cache keyed by content digest.
 
-    Backs the runtime's per-kernel caches (JIT code, optimizer output,
-    clean verification verdicts, native binaries): O(1) digest-keyed
+    Backs the runtime's per-kernel caches (optimizer output, clean
+    verification verdicts, native binaries): O(1) digest-keyed
     lookup, bounded size with least-recently-used eviction, and
     hit/miss/eviction counters surfaced through [Runtime.stats]. *)
 

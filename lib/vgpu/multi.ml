@@ -1,7 +1,7 @@
 (* Multi-device virtual GPU.
 
    A [Multi.t] is an array of independent [Runtime.t] devices — each with
-   its own buffer table, JIT cache and launch statistics — plus one extra
+   its own buffer table, kernel caches and launch statistics — plus one extra
    plan primitive, [Exchange], that moves a sub-buffer slice from one
    device's buffer to another's.  That is the halo-exchange step of the
    Z-sharded acoustics backend: every other op addresses exactly one
@@ -15,7 +15,7 @@
 
 type t = { devices : Runtime.t array }
 
-let create ?(engine = Runtime.Jit) ?(optimize = true) ?unroll_budget
+let create ?(engine = Runtime.Native) ?(optimize = true) ?unroll_budget
     ?(precision = Kernel_ast.Cast.Double) ?verify ?(sanitize = false) ~devices () =
   if devices < 1 then invalid_arg "Vgpu.Multi.create: need at least one device";
   {

@@ -19,10 +19,10 @@ val create :
   devices:int ->
   unit ->
   t
-(** [optimize] (default [true]), [verify] and [sanitize] are forwarded
-    to every device's {!Runtime.create}; each device gets its own
-    sanitizer (its shadow state follows its own buffers, with halo
-    exchanges marking destination cells defined).
+(** [engine] (default [Native]), [optimize] (default [true]), [verify]
+    and [sanitize] are forwarded to every device's {!Runtime.create};
+    each device gets its own sanitizer (its shadow state follows its own
+    buffers, with halo exchanges marking destination cells defined).
     @raise Invalid_argument if [devices < 1]. *)
 
 val n_devices : t -> int

@@ -1,11 +1,12 @@
-(* Native compiled backend: the third engine next to [Exec] and [Jit].
+(* Native compiled backend: the fast engine next to the reference
+   interpreter [Exec].
 
    A kernel is rendered to portable C ([Kernel_ast.Native_c]), compiled
    by the system C compiler into a shared object, dlopened, and
    launched through a C trampoline (native_stubs.c) that passes OCaml
    buffers to the compiled entry.  The compiler flags pin IEEE
    semantics ([-fno-fast-math -ffp-contract=off]) so results are
-   bit-identical to the interpreter and the JIT.
+   bit-identical to the interpreter.
 
    Shared objects are kept in a content-addressed on-disk cache keyed
    by a digest of the generated C source plus the compiler command
@@ -146,6 +147,8 @@ let key_of_source src =
    optimization outcomes produce different cache entries). *)
 let cache_key (k : Cast.kernel) = key_of_source (source k)
 
+exception No_compiler of string
+
 let run_cc ~src_path ~out_path =
   let err_path = out_path ^ ".err" in
   let cmd =
@@ -163,6 +166,9 @@ let run_cc ~src_path ~out_path =
       s)
     else ""
   in
+  (* 127: the shell found no such command, so nothing was compiled at
+     all; any other failure is the compiler rejecting the source *)
+  if rc = 127 then raise (No_compiler (cc ()));
   if rc <> 0 then
     failwith (Printf.sprintf "native: C compilation failed (%s, exit %d)\n%s" (cc ()) rc err)
 
@@ -330,7 +336,8 @@ let launch (c : compiled) ~(args : Args.t list) ~(global : int list) =
   let u8b = Array.make (max 1 c.n_u8b) Bytes.empty in
   let isc = Array.make (max 1 c.n_isc) 0 in
   let fsc = Array.make (max 1 c.n_fsc) 0. in
-  (* same scalar coercions as [Jit.bind] *)
+  (* scalar coercions: a real argument to an int parameter truncates,
+     an int argument to a real parameter widens *)
   List.iter2
     (fun (b : Native_c.binding) (a : Args.t) ->
       match (b, a) with

@@ -2,7 +2,7 @@
     ({!Kernel_ast.Native_c}), compiled by the system C compiler into
     shared objects, dlopened and launched in-process.  Compiler flags
     pin IEEE double semantics, so launches are bit-identical to the
-    reference interpreter and the JIT.
+    reference interpreter.
 
     Binaries live in a content-addressed on-disk cache (digest of the
     generated C source + compiler command line), installed atomically;
@@ -11,17 +11,23 @@
 
 type compiled
 
+exception No_compiler of string
+(** The C compiler command (named by the payload) cannot be run at all:
+    the shell reports no such command (exit 127).  {!Runtime} answers
+    it by running the kernel on the interpreter. *)
+
 val compile : ?noalias:bool -> Kernel_ast.Cast.kernel -> compiled
 (** Render, then load from the memo, the disk cache, or a fresh [cc]
     run, in that order.  [noalias] (default true) renders buffer
     parameters [restrict], proven per launch — see {!launch}.
-    @raise Failure if the C compiler is unavailable or rejects the
-    generated source (the compiler's stderr is included). *)
+    @raise No_compiler if the C compiler cannot be run.
+    @raise Failure if the C compiler rejects the generated source (the
+    compiler's stderr is included). *)
 
 val launch : compiled -> args:Args.t list -> global:int list -> unit
 (** Run the full NDRange ([global] padded to 3 dimensions with 1s).
-    Scalar arguments coerce like [Jit.bind]: a real argument to an int
-    parameter truncates, an int argument to a real parameter widens.
+    Scalar arguments coerce: a real argument to an int parameter
+    truncates, an int argument to a real parameter widens.
 
     When the compiled object carries [restrict] qualifiers, the launch
     first checks the binding for aliasing hazards: a buffer in

@@ -15,8 +15,7 @@
  * immediate or raw bytes, neither of which needs a write barrier.  The domain
  * keeps the runtime lock for the whole launch; a concurrent domain
  * requesting a stop-the-world collection simply waits until the kernel
- * returns (launches are the unit of work of the whole simulator, same
- * granularity as a JIT launch).
+ * returns (launches are the unit of work of the whole simulator).
  */
 
 #include <caml/mlvalues.h>

@@ -1,18 +1,15 @@
 (* Persistent OCaml 5 domain pool for the virtual GPU.
 
-   Parallel NDRange execution in the KernelAbstractions shape: the
-   iteration space is partitioned along its outermost dimension into one
-   contiguous chunk per domain, and each domain runs the compiled kernel
-   body with its own [Jit.rt] instance (private registers and scratch
-   arrays), sharing only the global buffers.  That is safe because the
-   generated kernels write disjoint locations — the invariant documented
-   in [Exec] — so any schedule is observationally equivalent to the
-   sequential one, bit for bit.
+   [run] executes a fixed number of independent tasks in parallel: the
+   sharded simulation's [`Concurrent] schedule runs each device's
+   launches of a step as one task.  Tasks share only what their callers
+   hand them; each device owns its buffers, so any schedule is
+   observationally equivalent to the sequential one, bit for bit.
 
    Workers are spawned once and parked on a condition variable between
-   launches; kernel launches are millisecond-scale, so spawning a domain
-   per launch would dominate the runtime.  The pool grows on demand and
-   is shut down from at_exit so test binaries terminate cleanly. *)
+   runs; a step is millisecond-scale, so spawning a domain per step
+   would dominate the runtime.  The pool grows on demand and is shut
+   down from at_exit so test binaries terminate cleanly. *)
 
 type worker = {
   mutable dom : unit Domain.t option;
@@ -28,7 +25,7 @@ type worker = {
 type t = {
   mutable workers : worker array;
   grow : Mutex.t; (* guards pool growth and shutdown *)
-  use : Mutex.t;  (* serialises scatter/gather launch cycles *)
+  use : Mutex.t;  (* serialises scatter/gather cycles *)
 }
 
 let worker_loop (w : worker) =
@@ -90,8 +87,6 @@ let await (w : worker) =
 
 let create () = { workers = [||]; grow = Mutex.create (); use = Mutex.create () }
 
-let size t = Array.length t.workers + 1 (* the caller is a worker too *)
-
 (* Grow the pool to at least [n] spawned workers. *)
 let ensure t n =
   Mutex.lock t.grow;
@@ -136,78 +131,8 @@ let run t ~n f =
     | e :: _ -> raise e
   end
 
-(* The shared pool used by [Runtime]'s [Jit_parallel] engine.  One pool
-   per process: domains are heavyweight, runtimes are not. *)
+(* The shared process-wide pool.  One pool per process: domains are
+   heavyweight, runtimes are not. *)
 let global = create ()
 
 let () = at_exit (fun () -> shutdown global)
-
-(* Partition dimension: the outermost NDRange dimension actually used —
-   the highest dimension with more than one work-item (the z loop runs
-   outermost in [Jit.run_range]); 1-D launches split dimension 0. *)
-let outer_dim (global_size : int list) =
-  let dims = Array.of_list global_size in
-  let d = ref 0 in
-  Array.iteri (fun i n -> if n > 1 then d := i) dims;
-  !d
-
-(* Launch a compiled kernel over [global] work-items using up to
-   [domains] domains from [pool] (default: the process-wide pool). *)
-(* Grouped kernels partition over the linear work-group range instead
-   of an NDRange dimension: a work-group synchronises internally at
-   barriers, so it must never be split across domains.  Chunks are
-   whole groups; groups are independent, so any claim order is
-   bit-identical to the sequential schedule. *)
-let launch_grouped ~pool ~workers (c : Jit.compiled) rt0 ~total =
-  let chunks = min total (workers * 4) in
-  let next = Atomic.make 0 in
-  run pool ~n:workers (fun i ->
-      let rt = if i = 0 then rt0 else Jit.clone_rt c rt0 in
-      let rts = Jit.group_rts c rt in
-      let rec drain () =
-        let k = Atomic.fetch_and_add next 1 in
-        if k < chunks then begin
-          Jit.run_group_range c rts ~lo:(k * total / chunks) ~hi:((k + 1) * total / chunks);
-          drain ()
-        end
-      in
-      drain ())
-
-let launch ?(pool = global) ~domains (c : Jit.compiled) ~(args : Args.t list)
-    ~(global : int list) =
-  let domains = max 1 domains in
-  if domains = 1 then Jit.launch c ~args ~global
-  else if Kernel_ast.Cast.grouped c.kernel then begin
-    let total = Jit.group_count c ~global in
-    let workers = min domains total in
-    let rt0 = Jit.bind c ~args ~global in
-    if workers <= 1 then Jit.run_group_range c (Jit.group_rts c rt0) ~lo:0 ~hi:total
-    else launch_grouped ~pool ~workers c rt0 ~total
-  end
-  else begin
-    let rt0 = Jit.bind c ~args ~global in
-    let dim = outer_dim global in
-    let extent = List.nth global dim in
-    let workers = min domains extent in
-    if workers <= 1 then Jit.run_range c rt0 ~dim ~lo:0 ~hi:extent
-    else begin
-      (* Chunked self-scheduling: more chunks than workers and an
-         atomic claim counter, so skewed work — boundary kernels with
-         few points, uneven plane splits — load-balances instead of
-         waiting on the slowest even share.  Chunks are contiguous
-         ranges over disjointly-written work-items, so every claim
-         order is bit-identical to the sequential schedule. *)
-      let chunks = min extent (workers * 4) in
-      let next = Atomic.make 0 in
-      run pool ~n:workers (fun i ->
-          let rt = if i = 0 then rt0 else Jit.clone_rt c rt0 in
-          let rec drain () =
-            let k = Atomic.fetch_and_add next 1 in
-            if k < chunks then begin
-              Jit.run_range c rt ~dim ~lo:(k * extent / chunks) ~hi:((k + 1) * extent / chunks);
-              drain ()
-            end
-          in
-          drain ())
-    end
-  end

@@ -1,27 +1,14 @@
-(** Persistent OCaml 5 domain pool for parallel NDRange execution.
+(** Persistent OCaml 5 domain pool.
 
-    The iteration space of a compiled kernel is partitioned along its
-    outermost used dimension into one contiguous chunk per domain; each
-    domain runs the kernel body with its own {!Jit.rt} (private
-    registers and scratch arrays), sharing only the global buffers.
-    This is bit-for-bit equivalent to sequential execution because the
-    generated kernels write disjoint locations (the invariant documented
-    in {!module:Exec}).
-
-    Workers are spawned once, parked between launches, grown on demand
-    and joined from [at_exit]. *)
+    Runs a fixed number of independent tasks in parallel; the sharded
+    simulation's [`Concurrent] schedule runs each device's launches of a
+    time step as one task.  Workers are spawned on first use, parked
+    between runs, grown on demand and joined from [at_exit]. *)
 
 type t
 
-val create : unit -> t
-(** An empty pool; workers are spawned on first use. *)
-
 val global : t
-(** The shared process-wide pool used by {!Runtime}'s [Jit_parallel]
-    engine. *)
-
-val size : t -> int
-(** Domains currently available, counting the calling domain. *)
+(** The shared process-wide pool. *)
 
 val run : t -> n:int -> (int -> unit) -> unit
 (** [run t ~n f] executes [f 0 .. f (n-1)] in parallel ([f 0] on the
@@ -31,9 +18,3 @@ val run : t -> n:int -> (int -> unit) -> unit
 val shutdown : t -> unit
 (** Stop and join every worker.  The pool can be reused; workers are
     respawned on demand.  Called on {!global} automatically at exit. *)
-
-val launch :
-  ?pool:t -> domains:int -> Jit.compiled -> args:Args.t list -> global:int list -> unit
-(** Launch a compiled kernel over [global] work-items on up to [domains]
-    domains ([domains <= 1] falls back to {!Jit.launch}).  Buffer
-    arguments are mutated in place, exactly as {!Jit.launch}. *)

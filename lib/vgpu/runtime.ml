@@ -3,9 +3,8 @@
 
    Device memory is simulated as unified memory, so a transfer is a
    bookkeeping event (bytes counted for the transfer statistics) rather
-   than a copy; kernel launches dispatch to the reference interpreter,
-   the JIT, or the domain-parallel JIT, and are timed per kernel for the
-   stats report. *)
+   than a copy; kernel launches dispatch to the reference interpreter or
+   to compiled C, and are timed per kernel for the stats report. *)
 
 open Kernel_ast
 
@@ -30,8 +29,6 @@ type plan = op list
 
 type engine =
   | Interp
-  | Jit
-  | Jit_parallel of { domains : int }
   | Native
 
 type kernel_stats = {
@@ -60,14 +57,15 @@ let () =
 
 type t = {
   buffers : (string, Buffer.t) Hashtbl.t;
-  jit_cache : Jit.compiled Kcache.t;  (* structural digest -> JIT code *)
   opt_cache : (Cast.kernel * Opt.report) Kcache.t;
       (* raw-kernel digest -> optimized kernel + report *)
   check_cache : unit Kcache.t;
       (* (kernel, launch signature) digests already proven race/bounds-clean *)
-  native_cache : Native.compiled Kcache.t;
+  native_cache : Native.compiled option Kcache.t;
       (* structural digest -> loaded native binary (backed by the
-         process-wide memo and the on-disk binary cache in [Native]) *)
+         process-wide memo and the on-disk binary cache in [Native]), or
+         [None] when no C compiler can be run: the kernel falls back to
+         the interpreter *)
   mutable digest_memo : (Cast.kernel * string) list;
       (* physical-equality memo of structural digests: launches reuse
          the same kernel value every step, so the Marshal+MD5 runs once
@@ -100,11 +98,10 @@ let verify_from_env () =
   | Some ("1" | "true" | "yes" | "on") -> true
   | _ -> false
 
-let create ?(engine = Jit) ?(optimize = true) ?unroll_budget
+let create ?(engine = Native) ?(optimize = true) ?unroll_budget
     ?(precision = Cast.Double) ?verify ?(sanitize = false) ?cache_capacity () =
   {
     buffers = Hashtbl.create 16;
-    jit_cache = Kcache.create ?capacity:cache_capacity "jit";
     opt_cache = Kcache.create ?capacity:cache_capacity "opt";
     check_cache = Kcache.create ?capacity:cache_capacity "check";
     native_cache = Kcache.create ?capacity:cache_capacity "native";
@@ -183,20 +180,27 @@ let kernel_digest t (kernel : Cast.kernel) =
       t.digest_memo <- (kernel, d) :: memo;
       d
 
-(* Find (or compile and cache) the JIT code for [kernel], keyed by
-   structural digest: kernels sharing a name never collide, lookups
-   stay O(1), and the LRU bound caps memory under unbounded kernel
-   streams. *)
-let jit_compiled t (kernel : Cast.kernel) =
-  Kcache.find_or_add t.jit_cache (kernel_digest t kernel) (fun () -> Jit.compile kernel)
+let fallback_logged = Atomic.make false
 
-(* Find (or load/compile and cache) the native binary for [kernel]. *)
+(* Find (or load/compile and cache) the native binary for [kernel],
+   keyed by structural digest: kernels sharing a name never collide,
+   lookups stay O(1), and the LRU bound caps memory under unbounded
+   kernel streams.  [None] when the C compiler cannot be run at all:
+   that verdict is cached too, so the kernel is not retried through a
+   shell on every launch, and the first one in the process is logged. *)
 let native_compiled t (kernel : Cast.kernel) =
   Kcache.find_or_add t.native_cache (kernel_digest t kernel) (fun () ->
-      Native.compile kernel)
+      match Native.compile kernel with
+      | c -> Some c
+      | exception Native.No_compiler cc ->
+          if not (Atomic.exchange fallback_logged true) then
+            Printf.eprintf
+              "vgpu: C compiler %S cannot be run; kernels fall back to the interpreter\n%!" cc;
+          None)
 
 (* Find (or run and cache) the optimizer output for [kernel], keyed like
-   the JIT cache so each distinct raw kernel is optimized exactly once. *)
+   the native cache so each distinct raw kernel is optimized exactly
+   once. *)
 let optimized t (kernel : Cast.kernel) =
   Kcache.find_or_add t.opt_cache (kernel_digest t kernel) (fun () ->
       Opt.optimize ?unroll_budget:t.unroll_budget kernel)
@@ -283,7 +287,7 @@ let launch_resolved t kernel ~(args : Args.t list) ~global =
   in
   if t.verify then verify_launch t kernel ~args ~global;
   (* compiled code is resolved before the timer starts: a first launch's
-     cc + dlopen, or its JIT closure building, is not kernel time *)
+     cc + dlopen is not kernel time *)
   let run =
     match t.sanitizer with
     | Some s ->
@@ -293,15 +297,10 @@ let launch_resolved t kernel ~(args : Args.t list) ~global =
     | None -> (
         match t.engine with
         | Interp -> fun () -> Exec.launch kernel ~args ~global
-        | Jit ->
-            let c = jit_compiled t kernel in
-            fun () -> Jit.launch c ~args ~global
-        | Jit_parallel { domains } ->
-            let c = jit_compiled t kernel in
-            fun () -> Pool.launch ~domains c ~args ~global
-        | Native ->
-            let c = native_compiled t kernel in
-            fun () -> Native.launch c ~args ~global)
+        | Native -> (
+            match native_compiled t kernel with
+            | Some c -> fun () -> Native.launch c ~args ~global
+            | None -> fun () -> Exec.launch kernel ~args ~global))
   in
   let t0 = now () in
   run ();
@@ -362,13 +361,12 @@ type stats = {
   s_d2d_bytes : int;  (* halo-exchange / device-copy bytes *)
   s_violations : Sanitizer.counts option;  (* Some iff sanitizing *)
   s_caches : (string * Kcache.counters) list;
-      (* per-cache hit/miss/eviction counters: jit, opt, check, native *)
+      (* per-cache hit/miss/eviction counters: opt, check, native *)
   per_kernel : (string * kernel_stats) list;  (* sorted by kernel name *)
 }
 
 let cache_counters t =
   [
-    ("jit", Kcache.counters t.jit_cache);
     ("opt", Kcache.counters t.opt_cache);
     ("check", Kcache.counters t.check_cache);
     ("native", Kcache.counters t.native_cache);
@@ -391,7 +389,6 @@ let stats t =
 
 let reset_stats t =
   Hashtbl.reset t.kstats;
-  Kcache.reset_counters t.jit_cache;
   Kcache.reset_counters t.opt_cache;
   Kcache.reset_counters t.check_cache;
   Kcache.reset_counters t.native_cache;

@@ -3,8 +3,8 @@
 
     Device memory is simulated as unified memory, so a transfer is a
     bookkeeping event (bytes counted) rather than a copy; launches
-    dispatch to the interpreter, the JIT, or the domain-parallel JIT
-    ({!module:Pool}), and are timed per kernel ({!stats}). *)
+    dispatch to the reference interpreter or to compiled C
+    ({!module:Native}), and are timed per kernel ({!stats}). *)
 
 type arg =
   | A_buf of string  (** resolved against the runtime's buffer table *)
@@ -26,16 +26,15 @@ type op =
 type plan = op list
 
 type engine =
-  | Interp  (** reference interpreter *)
-  | Jit  (** closure-compiling JIT, sequential *)
-  | Jit_parallel of { domains : int }
-      (** JIT with the NDRange partitioned over [domains] OCaml domains
-          from {!Pool.global} *)
+  | Interp  (** reference interpreter: the semantic oracle *)
   | Native
       (** kernels rendered to C ({!module:Kernel_ast.Native_c}),
           compiled with the system C compiler and loaded via [dlopen]
           ({!module:Native}); binaries come from a content-addressed
-          on-disk cache *)
+          on-disk cache.  When the compiler cannot be run at all
+          ({!Native.No_compiler}), each kernel runs on the interpreter
+          instead, and the first such fallback in the process is logged
+          on stderr. *)
 
 type launch_sig = {
   sig_global : int list;
@@ -65,24 +64,24 @@ type kernel_stats = {
 
 type t = {
   buffers : (string, Buffer.t) Hashtbl.t;
-  jit_cache : Jit.compiled Kcache.t;
-      (** structural digest -> JIT code; bounded, LRU-evicted *)
   opt_cache : (Kernel_ast.Cast.kernel * Kernel_ast.Opt.report) Kcache.t;
       (** raw-kernel digest -> (optimized kernel, report), so each
           distinct raw kernel is optimized once *)
   check_cache : unit Kcache.t;
       (** (kernel, launch signature) digests already statically verified
           clean (no [Unsafe]) *)
-  native_cache : Native.compiled Kcache.t;
+  native_cache : Native.compiled option Kcache.t;
       (** structural digest -> loaded native binary (backed by the
-          process-wide memo and on-disk binary cache in {!module:Native}) *)
+          process-wide memo and on-disk binary cache in {!module:Native});
+          bounded, LRU-evicted.  [None] marks a kernel that runs on the
+          interpreter because no C compiler could be run. *)
   mutable digest_memo : (Kernel_ast.Cast.kernel * string) list;
       (** physical-equality memo of structural kernel digests *)
   kstats : (string, kernel_stats) Hashtbl.t;
   engine : engine;
   optimize : bool;
       (** when set (the default), launched kernels pass through the
-          {!module:Kernel_ast.Opt} pipeline before JIT compilation or
+          {!module:Kernel_ast.Opt} pipeline before compilation or
           interpretation *)
   unroll_budget : int option;
       (** optimizer unroll-gate override; [None] keeps the default *)
@@ -111,9 +110,10 @@ val create :
   ?cache_capacity:int ->
   unit ->
   t
-(** [precision] (default [Double]) sets how many bytes a real element
-    counts for in the transfer statistics: 4 in single precision, 8 in
-    double, matching the paper's traffic model.  [optimize] (default
+(** [engine] defaults to [Native].  [precision] (default [Double]) sets
+    how many bytes a real element counts for in the transfer
+    statistics: 4 in single precision, 8 in double, matching the
+    paper's traffic model.  [optimize] (default
     [true]) runs the {!module:Kernel_ast.Opt} pass pipeline on each
     distinct kernel before dispatch; the per-kernel report appears in
     {!stats}.  [unroll_budget] overrides the optimizer's unroll gate for
@@ -180,7 +180,7 @@ type stats = {
   s_violations : Sanitizer.counts option;
       (** dynamic violation counts; [Some] iff the runtime sanitizes *)
   s_caches : (string * Kcache.counters) list;
-      (** per-cache hit/miss/eviction counters, labelled [jit], [opt],
+      (** per-cache hit/miss/eviction counters, labelled [opt],
           [check], [native] *)
   per_kernel : (string * kernel_stats) list;  (** sorted by kernel name *)
 }
@@ -201,8 +201,7 @@ val set_clock : (unit -> float) -> unit
     default is the monotonic {!Clock.now}).  The autotuner's determinism
     tests inject a fake timer here; production code never needs it.
     A launch's timed window covers the kernel run only: its compiled
-    code (JIT closures, or cc + dlopen) is resolved before the timer
-    starts. *)
+    code (cc + dlopen) is resolved before the timer starts. *)
 
 val reset_clock : unit -> unit
 (** Restore {!set_clock} to {!Clock.now}. *)

@@ -1,13 +1,13 @@
 (* Cross-engine conformance harness for the work-group execution tier.
 
-   One harness, four engines (reference interpreter, closure JIT,
-   domain-parallel JIT, native compiled C), two precisions, optimizer on
-   and off: every output buffer must match the interpreter bit-for-bit
-   in all sixteen configurations.  The torture kernel from the native
-   suite is re-run through the harness, and three grouped kernels
-   exercise what the flat suites cannot: barriers ordering local-memory
-   traffic (reduction), cross-work-item data exchange through __local
-   (tiled transpose), and the group/local builtin family (addressing).
+   One harness, two engines (reference interpreter, native compiled C),
+   two precisions, optimizer on and off: every output buffer must match
+   the interpreter bit-for-bit in all eight configurations.  The torture
+   kernel from the native suite is re-run through the harness, and three
+   grouped kernels exercise what the flat suites cannot: barriers
+   ordering local-memory traffic (reduction), cross-work-item data
+   exchange through __local (tiled transpose), and the group/local
+   builtin family (addressing).
 
    Negative paths mirror test_check's racy/off-by-one pairs at the
    work-group tier: a local-memory race and a divergent barrier are each
@@ -21,7 +21,7 @@
    Byte storage ([Cast.U8], OpenCL [uchar *]) gets its own case: stores
    wrap mod 256 and loads zero-extend identically on every engine and
    under the sanitizer, and a launch whose buffer storage does not match
-   the parameter's is rejected by the JIT and native. *)
+   the parameter's is rejected by native. *)
 
 open Kernel_ast.Cast
 module Check = Kernel_ast.Check
@@ -49,9 +49,6 @@ type case = {
 let engines =
   [
     ("interp", fun k args global -> Vgpu.Exec.launch k ~args ~global);
-    ("jit", fun k args global -> Vgpu.Jit.launch (Vgpu.Jit.compile k) ~args ~global);
-    ( "jit-parallel",
-      fun k args global -> Vgpu.Pool.launch ~domains:3 (Vgpu.Jit.compile k) ~args ~global );
     ("native", fun k args global -> Vgpu.Native.launch (Vgpu.Native.compile k) ~args ~global);
   ]
 
@@ -72,7 +69,7 @@ let check_buffers msg ref_bufs bufs =
 
 (* Run the case on every engine x precision x optimizer setting; the
    interpreter (first engine) is the reference within each
-   configuration, so bit-identity holds across all sixteen runs. *)
+   configuration, so bit-identity holds across all eight runs. *)
 let conform ~name case =
   use_scratch_cache ();
   List.iter
@@ -344,7 +341,7 @@ let test_u8_storage () =
     ]
 
 (* A byte buffer bound to a word parameter, or a word buffer to a byte
-   parameter: the JIT and native refuse the launch. *)
+   parameter: native refuses the launch. *)
 let test_u8_mismatch () =
   use_scratch_cache ();
   let u8 = u8_kernel ~precision:Double in
@@ -370,7 +367,7 @@ let test_u8_mismatch () =
           ("a word buffer for a byte parameter", u8, word_args);
           ("a byte buffer for a word parameter", word, u8_args);
         ])
-    (List.filter (fun (l, _) -> l = "jit" || l = "native") engines)
+    (List.filter (fun (l, _) -> l = "native") engines)
 
 (* -- Negative paths: both legs must catch the hazard ----------------- *)
 
@@ -547,7 +544,8 @@ let qcheck_safe_grouped_is_clean =
    shard counts, an FD-MM simulation stepped with the 2.5D-tiled volume
    kernel matches the flat one bit-for-bit.  On failure qcheck shrinks
    every coordinate toward its lower bound, reporting a minimal failing
-   (room, tile, shards) triple. *)
+   (room, tile, shards) triple.  It runs on the interpreter: every drawn
+   tile is a new kernel, which native would pass through cc. *)
 let qcheck_tiled_equals_flat =
   let gen =
     QCheck.Gen.(
@@ -566,7 +564,7 @@ let qcheck_tiled_equals_flat =
       let boundary = Hand_kernels.boundary_fd_mm ~precision ~mb:3 in
       let run vol =
         let sim =
-          Gpu_sim.create ~engine:`Jit ~shards ~n_branches:3 ~precision Params.default room
+          Gpu_sim.create ~engine:`Interp ~shards ~n_branches:3 ~precision Params.default room
         in
         let cx, cy, cz = State.centre sim.Gpu_sim.state in
         State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
@@ -589,7 +587,7 @@ let suite =
     Alcotest.test_case "local-memory transpose" `Quick test_local_transpose;
     Alcotest.test_case "group-id addressing" `Quick test_group_id_addressing;
     Alcotest.test_case "u8 storage: wrap, zero-extend, empty binding" `Quick test_u8_storage;
-    Alcotest.test_case "u8 storage mismatch rejected (jit, native)" `Quick test_u8_mismatch;
+    Alcotest.test_case "u8 storage mismatch rejected (native)" `Quick test_u8_mismatch;
     Alcotest.test_case "local race: static leg" `Quick test_local_race_static;
     Alcotest.test_case "local race: dynamic leg" `Quick test_local_race_dynamic;
     Alcotest.test_case "divergent barrier: static leg" `Quick test_divergent_barrier_static;

@@ -2,7 +2,7 @@
 
    1. pure-OCaml references (ports of paper Listings 1-4) against each
       other (fused == two-kernel on a box);
-   2. hand-written kernel ASTs (interpreter and JIT) against references;
+   2. hand-written kernel ASTs (interpreter and native) against references;
    3. Lift-generated kernels against references;
    plus geometry invariants, physical energy behaviour, and the device
    form in which Gpu_sim launches kernels (byte-stored nbrs). *)
@@ -73,7 +73,7 @@ let test_hand_kernels_match_reference () =
           approx_arrays
             (Printf.sprintf "hand FI %s" (Geometry.shape_label shape))
             st_ref.curr st.curr)
-        [ `Jit; `Interp ])
+        [ `Native; `Interp ])
     [ (Geometry.Box, box_dims); (Geometry.Dome, dome_dims) ]
 
 let test_hand_fused_matches_reference () =
@@ -89,7 +89,7 @@ let test_hand_fused_matches_reference () =
     State.rotate st1
   done;
   let kernels = [ Hand_kernels.fused_fi ~precision:Kernel_ast.Cast.Double ] in
-  let st = run_gpu ~engine:`Jit ~steps:15 ~kernels ~fi_beta:beta room in
+  let st = run_gpu ~engine:`Native ~steps:15 ~kernels ~fi_beta:beta room in
   approx_arrays "hand fused FI" st1.curr st.curr
 
 let materials4 = Material.defaults
@@ -115,7 +115,7 @@ let test_fi_mm_hand_and_lift () =
         [ Hand_kernels.volume ~precision:Kernel_ast.Cast.Double;
           Hand_kernels.boundary_fi_mm ~precision:Kernel_ast.Cast.Double ~betas ]
       in
-      let st_h = run_gpu ~engine:`Jit ~steps:20 ~kernels:hand ~fi_beta:0.0 room in
+      let st_h = run_gpu ~engine:`Native ~steps:20 ~kernels:hand ~fi_beta:0.0 room in
       approx_arrays
         (Printf.sprintf "hand FI-MM %s" (Geometry.shape_label shape))
         st_ref.curr st_h.curr;
@@ -136,7 +136,7 @@ let test_fi_mm_hand_and_lift () =
           approx_arrays
             (Printf.sprintf "lift FI-MM %s" (Geometry.shape_label shape))
             st_ref.curr st_l.curr)
-        [ `Jit; `Interp ])
+        [ `Native; `Interp ])
     [ (Geometry.Box, box_dims); (Geometry.Dome, dome_dims); (Geometry.L_shape, box_dims) ]
 
 let run_ref_fd_mm ~steps ~mb room =
@@ -164,7 +164,7 @@ let test_fd_mm_hand_and_lift () =
         [ Hand_kernels.volume ~precision:Kernel_ast.Cast.Double;
           Hand_kernels.boundary_fd_mm ~precision:Kernel_ast.Cast.Double ~mb ]
       in
-      let st_h = run_gpu ~engine:`Jit ~steps:20 ~kernels:hand ~fi_beta:0.0 ~n_branches:mb room in
+      let st_h = run_gpu ~engine:`Native ~steps:20 ~kernels:hand ~fi_beta:0.0 ~n_branches:mb room in
       approx_arrays
         (Printf.sprintf "hand FD-MM %s grid" (Geometry.shape_label shape))
         st_ref.curr st_h.curr;
@@ -180,7 +180,7 @@ let test_fd_mm_hand_and_lift () =
             .Lift.Codegen.kernel;
         ]
       in
-      let st_l = run_gpu ~engine:`Jit ~steps:20 ~kernels:lift_kernels ~fi_beta:0.0 ~n_branches:mb room in
+      let st_l = run_gpu ~engine:`Native ~steps:20 ~kernels:lift_kernels ~fi_beta:0.0 ~n_branches:mb room in
       approx_arrays
         (Printf.sprintf "lift FD-MM %s grid" (Geometry.shape_label shape))
         st_ref.curr st_l.curr;
@@ -209,7 +209,7 @@ let test_fd_mm_ablation_variants () =
           .Lift.Codegen.kernel
       in
       let st =
-        run_gpu ~engine:`Jit ~steps:20 ~kernels:[ volume_k; k ] ~fi_beta:0.0 ~n_branches:mb room
+        run_gpu ~engine:`Native ~steps:20 ~kernels:[ volume_k; k ] ~fi_beta:0.0 ~n_branches:mb room
       in
       approx_arrays (Printf.sprintf "fd-mm variant %s grid" label) st_ref.curr st.curr)
     [
@@ -237,7 +237,7 @@ let test_lift_fused_fi () =
        (Lift_acoustics.Programs.fused_fi ()))
       .Lift.Codegen.kernel
   in
-  let st = run_gpu ~engine:`Jit ~steps:15 ~kernels:[ k ] ~fi_beta:beta room in
+  let st = run_gpu ~engine:`Native ~steps:15 ~kernels:[ k ] ~fi_beta:beta room in
   approx_arrays "lift fused FI" st_ref.curr st.curr
 
 (* Geometry invariants *)
@@ -341,8 +341,8 @@ let test_single_precision () =
     [ Hand_kernels.volume ~precision:Kernel_ast.Cast.Single;
       Hand_kernels.boundary_fi ~precision:Kernel_ast.Cast.Single ]
   in
-  let std = run_gpu ~engine:`Jit ~steps:10 ~kernels:kd ~fi_beta:0.3 room in
-  let sts = run_gpu ~engine:`Jit ~steps:10 ~kernels:ks ~fi_beta:0.3 room in
+  let std = run_gpu ~engine:`Native ~steps:10 ~kernels:kd ~fi_beta:0.3 room in
+  let sts = run_gpu ~engine:`Native ~steps:10 ~kernels:ks ~fi_beta:0.3 room in
   let diff = ref 0. in
   let same = ref true in
   Array.iteri
@@ -375,7 +375,7 @@ let test_device_form () =
   Alcotest.(check bool) "printed as uchar" true
     (Test_util.contains (Kernel_ast.Print.kernel_to_string dev)
        "__global const uchar* restrict nbrs");
-  let sim = Gpu_sim.create ~engine:`Jit params room in
+  let sim = Gpu_sim.create ~engine:`Native params room in
   (match sim.Gpu_sim.nbrs_dev with
   | Vgpu.Buffer.U8 b ->
       Alcotest.(check (array int)) "device copy" room.Geometry.nbrs

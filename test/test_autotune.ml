@@ -153,7 +153,7 @@ let small_dims = Geometry.dims ~nx:10 ~ny:8 ~nz:7
 
 let tune_small ?(use_cache = false) ?clock () =
   let clock = match clock with Some c -> c | None -> fake_clock () in
-  AT.tune ~engine:`Jit ~topk:4 ~warmup:1 ~repeats:3 ~steps:2 ~max_shards:2
+  AT.tune ~engine:`Native ~topk:4 ~warmup:1 ~repeats:3 ~steps:2 ~max_shards:2
     ~clock ~use_cache ~explore_depth:1 ~scheme:"fi" ~shape:Geometry.Box
     ~dims:small_dims ()
 
@@ -224,7 +224,7 @@ let run_plan ~scheme ~precision (plan : PC.plan) =
     else None
   in
   let sim =
-    Gpu_sim.create ~engine:`Jit ?unroll_budget:plan.PC.pl_unroll ?shards ?schedule
+    Gpu_sim.create ~engine:`Native ?unroll_budget:plan.PC.pl_unroll ?shards ?schedule
       ?tblock ~fi_beta:0.1 ~n_branches:3 ~precision Params.default room
   in
   let cx, cy, cz = State.centre sim.Gpu_sim.state in

@@ -393,7 +393,7 @@ let test_lint_host () =
    it is clean; without them the second step reads stale ghost planes. *)
 let test_lint_sharded () =
   let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-  let sim = Gpu_sim.create ~engine:`Jit ~shards:2 ~fi_beta:0.2 ~n_branches:3 params room in
+  let sim = Gpu_sim.create ~engine:`Native ~shards:2 ~fi_beta:0.2 ~n_branches:3 params room in
   let nx, ny, planes = Gpu_sim.slab_geometry sim in
   let slab = { Lift.Lint.sl_nx = nx; sl_ny = ny; sl_planes = planes } in
   let kernels =

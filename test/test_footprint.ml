@@ -185,7 +185,7 @@ let schemes precision =
 let mk_sim ?(schedule = `Seq) ?(tblock = 1) ?(dims = Geometry.dims ~nx:9 ~ny:8 ~nz:12) ~shards ()
     =
   let room = Geometry.build ~n_materials:4 Geometry.Dome dims in
-  Gpu_sim.create ~engine:`Jit ~shards ~schedule ~tblock ~fi_beta:0.1 ~n_branches:3
+  Gpu_sim.create ~engine:`Native ~shards ~schedule ~tblock ~fi_beta:0.1 ~n_branches:3
     ~precision:Cast.Double Params.default room
 
 let slab_of sim =

@@ -83,7 +83,7 @@ let test_listing5 () =
   (* host-program execution *)
   let st = State.create room in
   State.add_impulse st ~x:cx ~y:cy ~z:cz;
-  let rt = Vgpu.Runtime.create ~engine:Vgpu.Runtime.Jit () in
+  let rt = Vgpu.Runtime.create () in
   Vgpu.Runtime.bind rt "nbrs" (Vgpu.Buffer.I room.Geometry.nbrs);
   Vgpu.Runtime.bind rt "prev" (Vgpu.Buffer.F st.prev);
   Vgpu.Runtime.bind rt "curr" (Vgpu.Buffer.F st.curr);
@@ -128,7 +128,7 @@ let test_iterate () =
   (* host plan execution *)
   let st = State.create room in
   State.add_impulse st ~x:cx ~y:cy ~z:cz;
-  let rt = Vgpu.Runtime.create ~engine:Vgpu.Runtime.Jit () in
+  let rt = Vgpu.Runtime.create () in
   Vgpu.Runtime.bind rt "nbrs" (Vgpu.Buffer.I room.Geometry.nbrs);
   Vgpu.Runtime.bind rt "prev" (Vgpu.Buffer.F st.prev);
   Vgpu.Runtime.bind rt "curr" (Vgpu.Buffer.F st.curr);
@@ -243,7 +243,7 @@ let test_sharded_host_program () =
   State.add_impulse st ~x:cx ~y:cy ~z:cz;
   let sstates = Shard.create_states p in
   Shard.scatter p st sstates;
-  let rt = Vgpu.Runtime.create ~engine:Vgpu.Runtime.Jit () in
+  let rt = Vgpu.Runtime.create () in
   Array.iteri
     (fun i (sh : Shard.shard) ->
       let s name = name ^ string_of_int i in

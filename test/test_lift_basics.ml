@@ -10,7 +10,7 @@ let check_floats msg expected actual =
 
 (* Compile a program and run it on the virtual GPU (both engines),
    returning the contents of the named buffer afterwards. *)
-let run_kernel ?(engine = `Jit) (c : Codegen.compiled) ~(buffers : (string * Vgpu.Buffer.t) list)
+let run_kernel ?(engine = `Native) (c : Codegen.compiled) ~(buffers : (string * Vgpu.Buffer.t) list)
     ~(ints : (string * int) list) =
   let k = c.Codegen.kernel in
   let lookup_int name =
@@ -40,7 +40,7 @@ let run_kernel ?(engine = `Jit) (c : Codegen.compiled) ~(buffers : (string * Vgp
       k.global_size
   in
   match engine with
-  | `Jit -> Vgpu.Jit.launch (Vgpu.Jit.compile k) ~args ~global
+  | `Native -> Vgpu.Native.launch (Vgpu.Native.compile k) ~args ~global
   | `Interp -> Vgpu.Exec.launch k ~args ~global
 
 let vec_ty = Ty.array Ty.real n_var
@@ -69,7 +69,7 @@ let test_map_add1 () =
         ~buffers:[ ("a", Vgpu.Buffer.F (Array.copy input)); ("out", Vgpu.Buffer.F out) ]
         ~ints:[ ("N", 5) ];
       check_floats "compiled" expected out)
-    [ `Jit; `Interp ]
+    [ `Native; `Interp ]
 
 (* zip + map: c[i] = a[i] + b[i] (the paper's §III-A example) *)
 let test_zip_add () =
@@ -129,7 +129,7 @@ let test_stencil_1d () =
         ~buffers:[ ("a", Vgpu.Buffer.F input); ("out", Vgpu.Buffer.F out) ]
         ~ints:[ ("N", 5) ];
       check_floats "compiled" expected out)
-    [ `Jit; `Interp ]
+    [ `Native; `Interp ]
 
 (* In-place static write through Concat/Skip (paper §IV, Table I). *)
 let test_inplace_static () =
@@ -197,7 +197,7 @@ let test_inplace_scatter_dynamic () =
         ~buffers:[ ("input", Vgpu.Buffer.F buf); ("indices", Vgpu.Buffer.I indices) ]
         ~ints:[ ("N", 6); ("nB", 3) ];
       check_floats "compiled in-place scatter" expected buf)
-    [ `Jit; `Interp ]
+    [ `Native; `Interp ]
 
 let suite =
   [

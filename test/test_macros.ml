@@ -124,7 +124,7 @@ let test_slide2_compiled () =
         | _ -> Alcotest.failf "unexpected param %s" p.p_name)
       c.Codegen.kernel.Kernel_ast.Cast.params
   in
-  Vgpu.Jit.launch (Vgpu.Jit.compile c.Codegen.kernel) ~args ~global:[ m - 2; n - 2 ];
+  Vgpu.Exec.launch c.Codegen.kernel ~args ~global:[ m - 2; n - 2 ];
   for y = 0 to n - 3 do
     for x = 0 to m - 3 do
       let expected = ref 0. in
@@ -161,7 +161,6 @@ let test_fused_fi_3d () =
     Lift_acoustics.Programs.compile ~name:"fused_fi_3d" ~precision:Kernel_ast.Cast.Double
       (Lift_acoustics.Programs.fused_fi_3d ())
   in
-  let compiled = Vgpu.Jit.compile c.Lift.Codegen.kernel in
   let launch prev curr next =
     let args =
       List.map
@@ -179,7 +178,7 @@ let test_fused_fi_3d () =
           | _ -> Alcotest.failf "unexpected param %s" p.Kernel_ast.Cast.p_name)
         c.Lift.Codegen.kernel.Kernel_ast.Cast.params
     in
-    Vgpu.Jit.launch compiled ~args ~global:[ nx2; ny2; nz2 ]
+    Vgpu.Exec.launch c.Lift.Codegen.kernel ~args ~global:[ nx2; ny2; nz2 ]
   in
   let prev = ref li_prev and curr = ref li_curr and next = ref li_next in
   for _ = 1 to 12 do

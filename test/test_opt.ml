@@ -1,15 +1,15 @@
 (* The kernel-AST optimizer pipeline (Kernel_ast.Opt).
 
    Three layers of validation:
-   - property: on random well-typed kernels (the test_jit generator),
-     the optimized kernel produces bit-identical buffers to the raw one
-     under both the interpreter and the JIT;
+   - property: on random well-typed kernels ({!Gen_kernel}), the
+     optimized kernel produces bit-identical buffers to the raw one on
+     the interpreter, and so does the expression simplifier;
    - units: each pass observed in isolation — CSE temporary types and
      counts, constant-trip unrolling, LICM, strength reduction guards,
      dead-code elimination;
    - schemes: full FI / FI-MM / FD-MM simulations with the runtime
-     optimizer off vs on, across every engine (interp, jit,
-     jit-parallel, 2-shard jit) and both precisions, compared
+     optimizer off vs on, across every engine (interp, native,
+     2-shard native) and both precisions, compared
      bit-for-bit — the invariant that makes the optimizer free to
      enable by default. *)
 
@@ -25,22 +25,27 @@ let bits_eq a b =
 
 let qcheck_opt_preserves =
   QCheck.Test.make ~name:"optimized kernel bit-identical on random kernels" ~count:300
-    Test_jit.arb_kernel (fun k ->
+    Gen_kernel.arb_kernel (fun k ->
       let opt, _report = Kernel_ast.Opt.optimize k in
-      let raw_interp, raw_jit = Test_jit.run_both k in
-      let opt_interp, opt_jit = Test_jit.run_both opt in
-      bits_eq raw_interp opt_interp && bits_eq raw_jit opt_jit)
+      bits_eq (Gen_kernel.run_interp k) (Gen_kernel.run_interp opt))
 
 (* Optimizing twice is safe: the second round must also preserve results
    (idempotence in effect, per the mli contract). *)
 let qcheck_opt_twice =
   QCheck.Test.make ~name:"re-optimizing an optimized kernel is safe" ~count:100
-    Test_jit.arb_kernel (fun k ->
+    Gen_kernel.arb_kernel (fun k ->
       let opt1, _ = Kernel_ast.Opt.optimize k in
       let opt2, _ = Kernel_ast.Opt.optimize opt1 in
-      let o1, j1 = Test_jit.run_both opt1 in
-      let o2, j2 = Test_jit.run_both opt2 in
-      bits_eq o1 o2 && bits_eq j1 j2)
+      bits_eq (Gen_kernel.run_interp opt1) (Gen_kernel.run_interp opt2))
+
+(* Simplification must not change kernel results either. *)
+let qcheck_simplify_kernel =
+  QCheck.Test.make ~name:"simplify_kernel preserves results" ~count:200 Gen_kernel.arb_kernel
+    (fun k ->
+      Array.for_all2
+        (fun a b -> (Float.is_nan a && Float.is_nan b) || Float.abs (a -. b) <= 1e-12)
+        (Gen_kernel.run_interp k)
+        (Gen_kernel.run_interp (simplify_kernel k)))
 
 (* -- Units ------------------------------------------------------------ *)
 
@@ -50,7 +55,7 @@ let run_kernel launch k =
   out
 
 let interp k args = Vgpu.Exec.launch k ~args ~global:[ 1 ]
-let jit k args = Vgpu.Jit.launch (Vgpu.Jit.compile k) ~args ~global:[ 1 ]
+let native k args = Vgpu.Native.launch (Vgpu.Native.compile k) ~args ~global:[ 1 ]
 
 (* A constant-trip loop declaring a body-local: unrolling must splice
    alpha-renamed copies, fold the literal index, and keep the result
@@ -86,7 +91,8 @@ let test_unroll_constant_trip () =
   Alcotest.(check bool) "no loop remains" false (has_for opt.body);
   Alcotest.(check bool) "interp matches" true
     (bits_eq (run_kernel interp k) (run_kernel interp opt));
-  Alcotest.(check bool) "jit matches" true (bits_eq (run_kernel jit k) (run_kernel jit opt))
+  Alcotest.(check bool) "native matches" true
+    (bits_eq (run_kernel native k) (run_kernel native opt))
 
 (* A loop whose bound is a scalar parameter stays a loop, but the
    invariant expression inside it moves out. *)
@@ -126,7 +132,7 @@ let test_licm_hoists_invariant () =
     out
   in
   Alcotest.(check bool) "interp matches" true (bits_eq (run interp k) (run interp opt));
-  Alcotest.(check bool) "jit matches" true (bits_eq (run jit k) (run jit opt))
+  Alcotest.(check bool) "native matches" true (bits_eq (run native k) (run native opt))
 
 (* Strength reduction: gated on the syntactic non-negativity proof for
    ints, and on exact powers of two for reals. *)
@@ -185,10 +191,11 @@ let test_strength_reduction_runtime () =
     out
   in
   let interp_n k args = Vgpu.Exec.launch k ~args ~global:[ n ] in
-  let jit_n k args = Vgpu.Jit.launch (Vgpu.Jit.compile k) ~args ~global:[ n ] in
+  let native_n k args = Vgpu.Native.launch (Vgpu.Native.compile k) ~args ~global:[ n ] in
   Alcotest.(check bool) "interp matches" true
     (bits_eq (run interp_n raw) (run interp_n opt));
-  Alcotest.(check bool) "jit matches" true (bits_eq (run jit_n raw) (run jit_n opt))
+  Alcotest.(check bool) "native matches" true
+    (bits_eq (run native_n raw) (run native_n opt))
 
 (* Dead locals disappear, including chains (an initialiser being the
    only reader of another local). *)
@@ -296,9 +303,8 @@ let test_schemes_bit_identical () =
               check_state msg a.Gpu_sim.state b.Gpu_sim.state)
             [
               ("interp", `Interp, None);
-              ("jit", `Jit, None);
-              ("jit-parallel", `Jit_parallel 2, None);
-              ("jit 2-shard", `Jit, Some 2);
+              ("native", `Native, None);
+              ("native 2-shard", `Native, Some 2);
             ])
         [ Double; Single ])
     [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
@@ -307,7 +313,7 @@ let test_schemes_bit_identical () =
 
 let test_stats_report_per_kernel () =
   let kernels = lift_kernels `Fd_mm Double in
-  let sim = run ~optimize:true ~engine:`Jit ~precision:Double ~kernels () in
+  let sim = run ~optimize:true ~engine:`Native ~precision:Double ~kernels () in
   let s = Gpu_sim.stats sim in
   (match List.assoc_opt "boundary_fd_mm" s.Vgpu.Runtime.per_kernel with
   | None -> Alcotest.fail "no per-kernel stats for boundary_fd_mm"
@@ -318,13 +324,13 @@ let test_stats_report_per_kernel () =
           Alcotest.(check bool) "cse counted" true (r.Kernel_ast.Opt.cse_fired > 0);
           Alcotest.(check bool) "unroll counted" true (r.Kernel_ast.Opt.unrolled > 0)));
   (* sharded runs merge the per-device reports: still present once *)
-  let sharded = run ~optimize:true ~shards:2 ~engine:`Jit ~precision:Double ~kernels () in
+  let sharded = run ~optimize:true ~shards:2 ~engine:`Native ~precision:Double ~kernels () in
   let ss = Gpu_sim.stats sharded in
   (match List.assoc_opt "boundary_fd_mm" ss.Vgpu.Runtime.per_kernel with
   | Some { Vgpu.Runtime.k_opt = Some _; _ } -> ()
   | _ -> Alcotest.fail "sharded stats lost the optimizer report");
   (* optimizer off: no report *)
-  let off = run ~optimize:false ~engine:`Jit ~precision:Double ~kernels () in
+  let off = run ~optimize:false ~engine:`Native ~precision:Double ~kernels () in
   match List.assoc_opt "boundary_fd_mm" (Gpu_sim.stats off).Vgpu.Runtime.per_kernel with
   | Some { Vgpu.Runtime.k_opt = None; _ } -> ()
   | _ -> Alcotest.fail "optimizer off must record no report"
@@ -333,6 +339,7 @@ let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_opt_preserves;
     QCheck_alcotest.to_alcotest qcheck_opt_twice;
+    QCheck_alcotest.to_alcotest qcheck_simplify_kernel;
     Alcotest.test_case "constant-trip loops unroll" `Quick test_unroll_constant_trip;
     Alcotest.test_case "LICM hoists invariants" `Quick test_licm_hoists_invariant;
     Alcotest.test_case "strength reduction guards" `Quick test_strength_reduction_guards;

@@ -3,7 +3,7 @@
 
    - Bit-identity: the real pipelined [`Overlap] schedule and the
      deterministic replay ([Gpu_sim.step_overlap_with], first-ready and
-     last-ready picks) both reproduce the single-device JIT grid
+     last-ready picks) both reproduce the single-device native grid
      bit-for-bit, for the three schemes and the 2.5D-tiled FI volume
      kernel (whose launches write the ghost planes an exchange fills); a
      qcheck property drives the replay through *random* legal queue
@@ -29,7 +29,7 @@
 
    - The optimizer gate behind the trajectory bench: kernels the
      pipeline cannot improve come back physically identical ([==]), so
-     raw and optimized runs share JIT caches; FD-MM still unrolls. *)
+     raw and optimized runs share kernel caches; FD-MM still unrolls. *)
 
 open Kernel_ast
 open Acoustics
@@ -57,7 +57,7 @@ let schemes = [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm); ("tiled fi", 
 let make ?shards ?schedule ?(precision = Cast.Double) () =
   let room = Geometry.build ~n_materials:4 Geometry.Box dims in
   let sim =
-    Gpu_sim.create ~engine:`Jit ?shards ?schedule ~precision ~fi_beta:0.2 ~n_branches:3
+    Gpu_sim.create ~engine:`Native ?shards ?schedule ~precision ~fi_beta:0.2 ~n_branches:3
       params room
   in
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
@@ -203,7 +203,7 @@ let test_wait_drops_rejected_or_harmless () =
       List.iter
         (fun (shards, tblock) ->
           let sim =
-            Gpu_sim.create ~engine:`Jit ~shards ~schedule:`Overlap ~tblock ~fi_beta:0.1
+            Gpu_sim.create ~engine:`Native ~shards ~schedule:`Overlap ~tblock ~fi_beta:0.1
               ~n_branches:3 params room
           in
           let cx, cy, cz = State.centre sim.Gpu_sim.state in

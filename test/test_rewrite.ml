@@ -145,7 +145,7 @@ let qcheck_rewrite_compile_agree =
             | _ -> failwith "unexpected param")
           c.Codegen.kernel.Kernel_ast.Cast.params
       in
-      Vgpu.Jit.launch (Vgpu.Jit.compile c.Codegen.kernel) ~args ~global:[ 6 ];
+      Vgpu.Exec.launch c.Codegen.kernel ~args ~global:[ 6 ];
       Array.for_all2 (fun a b -> Float.abs (a -. b) < 1e-12) expected out)
 
 let suite =

@@ -21,7 +21,7 @@ let double_kernel =
   }
 
 let test_runtime_plan () =
-  let rt = Vgpu.Runtime.create ~engine:Vgpu.Runtime.Jit () in
+  let rt = Vgpu.Runtime.create () in
   let data = [| 1.; 2.; 3.; 4. |] in
   Vgpu.Runtime.bind rt "a" (Vgpu.Buffer.F data);
   let plan : Vgpu.Runtime.plan =

@@ -3,7 +3,7 @@
    Differential tests: the three paper workloads (FI as volume +
    boundary_fi, FI-MM, FD-MM) run for 10 time steps under 1/2/3/4
    shards, in both precisions, against the single-device interpreter and
-   JIT; every grid and boundary-state array must match bit-for-bit —
+   native engine; every grid and boundary-state array must match bit-for-bit —
    the invariant that makes the decomposition unobservable.  (FI uses
    the two-kernel nbrs-driven form here: the fused Listing-1 kernel
    derives its boundary mask from global coordinates, which is only
@@ -58,7 +58,7 @@ let check_state msg (a : State.t) (b : State.t) =
   Test_util.check_bits (msg ^ " vel") a.State.vel_prev b.State.vel_prev
 
 (* FI / FI-MM / FD-MM, 1-4 shards, both precisions, vs the single-device
-   interpreter and JIT. *)
+   interpreter and native engine. *)
 let test_sharded_bit_identical () =
   List.iter
     (fun (scheme_label, scheme) ->
@@ -68,11 +68,11 @@ let test_sharded_bit_identical () =
           let references =
             List.map
               (fun (l, engine) -> (l, (run ~engine ~kernels ()).Gpu_sim.state))
-              [ ("interp", `Interp); ("jit", `Jit) ]
+              [ ("interp", `Interp); ("native", `Native) ]
           in
           List.iter
             (fun shards ->
-              let sharded = run ~shards ~engine:`Jit ~kernels () in
+              let sharded = run ~shards ~engine:`Native ~kernels () in
               Alcotest.(check int)
                 (Printf.sprintf "%s: %d shards materialised" scheme_label shards)
                 shards
@@ -90,18 +90,18 @@ let test_sharded_bit_identical () =
         [ Double; Single ])
     [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
 
-(* The sharded interpreter engine must agree with the sharded JIT too. *)
-let test_sharded_interp_matches_jit () =
+(* The sharded interpreter engine must agree with sharded native too. *)
+let test_sharded_interp_matches_native () =
   let kernels = kernels_of `Fd_mm Double in
   let a = run ~shards:3 ~engine:`Interp ~kernels () in
-  let b = run ~shards:3 ~engine:`Jit ~kernels () in
-  check_state "fd-mm sharded interp vs jit" a.Gpu_sim.state b.Gpu_sim.state
+  let b = run ~shards:3 ~engine:`Native ~kernels () in
+  check_state "fd-mm sharded interp vs native" a.Gpu_sim.state b.Gpu_sim.state
 
 (* [Gpu_sim.read] must address the owning shard without a gather. *)
 let test_read_addresses_owner () =
   let kernels = kernels_of `Fi Double in
-  let single = run ~engine:`Jit ~kernels () in
-  let sharded = run ~shards:4 ~engine:`Jit ~kernels () in
+  let single = run ~engine:`Native ~kernels () in
+  let sharded = run ~shards:4 ~engine:`Native ~kernels () in
   let { Geometry.nx; ny; nz } = dims in
   for z = 0 to nz - 1 do
     for y = 0 to ny - 1 do
@@ -196,7 +196,7 @@ let halo_steps_bytes ~precision ~shards =
 let test_stats_scale_with_shards () =
   let shards = 3 in
   let kernels = kernels_of `Fi Double in
-  let sim = run ~shards ~engine:`Jit ~kernels () in
+  let sim = run ~shards ~engine:`Native ~kernels () in
   let s = Gpu_sim.stats sim in
   Alcotest.(check int) "total launches" (steps * shards * 2) s.Vgpu.Runtime.s_launches;
   List.iter
@@ -224,7 +224,7 @@ let test_halo_bytes_at_precision () =
           let kernels = kernels_of `Fi precision in
           let room = Geometry.build ~n_materials:4 Geometry.Box dims in
           let sim =
-            Gpu_sim.create ~engine:`Jit ~shards ~precision ~fi_beta:0.2 ~n_branches:3
+            Gpu_sim.create ~engine:`Native ~shards ~precision ~fi_beta:0.2 ~n_branches:3
               params room
           in
           for _ = 1 to steps do
@@ -268,7 +268,7 @@ let test_plan_is_what_step_runs () =
                 (fun schedule ->
                   let mk () =
                     let sim =
-                      Gpu_sim.create ~engine:`Jit ~shards ~schedule ~tblock ~fi_beta:0.1
+                      Gpu_sim.create ~engine:`Native ~shards ~schedule ~tblock ~fi_beta:0.1
                         ~n_branches:3 params room
                     in
                     let cx, cy, cz = State.centre sim.Gpu_sim.state in
@@ -313,9 +313,9 @@ let test_plan_is_what_step_runs () =
    reaches the shards. *)
 let test_early_sync_keeps_impulses () =
   let kernels = kernels_of `Fi Double in
-  let reference = run ~engine:`Jit ~kernels () in
+  let reference = run ~engine:`Native ~kernels () in
   let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-  let sim = Gpu_sim.create ~engine:`Jit ~shards:2 ~fi_beta:0.2 ~n_branches:3 params room in
+  let sim = Gpu_sim.create ~engine:`Native ~shards:2 ~fi_beta:0.2 ~n_branches:3 params room in
   Gpu_sim.sync sim;
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
   State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
@@ -329,8 +329,8 @@ let suite =
   [
     Alcotest.test_case "FI/FI-MM/FD-MM bit-identical under 1-4 shards" `Slow
       test_sharded_bit_identical;
-    Alcotest.test_case "sharded interp == sharded jit" `Quick
-      test_sharded_interp_matches_jit;
+    Alcotest.test_case "sharded interp == sharded native" `Quick
+      test_sharded_interp_matches_native;
     Alcotest.test_case "read addresses the owning shard" `Quick test_read_addresses_owner;
     QCheck_alcotest.to_alcotest qcheck_partition_covers;
     QCheck_alcotest.to_alcotest qcheck_exchange_round_trip;

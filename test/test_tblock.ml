@@ -31,7 +31,7 @@ let kernels_of scheme precision =
   | `Fd_mm ->
       [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]
 
-let run ?shards ?schedule ?tblock ?(steps = 10) ?(engine = `Jit) ?precision ~kernels () =
+let run ?shards ?schedule ?tblock ?(steps = 10) ?(engine = `Native) ?precision ~kernels () =
   let room = Geometry.build ~n_materials:4 Geometry.Box dims in
   let sim =
     Gpu_sim.create ~engine ?shards ?schedule ?precision ?tblock ~fi_beta:0.2
@@ -64,7 +64,7 @@ let check_state msg (a : State.t) (b : State.t) =
   Test_util.check_bits (msg ^ " vel") a.State.vel_prev b.State.vel_prev
 
 (* FI / FI-MM / FD-MM, both precisions, 2/4 shards, T = 2..4 (clamped to
-   the thinnest slab where needed), vs the single-device JIT. *)
+   the thinnest slab where needed), vs the single-device native run. *)
 let test_blocked_bit_identical () =
   List.iter
     (fun (scheme_label, scheme) ->
@@ -105,7 +105,7 @@ let test_blocked_schedules_agree () =
         [ 2; 3 ])
     [ ("seq", `Seq); ("concurrent", `Concurrent); ("overlap", `Overlap) ]
 
-(* All four engines produce the same blocked result. *)
+(* Both engines produce the same blocked result. *)
 let test_blocked_engines_agree () =
   let kernels = kernels_of `Fd_mm Double in
   let reference = (run ~kernels ()).Gpu_sim.state in
@@ -115,8 +115,6 @@ let test_blocked_engines_agree () =
       check_state ("fd-mm blocked " ^ engine_label) reference sim.Gpu_sim.state)
     [
       ("interp", `Interp);
-      ("jit", `Jit);
-      ("jit-parallel", `Jit_parallel 2);
       ("native", `Native);
     ]
 
@@ -200,7 +198,7 @@ let test_blocked_stats_profile () =
 
 let mk_plan_sim ?(schedule = `Seq) ~shards ~tblock () =
   let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-  Gpu_sim.create ~engine:`Jit ~shards ~schedule ~tblock ~fi_beta:0.2
+  Gpu_sim.create ~engine:`Native ~shards ~schedule ~tblock ~fi_beta:0.2
     ~n_branches:3 Params.default room
 
 let slab_of sim =

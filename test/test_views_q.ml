@@ -128,7 +128,7 @@ let qcheck_chain_compile_matches_eval =
                 | None -> failwith ("unexpected param " ^ other)))
           c.Codegen.kernel.Kernel_ast.Cast.params
       in
-      Vgpu.Jit.launch (Vgpu.Jit.compile c.Codegen.kernel) ~args ~global:[ len ];
+      Vgpu.Exec.launch c.Codegen.kernel ~args ~global:[ len ];
       Array.for_all2 (fun x y -> Float.abs (x -. y) <= 1e-10 *. (1. +. Float.abs x)) expected out)
 
 let suite = [ QCheck_alcotest.to_alcotest qcheck_chain_compile_matches_eval ]
