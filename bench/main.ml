@@ -377,14 +377,14 @@ let run_opt_trajectory ~json_file ~smoke () =
 
 (* Asynchronous per-device command queues: the sequential schedule vs
    the overlapped one, compared in *virtual device time*.  On this
-   single-host simulator the queues advance per-device virtual clocks —
-   a launch costs its measured wall duration, a halo exchange costs
-   bytes / 12 GB/s of link time — so the sequential cost of a step
-   interval is the sum of every device's kernel time plus the modelled
-   halo transfer (nothing hidden), while the overlapped cost is the
-   critical path across the queues ({!Vgpu.Queue} vclocks): frontier
-   waits on last step's halo, interior compute hides the transfer, and
-   steps pipeline.  Both schedules are bit-for-bit identical; identity
+   single-host simulator [Vgpu.Multi.run_async] advances per-device
+   virtual clocks — a launch costs its timed kernel window, a halo
+   exchange costs bytes / 12 GB/s of link time — so the sequential cost
+   of a step interval is the sum of every device's kernel time plus the
+   modelled halo transfer (nothing hidden), while the overlapped cost is
+   the critical path across the device clocks: frontier waits on last
+   step's halo, interior compute hides the transfer, and steps
+   pipeline.  Both schedules are bit-for-bit identical; identity
    is re-checked here against a single-device reference, in double for
    every row and in single precision at 2 shards. *)
 let run_overlap_bench ~json_file ~opt_rows ~smoke () =

@@ -730,7 +730,7 @@ let tune_result_json (r : Harness.Autotune.result) =
   Buffer.contents b
 
 let cmd_tune shape scheme nx ny nz engine json smoke no_cache model max_shards topk
-    repeats steps warmup tune_domains explore_depth =
+    repeats steps warmup explore_depth =
   if model then cmd_tune_model shape scheme
   else begin
     (* --smoke: a small room and short measurement intervals — enough to
@@ -741,8 +741,7 @@ let cmd_tune shape scheme nx ny nz engine json smoke no_cache model max_shards t
     in
     let r =
       Harness.Autotune.tune ~engine ~topk ~warmup ~repeats ~steps ~max_shards
-        ~domains:tune_domains ~use_cache:(not no_cache) ~explore_depth ~scheme
-        ~shape ~dims ()
+        ~use_cache:(not no_cache) ~explore_depth ~scheme ~shape ~dims ()
     in
     if json then print_string (tune_result_json r)
     else begin
@@ -840,9 +839,10 @@ let simulate_cmd =
       value & flag
       & info [ "overlap" ]
           ~doc:
-            "sharded runs: per-device async command queues with interior/frontier split \
-             — halo exchanges overlap interior compute and steps pipeline (bit-identical \
-             results; falls back to the sequential schedule under --sanitize)")
+            "sharded runs: per-device in-order queues with an interior/frontier split, \
+             executed on the host thread — on the virtual timeline halo exchanges overlap \
+             interior compute and steps pipeline (bit-identical results; --stats reports \
+             the critical path; combines with --sanitize)")
   in
   let no_overlap =
     Arg.(
@@ -978,12 +978,6 @@ let tune_cmd =
   in
   let steps = Arg.(value & opt int 20 & info [ "steps" ] ~doc:"simulation steps per interval") in
   let warmup = Arg.(value & opt int 2 & info [ "warmup" ] ~doc:"untimed warmup steps") in
-  let tune_domains =
-    Arg.(
-      value & opt int 1
-      & info [ "tune-domains" ]
-          ~doc:"measure candidates in parallel over this many OCaml domains")
-  in
   let explore_depth =
     Arg.(
       value & opt int 2
@@ -998,7 +992,7 @@ let tune_cmd =
           replays the winner)")
     Term.(
       const cmd_tune $ shape $ scheme $ nx $ ny $ nz $ engine $ json $ smoke $ no_cache
-      $ model $ max_shards $ topk $ repeats $ steps $ warmup $ tune_domains $ explore_depth)
+      $ model $ max_shards $ topk $ repeats $ steps $ warmup $ explore_depth)
 
 let emit_c_cmd =
   Cmd.v

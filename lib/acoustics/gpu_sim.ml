@@ -48,11 +48,12 @@ type engine =
    - [`Seq]: in list order on the host thread;
    - [`Concurrent]: each device's launches through the domain pool,
      then the exchanges and swaps on the host — a per-step barrier;
-   - [`Overlap]: per-device {!Vgpu.Queue} command queues with event
-     dependencies — the volume kernel splits into interior + frontier
-     launches so halo exchanges overlap interior compute, and steps
-     pipeline (no per-step barrier; draining happens on [sync]/[read]/
-     stats access).  All three are bit-for-bit identical. *)
+   - [`Overlap]: per-device in-order queues with event dependencies,
+     run by {!Vgpu.Multi.run_async} on the host thread — the volume
+     kernel splits into interior + frontier launches so halo exchanges
+     overlap interior compute on the virtual timeline, and steps
+     pipeline there (a step's frontier waits on the previous step's
+     exchange stamps).  All three are bit-for-bit identical. *)
 type schedule = [ `Seq | `Concurrent | `Overlap ]
 
 type backend =
@@ -68,9 +69,9 @@ type backend =
       incs : (int list * int list) array;
           (* per device: events of the previous block's exchanges into its
              (bottom, top) ghost zone — the block-start launches' waits *)
-      mutable imports : (int * Vgpu.Queue.event) list;
-          (* [`Overlap]: events exported by the last submit, imported by
-             the next *)
+      mutable imports : (int * float) list;
+          (* the events the last overlapped step signalled, with their
+             virtual-time stamps, for the next step's waits *)
       mutable launch_ops :
         ((Kernel_ast.Cast.kernel * bool) * (Shard.range_kind option * Vgpu.Multi.op) list array)
         list;
@@ -147,16 +148,7 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
     | Some n ->
         let plan = Shard.plan ~n_branches ~halo:tblock ~shards:n room in
         let devices = Shard.n_shards plan in
-        let schedule =
-          match schedule with
-          | Some `Overlap when sanitize ->
-              (* checked execution needs deterministic scheduling
-                 (Multi.submit_async refuses sanitizers); fall back to
-                 the sequential schedule, which sanitizes fine *)
-              `Seq
-          | Some s -> s
-          | None -> `Concurrent
-        in
+        let schedule = Option.value schedule ~default:`Concurrent in
         let multi =
           Vgpu.Multi.create ~engine:re ~optimize ?unroll_budget ~precision ?verify ~sanitize
             ~devices ()
@@ -374,13 +366,6 @@ let block_exchange_plan (p : Shard.plan) ~tblock ~has_state : Vgpu.Multi.plan =
        Shard.state_exchange_ops p ~buffer:"g1" @ Shard.state_exchange_ops p ~buffer:"v1"
      else [])
 
-(* Drain this simulation's device queues (no-op when none were used);
-   every host-side observation of sharded state goes through here. *)
-let drain t =
-  match t.backend with
-  | Single _ -> ()
-  | Sharded s -> Vgpu.Multi.finish_async s.multi
-
 (* The ops of one sharded time step at block position [bpos] (0..T-1):
    the only place a sharded step is encoded.  Every schedule executes
    these values and {!plan} returns them for analysis.
@@ -574,10 +559,28 @@ let launch t (k : kernel) =
       launch_on rt ~int_scalar:(scalar_int t) ~real_scalar:(scalar_real t)
         ~buf:(buffer t) k
   | Sharded s ->
-      drain t;
       ensure_scattered t;
       Array.iter (fun sh -> Vgpu.Multi.run_op s.multi (shard_launch t sh k)) s.plan.Shard.shards;
       t.launches <- t.launches + Shard.n_shards s.plan
+
+(* One overlapped time step: the split plan, run by [Multi.run_async]
+   in the interleaving [pick] chooses (first ready by default).  The
+   block-start launches wait on the events in [incs], each stamped as
+   the executor recorded it, or 0 when the step that signalled it ran
+   under another schedule — that step completed, so its events count as
+   fired. *)
+let step_overlap_with ?pick t (kernels : kernel list) =
+  match t.backend with
+  | Single _ -> invalid_arg "gpu_sim: step_overlap_with needs a sharded backend"
+  | Sharded s ->
+      let kernels = device_kernels t kernels in
+      ensure_scattered t;
+      let stamp id = (id, Option.value (List.assoc_opt id s.imports) ~default:0.) in
+      let imports =
+        Array.fold_left (fun acc (lo, hi) -> List.map stamp (lo @ hi) @ acc) [] s.incs
+      in
+      let ops = next_step_ops t ~split:true kernels in
+      s.imports <- Vgpu.Multi.run_async ~imports ?pick s.multi ops
 
 (* One time step.  Single device: run each kernel in order, then rotate
    the buffers.  Sharded: build the step's plan and execute it under the
@@ -588,49 +591,32 @@ let step t (kernels : kernel list) =
       List.iter (launch t) kernels;
       State.rotate t.state
   | Sharded s -> (
-      (* device forms are resolved here, on the calling domain, before
-         any shard runs *)
-      let kernels = device_kernels t kernels in
-      ensure_scattered t;
-      let ops = next_step_ops t ~split:(s.schedule = `Overlap) kernels in
-      let run (o : Vgpu.Multi.async_op) = Vgpu.Multi.run_op s.multi o.Vgpu.Multi.a_op in
       match s.schedule with
-      | `Seq -> List.iter run ops
-      | `Concurrent ->
-          (* the step's launches precede its exchanges and swaps: run each
-             device's through the pool, then the rest on this domain *)
-          let n = Shard.n_shards s.plan in
-          let launches, rest = List.partition is_launch ops in
-          let run_device i =
-            List.iter
-              (fun (o : Vgpu.Multi.async_op) ->
-                match o.Vgpu.Multi.a_op with
-                | Vgpu.Multi.Dev (d, _) when d = i -> run o
-                | _ -> ())
-              launches
-          in
-          if n > 1 then Vgpu.Pool.run Vgpu.Pool.global ~n run_device else List.iter run launches;
-          List.iter run rest
-      | `Overlap ->
-          (* only the latest exchange events are ever waited on, so the
-             fresh exports replace the previous step's imports *)
-          s.imports <- Vgpu.Multi.submit_async ~imports:s.imports s.multi ops)
-
-(* One overlapped time step replayed deterministically on the calling
-   domain: the same plan as [`Overlap] builds, executed in the legal
-   queue interleaving chosen by [pick] (see {!Vgpu.Multi.run_async_with}).
-   Every earlier step has run to completion, so the carried exchange
-   events count as fired.  Works with sanitizers; independent of the
-   simulation's configured schedule (do not mix with [`Overlap] steps on
-   the same simulation). *)
-let step_overlap_with ?pick t (kernels : kernel list) =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: step_overlap_with needs a sharded backend"
-  | Sharded s ->
-      let kernels = device_kernels t kernels in
-      ensure_scattered t;
-      let imports = Array.fold_left (fun acc (lo, hi) -> lo @ hi @ acc) [] s.incs in
-      Vgpu.Multi.run_async_with ~imports ?pick s.multi (next_step_ops t ~split:true kernels)
+      | `Overlap -> step_overlap_with t kernels
+      | (`Seq | `Concurrent) as schedule -> (
+          (* device forms are resolved here, on the calling domain, before
+             any shard runs *)
+          let kernels = device_kernels t kernels in
+          ensure_scattered t;
+          let ops = next_step_ops t ~split:false kernels in
+          let run (o : Vgpu.Multi.async_op) = Vgpu.Multi.run_op s.multi o.Vgpu.Multi.a_op in
+          match schedule with
+          | `Seq -> List.iter run ops
+          | `Concurrent ->
+              (* the step's launches precede its exchanges and swaps: run each
+                 device's through the pool, then the rest on this domain *)
+              let n = Shard.n_shards s.plan in
+              let launches, rest = List.partition is_launch ops in
+              let run_device i =
+                List.iter
+                  (fun (o : Vgpu.Multi.async_op) ->
+                    match o.Vgpu.Multi.a_op with
+                    | Vgpu.Multi.Dev (d, _) when d = i -> run o
+                    | _ -> ())
+                  launches
+              in
+              if n > 1 then Vgpu.Pool.run Vgpu.Pool.global ~n run_device else List.iter run launches;
+              List.iter run rest))
 
 (* Slab geometry of the sharded backend, for the flow verifier. *)
 let slab_geometry t =
@@ -646,14 +632,12 @@ let slab_geometry t =
    a single device, where [state] is live, and before the first step,
    when [state] still holds the only copy). *)
 let sync t =
-  drain t;
   match t.backend with
   | Single _ -> ()
   | Sharded s -> if s.scattered then Shard.gather s.plan (bound_states s.multi s.plan) t.state
 
 (* Read the current field at a grid point, wherever it lives. *)
 let read t ~x ~y ~z =
-  drain t;
   match t.backend with
   | Sharded s when s.scattered ->
       let sh = Shard.owner s.plan ~z in
@@ -663,7 +647,6 @@ let read t ~x ~y ~z =
   | Single _ | Sharded _ -> State.read t.state ~x ~y ~z
 
 let stats t =
-  drain t;
   match t.backend with
   | Single rt -> Vgpu.Runtime.stats rt
   | Sharded s -> Vgpu.Multi.stats s.multi
@@ -694,21 +677,18 @@ let check_env t =
   Kernel_ast.Check.env ~param_value ~buffer_elems ()
 
 let per_shard_stats t =
-  drain t;
   match t.backend with
   | Single rt -> [ (0, Vgpu.Runtime.stats rt) ]
   | Sharded s -> Vgpu.Multi.per_device_stats s.multi
 
 let pp_stats ppf t =
-  drain t;
   match t.backend with
   | Single rt -> Vgpu.Runtime.pp_stats ppf (Vgpu.Runtime.stats rt)
   | Sharded s -> Vgpu.Multi.pp_stats ppf s.multi
 
-(* Drain, then zero the launch/transfer counters and re-align the queue
+(* Zero the launch/transfer counters and align the devices' virtual
    clocks, so a measurement interval starts clean. *)
 let reset_stats t =
-  drain t;
   match t.backend with
   | Single rt -> Vgpu.Runtime.reset_stats rt
   | Sharded s -> Vgpu.Multi.reset_stats s.multi
@@ -717,19 +697,17 @@ let reset_stats t =
 let schedule t =
   match t.backend with Single _ -> None | Sharded s -> Some s.schedule
 
-(* Virtual critical path (ns) across this simulation's device queues:
-   the longest per-queue virtual clock after draining.  0 on a single
-   device or when the overlapped schedule was never used. *)
+(* Virtual critical path (ns) across this simulation's devices: the
+   latest device clock.  0 on a single device or when no overlapped step
+   ran. *)
 let overlap_vclock_ns t =
-  drain t;
   match t.backend with
   | Single _ -> 0.
   | Sharded s -> Vgpu.Multi.async_vclock s.multi
 
-(* Aggregate queue statistics (busy vs critical path vs overlap saved);
-   [None] on a single device. *)
+(* Aggregate virtual-time statistics (busy vs critical path vs overlap
+   saved); [None] on a single device. *)
 let overlap_stats t =
-  drain t;
   match t.backend with
   | Single _ -> None
   | Sharded s -> Some (Vgpu.Multi.overlap_stats s.multi)

@@ -39,11 +39,13 @@ type engine =
     - [`Concurrent]: each device's launches through {!Vgpu.Pool.global}
       (wall-clock parallel), then the exchanges and swaps on the host —
       a per-step barrier;
-    - [`Overlap]: per-device {!Vgpu.Queue} command queues with event
-      dependencies — each volume kernel splits into an interior launch
-      plus thin frontier launches ({!Shard.split_ranges}) so the halo
-      exchanges overlap interior compute, and steps pipeline with no
-      per-step barrier (queues drain on {!sync}/{!read}/stats access).
+    - [`Overlap]: per-device in-order queues with event dependencies,
+      executed by {!Vgpu.Multi.run_async} on the calling domain — each
+      volume kernel splits into an interior launch plus thin frontier
+      launches ({!Shard.split_ranges}) so the halo exchanges overlap
+      interior compute on the virtual timeline, and steps pipeline
+      there (a step's frontier launches wait on the previous step's
+      exchange stamps, its interior launch only on the device clock).
 
     All three schedules are bit-for-bit identical. *)
 type schedule = [ `Seq | `Concurrent | `Overlap ]
@@ -65,8 +67,9 @@ type backend =
       incs : (int list * int list) array;
           (** per device: the previous block's exchange events into its
               (bottom, top) ghost zone *)
-      mutable imports : (int * Vgpu.Queue.event) list;
-          (** [`Overlap]: events exported by the last async submit *)
+      mutable imports : (int * float) list;
+          (** the events the last overlapped step signalled, with their
+              virtual-time stamps *)
       mutable launch_ops :
         ((Kernel_ast.Cast.kernel * bool) * (Shard.range_kind option * Vgpu.Multi.op) list array)
         list;
@@ -114,9 +117,8 @@ val create :
     sharded machinery on a single slab; omitting it keeps the original
     single-device path).  [engine] defaults to [`Native].  [schedule]
     picks the sharded step schedule; the default is [`Concurrent].
-    [`Overlap] with [~sanitize:true] falls back to [`Seq] — checked
-    execution needs deterministic scheduling (use {!step_overlap_with}
-    to sanitize an overlapped interleaving).  [optimize] (default
+    Every schedule sanitizes: [`Overlap] runs its plan on the calling
+    domain, so [~sanitize:true] keeps it overlapped.  [optimize] (default
     [true]) is forwarded to the underlying runtimes: launched kernels
     pass through the
     {!module:Kernel_ast.Opt} pipeline before dispatch.  [precision]
@@ -181,23 +183,18 @@ val step : t -> Kernel_ast.Cast.kernel list -> unit
     written ghost zones ([next] at depth T, [curr] at depth T-1 when
     T > 2, plus the ghost branch-state slices for FD-MM); the rotation's
     [Swap]s every step.  Every call advances exactly one generation, so
-    a block of depth T spans T calls.  Under [`Overlap] the step is
-    submitted asynchronously and may still be in flight when [step]
-    returns; any host-side observation ({!sync}, {!read}, {!stats}, ...)
-    drains the queues first. *)
-
-val drain : t -> unit
-(** Wait for all queued async work (no-op on a single device or when the
-    overlapped schedule was never used).
-    @raise e the first queued command's exception, if any failed. *)
+    a block of depth T spans T calls.  Every schedule has finished the
+    step when [step] returns; under [`Overlap] it is
+    [step_overlap_with t]. *)
 
 val step_overlap_with :
   ?pick:(int -> int) -> t -> Kernel_ast.Cast.kernel list -> unit
-(** One overlapped time step replayed deterministically on the calling
-    domain: the plan [`Overlap] would submit, executed in the legal
-    queue interleaving chosen by [pick] (see
-    {!Vgpu.Multi.run_async_with}); works under [~sanitize:true].  Do not
-    mix with [`Overlap] steps on the same simulation. *)
+(** One overlapped time step, whatever the configured schedule: the
+    split plan, run by {!Vgpu.Multi.run_async} in the legal queue
+    interleaving [pick] chooses (default first ready).  Its virtual
+    time lands on the simulation's device clocks.  After a step under
+    another schedule, that step's exchange events count as fired at
+    stamp 0. *)
 
 val plan : t -> Kernel_ast.Cast.kernel list -> steps:int -> Vgpu.Multi.async_plan
 (** Op for op, what the next [steps] calls of {!step} would run, from
@@ -213,7 +210,7 @@ val plan : t -> Kernel_ast.Cast.kernel list -> steps:int -> Vgpu.Multi.async_pla
     than the events do ([`Seq] runs the ops in list order,
     [`Concurrent] each device's launches before the exchanges and
     swaps), so their events state the barrier they provide.  Executing
-    the plan through {!Vgpu.Multi} ([run] or [run_async_with]) on a
+    the plan through {!Vgpu.Multi} ([run] or [run_async]) on a
     scattered twin ({!ensure_scattered}) reproduces the stepped
     simulation bit for bit.
     @raise Invalid_argument on a single-device backend. *)
@@ -225,22 +222,22 @@ val slab_geometry : t -> int * int * int array
     @raise Invalid_argument on a single-device backend. *)
 
 val reset_stats : t -> unit
-(** Drain, then zero the launch/transfer counters and re-align the
-    device queues' virtual clocks, so a measurement interval starts
-    clean. *)
+(** Zero the launch/transfer counters and align the devices' virtual
+    clocks to the latest one (never rewinding), so a measurement
+    interval starts clean. *)
 
 val schedule : t -> schedule option
 (** The sharded schedule in effect ([None] on a single device). *)
 
 val overlap_vclock_ns : t -> float
-(** Drains, then returns the virtual critical path in ns across this
-    simulation's device queues — the longest per-queue virtual clock
-    (see {!Vgpu.Queue}).  [0.] on a single device or when the overlapped
-    schedule was never used. *)
+(** The virtual critical path in ns across this simulation's devices —
+    the latest device clock (see {!Vgpu.Multi.run_async}).  [0.] on a
+    single device or when no overlapped step ran. *)
 
 val overlap_stats : t -> Vgpu.Multi.overlap_stats option
-(** Drains, then returns aggregate queue statistics (total busy time vs
-    critical path and the overlap saving); [None] on a single device. *)
+(** This simulation's virtual-time statistics (total busy time vs
+    critical path and the overlap saving, per-device clocks); [None] on
+    a single device. *)
 
 (** Static per-step cost profile of the temporal-blocking tradeoff. *)
 type blocked_stats = {
@@ -258,7 +255,7 @@ val blocked_stats : t -> Kernel_ast.Cast.kernel list -> blocked_stats option
     device. *)
 
 val sync : t -> unit
-(** Drain, then gather the sharded slabs back into [state] (no-op on a
+(** Gather the sharded slabs back into [state] (no-op on a
     single device, where [state] is live, and on a sharded one before
     its first step or {!ensure_scattered}). *)
 

@@ -119,5 +119,5 @@ let step (c : compiled) (g : Em_grid.t) =
         | other -> failwith (Printf.sprintf "em: unknown kernel parameter %s" other))
       k.params
   in
-  Vgpu.Runtime.launch_resolved c.rt c.kernel_h ~args:(resolve c.kernel_h) ~global:[ n ];
-  Vgpu.Runtime.launch_resolved c.rt c.kernel_e ~args:(resolve c.kernel_e) ~global:[ n ]
+  ignore (Vgpu.Runtime.launch_resolved c.rt c.kernel_h ~args:(resolve c.kernel_h) ~global:[ n ]);
+  ignore (Vgpu.Runtime.launch_resolved c.rt c.kernel_e ~args:(resolve c.kernel_e) ~global:[ n ])

@@ -13,10 +13,8 @@
      1. enumerate plans from [Lift.Explore] variants + runtime knobs;
      2. prune to a top-k frontier with [Perf_model] predictions,
         corrected by any persisted calibration factors;
-     3. measure the survivors on the requested engine with
-        warmup/repeat/median timing (in parallel across OCaml domains on
-        request — each candidate owns its virtual devices, so
-        measurements only contend for host cores);
+     3. measure the survivors on the requested engine, one at a time,
+        with warmup/repeat/median timing;
      4. persist the measured-best plan in [Plan_cache] so a warm rerun
         (or [racs simulate --tuned]) needs zero measurements;
      5. feed measured-vs-predicted ratios back into the calibration
@@ -310,17 +308,13 @@ let measure_plan ~clock ~engine ~precision ~n_branches ~scheme ~params ~room
   for _ = 1 to warmup do
     Gpu_sim.step sim kernels
   done;
-  Gpu_sim.reset_stats sim (* drains queued work; the interval starts clean *);
+  Gpu_sim.reset_stats sim;
   let times =
     List.init repeats (fun _ ->
         let t0 = clock () in
         for _ = 1 to steps do
           Gpu_sim.step sim kernels
         done;
-        (* [step] only submits under the overlapped schedule — drain
-           inside the interval, or async plans get credited submission
-           cost while their compute lands outside the timer *)
-        Gpu_sim.drain sim;
         (clock () -. t0) /. float_of_int steps)
   in
   Gpu_sim.sync sim;
@@ -335,42 +329,11 @@ let measure_plan ~clock ~engine ~precision ~n_branches ~scheme ~params ~room
   in
   (median times, bits, per_kernel)
 
-(* Run measurements, optionally fanned out over extra domains.  Each
-   candidate simulation owns its virtual devices; shared process state
-   (the domain pool, the native binary memo) is lock-protected, so domains
-   only contend for host cores.  Results keep candidate order; a
-   candidate whose measurement raises is dropped ([None]). *)
-let measure_all ~domains measure (candidates : 'a list) =
-  let arr = Array.of_list candidates in
-  let out = Array.make (Array.length arr) None in
-  let safely c = match measure c with r -> Some r | exception _ -> None in
-  if domains <= 1 then Array.iteri (fun i c -> out.(i) <- safely c) arr
-  else begin
-    let next = Atomic.make 0 in
-    let worker () =
-      let rec go () =
-        let i = Atomic.fetch_and_add next 1 in
-        if i < Array.length arr then begin
-          out.(i) <- safely arr.(i);
-          go ()
-        end
-      in
-      go ()
-    in
-    let spawned =
-      List.init (min (domains - 1) (max 0 (Array.length arr - 1))) (fun _ ->
-          Domain.spawn worker)
-    in
-    worker ();
-    List.iter Domain.join spawned
-  end;
-  Array.to_list out
-
 (* -- The tuner --------------------------------------------------------- *)
 
 let tune ?(engine : Gpu_sim.engine = `Native) ?(precision = Kernel_ast.Cast.Double)
     ?(device = Vgpu.Device.host) ?(n_branches = 3) ?(topk = 8) ?(warmup = 2)
-    ?(repeats = 5) ?(steps = 20) ?(max_shards = 2) ?(domains = 1) ?clock
+    ?(repeats = 5) ?(steps = 20) ?(max_shards = 2) ?clock
     ?(use_cache = true) ?(explore_depth = 2) ?tiles ?tblocks ~scheme ~shape ~dims () :
     result =
   let key = key ~engine ~precision ~n_branches ~scheme ~shape ~dims in
@@ -442,8 +405,9 @@ let tune ?(engine : Gpu_sim.engine = `Native) ?(precision = Kernel_ast.Cast.Doub
             in
             (p, pred, m, bits, per_kernel)
           in
+          (* a candidate whose measurement raises is dropped *)
           let measured_raw =
-            List.filter_map Fun.id (measure_all ~domains measure frontier)
+            List.filter_map (fun c -> try Some (measure c) with _ -> None) frontier
           in
           let default_row =
             match List.find_opt (fun (p, _, _, _, _) -> is_default p) measured_raw with

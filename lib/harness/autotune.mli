@@ -44,7 +44,6 @@ val tune :
   ?repeats:int ->
   ?steps:int ->
   ?max_shards:int ->
-  ?domains:int ->
   ?clock:(unit -> float) ->
   ?use_cache:bool ->
   ?explore_depth:int ->
@@ -59,11 +58,11 @@ val tune :
     [`Native] engine on {!Vgpu.Device.host}, [topk = 8] survivors of the
     model pruning, [warmup = 2] untimed steps, the median of [repeats =
     5] intervals of [steps = 20] steps each, shard counts up to
-    [max_shards = 2], sequential measurement ([domains = 1] — pass more
-    to fan candidates out over OCaml domains), plan cache and
-    calibration persistence on ([use_cache]), rewrite exploration depth
-    [2] ([0] disables variant candidates), temporal block depths
-    [tblocks] (default {!default_tblocks}) searched on sharded plans.
+    [max_shards = 2], plan cache and calibration persistence on
+    ([use_cache]), rewrite exploration depth [2] ([0] disables variant
+    candidates), temporal block depths [tblocks] (default
+    {!default_tblocks}) searched on sharded plans.  Candidates are
+    measured one at a time.
 
     [clock] injects a timer (tests use a fake one — the search is then
     fully deterministic, including tie-breaks: {!List.stable_sort} and

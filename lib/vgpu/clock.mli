@@ -1,4 +1,4 @@
-(** The monotonic clock that times launches and queue commands. *)
+(** The monotonic clock that times launches and async-plan commands. *)
 
 val now_ns : unit -> int
 (** [CLOCK_MONOTONIC] in nanoseconds: never steps when the wall clock

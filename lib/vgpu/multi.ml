@@ -11,9 +11,23 @@
    Exchange bytes are accounted once, on the *source* device, at its
    transfer precision — the same convention a real driver would use for
    a peer-to-peer copy — and surface as [Runtime.stats.s_d2d_bytes] both
-   per device and in the aggregate view. *)
+   per device and in the aggregate view.
 
-type t = { devices : Runtime.t array }
+   Each device also keeps a clock on the virtual timeline of
+   [run_async] (below).  The clocks belong to the [Multi.t], so two
+   simulations in one process never share a timeline. *)
+
+(* A device's clock on the async executor's virtual timeline (ns). *)
+type clock = {
+  vclock : float;  (* when the device's last command retired *)
+  vbase : float;  (* [vclock] at the last [reset_stats] *)
+  busy_ns : float;  (* sum of command durations since reset *)
+  cmds : int;  (* commands run since reset *)
+}
+
+let level_clock at = { vclock = at; vbase = at; busy_ns = 0.; cmds = 0 }
+
+type t = { devices : Runtime.t array; clocks : clock array }
 
 let create ?(engine = Runtime.Native) ?(optimize = true) ?unroll_budget
     ?(precision = Kernel_ast.Cast.Double) ?verify ?(sanitize = false) ~devices () =
@@ -23,6 +37,7 @@ let create ?(engine = Runtime.Native) ?(optimize = true) ?unroll_budget
       Array.init devices (fun _ ->
           Runtime.create ~engine ~optimize ?unroll_budget ~precision ?verify
             ~sanitize ());
+    clocks = Array.make devices (level_clock 0.);
   }
 
 let n_devices t = Array.length t.devices
@@ -48,29 +63,42 @@ type op =
 
 type plan = op list
 
+(* The cross-device copy: blit the slice, mark the destination cells
+   defined for its sanitizer once the exchange lands, and charge the
+   bytes to the source device. *)
+let exchange t ~src_dev ~(sb : Buffer.t) ~src_off ~dst_dev ~(db : Buffer.t) ~dst_off ~elems =
+  let sdev = device t src_dev in
+  Runtime.blit_buffers ~src:sb ~src_off ~dst:db ~dst_off ~elems;
+  (match Runtime.sanitizer (device t dst_dev) with
+  | Some s -> Sanitizer.note_blit s db ~off:dst_off ~len:elems
+  | None -> ());
+  Runtime.account_d2d sdev (Runtime.slice_bytes ~precision:sdev.Runtime.precision sb elems)
+
 let run_op t = function
   | Dev (i, op) -> Runtime.run_op (device t i) op
   | Exchange { src_dev; src; src_off; dst_dev; dst; dst_off; elems } ->
-      let sdev = device t src_dev and ddev = device t dst_dev in
-      let sb = Runtime.buffer sdev src and db = Runtime.buffer ddev dst in
-      Runtime.blit_buffers ~src:sb ~src_off ~dst:db ~dst_off ~elems;
-      (* the destination device's sanitizer sees the halo cells as
-         defined once the exchange lands *)
-      (match Runtime.sanitizer ddev with
-      | Some s -> Sanitizer.note_blit s db ~off:dst_off ~len:elems
-      | None -> ());
-      Runtime.account_d2d sdev (Runtime.slice_bytes ~precision:sdev.Runtime.precision sb elems)
+      let sb = Runtime.buffer (device t src_dev) src in
+      let db = Runtime.buffer (device t dst_dev) dst in
+      exchange t ~src_dev ~sb ~src_off ~dst_dev ~db ~dst_off ~elems
 
 let run t (plan : plan) = List.iter (run_op t) plan
 
 (* -- Asynchronous execution ------------------------------------------ *)
 
 (* An async plan is a plan whose ops carry explicit event dependencies:
-   integer event ids chosen by the builder, turned into [Queue.event]
-   objects at submission.  An op runs on its device's queue ([Exchange]
-   on the *source* device's queue, where a driver would enqueue the
-   peer-to-peer copy), so per-queue FIFO order plus the signal→wait
-   edges is the complete happens-before relation. *)
+   integer event ids fixed when the plan is built.  An op runs on its
+   device's in-order queue ([Exchange] on the *source* device's, where
+   an OpenCL host program would enqueue the peer-to-peer copy), so
+   per-device FIFO order plus the signal→wait edges is the complete
+   happens-before relation.
+
+   [run_async] executes such a plan on the calling domain.  Timing is
+   virtual: each device's clock advances by every command's duration (a
+   launch's measured kernel window, a modelled cost for an exchange),
+   and a command starts no earlier than the stamps of the events it
+   waits on — the retirement times of their signalling commands.  The
+   overlapped cost of a schedule is the critical path, [max over
+   devices of vclock], against the busy sum. *)
 
 type async_op = {
   a_op : op;
@@ -82,206 +110,144 @@ type async_plan = async_op list
 
 let default_link_gb_s = 12.
 
-(* A plan op compiled for deferred execution: device names resolved to
-   buffers *now* (the clSetKernelArg moment), so worker domains never
-   read a buffer table and host-side rebinding between steps cannot
-   race a queued op.  Host-only ops — [Alloc], [Swap] — execute during
-   compilation, in submission order, and produce no command. *)
-type ccmd = {
-  cc_queue : int;
-  cc_label : string;
-  cc_waits : int list;
-  cc_signal : int option;
-  cc_vcost : float option;  (* virtual ns; None = measured wall time *)
-  cc_run : unit -> unit;
+(* A plan op compiled for deferred execution: buffer names resolved at
+   its list position (the clSetKernelArg moment), so a [Swap] listed
+   after it cannot redirect it even when the executor runs it later.
+   Host-only ops — [Alloc], [Swap] — execute during compilation, in list
+   order, and produce no command.  [c_run] returns the command's
+   virtual duration in ns. *)
+type cmd = {
+  c_dev : int;
+  c_label : string;
+  c_waits : int list;
+  c_signal : int option;
+  c_run : unit -> float;
 }
 
-let compile_async t ~link_gb_s (plan : async_plan) : ccmd list =
+let timed f =
+  let t0 = Clock.now_ns () in
+  f ();
+  float_of_int (Clock.now_ns () - t0)
+
+let compile_async t (plan : async_plan) : cmd list =
   List.filter_map
     (fun { a_op; a_waits; a_signal } ->
-      let cmd cc_queue cc_label cc_vcost cc_run =
-        Some { cc_queue; cc_label; cc_waits = a_waits; cc_signal = a_signal; cc_vcost; cc_run }
+      let cmd c_dev c_label c_run =
+        Some { c_dev; c_label; c_waits = a_waits; c_signal = a_signal; c_run }
       in
       match a_op with
       | Dev (i, ((Runtime.Alloc _ | Runtime.Swap _) as op)) ->
-          (* host-side bookkeeping: runs at submission *)
           Runtime.run_op (device t i) op;
           None
       | Dev (i, Runtime.Launch { kernel; args; global }) ->
           let d = device t i in
-          let rargs = List.map (Runtime.resolve_arg d) args in
-          cmd i kernel.Kernel_ast.Cast.name None (fun () ->
-              Runtime.launch_resolved d kernel ~args:rargs ~global)
+          let args = List.map (Runtime.resolve_arg d) args in
+          (* the kernel window only: optimize, verify and a first
+             launch's compile are not device time *)
+          cmd i kernel.Kernel_ast.Cast.name (fun () ->
+              1e9 *. Runtime.launch_resolved d kernel ~args ~global)
       | Dev (i, Runtime.Copy_to_gpu name) ->
           let d = device t i in
           let b = Runtime.buffer d name in
           let bytes = Runtime.slice_bytes ~precision:d.Runtime.precision b (Buffer.length b) in
-          cmd i ("h2d " ^ name) None (fun () ->
-              d.Runtime.h2d_bytes <- d.Runtime.h2d_bytes + bytes)
+          cmd i ("h2d " ^ name) (fun () ->
+              timed (fun () -> d.Runtime.h2d_bytes <- d.Runtime.h2d_bytes + bytes))
       | Dev (i, Runtime.Copy_to_host name) ->
           let d = device t i in
           let b = Runtime.buffer d name in
           let bytes = Runtime.slice_bytes ~precision:d.Runtime.precision b (Buffer.length b) in
-          cmd i ("d2h " ^ name) None (fun () ->
-              d.Runtime.d2h_bytes <- d.Runtime.d2h_bytes + bytes)
+          cmd i ("d2h " ^ name) (fun () ->
+              timed (fun () -> d.Runtime.d2h_bytes <- d.Runtime.d2h_bytes + bytes))
       | Dev (i, Runtime.Copy_buffer { src; src_off; dst; dst_off; elems }) ->
           let d = device t i in
           let sb = Runtime.buffer d src and db = Runtime.buffer d dst in
-          cmd i ("copy " ^ src ^ "->" ^ dst) None (fun () ->
-              Runtime.blit_buffers ~src:sb ~src_off ~dst:db ~dst_off ~elems;
-              (match Runtime.sanitizer d with
-              | Some s -> Sanitizer.note_blit s db ~off:dst_off ~len:elems
-              | None -> ());
-              Runtime.account_d2d d
-                (Runtime.slice_bytes ~precision:d.Runtime.precision sb elems))
+          cmd i ("copy " ^ src ^ "->" ^ dst) (fun () ->
+              timed (fun () -> exchange t ~src_dev:i ~sb ~src_off ~dst_dev:i ~db ~dst_off ~elems))
       | Exchange { src_dev; src; src_off; dst_dev; dst; dst_off; elems } ->
-          let sdev = device t src_dev and ddev = device t dst_dev in
-          let sb = Runtime.buffer sdev src and db = Runtime.buffer ddev dst in
-          let bytes = Runtime.slice_bytes ~precision:sdev.Runtime.precision sb elems in
+          let sdev = device t src_dev in
+          let sb = Runtime.buffer sdev src and db = Runtime.buffer (device t dst_dev) dst in
           (* priced, not measured: a memcpy's wall time on the host says
-             nothing about a PCIe/NVLink transfer, so the queue advances
-             its virtual clock by bytes / link bandwidth instead *)
-          let vcost = float_of_int bytes /. link_gb_s in
-          cmd src_dev
-            (Printf.sprintf "exchange d%d->d%d" src_dev dst_dev)
-            (Some vcost)
-            (fun () ->
-              Runtime.blit_buffers ~src:sb ~src_off ~dst:db ~dst_off ~elems;
-              (match Runtime.sanitizer ddev with
-              | Some s -> Sanitizer.note_blit s db ~off:dst_off ~len:elems
-              | None -> ());
-              Runtime.account_d2d sdev bytes))
+             nothing about a PCIe/NVLink transfer, so the clock advances
+             by bytes / link bandwidth instead *)
+          let bytes = Runtime.slice_bytes ~precision:sdev.Runtime.precision sb elems in
+          cmd src_dev (Printf.sprintf "exchange d%d->d%d" src_dev dst_dev) (fun () ->
+              exchange t ~src_dev ~sb ~src_off ~dst_dev ~db ~dst_off ~elems;
+              float_of_int bytes /. default_link_gb_s))
     plan
 
-let sanitizing t = Array.exists (fun d -> Runtime.sanitizer d <> None) t.devices
-
-(* Submit an async plan to the per-device queues and return the events
-   it signals, keyed by plan event id, for import into a later
-   submission (cross-step dependencies under pipelining). *)
-let submit_async ?(imports : (int * Queue.event) list = []) ?(link_gb_s = default_link_gb_s) t
-    (plan : async_plan) : (int * Queue.event) list =
-  if sanitizing t then
-    invalid_arg
-      "Vgpu.Multi.submit_async: sanitizers need deterministic scheduling — use run_async_with";
-  let events : (int, Queue.event) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun (id, ev) -> Hashtbl.replace events id ev) imports;
-  let exports = ref [] in
+(* Execute an async plan on the calling domain.  [pick] chooses among
+   the ready device heads (an index into them, modulo their count), so
+   every [pick] is a legal queue interleaving.  [imports] are events of
+   earlier plans, with their stamps; the result lists the events this
+   plan signals, with theirs, for the next plan's [imports]. *)
+let run_async ?(imports = []) ?(pick = fun _ -> 0) t (plan : async_plan) =
+  let cmds = compile_async t plan in
+  (* waits name imported or earlier-signalled events, signals are unique *)
+  let known = Hashtbl.create 16 in
+  List.iter (fun (id, _) -> Hashtbl.replace known id ()) imports;
   List.iter
-    (fun (c : ccmd) ->
-      let waits =
-        List.map
-          (fun id ->
-            match Hashtbl.find_opt events id with
-            | Some ev -> ev
-            | None ->
-                failwith
-                  (Printf.sprintf
-                     "Vgpu.Multi.submit_async: wait on event %d that is neither imported nor \
-                      signaled earlier in the plan"
-                     id))
-          c.cc_waits
-      in
-      let signal =
-        Option.map
-          (fun id ->
-            if Hashtbl.mem events id then
-              failwith (Printf.sprintf "Vgpu.Multi.submit_async: event %d signaled twice" id);
-            let ev = Queue.fresh_event () in
-            Hashtbl.replace events id ev;
-            exports := (id, ev) :: !exports;
-            ev)
-          c.cc_signal
-      in
-      Queue.enqueue (Queue.global c.cc_queue)
-        {
-          Queue.c_label = c.cc_label;
-          c_waits = waits;
-          c_signal = signal;
-          c_vcost = c.cc_vcost;
-          c_run = c.cc_run;
-        })
-    (compile_async t ~link_gb_s plan);
-  List.rev !exports
-
-(* Drain every device queue; re-raise the first failure after all have
-   drained (buffers are never left mid-plan by an early exit). *)
-let finish_async t =
-  let errs =
-    List.filter_map
-      (fun i ->
-        match Queue.global_opt i with
-        | None -> None
-        | Some q -> ( try Queue.finish q; None with e -> Some e))
-      (List.init (n_devices t) Fun.id)
+    (fun c ->
+      List.iter
+        (fun id ->
+          if not (Hashtbl.mem known id) then
+            failwith
+              (Printf.sprintf
+                 "Vgpu.Multi.run_async: wait on event %d that is neither imported nor signaled \
+                  earlier in the plan"
+                 id))
+        c.c_waits;
+      Option.iter
+        (fun id ->
+          if Hashtbl.mem known id then
+            failwith (Printf.sprintf "Vgpu.Multi.run_async: event %d signaled twice" id);
+          Hashtbl.replace known id ())
+        c.c_signal)
+    cmds;
+  (* event id -> virtual ns at which its signalling command retired *)
+  let stamps = Hashtbl.create 16 in
+  List.iter (fun (id, at) -> Hashtbl.replace stamps id at) imports;
+  (* one FIFO per device, in order of first use *)
+  let devs =
+    List.rev
+      (List.fold_left (fun acc c -> if List.mem c.c_dev acc then acc else c.c_dev :: acc) [] cmds)
   in
-  match errs with [] -> () | e :: _ -> raise e
-
-let run_async ?imports ?link_gb_s t plan =
-  let exports = submit_async ?imports ?link_gb_s t plan in
-  finish_async t;
-  exports
-
-(* Critical path of everything retired so far: the maximum virtual
-   clock across this instance's device queues (ns, monotonic — measure
-   intervals as deltas). *)
-let async_vclock t =
-  List.fold_left
-    (fun acc i ->
-      match Queue.global_opt i with Some q -> Float.max acc (Queue.vclock q) | None -> acc)
-    0.
-    (List.init (n_devices t) Fun.id)
-
-(* Deterministic single-threaded replay of an async plan: the same
-   compile step as [submit_async] (so buffer resolution is identical),
-   but commands run on the calling domain in an order chosen by [pick]
-   among the ready queue heads.  Any [pick] yields a legal queue
-   interleaving — the qcheck harness for the bit-identity invariant —
-   and sanitizers are allowed because nothing runs concurrently.
-   [imports] lists event ids assumed already fired. *)
-let run_async_with ?(imports : int list = []) ?(pick = fun _ -> 0) t (plan : async_plan) =
-  let cmds = compile_async t ~link_gb_s:default_link_gb_s plan in
-  let queue_ids =
-    List.fold_left (fun acc c -> if List.mem c.cc_queue acc then acc else c.cc_queue :: acc) [] cmds
-    |> List.rev
+  let fifos = List.map (fun d -> ref (List.filter (fun c -> c.c_dev = d) cmds)) devs in
+  let rec loop step =
+    match List.filter (fun r -> !r <> []) fifos with
+    | [] -> ()
+    | live -> (
+        match
+          List.filter (fun r -> List.for_all (Hashtbl.mem stamps) (List.hd !r).c_waits) live
+        with
+        | [] ->
+            failwith
+              (Printf.sprintf
+                 "Vgpu.Multi.run_async: deadlock — %d queue(s) blocked on events that never fire \
+                  (first blocked op: %s)"
+                 (List.length live) (List.hd !(List.hd live)).c_label)
+        | ready ->
+            let n = List.length ready in
+            let r = List.nth ready (((pick step mod n) + n) mod n) in
+            let c = List.hd !r in
+            r := List.tl !r;
+            let dur = c.c_run () in
+            let clk = t.clocks.(c.c_dev) in
+            let start =
+              List.fold_left (fun acc id -> Float.max acc (Hashtbl.find stamps id)) clk.vclock
+                c.c_waits
+            in
+            let vclock = start +. dur in
+            t.clocks.(c.c_dev) <-
+              { clk with vclock; busy_ns = clk.busy_ns +. dur; cmds = clk.cmds + 1 };
+            Option.iter (fun id -> Hashtbl.replace stamps id vclock) c.c_signal;
+            loop (step + 1))
   in
-  let fifos =
-    List.map (fun q -> (q, ref (List.filter (fun c -> c.cc_queue = q) cmds))) queue_ids
-  in
-  let fired : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace fired id ()) imports;
-  let step = ref 0 in
-  let rec loop () =
-    let live = List.filter (fun (_, r) -> !r <> []) fifos in
-    if live <> [] then begin
-      let ready =
-        List.filter
-          (fun (_, r) ->
-            match !r with
-            | c :: _ -> List.for_all (Hashtbl.mem fired) c.cc_waits
-            | [] -> false)
-          live
-      in
-      (match ready with
-      | [] ->
-          failwith
-            (Printf.sprintf
-               "Vgpu.Multi.run_async_with: deadlock — %d queue(s) blocked on events that never \
-                fire (first blocked op: %s)"
-               (List.length live)
-               (match !(snd (List.hd live)) with c :: _ -> c.cc_label | [] -> "?"))
-      | _ ->
-          let n = List.length ready in
-          let k = (((pick !step) mod n) + n) mod n in
-          incr step;
-          let _, r = List.nth ready k in
-          let c = List.hd !r in
-          r := List.tl !r;
-          c.cc_run ();
-          Option.iter (fun id -> Hashtbl.replace fired id ()) c.cc_signal);
-      loop ()
-    end
-  in
-  loop ()
+  loop 0;
+  List.filter_map (fun c -> Option.map (fun id -> (id, Hashtbl.find stamps id)) c.c_signal) cmds
+
+(* Critical path of everything run so far: the latest device clock (ns,
+   monotonic — measure intervals as deltas). *)
+let async_vclock t = Array.fold_left (fun acc c -> Float.max acc c.vclock) 0. t.clocks
 
 (* -- Aggregated observability --------------------------------------- *)
 
@@ -359,41 +325,29 @@ let stats t : Runtime.stats =
     per_kernel;
   }
 
-(* Per-queue counters for this instance's device indices — only queues
-   that were actually spawned (an all-sequential run reports none). *)
-let queue_stats t =
-  List.filter_map
-    (fun i -> Option.map (fun q -> (i, Queue.stats q)) (Queue.global_opt i))
-    (List.init (n_devices t) Fun.id)
-
 type overlap_stats = {
-  o_busy_ns : float;  (* sum of command durations across queues *)
-  o_span_ns : float;  (* critical path: max per-queue vclock span *)
+  o_busy_ns : float;  (* sum of command durations across devices *)
+  o_span_ns : float;  (* critical path: max per-device clock advance *)
   o_saved_ns : float;  (* busy - span: time hidden by overlap *)
-  o_queues : (int * Queue.stats) list;
+  o_clocks : clock array;  (* per device *)
 }
 
 let overlap_stats t =
-  let qs = queue_stats t in
-  let busy = List.fold_left (fun a (_, s) -> a +. s.Queue.q_busy_ns) 0. qs in
-  let span = List.fold_left (fun a (_, s) -> Float.max a s.Queue.q_vspan_ns) 0. qs in
-  { o_busy_ns = busy; o_span_ns = span; o_saved_ns = Float.max 0. (busy -. span); o_queues = qs }
+  let busy = Array.fold_left (fun a c -> a +. c.busy_ns) 0. t.clocks in
+  let span = Array.fold_left (fun a c -> Float.max a (c.vclock -. c.vbase)) 0. t.clocks in
+  {
+    o_busy_ns = busy;
+    o_span_ns = span;
+    o_saved_ns = Float.max 0. (busy -. span);
+    o_clocks = Array.copy t.clocks;
+  }
 
 let reset_stats t =
   Array.iter Runtime.reset_stats t.devices;
-  (* re-align the queues' virtual clocks before resetting, so the next
-     measurement interval starts with a level timeline — cross-queue skew
-     left by earlier work would otherwise hide or inflate the critical
-     path (caller is expected to have drained: see [finish_async]) *)
-  let qs =
-    List.filter_map (fun i -> Queue.global_opt i) (List.init (n_devices t) Fun.id)
-  in
-  let horizon = List.fold_left (fun a q -> Float.max a (Queue.vclock q)) 0. qs in
-  List.iter
-    (fun q ->
-      Queue.align q ~at:horizon;
-      Queue.reset_stats q)
-    qs
+  (* align the clocks to the horizon, so the next measurement interval
+     starts on a level timeline — skew left by earlier work would
+     otherwise hide or inflate the critical path; clocks never rewind *)
+  Array.fill t.clocks 0 (Array.length t.clocks) (level_clock (async_vclock t))
 
 let pp_stats ppf t =
   let n = n_devices t in
@@ -403,12 +357,10 @@ let pp_stats ppf t =
       (fun i d -> Fmt.pf ppf "@.device %d: %a" i Runtime.pp_stats (Runtime.stats d))
       t.devices;
   let o = overlap_stats t in
-  if List.exists (fun (_, s) -> s.Queue.q_enqueued > 0) o.o_queues then begin
+  if Array.exists (fun c -> c.cmds > 0) o.o_clocks then begin
     Fmt.pf ppf "@.async queues: busy %.3f ms, critical path %.3f ms, overlap saved %.3f ms@."
       (o.o_busy_ns /. 1e6) (o.o_span_ns /. 1e6) (o.o_saved_ns /. 1e6);
-    List.iter
-      (fun (i, s) ->
-        Fmt.pf ppf "queue %d: %d cmd(s), depth high-water %d, busy %.3f ms@." i
-          s.Queue.q_enqueued s.Queue.q_depth_hw (s.Queue.q_busy_ns /. 1e6))
-      o.o_queues
+    Array.iteri
+      (fun i c -> Fmt.pf ppf "queue %d: %d cmd(s), busy %.3f ms@." i c.cmds (c.busy_ns /. 1e6))
+      o.o_clocks
   end

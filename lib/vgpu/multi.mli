@@ -5,9 +5,19 @@
 
     Exchange bytes are accounted once, on the source device, at its
     transfer precision, and surface as {!Runtime.stats.s_d2d_bytes} both
-    per device and in the aggregate view. *)
+    per device and in the aggregate view.  Each device also keeps a
+    clock on the virtual timeline of {!run_async}; the clocks belong to
+    the [t], so two simulations never share a timeline. *)
 
-type t = { devices : Runtime.t array }
+(** A device's clock on the virtual timeline, in ns. *)
+type clock = {
+  vclock : float;  (** when the device's last command retired *)
+  vbase : float;  (** [vclock] at the last {!reset_stats} *)
+  busy_ns : float;  (** sum of command durations since reset *)
+  cmds : int;  (** commands run since reset *)
+}
+
+type t = { devices : Runtime.t array; clocks : clock array }
 
 val create :
   ?engine:Runtime.engine ->
@@ -53,12 +63,10 @@ val run : t -> plan -> unit
 (** {2 Asynchronous execution}
 
     An async plan tags each op with explicit event dependencies: ops run
-    on their device's {!Queue} ([Exchange] on the {e source} device's
-    queue), so per-queue FIFO order plus the signal→wait edges is the
-    complete happens-before relation.  Buffer names are resolved at
-    submission (the clSetKernelArg moment), so host-side rebinding
-    between time steps never races a queued op.  Host-only ops
-    ([Alloc], [Swap]) execute during submission itself. *)
+    on their device's in-order queue ([Exchange] on the {e source}
+    device's), so per-device FIFO order plus the signal→wait edges is the
+    complete happens-before relation.  {!run_async} executes it on the
+    calling domain. *)
 
 type async_op = {
   a_op : op;
@@ -73,57 +81,40 @@ val default_link_gb_s : float
     commands on the virtual timeline (matches
     {!Acoustics.Perf_model.predict_sharded}'s default). *)
 
-val submit_async :
-  ?imports:(int * Queue.event) list ->
-  ?link_gb_s:float ->
-  t ->
-  async_plan ->
-  (int * Queue.event) list
-(** Enqueue the plan on the per-device queues and return immediately.
-    The result maps each event id the plan signals to its
-    {!Queue.event}, for [imports] of a later submission (cross-step
-    dependencies under pipelining).  Waits must reference imported or
-    earlier-signaled ids.
-    @raise Invalid_argument if any device sanitizes — checked execution
-    needs deterministic scheduling; use {!run_async_with}.
-    @raise Failure on a wait on an unknown event or a duplicate signal. *)
-
-val finish_async : t -> unit
-(** Drain every device queue; re-raise the first command failure after
-    all queues have drained. *)
-
 val run_async :
-  ?imports:(int * Queue.event) list ->
-  ?link_gb_s:float ->
-  t ->
-  async_plan ->
-  (int * Queue.event) list
-(** [submit_async] then [finish_async]. *)
+  ?imports:(int * float) list -> ?pick:(int -> int) -> t -> async_plan -> (int * float) list
+(** Execute the plan on the calling domain.  Buffer names resolve at
+    each op's list position (the clSetKernelArg moment), and host-only
+    ops ([Alloc], [Swap]) run there; the commands then run in the order
+    [pick] chooses among the ready device heads (an index into them,
+    taken modulo their count; default the first), so every [pick] is a
+    legal queue interleaving and any sanitizer sees a deterministic run.
+
+    Each device's clock advances as an in-order queue's would: a
+    command starts at the later of the device clock and the stamps of
+    the events it waits on, and lasts its launch's measured kernel
+    window, [bytes / default_link_gb_s] ns for an exchange, or its
+    measured wall time for a transfer or copy.  A signalled event's
+    stamp is its command's retirement time.
+
+    [imports] are events of earlier plans with their stamps.  The
+    result maps each event the plan signals to its stamp, in plan
+    order, for the next plan's [imports].
+    @raise Failure on a wait on an event neither imported nor signalled
+    earlier in the plan, on an event signalled twice, or when no ready
+    head remains (deadlock); a failing command's exception propagates. *)
 
 val async_vclock : t -> float
-(** Critical path of everything retired so far: the maximum virtual
-    clock (ns) across this instance's device queues.  Monotonic —
-    measure an interval as a delta. *)
-
-val run_async_with : ?imports:int list -> ?pick:(int -> int) -> t -> async_plan -> unit
-(** Deterministic single-threaded replay: same buffer resolution as
-    {!submit_async}, but commands run on the calling domain in an order
-    chosen by [pick] (index into the ready queue heads, taken modulo
-    their count) — every [pick] is a legal queue interleaving, which is
-    the qcheck handle on the bit-identity invariant.  Sanitizers are
-    allowed.  [imports] lists event ids assumed already fired.
-    @raise Failure on deadlock (a wait that can never fire). *)
+(** Critical path of everything run so far: the latest device clock
+    (ns).  Monotonic — measure an interval as a delta. *)
 
 (** {2 Aggregated observability} *)
 
-val queue_stats : t -> (int * Queue.stats) list
-(** Stats of the spawned queues among this instance's device indices. *)
-
 type overlap_stats = {
-  o_busy_ns : float;  (** sum of command durations across queues *)
-  o_span_ns : float;  (** critical path: max per-queue vclock span since reset *)
+  o_busy_ns : float;  (** sum of command durations across devices *)
+  o_span_ns : float;  (** critical path: max per-device clock advance since reset *)
   o_saved_ns : float;  (** [busy - span]: time hidden by overlap *)
-  o_queues : (int * Queue.stats) list;
+  o_clocks : clock array;  (** per device *)
 }
 
 val overlap_stats : t -> overlap_stats
@@ -136,6 +127,11 @@ val stats : t -> Runtime.stats
     max of maxes). *)
 
 val reset_stats : t -> unit
+(** Zero every device's counters and align the clocks to the latest one
+    (clocks never rewind), so the next interval starts level. *)
 
 val pp_stats : Format.formatter -> t -> unit
-(** Aggregate block, then one block per device when there are several. *)
+(** Aggregate block, then one block per device when there are several,
+    then the virtual-time line (busy, critical path, overlap saved) and
+    one line per device when {!run_async} ran commands since the last
+    {!reset_stats}. *)

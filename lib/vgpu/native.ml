@@ -93,7 +93,8 @@ let set_cache_dir d =
 
 (* {2 Counters}
 
-   Atomics: compilations can happen on async-queue worker domains. *)
+   Atomics: compilations can happen on the domain pool's workers, which
+   run the [`Concurrent] schedule's launches. *)
 
 type counters = {
   c_compiles : int;  (** cc actually ran *)

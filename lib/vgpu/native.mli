@@ -70,8 +70,8 @@ type counters = {
 }
 
 val counters : unit -> counters
-(** Process-wide counters (atomic: compilations may happen on async
-    worker domains). *)
+(** Process-wide counters (atomic: compilations may happen on the domain
+    pool's workers under the [`Concurrent] schedule). *)
 
 val reset_counters : unit -> unit
 

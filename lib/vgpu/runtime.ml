@@ -265,11 +265,11 @@ let kstat t name =
       s
 
 (* Dispatch a launch whose arguments are already resolved to buffers and
-   scalars.  This is the whole Launch arm of [run_op] minus the name
-   lookup: the async queue layer ([Multi.submit_async]) resolves names
-   at submission time — the clSetKernelArg moment — so worker domains
-   never touch the buffer table and host-side rebinding between steps
-   cannot race a queued launch. *)
+   scalars, and return its timed kernel window in seconds (the duration
+   the kernel stats record).  This is the whole Launch arm of [run_op]
+   minus the name lookup: [Multi.run_async] resolves names at each op's
+   list position — the clSetKernelArg moment — and may run the launch
+   after a later [Swap] has rebound them. *)
 let launch_resolved t kernel ~(args : Args.t list) ~global =
   t.launches <- t.launches + 1;
   let kernel, report =
@@ -311,7 +311,8 @@ let launch_resolved t kernel ~(args : Args.t list) ~global =
   s.total_s <- s.total_s +. dt;
   s.min_s <- Float.min s.min_s dt;
   s.max_s <- Float.max s.max_s dt;
-  s.arg_bytes <- s.arg_bytes + bytes
+  s.arg_bytes <- s.arg_bytes + bytes;
+  dt
 
 let run_op t = function
   | Swap (a, b) ->
@@ -348,7 +349,7 @@ let run_op t = function
   | Copy_to_host name ->
       t.d2h_bytes <- t.d2h_bytes + transfer_bytes ~precision:t.precision (buffer t name)
   | Launch { kernel; args; global } ->
-      launch_resolved t kernel ~args:(List.map (resolve_arg t) args) ~global
+      ignore (launch_resolved t kernel ~args:(List.map (resolve_arg t) args) ~global)
 
 let run t (plan : plan) = List.iter (run_op t) plan
 

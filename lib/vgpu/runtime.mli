@@ -158,11 +158,12 @@ val resolve_arg : t -> arg -> Args.t
 (** Resolve one launch argument against the buffer table now — the
     clSetKernelArg moment.  @raise Failure on an unbound buffer name. *)
 
-val launch_resolved : t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:int list -> unit
+val launch_resolved : t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:int list -> float
 (** Dispatch a launch whose arguments were already resolved with
-    {!resolve_arg}.  Used by the async queue layer so worker domains
-    never read the buffer table (host-side rebinding between steps can
-    then proceed while launches are still queued). *)
+    {!resolve_arg}, and return its timed kernel window in seconds — the
+    duration its kernel stats record.  {!Multi.run_async} resolves
+    arguments at each op's list position and charges this duration to
+    the device's virtual clock. *)
 
 val run_op : t -> op -> unit
 (** @raise Failure if an [Alloc] reuses a binding whose element count or

@@ -142,9 +142,9 @@ let test_calibration_roundtrip () =
 (* -- The search ------------------------------------------------------- *)
 
 (* One microsecond per call.  [AT.tune] installs this clock as the
-   runtimes' launch timer too, which the pool and queue worker domains
-   of Concurrent/Overlap candidates call concurrently: an atomic tick
-   counter loses no increment, so both runs read the same ticks. *)
+   runtimes' launch timer too, which the pool's worker domains call
+   concurrently under Concurrent candidates: an atomic tick counter
+   loses no increment, so both runs read the same ticks. *)
 let fake_clock () =
   let ticks = Atomic.make 0 in
   fun () -> float_of_int (Atomic.fetch_and_add ticks 1 + 1) *. 1e-6

@@ -1,16 +1,8 @@
-(* Domains spawned by one test — domain-pool workers, device-queue
-   workers — would stay parked for the rest of the process and slow
-   every later test down, so each test releases them when it ends; both
-   respawn on demand. *)
+(* Domain-pool workers spawned by one test would stay parked for the
+   rest of the process and slow every later test down, so each test
+   releases them when it ends; they respawn on demand. *)
 let release_domains (name, speed, f) =
-  ( name,
-    speed,
-    fun () ->
-      Fun.protect
-        ~finally:(fun () ->
-          Vgpu.Pool.shutdown Vgpu.Pool.global;
-          Vgpu.Queue.shutdown_all ())
-        f )
+  (name, speed, fun () -> Fun.protect ~finally:(fun () -> Vgpu.Pool.shutdown Vgpu.Pool.global) f)
 
 let () =
   Alcotest.run "lift-room-acoustics"

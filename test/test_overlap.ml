@@ -1,27 +1,29 @@
-(* The asynchronous per-device command queues and the overlapped
+(* The async-plan executor ([Vgpu.Multi.run_async]) and the overlapped
    (interior/frontier split) schedule.
 
-   - Bit-identity: the real pipelined [`Overlap] schedule and the
-     deterministic replay ([Gpu_sim.step_overlap_with], first-ready and
-     last-ready picks) both reproduce the single-device native grid
-     bit-for-bit, for the three schemes and the 2.5D-tiled FI volume
-     kernel (whose launches write the ghost planes an exchange fills); a
-     qcheck property drives the replay through *random* legal queue
-     interleavings, so any schedule the worker domains could exhibit is
-     covered, not just the one the race happened to pick.
+   - Bit-identity: the [`Overlap] schedule and
+     [Gpu_sim.step_overlap_with] under first-ready and last-ready picks
+     reproduce the single-device native grid bit-for-bit, for the three
+     schemes and the 2.5D-tiled FI volume kernel (whose launches write
+     the ghost planes an exchange fills); a qcheck property drives the
+     executor through *random* legal queue interleavings.  Sanitized,
+     the schedule stays overlapped and reports no violation.
 
    - Hazard detection, both legs: dropping the frontier waits from an
      overlapped plan is caught statically by the flow verifier
      [Lift.Lint.verify_async] (unordered-ghost-read), and the same class
      of bug — a consumer launch scheduled before the halo exchange it
      needed — is caught dynamically by the shadow-memory sanitizer as an
-     uninitialised read under [run_async_with].  A wait-drop property
+     uninitialised read under [run_async].  A wait-drop property
      executes the mutants: every plan with dropped waits is rejected by
      the verifier or runs bit-identical to the intact plan.
 
-   - Queue timing: signal→wait edges stall the virtual clock of the
-     waiting queue (the critical path is [max vclock], not the busy
-     sum), and [align] only ever advances a clock.
+   - Virtual time: signal→wait edges stall the waiting device's clock
+     (the critical path is [max vclock], not the busy sum),
+     [Multi.reset_stats] only ever advances a clock, an all-priced plan
+     ends on the same clocks under any pick, a launch costs exactly its
+     kernel window, and each simulation keeps its own clocks.  The
+     executor rejects malformed plans.
 
    - The analytic model: [predict_overlapped] coincides with [predict]
      at one shard and never beats the sequential sharded prediction by
@@ -185,7 +187,7 @@ let test_missing_wait_caught_by_lint () =
 (* The mutation sweep's overlapped plans (every scheme on a 12x10x12
    dome, 3T steps at each (shards, T)) with waits dropped: all of them,
    or one op's.  A mutant the verifier accepts is executed through
-   [Multi.run_async_with] from the same scattered state as the intact
+   [Multi.run_async] from the same scattered state as the intact
    plan, under first-ready, last-ready and drawn picks, and must gather
    the same state bit for bit.  A fixed-stride subsample keeps the test
    fast while reaching every configuration: every other mutant is
@@ -227,7 +229,7 @@ let test_wait_drops_rejected_or_harmless () =
               (fun i bufs ->
                 List.iter (fun (name, b) -> Vgpu.Multi.bind multi i name (Vgpu.Buffer.copy b)) bufs)
               initial;
-            Vgpu.Multi.run_async_with ~pick multi p;
+            ignore (Vgpu.Multi.run_async ~pick multi p);
             Gpu_sim.sync sim;
             let st = sim.Gpu_sim.state in
             List.map Array.copy
@@ -329,7 +331,7 @@ let run_exchange_probe ~waits ~pick =
   let m = Vgpu.Multi.create ~sanitize:true ~devices:2 () in
   Vgpu.Multi.bind m 0 "src" (Vgpu.Buffer.F (Array.init 8 float_of_int));
   Vgpu.Multi.bind m 1 "out" (Vgpu.Buffer.F (Array.make 8 0.));
-  Vgpu.Multi.run_async_with ~pick m (exchange_probe_plan ~waits);
+  ignore (Vgpu.Multi.run_async ~pick m (exchange_probe_plan ~waits));
   match Vgpu.Runtime.sanitizer (Vgpu.Multi.device m 1) with
   | None -> Alcotest.fail "device 1 is not sanitized"
   | Some s -> Vgpu.Sanitizer.counts s
@@ -345,46 +347,188 @@ let test_missing_wait_caught_by_sanitizer () =
     true
     (broken.Vgpu.Sanitizer.n_uninit > 0)
 
-(* -- Queue timing: events stall the virtual clock -------------------- *)
+(* -- Virtual time ------------------------------------------------------ *)
+
+(* Devices holding one 8-element real buffer each, and a priced
+   exchange of it: 64 bytes cost 64/12 ns at the 12 GB/s link. *)
+let exchange_devices n =
+  let m = Vgpu.Multi.create ~devices:n () in
+  for i = 0 to n - 1 do
+    Vgpu.Multi.bind m i "buf" (Vgpu.Buffer.F (Array.make 8 (float_of_int i)))
+  done;
+  m
+
+let exchange_op ?(waits = []) ?signal src_dev dst_dev =
+  {
+    Vgpu.Multi.a_op =
+      Vgpu.Multi.Exchange
+        { src_dev; src = "buf"; src_off = 0; dst_dev; dst = "buf"; dst_off = 0; elems = 8 };
+    a_waits = waits;
+    a_signal = signal;
+  }
+
+let exchange_cost = 64. /. Vgpu.Multi.default_link_gb_s
+
+let clocks m =
+  Array.map (fun c -> c.Vgpu.Multi.vclock) (Vgpu.Multi.overlap_stats m).Vgpu.Multi.o_clocks
 
 let test_queue_critical_path () =
-  let q0 = Vgpu.Queue.create () and q1 = Vgpu.Queue.create () in
+  let m = exchange_devices 2 in
+  let plan = [ exchange_op ~signal:0 0 1; exchange_op ~waits:[ 0 ] 1 0 ] in
+  let exports = Vgpu.Multi.run_async m plan in
+  let c = exchange_cost in
+  Alcotest.(check (list (pair int (float 1e-9)))) "the signal's stamp" [ (0, c) ] exports;
+  let o = Vgpu.Multi.overlap_stats m in
+  Alcotest.(check (array (float 1e-9)))
+    "the waiter starts at the stamp" [| c; 2. *. c |] (clocks m);
+  Array.iteri
+    (fun i (k : Vgpu.Multi.clock) ->
+      Alcotest.(check (float 1e-9)) (Printf.sprintf "device %d busy" i) c k.Vgpu.Multi.busy_ns)
+    o.Vgpu.Multi.o_clocks;
+  Alcotest.(check (float 1e-9)) "critical path = max vclock > max busy" (2. *. c)
+    o.Vgpu.Multi.o_span_ns;
+  Alcotest.(check (float 1e-9)) "async_vclock" (2. *. c) (Vgpu.Multi.async_vclock m);
+  Vgpu.Multi.reset_stats m;
+  Alcotest.(check (array (float 1e-9)))
+    "reset aligns both clocks to the horizon: d0 advances, d1 never rewinds"
+    [| 2. *. c; 2. *. c |] (clocks m);
+  let span () = (Vgpu.Multi.overlap_stats m).Vgpu.Multi.o_span_ns in
+  Alcotest.(check (float 0.)) "reset zeroes the span" 0. (span ());
+  ignore (Vgpu.Multi.run_async m plan);
+  Alcotest.(check (array (float 1e-9)))
+    "the next interval starts level" [| 3. *. c; 4. *. c |] (clocks m);
+  Alcotest.(check (float 1e-9)) "its span" (2. *. c) (span ())
+
+(* A random all-priced plan — exchanges between three devices, each
+   signalling its own event and waiting on earlier ones — ends on the
+   same device clocks under any [pick]: virtual time depends on the plan
+   and the durations, not on the interleaving. *)
+let qcheck_priced_clocks_pick_independent =
+  QCheck.Test.make ~name:"an all-priced plan ends on the same clocks under any pick" ~count:50
+    QCheck.(
+      pair (list_of_size Gen.(1 -- 12) (triple small_nat small_nat (list small_nat))) (list small_nat))
+    (fun (ops, picks) ->
+      let plan =
+        List.mapi
+          (fun i (src, d, waits) ->
+            let src = src mod 3 in
+            let waits =
+              if i = 0 then [] else List.sort_uniq compare (List.map (fun w -> w mod i) waits)
+            in
+            exchange_op ~waits ~signal:i src ((src + 1 + (d mod 2)) mod 3))
+          ops
+      in
+      let run pick =
+        let m = exchange_devices 3 in
+        ignore (Vgpu.Multi.run_async ~pick m plan);
+        clocks m
+      in
+      let n = max 1 (List.length picks) in
+      let drawn k = match picks with [] -> 0 | _ -> List.nth picks (k mod n) in
+      let first = run (fun _ -> 0) in
+      first = run (fun _ -> -1) && first = run drawn)
+
+(* The executor's guards: a wait on an unknown event, a second signal of
+   one event, and a failing command. *)
+let test_run_async_rejects () =
+  let raises msg plan =
+    match Vgpu.Multi.run_async (exchange_devices 2) plan with
+    | _ -> Alcotest.failf "%s: accepted" msg
+    | exception Failure _ -> ()
+  in
+  raises "a wait on an event nobody signalled" [ exchange_op ~waits:[ 7 ] 0 1 ];
+  raises "a wait on an event signalled later"
+    [ exchange_op ~waits:[ 0 ] 1 0; exchange_op ~signal:0 0 1 ];
+  raises "an event signalled twice" [ exchange_op ~signal:0 0 1; exchange_op ~signal:0 1 0 ];
+  let m = exchange_devices 2 in
+  Vgpu.Multi.bind m 1 "buf" (Vgpu.Buffer.I (Array.make 8 0));
+  match Vgpu.Multi.run_async m [ exchange_op 0 1 ] with
+  | _ -> Alcotest.fail "a real-to-int exchange ran"
+  | exception Failure _ -> ()
+
+(* Two overlapped simulations in one process: stepping one leaves the
+   other's virtual time untouched. *)
+let test_overlap_stats_per_simulation () =
+  let kernels = kernels_of `Fd_mm Cast.Double in
+  let a = make ~shards:2 ~schedule:`Overlap () and b = make ~shards:2 ~schedule:`Overlap () in
+  for _ = 1 to 10 do
+    Gpu_sim.step a kernels
+  done;
+  match (Gpu_sim.overlap_stats a, Gpu_sim.overlap_stats b) with
+  | Some oa, Some ob ->
+      Alcotest.(check bool) "A's critical path is above 0" true (oa.Vgpu.Multi.o_span_ns > 0.);
+      Alcotest.(check (float 0.)) "B is not busy" 0. ob.Vgpu.Multi.o_busy_ns;
+      Alcotest.(check (float 0.)) "B has no critical path" 0. ob.Vgpu.Multi.o_span_ns;
+      Alcotest.(check (float 0.)) "B's clock never moved" 0. (Gpu_sim.overlap_vclock_ns b)
+  | _ -> Alcotest.fail "sharded sims report no overlap stats"
+
+(* On a fresh binary cache the first launches optimize and compile
+   (cc + dlopen); none of that is device time.  From creation, the busy
+   time is exactly the kernels' timed windows plus the priced exchanges. *)
+let test_busy_is_kernel_window () =
+  let saved = Vgpu.Native.cache_dir () in
+  let dir =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "racs-overlap-test-%d" (Unix.getpid ()))
+  in
   Fun.protect
-    ~finally:(fun () ->
-      Vgpu.Queue.shutdown q0;
-      Vgpu.Queue.shutdown q1)
+    ~finally:(fun () -> Vgpu.Native.set_cache_dir saved)
     (fun () ->
-      let e = Vgpu.Queue.fresh_event () in
-      Vgpu.Queue.enqueue q0
-        {
-          Vgpu.Queue.c_label = "a";
-          c_waits = [];
-          c_signal = Some e;
-          c_vcost = Some 10.;
-          c_run = (fun () -> ());
-        };
-      Vgpu.Queue.enqueue q1
-        {
-          Vgpu.Queue.c_label = "b";
-          c_waits = [ e ];
-          c_signal = None;
-          c_vcost = Some 5.;
-          c_run = (fun () -> ());
-        };
-      Vgpu.Queue.finish q0;
-      Vgpu.Queue.finish q1;
-      Alcotest.(check (float 1e-9)) "producer queue clock" 10. (Vgpu.Queue.vclock q0);
-      Alcotest.(check (float 1e-9))
-        "waiter starts at the signal's ready_at: 10 + 5" 15. (Vgpu.Queue.vclock q1);
-      let s0 = Vgpu.Queue.stats q0 and s1 = Vgpu.Queue.stats q1 in
-      Alcotest.(check (float 1e-9)) "busy is duration only" 5. s1.Vgpu.Queue.q_busy_ns;
-      Alcotest.(check (float 1e-9))
-        "critical path = max vclock > max busy" 15.
-        (Float.max s0.Vgpu.Queue.q_vclock s1.Vgpu.Queue.q_vclock);
-      Vgpu.Queue.align q1 ~at:100.;
-      Alcotest.(check (float 1e-9)) "align advances" 100. (Vgpu.Queue.vclock q1);
-      Vgpu.Queue.align q1 ~at:50.;
-      Alcotest.(check (float 1e-9)) "align never rewinds" 100. (Vgpu.Queue.vclock q1))
+      Vgpu.Native.set_cache_dir dir;
+      Vgpu.Native.reset_memo ();
+      let sim = make ~shards:2 ~schedule:`Overlap () in
+      let kernels = kernels_of `Fd_mm Cast.Double in
+      for _ = 1 to 3 do
+        Gpu_sim.step sim kernels
+      done;
+      let st = Gpu_sim.stats sim in
+      let kernel_ns =
+        List.fold_left
+          (fun acc (_, (k : Vgpu.Runtime.kernel_stats)) -> acc +. (k.Vgpu.Runtime.total_s *. 1e9))
+          0. st.Vgpu.Runtime.per_kernel
+      in
+      let expected =
+        kernel_ns +. (float_of_int st.Vgpu.Runtime.s_d2d_bytes /. Vgpu.Multi.default_link_gb_s)
+      in
+      match Gpu_sim.overlap_stats sim with
+      | None -> Alcotest.fail "sharded sim reports no overlap stats"
+      | Some o ->
+          let busy = o.Vgpu.Multi.o_busy_ns in
+          if Float.abs (busy -. expected) > 1e-9 *. expected then
+            Alcotest.failf "busy %.0f ns, kernel windows + exchanges %.0f ns" busy expected)
+
+(* Checked execution keeps the overlapped schedule: FD-MM sanitized and
+   overlapped at 2 and 3 shards is bit-identical to one device, with no
+   violation. *)
+let test_sanitized_overlap () =
+  let kernels = kernels_of `Fd_mm Cast.Double in
+  let single = make () in
+  for _ = 1 to steps do
+    Gpu_sim.step single kernels
+  done;
+  List.iter
+    (fun shards ->
+      let room = Geometry.build ~n_materials:4 Geometry.Box dims in
+      let sim =
+        Gpu_sim.create ~engine:`Native ~shards ~schedule:`Overlap ~sanitize:true ~fi_beta:0.2
+          ~n_branches:3 params room
+      in
+      let cx, cy, cz = State.centre sim.Gpu_sim.state in
+      State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+      Alcotest.(check bool)
+        (Printf.sprintf "shards=%d: the schedule stays overlapped" shards)
+        true
+        (Gpu_sim.schedule sim = Some `Overlap);
+      for _ = 1 to steps do
+        Gpu_sim.step sim kernels
+      done;
+      Gpu_sim.sync sim;
+      check_state (Printf.sprintf "sanitized overlapped shards=%d" shards) single.Gpu_sim.state
+        sim.Gpu_sim.state;
+      match Gpu_sim.violations sim with
+      | Some c -> Alcotest.(check int) "no violations" 0 (Vgpu.Sanitizer.total c)
+      | None -> Alcotest.fail "the simulation does not sanitize")
+    [ 2; 3 ]
 
 (* -- The analytic model of the overlapped schedule ------------------- *)
 
@@ -491,6 +635,15 @@ let suite =
       test_missing_wait_caught_by_sanitizer;
     Alcotest.test_case "queue events stall the virtual clock" `Quick
       test_queue_critical_path;
+    QCheck_alcotest.to_alcotest qcheck_priced_clocks_pick_independent;
+    Alcotest.test_case "run_async rejects malformed plans and failing commands" `Quick
+      test_run_async_rejects;
+    Alcotest.test_case "overlap stats are per simulation" `Quick
+      test_overlap_stats_per_simulation;
+    Alcotest.test_case "a launch's virtual duration is its kernel window" `Quick
+      test_busy_is_kernel_window;
+    Alcotest.test_case "sanitized overlap stays overlapped and bit-identical" `Quick
+      test_sanitized_overlap;
     Alcotest.test_case "predict_overlapped model properties" `Quick test_predict_overlapped;
     Alcotest.test_case "optimizer no-op returns the kernel physically" `Quick
       test_opt_noop_returns_input_physically;

@@ -242,7 +242,7 @@ let test_halo_bytes_at_precision () =
 
 (* Step a simulation n times; on a twin, execute [Gpu_sim.plan ~steps:n]
    through [Vgpu.Multi] ([run] in list order for the sync schedules,
-   [run_async_with] for the overlapped one).  Grids and branch state must
+   [run_async] for the overlapped one).  Grids and branch state must
    agree bit for bit. *)
 let test_plan_is_what_step_runs () =
   let room = Geometry.build ~n_materials:4 Geometry.Dome (Geometry.dims ~nx:9 ~ny:8 ~nz:12) in
@@ -286,7 +286,7 @@ let test_plan_is_what_step_runs () =
                   | Gpu_sim.Single _ -> Alcotest.fail "twin is not sharded"
                   | Gpu_sim.Sharded { multi; _ } -> (
                       match schedule with
-                      | `Overlap -> Vgpu.Multi.run_async_with multi plan
+                      | `Overlap -> ignore (Vgpu.Multi.run_async multi plan)
                       | `Seq | `Concurrent ->
                           Vgpu.Multi.run multi
                             (List.map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_op) plan)));
