@@ -27,6 +27,28 @@ let precision_conv =
 let engine_conv : Gpu_sim.engine Arg.conv =
   Arg.enum [ ("interp", `Interp); ("native", `Native) ]
 
+(* --scheme: the paper's three boundary schemes (§II-C, §II-D); racs
+   tune --model also sweeps the volume kernel alone *)
+type scheme = [ `Fi | `Fi_mm | `Fd_mm ]
+
+let schemes : (string * scheme) list = [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
+
+let tune_schemes = (schemes :> (string * [ scheme | `Volume ]) list) @ [ ("volume", `Volume) ]
+
+(* the name a scheme goes by on the command line, in the harness and in
+   the plan cache *)
+let scheme_name (s : [< scheme | `Volume ]) =
+  fst (List.find (fun (_, v) -> v = (s :> [ scheme | `Volume ])) tune_schemes)
+
+(* --nx/--ny/--nz below what a room needs is a semantic error (exit 2),
+   reported in the library's words *)
+let room_dims ~nx ~ny ~nz =
+  match Geometry.dims ~nx ~ny ~nz with
+  | d -> d
+  | exception Invalid_argument msg ->
+      Fmt.epr "racs: room %dx%dx%d rejected: %s@." nx ny nz msg;
+      exit 2
+
 let shape_conv =
   let parse = function
     | "box" -> Ok Geometry.Box
@@ -84,7 +106,15 @@ let parse_tile s =
 let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overlap
     no_overlap no_opt show_stats sanitize verify tile tuned =
   let params = Params.default in
-  let dims = Geometry.dims ~nx ~ny ~nz in
+  let dims = room_dims ~nx ~ny ~nz in
+  if steps < 0 then begin
+    Fmt.epr "racs: --steps expects a non-negative count, got %d@." steps;
+    exit 2
+  end;
+  if shards < 0 then begin
+    Fmt.epr "racs: --shards expects a non-negative count (0 = one device), got %d@." shards;
+    exit 2
+  end;
   let n_materials = Array.length Material.defaults in
   let room = Geometry.build ~n_materials shape dims in
   let precision = Kernel_ast.Cast.Double in
@@ -96,25 +126,25 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
   in
   let kernels =
     match (scheme, backend) with
-    | "fi", `Hand ->
+    | `Fi, `Hand ->
         [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ]
-    | "fi", `Lift ->
+    | `Fi, `Lift ->
         [ lift "volume" (Lift_acoustics.Programs.volume ());
           lift "boundary_fi" (Lift_acoustics.Programs.boundary_fi ()) ]
-    | "fi-mm", `Hand ->
+    | `Fi_mm, `Hand ->
         [ Hand_kernels.volume ~precision;
           Hand_kernels.boundary_fi_mm ~precision ~betas ]
-    | "fi-mm", `Lift ->
+    | `Fi_mm, `Lift ->
         [ lift "volume" (Lift_acoustics.Programs.volume ());
           lift "boundary_fi_mm" (Lift_acoustics.Programs.boundary_fi_mm ()) ]
-    | "fd-mm", `Hand ->
+    | `Fd_mm, `Hand ->
         [ Hand_kernels.volume ~precision;
           Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]
-    | "fd-mm", `Lift ->
+    | `Fd_mm, `Lift ->
         [ lift "volume" (Lift_acoustics.Programs.volume ());
           lift "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ()) ]
-    | s, _ -> failwith (Printf.sprintf "unknown scheme %s (fi | fi-mm | fd-mm)" s)
   in
+  let scheme = scheme_name scheme in
   (* --tile WxH: swap the flat volume kernel for the 2.5D work-group
      tiled one (bit-identical results, local-memory execution tier) *)
   let kernels =
@@ -206,7 +236,12 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
     end
   end;
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
-  State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+  (match State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz with
+  | () -> ()
+  | exception Invalid_argument _ ->
+      Fmt.epr "racs: the room's centre (%d,%d,%d), where the impulse goes, is not an interior \
+               voxel@." cx cy cz;
+      exit 2);
   let rx = cx + ((nx - 2) / 4) in
   let response = Gpu_sim.run sim kernels ~steps ~receiver:(rx, cy, cz) in
   Gpu_sim.sync sim;
@@ -378,7 +413,7 @@ let json_escape s =
   Buffer.contents b
 
 let cmd_check shape nx ny nz precision engine json =
-  let dims = Geometry.dims ~nx ~ny ~nz in
+  let dims = room_dims ~nx ~ny ~nz in
   let n_materials = Array.length Material.defaults in
   let room = Geometry.build ~n_materials shape dims in
   let sim = Gpu_sim.create ~fi_beta:0.1 ~n_branches:3 Params.default room in
@@ -647,13 +682,12 @@ let cmd_tune_model shape scheme =
   let betas = (Material.tables ~n_branches:3 Material.defaults).Material.t_beta in
   let kernel, kind =
     match scheme with
-    | "fi" -> (Hand_kernels.fused_fi ~precision, Harness.Workloads.Fused)
-    | "fi-mm" -> (Hand_kernels.boundary_fi_mm ~precision ~betas, Harness.Workloads.Boundary 0)
-    | "fd-mm" -> (Hand_kernels.boundary_fd_mm ~precision ~mb:3, Harness.Workloads.Boundary 3)
-    | "volume" -> (Hand_kernels.volume ~precision, Harness.Workloads.Volume)
-    | s -> failwith (Printf.sprintf "unknown scheme %s (fi | volume | fi-mm | fd-mm)" s)
+    | `Fi -> (Hand_kernels.fused_fi ~precision, Harness.Workloads.Fused)
+    | `Fi_mm -> (Hand_kernels.boundary_fi_mm ~precision ~betas, Harness.Workloads.Boundary 0)
+    | `Fd_mm -> (Hand_kernels.boundary_fd_mm ~precision ~mb:3, Harness.Workloads.Boundary 3)
+    | `Volume -> (Hand_kernels.volume ~precision, Harness.Workloads.Volume)
   in
-  Printf.printf "work-group tuning, %s kernel, %s rooms (model)\n\n" scheme
+  Printf.printf "work-group tuning, %s kernel, %s rooms (model)\n\n" (scheme_name scheme)
     (Geometry.shape_label shape);
   List.iter
     (fun device ->
@@ -733,11 +767,16 @@ let cmd_tune shape scheme nx ny nz engine json smoke no_cache model max_shards t
     repeats steps warmup explore_depth =
   if model then cmd_tune_model shape scheme
   else begin
+    if scheme = `Volume then begin
+      Fmt.epr "racs: --scheme volume is a model-only sweep; add --model@.";
+      exit 2
+    end;
+    let scheme = scheme_name scheme in
     (* --smoke: a small room and short measurement intervals — enough to
        exercise the full pipeline (and warm the cache) in CI seconds *)
     let dims, topk, repeats, steps, warmup, explore_depth =
       if smoke then (Geometry.dims ~nx:16 ~ny:12 ~nz:10, 4, 2, 4, 1, 1)
-      else (Geometry.dims ~nx ~ny ~nz, topk, repeats, steps, warmup, explore_depth)
+      else (room_dims ~nx ~ny ~nz, topk, repeats, steps, warmup, explore_depth)
     in
     let r =
       Harness.Autotune.tune ~engine ~topk ~warmup ~repeats ~steps ~max_shards
@@ -798,7 +837,12 @@ let simulate_cmd =
   let nx = Arg.(value & opt int 40 & info [ "nx" ]) in
   let ny = Arg.(value & opt int 32 & info [ "ny" ]) in
   let nz = Arg.(value & opt int 24 & info [ "nz" ]) in
-  let scheme = Arg.(value & opt string "fd-mm" & info [ "scheme" ] ~doc:"fi | fi-mm | fd-mm") in
+  let scheme =
+    Arg.(
+      value
+      & opt (enum schemes) `Fd_mm
+      & info [ "scheme" ] ~doc:("boundary scheme: " ^ doc_alts_enum schemes))
+  in
   let steps = Arg.(value & opt int 200 & info [ "steps" ]) in
   let backend_conv =
     Arg.conv
@@ -938,7 +982,13 @@ let check_cmd =
 
 let tune_cmd =
   let shape = Arg.(value & opt shape_conv Geometry.Box & info [ "shape" ] ~doc:"box, dome or l-shape") in
-  let scheme = Arg.(value & opt string "fd-mm" & info [ "scheme" ] ~doc:"fi | fi-mm | fd-mm (--model also: volume)") in
+  let scheme =
+    Arg.(
+      value
+      & opt (enum tune_schemes) `Fd_mm
+      & info [ "scheme" ]
+          ~doc:("boundary scheme: " ^ doc_alts_enum schemes ^ " (with --model also $(b,volume))"))
+  in
   let nx = Arg.(value & opt int 24 & info [ "nx" ]) in
   let ny = Arg.(value & opt int 20 & info [ "ny" ]) in
   let nz = Arg.(value & opt int 16 & info [ "nz" ]) in

@@ -20,8 +20,9 @@
 
    Geometry at the paper's full sizes (up to 73M voxels) is needed only
    in aggregate by the performance model, so [stats] streams over the
-   grid with three rolling bit-planes instead of materialising arrays;
-   [build] materialises everything for simulation-sized rooms. *)
+   grid plane by plane instead of materialising arrays; [build]
+   materialises everything for simulation-sized rooms.  Both share one
+   plane walker ([walk]). *)
 
 type shape =
   | Box
@@ -31,7 +32,8 @@ type shape =
 type dims = { nx : int; ny : int; nz : int }
 
 let dims ~nx ~ny ~nz =
-  if nx < 3 || ny < 3 || nz < 3 then invalid_arg "Geometry.dims: need at least 3^3";
+  if nx < 3 || ny < 3 || nz < 3 then
+    invalid_arg "Geometry.dims: every axis needs at least 3 voxels";
   { nx; ny; nz }
 
 let n_points { nx; ny; nz } = nx * ny * nz
@@ -42,72 +44,82 @@ let paper_sizes =
 
 let size_label d = string_of_int d.nx
 
-let inside shape { nx; ny; nz } x y z =
-  match shape with
-  | Box -> x >= 1 && x <= nx - 2 && y >= 1 && y <= ny - 2 && z >= 1 && z <= nz - 2
-  | L_shape ->
-      (* a box with the far x/y quadrant removed at every height: the
-         simplest room with a re-entrant corner, where the implicit
-         Boolean-formula boundary of Listing 1 breaks down and the
-         explicit nbrs/boundaryIndices data structures are required *)
-      x >= 1 && x <= nx - 2 && y >= 1 && y <= ny - 2 && z >= 1 && z <= nz - 2
-      && not (x > nx / 2 && y > ny / 2)
-  | Dome ->
-      if z < 1 || z > nz - 2 || x < 1 || x > nx - 2 || y < 1 || y > ny - 2 then false
-      else begin
+(* [inside_row shape d y z] is the insideness test of row (y, z) as a
+   function of x, with what depends only on y and z computed once: the
+   plane walker tests a whole row through one such closure. *)
+let inside_row shape { nx; ny; nz } y z =
+  if y < 1 || y > ny - 2 || z < 1 || z > nz - 2 then fun _ -> false
+  else
+    match shape with
+    | Box -> fun x -> x >= 1 && x <= nx - 2
+    | L_shape ->
+        (* a box with the far x/y quadrant removed at every height: the
+           simplest room with a re-entrant corner, where the implicit
+           Boolean-formula boundary of Listing 1 breaks down and the
+           explicit nbrs/boundaryIndices data structures are required *)
+        let far_y = y > ny / 2 in
+        fun x -> x >= 1 && x <= nx - 2 && not (far_y && x > nx / 2)
+    | Dome ->
         let ax = float_of_int (nx - 2) /. 2. in
         let ay = float_of_int (ny - 2) /. 2. in
         let az = float_of_int (nz - 2) in
         let cx = float_of_int (nx - 1) /. 2. in
         let cy = float_of_int (ny - 1) /. 2. in
-        let dx = (float_of_int x -. cx) /. ax in
         let dy = (float_of_int y -. cy) /. ay in
         let dz = float_of_int (z - 1) /. az in
-        (dx *. dx) +. (dy *. dy) +. (dz *. dz) <= 1.
-      end
+        let dy2 = dy *. dy and dz2 = dz *. dz in
+        fun x ->
+          x >= 1 && x <= nx - 2
+          &&
+          let dx = (float_of_int x -. cx) /. ax in
+          (dx *. dx) +. dy2 +. dz2 <= 1.
 
-(* Iterate over every voxel in linear-index order calling
-   [f ~x ~y ~z ~idx ~nbr], with [nbr] the inside-neighbour count (0 for
-   outside voxels).  Uses three rolling planes of insideness so the cost
-   is one [inside] evaluation per voxel. *)
-let iter_voxels shape d ~f =
+let inside shape d x y z = inside_row shape d y z x
+
+(* The plane walker behind [stats] and [build]: [walk shape d f] calls
+   [f z counts] for z = 0 .. nz-1 in order, with [counts] holding plane
+   z's inside-neighbour counts in row-major order (0 for outside voxels)
+   and reused from plane to plane.  Three rolling insideness planes carry
+   a zero border one voxel wide, so each voxel is tested once (through
+   its row's [inside_row]) and no neighbour read needs a bounds test. *)
+let walk shape d f =
   let { nx; ny; nz } = d in
-  let plane_sz = nx * ny in
-  let fill_plane p z =
-    if z < 0 || z >= nz then Bytes.fill p 0 plane_sz '\000'
+  let w = nx + 2 in
+  let padded = w * (ny + 2) in
+  (* only the interior of an in-grid plane is written: the border stays zero *)
+  let fill p z =
+    if z < 0 || z >= nz then Bytes.fill p 0 padded '\000'
     else
       for y = 0 to ny - 1 do
+        let row = ((y + 1) * w) + 1 and inside = inside_row shape d y z in
         for x = 0 to nx - 1 do
-          Bytes.unsafe_set p ((y * nx) + x) (if inside shape d x y z then '\001' else '\000')
+          Bytes.unsafe_set p (row + x) (if inside x then '\001' else '\000')
         done
       done
   in
-  let below = ref (Bytes.create plane_sz) in
-  let cur = ref (Bytes.create plane_sz) in
-  let above = ref (Bytes.create plane_sz) in
-  fill_plane !below (-1);
-  fill_plane !cur 0;
-  fill_plane !above 1;
-  for z = 0 to nz - 1 do
-    let b = !below and c = !cur and a = !above in
-    let at p x y = if x < 0 || x >= nx || y < 0 || y >= ny then 0 else Char.code (Bytes.unsafe_get p ((y * nx) + x)) in
-    for y = 0 to ny - 1 do
-      for x = 0 to nx - 1 do
-        let idx = (z * plane_sz) + (y * nx) + x in
-        let nbr =
-          if at c x y = 0 then 0
-          else at c (x - 1) y + at c (x + 1) y + at c x (y - 1) + at c x (y + 1) + at b x y + at a x y
-        in
-        f ~x ~y ~z ~idx ~nbr
-      done
-    done;
-    (* rotate planes: below <- cur, cur <- above, above <- fresh(z+2) *)
-    let tmp = !below in
-    below := !cur;
-    cur := !above;
-    above := tmp;
-    fill_plane !above (z + 2)
-  done
+  let plane z = let p = Bytes.make padded '\000' in fill p z; p in
+  let at p i = Char.code (Bytes.unsafe_get p i) in
+  let counts = Bytes.create (nx * ny) in
+  let rec go z b c a =
+    if z < nz then begin
+      for y = 0 to ny - 1 do
+        let row = ((y + 1) * w) + 1 and out = y * nx in
+        for x = 0 to nx - 1 do
+          let i = row + x in
+          let n =
+            if at c i = 0 then 0
+            else at c (i - 1) + at c (i + 1) + at c (i - w) + at c (i + w) + at b i + at a i
+          in
+          Bytes.unsafe_set counts (out + x) (Char.unsafe_chr n)
+        done
+      done;
+      f z counts;
+      (* the plane below z is done with: it becomes plane z+2 *)
+      fill b (z + 2);
+      go (z + 1) c a b
+    end
+  in
+  go 0 (plane (-1)) (plane 0) (plane 1)
 
 type stats = {
   s_points : int;       (* total voxels incl. halo *)
@@ -117,17 +129,22 @@ type stats = {
 }
 
 let stats shape d =
+  let plane = d.nx * d.ny in
   let inside_n = ref 0 and boundary = ref 0 and contiguous = ref 0 in
   let last_b = ref min_int in
-  iter_voxels shape d ~f:(fun ~x:_ ~y:_ ~z:_ ~idx ~nbr ->
-      if nbr > 0 then begin
-        incr inside_n;
-        if nbr < 6 then begin
-          incr boundary;
-          if idx = !last_b + 1 then incr contiguous;
-          last_b := idx
+  walk shape d (fun z counts ->
+      let base = z * plane in
+      for i = 0 to plane - 1 do
+        let nbr = Char.code (Bytes.unsafe_get counts i) in
+        if nbr > 0 then begin
+          incr inside_n;
+          if nbr < 6 then begin
+            incr boundary;
+            if base + i = !last_b + 1 then incr contiguous;
+            last_b := base + i
+          end
         end
-      end);
+      done);
   let s_contiguity =
     if !boundary <= 1 then 1.
     else float_of_int !contiguous /. float_of_int (!boundary - 1)
@@ -153,26 +170,30 @@ let material_of_voxel ~n_materials ~nz z =
   end
 
 let build ?(n_materials = 1) shape d =
-  let n = n_points d in
-  let nbrs = Array.make n 0 in
-  let boundary_rev = ref [] in
-  let n_boundary = ref 0 in
-  let n_inside = ref 0 in
-  iter_voxels shape d ~f:(fun ~x:_ ~y:_ ~z ~idx ~nbr ->
-      nbrs.(idx) <- nbr;
-      if nbr > 0 then begin
-        incr n_inside;
-        if nbr < 6 then begin
-          incr n_boundary;
-          boundary_rev := (idx, z) :: !boundary_rev
+  let plane = d.nx * d.ny in
+  let nbrs = Array.make (n_points d) 0 and n_inside = ref 0 in
+  (* each plane's boundary indices, gathered in [row] and kept with that
+     plane's material band; newest plane first *)
+  let row = Array.make plane 0 and chunks = ref [] and bands = ref [] in
+  walk shape d (fun z counts ->
+      let base = z * plane and k = ref 0 in
+      for i = 0 to plane - 1 do
+        let nbr = Char.code (Bytes.unsafe_get counts i) in
+        if nbr > 0 then begin
+          nbrs.(base + i) <- nbr;
+          incr n_inside;
+          if nbr < 6 then begin
+            row.(!k) <- base + i;
+            incr k
+          end
         end
-      end);
-  let pairs = Array.of_list (List.rev !boundary_rev) in
-  let boundary_indices = Array.map fst pairs in
-  let material =
-    Array.map (fun (_, z) -> material_of_voxel ~n_materials ~nz:d.nz z) pairs
-  in
-  { shape; dims = d; nbrs; boundary_indices; material; n_inside = !n_inside }
+      done;
+      chunks := Array.sub row 0 !k :: !chunks;
+      bands := Array.make !k (material_of_voxel ~n_materials ~nz:d.nz z) :: !bands);
+  { shape; dims = d; nbrs;
+    boundary_indices = Array.concat (List.rev !chunks);
+    material = Array.concat (List.rev !bands);
+    n_inside = !n_inside }
 
 let n_boundary room = Array.length room.boundary_indices
 

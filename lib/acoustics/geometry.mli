@@ -31,11 +31,6 @@ val size_label : dims -> string
 val inside : shape -> dims -> int -> int -> int -> bool
 (** Is voxel (x, y, z) inside the room? *)
 
-val iter_voxels :
-  shape -> dims -> f:(x:int -> y:int -> z:int -> idx:int -> nbr:int -> unit) -> unit
-(** Stream every voxel in linear-index order with its inside-neighbour
-    count, using rolling bit-planes (no O(N) allocation). *)
-
 (** Aggregate geometry statistics, computable at the paper's full sizes
     (up to 73M voxels) without materialising arrays. *)
 type stats = {

@@ -636,14 +636,15 @@ let sync t =
   | Single _ -> ()
   | Sharded s -> if s.scattered then Shard.gather s.plan (bound_states s.multi s.plan) t.state
 
-(* Read the current field at a grid point, wherever it lives. *)
+(* Read the current field at a grid point, wherever it lives.  A slab's
+   local index is the (range-checked) global one shifted by the planes
+   before the slab's first local plane. *)
 let read t ~x ~y ~z =
   match t.backend with
   | Sharded s when s.scattered ->
+      let idx = State.idx_of t.state ~x ~y ~z in
       let sh = Shard.owner s.plan ~z in
-      let local_z = z - sh.Shard.z0 + sh.Shard.halo in
-      (bound s.multi sh.Shard.index "curr").((local_z * sh.Shard.plane)
-                                           + (y * t.state.room.Geometry.dims.Geometry.nx) + x)
+      (bound s.multi sh.Shard.index "curr").(idx - ((sh.Shard.z0 - sh.Shard.halo) * sh.Shard.plane))
   | Single _ | Sharded _ -> State.read t.state ~x ~y ~z
 
 let stats t =

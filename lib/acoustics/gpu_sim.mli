@@ -267,7 +267,8 @@ val ensure_scattered : t -> unit
 
 val read : t -> x:int -> y:int -> z:int -> float
 (** The current field at a grid point, wherever it lives — the sharded
-    equivalent of {!State.read}. *)
+    equivalent of {!State.read}.
+    @raise Invalid_argument outside the grid, as {!State.read}. *)
 
 val run :
   t -> Kernel_ast.Cast.kernel list -> steps:int -> receiver:int * int * int -> float array

@@ -44,7 +44,10 @@ let rotate t =
   t.vel_next <- old_vel
 
 let idx_of t ~x ~y ~z =
-  let { Geometry.nx; ny; _ } = t.room.Geometry.dims in
+  let { Geometry.nx; ny; nz } = t.room.Geometry.dims in
+  if x < 0 || x >= nx || y < 0 || y >= ny || z < 0 || z >= nz then
+    invalid_arg
+      (Printf.sprintf "State: point (%d,%d,%d) is outside the %dx%dx%d grid" x y z nx ny nz);
   (z * nx * ny) + (y * nx) + x
 
 (* Inject a Kronecker impulse into the current time level. *)

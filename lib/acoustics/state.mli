@@ -22,9 +22,15 @@ val rotate : t -> unit
     the branch velocities advance. *)
 
 val idx_of : t -> x:int -> y:int -> z:int -> int
+(** The linear index of grid point (x, y, z).
+    @raise Invalid_argument naming the point and the grid when a
+    coordinate lies outside it. *)
 
 val add_impulse : ?amplitude:float -> t -> x:int -> y:int -> z:int -> unit
-(** @raise Invalid_argument outside the room. *)
+(** @raise Invalid_argument outside the grid (see {!idx_of}) or at a
+    grid point outside the room. *)
 
 val read : t -> x:int -> y:int -> z:int -> float
+(** @raise Invalid_argument outside the grid (see {!idx_of}). *)
+
 val centre : t -> int * int * int

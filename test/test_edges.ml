@@ -98,6 +98,35 @@ let test_degenerate_simulation () =
   in
   Alcotest.(check int) "zero steps" 0 (Array.length out)
 
+(* Grid coordinates are range-checked: x = nx must not wrap into the
+   next row, on the state or on either backend's read. *)
+let test_grid_range_checks () =
+  let open Acoustics in
+  let room = Geometry.build Geometry.Box (Geometry.dims ~nx:8 ~ny:8 ~nz:8) in
+  let rejects name f =
+    match f () with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "%s: an off-grid point was accepted" name
+  in
+  let st = State.create room in
+  rejects "impulse at x = 9" (fun () -> State.add_impulse st ~x:9 ~y:3 ~z:3);
+  rejects "impulse at y = -1" (fun () -> State.add_impulse st ~x:3 ~y:(-1) ~z:3);
+  Alcotest.(check (float 0.)) "nothing injected" 0. (Array.fold_left ( +. ) 0. st.State.curr);
+  rejects "state read at z = 8" (fun () -> State.read st ~x:3 ~y:3 ~z:8);
+  List.iter
+    (fun shards ->
+      let sim = Gpu_sim.create ~engine:`Interp ?shards Params.default room in
+      State.add_impulse sim.Gpu_sim.state ~x:4 ~y:4 ~z:4;
+      Gpu_sim.ensure_scattered sim;
+      let label = match shards with None -> "single device" | Some _ -> "2 shards" in
+      Alcotest.(check (float 0.)) (label ^ ": impulse read back") 1.
+        (Gpu_sim.read sim ~x:4 ~y:4 ~z:4);
+      Alcotest.(check (float 0.)) (label ^ ": its row neighbour") 0.
+        (Gpu_sim.read sim ~x:3 ~y:4 ~z:4);
+      rejects (label ^ ": read at x = 8") (fun () -> Gpu_sim.read sim ~x:8 ~y:4 ~z:4);
+      rejects (label ^ ": read at y = 8") (fun () -> Gpu_sim.read sim ~x:4 ~y:8 ~z:4))
+    [ None; Some 2 ]
+
 let suite =
   [
     Alcotest.test_case "codegen error paths" `Quick test_codegen_errors;
@@ -106,4 +135,5 @@ let suite =
     Alcotest.test_case "buffer roundtrips" `Quick test_buffer_roundtrip;
     Alcotest.test_case "parameter validation" `Quick test_params_validation;
     Alcotest.test_case "degenerate simulation" `Quick test_degenerate_simulation;
+    Alcotest.test_case "grid coordinates range-checked" `Quick test_grid_range_checks;
   ]

@@ -3,68 +3,97 @@
 
 open Acoustics
 
-(* Brute-force nbr computation straight from the inside predicate. *)
-let brute_nbrs shape (dims : Geometry.dims) =
+(* The brute-force oracle: every output of [build], recomputed straight
+   from the inside predicate, voxel by voxel, with each neighbour looked
+   up by coordinates (outside the grid counts as outside the room). *)
+type oracle = {
+  o_nbrs : int array;
+  o_boundary : int array;  (* ascending *)
+  o_material : int array;
+  o_inside : int;
+}
+
+let brute ~n_materials shape (dims : Geometry.dims) =
   let { Geometry.nx; ny; nz } = dims in
   let inside x y z = Geometry.inside shape dims x y z in
   let nbrs = Array.make (nx * ny * nz) 0 in
+  let boundary = ref [] and material = ref [] and n_inside = ref 0 in
   for z = 0 to nz - 1 do
     for y = 0 to ny - 1 do
       for x = 0 to nx - 1 do
         let idx = (z * nx * ny) + (y * nx) + x in
-        if inside x y z then
-          nbrs.(idx) <-
-            (if inside (x - 1) y z then 1 else 0)
-            + (if inside (x + 1) y z then 1 else 0)
-            + (if inside x (y - 1) z then 1 else 0)
-            + (if inside x (y + 1) z then 1 else 0)
-            + (if inside x y (z - 1) then 1 else 0)
-            + if inside x y (z + 1) then 1 else 0
+        if inside x y z then begin
+          let n =
+            List.length
+              (List.filter Fun.id
+                 [ inside (x - 1) y z; inside (x + 1) y z; inside x (y - 1) z;
+                   inside x (y + 1) z; inside x y (z - 1); inside x y (z + 1) ])
+          in
+          nbrs.(idx) <- n;
+          if n > 0 then incr n_inside;
+          if n > 0 && n < 6 then begin
+            boundary := idx :: !boundary;
+            material := Geometry.material_of_voxel ~n_materials ~nz z :: !material
+          end
+        end
       done
     done
   done;
-  nbrs
+  { o_nbrs = nbrs;
+    o_boundary = Array.of_list (List.rev !boundary);
+    o_material = Array.of_list (List.rev !material);
+    o_inside = !n_inside }
+
+(* Room dims, each axis 3 voxels (one interior plane) about a third of
+   the time; the print names the shape, the dims and the material count. *)
+let arb_room ~max =
+  let open QCheck in
+  let axis = Gen.(frequency [ (1, return 3); (2, int_range 4 max) ]) in
+  let gen =
+    Gen.(
+      triple axis axis axis >>= fun (nx, ny, nz) ->
+      pair (oneofl [ Geometry.Box; Geometry.Dome; Geometry.L_shape ]) (oneofl [ 1; 4 ])
+      >|= fun (shape, m) -> (shape, m, nx, ny, nz))
+  in
+  make
+    ~print:(fun (s, m, x, y, z) ->
+      Printf.sprintf "%s %dx%dx%d, %d material(s)" (Geometry.shape_label s) x y z m)
+    gen
 
 let qcheck_build_matches_bruteforce =
-  let open QCheck in
-  let gen =
-    Gen.(
-      triple (int_range 3 14) (int_range 3 14) (int_range 3 14) >>= fun (nx, ny, nz) ->
-      oneofl [ Geometry.Box; Geometry.Dome; Geometry.L_shape ] >|= fun shape -> (shape, nx, ny, nz))
-  in
-  let arb =
-    make
-      ~print:(fun (s, x, y, z) -> Printf.sprintf "%s %dx%dx%d" (Geometry.shape_label s) x y z)
-      gen
-  in
-  Test.make ~name:"build matches brute force" ~count:60 arb (fun (shape, nx, ny, nz) ->
+  QCheck.Test.make ~name:"build matches brute force" ~count:80 (arb_room ~max:14)
+    (fun (shape, n_materials, nx, ny, nz) ->
       let dims = Geometry.dims ~nx ~ny ~nz in
-      let room = Geometry.build shape dims in
-      let brute = brute_nbrs shape dims in
-      room.Geometry.nbrs = brute)
+      let room = Geometry.build ~n_materials shape dims in
+      let o = brute ~n_materials shape dims in
+      room.Geometry.nbrs = o.o_nbrs
+      && room.Geometry.boundary_indices = o.o_boundary
+      && room.Geometry.material = o.o_material
+      && room.Geometry.n_inside = o.o_inside)
+
+(* Fraction of consecutive boundary indices that are adjacent in linear
+   index, straight from [build]'s array: across row and plane ends too. *)
+let contiguity b =
+  let n = Array.length b in
+  if n <= 1 then 1.
+  else begin
+    let adjacent = ref 0 in
+    for i = 1 to n - 1 do
+      if b.(i) = b.(i - 1) + 1 then incr adjacent
+    done;
+    float_of_int !adjacent /. float_of_int (n - 1)
+  end
 
 let qcheck_stats_match_build =
-  let open QCheck in
-  let gen =
-    Gen.(
-      triple (int_range 3 16) (int_range 3 16) (int_range 3 16) >>= fun (nx, ny, nz) ->
-      oneofl [ Geometry.Box; Geometry.Dome; Geometry.L_shape ] >|= fun shape -> (shape, nx, ny, nz))
-  in
-  let arb =
-    make
-      ~print:(fun (s, x, y, z) -> Printf.sprintf "%s %dx%dx%d" (Geometry.shape_label s) x y z)
-      gen
-  in
-  Test.make ~name:"streaming stats match materialisation" ~count:60 arb
-    (fun (shape, nx, ny, nz) ->
+  QCheck.Test.make ~name:"streaming stats match materialisation" ~count:60 (arb_room ~max:16)
+    (fun (shape, _, nx, ny, nz) ->
       let dims = Geometry.dims ~nx ~ny ~nz in
       let room = Geometry.build shape dims in
       let s = Geometry.stats shape dims in
-      let inside_count = Array.fold_left (fun acc n -> if n > 0 then acc + 1 else acc) 0 room.Geometry.nbrs in
-      s.Geometry.s_inside = inside_count
+      s.Geometry.s_points = nx * ny * nz
+      && s.Geometry.s_inside = room.Geometry.n_inside
       && s.Geometry.s_boundary = Geometry.n_boundary room
-      && s.Geometry.s_contiguity >= 0.
-      && s.Geometry.s_contiguity <= 1.)
+      && s.Geometry.s_contiguity = contiguity room.Geometry.boundary_indices)
 
 let test_boundary_properties () =
   let dims = Geometry.dims ~nx:15 ~ny:13 ~nz:11 in
