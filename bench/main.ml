@@ -766,12 +766,10 @@ let run_tblock_bench ~json_file ~smoke () =
   in
   let rows = List.map (row "per-step") sweep in
   (* which T does the measured autotuner actually pick for this workload? *)
-  let topk, warmup, repeats, tsteps, explore_depth =
-    if smoke then (4, 1, 2, 4, 1) else (8, 1, 3, 10, 1)
-  in
+  let topk, warmup, repeats, tsteps = if smoke then (4, 1, 2, 4) else (8, 1, 3, 10) in
   let tune =
     Harness.Autotune.tune ~engine:`Native ~topk ~warmup ~repeats ~steps:tsteps
-      ~max_shards:2 ~use_cache:false ~explore_depth ~scheme:"fi" ~shape:Geometry.Box ~dims ()
+      ~max_shards:2 ~use_cache:false ~scheme:"fi" ~shape:Geometry.Box ~dims ()
   in
   let e = tune.Harness.Autotune.r_entry in
   let selected = e.Harness.Plan_cache.e_plan.Harness.Plan_cache.pl_tblock in
@@ -829,9 +827,7 @@ let run_autotune_bench ~json_file ~smoke () =
   let dims =
     if smoke then Geometry.dims ~nx:16 ~ny:12 ~nz:10 else Geometry.dims ~nx:24 ~ny:20 ~nz:16
   in
-  let topk, warmup, repeats, steps, explore_depth =
-    if smoke then (4, 1, 2, 4, 1) else (8, 2, 5, 20, 2)
-  in
+  let topk, warmup, repeats, steps = if smoke then (4, 1, 2, 4) else (8, 2, 5, 20) in
   Printf.printf "room %dx%dx%d box, double precision, median of %d x %d-step intervals\n"
     dims.Geometry.nx dims.Geometry.ny dims.Geometry.nz repeats steps;
   let results =
@@ -839,8 +835,7 @@ let run_autotune_bench ~json_file ~smoke () =
       (fun scheme ->
         let r =
           Harness.Autotune.tune ~engine:`Native ~topk ~warmup ~repeats ~steps
-            ~max_shards:2 ~use_cache:false ~explore_depth ~scheme ~shape:Geometry.Box
-            ~dims ()
+            ~max_shards:2 ~use_cache:false ~scheme ~shape:Geometry.Box ~dims ()
         in
         let e = r.Harness.Autotune.r_entry in
         let predicted_best =
@@ -879,14 +874,12 @@ let run_autotune_bench ~json_file ~smoke () =
       let oc = open_out file in
       let plan_json (pl : Harness.Plan_cache.plan) =
         Printf.sprintf
-          "{ \"label\": %S, \"tile\": %s, \"variant\": [%s], \"local\": %d, \
-           \"unroll\": %s, \"shards\": %d, \"schedule\": %S }"
+          "{ \"label\": %S, \"tile\": %s, \"local\": %d, \"unroll\": %s, \
+           \"shards\": %d, \"schedule\": %S }"
           (Harness.Autotune.plan_label pl)
           (match pl.Harness.Plan_cache.pl_tile with
           | None -> "null"
           | Some (w, h) -> Printf.sprintf "[%d, %d]" w h)
-          (String.concat ", "
-             (List.map (Printf.sprintf "%S") pl.Harness.Plan_cache.pl_variant))
           pl.Harness.Plan_cache.pl_local
           (match pl.Harness.Plan_cache.pl_unroll with
           | None -> "null"

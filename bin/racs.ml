@@ -297,16 +297,20 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
 (* ------------------------------------------------------------------ *)
 (* racs experiments *)
 
-let cmd_experiments which =
-  match which with
-  | "table2" -> Harness.Experiments.table2 ()
-  | "table3" -> Harness.Experiments.table3 ()
-  | "fig2" -> ignore (Harness.Experiments.fig2 ())
-  | "fig4" | "table4" -> ignore (Harness.Experiments.fig4 ())
-  | "fig5" | "table5" -> ignore (Harness.Experiments.fig5 ())
-  | "fig6" | "table6" -> ignore (Harness.Experiments.fig6 ())
-  | "all" -> ignore (Harness.Experiments.all ())
-  | s -> failwith (Printf.sprintf "unknown experiment %s" s)
+(* table4-6 are aliases of the figures that print them *)
+let experiments =
+  [ ("table2", `Table2); ("table3", `Table3); ("fig2", `Fig2); ("fig4", `Fig4);
+    ("table4", `Fig4); ("fig5", `Fig5); ("table5", `Fig5); ("fig6", `Fig6);
+    ("table6", `Fig6); ("all", `All) ]
+
+let cmd_experiments = function
+  | `Table2 -> Harness.Experiments.table2 ()
+  | `Table3 -> Harness.Experiments.table3 ()
+  | `Fig2 -> ignore (Harness.Experiments.fig2 ())
+  | `Fig4 -> ignore (Harness.Experiments.fig4 ())
+  | `Fig5 -> ignore (Harness.Experiments.fig5 ())
+  | `Fig6 -> ignore (Harness.Experiments.fig6 ())
+  | `All -> ignore (Harness.Experiments.all ())
 
 (* ------------------------------------------------------------------ *)
 (* racs host-demo / emit-c *)
@@ -708,16 +712,12 @@ let tune_result_json (r : Harness.Autotune.result) =
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
   let plan_json (pl : Harness.Plan_cache.plan) =
     Printf.sprintf
-      "{ \"label\": \"%s\", \"tile\": %s, \"variant\": [%s], \"local\": %d, \
-       \"unroll\": %s, \"shards\": %d, \"schedule\": \"%s\", \"tblock\": %d }"
+      "{ \"label\": \"%s\", \"tile\": %s, \"local\": %d, \"unroll\": %s, \
+       \"shards\": %d, \"schedule\": \"%s\", \"tblock\": %d }"
       (json_escape (Harness.Autotune.plan_label pl))
       (match pl.Harness.Plan_cache.pl_tile with
       | None -> "null"
       | Some (w, h) -> Printf.sprintf "[%d, %d]" w h)
-      (String.concat ", "
-         (List.map
-            (fun rname -> Printf.sprintf "\"%s\"" (json_escape rname))
-            pl.Harness.Plan_cache.pl_variant))
       pl.Harness.Plan_cache.pl_local
       (match pl.Harness.Plan_cache.pl_unroll with
       | None -> "null"
@@ -764,7 +764,15 @@ let tune_result_json (r : Harness.Autotune.result) =
   Buffer.contents b
 
 let cmd_tune shape scheme nx ny nz engine json smoke no_cache model max_shards topk
-    repeats steps warmup explore_depth =
+    repeats steps warmup =
+  List.iter
+    (fun (flag, floor, v) ->
+      if v < floor then begin
+        Fmt.epr "racs: %s expects at least %d, got %d@." flag floor v;
+        exit 2
+      end)
+    [ ("--steps", 1, steps); ("--repeats", 1, repeats); ("--warmup", 0, warmup);
+      ("--topk", 0, topk); ("--max-shards", 1, max_shards) ];
   if model then cmd_tune_model shape scheme
   else begin
     if scheme = `Volume then begin
@@ -774,13 +782,13 @@ let cmd_tune shape scheme nx ny nz engine json smoke no_cache model max_shards t
     let scheme = scheme_name scheme in
     (* --smoke: a small room and short measurement intervals — enough to
        exercise the full pipeline (and warm the cache) in CI seconds *)
-    let dims, topk, repeats, steps, warmup, explore_depth =
-      if smoke then (Geometry.dims ~nx:16 ~ny:12 ~nz:10, 4, 2, 4, 1, 1)
-      else (room_dims ~nx ~ny ~nz, topk, repeats, steps, warmup, explore_depth)
+    let dims, topk, repeats, steps, warmup =
+      if smoke then (Geometry.dims ~nx:16 ~ny:12 ~nz:10, 4, 2, 4, 1)
+      else (room_dims ~nx ~ny ~nz, topk, repeats, steps, warmup)
     in
     let r =
       Harness.Autotune.tune ~engine ~topk ~warmup ~repeats ~steps ~max_shards
-        ~use_cache:(not no_cache) ~explore_depth ~scheme ~shape ~dims ()
+        ~use_cache:(not no_cache) ~scheme ~shape ~dims ()
     in
     if json then print_string (tune_result_json r)
     else begin
@@ -936,10 +944,15 @@ let simulate_cmd =
       $ tile $ tuned)
 
 let experiments_cmd =
-  let which = Arg.(value & pos 0 string "all" & info [] ~docv:"EXPERIMENT") in
+  let which =
+    Arg.(
+      value
+      & pos 0 (enum experiments) `All
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:("the table or figure to regenerate, " ^ doc_alts_enum experiments))
+  in
   Cmd.v
-    (Cmd.info "experiments"
-       ~doc:"Regenerate paper tables/figures (table2 table3 fig2 fig4 fig5 fig6 all)")
+    (Cmd.info "experiments" ~doc:"Regenerate paper tables/figures")
     Term.(const cmd_experiments $ which)
 
 let host_demo_cmd =
@@ -1028,12 +1041,6 @@ let tune_cmd =
   in
   let steps = Arg.(value & opt int 20 & info [ "steps" ] ~doc:"simulation steps per interval") in
   let warmup = Arg.(value & opt int 2 & info [ "warmup" ] ~doc:"untimed warmup steps") in
-  let explore_depth =
-    Arg.(
-      value & opt int 2
-      & info [ "explore-depth" ]
-          ~doc:"rewrite-exploration depth for variant candidates (0 disables)")
-  in
   Cmd.v
     (Cmd.info "tune"
        ~doc:
@@ -1042,7 +1049,7 @@ let tune_cmd =
           replays the winner)")
     Term.(
       const cmd_tune $ shape $ scheme $ nx $ ny $ nz $ engine $ json $ smoke $ no_cache
-      $ model $ max_shards $ topk $ repeats $ steps $ warmup $ explore_depth)
+      $ model $ max_shards $ topk $ repeats $ steps $ warmup)
 
 let emit_c_cmd =
   Cmd.v

@@ -289,25 +289,14 @@ let launch_args ~buf ~int_scalar ~real_scalar (k : kernel) =
 
 (* Resolve the kernel's symbolic global size against a scalar
    environment.  Tiled kernels round their NDRange up to the work-group
-   size with [((Nx + tw - 1) / tw) * tw]-shaped expressions, so the
-   evaluator handles constant integer arithmetic, not just bare names. *)
+   size with [((Nx + tw - 1) / tw) * tw]-shaped expressions. *)
 let global_size ~int_scalar (k : kernel) =
-  let rec ev e =
-    match e with
-    | Int_lit n -> n
-    | Var name -> int_scalar name
-    | Binop (op, a, b) -> (
-        let a = ev a and b = ev b in
-        match op with
-        | Add -> a + b
-        | Sub -> a - b
-        | Mul -> a * b
-        | Div -> a / b
-        | Mod -> a mod b
-        | _ -> failwith "gpu_sim: unsupported global size expression")
-    | _ -> failwith "gpu_sim: unsupported global size expression"
-  in
-  List.map ev k.global_size
+  List.map
+    (fun e ->
+      match eval_int (fun v -> Some (int_scalar v)) e with
+      | Some n -> n
+      | None -> failwith "gpu_sim: unsupported global size expression")
+    k.global_size
 
 (* Single device: the state arrays rotate host-side between steps, so
    the bindings refresh on every launch. *)

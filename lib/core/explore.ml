@@ -20,9 +20,7 @@ type variant = {
    variants; stripping the uniquifying digit suffixes from the printed
    form gives a cheap alpha-insensitive key.  Whitespace goes too: the
    pretty-printer's line breaks depend on identifier widths, so two
-   alpha-equivalent programs can otherwise differ in indentation alone
-   (the key must be stable across gensym state — {!Harness.Autotune}
-   hashes it into its plan-cache digest). *)
+   alpha-equivalent programs can otherwise differ in indentation alone. *)
 let key (f : Ast.lam) : string =
   let b = Buffer.create 256 in
   String.iter
@@ -112,39 +110,10 @@ let rank ?(precision = Kernel_ast.Cast.Double) ~device ~workload
       | c -> c)
     ranked
 
-(* Explore + lower + rank, keeping the [k] best variants: the model-led
-   frontier the measured autotuner re-ranks.  Each survivor carries its
-   rule trace, so the winning variant can be persisted by name sequence
-   and reconstructed later with [replay]. *)
-let frontier ?rules ?depth ?(k = 3) ?precision ~device ~workload (f : Ast.lam) :
-    ranked list =
-  let vs = variants ?rules ?depth f in
-  let lowered =
-    List.map (fun v -> { v with v_program = Rewrite.lower_outer_map_to_glb v.v_program }) vs
-  in
-  let ranked = rank ?precision ~device ~workload lowered in
-  List.filteri (fun i _ -> i < k) ranked
-
 (* One-call search: explore, lower the outermost map of every variant to
    the GPU, compile and pick the fastest. *)
 let best ?rules ?depth ?precision ~device ~workload (f : Ast.lam) : ranked option =
-  match frontier ?rules ?depth ~k:1 ?precision ~device ~workload f with
+  let lower v = { v with v_program = Rewrite.lower_outer_map_to_glb v.v_program } in
+  match rank ?precision ~device ~workload (List.map lower (variants ?rules ?depth f)) with
   | [] -> None
   | best :: _ -> Some best
-
-(* Reconstruct a variant from its persisted rule trace.  Exact replay:
-   [variants] applies each rule with [Rewrite.apply_everywhere] — a
-   deterministic whole-program bottom-up sweep — so the name sequence
-   alone reproduces the same program.  Traces recorded by [frontier] /
-   [best] are of the *pre-lowering* program: lower the result before
-   compiling, as those functions do. *)
-let replay ?(rules = Rewrite.default_rules) ~(trace : string list) (f : Ast.lam) :
-    Ast.lam =
-  List.fold_left
-    (fun acc name ->
-      match List.find_opt (fun (r : Rewrite.rule) -> r.Rewrite.r_name = name) rules with
-      | None -> invalid_arg (Printf.sprintf "Explore.replay: unknown rule %S" name)
-      | Some r ->
-          let body', _ = Rewrite.apply_everywhere r acc.Ast.l_body in
-          { acc with Ast.l_body = body' })
-    f trace

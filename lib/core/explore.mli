@@ -33,20 +33,6 @@ val rank :
 (** Compile each variant and sort by predicted runtime (fastest first);
     variants that fail to compile are dropped. *)
 
-val frontier :
-  ?rules:Rewrite.rule list ->
-  ?depth:int ->
-  ?k:int ->
-  ?precision:Kernel_ast.Cast.precision ->
-  device:Vgpu.Device.t ->
-  workload:Vgpu.Perf_model.workload ->
-  Ast.lam ->
-  ranked list
-(** Explore, lower every variant's outer map to the GPU, compile, rank,
-    and keep the [k] (default 3) fastest — the model-led frontier that
-    {!Harness.Autotune} re-ranks by measurement.  Each survivor's
-    [r_variant.v_trace] identifies it for persistence; see {!replay}. *)
-
 val best :
   ?rules:Rewrite.rule list ->
   ?depth:int ->
@@ -55,13 +41,5 @@ val best :
   workload:Vgpu.Perf_model.workload ->
   Ast.lam ->
   ranked option
-(** [frontier ~k:1], returning the fastest variant if any compiles. *)
-
-val replay : ?rules:Rewrite.rule list -> trace:string list -> Ast.lam -> Ast.lam
-(** Reconstruct a variant from its rule-name trace.  Replay is exact:
-    {!variants} applies rules with {!Rewrite.apply_everywhere} — a
-    deterministic whole-program sweep — so the name sequence alone
-    reproduces the same program.  Traces from {!frontier}/{!best} are of
-    the pre-lowering program; apply
-    {!Rewrite.lower_outer_map_to_glb} to the result before compiling.
-    @raise Invalid_argument on a rule name absent from [rules]. *)
+(** Explore, lower every variant's outer map to the GPU, compile, rank,
+    and return the fastest variant if any compiles. *)

@@ -134,23 +134,10 @@ let eval_size st (s : Size.t) =
   try Size.eval st.sizes s
   with Failure m -> err "host: %s" m
 
-let rec eval_cexpr st (e : Cast.expr) : int =
-  match Cast.simplify e with
-  | Cast.Int_lit n -> n
-  | Cast.Var v -> (
-      match st.sizes v with
-      | Some n -> n
-      | None -> err "host: unbound size variable %s" v)
-  | Cast.Binop (op, a, b) -> (
-      let x = eval_cexpr st a and y = eval_cexpr st b in
-      match op with
-      | Add -> x + y
-      | Sub -> x - y
-      | Mul -> x * y
-      | Div -> x / y
-      | Mod -> x mod y
-      | _ -> err "host: non-arithmetic size expression")
-  | _ -> err "host: unsupported size expression"
+let eval_cexpr st (e : Cast.expr) : int =
+  match Cast.eval_int st.sizes (Cast.simplify e) with
+  | Some n -> n
+  | None -> err "host: unbound or non-arithmetic size expression"
 
 let elems_of_ty st (ty : Ty.t) = eval_size st (Ty.scalar_count ty)
 

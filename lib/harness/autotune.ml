@@ -3,14 +3,14 @@
    [Tuner] sweeps one knob through the performance model; this module
    searches the full configuration space the runtime actually exposes —
 
-     volume-kernel form (flat | 2.5D tile | Explore rewrite variant)
+     volume-kernel form (flat | 2.5D tile)
      x Opt unroll budget x work-group size x shard count x schedule
 
    — and decides by *measurement*, because BENCH_PR7 showed the model
    picking the wrong side of a 1.6-2x measured regression (the tiled
    kernel on the native engine).  The pipeline:
 
-     1. enumerate plans from [Lift.Explore] variants + runtime knobs;
+     1. enumerate plans from the volume-kernel forms + runtime knobs;
      2. prune to a top-k frontier with [Perf_model] predictions,
         corrected by any persisted calibration factors;
      3. measure the survivors on the requested engine, one at a time,
@@ -55,10 +55,7 @@ let precision_label = function
 
 let plan_label (p : Plan_cache.plan) =
   let vol =
-    match (p.pl_tile, p.pl_variant) with
-    | Some (w, h), _ -> Printf.sprintf "tile%dx%d" w h
-    | None, [] -> "flat"
-    | None, trace -> "rw:" ^ String.concat "," trace
+    match p.pl_tile with Some (w, h) -> Printf.sprintf "tile%dx%d" w h | None -> "flat"
   in
   Printf.sprintf "%s ls=%d unroll=%s shards=%d/%s%s" vol p.pl_local
     (match p.pl_unroll with None -> "default" | Some n -> string_of_int n)
@@ -74,19 +71,10 @@ let plan_label (p : Plan_cache.plan) =
 let betas n_branches =
   (Material.tables ~n_branches Material.defaults).Material.t_beta
 
-(* The volume kernel a plan runs.  A rewrite-variant plan replays its
-   rule trace over the Lift volume program ([Explore.replay] is exact),
-   lowers and compiles it — named distinctly so calibration and stats
-   never conflate it with the hand-written kernel. *)
 let volume_kernel ~precision (p : Plan_cache.plan) =
-  match (p.pl_tile, p.pl_variant) with
-  | Some tile, _ -> Lift_acoustics.Programs.tiled_volume ~precision ~tile ()
-  | None, [] -> Hand_kernels.volume ~precision
-  | None, trace ->
-      let prog = Lift.Explore.replay ~trace (Lift_acoustics.Programs.volume ()) in
-      let lowered = Lift.Rewrite.lower_outer_map_to_glb prog in
-      (Lift.Codegen.compile_kernel ~name:"volume_rw" ~precision lowered)
-        .Lift.Codegen.kernel
+  match p.pl_tile with
+  | Some tile -> Lift_acoustics.Programs.tiled_volume ~precision ~tile ()
+  | None -> Hand_kernels.volume ~precision
 
 let boundary_kernel ~precision ~n_branches scheme =
   match scheme with
@@ -114,11 +102,7 @@ let code_digest ~precision ~n_branches ~scheme =
         Lift_acoustics.Programs.tiled_volume ~precision ~tile:(8, 8) ();
       ]
   in
-  (* alpha-insensitive: [Programs.volume]'s parameter names come from a
-     process-global gensym, so a printed AST would hash differently
-     depending on what compiled earlier in the process *)
-  let lift_src = Lift.Explore.key (Lift_acoustics.Programs.volume ()) in
-  Digest.to_hex (Digest.string (String.concat "\x00" ("racs-autotune-v1" :: lift_src :: prints)))
+  Digest.to_hex (Digest.string (String.concat "\x00" ("racs-autotune-v1" :: prints)))
 
 let key ~(engine : Gpu_sim.engine) ~precision ~n_branches ~scheme ~shape
     ~(dims : Geometry.dims) : Plan_cache.key =
@@ -150,39 +134,17 @@ let default_tblocks = [ 1; 2; 4 ]
    ungrouped kernels (and a tile fixes it), so each volume form gets the
    model-best size from [Tuner]'s sweep — the work-group dimension is
    searched, just inside the model. *)
-let enumerate ~device ~precision ~shape ~(dims : Geometry.dims) ~max_shards
-    ~explore_depth ~tiles ?(tblocks = default_tblocks) () =
+let enumerate ~device ~precision ~shape ~(dims : Geometry.dims) ~max_shards ~tiles
+    ?(tblocks = default_tblocks) () =
   let wv = Workloads.workload Workloads.Volume shape dims in
   let tiles =
     List.filter
       (fun (w, h) -> w * h <= 256 && w <= dims.Geometry.nx && h <= dims.Geometry.ny)
       tiles
   in
-  let variants =
-    if explore_depth <= 0 then []
-    else
-      Lift.Explore.frontier ~depth:explore_depth ~k:3 ~precision ~device
-        ~workload:wv
-        (Lift_acoustics.Programs.volume ())
-      |> List.filter_map (fun (r : Lift.Explore.ranked) ->
-             match r.Lift.Explore.r_variant.Lift.Explore.v_trace with
-             | [] -> None  (* the unrewritten program is the baseline *)
-             | trace -> Some trace)
-  in
-  let volume_forms =
-    ((None : (int * int) option), ([] : string list))
-    :: List.map (fun t -> (Some t, [])) tiles
-    @ List.map (fun tr -> (None, tr)) variants
-  in
-  let local_of tile variant =
-    match tile with
+  let local_of = function
     | Some (w, h) -> w * h
-    | None ->
-        let k =
-          volume_kernel ~precision
-            { Plan_cache.default_plan with pl_tile = tile; pl_variant = variant }
-        in
-        (Tuner.tune ~device k wv).Tuner.best_size
+    | None -> (Tuner.tune ~device (Hand_kernels.volume ~precision) wv).Tuner.best_size
   in
   let tblocks = List.sort_uniq compare (List.filter (fun t -> t >= 1) tblocks) in
   let tblocks = if tblocks = [] then [ 1 ] else tblocks in
@@ -199,8 +161,8 @@ let enumerate ~device ~precision ~shape ~(dims : Geometry.dims) ~max_shards
         else [])
   in
   List.concat_map
-    (fun (tile, variant) ->
-      let local = local_of tile variant in
+    (fun tile ->
+      let local = local_of tile in
       List.concat_map
         (fun unroll ->
           List.filter_map
@@ -215,7 +177,6 @@ let enumerate ~device ~precision ~shape ~(dims : Geometry.dims) ~max_shards
                 Some
                   {
                     Plan_cache.pl_tile = tile;
-                    pl_variant = variant;
                     pl_local = local;
                     pl_unroll = unroll;
                     pl_shards = shards;
@@ -224,7 +185,7 @@ let enumerate ~device ~precision ~shape ~(dims : Geometry.dims) ~max_shards
                   })
             schedules)
         default_unrolls)
-    volume_forms
+    (None :: List.map Option.some tiles)
 
 (* -- Prediction -------------------------------------------------------- *)
 
@@ -334,8 +295,12 @@ let measure_plan ~clock ~engine ~precision ~n_branches ~scheme ~params ~room
 let tune ?(engine : Gpu_sim.engine = `Native) ?(precision = Kernel_ast.Cast.Double)
     ?(device = Vgpu.Device.host) ?(n_branches = 3) ?(topk = 8) ?(warmup = 2)
     ?(repeats = 5) ?(steps = 20) ?(max_shards = 2) ?clock
-    ?(use_cache = true) ?(explore_depth = 2) ?tiles ?tblocks ~scheme ~shape ~dims () :
+    ?(use_cache = true) ?tiles ?tblocks ~scheme ~shape ~dims () :
     result =
+  if steps < 1 || repeats < 1 then
+    invalid_arg
+      (Printf.sprintf "Autotune.tune: steps (%d) and repeats (%d) must be at least 1" steps
+         repeats);
   let key = key ~engine ~precision ~n_branches ~scheme ~shape ~dims in
   let cached = if use_cache then Plan_cache.find key else None in
   match cached with
@@ -363,8 +328,7 @@ let tune ?(engine : Gpu_sim.engine = `Native) ?(precision = Kernel_ast.Cast.Doub
           in
           let tiles = Option.value tiles ~default:default_tiles in
           let plans =
-            enumerate ~device ~precision ~shape ~dims ~max_shards ~explore_depth
-              ~tiles ?tblocks ()
+            enumerate ~device ~precision ~shape ~dims ~max_shards ~tiles ?tblocks ()
           in
           let predicted =
             List.map
@@ -380,7 +344,7 @@ let tune ?(engine : Gpu_sim.engine = `Native) ?(precision = Kernel_ast.Cast.Doub
              sharding, and it contains the default plan, the baseline
              every winner must beat *)
           let is_axis (p : Plan_cache.plan) =
-            p.pl_tile = None && p.pl_variant = [] && p.pl_shards = 1
+            p.pl_tile = None && p.pl_shards = 1
           in
           let is_default (p : Plan_cache.plan) = is_axis p && p.pl_unroll = None in
           let frontier =

@@ -1,7 +1,7 @@
 (** Measured rewrite-space autotuner.
 
     Searches the full configuration space the runtime exposes — volume
-    kernel form (flat, 2.5D tile, {!Lift.Explore} rewrite variant) x
+    kernel form (flat or 2.5D tile) x
     optimizer unroll budget x work-group size x shard count x overlap
     schedule x temporal block depth — by {e measurement}, with the performance model (corrected
     by persisted calibration factors) pruning the space first.  The
@@ -46,7 +46,6 @@ val tune :
   ?max_shards:int ->
   ?clock:(unit -> float) ->
   ?use_cache:bool ->
-  ?explore_depth:int ->
   ?tiles:(int * int) list ->
   ?tblocks:int list ->
   scheme:string ->
@@ -59,8 +58,7 @@ val tune :
     model pruning, [warmup = 2] untimed steps, the median of [repeats =
     5] intervals of [steps = 20] steps each, shard counts up to
     [max_shards = 2], plan cache and calibration persistence on
-    ([use_cache]), rewrite exploration depth [2] ([0] disables variant
-    candidates), temporal block depths [tblocks] (default
+    ([use_cache]), temporal block depths [tblocks] (default
     {!default_tblocks}) searched on sharded plans.  Candidates are
     measured one at a time.
 
@@ -70,7 +68,8 @@ val tune :
     runtimes' per-launch timing via {!Vgpu.Runtime.set_clock}, restored
     on exit.
 
-    @raise Invalid_argument on an unknown scheme. *)
+    @raise Invalid_argument on an unknown scheme, or on [steps] or
+    [repeats] below 1 (before anything is measured or stored). *)
 
 val key :
   engine:Acoustics.Gpu_sim.engine ->
@@ -113,7 +112,6 @@ val enumerate :
   shape:Acoustics.Geometry.shape ->
   dims:Acoustics.Geometry.dims ->
   max_shards:int ->
-  explore_depth:int ->
   tiles:(int * int) list ->
   ?tblocks:int list ->
   unit ->

@@ -13,14 +13,13 @@
    (measured/predicted correction factors per device x kernel), persisted
    with the same atomic rename. *)
 
-let magic = "racs-plan-v2"
+let magic = "racs-plan-v3"
 let calibration_magic = "racs-calibration-v1"
 
 type schedule = [ `Seq | `Concurrent | `Overlap ]
 
 type plan = {
   pl_tile : (int * int) option;  (* 2.5D tile, None = flat volume kernel *)
-  pl_variant : string list;  (* Explore rewrite trace, [] = baseline program *)
   pl_local : int;  (* work-group size (model-level for ungrouped kernels) *)
   pl_unroll : int option;  (* Opt unroll-budget override *)
   pl_shards : int;
@@ -31,7 +30,6 @@ type plan = {
 let default_plan =
   {
     pl_tile = None;
-    pl_variant = [];
     pl_local = 128;
     pl_unroll = None;
     pl_shards = 1;
@@ -122,17 +120,7 @@ let key_digest (k : key) =
 
 let entry_path k = Filename.concat (cache_dir ()) (key_digest k ^ ".plan")
 
-(* Rule names may not contain the separator; [variants]' rule names are
-   identifiers, enforce it on write so a load can split reliably. *)
-let check_trace trace =
-  List.iter
-    (fun r ->
-      if String.contains r ',' || String.contains r '\n' then
-        invalid_arg "Plan_cache: rule name contains a separator")
-    trace
-
 let render_entry (k : key) (e : entry) =
-  check_trace e.e_plan.pl_variant;
   let x, y, z = k.k_dims in
   let b = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b (s ^ "\n")) fmt in
@@ -147,8 +135,6 @@ let render_entry (k : key) (e : entry) =
   (match e.e_plan.pl_tile with
   | None -> line "tile none"
   | Some (w, h) -> line "tile %d %d" w h);
-  line "variant %s"
-    (match e.e_plan.pl_variant with [] -> "-" | t -> String.concat "," t);
   line "local %d" e.e_plan.pl_local;
   line "unroll %s"
     (match e.e_plan.pl_unroll with None -> "default" | Some n -> string_of_int n);
@@ -203,12 +189,6 @@ let parse_entry (k : key) (contents : string) : entry option =
               | _ -> None)
           | None -> None
         in
-        let variant =
-          match f "variant" with
-          | Some "-" -> Some []
-          | Some s -> Some (String.split_on_char ',' s)
-          | None -> None
-        in
         let unroll =
           match f "unroll" with
           | Some "default" -> Some None
@@ -218,12 +198,12 @@ let parse_entry (k : key) (contents : string) : entry option =
         in
         let schedule = Option.bind (f "schedule") schedule_of_string in
         (match
-           ( tile, variant, int_f "local", unroll, int_f "shards", schedule,
+           ( tile, int_f "local", unroll, int_f "shards", schedule,
              int_f "tblock",
              ( float_f "predicted_ns", float_f "measured_ns", float_f "default_ns",
                int_f "samples" ) )
          with
-        | ( Some pl_tile, Some pl_variant, Some pl_local, Some pl_unroll,
+        | ( Some pl_tile, Some pl_local, Some pl_unroll,
             Some pl_shards, Some pl_schedule, Some pl_tblock,
             (Some pred, Some meas, Some dflt, Some e_samples) )
           when pl_shards >= 1 && pl_local >= 1 && pl_tblock >= 1 ->
@@ -231,7 +211,7 @@ let parse_entry (k : key) (contents : string) : entry option =
               {
                 e_plan =
                   {
-                    pl_tile; pl_variant; pl_local; pl_unroll; pl_shards;
+                    pl_tile; pl_local; pl_unroll; pl_shards;
                     pl_schedule; pl_tblock;
                   };
                 e_predicted_s = pred *. 1e-9;

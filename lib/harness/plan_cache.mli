@@ -16,9 +16,6 @@ type schedule = [ `Seq | `Concurrent | `Overlap ]
 type plan = {
   pl_tile : (int * int) option;
       (** 2.5D work-group tile of the volume kernel; [None] = flat *)
-  pl_variant : string list;
-      (** {!Lift.Explore} rewrite trace of the volume program; [[]] =
-          baseline.  Replayable by name via {!Lift.Explore.replay}. *)
   pl_local : int;  (** work-group size (model-level for flat kernels) *)
   pl_unroll : int option;  (** optimizer unroll-budget override *)
   pl_shards : int;  (** Z-slab shard count (1 = single device) *)
@@ -29,7 +26,7 @@ type plan = {
 }
 
 val default_plan : plan
-(** Flat volume kernel, baseline program, one device, sequential
+(** Flat volume kernel, one device, sequential
     schedule, default optimizer budget — the plan [racs simulate] runs
     with no flags. *)
 

@@ -79,21 +79,7 @@ let env_of_kernel ?(param_value = fun _ -> None) (k : kernel) =
     acc = create ();
   }
 
-let rec eval_const env e =
-  match Cast.simplify e with
-  | Int_lit n -> Some n
-  | Var v -> env.param_value v
-  | Binop (op, a, b) -> (
-      match (eval_const env a, eval_const env b) with
-      | Some x, Some y -> (
-          match op with
-          | Add -> Some (x + y)
-          | Sub -> Some (x - y)
-          | Mul -> Some (x * y)
-          | Div when y <> 0 -> Some (x / y)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
+let eval_const env e = Cast.eval_int env.param_value (Cast.simplify e)
 
 (* An expression is tainted when its value depends on data loaded from
    global memory; a tainted index means a gather/scatter access. *)

@@ -357,6 +357,21 @@ let simplify_kernel k =
     global_size = List.map simplify k.global_size;
   }
 
+(* The one evaluator of integer size expressions (NDRange extents, loop
+   bounds): no simplification, so per-launch callers pay none. *)
+let rec eval_int lookup = function
+  | Int_lit n -> Some n
+  | Var v -> lookup v
+  | Binop (((Add | Sub | Mul | Div | Mod) as op), a, b) -> (
+      match (eval_int lookup a, eval_int lookup b, op) with
+      | Some x, Some y, Add -> Some (x + y)
+      | Some x, Some y, Sub -> Some (x - y)
+      | Some x, Some y, Mul -> Some (x * y)
+      | Some x, Some y, Div when y <> 0 -> Some (x / y)
+      | Some x, Some y, Mod when y <> 0 -> Some (x mod y)
+      | _ -> None)
+  | _ -> None
+
 (* Ranged-launch variant of a 1-D kernel: append a scalar int parameter
    (default ["goff"]) and rewrite every [get_global_id(0)] to
    [get_global_id(0) + goff], so launching [count] work-items with

@@ -209,6 +209,13 @@ val simplify : expr -> expr
 val simplify_stmt : stmt -> stmt
 val simplify_kernel : kernel -> kernel
 
+val eval_int : (string -> int option) -> expr -> int option
+(** [eval_int lookup e] is the value of an integer size expression:
+    literals, names through [lookup], and [+ - * / %].  [None] for any
+    other form, an unresolved name or a zero divisor.  [e] is not
+    simplified first; callers that accept unsimplified forms apply
+    {!simplify} themselves. *)
+
 val offset_global_id : ?param_name:string -> kernel -> kernel
 (** Ranged-launch variant of a 1-D kernel: appends a scalar int
     parameter (default ["goff"]) and rewrites every [get_global_id(0)]

@@ -2,12 +2,13 @@
 
    Two analyses run over one abstract traversal of the kernel body:
 
-   - every integer expression is abstracted to an interval (from NDRange
+   - every integer expression is abstracted, by [Domain.eval] (the
+     transfer function Footprint shares), to an interval (from NDRange
      extents, scalar-parameter values and loop ranges) and, when
      possible, a symbolic affine form [base + sum coeff_i * var_i] whose
      variables are [get_global_id] dimensions and loop counters;
    - every load/store records its abstracted index against the accessed
-     buffer.
+     buffer, loads through [Domain.eval]'s [load] hook.
 
    Race freedom of a buffer's stores is then an injectivity question on
    the affine forms: if the combined form over (gid dims + loop
@@ -77,9 +78,7 @@ type access = { ac_store : bool; ac_v : absval; ac_phase : int }
 
 type cenv = {
   e : env;
-  gsize : int option array;  (* 3 dims; missing dims are 1 *)
-  l3 : int array;  (* work-group size, [|1;1;1|] for flat kernels *)
-  is_grouped : bool;
+  l : Domain.launch;
   global_bufs : (string, unit) Hashtbl.t;
   private_arrs : (string, int) Hashtbl.t;
   local_arrs : (string, int) Hashtbl.t;
@@ -100,165 +99,13 @@ let record cenv buf ~store v =
          array: malformed kernel; the interpreter reports it *)
       ()
 
-(* Constant evaluation of size expressions through the parameter
-   environment (mirrors [Analysis.eval_const]). *)
-let rec const_eval (e : env) expr =
-  match Cast.simplify expr with
-  | Int_lit n -> Some n
-  | Var v -> e.param_value v
-  | Binop (op, a, b) -> (
-      match (const_eval e a, const_eval e b) with
-      | Some x, Some y -> (
-          match op with
-          | Add -> Some (x + y)
-          | Sub -> Some (x - y)
-          | Mul -> Some (x * y)
-          | Div when y <> 0 -> Some (x / y)
-          | Mod when y <> 0 -> Some (x mod y)
-          | _ -> None)
-      | _ -> None)
-  | _ -> None
-
 (* -- Abstract evaluation ---------------------------------------------- *)
 
-let rec eval cenv (expr : expr) : absval =
-  match expr with
-  | Int_lit n -> known n
-  | Real_lit _ -> top
-  | Global_id d ->
-      let itv =
-        if d < 3 then
-          match cenv.gsize.(d) with
-          | Some n -> { lo = Some 0; hi = Some (n - 1) }
-          | None -> { lo = Some 0; hi = None }
-        else top_itv
-      in
-      { v_itv = itv; v_aff = Some (aff_of_term (Tgid d)); v_tainted = false }
-  | Global_size d -> (
-      match if d < 3 then cenv.gsize.(d) else None with
-      | Some n -> known n
-      | None -> { top with v_itv = { lo = Some 1; hi = None } })
-  | Group_id d ->
-      if not cenv.is_grouped then
-        (* flat model: get_group_id(d) = get_global_id(d) *)
-        eval cenv (Global_id d)
-      else
-        let itv =
-          if d < 3 then
-            match cenv.gsize.(d) with
-            | Some n -> { lo = Some 0; hi = Some ((n / cenv.l3.(d)) - 1) }
-            | None -> { lo = Some 0; hi = None }
-          else top_itv
-        in
-        { v_itv = itv; v_aff = Some (aff_of_term (Tgrp d)); v_tainted = false }
-  | Local_id d ->
-      if not cenv.is_grouped then known 0
-      else if d < 3 then
-        {
-          v_itv = { lo = Some 0; hi = Some (cenv.l3.(d) - 1) };
-          v_aff = Some (aff_of_term (Tlid d));
-          v_tainted = false;
-        }
-      else known 0
-  | Local_size d -> known (if d < 3 then cenv.l3.(d) else 1)
-  | Var v -> (
-      match SMap.find_opt v cenv.locals with
-      | Some av -> av
-      | None -> (
-          match cenv.e.param_value v with
-          | Some n -> known n
-          | None ->
-              (* an unresolved scalar parameter: value unknown but
-                 launch-uniform, so keep it symbolic — it cancels in
-                 footprint differences and drops out of cross-work-item
-                 injectivity arguments *)
-              { v_itv = top_itv; v_aff = Some (aff_of_term (Tparam v)); v_tainted = false }))
-  | Load (b, i) ->
-      let iv = eval cenv i in
-      record cenv b ~store:false iv;
-      taint top
-  | Unop (op, a) -> (
-      let av = eval cenv a in
-      match op with
-      | Neg ->
-          {
-            v_itv = itv_neg av.v_itv;
-            v_aff = Option.map aff_neg av.v_aff;
-            v_tainted = av.v_tainted;
-          }
-      | Not -> { v_itv = bool_itv; v_aff = None; v_tainted = av.v_tainted }
-      | To_real | To_int -> { top with v_tainted = av.v_tainted })
-  | Ternary (c, a, b) ->
-      let cv = eval cenv c in
-      let av = eval cenv a and bv = eval cenv b in
-      { (join av bv) with v_tainted = cv.v_tainted || av.v_tainted || bv.v_tainted }
-  | Call (_, args) ->
-      let tainted = List.exists (fun a -> (eval cenv a).v_tainted) args in
-      { top with v_tainted = tainted }
-  | Binop (op, a, b) -> (
-      let av = eval cenv a and bv = eval cenv b in
-      let tainted = av.v_tainted || bv.v_tainted in
-      let with_t v = { v with v_tainted = tainted } in
-      match op with
-      | Add ->
-          with_t
-            {
-              v_itv = itv_add av.v_itv bv.v_itv;
-              v_aff = map2_opt aff_add av.v_aff bv.v_aff;
-              v_tainted = false;
-            }
-      | Sub ->
-          with_t
-            {
-              v_itv = itv_sub av.v_itv bv.v_itv;
-              v_aff = map2_opt aff_sub av.v_aff bv.v_aff;
-              v_tainted = false;
-            }
-      | Mul ->
-          let aff =
-            match (av.v_aff, bv.v_aff) with
-            | Some { base = k; coeffs = [] }, Some f | Some f, Some { base = k; coeffs = [] }
-              ->
-                Some (aff_scale k f)
-            | _ -> None
-          in
-          with_t { v_itv = itv_mul av.v_itv bv.v_itv; v_aff = aff; v_tainted = false }
-      | Div -> (
-          match bv.v_aff with
-          | Some { base = c; coeffs = [] } when c > 0 ->
-              with_t { top with v_itv = itv_div_pos av.v_itv c }
-          | _ -> with_t top)
-      | Mod -> (
-          match bv.v_aff with
-          | Some { base = c; coeffs = [] } when c > 0 -> (
-              match av.v_itv.lo with
-              | Some l when l >= 0 ->
-                  with_t { top with v_itv = { lo = Some 0; hi = Some (c - 1) } }
-              | _ -> with_t { top with v_itv = { lo = Some (-(c - 1)); hi = Some (c - 1) } })
-          | _ -> with_t top)
-      | Shr -> (
-          match bv.v_aff with
-          | Some { base = k; coeffs = [] } when k >= 0 && k < 62 ->
-              with_t { top with v_itv = itv_div_pos av.v_itv (1 lsl k) }
-          | _ -> with_t top)
-      | BAnd -> (
-          let mask v =
-            match v.v_aff with Some { base = m; coeffs = [] } when m >= 0 -> Some m | _ -> None
-          in
-          match (mask av, mask bv) with
-          | Some m, _ | _, Some m ->
-              with_t { top with v_itv = { lo = Some 0; hi = Some m } }
-          | None, None -> with_t top)
-      | Eq | Ne | Lt | Le | Gt | Ge | And | Or ->
-          with_t { top with v_itv = bool_itv })
-
-(* Variables assigned anywhere in a statement list (loop-body widening). *)
-let rec assigned_vars acc = function
-  | [] -> acc
-  | Assign (v, _) :: tl -> assigned_vars (v :: acc) tl
-  | If (_, t, f) :: tl -> assigned_vars (assigned_vars (assigned_vars acc t) f) tl
-  | For l :: tl -> assigned_vars (assigned_vars (l.var :: acc) l.body) tl
-  | _ :: tl -> assigned_vars acc tl
+let eval cenv expr =
+  Domain.eval cenv.l
+    ~var:(fun v -> SMap.find_opt v cenv.locals)
+    ~load:(fun b iv -> record cenv b ~store:false iv)
+    expr
 
 (* Whether an abstract value can differ between two work-items of the
    same group: its affine form mentions a gid/lid term, or the value is
@@ -277,7 +124,7 @@ let rec scan cenv ~varying (s : stmt) =
   match s with
   | Comment _ -> ()
   | Barrier ->
-      if cenv.is_grouped && varying then cenv.divergent_barrier <- true;
+      if cenv.l.l_grouped && varying then cenv.divergent_barrier <- true;
       cenv.phase <- cenv.phase + 1
   | Decl_local (_, v, n) ->
       Hashtbl.replace cenv.local_arrs v n;
@@ -571,6 +418,38 @@ type dim = { d_coeff : int; d_extent : int; d_gid : int option }
 (* one injectivity dimension: |coefficient|, index range (max - min),
    and the gid dimension it came from (None for loop counters) *)
 
+(* The NDRange, when every extent is statically known. *)
+let known_global cenv =
+  if Array.exists Option.is_none cenv.l.l_global then None
+  else Some (Array.map Option.get cenv.l.l_global)
+
+(* The loop-counter dimensions of a store form ([Exit] on a loop range
+   that is not statically known).  Parameters are launch-uniform: the
+   same value for every work-item, irrelevant to injectivity. *)
+let loop_dims cenv (form : aff) =
+  List.filter_map
+    (fun (t, c) ->
+      match t with
+      | Tgid _ | Tgrp _ | Tlid _ | Tparam _ -> None
+      | Tloop id -> (
+          match Hashtbl.find_opt cenv.loop_ranges id with
+          | Some { lo = Some l; hi = Some h } ->
+              Some { d_coeff = abs c; d_extent = max 0 (h - l); d_gid = None }
+          | _ -> raise Exit))
+    form.coeffs
+
+(* Mixed-radix injectivity: in ascending coefficient order, every
+   coefficient exceeds the reach of all smaller dimensions. *)
+let radix_ok dims =
+  List.sort (fun a b -> compare a.d_coeff b.d_coeff) dims
+  |> List.fold_left
+       (fun acc d ->
+         match acc with
+         | Some reach when d.d_coeff > reach -> Some (reach + (d.d_coeff * d.d_extent))
+         | _ -> None)
+       (Some 0)
+  |> Option.is_some
+
 (* For a local buffer two stores only conflict within the same
    barrier-delimited phase (the barrier orders the phases), so the
    collision must also match on phase. *)
@@ -698,12 +577,9 @@ let race_verdict cenv e (k : kernel) buf (stores : absval list) : verdict =
     match single with
     | None -> Unproven "multiple distinct store index shapes"
     | Some (form, extra_dims) -> (
-        match cenv.gsize with
-        | gs when Array.exists (fun d -> d = None) gs ->
-            ignore gs;
-            Unproven "NDRange extent not statically known"
-        | _ ->
-            let gsize = Array.map (fun d -> Option.get d) cenv.gsize in
+        match known_global cenv with
+        | None -> Unproven "NDRange extent not statically known"
+        | Some gsize ->
             let cf t = Option.value ~default:0 (List.assoc_opt t form.coeffs) in
             let coeff d = cf (Tgid d) in
             (* every dimension of the combined (gid/group/lid + loop)
@@ -712,7 +588,7 @@ let race_verdict cenv e (k : kernel) buf (stores : absval list) : verdict =
                box over-approximates the set of executions, so proving
                injectivity there is only harder. *)
             let dims_exn () =
-              let l3 = cenv.l3 in
+              let l3 = cenv.l.l_local in
               let gid_dims =
                 List.concat_map
                   (fun d ->
@@ -743,45 +619,17 @@ let race_verdict cenv e (k : kernel) buf (stores : absval list) : verdict =
                           ])
                   [ 0; 1; 2 ]
               in
-              let loop_dims =
-                List.filter_map
-                  (fun (t, c) ->
-                    match t with
-                    | Tgid _ | Tgrp _ | Tlid _ -> None
-                    | Tparam _ ->
-                        (* launch-uniform: the same value for every
-                           work-item, irrelevant to injectivity *)
-                        None
-                    | Tloop id -> (
-                        match Hashtbl.find_opt cenv.loop_ranges id with
-                        | Some { lo = Some l; hi = Some h } ->
-                            Some { d_coeff = abs c; d_extent = max 0 (h - l); d_gid = None }
-                        | _ -> raise Exit))
-                  form.coeffs
-              in
-              gid_dims @ loop_dims @ extra_dims
+              gid_dims @ loop_dims cenv form @ extra_dims
             in
             (match dims_exn () with
             | exception Exit -> Unproven "loop range not statically known"
             | dims ->
                 let zero_gid = List.find_opt (fun d -> d.d_gid <> None && d.d_coeff = 0) dims in
-                let radix_ok =
-                  List.sort (fun a b -> compare a.d_coeff b.d_coeff) dims
-                  |> List.fold_left
-                       (fun acc d ->
-                         match acc with
-                         | None -> None
-                         | Some reach ->
-                             if d.d_coeff <= reach then None
-                             else Some (reach + (d.d_coeff * d.d_extent)))
-                       (Some 0)
-                  |> Option.is_some
-                in
-                if zero_gid = None && radix_ok then Safe
+                if zero_gid = None && radix_ok dims then Safe
                 else
                   (* candidate collision: only claim Unsafe when a pair of
                      work-items is concretely confirmed to collide *)
-                  let pairs = candidate_pairs ~gsize ~l3:cenv.l3 form in
+                  let pairs = candidate_pairs ~gsize ~l3:cenv.l.l_local form in
                   let rec try_pairs = function
                     | [] ->
                         Unproven
@@ -806,15 +654,14 @@ let race_verdict cenv e (k : kernel) buf (stores : absval list) : verdict =
    an approximation — barriers inside loops delimit phases dynamically —
    so everything undecided stays [Unproven] for the runtime sanitizer. *)
 let local_race_verdict cenv e (k : kernel) buf (stores : (absval * int) list) : verdict =
-  if not cenv.is_grouped then Safe (* flat model: Decl_local is private *)
+  if not cenv.l.l_grouped then Safe (* flat model: Decl_local is private *)
   else if stores = [] then Safe
   else
-    let l3 = cenv.l3 in
+    let l3 = cenv.l.l_local in
     let confirm () =
-      match cenv.gsize with
-      | gs when Array.exists (fun d -> d = None) gs -> None
-      | _ ->
-          let gsize = Array.map (fun d -> Option.get d) cenv.gsize in
+      match known_global cenv with
+      | None -> None
+      | Some gsize ->
           let pairs =
             List.filter_map
               (fun d ->
@@ -876,41 +723,13 @@ let local_race_verdict cenv e (k : kernel) buf (stores : (absval * int) list) : 
                               ])
                       [ 0; 1; 2 ]
                   in
-                  let loop_dims =
-                    List.filter_map
-                      (fun (t, c) ->
-                        match t with
-                        | Tgid _ | Tgrp _ | Tlid _ -> None
-                    | Tparam _ ->
-                        (* launch-uniform: the same value for every
-                           work-item, irrelevant to injectivity *)
-                        None
-                        | Tloop id -> (
-                            match Hashtbl.find_opt cenv.loop_ranges id with
-                            | Some { lo = Some l; hi = Some h } ->
-                                Some { d_coeff = abs c; d_extent = max 0 (h - l); d_gid = None }
-                            | _ -> raise Exit))
-                      form.coeffs
-                  in
-                  lid_dims @ loop_dims
+                  lid_dims @ loop_dims cenv form
                 in
                 (match dims_exn () with
                 | exception Exit -> Unproven "loop range not statically known"
                 | dims ->
                     let uncovered = List.exists (fun d -> d.d_coeff = 0) dims in
-                    let radix_ok =
-                      List.sort (fun a b -> compare a.d_coeff b.d_coeff) dims
-                      |> List.fold_left
-                           (fun acc d ->
-                             match acc with
-                             | None -> None
-                             | Some reach ->
-                                 if d.d_coeff <= reach then None
-                                 else Some (reach + (d.d_coeff * d.d_extent)))
-                           (Some 0)
-                      |> Option.is_some
-                    in
-                    if (not uncovered) && radix_ok then Safe
+                    if (not uncovered) && radix_ok dims then Safe
                     else
                       match confirm () with
                       | Some w -> Unsafe w
@@ -943,17 +762,16 @@ let local_race_verdict cenv e (k : kernel) buf (stores : (absval * int) list) : 
    [Unsafe] when two concrete work-items of the same group are shown to
    execute different barrier counts. *)
 let barrier_verdict cenv e (k : kernel) : verdict =
-  if not (cenv.is_grouped && Cast.contains_barrier k.body) then Safe
+  if not (cenv.l.l_grouped && Cast.contains_barrier k.body) then Safe
   else if not cenv.divergent_barrier then Safe
   else
     let unconfirmed =
       Unproven "barrier under work-item-varying control flow (divergence not confirmed)"
     in
-    match cenv.gsize with
-    | gs when Array.exists (fun d -> d = None) gs -> unconfirmed
-    | _ ->
-        let gsize = Array.map (fun d -> Option.get d) cenv.gsize in
-        let l3 = cenv.l3 in
+    match known_global cenv with
+    | None -> unconfirmed
+    | Some gsize ->
+        let l3 = cenv.l.l_local in
         let zeros = Array.make 3 0 in
         let candidates =
           List.concat_map
@@ -1027,55 +845,59 @@ let bounds_verdict cenv e (k : kernel) buf ~elems (accs : access list) : verdict
       let bad =
         List.filter (fun a -> not (itv_within a.ac_v.v_itv ~lo:0 ~hi:(n - 1))) accs
       in
-      if bad = [] then Safe
-      else if Array.exists (fun d -> d = None) cenv.gsize then
-        Unproven "NDRange extent not statically known"
-      else
-        let gsize = Array.map (fun d -> Option.get d) cenv.gsize in
-        (* try to concretely realise a violation at the work-items that
-           extremise some affine out-of-range index *)
-        let candidates =
-          List.concat_map
-            (fun a ->
-              match a.ac_v.v_aff with
-              | Some f ->
-                  [ extremal_gid ~gsize f ~maximise:true; extremal_gid ~gsize f ~maximise:false ]
-              | None -> [])
-            bad
-          @ [ Array.make 3 0 ]
-        in
-        let rec try_gids = function
-          | [] ->
-              let a = List.hd bad in
-              Unproven
-                (if a.ac_v.v_tainted then
-                   "index depends on loaded data; extent not statically checkable"
-                 else
-                   Fmt.str "index interval %a not contained in [0, %d)" pp_itv a.ac_v.v_itv n)
-          | gid :: rest -> (
-              match confirm_oob e k ~gsize buf ~elems:n gid with
-              | Some w -> Unsafe w
-              | None -> try_gids rest)
-        in
-        try_gids candidates
+      match known_global cenv with
+      | _ when bad = [] -> Safe
+      | None -> Unproven "NDRange extent not statically known"
+      | Some gsize ->
+          (* try to concretely realise a violation at the work-items that
+             extremise some affine out-of-range index *)
+          let candidates =
+            List.concat_map
+              (fun a ->
+                match a.ac_v.v_aff with
+                | Some f ->
+                    [
+                      extremal_gid ~gsize f ~maximise:true;
+                      extremal_gid ~gsize f ~maximise:false;
+                    ]
+                | None -> [])
+              bad
+            @ [ Array.make 3 0 ]
+          in
+          let rec try_gids = function
+            | [] ->
+                let a = List.hd bad in
+                Unproven
+                  (if a.ac_v.v_tainted then
+                     "index depends on loaded data; extent not statically checkable"
+                   else
+                     Fmt.str "index interval %a not contained in [0, %d)" pp_itv a.ac_v.v_itv
+                       n)
+            | gid :: rest -> (
+                match confirm_oob e k ~gsize buf ~elems:n gid with
+                | Some w -> Unsafe w
+                | None -> try_gids rest)
+          in
+          try_gids candidates
 
 (* -- Driver ----------------------------------------------------------- *)
 
-let resolve_gsize (e : env) (k : kernel) =
+let launch (e : env) (k : kernel) : Domain.launch =
   let gs = Array.make 3 (Some 1) in
   (match e.global with
   | Some l -> List.iteri (fun d n -> if d < 3 then gs.(d) <- Some n) l
   | None ->
-      List.iteri (fun d expr -> if d < 3 then gs.(d) <- const_eval e expr) k.global_size);
-  gs
+      List.iteri
+        (fun d expr ->
+          if d < 3 then gs.(d) <- Cast.eval_int e.param_value (Cast.simplify expr))
+        k.global_size);
+  { l_global = gs; l_local = local3 k; l_grouped = grouped k; l_param = e.param_value }
 
 let analyse (e : env) (k : kernel) =
   let cenv =
     {
       e;
-      gsize = resolve_gsize e k;
-      l3 = local3 k;
-      is_grouped = grouped k;
+      l = launch e k;
       global_bufs = Hashtbl.create 8;
       private_arrs = Hashtbl.create 4;
       local_arrs = Hashtbl.create 4;
@@ -1134,7 +956,7 @@ let check (e : env) (k : kernel) : report =
   in
   {
     r_kernel = k.name;
-    r_global = cenv.gsize;
+    r_global = cenv.l.l_global;
     r_bufs = bufs;
     r_barrier = barrier_verdict cenv e k;
   }

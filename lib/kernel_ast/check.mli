@@ -76,14 +76,12 @@ val env :
   unit ->
   env
 
-val const_eval : env -> Cast.expr -> int option
-(** Constant-fold an expression through the parameter environment
-    (mirrors [Analysis.eval_const]). *)
-
-val resolve_gsize : env -> Cast.kernel -> int option array
-(** The 3-dim NDRange of a launch: [env.global] when given, otherwise
-    the kernel's symbolic [global_size] constant-folded through the
-    environment; missing dimensions are 1. *)
+val launch : env -> Cast.kernel -> Domain.launch
+(** The launch the analyses evaluate under: [env.global] when given,
+    otherwise the kernel's symbolic [global_size] simplified and
+    evaluated by {!Cast.eval_int} through the environment (missing
+    dimensions are 1), plus the kernel's work-group shape and the
+    environment's scalar values. *)
 
 val check : env -> Cast.kernel -> report
 

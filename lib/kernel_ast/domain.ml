@@ -109,3 +109,108 @@ let join a b =
     v_aff = (match (a.v_aff, b.v_aff) with Some x, Some y when x = y -> Some x | _ -> None);
     v_tainted = a.v_tainted || b.v_tainted;
   }
+
+(* -- The abstract transfer function ------------------------------------ *)
+
+type launch = {
+  l_global : int option array;  (* 3 dims; missing dims are 1 *)
+  l_local : int array;  (* work-group size, [|1;1;1|] for flat kernels *)
+  l_grouped : bool;
+  l_param : string -> int option;
+}
+
+let term_itv l = function
+  | Tgid d when d < 3 -> { lo = Some 0; hi = Option.map (fun n -> n - 1) l.l_global.(d) }
+  | Tgrp d when d < 3 ->
+      { lo = Some 0; hi = Option.map (fun n -> (n / l.l_local.(d)) - 1) l.l_global.(d) }
+  | Tlid d when l.l_grouped && d < 3 -> { lo = Some 0; hi = Some (l.l_local.(d) - 1) }
+  | Tlid _ -> point 0
+  | Tparam v -> ( match l.l_param v with Some n -> point n | None -> top_itv)
+  | Tgid _ | Tgrp _ | Tloop _ -> top_itv
+
+let of_term l t = { v_itv = term_itv l t; v_aff = Some (aff_of_term t); v_tainted = false }
+let const v = match v.v_aff with Some { base; coeffs = [] } -> Some base | _ -> None
+
+(* The untainted result of [a op b]; the caller adds the operands' taint. *)
+let binop (op : Cast.binop) a b =
+  match (op, const b) with
+  | Add, _ ->
+      { top with v_itv = itv_add a.v_itv b.v_itv; v_aff = map2_opt aff_add a.v_aff b.v_aff }
+  | Sub, _ ->
+      { top with v_itv = itv_sub a.v_itv b.v_itv; v_aff = map2_opt aff_sub a.v_aff b.v_aff }
+  | Mul, kb ->
+      let v_aff =
+        match (const a, kb) with
+        | Some k, _ -> Option.map (aff_scale k) b.v_aff
+        | None, Some k -> Option.map (aff_scale k) a.v_aff
+        | None, None -> None
+      in
+      { top with v_itv = itv_mul a.v_itv b.v_itv; v_aff }
+  | Div, Some c when c > 0 -> { top with v_itv = itv_div_pos a.v_itv c }
+  | Mod, Some c when c > 0 ->
+      let lo = match a.v_itv.lo with Some l when l >= 0 -> 0 | _ -> -(c - 1) in
+      { top with v_itv = { lo = Some lo; hi = Some (c - 1) } }
+  | Shr, Some k when k >= 0 && k < 62 -> { top with v_itv = itv_div_pos a.v_itv (1 lsl k) }
+  | BAnd, kb -> (
+      match (const a, kb) with
+      | Some m, _ when m >= 0 -> { top with v_itv = { lo = Some 0; hi = Some m } }
+      | _, Some m when m >= 0 -> { top with v_itv = { lo = Some 0; hi = Some m } }
+      | _ -> top)
+  | (Eq | Ne | Lt | Le | Gt | Ge | And | Or), _ -> { top with v_itv = bool_itv }
+  | (Div | Mod | Shr), _ -> top
+
+(* Operands are evaluated left to right, so the hooks see accesses in
+   program order. *)
+let rec eval l ~var ~load (expr : Cast.expr) =
+  let eval = eval l ~var ~load in
+  match expr with
+  | Int_lit n -> known n
+  | Real_lit _ -> top
+  | Global_id d -> of_term l (Tgid d)
+  | Global_size d -> (
+      match if d < 3 then l.l_global.(d) else None with
+      | Some n -> known n
+      | None -> { top with v_itv = { lo = Some 1; hi = None } })
+  | Group_id d ->
+      (* flat model: get_group_id(d) = get_global_id(d) *)
+      of_term l (if l.l_grouped then Tgrp d else Tgid d)
+  | Local_id d -> if l.l_grouped && d < 3 then of_term l (Tlid d) else known 0
+  | Local_size d -> known (if d < 3 then l.l_local.(d) else 1)
+  | Var v -> (
+      match var v with
+      | Some av -> av
+      | None -> (
+          match l.l_param v with
+          | Some n -> known n
+          | None ->
+              (* an unresolved scalar parameter: unknown but launch-uniform,
+                 so keep it symbolic *)
+              of_term l (Tparam v)))
+  | Load (b, i) ->
+      load b (eval i);
+      taint top
+  | Unop (op, a) -> (
+      let av = eval a in
+      match op with
+      | Neg -> { av with v_itv = itv_neg av.v_itv; v_aff = Option.map aff_neg av.v_aff }
+      | Not -> { top with v_itv = bool_itv; v_tainted = av.v_tainted }
+      | To_real | To_int -> { top with v_tainted = av.v_tainted })
+  | Ternary (c, a, b) ->
+      let cv = eval c in
+      let av = eval a in
+      let j = join av (eval b) in
+      { j with v_tainted = cv.v_tainted || j.v_tainted }
+  | Call (_, args) ->
+      let vs = List.map eval args in
+      { top with v_tainted = List.exists (fun v -> v.v_tainted) vs }
+  | Binop (op, a, b) ->
+      let av = eval a in
+      let bv = eval b in
+      { (binop op av bv) with v_tainted = av.v_tainted || bv.v_tainted }
+
+let rec assigned_vars acc : Cast.stmt list -> string list = function
+  | [] -> acc
+  | Assign (v, _) :: tl -> assigned_vars (v :: acc) tl
+  | If (_, t, f) :: tl -> assigned_vars (assigned_vars (assigned_vars acc t) f) tl
+  | For l :: tl -> assigned_vars (assigned_vars (l.var :: acc) l.body) tl
+  | _ :: tl -> assigned_vars acc tl

@@ -1,7 +1,8 @@
 (** Interval / affine abstract domain shared by the static analyses.
 
     {!module:Check} (race/bounds verification) and {!module:Footprint}
-    (stencil-footprint inference) both abstract integer expressions to
+    (stencil-footprint inference) both abstract integer expressions,
+    through the one transfer function {!eval}, to
 
     - an {b interval} [\[lo, hi\]] with optional (unknown) endpoints, and
     - when possible a symbolic {b affine form}
@@ -79,3 +80,39 @@ val top : absval
 val taint : absval -> absval
 val known : int -> absval
 val join : absval -> absval -> absval
+
+(** {2 Evaluation} *)
+
+(** What a launch fixes for every work-item. *)
+type launch = {
+  l_global : int option array;
+      (** NDRange extent per dimension (3 dims, missing dims are 1);
+          [None] when not statically known *)
+  l_local : int array;  (** work-group size, [\[|1;1;1|\]] for flat kernels *)
+  l_grouped : bool;  (** the kernel uses the work-group tier *)
+  l_param : string -> int option;  (** statically known scalar parameters *)
+}
+
+val term_itv : launch -> term -> itv
+(** Range of an id term over the launch, or a scalar parameter's known
+    value; {!top_itv} for loop counters, whose ranges the analyses
+    keep. *)
+
+val eval :
+  launch ->
+  var:(string -> absval option) ->
+  load:(string -> absval -> unit) ->
+  Cast.expr ->
+  absval
+(** [eval launch ~var ~load e] abstracts [e] for every work-item of the
+    launch.  [var] resolves kernel-local registers; a name it does not
+    know is a scalar parameter, known through [launch] or kept symbolic
+    as {!Tparam}.  [load b i] is called for every load of buffer [b] at
+    abstract index [i] (the loaded value itself is {!top}, tainted).
+    Operands, builtin-call arguments included, are evaluated left to
+    right, so the hooks see accesses in program order. *)
+
+val assigned_vars : string list -> Cast.stmt list -> string list
+(** Names assigned anywhere in a statement list, loop counters
+    included, prepended to the accumulator: what a single abstract pass
+    over a loop body must widen. *)

@@ -1,9 +1,10 @@
 (* Stencil-footprint inference: provenance-carrying abstract
    interpretation.
 
-   The absval component mirrors [Check.eval] exactly; on top of it every
-   value carries its *provenance* — the set of global-buffer cells
-   (buffer name + affine index form) it was loaded from.  Provenance
+   Values are abstracted by [Domain.eval], the transfer function Check
+   uses too; through its [var] and [load] hooks every value also
+   collects its *provenance* — the set of global-buffer cells (buffer
+   name + affine index form) it was loaded from.  Provenance
    flows through arithmetic, scalar registers, private arrays, __local
    staging tiles and enclosing branch conditions, and reaches a global
    store as the store's read footprint.  Loop-carried registers are aged
@@ -48,10 +49,7 @@ let union_all oss = dedup_origins (List.concat oss)
 type acc = { a_buf : string; a_store : bool; a_form : aff option; a_itv : itv }
 
 type fenv = {
-  e : Check.env;
-  gsize : int option array;
-  l3 : int array;
-  is_grouped : bool;
+  l : Domain.launch;
   global_bufs : (string, unit) Hashtbl.t;
   arrays : (string, origin list ref) Hashtbl.t;
       (* private and __local arrays: union of origins ever stored; slots
@@ -71,171 +69,34 @@ type fenv = {
 
 let note fenv s = if not (List.mem s fenv.notes) then fenv.notes <- s :: fenv.notes
 
-let record fenv b ~store (iv : fval) =
+let record fenv b ~store (iv : absval) =
   if Hashtbl.mem fenv.global_bufs b then
-    let form = if iv.fa.v_tainted then None else iv.fa.v_aff in
-    fenv.accs <- { a_buf = b; a_store = store; a_form = form; a_itv = iv.fa.v_itv } :: fenv.accs
+    let form = if iv.v_tainted then None else iv.v_aff in
+    fenv.accs <- { a_buf = b; a_store = store; a_form = form; a_itv = iv.v_itv } :: fenv.accs
 
 (* -- Abstract evaluation with provenance ------------------------------ *)
 
 let pure av = { fa = av; fo = [] }
 
-let rec eval fenv (expr : expr) : fval =
-  match expr with
-  | Int_lit n -> pure (known n)
-  | Real_lit _ -> pure top
-  | Global_id d ->
-      let itv =
-        if d < 3 then
-          match fenv.gsize.(d) with
-          | Some n -> { lo = Some 0; hi = Some (n - 1) }
-          | None -> { lo = Some 0; hi = None }
-        else top_itv
-      in
-      pure { v_itv = itv; v_aff = Some (aff_of_term (Tgid d)); v_tainted = false }
-  | Global_size d -> (
-      match (if d < 3 then fenv.gsize.(d) else None) with
-      | Some n -> pure (known n)
-      | None -> pure { top with v_itv = { lo = Some 1; hi = None } })
-  | Group_id d ->
-      if not fenv.is_grouped then eval fenv (Global_id d)
-      else
-        let itv =
-          if d < 3 then
-            match fenv.gsize.(d) with
-            | Some n -> { lo = Some 0; hi = Some ((n / fenv.l3.(d)) - 1) }
-            | None -> { lo = Some 0; hi = None }
-          else top_itv
-        in
-        pure { v_itv = itv; v_aff = Some (aff_of_term (Tgrp d)); v_tainted = false }
-  | Local_id d ->
-      if not fenv.is_grouped then pure (known 0)
-      else if d < 3 then
-        pure
-          {
-            v_itv = { lo = Some 0; hi = Some (fenv.l3.(d) - 1) };
-            v_aff = Some (aff_of_term (Tlid d));
-            v_tainted = false;
-          }
-      else pure (known 0)
-  | Local_size d -> pure (known (if d < 3 then fenv.l3.(d) else 1))
-  | Var v -> (
-      match SMap.find_opt v fenv.locals with
-      | Some fv -> fv
-      | None -> (
-          match fenv.e.param_value v with
-          | Some n -> pure (known n)
-          | None ->
-              pure { v_itv = top_itv; v_aff = Some (aff_of_term (Tparam v)); v_tainted = false }))
-  | Load (b, i) ->
-      let iv = eval fenv i in
-      record fenv b ~store:false iv;
-      let fo =
-        if Hashtbl.mem fenv.global_bufs b then
-          let form = if iv.fa.v_tainted then None else iv.fa.v_aff in
-          union_origins [ { o_buf = b; o_form = form; o_exact = true } ] iv.fo
-        else
-          match Hashtbl.find_opt fenv.arrays b with
-          | Some r -> union_origins !r iv.fo
-          | None -> iv.fo
-      in
-      { fa = taint top; fo }
-  | Unop (op, a) -> (
-      let av = eval fenv a in
-      match op with
-      | Neg ->
-          {
-            fa =
-              {
-                v_itv = itv_neg av.fa.v_itv;
-                v_aff = Option.map aff_neg av.fa.v_aff;
-                v_tainted = av.fa.v_tainted;
-              };
-            fo = av.fo;
-          }
-      | Not -> { fa = { v_itv = bool_itv; v_aff = None; v_tainted = av.fa.v_tainted }; fo = av.fo }
-      | To_real | To_int ->
-          { fa = { top with v_tainted = av.fa.v_tainted }; fo = av.fo })
-  | Ternary (c, a, b) ->
-      let cv = eval fenv c in
-      let av = eval fenv a and bv = eval fenv b in
-      {
-        fa =
-          {
-            (join av.fa bv.fa) with
-            v_tainted = cv.fa.v_tainted || av.fa.v_tainted || bv.fa.v_tainted;
-          };
-        fo = union_all [ cv.fo; av.fo; bv.fo ];
-      }
-  | Call (_, args) ->
-      let vs = List.map (eval fenv) args in
-      let tainted = List.exists (fun v -> v.fa.v_tainted) vs in
-      { fa = { top with v_tainted = tainted }; fo = union_all (List.map (fun v -> v.fo) vs) }
-  | Binop (op, a, b) -> (
-      let av = eval fenv a and bv = eval fenv b in
-      let fo = union_origins av.fo bv.fo in
-      let tainted = av.fa.v_tainted || bv.fa.v_tainted in
-      let ret v = { fa = { v with v_tainted = tainted }; fo } in
-      match op with
-      | Add ->
-          ret
-            {
-              v_itv = itv_add av.fa.v_itv bv.fa.v_itv;
-              v_aff = map2_opt aff_add av.fa.v_aff bv.fa.v_aff;
-              v_tainted = false;
-            }
-      | Sub ->
-          ret
-            {
-              v_itv = itv_sub av.fa.v_itv bv.fa.v_itv;
-              v_aff = map2_opt aff_sub av.fa.v_aff bv.fa.v_aff;
-              v_tainted = false;
-            }
-      | Mul ->
-          let aff =
-            match (av.fa.v_aff, bv.fa.v_aff) with
-            | Some { base = k; coeffs = [] }, Some f | Some f, Some { base = k; coeffs = [] }
-              ->
-                Some (aff_scale k f)
-            | _ -> None
-          in
-          ret { v_itv = itv_mul av.fa.v_itv bv.fa.v_itv; v_aff = aff; v_tainted = false }
-      | Div -> (
-          match bv.fa.v_aff with
-          | Some { base = c; coeffs = [] } when c > 0 ->
-              ret { top with v_itv = itv_div_pos av.fa.v_itv c }
-          | _ -> ret top)
-      | Mod -> (
-          match bv.fa.v_aff with
-          | Some { base = c; coeffs = [] } when c > 0 -> (
-              match av.fa.v_itv.lo with
-              | Some l when l >= 0 -> ret { top with v_itv = { lo = Some 0; hi = Some (c - 1) } }
-              | _ -> ret { top with v_itv = { lo = Some (-(c - 1)); hi = Some (c - 1) } })
-          | _ -> ret top)
-      | Shr -> (
-          match bv.fa.v_aff with
-          | Some { base = k; coeffs = [] } when k >= 0 && k < 62 ->
-              ret { top with v_itv = itv_div_pos av.fa.v_itv (1 lsl k) }
-          | _ -> ret top)
-      | BAnd -> (
-          let mask v =
-            match v.fa.v_aff with
-            | Some { base = m; coeffs = [] } when m >= 0 -> Some m
-            | _ -> None
-          in
-          match (mask av, mask bv) with
-          | Some m, _ | _, Some m -> ret { top with v_itv = { lo = Some 0; hi = Some m } }
-          | None, None -> ret top)
-      | Eq | Ne | Lt | Le | Gt | Ge | And | Or -> ret { top with v_itv = bool_itv })
+(* A value's provenance is the union of its leaves': the registers it
+   reads and the cells it loads (an array load sees every store into the
+   array). *)
+let eval fenv (expr : expr) : fval =
+  let fo = ref [] in
+  let add os = fo := List.rev_append os !fo in
+  let var v =
+    Option.map (fun fv -> add fv.fo; fv.fa) (SMap.find_opt v fenv.locals)
+  in
+  let load b (iv : absval) =
+    record fenv b ~store:false iv;
+    if Hashtbl.mem fenv.global_bufs b then
+      add [ { o_buf = b; o_form = (if iv.v_tainted then None else iv.v_aff); o_exact = true } ]
+    else Option.iter (fun r -> add !r) (Hashtbl.find_opt fenv.arrays b)
+  in
+  let fa = Domain.eval fenv.l ~var ~load expr in
+  { fa; fo = dedup_origins !fo }
 
 (* -- Statement scan ---------------------------------------------------- *)
-
-let rec assigned_vars acc = function
-  | [] -> acc
-  | Assign (v, _) :: tl -> assigned_vars (v :: acc) tl
-  | If (_, t, f) :: tl -> assigned_vars (assigned_vars (assigned_vars acc t) f) tl
-  | For l :: tl -> assigned_vars (assigned_vars (l.var :: acc) l.body) tl
-  | _ :: tl -> assigned_vars acc tl
 
 (* Variables bound afresh inside a statement list (so not loop-carried):
    declarations and nested loop counters. *)
@@ -304,7 +165,7 @@ let rec scan fenv ~ctx (s : stmt) =
   | Store (b, i, e) ->
       let iv = eval fenv i in
       let ev = eval fenv e in
-      record fenv b ~store:true iv;
+      record fenv b ~store:true iv.fa;
       let os = union_all [ ev.fo; iv.fo; ctx ] in
       if Hashtbl.mem fenv.global_bufs b then fenv.flows <- union_origins os fenv.flows
       else (
@@ -502,21 +363,8 @@ let axis_forms strides (f : aff) =
   forms
 
 let term_itv fenv = function
-  | Tgid d ->
-      if d < 3 then (
-        match fenv.gsize.(d) with
-        | Some n -> { lo = Some 0; hi = Some (n - 1) }
-        | None -> { lo = Some 0; hi = None })
-      else top_itv
-  | Tlid d -> if fenv.is_grouped && d < 3 then { lo = Some 0; hi = Some (fenv.l3.(d) - 1) } else point 0
-  | Tgrp d ->
-      if d < 3 then (
-        match fenv.gsize.(d) with
-        | Some n -> { lo = Some 0; hi = Some ((n / fenv.l3.(d)) - 1) }
-        | None -> { lo = Some 0; hi = None })
-      else top_itv
   | Tloop id -> Option.value ~default:top_itv (Hashtbl.find_opt fenv.loop_ranges id)
-  | Tparam v -> ( match fenv.e.param_value v with Some n -> point n | None -> top_itv)
+  | t -> Domain.term_itv fenv.l t
 
 let aff_itv fenv (f : aff) =
   List.fold_left
@@ -588,10 +436,7 @@ let infer ?anchor ?(strides = [| 1 |]) (e : Check.env) (k : kernel) : t =
   check_strides strides;
   let fenv =
     {
-      e;
-      gsize = Check.resolve_gsize e k;
-      l3 = local3 k;
-      is_grouped = grouped k;
+      l = Check.launch e k;
       global_bufs = Hashtbl.create 8;
       arrays = Hashtbl.create 4;
       loop_ranges = Hashtbl.create 4;

@@ -6,9 +6,10 @@
     cover (Devito's MPI-X derives communication schedules from exactly
     this; arXiv:2312.13094).
 
-    The analysis reuses the interval/affine domain of {!module:Check}
-    ({!module:Domain}) and adds {b value provenance}: every abstract
-    value carries the set of global-buffer cells it was loaded from, and
+    The analysis evaluates expressions with {!module:Check}'s transfer
+    function ({!Domain.eval}) and adds {b value provenance} through its
+    hooks: every abstract value carries the set of global-buffer cells
+    it was loaded from, and
     provenance flows through scalar registers, private arrays and
     [__local] staging buffers.  Loop-carried registers age by one
     iteration per trip (the [z]-march idiom of 2.5D-tiled stencils), so

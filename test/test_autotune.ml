@@ -39,7 +39,6 @@ let sample_entry () : PC.entry =
     PC.e_plan =
       {
         PC.pl_tile = Some (8, 4);
-        pl_variant = [ "fuse_map"; "split_join" ];
         pl_local = 32;
         pl_unroll = Some 16384;
         pl_shards = 3;
@@ -69,7 +68,7 @@ let test_roundtrip () =
         (Float.abs (got.PC.e_measured_s -. entry.PC.e_measured_s) < 1e-12));
   let hits, misses, stores = PC.counters () in
   Alcotest.(check (triple int int int)) "counters" (1, 1, 1) (hits, misses, stores);
-  (* the default plan (no tile, no variant, default unroll) round-trips
+  (* the default plan (no tile, default unroll) round-trips
      through its None/empty encodings too *)
   let dkey = { (sample_key ()) with PC.k_scheme = "fd-mm" } in
   PC.store dkey { (sample_entry ()) with PC.e_plan = PC.default_plan };
@@ -154,8 +153,7 @@ let small_dims = Geometry.dims ~nx:10 ~ny:8 ~nz:7
 let tune_small ?(use_cache = false) ?clock () =
   let clock = match clock with Some c -> c | None -> fake_clock () in
   AT.tune ~engine:`Native ~topk:4 ~warmup:1 ~repeats:3 ~steps:2 ~max_shards:2
-    ~clock ~use_cache ~explore_depth:1 ~scheme:"fi" ~shape:Geometry.Box
-    ~dims:small_dims ()
+    ~clock ~use_cache ~scheme:"fi" ~shape:Geometry.Box ~dims:small_dims ()
 
 let test_deterministic_under_fake_timer () =
   ignore (use_scratch_dir ());
@@ -199,6 +197,29 @@ let test_warm_cache_zero_measurements () =
   let hits, _, stores = PC.counters () in
   Alcotest.(check int) "exactly one cache hit" 1 hits;
   Alcotest.(check int) "no new store" 0 stores
+
+(* A step or repeat count below 1 gives every candidate an infinite (or
+   negative) time per step, so any winner would be arbitrary: the tuner
+   refuses it before measuring, and caches nothing. *)
+let test_bad_counts_store_nothing () =
+  ignore (use_scratch_dir ());
+  let key =
+    AT.key ~engine:`Native ~precision:Kernel_ast.Cast.Double ~n_branches:3 ~scheme:"fi"
+      ~shape:Geometry.Box ~dims:small_dims
+  in
+  List.iter
+    (fun (steps, repeats) ->
+      match
+        AT.tune ~engine:`Native ~topk:4 ~warmup:1 ~repeats ~steps ~max_shards:2
+          ~clock:(fake_clock ()) ~use_cache:true ~scheme:"fi" ~shape:Geometry.Box
+          ~dims:small_dims ()
+      with
+      | _ -> Alcotest.failf "tune accepted steps %d, repeats %d" steps repeats
+      | exception Invalid_argument _ -> ())
+    [ (0, 3); (-1, 3); (2, 0) ];
+  Alcotest.(check bool) "no plan cached" true (PC.find key = None);
+  let _, _, stores = PC.counters () in
+  Alcotest.(check int) "nothing stored" 0 stores
 
 let test_winner_not_slower_than_default () =
   ignore (use_scratch_dir ());
@@ -255,7 +276,6 @@ let plan_gen : (string * Kernel_ast.Cast.precision * PC.plan) QCheck.Gen.t =
       precision,
       {
         PC.pl_tile = tile;
-        pl_variant = [];
         pl_local = 64;
         pl_unroll = unroll;
         pl_shards = shards;
@@ -288,6 +308,8 @@ let suite =
     Alcotest.test_case "all candidates bit-identical" `Slow test_all_candidates_identical;
     Alcotest.test_case "warm cache re-runs with zero measurements" `Slow
       test_warm_cache_zero_measurements;
+    Alcotest.test_case "bad step or repeat counts cache no plan" `Quick
+      test_bad_counts_store_nothing;
     Alcotest.test_case "winner never slower than default" `Slow
       test_winner_not_slower_than_default;
     QCheck_alcotest.to_alcotest qcheck_plan_matches_default;

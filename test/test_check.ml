@@ -9,7 +9,8 @@
 
    - Vgpu.Sanitizer (dynamic): a deliberately racy kernel draws both a
      machine-checked static Unsafe witness and a dynamic write-race
-     report; an off-by-one store is caught by both legs; a sanitized
+     report; an off-by-one store, and an off-by-one load in any
+     argument of a builtin call, are caught by both legs; a sanitized
      sharded FD-MM run is violation-free and bit-identical to the
      unsanitized engines.
 
@@ -18,8 +19,9 @@
      sharded multi-device plan.
 
    Plus a qcheck property tying the legs together: for random affine
-   store kernels, a static Safe verdict implies zero dynamic violations
-   of the same class. *)
+   store kernels whose stored value is a builtin of two affine loads, a
+   static Safe verdict implies zero dynamic violations of the same
+   class. *)
 
 open Kernel_ast
 open Acoustics
@@ -113,7 +115,7 @@ let racy_kernel =
 let racy_env =
   Check.env
     ~param_value:(function "n" -> Some 8 | _ -> None)
-    ~buffer_elems:(function "out" -> Some 8 | _ -> None)
+    ~buffer_elems:(function "out" | "src" -> Some 8 | _ -> None)
     ()
 
 let test_racy_kernel_static () =
@@ -143,26 +145,6 @@ let test_racy_kernel_dynamic () =
   | v :: _ -> Alcotest.failf "first violation is not a race on out: %a" Vgpu.Sanitizer.pp_violation v
   | [] -> Alcotest.fail "no violation retained"
 
-(* The verifying runtime refuses to dispatch it; safe kernels pass. *)
-let test_runtime_fail_fast () =
-  let rt = Vgpu.Runtime.create ~verify:true () in
-  Vgpu.Runtime.bind rt "out" (Vgpu.Buffer.F (Array.make 8 0.));
-  let launch k global =
-    Vgpu.Runtime.run_op rt
-      (Vgpu.Runtime.Launch
-         { kernel = k; args = [ Vgpu.Runtime.A_buf "out"; Vgpu.Runtime.A_int 8 ]; global })
-  in
-  (match launch racy_kernel [ 8; 4 ] with
-  | () -> Alcotest.fail "verifying runtime dispatched a racy kernel"
-  | exception Vgpu.Runtime.Unsafe_kernel r ->
-      Alcotest.(check string) "report names the kernel" "racy" r.Check.r_kernel);
-  let safe = { racy_kernel with name = "safe1d"; global_size = [ Cast.Var "n" ] } in
-  launch safe [ 8 ];
-  Alcotest.(check (float 0.)) "safe kernel ran" 1.0
-    (match Vgpu.Runtime.buffer rt "out" with
-    | Vgpu.Buffer.F a -> a.(7)
-    | _ -> nan)
-
 (* -- Off-by-one: caught statically and dynamically ------------------- *)
 
 let off_by_one =
@@ -175,6 +157,48 @@ let off_by_one =
     global_size = [ Var "n" ];
     local_size = [];
   }
+
+(* The same slip in a load, in the second argument of a builtin call
+   whose first argument is itself a load: every argument is checked. *)
+let off_by_one_call =
+  let open Cast in
+  {
+    off_by_one with
+    name = "off_by_one_call";
+    params = [ param "out" Real; param "src" Real; param ~kind:Scalar_param "n" Int ];
+    body =
+      [
+        Store
+          ( "out",
+            Global_id 0,
+            Call (Fmax, [ Load ("src", Global_id 0); Load ("src", Global_id 0 +: int_lit 1) ]) );
+      ];
+  }
+
+(* The verifying runtime refuses to dispatch the racy kernel and the
+   off-by-one load; safe kernels pass. *)
+let test_runtime_fail_fast () =
+  let rt = Vgpu.Runtime.create ~verify:true () in
+  Vgpu.Runtime.bind rt "out" (Vgpu.Buffer.F (Array.make 8 0.));
+  Vgpu.Runtime.bind rt "src" (Vgpu.Buffer.F (Array.make 8 0.));
+  let launch ?(bufs = [ "out" ]) k global =
+    let args = List.map (fun b -> Vgpu.Runtime.A_buf b) bufs @ [ Vgpu.Runtime.A_int 8 ] in
+    Vgpu.Runtime.run_op rt (Vgpu.Runtime.Launch { kernel = k; args; global })
+  in
+  let refused ?bufs k global =
+    match launch ?bufs k global with
+    | () -> Alcotest.failf "verifying runtime dispatched %s" k.Cast.name
+    | exception Vgpu.Runtime.Unsafe_kernel r ->
+        Alcotest.(check string) "report names the kernel" k.Cast.name r.Check.r_kernel
+  in
+  refused racy_kernel [ 8; 4 ];
+  refused ~bufs:[ "out"; "src" ] off_by_one_call [ 8 ];
+  let safe = { racy_kernel with name = "safe1d"; global_size = [ Cast.Var "n" ] } in
+  launch safe [ 8 ];
+  Alcotest.(check (float 0.)) "safe kernel ran" 1.0
+    (match Vgpu.Runtime.buffer rt "out" with
+    | Vgpu.Buffer.F a -> a.(7)
+    | _ -> nan)
 
 let test_off_by_one_both_legs () =
   let r = Check.check racy_env off_by_one in
@@ -191,9 +215,22 @@ let test_off_by_one_both_legs () =
   let c = Vgpu.Sanitizer.counts s in
   Alcotest.(check int) "one OOB store" 1 c.Vgpu.Sanitizer.n_oob;
   (* the offending store was suppressed, not applied *)
-  match out with
+  (match out with
   | Vgpu.Buffer.F a -> Alcotest.(check (float 0.)) "in-bounds cells written" 2.0 a.(7)
-  | _ -> assert false
+  | _ -> assert false);
+  let r = Check.check racy_env off_by_one_call in
+  (match (buf_report r "src").Check.b_bounds with
+  | Check.Unsafe w ->
+      Alcotest.(check int) "load witness index is one past the end" 8 w.Check.w_index
+  | v -> Alcotest.failf "off-by-one load bounds: expected Unsafe, got %s" (verdict_label v));
+  let s = Vgpu.Sanitizer.create () in
+  let src = Vgpu.Buffer.F (Array.make 8 1.) in
+  Vgpu.Sanitizer.note_host_write s out;
+  Vgpu.Sanitizer.note_host_write s src;
+  Vgpu.Sanitizer.launch s off_by_one_call
+    ~args:[ Vgpu.Args.Buf out; Vgpu.Args.Buf src; Vgpu.Args.Int_arg 8 ]
+    ~global:[ 8 ];
+  Alcotest.(check int) "one OOB load" 1 (Vgpu.Sanitizer.counts s).Vgpu.Sanitizer.n_oob
 
 (* -- Exec_error carries structured context --------------------------- *)
 
@@ -219,45 +256,71 @@ let test_exec_error_structure () =
 
 (* -- qcheck: static Safe implies dynamically clean ------------------- *)
 
-(* Random affine store kernels out[ax*x + ay*y + b] over random NDRanges
-   and extents.  Whatever the static verdict, a Safe race verdict must
-   mean zero dynamic races and a Safe bounds verdict zero dynamic OOB —
-   the soundness direction the whole design rests on. *)
+(* Random affine store kernels out[ax*x + ay*y + b] = f(src[i1], src[i2])
+   over random NDRanges and extents, [f] a two-argument builtin and both
+   loads at random affine indices.  Whatever the static verdicts, a Safe
+   race verdict must mean zero dynamic races and a Safe bounds verdict
+   zero dynamic OOB on that buffer — the soundness direction the whole
+   design rests on. *)
 let qcheck_static_safe_is_dynamically_clean =
+  let affine = QCheck.Gen.(triple (int_range 0 4) (int_range 0 4) (int_range 0 3)) in
   let gen =
     QCheck.Gen.(
-      map (fun (gx, gy, ax, ay, b, elems) -> (gx, gy, ax, ay, b, elems))
+      pair
         (tup6 (int_range 1 6) (int_range 1 6) (int_range 0 4) (int_range 0 4) (int_range 0 3)
-           (int_range 1 40)))
+           (int_range 1 40))
+        (quad affine affine (int_range 1 40) bool))
   in
-  let print (gx, gy, ax, ay, b, elems) =
-    Printf.sprintf "ndrange %dx%d, out[%d*x + %d*y + %d], %d elems" gx gy ax ay b elems
+  let print ((gx, gy, ax, ay, b, elems), ((a1, b1, c1), (a2, b2, c2), src_elems, fmax)) =
+    Printf.sprintf
+      "ndrange %dx%d, out[%d*x + %d*y + %d] (%d elems) = %s(src[%d*x + %d*y + %d], \
+       src[%d*x + %d*y + %d]) (%d elems)"
+      gx gy ax ay b elems
+      (if fmax then "fmax" else "fmin")
+      a1 b1 c1 a2 b2 c2 src_elems
   in
   QCheck.Test.make ~name:"static Safe => zero dynamic violations" ~count:300
     (QCheck.make ~print gen)
-    (fun (gx, gy, ax, ay, b, elems) ->
+    (fun ((gx, gy, ax, ay, b, elems), (i1, i2, src_elems, fmax)) ->
       let open Cast in
-      let idx = (int_lit ax *: Global_id 0) +: (int_lit ay *: Global_id 1) +: int_lit b in
+      let affine (ax, ay, b) =
+        (int_lit ax *: Global_id 0) +: (int_lit ay *: Global_id 1) +: int_lit b
+      in
+      let value =
+        Call ((if fmax then Fmax else Fmin), [ Load ("src", affine i1); Load ("src", affine i2) ])
+      in
       let k =
         {
           name = "affine";
-          params = [ param "out" Real ];
-          body = [ Store ("out", idx, Real_lit 1.0) ];
+          params = [ param "out" Real; param "src" Real ];
+          body = [ Store ("out", affine (ax, ay, b), value) ];
           precision = Double;
           global_size = [ Int_lit gx; Int_lit gy ];
           local_size = [];
         }
       in
-      let env = Check.env ~buffer_elems:(function "out" -> Some elems | _ -> None) () in
+      let env =
+        Check.env
+          ~buffer_elems:(function "out" -> Some elems | "src" -> Some src_elems | _ -> None)
+          ()
+      in
       let r = Check.check env k in
-      let rep = buf_report r "out" in
-      let s = Vgpu.Sanitizer.create () in
+      let s = Vgpu.Sanitizer.create ~max_kept:1000 () in
       let out = Vgpu.Buffer.F (Array.make elems 0.) in
+      let src = Vgpu.Buffer.F (Array.make src_elems 1.) in
       Vgpu.Sanitizer.note_host_write s out;
-      Vgpu.Sanitizer.launch s k ~args:[ Vgpu.Args.Buf out ] ~global:[ gx; gy ];
+      Vgpu.Sanitizer.note_host_write s src;
+      Vgpu.Sanitizer.launch s k ~args:[ Vgpu.Args.Buf out; Vgpu.Args.Buf src ] ~global:[ gx; gy ];
       let c = Vgpu.Sanitizer.counts s in
+      let oob buf =
+        List.exists
+          (fun v ->
+            v.Vgpu.Sanitizer.v_buf = buf
+            && (v.Vgpu.Sanitizer.v_kind = Oob_load || v.Vgpu.Sanitizer.v_kind = Oob_store))
+          (Vgpu.Sanitizer.violations s)
+      in
       let race_sound =
-        match rep.Check.b_race with
+        match (buf_report r "out").Check.b_race with
         | Check.Safe -> c.Vgpu.Sanitizer.n_races = 0
         | Check.Unsafe w ->
             (* witnesses are concrete; a collision on an out-of-bounds
@@ -265,16 +328,16 @@ let qcheck_static_safe_is_dynamically_clean =
                before it can register a writer) *)
             if w.Check.w_index >= 0 && w.Check.w_index < elems then
               c.Vgpu.Sanitizer.n_races > 0
-            else c.Vgpu.Sanitizer.n_oob > 0
+            else oob "out"
         | Check.Unproven _ -> true
       in
-      let bounds_sound =
-        match rep.Check.b_bounds with
-        | Check.Safe -> c.Vgpu.Sanitizer.n_oob = 0
-        | Check.Unsafe _ -> c.Vgpu.Sanitizer.n_oob > 0
+      let bounds_sound buf =
+        match (buf_report r buf).Check.b_bounds with
+        | Check.Safe -> not (oob buf)
+        | Check.Unsafe _ -> oob buf
         | Check.Unproven _ -> true
       in
-      race_sound && bounds_sound)
+      race_sound && bounds_sound "out" && bounds_sound "src")
 
 (* -- Sanitized sharded FD-MM: clean and bit-identical ---------------- *)
 
