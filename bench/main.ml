@@ -591,104 +591,6 @@ let run_sanitizer_overhead () =
   Printf.printf "%-24s %15.0f  (%.1fx)\n" "sanitized interpreter" (checked *. 1e9)
     (checked /. plain)
 
-(* Per scheme (volume + FI / FI-MM / FD-MM boundary), step the same
-   simulation with the flat volume kernel and with the tiled one on the
-   native engine, check the final fields stay bit-identical, and put the
-   measured step-time ratio next to the perf model's prediction for the
-   two kernels (the model's third roofline arm prices the __local
-   traffic; on a model GPU the tile pays for itself, on the host CPU
-   running the fissioned loop nest it usually does not — the ratio of
-   ratios is the point of the section). *)
-let run_tiled_bench ~json_file ~smoke () =
-  Printf.printf "\n== Work-group tier: 2.5D-tiled vs flat volume kernel (native) ==\n";
-  let dims =
-    if smoke then Geometry.dims ~nx:16 ~ny:12 ~nz:10 else Geometry.dims ~nx:48 ~ny:40 ~nz:32
-  in
-  let steps = if smoke then 4 else 20 in
-  let tw, th = (8, 8) in
-  let flat_vol = Hand_kernels.volume ~precision in
-  let tiled_vol = Lift_acoustics.Programs.tiled_volume ~precision ~tile:(tw, th) () in
-  let kernels_of scheme vol =
-    match scheme with
-    | `Fi -> [ vol; Hand_kernels.boundary_fi ~precision ]
-    | `Fi_mm -> [ vol; Hand_kernels.boundary_fi_mm ~precision ~betas ]
-    | `Fd_mm -> [ vol; Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]
-  in
-  let time kernels =
-    let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-    let sim = Gpu_sim.create ~engine:`Native ~precision ~fi_beta:0.1 ~n_branches:3 params room in
-    let cx, cy, cz = State.centre sim.Gpu_sim.state in
-    State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
-    Gpu_sim.step sim kernels;
-    (* warm-up: optimize + compile *)
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to steps do
-      Gpu_sim.step sim kernels
-    done;
-    ((Unix.gettimeofday () -. t0) /. float_of_int steps, sim)
-  in
-  let bits_equal a b =
-    Array.for_all2
-      (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-      a b
-  in
-  (* what the analytic model expects for the volume kernel alone — on
-     the Host profile, whose memory pricing adds the __local staging to
-     the stream traffic (a CPU has no separate local tier), giving the
-     predicted ratio the same sign as the native measurements below *)
-  let device = Vgpu.Device.host in
-  let w = Harness.Workloads.workload Harness.Workloads.Volume Geometry.Box dims in
-  let pred_flat = Vgpu.Perf_model.predict device flat_vol w in
-  let pred_tiled = Vgpu.Perf_model.predict device tiled_vol w in
-  let predicted_ratio = pred_tiled /. pred_flat in
-  Printf.printf "room %dx%dx%d box, double precision, tile %dx%d, %d steps\n" dims.Geometry.nx
-    dims.Geometry.ny dims.Geometry.nz tw th steps;
-  Printf.printf "model (%s): volume %.3fms, tiled %.3fms, ratio %.2f\n" device.Vgpu.Device.name
-    (pred_flat *. 1e3) (pred_tiled *. 1e3) predicted_ratio;
-  Printf.printf "%-10s %15s %15s %9s %6s\n" "workload" "flat ns/step" "tiled ns/step" "ratio"
-    "ident";
-  let rows =
-    List.map
-      (fun (name, scheme) ->
-        let t_flat, flat_sim = time (kernels_of scheme flat_vol) in
-        let t_tiled, tiled_sim = time (kernels_of scheme tiled_vol) in
-        let ident =
-          bits_equal flat_sim.Gpu_sim.state.State.curr tiled_sim.Gpu_sim.state.State.curr
-        in
-        let ratio = t_tiled /. t_flat in
-        Printf.printf "%-10s %15.0f %15.0f %8.2fx %6b\n" name (t_flat *. 1e9) (t_tiled *. 1e9)
-          ratio ident;
-        (name, t_flat *. 1e9, t_tiled *. 1e9, ratio, ident))
-      [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
-  in
-  (match json_file with
-  | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      Printf.fprintf oc "{\n  \"bench\": \"tiled_vs_flat\",\n";
-      Printf.fprintf oc "  \"room\": { \"nx\": %d, \"ny\": %d, \"nz\": %d },\n" dims.Geometry.nx
-        dims.Geometry.ny dims.Geometry.nz;
-      Printf.fprintf oc "  \"tile\": { \"w\": %d, \"h\": %d },\n" tw th;
-      Printf.fprintf oc "  \"precision\": \"double\",\n  \"steps\": %d,\n  \"engine\": \"native\",\n"
-        steps;
-      Printf.fprintf oc
-        "  \"model\": { \"device\": %S, \"flat_s\": %.9g, \"tiled_s\": %.9g, \
-         \"predicted_ratio_tiled_over_flat\": %.4f },\n"
-        device.Vgpu.Device.name pred_flat pred_tiled predicted_ratio;
-      Printf.fprintf oc "  \"results\": [\n";
-      List.iteri
-        (fun i (name, flat_ns, tiled_ns, ratio, ident) ->
-          Printf.fprintf oc
-            "    { \"workload\": %S, \"ns_per_step_flat\": %.0f, \"ns_per_step_tiled\": %.0f, \
-             \"measured_ratio_tiled_over_flat\": %.4f, \"bit_identical\": %b }%s\n"
-            name flat_ns tiled_ns ratio ident
-            (if i = List.length rows - 1 then "" else ","))
-        rows;
-      Printf.fprintf oc "  ]\n}\n";
-      close_out oc;
-      Printf.printf "wrote %s\n" file);
-  rows
-
 (* -- Temporal blocking: deep halos, one exchange per T steps --------- *)
 
 (* FI scheme on the native engine, 2 Z-shards: sweep the temporal block
@@ -819,8 +721,8 @@ let run_tblock_bench ~json_file ~smoke () =
    the model, measure the frontier, and compare three plans — the
    default, the model's pick (min predicted) and the measured winner.
    The gap between the last two is the model misprediction the measured
-   re-ranking exists to absorb (BENCH_PR7's tiled regression is the
-   motivating case).  Runs cache-bypassed: a bench must measure, not
+   re-ranking exists to absorb (the model predicts sharded plans to win;
+   on this host they lose).  Runs cache-bypassed: a bench must measure, not
    replay a previous bench's plan. *)
 let run_autotune_bench ~json_file ~smoke () =
   Printf.printf "\n== Autotune: default vs predicted-best vs measured-best (native) ==\n";
@@ -872,24 +774,7 @@ let run_autotune_bench ~json_file ~smoke () =
   | None -> ()
   | Some file ->
       let oc = open_out file in
-      let plan_json (pl : Harness.Plan_cache.plan) =
-        Printf.sprintf
-          "{ \"label\": %S, \"tile\": %s, \"local\": %d, \"unroll\": %s, \
-           \"shards\": %d, \"schedule\": %S }"
-          (Harness.Autotune.plan_label pl)
-          (match pl.Harness.Plan_cache.pl_tile with
-          | None -> "null"
-          | Some (w, h) -> Printf.sprintf "[%d, %d]" w h)
-          pl.Harness.Plan_cache.pl_local
-          (match pl.Harness.Plan_cache.pl_unroll with
-          | None -> "null"
-          | Some n -> string_of_int n)
-          pl.Harness.Plan_cache.pl_shards
-          (match pl.Harness.Plan_cache.pl_schedule with
-          | `Seq -> "seq"
-          | `Concurrent -> "concurrent"
-          | `Overlap -> "overlap")
-      in
+      let plan_json = Harness.Autotune.plan_json in
       Printf.fprintf oc "{\n  \"bench\": \"autotune\",\n";
       Printf.fprintf oc "  \"room\": { \"nx\": %d, \"ny\": %d, \"nz\": %d },\n"
         dims.Geometry.nx dims.Geometry.ny dims.Geometry.nz;
@@ -942,9 +827,9 @@ let run_autotune_bench ~json_file ~smoke () =
   results
 
 let () =
-  let json_file = ref None and overlap_json = ref None and tiled_json = ref None
-  and autotune_json = ref None and tblock_json = ref None and smoke = ref false
-  and tiled_only = ref false and autotune_only = ref false and tblock_only = ref false in
+  let json_file = ref None and overlap_json = ref None and autotune_json = ref None
+  and tblock_json = ref None and smoke = ref false and autotune_only = ref false
+  and tblock_only = ref false in
   let rec parse = function
     | [] -> ()
     | "--json" :: file :: rest ->
@@ -953,17 +838,11 @@ let () =
     | "--overlap-json" :: file :: rest ->
         overlap_json := Some file;
         parse rest
-    | "--tiled-json" :: file :: rest ->
-        tiled_json := Some file;
-        parse rest
     | "--autotune-json" :: file :: rest ->
         autotune_json := Some file;
         parse rest
     | "--tblock-json" :: file :: rest ->
         tblock_json := Some file;
-        parse rest
-    | "--tiled-only" :: rest ->
-        tiled_only := true;
         parse rest
     | "--autotune-only" :: rest ->
         autotune_only := true;
@@ -976,16 +855,13 @@ let () =
         parse rest
     | arg :: _ ->
         Printf.eprintf
-          "unknown argument %s (expected --json FILE, --overlap-json FILE, --tiled-json \
-           FILE, --autotune-json FILE, --tblock-json FILE, --tiled-only, --autotune-only, \
-           --tblock-only and/or --smoke)\n"
+          "unknown argument %s (expected --json FILE, --overlap-json FILE, --autotune-json \
+           FILE, --tblock-json FILE, --autotune-only, --tblock-only and/or --smoke)\n"
           arg;
         exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  if !tiled_only then
-    ignore (run_tiled_bench ~json_file:!tiled_json ~smoke:!smoke ())
-  else if !autotune_only then
+  if !autotune_only then
     ignore (run_autotune_bench ~json_file:!autotune_json ~smoke:!smoke ())
   else if !tblock_only then
     ignore (run_tblock_bench ~json_file:!tblock_json ~smoke:!smoke ())
@@ -993,7 +869,6 @@ let () =
     (* CI smoke: tiny rooms, opt-trajectory + overlapped-queue sections. *)
     let opt_rows = run_opt_trajectory ~json_file:!json_file ~smoke:true () in
     run_overlap_bench ~json_file:!overlap_json ~opt_rows ~smoke:true ();
-    ignore (run_tiled_bench ~json_file:!tiled_json ~smoke:true ());
     ignore (run_autotune_bench ~json_file:!autotune_json ~smoke:true ());
     ignore (run_tblock_bench ~json_file:!tblock_json ~smoke:true ())
   end
@@ -1011,6 +886,5 @@ let () =
     run_sanitizer_overhead ();
     let opt_rows = run_opt_trajectory ~json_file:!json_file ~smoke:false () in
     run_overlap_bench ~json_file:!overlap_json ~opt_rows ~smoke:false ();
-    ignore (run_tiled_bench ~json_file:!tiled_json ~smoke:false ());
     ignore (run_autotune_bench ~json_file:!autotune_json ~smoke:false ())
   end

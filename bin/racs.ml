@@ -79,8 +79,6 @@ let all_kernels ~optimize precision =
     ("lift-generated", lift "lift_boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ()));
     ("lift-generated (slide3/pad3 composition)",
       lift "lift_fused_fi_3d" (Lift_acoustics.Programs.fused_fi_3d ()));
-    ("work-group tier (2.5D tiled)",
-      Lift_acoustics.Programs.tiled_volume ~precision ~tile:(8, 8) ());
   ]
 
 let cmd_kernels precision no_opt =
@@ -94,17 +92,8 @@ let cmd_kernels precision no_opt =
 (* ------------------------------------------------------------------ *)
 (* racs simulate *)
 
-(* "--tile WxH" parser: the work-group tile of the 2.5D volume kernel. *)
-let parse_tile s =
-  match String.split_on_char 'x' (String.lowercase_ascii s) with
-  | [ w; h ] -> (
-      match (int_of_string_opt w, int_of_string_opt h) with
-      | Some w, Some h when w > 0 && h > 0 -> Some (w, h)
-      | _ -> None)
-  | _ -> None
-
 let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overlap
-    no_overlap no_opt show_stats sanitize verify tile tuned =
+    no_overlap no_opt show_stats sanitize verify tuned =
   let params = Params.default in
   let dims = room_dims ~nx ~ny ~nz in
   if steps < 0 then begin
@@ -145,29 +134,15 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
           lift "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ()) ]
   in
   let scheme = scheme_name scheme in
-  (* --tile WxH: swap the flat volume kernel for the 2.5D work-group
-     tiled one (bit-identical results, local-memory execution tier) *)
-  let kernels =
-    match tile with
-    | None -> kernels
-    | Some spec -> (
-        match parse_tile spec with
-        | None ->
-            Fmt.epr "racs: --tile expects WxH with positive integers, got %s@." spec;
-            exit 2
-        | Some (tw, th) ->
-            Lift_acoustics.Programs.tiled_volume ~precision ~tile:(tw, th) ()
-            :: List.tl kernels)
-  in
-  let shards = if shards > 0 then Some shards else None in
   if tblock < 1 then begin
     Fmt.epr "racs: --tblock expects a positive depth, got %d@." tblock;
     exit 2
   end;
-  if tblock > 1 && shards = None && not tuned then begin
+  if tblock > 1 && shards < 2 && not tuned then begin
     Fmt.epr "racs: --tblock amortises the halo exchange, which needs --shards N (N > 1)@.";
     exit 2
   end;
+  let shards = if shards > 0 then Some shards else None in
   let schedule : Gpu_sim.schedule option =
     match (overlap, no_overlap) with
     | true, true ->
@@ -179,7 +154,7 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
   in
   (* --tuned: run the plan the autotuner picked for this workload.  A
      warm plan cache answers with zero measurements; a cold one runs the
-     search first.  The plan overrides --backend/--tile/--shards. *)
+     search first.  The plan overrides --backend/--shards. *)
   let tuned_plan =
     if not tuned then None
     else begin
@@ -203,7 +178,7 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
     match tuned_plan with
     | None -> (kernels, shards, schedule, None, tblock)
     | Some p ->
-        ( Harness.Autotune.plan_kernels ~precision ~n_branches:3 ~scheme p,
+        ( Harness.Autotune.kernels ~precision ~n_branches:3 ~scheme,
           (if p.Harness.Plan_cache.pl_shards > 1 then Some p.Harness.Plan_cache.pl_shards
            else None),
           (if p.Harness.Plan_cache.pl_shards > 1 then
@@ -259,8 +234,7 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
            | _ -> "")
            (if Gpu_sim.tblock sim > 1 then
               Printf.sprintf ", temporal blocks T=%d" (Gpu_sim.tblock sim)
-            else ""))
-    ^ match tile with None -> "" | Some t -> Printf.sprintf ", tiled volume %s" t);
+            else "")));
   Printf.printf "receiver at (%d,%d,%d); first samples:\n " rx cy cz;
   Array.iteri (fun i v -> if i < 12 then Printf.printf " %+.5f" v) response;
   let e = Energy.kinetic_energy sim.Gpu_sim.state in
@@ -501,48 +475,6 @@ let cmd_check shape nx ny nz precision engine json =
            compile_one origin "optimized, device form" (fst (Kernel_ast.Opt.optimize dev))
          end)
        (all_kernels ~optimize:false precision));
-  (* work-group tier gate: the tiled volume kernel, raw and optimized,
-     must reproduce the flat kernel bit-for-bit on every engine.  Static
-     verdicts cannot prove cross-engine agreement, so this runs a short
-     simulation per (engine, variant) on a small dome and compares
-     buffers exactly. *)
-  let tiled_failures = ref 0 in
-  (let small = Geometry.build ~n_materials (Geometry.Dome : Geometry.shape)
-       (Geometry.dims ~nx:11 ~ny:9 ~nz:8) in
-   let flat = [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ] in
-   let tiled = Lift_acoustics.Programs.tiled_volume ~precision ~tile:(4, 4) () in
-   let run ~engine ~optimize kernels =
-     let sim = Gpu_sim.create ~engine ~optimize ~fi_beta:0.1 ~precision Params.default small in
-     let cx, cy, cz = State.centre sim.Gpu_sim.state in
-     State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
-     for _ = 1 to 8 do
-       Gpu_sim.step sim kernels
-     done;
-     Gpu_sim.sync sim;
-     sim.Gpu_sim.state.State.curr
-   in
-   let reference = run ~engine:`Interp ~optimize:true flat in
-   List.iter
-     (fun (ename, eng) ->
-       List.iter
-         (fun (vname, optimize) ->
-           let got = run ~engine:eng ~optimize [ tiled; Hand_kernels.boundary_fi ~precision ] in
-           let ok =
-             Array.for_all2
-               (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
-               reference got
-           in
-           out "== tiled volume vs flat: %s, %s ==@.  %s@." ename vname
-             (if ok then "bit-identical" else "MISMATCH");
-           if not ok then begin
-             incr tiled_failures;
-             jadd ~scope:"kernel"
-               ~target:(Printf.sprintf "tiled_volume (%s, %s)" ename vname)
-               ~severity:"error" ~code:"tiled-mismatch"
-               "tiled volume kernel does not reproduce the flat kernel bit-for-bit"
-           end)
-         [ ("raw", false); ("optimized", true) ])
-     [ ("interp", `Interp); ("native", `Native) ]);
   (* host-plan lint and whole-plan dataflow verification
      (footprint-driven): the paper's host programs, plus the real
      sequential and overlapped multi-device plans of every scheme at 1-4
@@ -577,9 +509,6 @@ let cmd_check shape nx ny nz precision engine json =
        [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi_mm ~precision ~betas ]);
       ("fd-mm",
        [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]);
-      ("tiled fi",
-       [ Lift_acoustics.Programs.tiled_volume ~precision ~tile:(8, 8) ();
-         Hand_kernels.boundary_fi ~precision ]);
     ]
   in
   (* every plan is built by Gpu_sim.plan — the ops Gpu_sim.step runs —
@@ -613,10 +542,8 @@ let cmd_check shape nx ny nz precision engine json =
             [ ("sync", `Seq); ("async", `Overlap) ])
         [ (1, 1); (2, 1); (3, 1); (4, 1); (2, 2); (3, 3) ])
     plan_schemes;
-  out
-    "@.%d kernel report(s) unsafe, %d unproven (sanitizer-covered), %d lint error(s), %d \
-     tiled conformance failure(s)%s@."
-    !unsafe !unproven !lint_errors !tiled_failures
+  out "@.%d kernel report(s) unsafe, %d unproven (sanitizer-covered), %d lint error(s)%s@."
+    !unsafe !unproven !lint_errors
     (if engine = `Native then Printf.sprintf ", %d native compile failure(s)" !native_failures
      else "");
   if json then begin
@@ -670,12 +597,11 @@ let cmd_check shape nx ny nz precision engine json =
       (List.rev !jfps);
     p
       "\n  ],\n  \"summary\": { \"unsafe\": %d, \"unproven\": %d, \"lint_errors\": %d, \
-       \"tiled_failures\": %d, \"native_failures\": %d }\n}\n"
-      !unsafe !unproven !lint_errors !tiled_failures !native_failures;
+       \"native_failures\": %d }\n}\n"
+      !unsafe !unproven !lint_errors !native_failures;
     print_string (Buffer.contents b)
   end;
-  if !unsafe > 0 || !lint_errors > 0 || !native_failures > 0 || !tiled_failures > 0 then
-    exit 1
+  if !unsafe > 0 || !lint_errors > 0 || !native_failures > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* racs tune: the measured autotuner (and, with --model, the paper's
@@ -710,25 +636,7 @@ let cmd_tune_model shape scheme =
 let tune_result_json (r : Harness.Autotune.result) =
   let b = Buffer.create 1024 in
   let p fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  let plan_json (pl : Harness.Plan_cache.plan) =
-    Printf.sprintf
-      "{ \"label\": \"%s\", \"tile\": %s, \"local\": %d, \"unroll\": %s, \
-       \"shards\": %d, \"schedule\": \"%s\", \"tblock\": %d }"
-      (json_escape (Harness.Autotune.plan_label pl))
-      (match pl.Harness.Plan_cache.pl_tile with
-      | None -> "null"
-      | Some (w, h) -> Printf.sprintf "[%d, %d]" w h)
-      pl.Harness.Plan_cache.pl_local
-      (match pl.Harness.Plan_cache.pl_unroll with
-      | None -> "null"
-      | Some n -> string_of_int n)
-      pl.Harness.Plan_cache.pl_shards
-      (match pl.Harness.Plan_cache.pl_schedule with
-      | `Seq -> "seq"
-      | `Concurrent -> "concurrent"
-      | `Overlap -> "overlap")
-      pl.Harness.Plan_cache.pl_tblock
-  in
+  let plan_json = Harness.Autotune.plan_json in
   let k = r.Harness.Autotune.r_key in
   let x, y, z = k.Harness.Plan_cache.k_dims in
   let e = r.Harness.Autotune.r_entry in
@@ -919,29 +827,20 @@ let simulate_cmd =
       & info [ "verify" ]
           ~doc:"statically verify every launched kernel first (fail fast on Unsafe)")
   in
-  let tile =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "tile" ] ~docv:"WxH"
-          ~doc:
-            "run the volume kernel through the work-group execution tier: a 2.5D-tiled \
-             stencil staging WxH tiles of curr in local memory (bit-identical results)")
-  in
   let tuned =
     Arg.(
       value & flag
       & info [ "tuned" ]
           ~doc:
-            "run the autotuner's cached best plan for this workload (kernel form, \
-             unroll budget, shards, schedule — overrides --backend/--tile/--shards); \
-             tunes first if the plan cache is cold")
+            "run the autotuner's cached best plan for this workload (unroll budget, \
+             shards, schedule, block depth — overrides --backend/--shards); tunes first \
+             if the plan cache is cold")
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Run an impulse-response simulation")
     Term.(
       const cmd_simulate $ shape $ nx $ ny $ nz $ scheme $ steps $ backend $ engine
       $ shards $ tblock $ overlap $ no_overlap $ no_opt_arg $ stats $ sanitize $ verify
-      $ tile $ tuned)
+      $ tuned)
 
 let experiments_cmd =
   let which =
@@ -988,7 +887,7 @@ let check_cmd =
     (Cmd.info "check"
        ~doc:
          "Static race/bounds verdicts and stencil footprints for every kernel (raw + \
-          optimized + tiled), host-plan lint, and footprint-driven halo/dataflow \
+          optimized), host-plan lint, and footprint-driven halo/dataflow \
           verification of the 1-4-shard sync and async plans; nonzero exit on Unsafe or \
           lint errors")
     Term.(const cmd_check $ shape $ nx $ ny $ nz $ precision_arg $ engine $ json)
@@ -1031,7 +930,12 @@ let tune_cmd =
              protocol; no measurement, no cache)")
   in
   let max_shards =
-    Arg.(value & opt int 2 & info [ "max-shards" ] ~doc:"largest shard count to consider")
+    Arg.(
+      value & opt int 2
+      & info [ "max-shards" ]
+          ~doc:
+            "largest shard count to consider; a shard count above the room's Z planes, or \
+             a block depth deeper than the thinnest slab, is not a candidate")
   in
   let topk =
     Arg.(value & opt int 8 & info [ "topk" ] ~doc:"candidates surviving the model pruning")
@@ -1044,9 +948,9 @@ let tune_cmd =
   Cmd.v
     (Cmd.info "tune"
        ~doc:
-         "Measured autotuning over kernel form x unroll budget x work-group size x \
-          shards x schedule, with a persistent best-plan cache (racs simulate --tuned \
-          replays the winner)")
+         "Measured autotuning over unroll budget x shards x schedule x temporal block \
+          depth, with a persistent best-plan cache (racs simulate --tuned replays the \
+          winner); the work-group size is searched by the model only (see --model)")
     Term.(
       const cmd_tune $ shape $ scheme $ nx $ ny $ nz $ engine $ json $ smoke $ no_cache
       $ model $ max_shards $ topk $ repeats $ steps $ warmup)

@@ -1,16 +1,14 @@
 (* Measured rewrite-space autotuner.
 
    [Tuner] sweeps one knob through the performance model; this module
-   searches the full configuration space the runtime actually exposes —
+   searches the configuration space the runtime actually exposes —
 
-     volume-kernel form (flat | 2.5D tile)
-     x Opt unroll budget x work-group size x shard count x schedule
+     Opt unroll budget x shard count x schedule x temporal block depth
 
-   — and decides by *measurement*, because BENCH_PR7 showed the model
-   picking the wrong side of a 1.6-2x measured regression (the tiled
-   kernel on the native engine).  The pipeline:
+   — and decides by *measurement*, because the model keeps picking
+   sharded plans that lose on this host (BENCH_PR8).  The pipeline:
 
-     1. enumerate plans from the volume-kernel forms + runtime knobs;
+     1. enumerate the plans that run as labelled;
      2. prune to a top-k frontier with [Perf_model] predictions,
         corrected by any persisted calibration factors;
      3. measure the survivors on the requested engine, one at a time,
@@ -54,27 +52,27 @@ let precision_label = function
   | Kernel_ast.Cast.Double -> "double"
 
 let plan_label (p : Plan_cache.plan) =
-  let vol =
-    match p.pl_tile with Some (w, h) -> Printf.sprintf "tile%dx%d" w h | None -> "flat"
-  in
-  Printf.sprintf "%s ls=%d unroll=%s shards=%d/%s%s" vol p.pl_local
+  Printf.sprintf "unroll=%s shards=%d/%s%s"
     (match p.pl_unroll with None -> "default" | Some n -> string_of_int n)
     p.pl_shards
-    (match p.pl_schedule with
-    | `Seq -> "seq"
-    | `Concurrent -> "concurrent"
-    | `Overlap -> "overlap")
+    (Plan_cache.string_of_schedule p.pl_schedule)
     (if p.pl_tblock > 1 then Printf.sprintf " T=%d" p.pl_tblock else "")
+
+(* Labels and schedule names are plain ASCII, so OCaml's %S quoting is
+   JSON quoting here. *)
+let plan_json (p : Plan_cache.plan) =
+  Printf.sprintf
+    "{ \"label\": %S, \"unroll\": %s, \"shards\": %d, \"schedule\": %S, \"tblock\": %d }"
+    (plan_label p)
+    (match p.pl_unroll with None -> "null" | Some n -> string_of_int n)
+    p.pl_shards
+    (Plan_cache.string_of_schedule p.pl_schedule)
+    p.pl_tblock
 
 (* -- Kernel construction ---------------------------------------------- *)
 
 let betas n_branches =
   (Material.tables ~n_branches Material.defaults).Material.t_beta
-
-let volume_kernel ~precision (p : Plan_cache.plan) =
-  match p.pl_tile with
-  | Some tile -> Lift_acoustics.Programs.tiled_volume ~precision ~tile ()
-  | None -> Hand_kernels.volume ~precision
 
 let boundary_kernel ~precision ~n_branches scheme =
   match scheme with
@@ -86,21 +84,16 @@ let boundary_kernel ~precision ~n_branches scheme =
       (Hand_kernels.boundary_fd_mm ~precision ~mb:n_branches, Workloads.Boundary n_branches)
   | s -> invalid_arg (Printf.sprintf "Autotune: unknown scheme %S (fi | fi-mm | fd-mm)" s)
 
-let plan_kernels ~precision ~n_branches ~scheme (p : Plan_cache.plan) =
-  [ volume_kernel ~precision p; fst (boundary_kernel ~precision ~n_branches scheme) ]
+let kernels ~precision ~n_branches ~scheme =
+  [ Hand_kernels.volume ~precision; fst (boundary_kernel ~precision ~n_branches scheme) ]
 
 (* -- Cache key --------------------------------------------------------- *)
 
-(* The digest covers the code of every kernel form the search can pick,
-   so any codegen change invalidates persisted plans. *)
+(* The digest covers the code of the kernels every plan runs, so any
+   codegen change invalidates persisted plans. *)
 let code_digest ~precision ~n_branches ~scheme =
   let prints =
-    List.map Kernel_ast.Print.kernel_to_string
-      [
-        Hand_kernels.volume ~precision;
-        fst (boundary_kernel ~precision ~n_branches scheme);
-        Lift_acoustics.Programs.tiled_volume ~precision ~tile:(8, 8) ();
-      ]
+    List.map Kernel_ast.Print.kernel_to_string (kernels ~precision ~n_branches ~scheme)
   in
   Digest.to_hex (Digest.string (String.concat "\x00" ("racs-autotune-v1" :: prints)))
 
@@ -122,34 +115,22 @@ let key ~(engine : Gpu_sim.engine) ~precision ~n_branches ~scheme ~shape
    unrolls everything in these kernels.  Both change the generated code,
    which is what a measured win on a CPU host comes from. *)
 let default_unrolls = [ None; Some 0; Some 16384 ]
-let default_tiles = [ (4, 4); (8, 8); (16, 8) ]
 
 (* Temporal block depths searched on sharded plans (a single device has
-   no halo traffic to amortise); [Gpu_sim] clamps a depth the thinnest
-   slab cannot carry. *)
+   no halo traffic to amortise). *)
 let default_tblocks = [ 1; 2; 4 ]
 
-(* Every plan in the search space.  Work-group size is not a separate
-   axis: the virtual engines' wall clock is insensitive to it for
-   ungrouped kernels (and a tile fixes it), so each volume form gets the
-   model-best size from [Tuner]'s sweep — the work-group dimension is
-   searched, just inside the model. *)
-let enumerate ~device ~precision ~shape ~(dims : Geometry.dims) ~max_shards ~tiles
-    ?(tblocks = default_tblocks) () =
-  let wv = Workloads.workload Workloads.Volume shape dims in
-  let tiles =
-    List.filter
-      (fun (w, h) -> w * h <= 256 && w <= dims.Geometry.nx && h <= dims.Geometry.ny)
-      tiles
+(* Every plan in the search space that runs as labelled.  [Shard.plan]
+   cuts the room with [Shard.partition], which never makes more slabs
+   than planes, and clamps the block depth to the thinnest slab; a plan
+   past either limit would be measured, cached and replayed under a name
+   it does not run as, so it is left out. *)
+let enumerate ~(dims : Geometry.dims) ~max_shards () =
+  let runs_as_labelled (shards, _, tblock) =
+    let slabs = Shard.partition ~nz:dims.Geometry.nz ~shards in
+    Array.length slabs = shards
+    && Array.for_all (fun (sl : Shard.slab) -> sl.Shard.z1 - sl.Shard.z0 >= tblock) slabs
   in
-  let local_of = function
-    | Some (w, h) -> w * h
-    | None -> (Tuner.tune ~device (Hand_kernels.volume ~precision) wv).Tuner.best_size
-  in
-  let tblocks = List.sort_uniq compare (List.filter (fun t -> t >= 1) tblocks) in
-  let tblocks = if tblocks = [] then [ 1 ] else tblocks in
-  (* the time-block axis applies to sharded plans only: a single device
-     has no halo exchanges to amortise *)
   let schedules =
     (1, `Seq, 1)
     :: (if max_shards >= 2 then
@@ -157,35 +138,16 @@ let enumerate ~device ~precision ~shape ~(dims : Geometry.dims) ~max_shards ~til
             (fun tb ->
               List.init (max_shards - 1) (fun i -> (i + 2, `Concurrent, tb))
               @ [ (2, `Overlap, tb) ])
-            tblocks
+            default_tblocks
         else [])
   in
   List.concat_map
-    (fun tile ->
-      let local = local_of tile in
-      List.concat_map
-        (fun unroll ->
-          List.filter_map
-            (fun (shards, schedule, tblock) ->
-              (* the overlapped schedule range-splits the volume kernel
-                 into interior/frontier launches — a transformation of
-                 the flat 1D NDRange; a 2D tiled kernel under it is not
-                 bit-identical (the identity guard would reject it
-                 anyway, so don't spend measurements on it) *)
-              if tile <> None && schedule = `Overlap then None
-              else
-                Some
-                  {
-                    Plan_cache.pl_tile = tile;
-                    pl_local = local;
-                    pl_unroll = unroll;
-                    pl_shards = shards;
-                    pl_schedule = schedule;
-                    pl_tblock = tblock;
-                  })
-            schedules)
-        default_unrolls)
-    (None :: List.map Option.some tiles)
+    (fun pl_unroll ->
+      List.map
+        (fun (pl_shards, pl_schedule, pl_tblock) ->
+          { Plan_cache.pl_unroll; pl_shards; pl_schedule; pl_tblock })
+        (List.filter runs_as_labelled schedules))
+    default_unrolls
 
 (* -- Prediction -------------------------------------------------------- *)
 
@@ -193,18 +155,9 @@ let enumerate ~device ~precision ~shape ~(dims : Geometry.dims) ~max_shards ~til
    each scaled by its (device, kernel) correction factor.  Sharded plans
    price through [predict_sharded]/[predict_overlapped] (whole-plan
    shapes the model already knows); the boundary kernel shards without a
-   halo of its own. *)
-let predict_plan ~device ~calibration ~precision ~n_branches ~scheme ~shape
+   halo of its own.  Each kernel comes with its priced workload. *)
+let predict_plan ~device ~calibration ~volume:(vol, wv) ~boundary:(bnd, wb)
     ~(dims : Geometry.dims) (p : Plan_cache.plan) =
-  let vol = volume_kernel ~precision p in
-  let bnd, bkind = boundary_kernel ~precision ~n_branches scheme in
-  let wv =
-    { (Workloads.workload Workloads.Volume shape dims) with
-      Vgpu.Perf_model.local_size = p.pl_local }
-  in
-  let wb =
-    { (Workloads.workload bkind shape dims) with Vgpu.Perf_model.local_size = p.pl_local }
-  in
   let factor (k : Kernel_ast.Cast.kernel) =
     Vgpu.Perf_model.Calibration.factor calibration
       ~device:device.Vgpu.Device.name ~kernel_name:k.Kernel_ast.Cast.name
@@ -262,7 +215,7 @@ let sim_of_plan ~engine ~precision ~n_branches ~params ~room (p : Plan_cache.pla
    calibration. *)
 let measure_plan ~clock ~engine ~precision ~n_branches ~scheme ~params ~room
     ~warmup ~repeats ~steps (p : Plan_cache.plan) =
-  let kernels = plan_kernels ~precision ~n_branches ~scheme p in
+  let kernels = kernels ~precision ~n_branches ~scheme in
   let sim = sim_of_plan ~engine ~precision ~n_branches ~params ~room p in
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
   State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
@@ -293,10 +246,8 @@ let measure_plan ~clock ~engine ~precision ~n_branches ~scheme ~params ~room
 (* -- The tuner --------------------------------------------------------- *)
 
 let tune ?(engine : Gpu_sim.engine = `Native) ?(precision = Kernel_ast.Cast.Double)
-    ?(device = Vgpu.Device.host) ?(n_branches = 3) ?(topk = 8) ?(warmup = 2)
-    ?(repeats = 5) ?(steps = 20) ?(max_shards = 2) ?clock
-    ?(use_cache = true) ?tiles ?tblocks ~scheme ~shape ~dims () :
-    result =
+    ?(n_branches = 3) ?(topk = 8) ?(warmup = 2) ?(repeats = 5) ?(steps = 20)
+    ?(max_shards = 2) ?clock ?(use_cache = true) ~scheme ~shape ~dims () : result =
   if steps < 1 || repeats < 1 then
     invalid_arg
       (Printf.sprintf "Autotune.tune: steps (%d) and repeats (%d) must be at least 1" steps
@@ -326,26 +277,33 @@ let tune ?(engine : Gpu_sim.engine = `Native) ?(precision = Kernel_ast.Cast.Doub
             if use_cache then Plan_cache.load_calibration ()
             else Vgpu.Perf_model.Calibration.create ()
           in
-          let tiles = Option.value tiles ~default:default_tiles in
-          let plans =
-            enumerate ~device ~precision ~shape ~dims ~max_shards ~tiles ?tblocks ()
-          in
+          (* the key names the host device, so the model prices for it *)
+          let device = Vgpu.Device.host in
+          let vol = Hand_kernels.volume ~precision in
+          let bnd, bkind = boundary_kernel ~precision ~n_branches scheme in
+          (* every plan's launches are priced at one work-group size,
+             the volume kernel's model-best from [Tuner]'s sweep: the
+             host engines' wall clock does not depend on it, so it is no
+             plan field and is searched inside the model only *)
+          let wv = Workloads.workload Workloads.Volume shape dims in
+          let local_size = (Tuner.tune ~device vol wv).Tuner.best_size in
+          let wv = { wv with Vgpu.Perf_model.local_size }
+          and wb = { (Workloads.workload bkind shape dims) with Vgpu.Perf_model.local_size } in
+          let plans = enumerate ~dims ~max_shards () in
           let predicted =
             List.map
               (fun p ->
                 ( p,
-                  predict_plan ~device ~calibration ~precision ~n_branches ~scheme
-                    ~shape ~dims p ))
+                  predict_plan ~device ~calibration ~volume:(vol, wv) ~boundary:(bnd, wb)
+                    ~dims p ))
               plans
           in
           (* model pruning: keep the k most promising plans, plus the
-             whole flat unsharded unroll axis — that axis changes the
+             whole unsharded unroll axis — that axis changes the
              generated code while the model cannot rank budgets under
              sharding, and it contains the default plan, the baseline
              every winner must beat *)
-          let is_axis (p : Plan_cache.plan) =
-            p.pl_tile = None && p.pl_shards = 1
-          in
+          let is_axis (p : Plan_cache.plan) = p.pl_shards = 1 in
           let is_default (p : Plan_cache.plan) = is_axis p && p.pl_unroll = None in
           let frontier =
             List.filteri
@@ -421,36 +379,18 @@ let tune ?(engine : Gpu_sim.engine = `Native) ?(precision = Kernel_ast.Cast.Doub
           (* feed measured kernel times back into the correction table *)
           List.iter
             (fun (p, _, _, _, per_kernel) ->
-              let wv =
-                { (Workloads.workload Workloads.Volume shape dims) with
-                  Vgpu.Perf_model.local_size = p.Plan_cache.pl_local }
-              in
-              let _, bkind = boundary_kernel ~precision ~n_branches scheme in
-              let wb =
-                { (Workloads.workload bkind shape dims) with
-                  Vgpu.Perf_model.local_size = p.Plan_cache.pl_local }
+              let per_shard k (w : Vgpu.Perf_model.workload) =
+                Vgpu.Perf_model.predict ?unroll_budget:p.Plan_cache.pl_unroll device k
+                  { w with
+                    Vgpu.Perf_model.active_points =
+                      w.Vgpu.Perf_model.active_points /. float_of_int p.Plan_cache.pl_shards }
               in
               List.iter
                 (fun (name, mean_s) ->
-                  let k = volume_kernel ~precision p in
                   let predicted_s =
-                    if k.Kernel_ast.Cast.name = name then
-                      Vgpu.Perf_model.predict ?unroll_budget:p.Plan_cache.pl_unroll
-                        device k
-                        { wv with
-                          Vgpu.Perf_model.active_points =
-                            wv.Vgpu.Perf_model.active_points
-                            /. float_of_int p.Plan_cache.pl_shards }
-                    else
-                      let b, _ = boundary_kernel ~precision ~n_branches scheme in
-                      if b.Kernel_ast.Cast.name = name then
-                        Vgpu.Perf_model.predict
-                          ?unroll_budget:p.Plan_cache.pl_unroll device b
-                          { wb with
-                            Vgpu.Perf_model.active_points =
-                              wb.Vgpu.Perf_model.active_points
-                              /. float_of_int p.Plan_cache.pl_shards }
-                      else 0.
+                    if vol.Kernel_ast.Cast.name = name then per_shard vol wv
+                    else if bnd.Kernel_ast.Cast.name = name then per_shard bnd wb
+                    else 0.
                   in
                   Vgpu.Perf_model.Calibration.observe calibration
                     ~device:device.Vgpu.Device.name ~kernel_name:name

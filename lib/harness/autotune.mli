@@ -1,17 +1,18 @@
-(** Measured rewrite-space autotuner.
+(** Measured autotuner.
 
-    Searches the full configuration space the runtime exposes — volume
-    kernel form (flat or 2.5D tile) x
-    optimizer unroll budget x work-group size x shard count x overlap
-    schedule x temporal block depth — by {e measurement}, with the performance model (corrected
-    by persisted calibration factors) pruning the space first.  The
-    winning plan is persisted in {!Plan_cache}, so a warm rerun — or
+    Searches the configuration space the runtime exposes — optimizer
+    unroll budget x shard count x schedule x temporal block depth — by
+    {e measurement}, with the performance model (corrected by persisted
+    calibration factors) pruning the space first.  The winning plan is
+    persisted in {!Plan_cache}, so a warm rerun — or
     [racs simulate --tuned] — selects it with zero measurements.
 
     The paper hand-tunes each benchmark (§VI); this automates the
     protocol, and the measured re-ranking is what catches the model's
-    mispredictions (BENCH_PR7: predicted 0.97x for the tiled kernel,
-    measured 1.6-2x). *)
+    mispredictions (BENCH_PR8: the model predicts sharded plans to win,
+    and on this host they lose).  The work-group size is searched inside
+    the model only ({!Tuner}): the host engines' wall clock does not
+    depend on it, so it is no plan field. *)
 
 (** One measured candidate. *)
 type measured = {
@@ -37,7 +38,6 @@ type result = {
 val tune :
   ?engine:Acoustics.Gpu_sim.engine ->
   ?precision:Kernel_ast.Cast.precision ->
-  ?device:Vgpu.Device.t ->
   ?n_branches:int ->
   ?topk:int ->
   ?warmup:int ->
@@ -46,8 +46,6 @@ val tune :
   ?max_shards:int ->
   ?clock:(unit -> float) ->
   ?use_cache:bool ->
-  ?tiles:(int * int) list ->
-  ?tblocks:int list ->
   scheme:string ->
   shape:Acoustics.Geometry.shape ->
   dims:Acoustics.Geometry.dims ->
@@ -58,9 +56,9 @@ val tune :
     model pruning, [warmup = 2] untimed steps, the median of [repeats =
     5] intervals of [steps = 20] steps each, shard counts up to
     [max_shards = 2], plan cache and calibration persistence on
-    ([use_cache]), temporal block depths [tblocks] (default
-    {!default_tblocks}) searched on sharded plans.  Candidates are
-    measured one at a time.
+    ([use_cache]), temporal block depths {!default_tblocks} searched on
+    sharded plans.  The model prices for {!Vgpu.Device.host}, the
+    device {!key} names.  Candidates are measured one at a time.
 
     [clock] injects a timer (tests use a fake one — the search is then
     fully deterministic, including tie-breaks: {!List.stable_sort} and
@@ -80,43 +78,38 @@ val key :
   dims:Acoustics.Geometry.dims ->
   Plan_cache.key
 (** The cache key [tune] uses: workload coordinates plus a digest of
-    every candidate kernel's code, so a codegen change invalidates
-    persisted plans. *)
+    the volume and boundary kernels' code, so a codegen change
+    invalidates persisted plans. *)
 
-val plan_kernels :
+val kernels :
   precision:Kernel_ast.Cast.precision ->
   n_branches:int ->
   scheme:string ->
-  Plan_cache.plan ->
   Kernel_ast.Cast.kernel list
-(** The kernel sequence a plan executes per step (volume form according
-    to the plan, then the scheme's boundary kernel) — what
+(** The kernel sequence every plan executes per step (the flat volume
+    kernel, then the scheme's boundary kernel) — what
     [racs simulate --tuned] feeds to {!Acoustics.Gpu_sim.step}. *)
 
 val plan_label : Plan_cache.plan -> string
-(** Human-readable one-liner, e.g.
-    ["tile8x8 ls=64 unroll=default shards=2/overlap"]. *)
+(** Human-readable one-liner, e.g. ["unroll=default shards=2/overlap T=2"]. *)
+
+val plan_json : Plan_cache.plan -> string
+(** The plan as one JSON object: [label], [unroll] (null for the
+    default budget), [shards], [schedule] and [tblock] — the rendering
+    of [racs tune --json] and the bench's autotune report. *)
 
 val engine_label : Acoustics.Gpu_sim.engine -> string
 val precision_label : Kernel_ast.Cast.precision -> string
 
 val default_unrolls : int option list
-val default_tiles : (int * int) list
 
 val default_tblocks : int list
 (** Temporal block depths searched on sharded plans: [[1; 2; 4]]. *)
 
-val enumerate :
-  device:Vgpu.Device.t ->
-  precision:Kernel_ast.Cast.precision ->
-  shape:Acoustics.Geometry.shape ->
-  dims:Acoustics.Geometry.dims ->
-  max_shards:int ->
-  tiles:(int * int) list ->
-  ?tblocks:int list ->
-  unit ->
-  Plan_cache.plan list
-(** The full candidate space before model pruning (exposed for tests and
-    the bench report).  Tiles are clipped to the room's XY extent and a
-    256-lane group bound; each volume form's work-group size comes from
-    {!Tuner}'s model sweep over NDRange-admissible sizes. *)
+val enumerate : dims:Acoustics.Geometry.dims -> max_shards:int -> unit -> Plan_cache.plan list
+(** The full candidate space before model pruning (exposed for tests):
+    every unroll budget, the single-device plan, and shard counts
+    [2..max_shards] under each block depth.  A plan the simulator would
+    clamp — more shards than the room has Z planes, or a block depth
+    deeper than the thinnest slab {!Acoustics.Shard.partition} cuts — is
+    left out, so every plan runs as labelled. *)

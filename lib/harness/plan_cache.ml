@@ -13,14 +13,12 @@
    (measured/predicted correction factors per device x kernel), persisted
    with the same atomic rename. *)
 
-let magic = "racs-plan-v3"
+let magic = "racs-plan-v4"
 let calibration_magic = "racs-calibration-v1"
 
 type schedule = [ `Seq | `Concurrent | `Overlap ]
 
 type plan = {
-  pl_tile : (int * int) option;  (* 2.5D tile, None = flat volume kernel *)
-  pl_local : int;  (* work-group size (model-level for ungrouped kernels) *)
   pl_unroll : int option;  (* Opt unroll-budget override *)
   pl_shards : int;
   pl_schedule : schedule;
@@ -29,8 +27,6 @@ type plan = {
 
 let default_plan =
   {
-    pl_tile = None;
-    pl_local = 128;
     pl_unroll = None;
     pl_shards = 1;
     pl_schedule = `Seq;
@@ -132,10 +128,6 @@ let render_entry (k : key) (e : entry) =
   line "device %s" k.k_device;
   line "engine %s" k.k_engine;
   line "digest %s" k.k_digest;
-  (match e.e_plan.pl_tile with
-  | None -> line "tile none"
-  | Some (w, h) -> line "tile %d %d" w h);
-  line "local %d" e.e_plan.pl_local;
   line "unroll %s"
     (match e.e_plan.pl_unroll with None -> "default" | Some n -> string_of_int n);
   line "shards %d" e.e_plan.pl_shards;
@@ -177,18 +169,6 @@ let parse_entry (k : key) (contents : string) : entry option =
       in
       if not key_matches then None
       else
-        let tile =
-          match f "tile" with
-          | Some "none" -> Some None
-          | Some s -> (
-              match String.split_on_char ' ' s with
-              | [ w; h ] -> (
-                  match (int_of_string_opt w, int_of_string_opt h) with
-                  | Some w, Some h when w > 0 && h > 0 -> Some (Some (w, h))
-                  | _ -> None)
-              | _ -> None)
-          | None -> None
-        in
         let unroll =
           match f "unroll" with
           | Some "default" -> Some None
@@ -198,22 +178,16 @@ let parse_entry (k : key) (contents : string) : entry option =
         in
         let schedule = Option.bind (f "schedule") schedule_of_string in
         (match
-           ( tile, int_f "local", unroll, int_f "shards", schedule,
-             int_f "tblock",
+           ( unroll, int_f "shards", schedule, int_f "tblock",
              ( float_f "predicted_ns", float_f "measured_ns", float_f "default_ns",
                int_f "samples" ) )
          with
-        | ( Some pl_tile, Some pl_local, Some pl_unroll,
-            Some pl_shards, Some pl_schedule, Some pl_tblock,
+        | ( Some pl_unroll, Some pl_shards, Some pl_schedule, Some pl_tblock,
             (Some pred, Some meas, Some dflt, Some e_samples) )
-          when pl_shards >= 1 && pl_local >= 1 && pl_tblock >= 1 ->
+          when pl_shards >= 1 && pl_tblock >= 1 ->
             Some
               {
-                e_plan =
-                  {
-                    pl_tile; pl_local; pl_unroll; pl_shards;
-                    pl_schedule; pl_tblock;
-                  };
+                e_plan = { pl_unroll; pl_shards; pl_schedule; pl_tblock };
                 e_predicted_s = pred *. 1e-9;
                 e_measured_s = meas *. 1e-9;
                 e_default_s = dflt *. 1e-9;

@@ -12,11 +12,9 @@
 
 type schedule = [ `Seq | `Concurrent | `Overlap ]
 
-(** An execution plan: every knob the autotuner searches. *)
+(** An execution plan: every knob the autotuner searches that changes
+    what runs.  The volume kernel is always the flat one. *)
 type plan = {
-  pl_tile : (int * int) option;
-      (** 2.5D work-group tile of the volume kernel; [None] = flat *)
-  pl_local : int;  (** work-group size (model-level for flat kernels) *)
   pl_unroll : int option;  (** optimizer unroll-budget override *)
   pl_shards : int;  (** Z-slab shard count (1 = single device) *)
   pl_schedule : schedule;
@@ -26,9 +24,12 @@ type plan = {
 }
 
 val default_plan : plan
-(** Flat volume kernel, one device, sequential
-    schedule, default optimizer budget — the plan [racs simulate] runs
-    with no flags. *)
+(** One device, sequential schedule, default optimizer budget, T = 1 —
+    the plan [racs simulate] runs with no flags. *)
+
+val string_of_schedule : schedule -> string
+(** ["seq"], ["concurrent"] or ["overlap"]: the schedule's name in a
+    plan file, a plan label and the tuner's JSON. *)
 
 type key = {
   k_scheme : string;  (** fi | fi-mm | fd-mm *)

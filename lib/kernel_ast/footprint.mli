@@ -13,12 +13,13 @@
     provenance flows through scalar registers, private arrays and
     [__local] staging buffers.  Loop-carried registers age by one
     iteration per trip (the [z]-march idiom of 2.5D-tiled stencils), so
-    the tiled volume kernel's register-held below-plane reads surface as
-    a [z-1] arm even though no load instruction mentions [z-1]:
+    a tiled stencil's register-held below-plane reads surface as a [z-1]
+    arm even though no load instruction mentions [z-1]:
 
     - a {b flat} 7-point stencil infers reads of [curr] at
       [x±1, y±1, z±1] from the six neighbour loads directly;
-    - the {b tiled} variant stages a plane in local memory and marches
+    - a {b tiled} 2.5D variant (no production kernel is one; the tests
+      keep one as a fixture) stages a plane in local memory and marches
       [z] in a register; provenance through the tile and the aged
       register recovers the same [±1] extents;
     - {b interior/frontier} range launches ({!Cast.offset_global_id})

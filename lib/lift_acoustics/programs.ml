@@ -421,143 +421,6 @@ let fused_fi_3d () : Ast.lam =
   in
   { Ast.l_params = [ prev; curr; next; l; l2; beta ]; l_body = body }
 
-(* 2.5D-tiled volume kernel (work-group execution tier).
-
-   Same update as [volume ()], restructured the way hand-tuned FDTD
-   kernels are: a 2D NDRange of (tw x th) work-groups sweeps the XY
-   plane, each group staging its (tw+2) x (th+2) tile of [curr] —
-   centre plus one-deep halo — in [__local] memory, while each
-   work-item marches Z sequentially keeping the below-plane value in a
-   register and reading the above-plane value from global memory.  The
-   in-plane stencil arms then come from the local tile: four of the six
-   neighbour loads move from the DRAM tier to the on-chip tier, which
-   is the entire point of the transformation (see
-   [Vgpu.Perf_model.local_bytes_per_point]).
-
-   Bit-exactness with the flat kernel is by construction: the tile
-   holds the exact doubles loaded from [curr] (local arrays are never
-   rounded), and every floating-point expression reproduces the flat
-   kernel's operand association verbatim.  The NDRange rounds up to the
-   tile size; out-of-room work-items load nothing and store nothing but
-   still reach both barriers (barriers stay in work-group-uniform
-   control flow, the legality condition [Kernel_ast.Check] enforces).
-
-   This is a [Cast]-level construction rather than a Lift program: the
-   Lift IR deliberately has no local-memory vocabulary yet, and the
-   paper's tiled kernels are exactly the hand-written side of the
-   comparison. *)
-let tiled_volume ?(name = "volume_tiled") ~precision ~tile:(tw, th) () :
-    Kernel_ast.Cast.kernel =
-  let open Kernel_ast.Cast in
-  if tw < 1 || th < 1 then
-    invalid_arg
-      (Printf.sprintf "tiled_volume: tile must be positive, got %dx%d" tw th);
-  let tw2 = tw + 2 in
-  let i k = Int_lit k in
-  (* tile slot of the column (lx + dx, ly + dy); halo offset included *)
-  let slot ~dy ~dx =
-    ((Local_id 1 +: i (dy + 1)) *: i tw2) +: (Local_id 0 +: i (dx + 1))
-  in
-  let tile_at ~dy ~dx = load "tile" (slot ~dy ~dx) in
-  let x = var "x" and y = var "y" and z = var "z" in
-  let nx = var "Nx" and ny = var "Ny" and nxny = var "NxNy" in
-  let pidx dx dy = ((z *: nxny) +: ((y +: i dy) *: nx)) +: (x +: i dx) in
-  (* cooperative tile load for plane [z]: centre by every in-room
-     work-item, halos by the edge lanes; each slot written by at most
-     one work-item, corners (never read) by none *)
-  let load_tile =
-    [
-      If (x <: nx &&: (y <: ny), [ Store ("tile", slot ~dy:0 ~dx:0, load "curr" (pidx 0 0)) ], []);
-      If
-        ( Local_id 0 =: i 0 &&: (x >=: i 1) &&: (x -: i 1 <: nx) &&: (y <: ny),
-          [ Store ("tile", slot ~dy:0 ~dx:(-1), load "curr" (pidx (-1) 0)) ],
-          [] );
-      If
-        ( Local_id 0 =: i (tw - 1) &&: (x +: i 1 <: nx) &&: (y <: ny),
-          [ Store ("tile", slot ~dy:0 ~dx:1, load "curr" (pidx 1 0)) ],
-          [] );
-      If
-        ( Local_id 1 =: i 0 &&: (y >=: i 1) &&: (y -: i 1 <: ny) &&: (x <: nx),
-          [ Store ("tile", slot ~dy:(-1) ~dx:0, load "curr" (pidx 0 (-1))) ],
-          [] );
-      If
-        ( Local_id 1 =: i (th - 1) &&: (y +: i 1 <: ny) &&: (x <: nx),
-          [ Store ("tile", slot ~dy:1 ~dx:0, load "curr" (pidx 0 1)) ],
-          [] );
-    ]
-  in
-  (* flat kernel's operand association, verbatim:
-     s = ((((west + east) + north) + south) + below) + above
-     next = (((2 - l2*nbr) * centre) + l2*s) - prev *)
-  let compute =
-    If
-      ( x <: nx &&: (y <: ny),
-        [
-          Decl (Int, "idx", Some (((z *: nxny) +: (y *: nx)) +: x));
-          Decl (Int, "nbr", Some (load "nbrs" (var "idx")));
-          If
-            ( var "nbr" >: i 0,
-              [
-                Decl
-                  ( Real,
-                    "s",
-                    Some
-                      (tile_at ~dy:0 ~dx:(-1) +: tile_at ~dy:0 ~dx:1
-                      +: tile_at ~dy:(-1) ~dx:0 +: tile_at ~dy:1 ~dx:0
-                      +: var "cb"
-                      +: load "curr" (var "idx" +: nxny)) );
-                Store
-                  ( "next",
-                    var "idx",
-                    ((Real_lit 2.0 -: (var "l2" *: Unop (To_real, var "nbr")))
-                     *: tile_at ~dy:0 ~dx:0)
-                    +: (var "l2" *: var "s")
-                    -: load "prev" (var "idx") );
-              ],
-              [ Store ("next", var "idx", Real_lit 0.0) ] );
-          (* march: this plane's centre becomes next iteration's below *)
-          Assign ("cb", tile_at ~dy:0 ~dx:0);
-        ],
-        [] )
-  in
-  let pad e t = Binop (Mul, Binop (Div, e +: i (t - 1), i t), i t) in
-  {
-    name = Printf.sprintf "%s_%dx%d" name tw th;
-    precision;
-    params =
-      [
-        param "nbrs" Int;
-        param "prev" Real;
-        param "curr" Real;
-        param "next" Real;
-        param ~kind:Scalar_param "Nx" Int;
-        param ~kind:Scalar_param "Ny" Int;
-        param ~kind:Scalar_param "Nz" Int;
-        param ~kind:Scalar_param "NxNy" Int;
-        param ~kind:Scalar_param "l2" Real;
-      ];
-    body =
-      [
-        Decl (Int, "x", Some (Global_id 0));
-        Decl (Int, "y", Some (Global_id 1));
-        Decl_local (Real, "tile", tw2 * (th + 2));
-        Decl (Real, "cb", Some (Real_lit 0.0));
-        For
-          {
-            var = "z";
-            init = i 0;
-            bound = var "Nz";
-            step = i 1;
-            body =
-              (* first barrier: plane z-1's tile reads are done before
-                 this iteration overwrites the tile *)
-              (Barrier :: load_tile) @ [ Barrier; compute ];
-          };
-      ];
-    global_size = [ pad nx tw; pad ny th ];
-    local_size = [ tw; th ];
-  }
-
 (* Compile any of the programs above into a kernel with a given
    precision, after the standard rewrite normalisation.  By default the
    kernel then goes through the [Kernel_ast.Opt] pass pipeline, matching

@@ -4,7 +4,8 @@
     hand-written kernels so {!Acoustics.Gpu_sim} can run either side of
     every comparison.  Size variables: N (grid voxels), nB (boundary
     points), NM (materials); the branch count MB is a compile-time
-    constant, as in the paper's kernels. *)
+    constant, as in the paper's kernels.  The IR has no local-memory
+    vocabulary, so no program here emits [__local] or barriers. *)
 
 open Lift
 
@@ -65,24 +66,6 @@ val fused_fi_3d : unit -> Ast.lam
     array3(computeNumNeighbors))], with slide3/pad3 as macro
     compositions of the 1D patterns ({!Lift.Macros}).  The grids carry
     no physical halo; pad3 virtualises it each step. *)
-
-val tiled_volume :
-  ?name:string ->
-  precision:Kernel_ast.Cast.precision ->
-  tile:int * int ->
-  unit ->
-  Kernel_ast.Cast.kernel
-(** 2.5D-tiled variant of {!volume}: a 2D NDRange of [tw x th]
-    work-groups over the XY plane, each staging its [(tw+2) x (th+2)]
-    tile of [curr] in [__local] memory between two barriers while Z is
-    marched in registers.  Bit-identical to the flat kernel on every
-    engine — the local tile holds unrounded doubles and all
-    floating-point operand associations are preserved verbatim.  The
-    NDRange rounds up to the tile size ([global_size] uses arithmetic
-    expressions), with out-of-room work-items idling through the
-    barriers.  Drop-in replacement for the flat volume kernel in
-    {!Acoustics.Gpu_sim} step lists (same parameter names).
-    @raise Invalid_argument when a tile dimension is not positive. *)
 
 val compile :
   ?name:string ->

@@ -93,25 +93,20 @@ let set_clock f = clock := f
 let reset_clock () = clock := Clock.now
 let now () = !clock ()
 
-let verify_from_env () =
-  match Sys.getenv_opt "RACS_VERIFY" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
 let create ?(engine = Native) ?(optimize = true) ?unroll_budget
-    ?(precision = Cast.Double) ?verify ?(sanitize = false) ?cache_capacity () =
+    ?(precision = Cast.Double) ?(verify = false) ?(sanitize = false) () =
   {
     buffers = Hashtbl.create 16;
-    opt_cache = Kcache.create ?capacity:cache_capacity "opt";
-    check_cache = Kcache.create ?capacity:cache_capacity "check";
-    native_cache = Kcache.create ?capacity:cache_capacity "native";
+    opt_cache = Kcache.create "opt";
+    check_cache = Kcache.create "check";
+    native_cache = Kcache.create "native";
     digest_memo = [];
     kstats = Hashtbl.create 8;
     engine;
     optimize;
     unroll_budget;
     precision;
-    verify = (match verify with Some v -> v | None -> verify_from_env ());
+    verify;
     sanitizer = (if sanitize then Some (Sanitizer.create ()) else None);
     launches = 0;
     h2d_bytes = 0;

@@ -107,7 +107,6 @@ val create :
   ?precision:Kernel_ast.Cast.precision ->
   ?verify:bool ->
   ?sanitize:bool ->
-  ?cache_capacity:int ->
   unit ->
   t
 (** [engine] defaults to [Native].  [precision] (default [Double]) sets
@@ -120,13 +119,11 @@ val create :
     every kernel this runtime optimizes (the autotuner's knob); the
     default keeps {!Kernel_ast.Opt}'s built-in budget.
 
-    [verify] gates fail-fast static verification of every launch
-    (default: on iff the [RACS_VERIFY] environment variable is set to
-    [1]/[true]/[yes]/[on]).  [sanitize] (default [false]) runs every
-    launch under {!module:Sanitizer} via the reference interpreter,
-    overriding [engine]; violation counts appear in {!stats}.
-    [cache_capacity] bounds each of the runtime's kernel caches
-    (default {!Kcache.default_capacity}). *)
+    [verify] (default [false]) gates fail-fast static verification of
+    every launch.  [sanitize] (default [false]) runs every launch under
+    {!module:Sanitizer} via the reference interpreter, overriding
+    [engine]; violation counts appear in {!stats}.  Each of the
+    runtime's kernel caches holds {!Kcache.default_capacity} entries. *)
 
 val sanitizer : t -> Sanitizer.t option
 (** The runtime's sanitizer, when created with [~sanitize:true]. *)

@@ -12,11 +12,9 @@
    Negative paths mirror test_check's racy/off-by-one pairs at the
    work-group tier: a local-memory race and a divergent barrier are each
    caught by BOTH the static verifier (Kernel_ast.Check) and the
-   shadow-memory sanitizer (Vgpu.Sanitizer).  Two qcheck properties pin
-   the soundness direction (statically Safe grouped kernels run
-   sanitizer-clean) and the tentpole's contract (the 2.5D-tiled volume
-   kernel equals the flat one bit-for-bit for arbitrary room sizes, tile
-   shapes and shard counts, with shrinking to a minimal failing tile).
+   shadow-memory sanitizer (Vgpu.Sanitizer).  A qcheck property pins
+   the soundness direction: statically Safe grouped kernels run
+   sanitizer-clean.
 
    Byte storage ([Cast.U8], OpenCL [uchar *]) gets its own case: stores
    wrap mod 256 and loads zero-extend identically on every engine and
@@ -537,49 +535,6 @@ let qcheck_safe_grouped_is_clean =
       in
       race_sound && barrier_sound)
 
-(* -- qcheck: tiled volume == flat volume, any tile/room/shards ------- *)
-
-(* The tentpole's contract as a property: for arbitrary room sizes, tile
-   shapes (including degenerate 1x1 and tiles wider than the room) and
-   shard counts, an FD-MM simulation stepped with the 2.5D-tiled volume
-   kernel matches the flat one bit-for-bit.  On failure qcheck shrinks
-   every coordinate toward its lower bound, reporting a minimal failing
-   (room, tile, shards) triple.  It runs on the interpreter: every drawn
-   tile is a new kernel, which native would pass through cc. *)
-let qcheck_tiled_equals_flat =
-  let gen =
-    QCheck.Gen.(
-      tup6 (int_range 6 13) (int_range 6 13) (int_range 4 9) (int_range 1 8) (int_range 1 8)
-        (int_range 1 3))
-  in
-  let print (nx, ny, nz, tw, th, shards) =
-    Printf.sprintf "room %dx%dx%d, tile %dx%d, shards=%d" nx ny nz tw th shards
-  in
-  QCheck.Test.make ~name:"tiled FD-MM == flat FD-MM bit-for-bit" ~count:20
-    (QCheck.make ~print gen)
-    (fun (nx, ny, nz, tw, th, shards) ->
-      let open Acoustics in
-      let precision = Double in
-      let room = Geometry.build ~n_materials:4 Geometry.Dome (Geometry.dims ~nx ~ny ~nz) in
-      let boundary = Hand_kernels.boundary_fd_mm ~precision ~mb:3 in
-      let run vol =
-        let sim =
-          Gpu_sim.create ~engine:`Interp ~shards ~n_branches:3 ~precision Params.default room
-        in
-        let cx, cy, cz = State.centre sim.Gpu_sim.state in
-        State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
-        for _ = 1 to 3 do
-          Gpu_sim.step sim [ vol; boundary ]
-        done;
-        Gpu_sim.sync sim;
-        Array.copy sim.Gpu_sim.state.State.curr
-      in
-      let flat = run (Hand_kernels.volume ~precision) in
-      let tiled = run (Lift_acoustics.Programs.tiled_volume ~precision ~tile:(tw, th) ()) in
-      Array.for_all2
-        (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
-        flat tiled)
-
 let suite =
   [
     Alcotest.test_case "torture kernel, all engines x precisions x opt" `Quick test_torture;
@@ -593,5 +548,4 @@ let suite =
     Alcotest.test_case "divergent barrier: static leg" `Quick test_divergent_barrier_static;
     Alcotest.test_case "divergent barrier: dynamic leg" `Quick test_divergent_barrier_dynamic;
     QCheck_alcotest.to_alcotest qcheck_safe_grouped_is_clean;
-    QCheck_alcotest.to_alcotest qcheck_tiled_equals_flat;
   ]

@@ -1,11 +1,12 @@
 (* The measured autotuner and its best-plan cache.
 
    Mirrors the native binary cache's torture tests on the plan side
-   (round-trip, corrupt entry = miss, key-field validation), pins the
-   search deterministic under an injected fake timer, asserts the
-   warm-cache path re-runs with zero measurements, and property-checks
-   that any plan the tuner can emit stays bit-identical to the default
-   plan across schemes, precisions and shard counts. *)
+   (round-trip, corrupt entry = miss, key-field validation, an entry of
+   the previous format = miss), pins the search deterministic under an
+   injected fake timer, asserts the warm-cache path re-runs with zero
+   measurements, checks that every enumerated plan runs as labelled, and
+   property-checks that any plan the tuner can emit stays bit-identical
+   to the default plan across schemes, precisions and shard counts. *)
 
 open Acoustics
 module PC = Harness.Plan_cache
@@ -38,9 +39,7 @@ let sample_entry () : PC.entry =
   {
     PC.e_plan =
       {
-        PC.pl_tile = Some (8, 4);
-        pl_local = 32;
-        pl_unroll = Some 16384;
+        PC.pl_unroll = Some 16384;
         pl_shards = 3;
         pl_schedule = `Overlap;
         pl_tblock = 2;
@@ -54,10 +53,25 @@ let sample_entry () : PC.entry =
 (* -- Plan cache ------------------------------------------------------- *)
 
 let test_roundtrip () =
-  ignore (use_scratch_dir ());
+  let dir = use_scratch_dir () in
   let key = sample_key () and entry = sample_entry () in
   Alcotest.(check bool) "cold lookup misses" true (PC.find key = None);
   PC.store key entry;
+  (* the file records only knobs that change what runs *)
+  let lines =
+    In_channel.with_open_bin
+      (Filename.concat dir (PC.key_digest key ^ ".plan"))
+      In_channel.input_all
+    |> String.split_on_char '\n'
+  in
+  Alcotest.(check string) "magic" "racs-plan-v4" (List.hd lines);
+  List.iter
+    (fun field ->
+      Alcotest.(check bool)
+        (Printf.sprintf "no %s line" field)
+        false
+        (List.exists (fun l -> String.starts_with ~prefix:(field ^ " ") l) lines))
+    [ "tile"; "local" ];
   (match PC.find key with
   | None -> Alcotest.fail "stored entry not found"
   | Some got ->
@@ -68,8 +82,8 @@ let test_roundtrip () =
         (Float.abs (got.PC.e_measured_s -. entry.PC.e_measured_s) < 1e-12));
   let hits, misses, stores = PC.counters () in
   Alcotest.(check (triple int int int)) "counters" (1, 1, 1) (hits, misses, stores);
-  (* the default plan (no tile, default unroll) round-trips
-     through its None/empty encodings too *)
+  (* the default plan (default unroll) round-trips through its None
+     encoding too *)
   let dkey = { (sample_key ()) with PC.k_scheme = "fd-mm" } in
   PC.store dkey { (sample_entry ()) with PC.e_plan = PC.default_plan };
   match PC.find dkey with
@@ -96,6 +110,28 @@ let test_corrupt_entry_is_miss () =
   (* a store heals it *)
   PC.store key (sample_entry ());
   Alcotest.(check bool) "overwritten entry is trusted again" true (PC.find key <> None)
+
+(* An entry written in the previous format (racs-plan-v3, with the tile
+   and work-group-size lines) found where a current entry would be is a
+   miss, not a plan. *)
+let test_v3_entry_is_miss () =
+  let dir = use_scratch_dir () in
+  let key = sample_key () in
+  let path = Filename.concat dir (PC.key_digest key ^ ".plan") in
+  Unix.mkdir dir 0o755;
+  Out_channel.with_open_bin path (fun oc ->
+      Out_channel.output_string oc
+        (String.concat "\n"
+           [
+             "racs-plan-v3"; "scheme fi"; "shape box"; "dims 12 10 8"; "precision double";
+             "device Host"; "engine native"; "digest 0123456789abcdef0123456789abcdef";
+             "tile none"; "local 64"; "unroll default"; "shards 2"; "schedule concurrent";
+             "tblock 1"; "predicted_ns 1250"; "measured_ns 2500"; "default_ns 3750";
+             "samples 5"; "";
+           ]));
+  Alcotest.(check bool) "v3 entry is a miss" true (PC.find key = None);
+  let hits, misses, _ = PC.counters () in
+  Alcotest.(check (pair int int)) "counted as a miss" (0, 1) (hits, misses)
 
 let test_key_fields_validated () =
   let dir = use_scratch_dir () in
@@ -227,15 +263,11 @@ let test_winner_not_slower_than_default () =
   Alcotest.(check bool) "winner measured <= default measured" true
     (r.AT.r_entry.PC.e_measured_s <= r.AT.r_entry.PC.e_default_s)
 
-(* -- Tuned plan == default plan output, property-checked -------------- *)
+(* -- Plans run as labelled --------------------------------------------- *)
 
-(* Run [steps] simulation steps under an arbitrary plan and return the
-   final field bits.  This exercises exactly the path [racs simulate
-   --tuned] takes: plan kernels + plan runtime knobs. *)
-let run_plan ~scheme ~precision (plan : PC.plan) =
-  let dims = Geometry.dims ~nx:9 ~ny:8 ~nz:10 in
-  let room = Geometry.build ~n_materials:(Array.length Material.defaults) Geometry.Box dims in
-  let kernels = AT.plan_kernels ~precision ~n_branches:3 ~scheme plan in
+(* The simulation [racs simulate --tuned] builds from a plan: the plan's
+   runtime knobs, shards and block depth only when sharded. *)
+let sim_of_plan ~precision room (plan : PC.plan) =
   let shards = if plan.PC.pl_shards > 1 then Some plan.PC.pl_shards else None in
   let schedule =
     if plan.PC.pl_shards > 1 then Some (plan.PC.pl_schedule :> Gpu_sim.schedule) else None
@@ -244,10 +276,41 @@ let run_plan ~scheme ~precision (plan : PC.plan) =
     if plan.PC.pl_shards > 1 && plan.PC.pl_tblock > 1 then Some plan.PC.pl_tblock
     else None
   in
-  let sim =
-    Gpu_sim.create ~engine:`Native ?unroll_budget:plan.PC.pl_unroll ?shards ?schedule
-      ?tblock ~fi_beta:0.1 ~n_branches:3 ~precision Params.default room
-  in
+  Gpu_sim.create ~engine:`Native ?unroll_budget:plan.PC.pl_unroll ?shards ?schedule ?tblock
+    ~fi_beta:0.1 ~n_branches:3 ~precision Params.default room
+
+let room_of dims =
+  Geometry.build ~n_materials:(Array.length Material.defaults) Geometry.Box dims
+
+(* Shard.plan clamps a shard count above the room's planes and a block
+   depth deeper than the thinnest slab.  On a 4-plane room searched up to
+   8 shards, [enumerate] must leave out every plan that would be clamped,
+   so each one runs with the shard count and depth its label names. *)
+let test_enumerated_plans_run_as_labelled () =
+  let dims = Geometry.dims ~nx:16 ~ny:12 ~nz:4 in
+  let room = room_of dims in
+  let plans = AT.enumerate ~dims ~max_shards:8 () in
+  Alcotest.(check bool) "plans enumerated" true (plans <> []);
+  List.iter
+    (fun (plan : PC.plan) ->
+      let sim = sim_of_plan ~precision:Kernel_ast.Cast.Double room plan in
+      let label = AT.plan_label plan in
+      Alcotest.(check int) (label ^ ": shard count") plan.PC.pl_shards (Gpu_sim.n_shards sim);
+      Alcotest.(check int) (label ^ ": block depth") plan.PC.pl_tblock (Gpu_sim.tblock sim))
+    plans;
+  (* 3 unroll budgets x (one device; 2 shards at T = 1, 2 under both
+     schedules; 3 and 4 shards at T = 1) *)
+  Alcotest.(check int) "candidates" 21 (List.length plans)
+
+(* -- Tuned plan == default plan output, property-checked -------------- *)
+
+(* Run [steps] simulation steps under an arbitrary plan and return the
+   final field bits.  This exercises exactly the path [racs simulate
+   --tuned] takes: the tuner's kernels + plan runtime knobs. *)
+let run_plan ~scheme ~precision (plan : PC.plan) =
+  let room = room_of (Geometry.dims ~nx:9 ~ny:8 ~nz:10) in
+  let kernels = AT.kernels ~precision ~n_branches:3 ~scheme in
+  let sim = sim_of_plan ~precision room plan in
   let cx, cy, cz = State.centre sim.Gpu_sim.state in
   State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
   for _ = 1 to 6 do
@@ -260,28 +323,11 @@ let plan_gen : (string * Kernel_ast.Cast.precision * PC.plan) QCheck.Gen.t =
   let open QCheck.Gen in
   let* scheme = oneofl [ "fi"; "fi-mm"; "fd-mm" ] in
   let* precision = oneofl [ Kernel_ast.Cast.Single; Kernel_ast.Cast.Double ] in
-  let* tile = oneofl [ None; Some (4, 4); Some (8, 4) ] in
-  let* unroll = oneofl [ None; Some 0; Some 16384 ] in
-  let* shards = int_range 1 4 in
-  let* tblock = oneofl [ 1; 2; 3 ] in
-  let* schedule =
-    (* the overlapped schedule range-splits the flat volume kernel; the
-       tiled kernel only runs seq/concurrent (Autotune.enumerate never
-       pairs them either) *)
-    if tile = None then oneofl [ `Seq; `Concurrent; `Overlap ]
-    else oneofl [ `Seq; `Concurrent ]
-  in
-  return
-    ( scheme,
-      precision,
-      {
-        PC.pl_tile = tile;
-        pl_local = 64;
-        pl_unroll = unroll;
-        pl_shards = shards;
-        pl_schedule = schedule;
-        pl_tblock = tblock;
-      } )
+  let* pl_unroll = oneofl [ None; Some 0; Some 16384 ] in
+  let* pl_shards = int_range 1 4 in
+  let* pl_tblock = oneofl [ 1; 2; 3 ] in
+  let* pl_schedule = oneofl [ `Seq; `Concurrent; `Overlap ] in
+  return (scheme, precision, { PC.pl_unroll; pl_shards; pl_schedule; pl_tblock })
 
 let arb_plan =
   QCheck.make plan_gen ~print:(fun (scheme, precision, plan) ->
@@ -301,6 +347,7 @@ let suite =
   [
     Alcotest.test_case "plan cache round-trip" `Quick test_roundtrip;
     Alcotest.test_case "corrupt entry is a miss" `Quick test_corrupt_entry_is_miss;
+    Alcotest.test_case "v3 entry at the v4 path is a miss" `Quick test_v3_entry_is_miss;
     Alcotest.test_case "key fields validated" `Quick test_key_fields_validated;
     Alcotest.test_case "calibration round-trip" `Quick test_calibration_roundtrip;
     Alcotest.test_case "deterministic under fake timer" `Slow
@@ -310,6 +357,8 @@ let suite =
       test_warm_cache_zero_measurements;
     Alcotest.test_case "bad step or repeat counts cache no plan" `Quick
       test_bad_counts_store_nothing;
+    Alcotest.test_case "every enumerated plan runs as labelled" `Quick
+      test_enumerated_plans_run_as_labelled;
     Alcotest.test_case "winner never slower than default" `Slow
       test_winner_not_slower_than_default;
     QCheck_alcotest.to_alcotest qcheck_plan_matches_default;

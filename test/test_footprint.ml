@@ -1,10 +1,10 @@
 (* Static stencil-footprint inference and whole-plan halo verification:
 
    - Kernel_ast.Footprint infers exact per-axis extents for the
-     production volume kernels — flat, fused and 2.5D-tiled (where the
-     z±1 arms live in registers and local memory, not in any load's
-     index expression) — and honestly gives up on the indirect boundary
-     scatters.
+     production volume kernels (flat and fused) and for a 2.5D-tiled test
+     fixture (where the z±1 arms live in registers and local memory, not
+     in any load's index expression), and honestly gives up on the
+     indirect boundary scatters.
 
    - The optimizer never widens a footprint: the optimized AST's
      extents are contained in the raw AST's (on fd-mm it is strictly
@@ -70,14 +70,14 @@ let test_flat_exact () =
       | None -> assert false))
     [ Hand_kernels.volume ~precision:Cast.Double; Hand_kernels.fused_fi ~precision:Cast.Double ]
 
-(* The tiled kernel's below/above-plane reads live in loop-carried
+(* The tiled fixture's below/above-plane reads live in loop-carried
    registers and a __local tile; provenance plus register aging must
    recover the same ±1 extents the flat kernel shows directly. *)
 let test_tiled_exact () =
   let env = sim_env () in
   List.iter
     (fun tile ->
-      let k = Lift_acoustics.Programs.tiled_volume ~precision:Cast.Double ~tile () in
+      let k = Tiled_kernel.volume ~precision:Cast.Double ~tile () in
       let fp = Footprint.infer ~strides env k in
       check_rel (k.Cast.name ^ " curr") fp "curr" [ (-1, 1); (-1, 1); (-1, 1) ];
       check_rel (k.Cast.name ^ " prev") fp "prev" [ (0, 0); (0, 0); (0, 0) ];
@@ -162,7 +162,7 @@ let test_opt_never_widens () =
     [
       Hand_kernels.volume ~precision:Cast.Double;
       Hand_kernels.fused_fi ~precision:Cast.Double;
-      Lift_acoustics.Programs.tiled_volume ~precision:Cast.Double ~tile:(4, 4) ();
+      Tiled_kernel.volume ~precision:Cast.Double ~tile:(4, 4) ();
       Hand_kernels.boundary_fi ~precision:Cast.Double;
       Hand_kernels.boundary_fi_mm ~precision:Cast.Double ~betas;
       Hand_kernels.boundary_fd_mm ~precision:Cast.Double ~mb:3;
@@ -175,11 +175,6 @@ let schemes precision =
     ("fi", [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ]);
     ("fi-mm", [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi_mm ~precision ~betas ]);
     ("fd-mm", [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]);
-    ( "tiled fi",
-      [
-        Lift_acoustics.Programs.tiled_volume ~precision ~tile:(4, 4) ();
-        Hand_kernels.boundary_fi ~precision;
-      ] );
   ]
 
 let mk_sim ?(schedule = `Seq) ?(tblock = 1) ?(dims = Geometry.dims ~nx:9 ~ny:8 ~nz:12) ~shards ()
@@ -274,10 +269,12 @@ let test_dropped_wait_detected () =
     (List.mem "unordered-ghost-read" (err_codes (verify sim (drop_waits aplan))))
 
 (* An exchange must land after the destination's launches that write
-   the ghost planes it fills: every in-block launch at T ≥ 2, and at
-   T = 1 the tiled kernel, which sweeps its whole slab.  Across the
-   mutation sweep's configurations, dropping the wait of any exchange
-   that carries that order must be rejected as an unordered ghost write.
+   the ghost planes it fills: every in-block launch at T ≥ 2 (checked on
+   the overlapped plans), and at T = 1 every volume launch of the sync
+   plans, each of which sweeps its whole slab, ghost planes included.
+   Across the mutation sweep's configurations, dropping the wait of any
+   exchange that carries that order must be rejected as an unordered
+   ghost write.
    An exchange queued behind another with the same wait (same source
    queue, same destination, same block end) inherits the order through
    FIFO, so only the first of each such group carries it.  (Branch-state
@@ -292,39 +289,41 @@ let test_unordered_ghost_write_detected () =
     (fun (sname, kernels) ->
       List.iter
         (fun (shards, tblock) ->
-          if tblock > 1 || sname = "tiled fi" then begin
-            let sim = mk_sim ~schedule:`Overlap ~tblock ~dims ~shards () in
-            let plan = Gpu_sim.plan sim kernels ~steps:(3 * Gpu_sim.tblock sim) in
-            let where = Printf.sprintf "%s shards=%d T=%d" sname shards tblock in
-            Alcotest.(check (list string)) (where ^ ": intact plan error-free") []
-              (err_codes (verify sim plan));
-            List.iteri
-              (fun i (o : Vgpu.Multi.async_op) ->
-                match o.Vgpu.Multi.a_op with
-                | Vgpu.Multi.Exchange { dst; _ }
-                  when (not (List.mem dst state_bufs))
-                       && o.Vgpu.Multi.a_waits <> []
-                       && not
-                            (List.exists
-                               (fun (p : Vgpu.Multi.async_op) ->
-                                 src_of p = src_of o && p.Vgpu.Multi.a_waits = o.Vgpu.Multi.a_waits)
-                               (List.filteri (fun j _ -> j < i) plan)) ->
-                    incr total;
-                    let m =
-                      List.mapi
-                        (fun j (o : Vgpu.Multi.async_op) ->
-                          if j = i then { o with Vgpu.Multi.a_waits = [] } else o)
-                        plan
-                    in
-                    if not (List.mem "unordered-ghost-write" (err_codes (verify sim m))) then
-                      accepted := Printf.sprintf "%s: exchange op %d" where i :: !accepted
-                | _ -> ())
-              plan
-          end)
+          let schedule = if tblock > 1 then `Overlap else `Seq in
+          let sim = mk_sim ~schedule ~tblock ~dims ~shards () in
+          let plan = Gpu_sim.plan sim kernels ~steps:(3 * Gpu_sim.tblock sim) in
+          let where =
+            Printf.sprintf "%s shards=%d T=%d %s" sname shards tblock
+              (if tblock > 1 then "async" else "sync")
+          in
+          Alcotest.(check (list string)) (where ^ ": intact plan error-free") []
+            (err_codes (verify sim plan));
+          List.iteri
+            (fun i (o : Vgpu.Multi.async_op) ->
+              match o.Vgpu.Multi.a_op with
+              | Vgpu.Multi.Exchange { dst; _ }
+                when (not (List.mem dst state_bufs))
+                     && o.Vgpu.Multi.a_waits <> []
+                     && not
+                          (List.exists
+                             (fun (p : Vgpu.Multi.async_op) ->
+                               src_of p = src_of o && p.Vgpu.Multi.a_waits = o.Vgpu.Multi.a_waits)
+                             (List.filteri (fun j _ -> j < i) plan)) ->
+                  incr total;
+                  let m =
+                    List.mapi
+                      (fun j (o : Vgpu.Multi.async_op) ->
+                        if j = i then { o with Vgpu.Multi.a_waits = [] } else o)
+                      plan
+                  in
+                  if not (List.mem "unordered-ghost-write" (err_codes (verify sim m))) then
+                    accepted := Printf.sprintf "%s: exchange op %d" where i :: !accepted
+              | _ -> ())
+            plan)
         [ (2, 1); (3, 1); (4, 1); (2, 2); (3, 2); (2, 3); (3, 3) ])
     (schemes Cast.Double);
   (* the sweep's size: a change means the plans changed shape *)
-  Alcotest.(check int) "mutants checked" 180 !total;
+  Alcotest.(check int) "mutants checked" 216 !total;
   Alcotest.(check (list string)) "every unwaited exchange rejected" [] (List.rev !accepted)
 
 let test_uninit_read_detected () =
@@ -403,7 +402,7 @@ let test_dropped_exchanges_all_rejected () =
         [ (2, 1); (3, 1); (4, 1); (2, 2); (3, 2); (2, 3); (3, 3) ])
     (schemes Cast.Double);
   (* the sweep's size: a change means the plans changed shape *)
-  Alcotest.(check int) "mutants checked" 536 !total;
+  Alcotest.(check int) "mutants checked" 402 !total;
   Alcotest.(check (list string)) "every mutant rejected" [] (List.rev !accepted)
 
 (* -- qcheck: statics bound dynamics ----------------------------------- *)

@@ -4,8 +4,7 @@
    - Bit-identity: the [`Overlap] schedule and
      [Gpu_sim.step_overlap_with] under first-ready and last-ready picks
      reproduce the single-device native grid bit-for-bit, for the three
-     schemes and the 2.5D-tiled FI volume kernel (whose launches write
-     the ghost planes an exchange fills); a qcheck property drives the
+     schemes; a qcheck property drives the
      executor through *random* legal queue interleavings.  Sanitized,
      the schedule stays overlapped and reports no violation.
 
@@ -48,13 +47,8 @@ let kernels_of scheme precision =
       [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi_mm ~precision ~betas ]
   | `Fd_mm ->
       [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]
-  | `Tiled_fi ->
-      [
-        Lift_acoustics.Programs.tiled_volume ~precision ~tile:(4, 4) ();
-        Hand_kernels.boundary_fi ~precision;
-      ]
 
-let schemes = [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm); ("tiled fi", `Tiled_fi) ]
+let schemes = [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
 
 let make ?shards ?schedule ?(precision = Cast.Double) () =
   let room = Geometry.build ~n_materials:4 Geometry.Box dims in

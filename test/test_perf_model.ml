@@ -97,7 +97,8 @@ let test_breakdown_consistency () =
   Alcotest.(check bool) "positive traffic" true (b.bytes_per_point > 0.)
 
 (* The work-group tier: __local traffic is priced on its own roofline
-   arm at local_bw_ratio x DRAM bandwidth.  The tiled volume kernel must
+   arm at local_bw_ratio x DRAM bandwidth.  The tiled volume kernel (a
+   test fixture) must
    show local traffic the flat one has none of, local time must stay
    cheaper than the (coalesced-rate) DRAM it replaces, and the total
    must be the three-way roofline max. *)
@@ -113,11 +114,8 @@ let test_local_memory_tier () =
   let flat =
     Vgpu.Perf_model.predict_breakdown device (Hand_kernels.volume ~precision:Kernel_ast.Cast.Double) w
   in
-  let tiled =
-    Vgpu.Perf_model.predict_breakdown device
-      (Lift_acoustics.Programs.tiled_volume ~precision:Kernel_ast.Cast.Double ~tile:(8, 8) ())
-      w
-  in
+  let tiled_kernel = Tiled_kernel.volume ~precision:Kernel_ast.Cast.Double ~tile:(8, 8) () in
+  let tiled = Vgpu.Perf_model.predict_breakdown device tiled_kernel w in
   Alcotest.(check (float 0.)) "flat kernel has no local traffic" 0.
     flat.Vgpu.Perf_model.local_bytes_per_point;
   Alcotest.(check bool) "tiled kernel has local traffic" true
@@ -131,11 +129,7 @@ let test_local_memory_tier () =
     < 1e-15);
   (* a device with slower local memory prices the local arm higher *)
   let slow = { device with Vgpu.Device.local_bw_ratio = device.Vgpu.Device.local_bw_ratio /. 4. } in
-  let tiled_slow =
-    Vgpu.Perf_model.predict_breakdown slow
-      (Lift_acoustics.Programs.tiled_volume ~precision:Kernel_ast.Cast.Double ~tile:(8, 8) ())
-      w
-  in
+  let tiled_slow = Vgpu.Perf_model.predict_breakdown slow tiled_kernel w in
   Alcotest.(check bool) "local_bw_ratio scales the local arm" true
     (tiled_slow.Vgpu.Perf_model.local_time_s > 3.9 *. tiled.Vgpu.Perf_model.local_time_s)
 

@@ -247,7 +247,7 @@ let test_printer () =
    local-id loops, a uniform while for the barrier-carrying z loop). *)
 let test_tiled_kernel_goldens () =
   let k =
-    Lift_acoustics.Programs.tiled_volume ~precision:Cast.Double ~tile:(4, 2) ()
+    Tiled_kernel.volume ~precision:Cast.Double ~tile:(4, 2) ()
   in
   let ocl = Print.kernel_to_string k in
   List.iter

@@ -251,11 +251,6 @@ let test_plan_is_what_step_runs () =
       ("fi", kernels_of `Fi Double);
       ("fi-mm", kernels_of `Fi_mm Double);
       ("fd-mm", kernels_of `Fd_mm Double);
-      ( "tiled fi",
-        [
-          Lift_acoustics.Programs.tiled_volume ~precision:Double ~tile:(4, 4) ();
-          Hand_kernels.boundary_fi ~precision:Double;
-        ] );
     ]
   in
   List.iter

@@ -273,20 +273,6 @@ let test_depth_short_exchange_rejected () =
   in
   Alcotest.(check bool) "diagnostic names the required depth" true pointed
 
-(* The 2.5D-tiled volume kernel composes with temporal blocking through
-   the per-step blocked cadence (the cadence is kernel-agnostic): tiled
-   under T=2 matches the flat single-device run bit-for-bit. *)
-let test_tiled_under_tblock () =
-  let reference = (run ~steps:6 ~kernels:(kernels_of `Fi Double) ()).Gpu_sim.state in
-  let tiled =
-    [
-      Lift_acoustics.Programs.tiled_volume ~precision:Double ~tile:(4, 4) ();
-      Hand_kernels.boundary_fi ~precision:Double;
-    ]
-  in
-  let sim = run ~steps:6 ~shards:2 ~tblock:2 ~kernels:tiled () in
-  check_state "tiled under T=2" reference sim.Gpu_sim.state
-
 (* Property: for random scheme / precision / shard count / block depth /
    schedule / step count, the blocked run equals the unblocked
    single-device run bit-for-bit. *)
@@ -324,7 +310,5 @@ let suite =
       test_blocked_plans_verify_clean;
     Alcotest.test_case "depth T-1 exchange rejected, pointed" `Quick
       test_depth_short_exchange_rejected;
-    Alcotest.test_case "tiled kernel under the blocked cadence" `Quick
-      test_tiled_under_tblock;
     QCheck_alcotest.to_alcotest qcheck_blocked_matches_sequential;
   ]
