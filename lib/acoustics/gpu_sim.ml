@@ -16,7 +16,10 @@
    Two backends:
 
    - [Single]: one virtual device holding the global arrays — the
-     original driver.
+     original driver.  [create] binds the state's arrays into the
+     device's table once, each kernel launches as one prebuilt [Launch]
+     op, and the step rotates the bindings with the same three [Swap]s
+     a shard runs; [state] then points at the arrays bound.
    - [Sharded] ([create ~shards:n]): the grid is cut into Z slabs
      ({!Shard.plan}), each slab running on its own device of a
      {!Vgpu.Multi}.  Every shard buffer is bound into its device's table
@@ -57,7 +60,11 @@ type engine =
 type schedule = [ `Seq | `Concurrent | `Overlap ]
 
 type backend =
-  | Single of Vgpu.Runtime.t
+  | Single of {
+      rt : Vgpu.Runtime.t;
+      mutable ops : (kernel * Vgpu.Runtime.op) list;
+          (* cache: device-form kernel -> its launch op *)
+    }
   | Sharded of {
       multi : Vgpu.Multi.t;
       plan : Shard.plan;
@@ -111,27 +118,31 @@ let table_buffer (tables : Material.tables) name : Vgpu.Buffer.t option =
   | "di" -> Some (Vgpu.Buffer.F tables.Material.t_di)
   | _ -> None
 
-(* Bind every shard buffer into its device's table, once: grids and
-   branch state (rotated from then on by the plans' [Swap]s), the
-   shard's boundary data with its byte copy of [nbrs], and the read-only
-   coefficient tables shared across devices. *)
+(* Bind one device's buffers into its table, once: grids and branch
+   state (rotated from then on by [Swap]s), the boundary data with the
+   device's byte copy of [nbrs], and the read-only coefficient tables
+   shared across devices. *)
+let bind_device bind (ss : Shard.shard_state) ~nbrs ~bidx ~material tables =
+  bind "prev" (Vgpu.Buffer.F ss.Shard.prev);
+  bind "curr" (Vgpu.Buffer.F ss.Shard.curr);
+  bind "next" (Vgpu.Buffer.F ss.Shard.next);
+  bind "g1" (Vgpu.Buffer.F ss.Shard.g1);
+  bind "v2" (Vgpu.Buffer.F ss.Shard.vel_prev);
+  bind "v1" (Vgpu.Buffer.F ss.Shard.vel_next);
+  bind "nbrs" nbrs;
+  bind "bidx" (Vgpu.Buffer.I bidx);
+  bind "material" (Vgpu.Buffer.I material);
+  List.iter
+    (fun name -> Option.iter (bind name) (table_buffer tables name))
+    [ "beta"; "beta_fd"; "bi"; "d"; "f"; "di" ]
+
 let bind_shards multi (p : Shard.plan) tables =
   let states = Shard.create_states p in
   Array.iteri
     (fun i (sh : Shard.shard) ->
-      let ss = states.(i) and bind = Vgpu.Multi.bind multi i in
-      bind "prev" (Vgpu.Buffer.F ss.Shard.prev);
-      bind "curr" (Vgpu.Buffer.F ss.Shard.curr);
-      bind "next" (Vgpu.Buffer.F ss.Shard.next);
-      bind "g1" (Vgpu.Buffer.F ss.Shard.g1);
-      bind "v2" (Vgpu.Buffer.F ss.Shard.vel_prev);
-      bind "v1" (Vgpu.Buffer.F ss.Shard.vel_next);
-      bind "nbrs" (Vgpu.Buffer.u8_of_int_array sh.Shard.nbrs);
-      bind "bidx" (Vgpu.Buffer.I sh.Shard.bidx);
-      bind "material" (Vgpu.Buffer.I sh.Shard.material);
-      List.iter
-        (fun name -> Option.iter (bind name) (table_buffer tables name))
-        [ "beta"; "beta_fd"; "bi"; "d"; "f"; "di" ])
+      bind_device (Vgpu.Multi.bind multi i) states.(i)
+        ~nbrs:(Vgpu.Buffer.u8_of_int_array sh.Shard.nbrs)
+        ~bidx:sh.Shard.bidx ~material:sh.Shard.material tables)
     p.Shard.shards
 
 let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1)
@@ -139,12 +150,25 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
     ?(tblock = 1) ?verify ?(sanitize = false) params room =
   let re = runtime_engine engine in
   let tables = Material.tables ~n_branches materials in
+  let state = State.create ~n_branches room in
   let backend =
     match shards with
     | None ->
-        Single
-          (Vgpu.Runtime.create ~engine:re ~optimize ?unroll_budget ~precision
-             ?verify ~sanitize ())
+        let rt =
+          Vgpu.Runtime.create ~engine:re ~optimize ?unroll_budget ~precision ?verify ~sanitize ()
+        in
+        bind_device (Vgpu.Runtime.bind rt)
+          {
+            Shard.prev = state.prev;
+            curr = state.curr;
+            next = state.next;
+            g1 = state.g1;
+            vel_prev = state.vel_prev;
+            vel_next = state.vel_next;
+          }
+          ~nbrs:(Vgpu.Buffer.u8_of_int_array room.Geometry.nbrs)
+          ~bidx:room.Geometry.boundary_indices ~material:room.Geometry.material tables;
+        Single { rt; ops = [] }
     | Some n ->
         let plan = Shard.plan ~n_branches ~halo:tblock ~shards:n room in
         let devices = Shard.n_shards plan in
@@ -172,12 +196,12 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
   in
   let nbrs_dev =
     match backend with
-    | Single _ -> Vgpu.Buffer.u8_of_int_array room.Geometry.nbrs
+    | Single { rt; _ } -> Vgpu.Runtime.buffer rt "nbrs"
     | Sharded _ -> Vgpu.Buffer.I room.Geometry.nbrs
   in
   {
     params;
-    state = State.create ~n_branches room;
+    state;
     tables;
     fi_beta;
     engine;
@@ -201,8 +225,8 @@ let device_form (k : kernel) =
   else with_u8 "nbrs" k
 
 (* Memoized by physical equality, so every step launches one value per
-   kernel and the runtime's digest memo keeps hitting.  Bounded like
-   that memo, so a caller passing fresh kernel values cannot grow it. *)
+   kernel and the runtime's prepared launches keep hitting.  Bounded like
+   them, so a caller passing fresh kernel values cannot grow it. *)
 let max_device_forms = 32
 
 let device_kernel t (k : kernel) =
@@ -273,16 +297,13 @@ let buffer t name : Vgpu.Buffer.t =
       | "v1" -> Vgpu.Buffer.F st.vel_next
       | _ -> failwith (Printf.sprintf "gpu_sim: unknown buffer %s" name))
 
-(* Launch arguments: buffers by parameter name ([buf] sees each name
-   first — the single device binds its live arrays there), scalars
-   resolved. *)
-let launch_args ~buf ~int_scalar ~real_scalar (k : kernel) =
+(* Launch arguments: buffers by parameter name (the device's table
+   binds them), scalars resolved. *)
+let launch_args ~int_scalar ~real_scalar (k : kernel) =
   List.map
     (fun p ->
       match (p.p_kind, p.p_ty) with
-      | Global_buf, _ ->
-          buf p.p_name;
-          Vgpu.Runtime.A_buf p.p_name
+      | Global_buf, _ -> Vgpu.Runtime.A_buf p.p_name
       | Scalar_param, Int -> Vgpu.Runtime.A_int (int_scalar p.p_name)
       | Scalar_param, Real -> Vgpu.Runtime.A_real (real_scalar p.p_name))
     k.params
@@ -298,21 +319,23 @@ let global_size ~int_scalar (k : kernel) =
       | None -> failwith "gpu_sim: unsupported global size expression")
     k.global_size
 
-(* Single device: the state arrays rotate host-side between steps, so
-   the bindings refresh on every launch. *)
-let launch_on rt ~int_scalar ~real_scalar ~buf (k : kernel) =
-  let args =
-    launch_args ~buf:(fun name -> Vgpu.Runtime.bind rt name (buf name)) ~int_scalar ~real_scalar k
-  in
-  let global = global_size ~int_scalar k in
-  Vgpu.Runtime.run_op rt (Vgpu.Runtime.Launch { kernel = k; args; global })
+(* The single device's launch of [k]: buffers by name, scalars of the
+   global grid. *)
+let single_launch t (k : kernel) =
+  let int_scalar = scalar_int t in
+  Vgpu.Runtime.Launch
+    {
+      kernel = k;
+      args = launch_args ~int_scalar ~real_scalar:(scalar_real t) k;
+      global = global_size ~int_scalar k;
+    }
 
 (* A launch of [k] on shard [sh]: buffers by name (its device binds
    them), scalars per shard; [goff] and [global] set a ranged launch's
    element range. *)
 let shard_launch t (sh : Shard.shard) ?(goff = 0) ?global (k : kernel) =
   let int_scalar name = if name = "goff" then goff else scalar_int_shard t sh name in
-  let args = launch_args ~buf:ignore ~int_scalar ~real_scalar:(scalar_real t) k in
+  let args = launch_args ~int_scalar ~real_scalar:(scalar_real t) k in
   let global = match global with Some g -> g | None -> global_size ~int_scalar k in
   Vgpu.Multi.Dev (sh.Shard.index, Vgpu.Runtime.Launch { kernel = k; args; global })
 
@@ -354,6 +377,10 @@ let block_exchange_plan (p : Shard.plan) ~tblock ~has_state : Vgpu.Multi.plan =
   @ (if has_state && tblock > 1 then
        Shard.state_exchange_ops p ~buffer:"g1" @ Shard.state_exchange_ops p ~buffer:"v1"
      else [])
+
+(* The buffer rotation after a step, as every device runs it: prev <-
+   curr <- next, and the branch velocities advance (v2 <- v1). *)
+let rotation = Vgpu.Runtime.[ Swap ("prev", "curr"); Swap ("curr", "next"); Swap ("v2", "v1") ]
 
 (* The ops of one sharded time step at block position [bpos] (0..T-1):
    the only place a sharded step is encoded.  Every schedule executes
@@ -472,9 +499,7 @@ let step_ops t ~split ~eid ~incs ~bpos kernels : Vgpu.Multi.async_plan =
           (block_exchange_plan s.plan ~tblock:tb ~has_state:(uses_branch_state kernels));
       Array.blit next_incs 0 incs 0 n;
       for i = 0 to n - 1 do
-        push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("prev", "curr")));
-        push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("curr", "next")));
-        push (Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap ("v2", "v1")))
+        List.iter (fun op -> push (Vgpu.Multi.Dev (i, op))) rotation
       done;
       List.rev !ops
 
@@ -507,17 +532,17 @@ let plan t (kernels : kernel list) ~steps : Vgpu.Multi.async_plan =
       done;
       List.rev !acc
 
-(* The shard state a device's table binds right now: the plans' [Swap]s
+(* The array a device's table binds to [name] right now: the [Swap]s
    rotate the bindings, so this is where the live arrays are. *)
-let bound multi i name =
-  match Vgpu.Runtime.buffer (Vgpu.Multi.device multi i) name with
+let bound rt name =
+  match Vgpu.Runtime.buffer rt name with
   | Vgpu.Buffer.F a -> a
-  | _ -> invalid_arg (Printf.sprintf "gpu_sim: shard buffer %s is not real" name)
+  | _ -> invalid_arg (Printf.sprintf "gpu_sim: device buffer %s is not real" name)
 
 let bound_states multi (p : Shard.plan) =
   Array.map
     (fun (sh : Shard.shard) ->
-      let f = bound multi sh.Shard.index in
+      let f = bound (Vgpu.Multi.device multi sh.Shard.index) in
       {
         Shard.prev = f "prev";
         curr = f "curr";
@@ -539,14 +564,24 @@ let ensure_scattered t =
         s.scattered <- true
       end
 
-(* Launch one kernel (on every shard, when sharded) without stepping. *)
+(* Launch one kernel (on every shard, when sharded) without stepping.
+   The single device builds each kernel's op once (bounded like the
+   device-form memo), so every step dispatches the same op value and
+   the runtime's resolution of it to cells keeps hitting. *)
 let launch t (k : kernel) =
   let k = device_kernel t k in
   match t.backend with
-  | Single rt ->
+  | Single s ->
+      let op =
+        match List.assq k s.ops with
+        | op -> op
+        | exception Not_found ->
+            let op = single_launch t k in
+            s.ops <- (k, op) :: List.filteri (fun i _ -> i < max_device_forms - 1) s.ops;
+            op
+      in
       t.launches <- t.launches + 1;
-      launch_on rt ~int_scalar:(scalar_int t) ~real_scalar:(scalar_real t)
-        ~buf:(buffer t) k
+      Vgpu.Runtime.run_op s.rt op
   | Sharded s ->
       ensure_scattered t;
       Array.iter (fun sh -> Vgpu.Multi.run_op s.multi (shard_launch t sh k)) s.plan.Shard.shards;
@@ -571,14 +606,20 @@ let step_overlap_with ?pick t (kernels : kernel list) =
       let ops = next_step_ops t ~split:true kernels in
       s.imports <- Vgpu.Multi.run_async ~imports ?pick s.multi ops
 
-(* One time step.  Single device: run each kernel in order, then rotate
-   the buffers.  Sharded: build the step's plan and execute it under the
-   configured schedule. *)
+(* One time step.  Single device: run each kernel in order, rotate the
+   bindings, and point [state] at the arrays now bound.  Sharded: build
+   the step's plan and execute it under the configured schedule. *)
 let step t (kernels : kernel list) =
   match t.backend with
-  | Single _ ->
+  | Single s ->
       List.iter (launch t) kernels;
-      State.rotate t.state
+      List.iter (Vgpu.Runtime.run_op s.rt) rotation;
+      let st = t.state in
+      st.prev <- bound s.rt "prev";
+      st.curr <- bound s.rt "curr";
+      st.next <- bound s.rt "next";
+      st.vel_prev <- bound s.rt "v2";
+      st.vel_next <- bound s.rt "v1"
   | Sharded s -> (
       match s.schedule with
       | `Overlap -> step_overlap_with t kernels
@@ -633,18 +674,19 @@ let read t ~x ~y ~z =
   | Sharded s when s.scattered ->
       let idx = State.idx_of t.state ~x ~y ~z in
       let sh = Shard.owner s.plan ~z in
-      (bound s.multi sh.Shard.index "curr").(idx - ((sh.Shard.z0 - sh.Shard.halo) * sh.Shard.plane))
+      let rt = Vgpu.Multi.device s.multi sh.Shard.index in
+      (bound rt "curr").(idx - ((sh.Shard.z0 - sh.Shard.halo) * sh.Shard.plane))
   | Single _ | Sharded _ -> State.read t.state ~x ~y ~z
 
 let stats t =
   match t.backend with
-  | Single rt -> Vgpu.Runtime.stats rt
+  | Single s -> Vgpu.Runtime.stats s.rt
   | Sharded s -> Vgpu.Multi.stats s.multi
 
 (* The live sanitizers, one per device (empty unless ~sanitize:true). *)
 let sanitizers t =
   match t.backend with
-  | Single rt -> Option.to_list (Vgpu.Runtime.sanitizer rt)
+  | Single s -> Option.to_list (Vgpu.Runtime.sanitizer s.rt)
   | Sharded s ->
       Array.to_list s.multi.Vgpu.Multi.devices
       |> List.filter_map Vgpu.Runtime.sanitizer
@@ -668,19 +710,19 @@ let check_env t =
 
 let per_shard_stats t =
   match t.backend with
-  | Single rt -> [ (0, Vgpu.Runtime.stats rt) ]
+  | Single s -> [ (0, Vgpu.Runtime.stats s.rt) ]
   | Sharded s -> Vgpu.Multi.per_device_stats s.multi
 
 let pp_stats ppf t =
   match t.backend with
-  | Single rt -> Vgpu.Runtime.pp_stats ppf (Vgpu.Runtime.stats rt)
+  | Single s -> Vgpu.Runtime.pp_stats ppf (Vgpu.Runtime.stats s.rt)
   | Sharded s -> Vgpu.Multi.pp_stats ppf s.multi
 
 (* Zero the launch/transfer counters and align the devices' virtual
    clocks, so a measurement interval starts clean. *)
 let reset_stats t =
   match t.backend with
-  | Single rt -> Vgpu.Runtime.reset_stats rt
+  | Single s -> Vgpu.Runtime.reset_stats s.rt
   | Sharded s -> Vgpu.Multi.reset_stats s.multi
 
 (* Sharded schedule of this simulation, if sharded. *)

@@ -8,7 +8,12 @@
     and the scalars Nx/Ny/Nz/NxNy/N/nB/NM/MB/l/l2/beta).
 
     Launches go through a {!Vgpu.Runtime}, which provides the engine
-    choice, the kernel caches and per-kernel launch statistics.
+    choice, the kernel caches and per-kernel launch statistics.  On one
+    device, {!create} binds the state's arrays into the runtime's table
+    once, each kernel launches as one prebuilt [Launch] op, and a step
+    rotates the bindings with the three [Swap]s a shard's plan runs;
+    [state]'s fields then name the arrays bound, so [state] stays
+    live.
 
     With [create ~shards:n] the driver runs Z-sharded instead: the grid
     is cut into slabs ({!Shard.plan}), one {!Vgpu.Multi} device per
@@ -51,7 +56,13 @@ type engine =
 type schedule = [ `Seq | `Concurrent | `Overlap ]
 
 type backend =
-  | Single of Vgpu.Runtime.t  (** one device holding the global arrays *)
+  | Single of {
+      rt : Vgpu.Runtime.t;
+          (** one device holding the global arrays, bound into its table
+              once by {!create} and rotated by [Swap]s *)
+      mutable ops : (Kernel_ast.Cast.kernel * Vgpu.Runtime.op) list;
+          (** cache: device-form kernel -> its [Launch] op, at most 32 *)
+    }
   | Sharded of {
       multi : Vgpu.Multi.t;
           (** one device per shard; its table binds the shard's buffers
@@ -160,8 +171,8 @@ val n_shards : t -> int
 (** 1 on a single device, the (clamped) slab count when sharded. *)
 
 val launch : t -> Kernel_ast.Cast.kernel -> unit
-(** Launch one kernel against the current state (compiled once per kernel);
-    on every shard, sequentially, when sharded.
+(** Launch one kernel against the current bindings (compiled once per
+    kernel); on every shard, sequentially, when sharded.
     @raise Failure on unknown parameter names. *)
 
 val stats : t -> Vgpu.Runtime.stats
@@ -177,7 +188,9 @@ val pp_stats : Format.formatter -> t -> unit
 
 val step : t -> Kernel_ast.Cast.kernel list -> unit
 (** One time step: run the kernels in order, then rotate the buffers.
-    Sharded: execute the step's plan (see {!plan}) under the configured
+    One device: each kernel's [Launch] op, then the [Swap]s of
+    prev/curr/next and v2/v1 on the bindings, after which [state]'s
+    fields name the arrays bound.  Sharded: execute the step's plan (see {!plan}) under the configured
     {!type:schedule}: kernels per shard; at a block boundary — every
     step when [tblock] is 1 — the deep halo exchange of the freshly
     written ghost zones ([next] at depth T, [curr] at depth T-1 when
@@ -256,8 +269,9 @@ val blocked_stats : t -> Kernel_ast.Cast.kernel list -> blocked_stats option
 
 val sync : t -> unit
 (** Gather the sharded slabs back into [state] (no-op on a
-    single device, where [state] is live, and on a sharded one before
-    its first step or {!ensure_scattered}). *)
+    single device, where every step leaves [state] naming the bound
+    arrays, and on a sharded one before its first step or
+    {!ensure_scattered}). *)
 
 val ensure_scattered : t -> unit
 (** Distribute the global [state] to the shards' bound buffers unless

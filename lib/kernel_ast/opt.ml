@@ -673,8 +673,8 @@ let optimize ?unroll_budget:budget (k0 : kernel) : kernel * report =
   let k = Cast.simplify_kernel k in
   let k, dead_removed = dce_kernel k in
   (* a no-op pipeline returns the input kernel *physically*, so callers
-     keying caches on physical identity (the runtime's digest memo,
-     ranged-launch variants) share entries between the raw and
+     keying caches on physical identity (the runtime's prepared
+     launches, ranged-launch variants) share entries between the raw and
      "optimized" kernel *)
   let k =
     if

@@ -83,6 +83,11 @@ let find_or_add t key make =
       Hashtbl.replace t.table key e;
       v
 
+(* A lookup the caller answered from its own copy of an earlier result
+   (a prepared launch) still counts as a hit, so the counters read as if
+   every lookup had been made.  The entry's recency is left alone. *)
+let note_hit t = t.hits <- t.hits + 1
+
 let mem t key = Hashtbl.mem t.table key
 let length t = Hashtbl.length t.table
 

@@ -29,6 +29,12 @@ val find_or_add : 'a t -> string -> (unit -> 'a) -> 'a
     miss; eviction removes the least-recently-used entry when the
     cache is full.  If the computation raises, nothing is cached. *)
 
+val note_hit : 'a t -> unit
+(** Count a hit for a lookup the caller skipped because it kept the
+    value of an earlier one (the runtime's prepared launches do), so the
+    counters read as if every lookup had been made.  Recency is not
+    touched. *)
+
 val mem : 'a t -> string -> bool
 val length : 'a t -> int
 val counters : 'a t -> counters

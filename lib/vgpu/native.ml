@@ -31,7 +31,7 @@ let _ = dl_close (* handles live for the process; kept for completeness *)
 
 (* Layout must match racs_native_launch in native_stubs.c. *)
 type packet = {
-  pk_fn : nativeint;
+  mutable pk_fn : nativeint;
   pk_fb : float array array;
   pk_ib : int array array;
   pk_u8b : Bytes.t array;
@@ -122,8 +122,12 @@ let reset_counters () =
 
 type compiled = {
   kernel : Cast.kernel;
-  bindings : Native_c.binding list;
-  written : bool list;  (** per param: is it in [Native_c.written_params]? *)
+  bindings : Native_c.binding array;  (** one per parameter, in order *)
+  alias_pairs : (Native_c.binding * Native_c.binding) array;
+      (** the parameter pairs the [restrict] promise covers: each
+          written buffer (per [Native_c.written_params]) with every other
+          parameter *)
+  grouped : bool;
   noalias : bool;  (** source rendered with [restrict] qualifiers *)
   n_fb : int;
   n_ib : int;
@@ -235,7 +239,7 @@ let reset_memo () =
    scalars. *)
 let count_bindings bs =
   let n = Array.make 5 0 in
-  List.iter
+  Array.iter
     (fun (b : Native_c.binding) ->
       let c =
         match b with
@@ -248,6 +252,21 @@ let count_bindings bs =
       n.(c) <- n.(c) + 1)
     bs;
   n
+
+(* The generated C marks buffer parameters [restrict], which is licensed
+   only when no written buffer is bound to the same array as any other
+   buffer parameter.  Read-only buffers may alias each other freely —
+   C99 restrict only constrains objects that are modified. *)
+let alias_pairs (k : Cast.kernel) bindings =
+  let written = Native_c.written_params k in
+  let w = Array.of_list (List.map (fun (p : Cast.param) -> List.mem p.p_name written) k.params) in
+  let pairs = ref [] in
+  for i = 0 to Array.length bindings - 1 do
+    for j = i + 1 to Array.length bindings - 1 do
+      if w.(i) || w.(j) then pairs := (bindings.(i), bindings.(j)) :: !pairs
+    done
+  done;
+  Array.of_list (List.rev !pairs)
 
 let compile ?(noalias = true) (k : Cast.kernel) : compiled =
   let src = source ~noalias k in
@@ -265,15 +284,14 @@ let compile ?(noalias = true) (k : Cast.kernel) : compiled =
         try
           let so_path, handle = compile_source ~key src in
           let fn = dl_sym handle Native_c.entry_symbol in
-          let bindings = Native_c.bindings k in
-          let written_names = Native_c.written_params k in
-          let written = List.map (fun p -> List.mem p.Cast.p_name written_names) k.params in
+          let bindings = Array.of_list (Native_c.bindings k) in
           let n = count_bindings bindings in
           let c =
             {
               kernel = k;
               bindings;
-              written;
+              alias_pairs = alias_pairs k bindings;
+              grouped = Cast.grouped k;
               noalias;
               n_fb = n.(0);
               n_ib = n.(1);
@@ -292,72 +310,109 @@ let compile ?(noalias = true) (k : Cast.kernel) : compiled =
       Mutex.unlock memo_mutex;
       (match result with Ok c -> c | Error e -> raise e)
 
-(* {2 Launch} *)
+(* {2 Launch}
 
-(* The generated C marks buffer parameters [restrict], which is licensed
-   only when no written buffer (per [Native_c.written_params]) is bound
-   to the same array as any other buffer parameter.  Read-only buffers
-   may alias each other freely — C99 restrict only constrains objects
-   that are modified. *)
-let alias_hazard (c : compiled) (args : Args.t list) =
-  let bufs =
-    List.fold_left2
-      (fun acc w (a : Args.t) ->
-        match a with
-        | Buf (Buffer.F arr) -> (`F arr, w) :: acc
-        | Buf (Buffer.I arr) -> (`I arr, w) :: acc
-        | Buf (Buffer.U8 b) -> (`U8 b, w) :: acc
-        | _ -> acc)
-      [] c.written args
-  in
-  let same a b =
-    match (a, b) with
-    | `F x, `F y -> x == y
-    | `I x, `I y -> x == y
-    | `U8 x, `U8 y -> x == y
-    | _ -> false
-  in
-  let rec go = function
-    | [] -> false
-    | (a, w) :: rest -> List.exists (fun (b, w') -> same a b && (w || w')) rest || go rest
-  in
-  go bufs
+   A launcher holds one compiled kernel's packet: the slot arrays and
+   the NDRange the trampoline reads.  A dispatch fills the slots from
+   the arguments, checks the restrict promise by comparing the written
+   slots physically, and calls the entry; none of the three allocates.
+   Between launches the slots hold OCaml references only — the
+   trampoline derives raw pointers at the call, since a minor collection
+   may move an array — so a launcher keeps its last arguments alive and
+   belongs to the one runtime that made it, never to the process-wide
+   memo. *)
 
-let launch (c : compiled) ~(args : Args.t list) ~(global : int list) =
-  if List.length args <> List.length c.kernel.params then
+type launcher = {
+  l_c : compiled;
+  mutable l_plain : compiled option;
+      (* the [~noalias:false] compile, fetched at the first aliased launch *)
+  l_pk : packet;
+}
+
+let launcher (c : compiled) =
+  {
+    l_c = c;
+    l_plain = None;
+    l_pk =
+      {
+        pk_fn = c.fn;
+        pk_fb = Array.make (max 1 c.n_fb) [||];
+        pk_ib = Array.make (max 1 c.n_ib) [||];
+        pk_u8b = Array.make (max 1 c.n_u8b) Bytes.empty;
+        pk_isc = Array.make (max 1 c.n_isc) 0;
+        pk_fsc = Array.make (max 1 c.n_fsc) 0.;
+        pk_gsz = [| 1; 1; 1 |];
+      };
+  }
+
+(* Scalar coercions: a real argument to an int parameter truncates, an
+   int argument to a real parameter widens. *)
+let fill (c : compiled) (pk : packet) (args : Args.t array) =
+  if Array.length args <> Array.length c.bindings then
     invalid_arg
       (Printf.sprintf "vgpu native: kernel %s expects %d args, got %d" c.kernel.name
-         (List.length c.kernel.params) (List.length args));
-  (* an aliased launch would break the restrict promise: dispatch the
-     no-restrict rendering of the same kernel instead (its own
-     content-addressed cache entry, compiled at most once) *)
-  let c = if c.noalias && alias_hazard c args then compile ~noalias:false c.kernel else c in
-  let fb = Array.make (max 1 c.n_fb) [||] in
-  let ib = Array.make (max 1 c.n_ib) [||] in
-  let u8b = Array.make (max 1 c.n_u8b) Bytes.empty in
-  let isc = Array.make (max 1 c.n_isc) 0 in
-  let fsc = Array.make (max 1 c.n_fsc) 0. in
-  (* scalar coercions: a real argument to an int parameter truncates,
-     an int argument to a real parameter widens *)
-  List.iter2
-    (fun (b : Native_c.binding) (a : Args.t) ->
-      match (b, a) with
-      | Arg_fbuf s, Buf (Buffer.F arr) -> fb.(s) <- arr
-      | Arg_ibuf s, Buf (Buffer.I arr) -> ib.(s) <- arr
-      | Arg_u8buf s, Buf (Buffer.U8 b) -> u8b.(s) <- b
-      | Arg_iscalar s, Int_arg v -> isc.(s) <- v
-      | Arg_rscalar s, Real_arg v -> fsc.(s) <- v
-      | Arg_iscalar s, Real_arg v -> isc.(s) <- int_of_float v
-      | Arg_rscalar s, Int_arg v -> fsc.(s) <- float_of_int v
-      | _ ->
-          invalid_arg
-            (Printf.sprintf "vgpu native: kernel %s: argument kind or storage mismatch"
-               c.kernel.name))
-    c.bindings args;
-  let gsz = [| 1; 1; 1 |] in
-  List.iteri (fun d n -> gsz.(d) <- n) global;
+         (Array.length c.bindings) (Array.length args));
+  for i = 0 to Array.length args - 1 do
+    match (c.bindings.(i), args.(i)) with
+    | Arg_fbuf s, Buf (Buffer.F arr) -> pk.pk_fb.(s) <- arr
+    | Arg_ibuf s, Buf (Buffer.I arr) -> pk.pk_ib.(s) <- arr
+    | Arg_u8buf s, Buf (Buffer.U8 b) -> pk.pk_u8b.(s) <- b
+    | Arg_iscalar s, Int_arg v -> pk.pk_isc.(s) <- v
+    | Arg_rscalar s, Real_arg v -> pk.pk_fsc.(s) <- v
+    | Arg_iscalar s, Real_arg v -> pk.pk_isc.(s) <- int_of_float v
+    | Arg_rscalar s, Int_arg v -> pk.pk_fsc.(s) <- float_of_int v
+    | _ ->
+        invalid_arg
+          (Printf.sprintf "vgpu native: kernel %s: argument kind or storage mismatch"
+             c.kernel.name)
+  done
+
+let rec fill_global gsz d = function
+  | [] -> ()
+  | n :: rest ->
+      gsz.(d) <- n;
+      fill_global gsz (d + 1) rest
+
+(* Does the binding in [pk] break the restrict promise?  Buffers of
+   different storage kinds, and scalars, never share an array. *)
+let aliased (c : compiled) (pk : packet) =
+  let hazard = ref false in
+  for i = 0 to Array.length c.alias_pairs - 1 do
+    match c.alias_pairs.(i) with
+    | Arg_fbuf a, Arg_fbuf b -> if pk.pk_fb.(a) == pk.pk_fb.(b) then hazard := true
+    | Arg_ibuf a, Arg_ibuf b -> if pk.pk_ib.(a) == pk.pk_ib.(b) then hazard := true
+    | Arg_u8buf a, Arg_u8buf b -> if pk.pk_u8b.(a) == pk.pk_u8b.(b) then hazard := true
+    | _ -> ()
+  done;
+  !hazard
+
+(* Run the full NDRange ([global] padded to 3 dimensions with 1s).  An
+   aliased launch would break the restrict promise, so it dispatches the
+   no-restrict rendering of the same kernel instead (its own
+   content-addressed cache entry, compiled at most once); both
+   renderings share the slot layout. *)
+let dispatch (l : launcher) (args : Args.t array) ~(global : int list) =
+  let c = l.l_c and pk = l.l_pk in
+  fill c pk args;
+  pk.pk_gsz.(0) <- 1;
+  pk.pk_gsz.(1) <- 1;
+  pk.pk_gsz.(2) <- 1;
+  fill_global pk.pk_gsz 0 global;
+  let c =
+    if c.noalias && aliased c pk then (
+      match l.l_plain with
+      | Some p -> p
+      | None ->
+          let p = compile ~noalias:false c.kernel in
+          l.l_plain <- Some p;
+          p)
+    else c
+  in
   (* the compiled group loops truncate-divide the NDRange, so reject a
      non-dividing launch here like the other engines *)
-  if Cast.grouped c.kernel then ignore (Cast.group_counts c.kernel ~global:gsz);
-  launch_packet
-    { pk_fn = c.fn; pk_fb = fb; pk_ib = ib; pk_u8b = u8b; pk_isc = isc; pk_fsc = fsc; pk_gsz = gsz }
+  if c.grouped then ignore (Cast.group_counts c.kernel ~global:pk.pk_gsz);
+  pk.pk_fn <- c.fn;
+  launch_packet pk
+
+let launch (c : compiled) ~(args : Args.t list) ~(global : int list) =
+  dispatch (launcher c) (Array.of_list args) ~global

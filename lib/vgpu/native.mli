@@ -24,22 +24,38 @@ val compile : ?noalias:bool -> Kernel_ast.Cast.kernel -> compiled
     @raise Failure if the C compiler rejects the generated source (the
     compiler's stderr is included). *)
 
-val launch : compiled -> args:Args.t list -> global:int list -> unit
-(** Run the full NDRange ([global] padded to 3 dimensions with 1s).
-    Scalar arguments coerce: a real argument to an int parameter
-    truncates, an int argument to a real parameter widens.
+type launcher
+(** One compiled kernel's launch packet: the argument slot arrays and
+    the NDRange the C trampoline reads.  A launcher is reused launch
+    after launch, so a steady dispatch allocates nothing.  Between
+    launches its slots hold OCaml references to the last arguments,
+    never raw pointers (a minor collection may move an array), which
+    keeps those buffers alive: a launcher belongs to the one runtime
+    that made it, and no process-wide structure holds one. *)
 
-    When the compiled object carries [restrict] qualifiers, the launch
-    first checks the binding for aliasing hazards: a buffer in
-    {!Kernel_ast.Native_c.written_params} bound to the same array as any
-    other buffer parameter.  A hazardous launch transparently dispatches
-    a [~noalias:false] compilation of the same kernel (its own cache
-    entry) so the restrict promise is never broken; alias-free launches
-    — every launch the simulation runtimes issue — keep the qualified
-    fast path.  A {!Kernel_ast.Cast.U8} parameter takes a
-    {!Buffer.U8} argument, passed in place like every buffer.
+val launcher : compiled -> launcher
+
+val dispatch : launcher -> Args.t array -> global:int list -> unit
+(** Fill the slots from the arguments and run the full NDRange
+    ([global] padded to 3 dimensions with 1s).  Scalar arguments
+    coerce: a real argument to an int parameter truncates, an int
+    argument to a real parameter widens.
+
+    When the compiled object carries [restrict] qualifiers, the filled
+    slots are first checked for aliasing hazards, by physical
+    comparison: a buffer in {!Kernel_ast.Native_c.written_params} bound
+    to the same array as any other buffer parameter.  A hazardous
+    launch transparently dispatches a [~noalias:false] compilation of
+    the same kernel (its own cache entry, fetched once per launcher) so
+    the restrict promise is never broken; alias-free launches — every
+    launch the simulation runtimes issue — keep the qualified fast
+    path.  A {!Kernel_ast.Cast.U8} parameter takes a {!Buffer.U8}
+    argument, passed in place like every buffer.
     @raise Invalid_argument on an argument count, kind or storage
     mismatch (a [U8] buffer for a word parameter, or the reverse). *)
+
+val launch : compiled -> args:Args.t list -> global:int list -> unit
+(** {!dispatch} on a fresh {!launcher}. *)
 
 val source : ?noalias:bool -> Kernel_ast.Cast.kernel -> string
 (** The C translation unit [compile] builds (for inspection/tests). *)

@@ -4,7 +4,13 @@
    Device memory is simulated as unified memory, so a transfer is a
    bookkeeping event (bytes counted for the transfer statistics) rather
    than a copy; kernel launches dispatch to the reference interpreter or
-   to compiled C, and are timed per kernel for the stats report. *)
+   to compiled C, and are timed per kernel for the stats report.
+
+   Like the paper's host program, which creates each kernel once and per
+   step only enqueues launches and swaps buffer pointers, a launch is
+   optimized, compiled, verified and bound once: later dispatches read
+   their argument cells, compare their launch signature and call the
+   compiled entry. *)
 
 open Kernel_ast
 
@@ -55,8 +61,53 @@ let () =
     | Unsafe_kernel r -> Some (Fmt.str "Unsafe_kernel:@.%a" Check.pp_report r)
     | _ -> None)
 
+(* A kernel's launch counters as [dispatch] accumulates them; [stats]
+   copies them out as [kernel_stats].  The times sit in a float array
+   (total, min, max seconds), whose stores allocate nothing, so a steady
+   launch allocates the same words whatever it measures. *)
+type kernel_acc = {
+  mutable a_launches : int;
+  a_times : float array;
+  mutable a_bytes : int;
+  mutable a_opt : Opt.report option;
+}
+
+(* How a prepared launch runs: its kernel's native launcher, or the
+   interpreter (the [Interp] engine, a sanitizing runtime, or no C
+   compiler). *)
+type entry =
+  | Compiled of Native.launcher
+  | Interpreted
+
+(* A launch resolved once per raw kernel value: the kernel as dispatched
+   (after the optimizer) with its report and structural digest, its
+   engine entry, and the last launch signature verified clean. *)
+type prepared = {
+  raw : Cast.kernel;  (* memo key, by physical equality *)
+  kernel : Cast.kernel;  (* as dispatched *)
+  report : Opt.report option;
+  digest : string;  (* of [kernel]: the check and native cache key *)
+  mutable entry : entry option;
+      (* resolved at the first dispatch that passes verification, so a
+         refused launch compiles nothing *)
+  mutable verified : launch_sig option;
+}
+
+(* An op whose buffer names are resolved to cells: a [Swap]'s two, or a
+   [Launch]'s buffer arguments, which each dispatch reads into [args] at
+   their positions [slots]; the scalar entries of [args] are fixed. *)
+type bound_op = {
+  op : op;  (* memo key, by physical equality *)
+  cells : Buffer.t ref array;
+  slots : int array;
+  args : Args.t array;
+}
+
 type t = {
-  buffers : (string, Buffer.t) Hashtbl.t;
+  buffers : (string, Buffer.t ref) Hashtbl.t;
+      (* the buffer table: one cell per name.  [bind] writes a cell and
+         [Swap] exchanges two cells' contents, so a cell, once looked
+         up, stays its name's *)
   opt_cache : (Cast.kernel * Opt.report) Kcache.t;
       (* raw-kernel digest -> optimized kernel + report *)
   check_cache : unit Kcache.t;
@@ -66,11 +117,9 @@ type t = {
          process-wide memo and the on-disk binary cache in [Native]), or
          [None] when no C compiler can be run: the kernel falls back to
          the interpreter *)
-  mutable digest_memo : (Cast.kernel * string) list;
-      (* physical-equality memo of structural digests: launches reuse
-         the same kernel value every step, so the Marshal+MD5 runs once
-         per distinct value, not once per launch *)
-  kstats : (string, kernel_stats) Hashtbl.t;
+  mutable prepared : prepared list;  (* newest first, at most [max_memo] *)
+  mutable bound_ops : bound_op list;  (* newest first, at most [max_memo] *)
+  kstats : (string, kernel_acc) Hashtbl.t;
   engine : engine;
   optimize : bool;  (* run the Opt pipeline on kernels before dispatch *)
   unroll_budget : int option;  (* Opt unroll gate override (autotuner knob) *)
@@ -100,7 +149,8 @@ let create ?(engine = Native) ?(optimize = true) ?unroll_budget
     opt_cache = Kcache.create "opt";
     check_cache = Kcache.create "check";
     native_cache = Kcache.create "native";
-    digest_memo = [];
+    prepared = [];
+    bound_ops = [];
     kstats = Hashtbl.create 8;
     engine;
     optimize;
@@ -116,16 +166,22 @@ let create ?(engine = Native) ?(optimize = true) ?unroll_budget
 
 let sanitizer t = t.sanitizer
 
-let bind t name buf =
-  Hashtbl.replace t.buffers name buf;
+let note_host_write t buf =
   match t.sanitizer with Some s -> Sanitizer.note_host_write s buf | None -> ()
 
-let buffer t name =
-  match Hashtbl.find_opt t.buffers name with
-  | Some b -> b
-  | None -> failwith (Printf.sprintf "vgpu runtime: unknown buffer %s" name)
+let bind t name buf =
+  (match Hashtbl.find t.buffers name with
+  | cell -> cell := buf
+  | exception Not_found -> Hashtbl.replace t.buffers name (ref buf));
+  note_host_write t buf
 
-let buffer_opt t name = Hashtbl.find_opt t.buffers name
+let cell t name =
+  match Hashtbl.find t.buffers name with
+  | cell -> cell
+  | exception Not_found -> failwith (Printf.sprintf "vgpu runtime: unknown buffer %s" name)
+
+let buffer t name = !(cell t name)
+let buffer_opt t name = Option.map ( ! ) (Hashtbl.find_opt t.buffers name)
 
 let resolve_arg t = function
   | A_buf name -> Args.Buf (buffer t name)
@@ -156,175 +212,248 @@ let account_d2d t bytes = t.d2d_bytes <- t.d2d_bytes + bytes
 
 let ty_label = function Cast.Int -> "int" | Cast.Real -> "real"
 
-(* Structural digest of a kernel, memoized by physical equality: the
-   simulation relaunches the same kernel values step after step, so the
-   Marshal+MD5 runs once per distinct value.  The memo is a short
-   assq list, truncated so adversarial kernel streams cannot grow it. *)
-let max_digest_memo = 32
+let digest_of (kernel : Cast.kernel) =
+  Digest.to_hex (Digest.string (Marshal.to_string kernel []))
 
-let kernel_digest t (kernel : Cast.kernel) =
-  match List.assq_opt kernel t.digest_memo with
-  | Some d -> d
-  | None ->
-      let d = Digest.to_hex (Digest.string (Marshal.to_string kernel [])) in
-      let memo = t.digest_memo in
-      let memo =
-        if List.length memo >= max_digest_memo then List.filteri (fun i _ -> i < max_digest_memo - 1) memo
-        else memo
+(* Both memos are short lists searched by physical equality, truncated
+   so adversarial kernel or op streams cannot grow them. *)
+let max_memo = 32
+
+let remember x memo = x :: List.filteri (fun i _ -> i < max_memo - 1) memo
+
+(* Does a dispatch look the kernel up in the native cache?  Not when it
+   runs on the interpreter by configuration. *)
+let native_lookups t = match (t.sanitizer, t.engine) with None, Native -> true | _ -> false
+
+let rec find_prepared kernel = function
+  | [] -> raise_notrace Not_found
+  | p :: rest -> if p.raw == kernel then p else find_prepared kernel rest
+
+(* The prepared launch of [raw], prepared on first sight: optimized
+   through the opt cache (keyed by structural digest, so each distinct
+   raw kernel is optimized once per runtime) and digested.  Finding it
+   prepared stands in for the opt-cache lookup, which counts as a hit.
+   The engine entry waits for the first dispatch that passes
+   verification. *)
+let prepared t (raw : Cast.kernel) =
+  match find_prepared raw t.prepared with
+  | p ->
+      if t.optimize then Kcache.note_hit t.opt_cache;
+      p
+  | exception Not_found ->
+      let raw_digest = digest_of raw in
+      let kernel, report =
+        if t.optimize then
+          let kernel, report =
+            Kcache.find_or_add t.opt_cache raw_digest (fun () ->
+                Opt.optimize ?unroll_budget:t.unroll_budget raw)
+          in
+          (kernel, Some report)
+        else (raw, None)
       in
-      t.digest_memo <- (kernel, d) :: memo;
-      d
+      (* a pipeline that changes nothing returns its input physically *)
+      let digest = if kernel == raw then raw_digest else digest_of kernel in
+      let entry = if native_lookups t then None else Some Interpreted in
+      let p = { raw; kernel; report; digest; entry; verified = None } in
+      t.prepared <- remember p t.prepared;
+      p
 
 let fallback_logged = Atomic.make false
 
-(* Find (or load/compile and cache) the native binary for [kernel],
-   keyed by structural digest: kernels sharing a name never collide,
-   lookups stay O(1), and the LRU bound caps memory under unbounded
-   kernel streams.  [None] when the C compiler cannot be run at all:
-   that verdict is cached too, so the kernel is not retried through a
-   shell on every launch, and the first one in the process is logged. *)
-let native_compiled t (kernel : Cast.kernel) =
-  Kcache.find_or_add t.native_cache (kernel_digest t kernel) (fun () ->
-      match Native.compile kernel with
-      | c -> Some c
-      | exception Native.No_compiler cc ->
-          if not (Atomic.exchange fallback_logged true) then
-            Printf.eprintf
-              "vgpu: C compiler %S cannot be run; kernels fall back to the interpreter\n%!" cc;
-          None)
+(* The engine entry of a prepared launch, which stands in for the
+   native-cache lookup after the first.  That lookup finds (or loads or
+   compiles) the kernel's binary by structural digest, so kernels
+   sharing a name never collide and the LRU bound caps memory under
+   unbounded kernel streams.  When the C compiler cannot be run at all
+   the kernel runs on the interpreter; that verdict is cached too, so
+   the kernel is not retried through a shell on every launch, and the
+   first one in the process is logged. *)
+let engine_entry t (p : prepared) =
+  match p.entry with
+  | Some e ->
+      if native_lookups t then Kcache.note_hit t.native_cache;
+      e
+  | None ->
+      let compiled =
+        Kcache.find_or_add t.native_cache p.digest (fun () ->
+            match Native.compile p.kernel with
+            | c -> Some c
+            | exception Native.No_compiler cc ->
+                if not (Atomic.exchange fallback_logged true) then
+                  Printf.eprintf
+                    "vgpu: C compiler %S cannot be run; kernels fall back to the interpreter\n%!" cc;
+                None)
+      in
+      let e = match compiled with Some c -> Compiled (Native.launcher c) | None -> Interpreted in
+      p.entry <- Some e;
+      e
 
-(* Find (or run and cache) the optimizer output for [kernel], keyed like
-   the native cache so each distinct raw kernel is optimized exactly
-   once. *)
-let optimized t (kernel : Cast.kernel) =
-  Kcache.find_or_add t.opt_cache (kernel_digest t kernel) (fun () ->
-      Opt.optimize ?unroll_budget:t.unroll_budget kernel)
+(* Do the arguments from position [i] on have the signature [sigs]?
+   Allocates nothing. *)
+let rec same_args (args : Args.t array) i sigs =
+  match sigs with
+  | [] -> i = Array.length args
+  | s :: rest ->
+      i < Array.length args
+      && (match (s, args.(i)) with
+         | `B n, Args.Buf b -> n = Buffer.length b
+         | `I n, Args.Int_arg v -> n = v
+         | `R, Args.Real_arg _ -> true
+         | _ -> false)
+      && same_args args (i + 1) rest
+
+let same_sig (p : prepared) args global =
+  match p.verified with
+  | Some s -> List.equal Int.equal s.sig_global global && same_args args 0 s.sig_args
+  | None -> false
 
 (* Fail-fast static verification of a launch: race/bounds-check the
    kernel exactly as dispatched (post-optimizer, resolved arguments).
    Clean verdicts are cached by (kernel, NDRange, argument signature);
-   an [Unsafe] verdict aborts the launch. *)
-let verify_launch t (kernel : Cast.kernel) ~(args : Args.t list) ~global =
-  let lsig =
-    {
-      sig_global = global;
-      sig_args =
-        List.map
-          (function
-            | Args.Buf b -> `B (Buffer.length b)
-            | Args.Int_arg i -> `I i
-            | Args.Real_arg _ -> `R)
-          args;
-    }
-  in
-  let key = kernel_digest t kernel ^ Digest.to_hex (Digest.string (Marshal.to_string lsig [])) in
-  Kcache.find_or_add t.check_cache key (fun () ->
-      let assoc =
-        try List.combine kernel.params args with Invalid_argument _ -> []
-      in
-      let param_value name =
-        List.find_map
-          (fun ((p : Cast.param), a) ->
-            match a with
-            | Args.Int_arg i when p.p_name = name -> Some i
-            | _ -> None)
-          assoc
-      in
-      let buffer_elems name =
-        List.find_map
-          (fun ((p : Cast.param), a) ->
-            match a with
-            | Args.Buf b when p.p_name = name -> Some (Buffer.length b)
-            | _ -> None)
-          assoc
-      in
-      let env = Check.env ~param_value ~buffer_elems ~global () in
-      let report = Check.check env kernel in
-      if not (Check.ok report) then raise (Unsafe_kernel report))
+   an [Unsafe] verdict aborts the launch.  A dispatch repeating the
+   signature last verified for this prepared launch skips the lookup,
+   which counts as a check-cache hit. *)
+let verify_launch t (p : prepared) (args : Args.t array) ~global =
+  if same_sig p args global then Kcache.note_hit t.check_cache
+  else begin
+    let kernel = p.kernel and args_l = Array.to_list args in
+    let lsig =
+      {
+        sig_global = global;
+        sig_args =
+          List.map
+            (function
+              | Args.Buf b -> `B (Buffer.length b)
+              | Args.Int_arg i -> `I i
+              | Args.Real_arg _ -> `R)
+            args_l;
+      }
+    in
+    let key = p.digest ^ Digest.to_hex (Digest.string (Marshal.to_string lsig [])) in
+    Kcache.find_or_add t.check_cache key (fun () ->
+        let assoc =
+          try List.combine kernel.params args_l with Invalid_argument _ -> []
+        in
+        let param_value name =
+          List.find_map
+            (fun ((p : Cast.param), a) ->
+              match a with
+              | Args.Int_arg i when p.p_name = name -> Some i
+              | _ -> None)
+            assoc
+        in
+        let buffer_elems name =
+          List.find_map
+            (fun ((p : Cast.param), a) ->
+              match a with
+              | Args.Buf b when p.p_name = name -> Some (Buffer.length b)
+              | _ -> None)
+            assoc
+        in
+        let env = Check.env ~param_value ~buffer_elems ~global () in
+        let report = Check.check env kernel in
+        if not (Check.ok report) then raise (Unsafe_kernel report));
+    p.verified <- Some lsig
+  end
 
 let kstat t name =
-  match Hashtbl.find_opt t.kstats name with
-  | Some s -> s
-  | None ->
-      let s =
-        {
-          k_launches = 0;
-          total_s = 0.;
-          min_s = infinity;
-          max_s = 0.;
-          arg_bytes = 0;
-          k_opt = None;
-        }
-      in
-      Hashtbl.replace t.kstats name s;
-      s
+  match Hashtbl.find t.kstats name with
+  | a -> a
+  | exception Not_found ->
+      let a = { a_launches = 0; a_times = [| 0.; infinity; 0. |]; a_bytes = 0; a_opt = None } in
+      Hashtbl.replace t.kstats name a;
+      a
 
-(* Dispatch a launch whose arguments are already resolved to buffers and
-   scalars, and return its timed kernel window in seconds (the duration
-   the kernel stats record).  This is the whole Launch arm of [run_op]
-   minus the name lookup: [Multi.run_async] resolves names at each op's
-   list position — the clSetKernelArg moment — and may run the launch
-   after a later [Swap] has rebound them. *)
-let launch_resolved t kernel ~(args : Args.t list) ~global =
-  t.launches <- t.launches + 1;
-  let kernel, report =
-    if t.optimize then
-      let opt, report = optimized t kernel in
-      (opt, Some report)
-    else (kernel, None)
-  in
-  let bytes =
-    List.fold_left
-      (fun acc -> function
-        | Args.Buf b -> acc + transfer_bytes ~precision:kernel.Cast.precision b
-        | Args.Int_arg _ | Args.Real_arg _ -> acc)
-      0 args
-  in
-  if t.verify then verify_launch t kernel ~args ~global;
+(* Dispatch a prepared launch and return its timed kernel window in
+   seconds, the duration the kernel stats record.  The launch counts
+   once its engine ran it: a refused or rejected launch counts
+   nowhere. *)
+let dispatch t (p : prepared) (args : Args.t array) ~global =
+  if t.verify then verify_launch t p args ~global;
   (* compiled code is resolved before the timer starts: a first launch's
      cc + dlopen is not kernel time *)
-  let run =
-    match t.sanitizer with
-    | Some s ->
-        (* checked execution needs the interpreter's access hooks, so the
-           sanitizer overrides the configured engine *)
-        fun () -> Sanitizer.launch s kernel ~args ~global
-    | None -> (
-        match t.engine with
-        | Interp -> fun () -> Exec.launch kernel ~args ~global
-        | Native -> (
-            match native_compiled t kernel with
-            | Some c -> fun () -> Native.launch c ~args ~global
-            | None -> fun () -> Exec.launch kernel ~args ~global))
-  in
+  let entry = engine_entry t p in
   let t0 = now () in
-  run ();
+  (match (t.sanitizer, entry) with
+  | Some s, _ ->
+      (* checked execution needs the interpreter's access hooks, so the
+         sanitizer overrides the configured engine *)
+      Sanitizer.launch s p.kernel ~args:(Array.to_list args) ~global
+  | None, Compiled l -> Native.dispatch l args ~global
+  | None, Interpreted -> Exec.launch p.kernel ~args:(Array.to_list args) ~global);
   let dt = now () -. t0 in
-  let s = kstat t kernel.Cast.name in
-  (match report with Some _ -> s.k_opt <- report | None -> ());
-  s.k_launches <- s.k_launches + 1;
-  s.total_s <- s.total_s +. dt;
-  s.min_s <- Float.min s.min_s dt;
-  s.max_s <- Float.max s.max_s dt;
-  s.arg_bytes <- s.arg_bytes + bytes;
+  t.launches <- t.launches + 1;
+  let bytes = ref 0 in
+  for i = 0 to Array.length args - 1 do
+    match args.(i) with
+    | Args.Buf b -> bytes := !bytes + transfer_bytes ~precision:p.kernel.Cast.precision b
+    | Args.Int_arg _ | Args.Real_arg _ -> ()
+  done;
+  let a = kstat t p.kernel.Cast.name in
+  (match p.report with Some _ -> a.a_opt <- p.report | None -> ());
+  a.a_launches <- a.a_launches + 1;
+  a.a_times.(0) <- a.a_times.(0) +. dt;
+  if dt < a.a_times.(1) then a.a_times.(1) <- dt;
+  if dt > a.a_times.(2) then a.a_times.(2) <- dt;
+  a.a_bytes <- a.a_bytes + !bytes;
   dt
 
+(* Dispatch a launch whose arguments are already resolved to buffers and
+   scalars.  [Multi.run_async] resolves names at each op's list
+   position — the clSetKernelArg moment — and may run the launch after
+   a later [Swap] has rebound them. *)
+let launch_resolved t kernel ~(args : Args.t list) ~global =
+  dispatch t (prepared t kernel) (Array.of_list args) ~global
+
+let rec find_bound op = function
+  | [] -> raise_notrace Not_found
+  | b :: rest -> if b.op == op then b else find_bound op rest
+
+(* [op] with its buffer names resolved to cells, once per op value. *)
+let bound_op t op =
+  match find_bound op t.bound_ops with
+  | b -> b
+  | exception Not_found ->
+      let b =
+        match op with
+        | Swap (a, b) -> { op; cells = [| cell t a; cell t b |]; slots = [||]; args = [||] }
+        | Launch { args; _ } ->
+            let bufs =
+              List.concat
+                (List.mapi (fun i -> function A_buf name -> [ (i, cell t name) ] | _ -> []) args)
+            in
+            {
+              op;
+              cells = Array.of_list (List.map snd bufs);
+              slots = Array.of_list (List.map fst bufs);
+              args = Array.of_list (List.map (resolve_arg t) args);
+            }
+        | _ -> invalid_arg "Vgpu.Runtime.bound_op: no buffer names to resolve"
+      in
+      t.bound_ops <- remember b t.bound_ops;
+      b
+
 let run_op t = function
-  | Swap (a, b) ->
-      let ba = buffer t a and bb = buffer t b in
-      bind t a bb;
-      bind t b ba
+  | Swap _ as op ->
+      let b = bound_op t op in
+      let ca = b.cells.(0) and cb = b.cells.(1) in
+      let ba = !ca in
+      ca := !cb;
+      cb := ba;
+      note_host_write t !ca;
+      note_host_write t !cb
   | Alloc { name; ty; elems } -> (
       match Hashtbl.find_opt t.buffers name with
       | None ->
           let b = Buffer.create ty elems in
-          Hashtbl.replace t.buffers name b;
+          Hashtbl.replace t.buffers name (ref b);
           (* fresh device memory: contents undefined until written *)
           (match t.sanitizer with Some s -> Sanitizer.note_alloc s b | None -> ())
-      | Some b ->
+      | Some cell ->
           (* Reusing a binding is the normal pattern across time steps,
              but only if it matches the plan's allocation exactly —
              anything else masks a plan bug. *)
+          let b = !cell in
           if Buffer.ty b <> ty || Buffer.length b <> elems then
             failwith
               (Printf.sprintf
@@ -343,8 +472,12 @@ let run_op t = function
       t.h2d_bytes <- t.h2d_bytes + transfer_bytes ~precision:t.precision (buffer t name)
   | Copy_to_host name ->
       t.d2h_bytes <- t.d2h_bytes + transfer_bytes ~precision:t.precision (buffer t name)
-  | Launch { kernel; args; global } ->
-      ignore (launch_resolved t kernel ~args:(List.map (resolve_arg t) args) ~global)
+  | Launch { kernel; global; _ } as op ->
+      let b = bound_op t op in
+      for j = 0 to Array.length b.cells - 1 do
+        b.args.(b.slots.(j)) <- Args.Buf !(b.cells.(j))
+      done;
+      ignore (dispatch t (prepared t kernel) b.args ~global)
 
 let run t (plan : plan) = List.iter (run_op t) plan
 
@@ -368,9 +501,21 @@ let cache_counters t =
     ("native", Kcache.counters t.native_cache);
   ]
 
+(* A snapshot: the per-kernel records are built from the counters, so
+   later launches do not change a [stats] value already taken. *)
+let kernel_stats a =
+  {
+    k_launches = a.a_launches;
+    total_s = a.a_times.(0);
+    min_s = a.a_times.(1);
+    max_s = a.a_times.(2);
+    arg_bytes = a.a_bytes;
+    k_opt = a.a_opt;
+  }
+
 let stats t =
   let per_kernel =
-    Hashtbl.fold (fun name s acc -> (name, s) :: acc) t.kstats []
+    Hashtbl.fold (fun name a acc -> (name, kernel_stats a) :: acc) t.kstats []
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
   {

@@ -4,7 +4,9 @@
     Device memory is simulated as unified memory, so a transfer is a
     bookkeeping event (bytes counted) rather than a copy; launches
     dispatch to the reference interpreter or to compiled C
-    ({!module:Native}), and are timed per kernel ({!stats}). *)
+    ({!module:Native}), and are timed per kernel ({!stats}).  Each
+    kernel value is prepared once per runtime (see {!launch_resolved}),
+    and buffers live in a table of cells that [Swap] rotates. *)
 
 type arg =
   | A_buf of string  (** resolved against the runtime's buffer table *)
@@ -62,8 +64,25 @@ type kernel_stats = {
           runtime optimized this kernel before dispatch *)
 }
 
+type kernel_acc
+(** A kernel's launch counters as dispatch accumulates them; {!stats}
+    copies them out as {!kernel_stats}. *)
+
+type prepared
+(** A launch prepared once per raw kernel value: the kernel as dispatched
+    with its {!module:Kernel_ast.Opt} report and structural digest, its
+    engine entry (a {!Native.launcher}, or the interpreter), and the
+    last launch signature verified clean. *)
+
+type bound_op
+(** A [Launch] or [Swap] op whose buffer names are resolved to cells of
+    the buffer table, once per op value. *)
+
 type t = {
-  buffers : (string, Buffer.t) Hashtbl.t;
+  buffers : (string, Buffer.t ref) Hashtbl.t;
+      (** the buffer table: one cell per name.  {!bind} writes a name's
+          cell and [Swap] exchanges two cells' contents; a cell is never
+          replaced, so an op resolved to cells stays resolved. *)
   opt_cache : (Kernel_ast.Cast.kernel * Kernel_ast.Opt.report) Kcache.t;
       (** raw-kernel digest -> (optimized kernel, report), so each
           distinct raw kernel is optimized once *)
@@ -75,9 +94,13 @@ type t = {
           process-wide memo and on-disk binary cache in {!module:Native});
           bounded, LRU-evicted.  [None] marks a kernel that runs on the
           interpreter because no C compiler could be run. *)
-  mutable digest_memo : (Kernel_ast.Cast.kernel * string) list;
-      (** physical-equality memo of structural kernel digests *)
-  kstats : (string, kernel_stats) Hashtbl.t;
+  mutable prepared : prepared list;
+      (** prepared launches keyed by the raw kernel value (physical
+          equality), newest first, at most 32 *)
+  mutable bound_ops : bound_op list;
+      (** [Launch] and [Swap] ops resolved to cells, keyed by the op
+          value (physical equality), newest first, at most 32 *)
+  kstats : (string, kernel_acc) Hashtbl.t;
   engine : engine;
   optimize : bool;
       (** when set (the default), launched kernels pass through the
@@ -129,10 +152,13 @@ val sanitizer : t -> Sanitizer.t option
 (** The runtime's sanitizer, when created with [~sanitize:true]. *)
 
 val bind : t -> string -> Buffer.t -> unit
-(** Bind an input buffer by name before running a plan. *)
+(** Bind a buffer by name: write the name's cell, creating it on first
+    use.  Ops already resolved to that cell see the new buffer at their
+    next dispatch. *)
 
 val buffer : t -> string -> Buffer.t
-(** @raise Failure if the name is unbound. *)
+(** The buffer a name's cell holds now.
+    @raise Failure if the name is unbound. *)
 
 val buffer_opt : t -> string -> Buffer.t option
 
@@ -153,17 +179,35 @@ val account_d2d : t -> int -> unit
 
 val resolve_arg : t -> arg -> Args.t
 (** Resolve one launch argument against the buffer table now — the
-    clSetKernelArg moment.  @raise Failure on an unbound buffer name. *)
+    clSetKernelArg moment: a buffer name reads its cell.
+    @raise Failure on an unbound buffer name. *)
 
 val launch_resolved : t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:int list -> float
 (** Dispatch a launch whose arguments were already resolved with
     {!resolve_arg}, and return its timed kernel window in seconds — the
     duration its kernel stats record.  {!Multi.run_async} resolves
     arguments at each op's list position and charges this duration to
-    the device's virtual clock. *)
+    the device's virtual clock.
+
+    The first launch of a kernel value prepares it: optimized, its
+    native binary fetched (after verification, so a refused kernel
+    compiles nothing) and wrapped in a {!Native.launcher}.  Every later
+    launch of that value reuses the preparation, and under [verify]
+    compares its launch signature (NDRange, int scalars, buffer extents)
+    with the last one verified clean, re-verifying only when it differs.
+    Each lookup a prepared launch skips counts as a hit of the cache it
+    stands in for ([opt], [check], [native]), so {!stats} reads as if
+    every lookup had been made.  A launch counts in {!stats} once its
+    engine ran it.
+    @raise Unsafe_kernel if verification refutes the launch.
+    @raise Invalid_argument on an argument count, kind or storage
+    mismatch. *)
 
 val run_op : t -> op -> unit
-(** @raise Failure if an [Alloc] reuses a binding whose element count or
+(** A [Launch] or a [Swap] resolves its buffer names to cells once per
+    op value.  A [Launch] reads the cells at each dispatch, then runs as
+    {!launch_resolved}; a [Swap] exchanges two cells' contents.
+    @raise Failure if an [Alloc] reuses a binding whose element count or
     type differs from the plan's allocation. *)
 
 val run : t -> plan -> unit
@@ -186,7 +230,8 @@ type stats = {
 val stats : t -> stats
 (** Snapshot of the counters: total launches, transfer bytes, and
     per-kernel launch count / wall time (total, min, mean via total,
-    max) / buffer bytes bound. *)
+    max) / buffer bytes bound.  The per-kernel records are copies, so
+    later launches leave a value already taken unchanged. *)
 
 val reset_stats : t -> unit
 (** Zero all counters, including the per-cache hit/miss/eviction

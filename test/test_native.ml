@@ -641,6 +641,156 @@ let test_runtime_cache_counters () =
   Alcotest.(check int) "after reset: no misses (entries kept)" 0 c.Vgpu.Kcache.c_misses;
   Alcotest.(check int) "after reset: every launch hits" 2 c.Vgpu.Kcache.c_hits
 
+(* -- Prepared launches --------------------------------------------------- *)
+
+(* A steady one-device step only reads argument cells, compares launch
+   signatures and calls the compiled entries: it allocates a few dozen
+   words, and verification adds none. *)
+let test_steady_step_allocation () =
+  use_scratch_cache ();
+  let open Acoustics in
+  let module P = Lift_acoustics.Programs in
+  let lift name prog = (P.compile ~name ~optimize:false ~precision:Double prog).Lift.Codegen.kernel in
+  let kernels = [ lift "volume" (P.volume ()); lift "boundary_fi" (P.boundary_fi ()) ] in
+  let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:32 ~ny:24 ~nz:20) in
+  let steps = 20 in
+  let words verify =
+    let sim = Gpu_sim.create ~engine:`Native ~verify ~fi_beta:0.1 ~n_branches:3 Params.default room in
+    for _ = 1 to 3 do
+      Gpu_sim.step sim kernels
+    done;
+    let w0 = Gc.minor_words () in
+    for _ = 1 to steps do
+      Gpu_sim.step sim kernels
+    done;
+    Gc.minor_words () -. w0
+  in
+  let plain = words false and verified = words true in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words per step, at most 256" (plain /. float_of_int steps))
+    true
+    (plain <= 256. *. float_of_int steps);
+  Alcotest.(check (float 0.)) "verification allocates nothing per step" plain verified
+
+(* A prepared launch re-verifies when a buffer extent changes: after
+   steady launches, rebinding a parameter to a shorter array is
+   refused rather than launched out of bounds. *)
+let test_rebind_shorter_refused () =
+  use_scratch_cache ();
+  let k =
+    {
+      name = "prepared_copy";
+      precision = Double;
+      params = [ param "dst" Real; param "src" Real ];
+      global_size = [ Int_lit 8 ];
+      local_size = [];
+      body = [ Store ("dst", Global_id 0, Load ("src", Global_id 0)) ];
+    }
+  in
+  let rt = Vgpu.Runtime.create ~verify:true () in
+  Vgpu.Runtime.bind rt "dst" (Vgpu.Buffer.F (Array.make 8 0.));
+  Vgpu.Runtime.bind rt "src" (Vgpu.Buffer.F (Array.init 8 float_of_int));
+  let op =
+    Vgpu.Runtime.Launch
+      { kernel = k; args = [ Vgpu.Runtime.A_buf "dst"; Vgpu.Runtime.A_buf "src" ]; global = [ 8 ] }
+  in
+  for _ = 1 to 3 do
+    Vgpu.Runtime.run_op rt op
+  done;
+  Vgpu.Runtime.bind rt "src" (Vgpu.Buffer.F (Array.make 4 0.));
+  (match Vgpu.Runtime.run_op rt op with
+  | exception Vgpu.Runtime.Unsafe_kernel _ -> ()
+  | () -> Alcotest.fail "a launch reading past a rebound 4-element src was dispatched");
+  Alcotest.(check int) "only the three clean launches count" 3
+    (Vgpu.Runtime.stats rt).Vgpu.Runtime.s_launches
+
+(* One Launch op, dispatched first on distinct arrays and then with one
+   array bound to both its written and its read parameter: both runs
+   match the interpreter, and the aliased one compiles the no-restrict
+   variant. *)
+let test_launch_op_alias_rebind () =
+  use_scratch_cache ();
+  let k =
+    {
+      name = "prepared_alias_probe";
+      precision = Double;
+      params = [ param "dst" Real; param "src" Real ];
+      global_size = [ Int_lit 8 ];
+      local_size = [];
+      body = [ Store ("dst", Global_id 0, (Load ("src", Global_id 0) *: Real_lit 2.0) +: Real_lit 1.0) ];
+    }
+  in
+  let interp dst src = Vgpu.Exec.launch k ~args:Vgpu.Args.[ Buf (Vgpu.Buffer.F dst); Buf (Vgpu.Buffer.F src) ] ~global:[ 8 ] in
+  let rt = Vgpu.Runtime.create ~optimize:false () in
+  let dst = Array.make 8 0. and src = Array.init 8 float_of_int in
+  Vgpu.Runtime.bind rt "dst" (Vgpu.Buffer.F dst);
+  Vgpu.Runtime.bind rt "src" (Vgpu.Buffer.F src);
+  let op =
+    Vgpu.Runtime.Launch
+      { kernel = k; args = [ Vgpu.Runtime.A_buf "dst"; Vgpu.Runtime.A_buf "src" ]; global = [ 8 ] }
+  in
+  Vgpu.Native.reset_counters ();
+  Vgpu.Runtime.run_op rt op;
+  let dst' = Array.make 8 0. in
+  interp dst' (Array.init 8 float_of_int);
+  Test_util.check_bits "distinct arrays" dst' dst;
+  Alcotest.(check int) "the restrict variant compiled" 1 (Vgpu.Native.counters ()).Vgpu.Native.c_compiles;
+  Vgpu.Runtime.bind rt "src" (Vgpu.Buffer.F dst);
+  Vgpu.Native.reset_counters ();
+  Vgpu.Runtime.run_op rt op;
+  let both = Array.copy dst' in
+  interp both both;
+  Test_util.check_bits "one array for dst and src" both dst;
+  Alcotest.(check int) "the no-restrict variant compiled" 1
+    (Vgpu.Native.counters ()).Vgpu.Native.c_compiles
+
+(* Statistics reset between steps: the next step counts one launch per
+   kernel, not the ones before the reset. *)
+let test_reset_then_step () =
+  use_scratch_cache ();
+  let open Acoustics in
+  let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:10 ~ny:8 ~nz:6) in
+  let kernels = [ Hand_kernels.volume ~precision:Double; Hand_kernels.boundary_fi ~precision:Double ] in
+  let sim = Gpu_sim.create ~engine:`Native ~fi_beta:0.2 ~n_branches:3 Params.default room in
+  for _ = 1 to 3 do
+    Gpu_sim.step sim kernels
+  done;
+  Gpu_sim.reset_stats sim;
+  Gpu_sim.step sim kernels;
+  let s = Gpu_sim.stats sim in
+  Alcotest.(check int) "two launches" 2 s.Vgpu.Runtime.s_launches;
+  List.iter
+    (fun (name, k) -> Alcotest.(check int) (name ^ " launched once") 1 k.Vgpu.Runtime.k_launches)
+    s.Vgpu.Runtime.per_kernel;
+  Alcotest.(check int) "both kernels listed" 2 (List.length s.Vgpu.Runtime.per_kernel)
+
+(* One device binds the state's arrays once and rotates the bindings:
+   after every step [state] names the arrays bound, so reads through it
+   and through the simulation agree. *)
+let test_single_device_state_live () =
+  use_scratch_cache ();
+  let open Acoustics in
+  let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:12 ~ny:10 ~nz:8) in
+  let kernels = [ Hand_kernels.volume ~precision:Double; Hand_kernels.boundary_fd_mm ~precision:Double ~mb:3 ] in
+  let sim = Gpu_sim.create ~engine:`Native ~n_branches:3 Params.default room in
+  let rt = match sim.Gpu_sim.backend with Gpu_sim.Single { rt; _ } -> rt | Gpu_sim.Sharded _ -> assert false in
+  let st = sim.Gpu_sim.state in
+  let cx, cy, cz = State.centre st in
+  State.add_impulse st ~x:cx ~y:cy ~z:cz;
+  let bound name = match Vgpu.Runtime.buffer rt name with Vgpu.Buffer.F a -> a | _ -> [||] in
+  for n = 1 to 6 do
+    Gpu_sim.step sim kernels;
+    List.iter
+      (fun (name, a) ->
+        Alcotest.(check bool) (Printf.sprintf "step %d: state %s is the bound array" n name) true
+          (a == bound name))
+      [ ("prev", st.State.prev); ("curr", st.State.curr); ("next", st.State.next);
+        ("v2", st.State.vel_prev); ("v1", st.State.vel_next); ("g1", st.State.g1) ];
+    Alcotest.(check (float 0.)) (Printf.sprintf "step %d: read" n)
+      (State.read st ~x:(cx + 1) ~y:cy ~z:cz)
+      (Gpu_sim.read sim ~x:(cx + 1) ~y:cy ~z:cz)
+  done
+
 (* LRU eviction: a capacity-2 cache fed three distinct kernels in an
    a b c a pattern evicts and recompiles the stale entry. *)
 let test_lru_eviction () =
@@ -870,6 +1020,15 @@ let suite =
     Alcotest.test_case "simulation bit-identical: schemes x precisions x shards" `Quick
       test_sim_differential;
     Alcotest.test_case "runtime cache counters in stats" `Quick test_runtime_cache_counters;
+    Alcotest.test_case "steady step: few words, none for verification" `Quick
+      test_steady_step_allocation;
+    Alcotest.test_case "rebinding a shorter array is re-verified" `Quick
+      test_rebind_shorter_refused;
+    Alcotest.test_case "one launch op, rebound to alias: no-restrict variant" `Quick
+      test_launch_op_alias_rebind;
+    Alcotest.test_case "reset between steps: one launch per kernel" `Quick test_reset_then_step;
+    Alcotest.test_case "one device: state names the bound arrays" `Quick
+      test_single_device_state_live;
     Alcotest.test_case "a first launch's compile is not kernel time" `Quick test_compile_not_timed;
     Alcotest.test_case "LRU eviction at capacity" `Quick test_lru_eviction;
     Alcotest.test_case "no C compiler: the interpreter runs, bit-identically" `Quick

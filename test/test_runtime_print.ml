@@ -213,6 +213,65 @@ let test_launch_stats () =
   Alcotest.(check int) "reset clears launches" 0 s.Vgpu.Runtime.s_launches;
   Alcotest.(check int) "reset clears kernels" 0 (List.length s.Vgpu.Runtime.per_kernel)
 
+(* A stats value is a snapshot: steps taken after it leave its
+   per-kernel records unchanged, on one device and per shard. *)
+let test_stats_snapshot () =
+  let open Acoustics in
+  let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:10 ~ny:8 ~nz:6) in
+  let kernels = [ Hand_kernels.volume ~precision:Cast.Double; Hand_kernels.boundary_fi ~precision:Cast.Double ] in
+  let volume_launches (s : Vgpu.Runtime.stats) =
+    match List.assoc_opt "volume" s.Vgpu.Runtime.per_kernel with
+    | Some k -> k.Vgpu.Runtime.k_launches
+    | None -> Alcotest.fail "no volume entry"
+  in
+  List.iter
+    (fun shards ->
+      let label = match shards with None -> "one device" | Some n -> Printf.sprintf "%d shards" n in
+      let sim = Gpu_sim.create ?shards ~fi_beta:0.2 ~n_branches:3 Params.default room in
+      for _ = 1 to 3 do
+        Gpu_sim.step sim kernels
+      done;
+      let s = Gpu_sim.stats sim and per = Gpu_sim.per_shard_stats sim in
+      for _ = 1 to 5 do
+        Gpu_sim.step sim kernels
+      done;
+      let n = Gpu_sim.n_shards sim in
+      Alcotest.(check int) (label ^ ": launches") (6 * n) s.Vgpu.Runtime.s_launches;
+      Alcotest.(check int) (label ^ ": volume launches") (3 * n) (volume_launches s);
+      List.iter
+        (fun (i, s) ->
+          Alcotest.(check int) (Printf.sprintf "%s: device %d volume launches" label i) 3
+            (volume_launches s))
+        per;
+      Alcotest.(check int) (label ^ ": a fresh value sees all 8 steps") (8 * n)
+        (volume_launches (Gpu_sim.stats sim)))
+    [ None; Some 2 ]
+
+(* A launch the verifier refuses never ran, so it counts nowhere. *)
+let test_refused_launch_not_counted () =
+  let open Cast in
+  let k =
+    {
+      name = "store_past_end";
+      precision = Double;
+      params = [ param "a" Real ];
+      global_size = [ Int_lit 8 ];
+      local_size = [];
+      body = [ Store ("a", Global_id 0 +: Int_lit 1, Real_lit 1.) ];
+    }
+  in
+  let rt = Vgpu.Runtime.create ~verify:true () in
+  Vgpu.Runtime.bind rt "a" (Vgpu.Buffer.F (Array.make 8 0.));
+  (match
+     Vgpu.Runtime.run_op rt
+       (Vgpu.Runtime.Launch { kernel = k; args = [ Vgpu.Runtime.A_buf "a" ]; global = [ 8 ] })
+   with
+  | exception Vgpu.Runtime.Unsafe_kernel _ -> ()
+  | () -> Alcotest.fail "the verifying runtime dispatched a store past the end");
+  let s = Vgpu.Runtime.stats rt in
+  Alcotest.(check int) "no launch counted" 0 s.Vgpu.Runtime.s_launches;
+  Alcotest.(check int) "no kernel entry" 0 (List.length s.Vgpu.Runtime.per_kernel)
+
 let test_printer () =
   let src = Print.kernel_to_string double_kernel in
   List.iter
@@ -515,6 +574,8 @@ let suite =
     Alcotest.test_case "device-to-device sub-buffer copies" `Quick test_copy_buffer;
     Alcotest.test_case "multi-device plans and stats merging" `Quick test_multi_devices;
     Alcotest.test_case "per-kernel launch stats" `Quick test_launch_stats;
+    Alcotest.test_case "stats are a snapshot" `Quick test_stats_snapshot;
+    Alcotest.test_case "a refused launch is not counted" `Quick test_refused_launch_not_counted;
     Alcotest.test_case "OpenCL printer" `Quick test_printer;
     Alcotest.test_case "tiled kernel: OpenCL and native C goldens" `Quick test_tiled_kernel_goldens;
     Alcotest.test_case "expression simplifier" `Quick test_simplify_examples;
