@@ -244,11 +244,15 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
   if show_stats then begin
     Fmt.pr "\n%a" Gpu_sim.pp_stats sim;
     (* the process-wide compile cache: a warm rerun of the same
-       configuration runs cc zero times *)
+       configuration runs cc zero times; then the wall time cc and
+       dlopen took *)
     if engine = `Native then begin
       let c = Vgpu.Native.counters () in
-      Fmt.pr "native compile cache: %d cc run(s), %d disk hit(s), %d memo hit(s)@."
+      let ms ns = float_of_int ns *. 1e-6 in
+      Fmt.pr "native compile cache: %d cc run(s), %d disk hit(s), %d memo hit(s), cc %.1f ms, \
+              dlopen %.2f ms@."
         c.Vgpu.Native.c_compiles c.Vgpu.Native.c_disk_hits c.Vgpu.Native.c_memo_hits
+        (ms c.Vgpu.Native.c_cc_ns) (ms c.Vgpu.Native.c_dlopen_ns)
     end;
     (* the temporal-blocking tradeoff, observable at runtime: what one
        step costs in exchange rounds, deep-halo bytes and redundantly

@@ -661,13 +661,28 @@ and emit_uniform_loop env buf ~indent ~round_store (l : for_loop) =
   if not (ok l.bound && ok l.step) then
     failwith "native_c: barrier-loop bound made work-item-varying inside the loop"
 
+(* The prelude includes no header: preprocessing <stdint.h>, <math.h>
+   and <string.h> more than doubled the preprocessor's time per kernel
+   (EXPERIMENTS.md), and the renderer uses only three of their types and
+   ten of their names.  The types come from the compiler's predefined
+   macros, the eight libm functions are declared with their C99
+   prototypes (the compiler still knows them as builtins, so the code is
+   the one the headers give), and [signbit] and [memset] are the
+   builtins the headers expand them to. *)
 let preamble =
-  "#include <stdint.h>\n#include <math.h>\n#include <string.h>\n\n\
-   #if defined(_WIN32)\n\
-   #  define RK_EXPORT __declspec(dllexport)\n\
-   #else\n\
-   #  define RK_EXPORT __attribute__((visibility(\"default\")))\n\
-   #endif\n\n\
+  "typedef __INT64_TYPE__ int64_t;\n\
+   typedef __UINT8_TYPE__ uint8_t;\n\
+   typedef __UINT64_TYPE__ uint64_t;\n\n\
+   double sqrt(double);\n\
+   double fabs(double);\n\
+   double exp(double);\n\
+   double log(double);\n\
+   double sin(double);\n\
+   double cos(double);\n\
+   double floor(double);\n\
+   double fmod(double, double);\n\
+   #define signbit(x) __builtin_signbit(x)\n\
+   #define memset __builtin_memset\n\n\
    /* OCaml Float.min / Float.max semantics: NaN in either operand\n\
    \ * propagates, and -0.0 orders below +0.0.  C fmin/fmax differ\n\
    \ * (they prefer the non-NaN operand), so they are not used. */\n\
@@ -722,8 +737,9 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
   add "\n";
   add
     (Printf.sprintf
-       "RK_EXPORT void %s(double **fb, int64_t **ib, uint8_t **u8b,\n\
-       \                  const int64_t *isc, const double *fsc, const int64_t *gsz)\n{\n"
+       "__attribute__((visibility(\"default\")))\n\
+        void %s(double **fb, int64_t **ib, uint8_t **u8b,\n\
+       \                       const int64_t *isc, const double *fsc, const int64_t *gsz)\n{\n"
        entry_symbol);
   add "  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;\n";
   (* parameter prologue, in [bindings] order: read-only buffers (proven

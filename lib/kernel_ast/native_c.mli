@@ -5,9 +5,12 @@
     NDRange.  The rendering is semantics-exact against the reference
     interpreter ([Vgpu.Exec]): IEEE double arithmetic, [int64_t] integers with truncating division,
     [fmod] for real [Mod], OCaml-faithful [Fmin]/[Fmax] helpers, and
-    single-precision rounding on stores to global real buffers.
-    [Vgpu.Native] compiles the source with the system C compiler and
-    dispatches launches through it. *)
+    single-precision rounding on stores to global real buffers.  The
+    prelude includes no header: the fixed-width types come from the
+    compiler's predefined macros, the libm functions have prototypes,
+    and [signbit]/[memset] are compiler builtins.  [Vgpu.Native]
+    compiles the source with the system C compiler and dispatches
+    launches through it. *)
 
 val entry_symbol : string
 (** Name of the exported entry:

@@ -49,11 +49,22 @@ let cc () = match Sys.getenv_opt "RACS_CC" with Some c when c <> "" -> c | _ -> 
 (* -fno-fast-math -ffp-contract=off: no FMA contraction or reassociation,
    keeping every double operation individually rounded like the OCaml
    engines; -fwrapv: OCaml-style wraparound on the (unreachable in
-   generated kernels) signed-overflow paths. *)
-let default_flags = "-O2 -fPIC -shared -fno-fast-math -ffp-contract=off -fwrapv"
+   generated kernels) signed-overflow paths; -nostdlib: no C start files
+   and no default libraries, since no kernel runs start-up code.  libm
+   is linked explicitly (see [fixed_args]).  A libc symbol a binary
+   imports ([memset] for a large private array, [__stack_chk_fail]
+   under a default stack protector) resolves at the [RTLD_NOW] dlopen
+   against the libc the process has loaded. *)
+let default_flags = "-O2 -fPIC -shared -nostdlib -fno-fast-math -ffp-contract=off -fwrapv"
 
 let flags () =
   match Sys.getenv_opt "RACS_CFLAGS" with Some f when f <> "" -> f | _ -> default_flags
+
+(* The fixed part of the command line: the flags before the source file,
+   and the libraries after the output, where the linker resolves the
+   object's undefined symbols.  [run_cc] runs it and the cache key
+   digests it, so a binary is keyed by everything it was built with. *)
+let fixed_args () = (flags (), "-lm")
 
 (* {2 Cache directory} *)
 
@@ -100,23 +111,37 @@ type counters = {
   c_compiles : int;  (** cc actually ran *)
   c_disk_hits : int;  (** shared object found on disk and loaded *)
   c_memo_hits : int;  (** in-process memo hit, no disk access *)
+  c_cc_ns : int;  (** wall time in cc runs *)
+  c_dlopen_ns : int;  (** wall time in dlopen *)
 }
 
 let n_compiles = Atomic.make 0
 let n_disk_hits = Atomic.make 0
 let n_memo_hits = Atomic.make 0
+let cc_ns = Atomic.make 0
+let dlopen_ns = Atomic.make 0
 
 let counters () =
   {
     c_compiles = Atomic.get n_compiles;
     c_disk_hits = Atomic.get n_disk_hits;
     c_memo_hits = Atomic.get n_memo_hits;
+    c_cc_ns = Atomic.get cc_ns;
+    c_dlopen_ns = Atomic.get dlopen_ns;
   }
 
 let reset_counters () =
   Atomic.set n_compiles 0;
   Atomic.set n_disk_hits 0;
-  Atomic.set n_memo_hits 0
+  Atomic.set n_memo_hits 0;
+  Atomic.set cc_ns 0;
+  Atomic.set dlopen_ns 0
+
+(* Run [f], adding its wall time to [total] whether it returns or
+   raises. *)
+let timed total f =
+  let t0 = Clock.now_ns () in
+  Fun.protect ~finally:(fun () -> ignore (Atomic.fetch_and_add total (Clock.now_ns () - t0))) f
 
 (* {2 Compilation} *)
 
@@ -143,9 +168,12 @@ let source ?noalias k = Native_c.kernel_source ?noalias k
 
 (* The salt names the entry ABI (v3: int arrays as tagged words, plus a
    slot array for byte buffers).  Bump it whenever the ABI changes, so a
-   cached binary of another ABI is never loaded. *)
+   cached binary of another ABI is never loaded.  The prelude and the
+   link line need no bump: the source and [fixed_args] are keyed
+   whole. *)
 let key_of_source src =
-  Digest.to_hex (Digest.string (String.concat "\x00" [ "racs-native-v3"; cc (); flags (); src ]))
+  let fl, libs = fixed_args () in
+  Digest.to_hex (Digest.string (String.concat "\x00" [ "racs-native-v3"; cc (); fl; libs; src ]))
 
 (* Key of the binary a kernel would compile to under the current
    toolchain configuration (exposed so tests can check that different
@@ -156,11 +184,12 @@ exception No_compiler of string
 
 let run_cc ~src_path ~out_path =
   let err_path = out_path ^ ".err" in
+  let fl, libs = fixed_args () in
   let cmd =
-    Printf.sprintf "%s %s %s -o %s -lm 2> %s" (cc ()) (flags ()) (Filename.quote src_path)
-      (Filename.quote out_path) (Filename.quote err_path)
+    Printf.sprintf "%s %s %s -o %s %s 2> %s" (cc ()) fl (Filename.quote src_path)
+      (Filename.quote out_path) libs (Filename.quote err_path)
   in
-  let rc = Sys.command cmd in
+  let rc = timed cc_ns (fun () -> Sys.command cmd) in
   let err =
     if Sys.file_exists err_path then (
       let ic = open_in_bin err_path in
@@ -171,9 +200,10 @@ let run_cc ~src_path ~out_path =
       s)
     else ""
   in
-  (* 127: the shell found no such command, so nothing was compiled at
-     all; any other failure is the compiler rejecting the source *)
-  if rc = 127 then raise (No_compiler (cc ()));
+  (* 126 and 127: the shell could not execute the command (no execute
+     permission, or no such command), so nothing was compiled at all;
+     any other failure is the compiler rejecting the source *)
+  if rc = 126 || rc = 127 then raise (No_compiler (cc ()));
   if rc <> 0 then
     failwith (Printf.sprintf "native: C compilation failed (%s, exit %d)\n%s" (cc ()) rc err)
 
@@ -201,6 +231,8 @@ let looks_like_shared_object path =
          || String.equal magic "\xcf\xfa\xed\xfe"
          || String.equal magic "\xfe\xed\xfa\xcf")
 
+let load path = timed dlopen_ns (fun () -> dl_open path)
+
 (* Compile [src] (or reuse the cached object) and return the loaded
    shared object's path and handle. *)
 let compile_source ~key src =
@@ -213,10 +245,10 @@ let compile_source ~key src =
     run_cc ~src_path:c_path ~out_path:tmp_so;
     Unix.rename tmp_so so_path;
     Atomic.incr n_compiles;
-    dl_open so_path
+    load so_path
   in
   if Sys.file_exists so_path && looks_like_shared_object so_path then (
-    match dl_open so_path with
+    match load so_path with
     | h ->
         Atomic.incr n_disk_hits;
         (so_path, h)

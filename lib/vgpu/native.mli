@@ -13,8 +13,9 @@ type compiled
 
 exception No_compiler of string
 (** The C compiler command (named by the payload) cannot be run at all:
-    the shell reports no such command (exit 127).  {!Runtime} answers
-    it by running the kernel on the interpreter. *)
+    the shell reports it not executable (exit 126) or no such command
+    (exit 127).  {!Runtime} answers it by running the kernel on the
+    interpreter. *)
 
 val compile : ?noalias:bool -> Kernel_ast.Cast.kernel -> compiled
 (** Render, then load from the memo, the disk cache, or a fresh [cc]
@@ -76,13 +77,23 @@ val cc : unit -> string
 (** C compiler command ([RACS_CC], default [cc]). *)
 
 val flags : unit -> string
-(** Compiler flags ([RACS_CFLAGS], default pins IEEE semantics:
-    [-O2 -fPIC -shared -fno-fast-math -ffp-contract=off -fwrapv]). *)
+(** Compiler flags ([RACS_CFLAGS], which replaces them whole).  The
+    default pins IEEE semantics and links no start files or default
+    libraries:
+    [-O2 -fPIC -shared -nostdlib -fno-fast-math -ffp-contract=off -fwrapv].
+    [-lm] follows the output file on every command line, whatever the
+    flags; a libc symbol a binary imports resolves at load time against
+    the process's libc.  A toolchain that needs its start files gets
+    them back with a [RACS_CFLAGS] that leaves out [-nostdlib].  The
+    cache key digests the flags and [-lm] with the compiler and the
+    source. *)
 
 type counters = {
   c_compiles : int;  (** cc actually ran *)
   c_disk_hits : int;  (** shared object found on disk and loaded *)
   c_memo_hits : int;  (** in-process memo hit, no disk access *)
+  c_cc_ns : int;  (** wall time in cc runs, failed ones included *)
+  c_dlopen_ns : int;  (** wall time in dlopen, of fresh and cached objects *)
 }
 
 val counters : unit -> counters

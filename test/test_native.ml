@@ -24,9 +24,14 @@
    recompiled over rather than trusted, and optimization that changes
    the kernel changes the cache key.
 
-   Without a C compiler the native engine falls back to the
-   interpreter, bit-identically; a compiler that runs and fails still
-   raises. *)
+   Every production kernel renders without an [#include]; a binary
+   that imports [memset] from libc loads under the default
+   [-nostdlib] link, and flags that link the C start files again key
+   another binary with the same results.
+
+   Without a C compiler, or with one that cannot be executed, the
+   native engine falls back to the interpreter, bit-identically; a
+   compiler that runs and fails still raises. *)
 
 open Kernel_ast.Cast
 
@@ -439,6 +444,8 @@ let test_cold_then_warm () =
   let c1 = Vgpu.Native.compile k in
   let cold = Vgpu.Native.counters () in
   Alcotest.(check int) "cold run compiles" 1 cold.Vgpu.Native.c_compiles;
+  Alcotest.(check bool) "cold run times cc" true (cold.Vgpu.Native.c_cc_ns > 0);
+  Alcotest.(check bool) "cold run times dlopen" true (cold.Vgpu.Native.c_dlopen_ns > 0);
   Test_util.check_bits "cold result" (expected_of k) (launch_and_read c1);
   (* warm from disk: drop the in-process memo so the .so must be found *)
   Vgpu.Native.reset_memo ();
@@ -447,6 +454,8 @@ let test_cold_then_warm () =
   let warm = Vgpu.Native.counters () in
   Alcotest.(check int) "warm run does not compile" 0 warm.Vgpu.Native.c_compiles;
   Alcotest.(check int) "warm run hits disk" 1 warm.Vgpu.Native.c_disk_hits;
+  Alcotest.(check int) "warm run spends no cc time" 0 warm.Vgpu.Native.c_cc_ns;
+  Alcotest.(check bool) "warm run times dlopen" true (warm.Vgpu.Native.c_dlopen_ns > 0);
   Test_util.check_bits "warm result" (expected_of k) (launch_and_read c2);
   (* warm from memo: no disk access at all *)
   Vgpu.Native.reset_counters ();
@@ -455,6 +464,7 @@ let test_cold_then_warm () =
   Alcotest.(check int) "memo run does not compile" 0 memo.Vgpu.Native.c_compiles;
   Alcotest.(check int) "memo run does not touch disk" 0 memo.Vgpu.Native.c_disk_hits;
   Alcotest.(check int) "memo run hits memo" 1 memo.Vgpu.Native.c_memo_hits;
+  Alcotest.(check int) "memo run spends no dlopen time" 0 memo.Vgpu.Native.c_dlopen_ns;
   Test_util.check_bits "memo result" (expected_of k) (launch_and_read c3)
 
 let test_corrupt_entry_recompiled () =
@@ -536,6 +546,111 @@ let test_lift_twice_same_key () =
       ("boundary_fi_mm", P.boundary_fi_mm);
       ("boundary_fd_mm", fun () -> P.boundary_fd_mm ~mb:3 ());
     ]
+
+
+(* -- The header-free prelude and the lean link line -------------------- *)
+
+(* Every kernel a simulation or [racs check --engine native] compiles:
+   hand-written and Lift-generated, both precisions, raw and optimized,
+   as given and in the simulation's device form, with and without
+   [restrict].  None of their sources includes a header. *)
+let test_sources_include_no_header () =
+  let open Acoustics in
+  let module P = Lift_acoustics.Programs in
+  let betas = (Material.tables ~n_branches:3 Material.defaults).Material.t_beta in
+  List.iter
+    (fun precision ->
+      let lift name prog = (P.compile ~name ~optimize:false ~precision prog).Lift.Codegen.kernel in
+      List.iter
+        (fun k ->
+          let opt = fst (Kernel_ast.Opt.optimize k) in
+          List.iter
+            (fun k ->
+              List.iter
+                (fun noalias ->
+                  let src = Vgpu.Native.source ~noalias k in
+                  Alcotest.(check bool)
+                    (Printf.sprintf "%s (noalias %b): no #include" k.name noalias)
+                    false
+                    (Test_util.contains src "#include"))
+                [ true; false ])
+            [ k; opt; Gpu_sim.device_form k; Gpu_sim.device_form opt ])
+        [
+          Hand_kernels.fused_fi ~precision;
+          Hand_kernels.volume ~precision;
+          Hand_kernels.boundary_fi ~precision;
+          Hand_kernels.boundary_fi_mm ~precision ~betas;
+          Hand_kernels.boundary_fd_mm ~precision ~mb:3;
+          lift "lift_fused_fi" (P.fused_fi ());
+          lift "lift_volume" (P.volume ());
+          lift "lift_boundary_fi" (P.boundary_fi ());
+          lift "lift_boundary_fi_mm" (P.boundary_fi_mm ());
+          lift "lift_boundary_fd_mm" (P.boundary_fd_mm ~mb:3 ());
+          lift "lift_fused_fi_3d" (P.fused_fi_3d ());
+        ])
+    [ Double; Single ]
+
+(* Each work-item zeroes a private array of 4096 doubles: at -O2 the C
+   compiler turns that into a call to [memset], which a [-nostdlib]
+   link leaves undefined in the binary.  The dlopen resolves it against
+   the process's libc, and the results match the interpreter. *)
+let test_libc_import_loads () =
+  use_scratch_cache ();
+  let g = Var "g" in
+  let k =
+    {
+      name = "native_big_private";
+      precision = Double;
+      params = [ param "out" Real; param "src" Real ];
+      global_size = [ Int_lit n ];
+      local_size = [];
+      body =
+        [
+          Decl (Int, "g", Some (Global_id 0));
+          Decl_arr (Real, "big", 4096);
+          Store ("big", (g *: Int_lit 37) %: Int_lit 4096, Load ("src", g));
+          Decl (Real, "acc", Some (Real_lit 0.));
+          for_ "i" ~from:(Int_lit 0) ~below:(Int_lit 4096)
+            [
+              Assign
+                ("acc", Var "acc" +: (Load ("big", Var "i") *: Unop (To_real, Var "i" +: Int_lit 1)));
+            ];
+          Store ("out", g, Var "acc");
+        ];
+    }
+  in
+  let run launch =
+    let out = Array.make n 0. and src = Array.init n (fun i -> (float_of_int i *. 0.3) -. 7.) in
+    launch ~args:Vgpu.Args.[ Buf (Vgpu.Buffer.F out); Buf (Vgpu.Buffer.F src) ] ~global:[ n ];
+    out
+  in
+  Test_util.check_bits "private array zeroed per work-item"
+    (run (Vgpu.Exec.launch k))
+    (run (Vgpu.Native.launch (Vgpu.Native.compile k)))
+
+(* [RACS_CFLAGS] replaces the default flags whole: the flags before
+   [-nostdlib] was added link the C start files again, key another
+   binary and give the same bits. *)
+let test_cflags_override () =
+  use_scratch_cache ();
+  let saved = Option.value (Sys.getenv_opt "RACS_CFLAGS") ~default:"" in
+  let k = torture_kernel ~precision:Double in
+  let run () =
+    let out, iout, args = torture_args () in
+    Vgpu.Native.launch (Vgpu.Native.compile k) ~args ~global:[ n ];
+    (out, iout)
+  in
+  let key = Vgpu.Native.cache_key k in
+  let out, iout = run () in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "RACS_CFLAGS" saved)
+    (fun () ->
+      Unix.putenv "RACS_CFLAGS" "-O2 -fPIC -shared -fno-fast-math -ffp-contract=off -fwrapv";
+      Alcotest.(check bool) "the override keys another binary" true
+        (Vgpu.Native.cache_key k <> key);
+      let out', iout' = run () in
+      Test_util.check_bits "out" out out';
+      Alcotest.(check (array int)) "iout" iout iout')
 
 
 (* -- Simulation-level differential: the acceptance criterion ---------- *)
@@ -938,11 +1053,12 @@ let test_compile_not_timed () =
 
 (* -- No C compiler ------------------------------------------------------ *)
 
-(* With [RACS_CC] naming a missing program, the default engine runs each
-   kernel on the interpreter: FD-MM on one device and on two shards
-   matches [`Interp] bit-for-bit, the native engine was asked for every
-   kernel, and nothing was compiled or loaded.  A compiler that runs and
-   fails is a codegen bug, and still raises. *)
+(* With [RACS_CC] naming a missing program, or a file without the
+   execute bit, the default engine runs each kernel on the interpreter:
+   FD-MM on one device and on two shards matches [`Interp] bit-for-bit,
+   the native engine was asked for every kernel, and nothing was
+   compiled or loaded.  A compiler that runs and fails is a codegen
+   bug, and still raises. *)
 let test_no_compiler_fallback () =
   let open Acoustics in
   let saved_cc = Option.value (Sys.getenv_opt "RACS_CC") ~default:"" in
@@ -953,8 +1069,10 @@ let test_no_compiler_fallback () =
       Vgpu.Native.set_cache_dir (Lazy.force scratch_cache))
     (fun () ->
       Vgpu.Native.set_cache_dir dir;
-      Unix.putenv "RACS_CC" (Filename.concat dir "missing-cc");
-      Vgpu.Native.reset_counters ();
+      (* a working compiler wrapper, were it executable *)
+      let noexec = Filename.concat dir "cc-without-exec-bit" in
+      Out_channel.with_open_gen [ Open_wronly; Open_creat; Open_trunc ] 0o644 noexec (fun oc ->
+          output_string oc "#!/bin/sh\nexec cc \"$@\"\n");
       let room =
         Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:12 ~ny:10 ~nz:8)
       in
@@ -973,26 +1091,32 @@ let test_no_compiler_fallback () =
       in
       let reference = (run ~engine:`Interp ()).Gpu_sim.state in
       List.iter
-        (fun shards ->
-          let sim = run ?shards () in
-          let label =
-            match shards with None -> "one device" | Some n -> Printf.sprintf "%d shards" n
-          in
-          Test_util.check_bits (label ^ " curr") reference.State.curr
-            sim.Gpu_sim.state.State.curr;
-          Test_util.check_bits (label ^ " g1") reference.State.g1 sim.Gpu_sim.state.State.g1;
-          match List.assoc_opt "native" (Gpu_sim.stats sim).Vgpu.Runtime.s_caches with
-          | Some c ->
-              Alcotest.(check bool) (label ^ ": the native engine was asked") true
-                (c.Vgpu.Kcache.c_misses > 0)
-          | None -> Alcotest.fail "no native cache counters")
-        [ None; Some 2 ];
-      let c = Vgpu.Native.counters () in
-      Alcotest.(check int) "nothing compiled" 0 c.Vgpu.Native.c_compiles;
-      Alcotest.(check int) "nothing loaded" 0 c.Vgpu.Native.c_disk_hits;
-      (match Vgpu.Native.compile (unique_kernel ()) with
-      | exception Vgpu.Native.No_compiler _ -> ()
-      | _ -> Alcotest.fail "compiled without a compiler");
+        (fun (what, cc) ->
+          Unix.putenv "RACS_CC" cc;
+          Vgpu.Native.reset_counters ();
+          List.iter
+            (fun shards ->
+              let sim = run ?shards () in
+              let label =
+                Printf.sprintf "%s, %s" what
+                  (match shards with None -> "one device" | Some n -> Printf.sprintf "%d shards" n)
+              in
+              Test_util.check_bits (label ^ " curr") reference.State.curr
+                sim.Gpu_sim.state.State.curr;
+              Test_util.check_bits (label ^ " g1") reference.State.g1 sim.Gpu_sim.state.State.g1;
+              match List.assoc_opt "native" (Gpu_sim.stats sim).Vgpu.Runtime.s_caches with
+              | Some c ->
+                  Alcotest.(check bool) (label ^ ": the native engine was asked") true
+                    (c.Vgpu.Kcache.c_misses > 0)
+              | None -> Alcotest.fail "no native cache counters")
+            [ None; Some 2 ];
+          let c = Vgpu.Native.counters () in
+          Alcotest.(check int) (what ^ ": nothing compiled") 0 c.Vgpu.Native.c_compiles;
+          Alcotest.(check int) (what ^ ": nothing loaded") 0 c.Vgpu.Native.c_disk_hits;
+          match Vgpu.Native.compile (unique_kernel ()) with
+          | exception Vgpu.Native.No_compiler _ -> ()
+          | _ -> Alcotest.failf "%s: compiled without a compiler" what)
+        [ ("missing cc", Filename.concat dir "missing-cc"); ("cc without the exec bit", noexec) ];
       Unix.putenv "RACS_CC" "false";
       match run () with
       | exception Failure _ -> ()
@@ -1016,6 +1140,10 @@ let suite =
     Alcotest.test_case "optimization changes the cache key" `Quick
       test_opt_changes_cache_key;
     Alcotest.test_case "lifting twice gives one cache key" `Quick test_lift_twice_same_key;
+    Alcotest.test_case "sources include no header" `Quick test_sources_include_no_header;
+    Alcotest.test_case "a binary importing memset from libc loads" `Quick test_libc_import_loads;
+    Alcotest.test_case "RACS_CFLAGS without -nostdlib: new key, same bits" `Quick
+      test_cflags_override;
     Alcotest.test_case "GC safety: launches on moving int arrays" `Quick test_gc_safety;
     Alcotest.test_case "simulation bit-identical: schemes x precisions x shards" `Quick
       test_sim_differential;
