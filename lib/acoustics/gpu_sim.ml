@@ -63,7 +63,7 @@ type backend =
   | Single of {
       rt : Vgpu.Runtime.t;
       mutable ops : (kernel * Vgpu.Runtime.op) list;
-          (* cache: device-form kernel -> its launch op *)
+          (* cache: kernel as passed -> the launch op of its device form *)
     }
   | Sharded of {
       multi : Vgpu.Multi.t;
@@ -85,6 +85,8 @@ type backend =
           (* cache: (kernel, ranges) -> per device, its launch ops: the
              interior/frontier ranges of a split kernel, or one full-range
              launch *)
+      mutable unprepared : bool;
+          (* [launch_ops] built ops since the last [Multi.prepare] *)
     }
 
 type t = {
@@ -192,6 +194,7 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
             incs = Array.make devices ([], []);
             imports = [];
             launch_ops = [];
+            unprepared = false;
           }
   in
   let nbrs_dev =
@@ -437,6 +440,7 @@ let step_ops t ~split ~eid ~incs ~bpos kernels : Vgpu.Multi.async_plan =
             in
             s.launch_ops <-
               ((k, ranges), ops) :: List.filteri (fun i _ -> i < max_device_forms - 1) s.launch_ops;
+            s.unprepared <- true;
             ops
       in
       let ops = ref [] in
@@ -517,13 +521,12 @@ let next_step_ops t ~split kernels =
       t.launches <- List.fold_left (fun acc o -> if is_launch o then acc + 1 else acc) t.launches ops;
       ops
 
-(* The next [steps] steps' ops, built from copies of the simulation's
-   event state so nothing advances. *)
-let plan t (kernels : kernel list) ~steps : Vgpu.Multi.async_plan =
+(* The next [steps] steps' ops of kernels in device form, built from
+   copies of the simulation's event state so nothing advances. *)
+let device_plan t (kernels : kernel list) ~steps : Vgpu.Multi.async_plan =
   match t.backend with
   | Single _ -> invalid_arg "gpu_sim: plan needs a sharded backend"
   | Sharded s ->
-      let kernels = device_kernels t kernels in
       let eid = ref !(s.eid) and incs = Array.copy s.incs in
       let acc = ref [] in
       for k = 0 to steps - 1 do
@@ -531,6 +534,8 @@ let plan t (kernels : kernel list) ~steps : Vgpu.Multi.async_plan =
         acc := List.rev_append (step_ops t ~split:(s.schedule = `Overlap) ~eid ~incs ~bpos kernels) !acc
       done;
       List.rev !acc
+
+let plan t kernels ~steps = device_plan t (device_kernels t kernels) ~steps
 
 (* The array a device's table binds to [name] right now: the [Swap]s
    rotate the bindings, so this is where the live arrays are. *)
@@ -564,28 +569,51 @@ let ensure_scattered t =
         s.scattered <- true
       end
 
-(* Launch one kernel (on every shard, when sharded) without stepping.
-   The single device builds each kernel's op once (bounded like the
-   device-form memo), so every step dispatches the same op value and
-   the runtime's resolution of it to cells keeps hitting. *)
+(* The single device's launch op of [k]'s device form, built once per
+   kernel value (bounded like the device-form memo), so every step
+   dispatches the same op value and the runtime's resolution of it to
+   cells keeps hitting. *)
+let single_op t k =
+  match t.backend with
+  | Sharded _ -> invalid_arg "gpu_sim: single_op on a sharded backend"
+  | Single s -> (
+      match List.assq k s.ops with
+      | op -> op
+      | exception Not_found ->
+          let op = single_launch t (device_kernel t k) in
+          s.ops <- (k, op) :: List.filteri (fun i _ -> i < max_device_forms - 1) s.ops;
+          op)
+
+(* Launch one kernel (on every shard, when sharded) without stepping. *)
 let launch t (k : kernel) =
-  let k = device_kernel t k in
   match t.backend with
   | Single s ->
-      let op =
-        match List.assq k s.ops with
-        | op -> op
-        | exception Not_found ->
-            let op = single_launch t k in
-            s.ops <- (k, op) :: List.filteri (fun i _ -> i < max_device_forms - 1) s.ops;
-            op
-      in
+      let op = single_op t k in
       t.launches <- t.launches + 1;
       Vgpu.Runtime.run_op s.rt op
   | Sharded s ->
+      let k = device_kernel t k in
       ensure_scattered t;
       Array.iter (fun sh -> Vgpu.Multi.run_op s.multi (shard_launch t sh k)) s.plan.Shard.shards;
       t.launches <- t.launches + Shard.n_shards s.plan
+
+(* Does every kernel have its single-device op?  Allocates nothing. *)
+let rec have_ops ops = function [] -> true | k :: rest -> List.mem_assq k ops && have_ops ops rest
+
+(* Prepare a sharded step's launches when its ops [ops] hold launch ops
+   not prepared yet: one batch build across the devices before the first
+   launch.  The rest of the temporal block comes along, since only a
+   block's first step splits its launches (the overlapped schedule), so
+   a cold block builds in one batch too.  [kernels] are in device
+   form. *)
+let prepare_step t kernels (ops : Vgpu.Multi.async_plan) =
+  match t.backend with
+  | Sharded ({ unprepared = true; _ } as s) ->
+      let rest = if s.bpos = 0 then [] else device_plan t kernels ~steps:(s.tblock - s.bpos) in
+      Vgpu.Multi.prepare s.multi
+        (List.map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_op) (ops @ rest));
+      s.unprepared <- false
+  | _ -> ()
 
 (* One overlapped time step: the split plan, run by [Multi.run_async]
    in the interleaving [pick] chooses (first ready by default).  The
@@ -604,14 +632,19 @@ let step_overlap_with ?pick t (kernels : kernel list) =
         Array.fold_left (fun acc (lo, hi) -> List.map stamp (lo @ hi) @ acc) [] s.incs
       in
       let ops = next_step_ops t ~split:true kernels in
+      prepare_step t kernels ops;
       s.imports <- Vgpu.Multi.run_async ~imports ?pick s.multi ops
 
 (* One time step.  Single device: run each kernel in order, rotate the
    bindings, and point [state] at the arrays now bound.  Sharded: build
-   the step's plan and execute it under the configured schedule. *)
+   the step's plan and execute it under the configured schedule.  A step
+   with launches not seen before prepares them all first (optimized,
+   verified, and built in one batch); a steady step skips that. *)
 let step t (kernels : kernel list) =
   match t.backend with
   | Single s ->
+      if not (have_ops s.ops kernels) then
+        Vgpu.Runtime.prepare [ (s.rt, List.map (single_op t) kernels) ];
       List.iter (launch t) kernels;
       List.iter (Vgpu.Runtime.run_op s.rt) rotation;
       let st = t.state in
@@ -629,6 +662,7 @@ let step t (kernels : kernel list) =
           let kernels = device_kernels t kernels in
           ensure_scattered t;
           let ops = next_step_ops t ~split:false kernels in
+          prepare_step t kernels ops;
           let run (o : Vgpu.Multi.async_op) = Vgpu.Multi.run_op s.multi o.Vgpu.Multi.a_op in
           match schedule with
           | `Seq -> List.iter run ops

@@ -61,7 +61,8 @@ type backend =
           (** one device holding the global arrays, bound into its table
               once by {!create} and rotated by [Swap]s *)
       mutable ops : (Kernel_ast.Cast.kernel * Vgpu.Runtime.op) list;
-          (** cache: device-form kernel -> its [Launch] op, at most 32 *)
+          (** cache: kernel as passed -> the [Launch] op of its device
+              form, at most 32 *)
     }
   | Sharded of {
       multi : Vgpu.Multi.t;
@@ -87,6 +88,9 @@ type backend =
           (** cache: (kernel, ranges) -> per device, its launch ops: the
               interior/frontier ranges of a split kernel, or one full-range
               launch *)
+      mutable unprepared : bool;
+          (** [launch_ops] has built ops since the last
+              {!Vgpu.Multi.prepare} *)
     }
 
 type t = {
@@ -198,7 +202,16 @@ val step : t -> Kernel_ast.Cast.kernel list -> unit
     [Swap]s every step.  Every call advances exactly one generation, so
     a block of depth T spans T calls.  Every schedule has finished the
     step when [step] returns; under [`Overlap] it is
-    [step_overlap_with t]. *)
+    [step_overlap_with t].
+
+    A step whose launches were not all seen before prepares them first,
+    under every schedule ({!Vgpu.Runtime.prepare},
+    {!Vgpu.Multi.prepare}): each launch optimized and, under [verify],
+    checked, then one batch build of the kernels that miss, for all
+    devices; when sharded, the launches of the rest of the temporal
+    block come along.  A launch [verify] refuses raises {!Vgpu.Runtime.Unsafe_kernel}
+    before any kernel is built or run.  A steady step prepares
+    nothing. *)
 
 val step_overlap_with :
   ?pick:(int -> int) -> t -> Kernel_ast.Cast.kernel list -> unit

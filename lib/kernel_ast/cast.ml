@@ -207,6 +207,33 @@ let group_counts k ~(global : int array) =
       else g / l.(d))
     global
 
+(* The NDRange rank rule every engine and [Check] apply: a kernel
+   declares as many dimensions as its [global_size] (or its [local_size],
+   when longer) has entries, at most three, and a launch may add only
+   trailing 1s beyond them.  A missing dimension counts as 1. *)
+
+exception Ndrange_rank of { kernel : string; dims : int; global : int list }
+
+let () =
+  Printexc.register_printer (function
+    | Ndrange_rank { kernel; dims; global } ->
+        Some
+          (Printf.sprintf "Ndrange_rank: kernel %s declares %d NDRange dimension(s), launched with [%s]"
+             kernel dims
+             (String.concat "; " (List.map string_of_int global)))
+    | _ -> None)
+
+let launch_dims k = min 3 (max (List.length k.global_size) (List.length k.local_size))
+
+(* Top-level, so a check on a steady launch allocates nothing. *)
+let rec ndrange_ok dims d = function
+  | [] -> true
+  | n :: rest -> (d < dims || n = 1) && ndrange_ok dims (d + 1) rest
+
+let check_ndrange k ~global =
+  let dims = launch_dims k in
+  if not (ndrange_ok dims 0 global) then raise (Ndrange_rank { kernel = k.name; dims; global })
+
 (* Whether any statement in [body] is a [Barrier], at any depth.  The
    optimizer treats barrier-containing loops as fences (no unrolling, no
    invariant motion out of the loop header) and the native backend lowers

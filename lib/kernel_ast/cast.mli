@@ -184,6 +184,24 @@ val group_counts : kernel -> global:int array -> int array
     @raise Invalid_argument when a launch dimension is not divisible by
     the work-group size. *)
 
+(** {1 NDRange rank} *)
+
+exception Ndrange_rank of { kernel : string; dims : int; global : int list }
+(** A launch whose NDRange has more dimensions than the kernel declares,
+    other than trailing 1s.  Every engine ([Vgpu.Exec], [Vgpu.Native],
+    the sanitizer) and {!module:Check} refuse such a launch with it. *)
+
+val launch_dims : kernel -> int
+(** The NDRange dimensions a kernel declares: the entries of its
+    [global_size], or of its [local_size] when that is longer, at most
+    3. *)
+
+val check_ndrange : kernel -> global:int list -> unit
+(** Apply the rank rule to a launch; allocates nothing when it holds.
+    A launch may also have fewer dimensions than declared: the missing
+    ones are 1.
+    @raise Ndrange_rank when an entry past {!launch_dims} is not 1. *)
+
 val contains_barrier : stmt list -> bool
 (** Whether any statement (at any depth) is a [Barrier]. *)
 

@@ -885,7 +885,9 @@ let bounds_verdict cenv e (k : kernel) buf ~elems (accs : access list) : verdict
 let launch (e : env) (k : kernel) : Domain.launch =
   let gs = Array.make 3 (Some 1) in
   (match e.global with
-  | Some l -> List.iteri (fun d n -> if d < 3 then gs.(d) <- Some n) l
+  | Some l ->
+      check_ndrange k ~global:l;
+      List.iteri (fun d n -> if d < 3 then gs.(d) <- Some n) l
   | None ->
       List.iteri
         (fun d expr ->

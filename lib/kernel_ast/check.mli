@@ -81,7 +81,10 @@ val launch : env -> Cast.kernel -> Domain.launch
     otherwise the kernel's symbolic [global_size] simplified and
     evaluated by {!Cast.eval_int} through the environment (missing
     dimensions are 1), plus the kernel's work-group shape and the
-    environment's scalar values. *)
+    environment's scalar values.
+    @raise Cast.Ndrange_rank when [env.global] has more dimensions than
+    the kernel declares, other than trailing 1s: no engine would run
+    that launch, so no verdict is given for it. *)
 
 val check : env -> Cast.kernel -> report
 

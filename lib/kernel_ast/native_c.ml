@@ -30,12 +30,18 @@
    - [&&]/[||] short-circuit (the interpreter evaluates both operands;
      observably identical on verified kernels).
 
-   The fixed entry ABI (see {!entry_symbol}) receives the kernel's
+   The fixed entry ABI (see {!entry_source}) receives the kernel's
    parameters split by kind — real buffers as [double*], int buffers as
    [int64_t*] to their tagged words, byte buffers as [uint8_t*],
    scalars (untagged) in two flat arrays — plus the NDRange sizes.  The
    work-item loops live inside the entry, row-major z/y/x exactly like
-   [Exec.launch].
+   [Exec.launch], one loop per dimension the kernel declares
+   ([Cast.launch_dims]); the rank rule makes every other dimension 1.
+
+   An entry is named by the [RK_ENTRY] macro, which the translation unit
+   defines before it: one unit can hold several entries, and an entry's
+   text, hence the binary cache key digesting it, does not depend on the
+   name it is built under or on the other entries beside it.
 
    Body-declared locals are renamed [rk_v<i>_<stem>], numbered in
    declaration order, where the stem drops Lift's gensym suffixes
@@ -44,8 +50,6 @@
    renders the same C. *)
 
 open Cast
-
-let entry_symbol = "racs_kernel_entry"
 
 (* How each parameter maps onto the entry ABI, in parameter order: slot
    indices count per category in order of appearance.  The host
@@ -106,6 +110,7 @@ type env = {
   mutable locals : (string * slot) list;  (* body-declared, reversed scan order *)
   local_ix : (string, int) Hashtbl.t;  (* body-declared local -> declaration index *)
   env_grouped : bool;
+  dims : int;  (* NDRange dimensions declared: [Cast.launch_dims] *)
   l3 : int array;  (* work-group size, [|1;1;1|] when flat *)
   sparams : (string, unit) Hashtbl.t;  (* scalar parameter names *)
   uniform_store : (string, unit) Hashtbl.t;
@@ -134,6 +139,7 @@ let build_env (k : kernel) =
       locals = [];
       local_ix = Hashtbl.create 32;
       env_grouped = is_grouped;
+      dims = launch_dims k;
       l3 = local3 k;
       sparams = Hashtbl.create 8;
       uniform_store = Hashtbl.create 4;
@@ -291,8 +297,12 @@ let rec emit env buf ~prec (e : expr) =
       add (if n < 0 then Printf.sprintf "(%dLL)" n else Printf.sprintf "%dLL" n)
   | Real_lit r -> add (real_lit_c r)
   | Var v -> add (var_ref env v)
+  | Global_id d when d >= env.dims && not env.env_grouped ->
+      (* no loop runs over an undeclared dimension: its id is 0 *)
+      add "0LL"
   | Global_id d -> add (Printf.sprintf "rk_g%d" d)
   | Global_size d -> add (Printf.sprintf "rk_gs%d" d)
+  | Group_id d when d >= env.dims && not env.env_grouped -> add "0LL"
   | Group_id d ->
       (* flat model: every work-item is its own group *)
       add (Printf.sprintf (if env.env_grouped then "rk_wg%d" else "rk_g%d") d)
@@ -725,22 +735,22 @@ let written_params (k : kernel) : string list =
       else None)
     k.params
 
-let kernel_source ?(noalias = true) (k : kernel) : string =
+(* The macro an entry is named by: {!translation_unit} defines it. *)
+let entry_macro = "RK_ENTRY"
+
+let entry_source ?(noalias = true) (k : kernel) : string =
   let env = build_env k in
   let buf = Buffer.create 4096 in
   let add = Buffer.add_string buf in
   add
-    (Printf.sprintf "/* kernel %s (%s precision) — generated by the racs native backend */\n"
-       k.name
+    (Printf.sprintf "/* kernel %s (%s precision) */\n" k.name
        (match k.precision with Single -> "single" | Double -> "double"));
-  add preamble;
-  add "\n";
   add
     (Printf.sprintf
        "__attribute__((visibility(\"default\")))\n\
         void %s(double **fb, int64_t **ib, uint8_t **u8b,\n\
        \                       const int64_t *isc, const double *fsc, const int64_t *gsz)\n{\n"
-       entry_symbol);
+       entry_macro);
   add "  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;\n";
   (* parameter prologue, in [bindings] order: read-only buffers (proven
      by [written_params]) are [const]; [restrict] is emitted only when
@@ -792,10 +802,11 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
     env.locals;
   let round_store = k.precision = Single in
   if not env.env_grouped then begin
-    (* the NDRange loop nest: row-major z/y/x like Exec.launch *)
-    add "  for (int64_t rk_g2 = 0; rk_g2 < rk_gs2; rk_g2++)\n";
-    add "  for (int64_t rk_g1 = 0; rk_g1 < rk_gs1; rk_g1++)\n";
-    add "  for (int64_t rk_g0 = 0; rk_g0 < rk_gs0; rk_g0++)\n";
+    (* the NDRange loop nest over the declared dimensions: row-major
+       z/y/x like Exec.launch *)
+    for d = env.dims - 1 downto 0 do
+      add (Printf.sprintf "  for (int64_t rk_g%d = 0; rk_g%d < rk_gs%d; rk_g%d++)\n" d d d d)
+    done;
     add "  {\n";
     List.iter (emit_stmt env buf ~indent:4 ~round_store) k.body;
     add "  }\n}\n"
@@ -825,4 +836,23 @@ let kernel_source ?(noalias = true) (k : kernel) : string =
     emit_group_body env buf ~indent:4 ~round_store k.body;
     add "  }\n}\n"
   end;
+  Buffer.contents buf
+
+(* One translation unit: the prelude once, then each entry under its own
+   name.  The framing here is fixed text, so the cache key, which digests
+   the prelude and each entry, covers the unit; change it only with a
+   bump of the key's salt. *)
+let translation_unit (entries : (string * string) list) : string =
+  let buf = Buffer.create 8192 in
+  let add = Buffer.add_string buf in
+  add
+    (Printf.sprintf "/* %d kernel(s), generated by the racs native backend */\n"
+       (List.length entries));
+  add preamble;
+  List.iter
+    (fun (symbol, entry) ->
+      add (Printf.sprintf "\n#define %s %s\n" entry_macro symbol);
+      add entry;
+      add (Printf.sprintf "#undef %s\n" entry_macro))
+    entries;
   Buffer.contents buf

@@ -1,26 +1,27 @@
 (** Portable-C rendering of kernel ASTs for the native compiled backend.
 
-    Renders a {!Cast.kernel} as a self-contained C99 translation unit
-    exporting a single entry point ({!entry_symbol}) that runs the full
-    NDRange.  The rendering is semantics-exact against the reference
-    interpreter ([Vgpu.Exec]): IEEE double arithmetic, [int64_t] integers with truncating division,
-    [fmod] for real [Mod], OCaml-faithful [Fmin]/[Fmax] helpers, and
-    single-precision rounding on stores to global real buffers.  The
-    prelude includes no header: the fixed-width types come from the
-    compiler's predefined macros, the libm functions have prototypes,
-    and [signbit]/[memset] are compiler builtins.  [Vgpu.Native]
-    compiles the source with the system C compiler and dispatches
-    launches through it. *)
+    Renders a {!Cast.kernel} as a C99 entry function that runs the
+    NDRange, and any number of entries as one translation unit
+    ({!translation_unit}).  The rendering is semantics-exact against the
+    reference interpreter ([Vgpu.Exec]): IEEE double arithmetic,
+    [int64_t] integers with truncating division, [fmod] for real [Mod],
+    OCaml-faithful [Fmin]/[Fmax] helpers, and single-precision rounding
+    on stores to global real buffers.  The prelude includes no header:
+    the fixed-width types come from the compiler's predefined macros,
+    the libm functions have prototypes, and [signbit]/[memset] are
+    compiler builtins.  [Vgpu.Native] compiles units with the system C
+    compiler and dispatches launches through their entries. *)
 
-val entry_symbol : string
-(** Name of the exported entry:
-    [void racs_kernel_entry(double **fb, int64_t **ib, uint8_t **u8b,
-                            const int64_t *isc, const double *fsc,
-                            const int64_t *gsz)]
+val entry_macro : string
+(** [RK_ENTRY], the name every entry is rendered under.  An entry is
+    [void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
+                   const int64_t *isc, const double *fsc,
+                   const int64_t *gsz)]
     — real buffers, int buffers (tagged OCaml words), byte-stored int
     buffers ({!Cast.U8}), int scalars, real scalars (each indexed by the
     slots of {!bindings}), and the three NDRange sizes (missing
-    dimensions padded with 1). *)
+    dimensions padded with 1).  {!translation_unit} defines the macro to
+    each entry's exported name. *)
 
 type binding =
   | Arg_fbuf of int  (** real buffer -> [fb[slot]] *)
@@ -38,15 +39,23 @@ val bindings : Cast.kernel -> binding list
 val written_params : Cast.kernel -> string list
 (** The global-buffer parameters the kernel stores to, in parameter
     order — the write set behind the qualifier emission of
-    {!kernel_source}.  Proven by {!Footprint}'s abstract interpretation
+    {!entry_source}.  Proven by {!Footprint}'s abstract interpretation
     (whose write side counts every static store site, indirect scatters
     included), unioned with a syntactic walk over [Store] targets as a
     conservative floor: a buffer is reported read-only only when both
     analyses agree it is never written. *)
 
-val kernel_source : ?noalias:bool -> Cast.kernel -> string
-(** The complete translation unit.  Deterministic: equal kernels render
-    to equal strings, so the source digest can key a binary cache.
+val preamble : string
+(** The prelude every translation unit starts with: types, libm
+    prototypes and the [Fmin]/[Fmax] helpers. *)
+
+val entry_source : ?noalias:bool -> Cast.kernel -> string
+(** One kernel's entry, named {!entry_macro}.  Deterministic: equal
+    kernels render to equal strings, so the text can key a binary
+    cache.  A flat kernel loops over the NDRange dimensions it declares
+    ({!Cast.launch_dims}) and reads [get_global_id] of any other
+    dimension as 0, which the rank rule ({!Cast.check_ndrange}) makes
+    exact; a grouped kernel keeps its three work-group loops.
 
     Buffer parameters outside {!written_params} are emitted [const].
     With [noalias] (the default) every buffer parameter is additionally
@@ -58,3 +67,9 @@ val kernel_source : ?noalias:bool -> Cast.kernel -> string
     ever lying to the C compiler.
     @raise Failure on an unbound identifier (the kernel would not
     interpret either). *)
+
+val translation_unit : (string * string) list -> string
+(** [translation_unit [(symbol, entry); ...]]: the {!preamble} once,
+    then each entry (from {!entry_source}) exported as its [symbol].
+    Entries do not see one another: each is compiled to the code it
+    would get alone. *)

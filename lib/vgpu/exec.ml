@@ -275,8 +275,9 @@ let launch ?hook ?on_workitem ?on_group ?on_barrier (k : kernel) ~(args : Args.t
     invalid_arg
       (Printf.sprintf "vgpu: kernel %s expects %d args, got %d" k.name
          (List.length k.params) (List.length args));
+  check_ndrange k ~global;
   let gsize = Array.make 3 1 in
-  List.iteri (fun d n -> gsize.(d) <- n) global;
+  List.iteri (fun d n -> if d < 3 then gsize.(d) <- n) global;
   let cells = Hashtbl.create 32 in
   List.iter2
     (fun p (a : Args.t) ->

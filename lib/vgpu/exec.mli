@@ -62,6 +62,8 @@ val launch :
 
     @raise Invalid_argument on arity, argument-kind, or NDRange /
     work-group-size divisibility mismatch.
+    @raise Kernel_ast.Cast.Ndrange_rank when [global] has more
+    dimensions than the kernel declares, other than trailing 1s.
     @raise Exec_error on faults inside a work-item (unbound names, kind
     confusion, out-of-range accesses when no hook intercepts, barrier
     divergence within a work-group). *)

@@ -83,6 +83,14 @@ let run_op t = function
 
 let run t (plan : plan) = List.iter (run_op t) plan
 
+(* Prepare a step's launches on every device with one batch build. *)
+let prepare t (ops : op list) =
+  Runtime.prepare
+    (Array.to_list
+       (Array.mapi
+          (fun i d -> (d, List.filter_map (function Dev (j, op) when j = i -> Some op | _ -> None) ops))
+          t.devices))
+
 (* -- Asynchronous execution ------------------------------------------ *)
 
 (* An async plan is a plan whose ops carry explicit event dependencies:

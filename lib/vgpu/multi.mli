@@ -60,6 +60,12 @@ type plan = op list
 val run_op : t -> op -> unit
 val run : t -> plan -> unit
 
+val prepare : t -> op list -> unit
+(** {!Runtime.prepare} of each device's [Launch] ops: the step's
+    launches are optimized and verified on their devices, then every
+    distinct kernel that misses is built in one batch for all of them.
+    [Exchange] ops are ignored. *)
+
 (** {2 Asynchronous execution}
 
     An async plan tags each op with explicit event dependencies: ops run

@@ -8,18 +8,27 @@
    semantics ([-fno-fast-math -ffp-contract=off]) so results are
    bit-identical to the interpreter.
 
-   Shared objects are kept in a content-addressed on-disk cache keyed
-   by a digest of the generated C source plus the compiler command
-   line: the source string is a faithful function of (kernel AST x
-   precision), and optimization changes the AST hence the source, so
-   the digest covers everything the binary depends on.  Installs are
-   atomic (compile to a temp name, rename into place) so concurrent
-   processes never observe a half-written object; a cache entry that
-   fails to dlopen is treated as corrupt and recompiled over.
+   There is one build path, the batch ([build]): the kernels that miss
+   the memo and the disk cache are rendered into one translation unit —
+   one prelude, one entry per kernel — and built by a single [cc] run,
+   since a [cc] process costs most of its time before it reads a line
+   of kernel code.  [compile] is the one-kernel batch.
 
-   Within a process, compilations are memoized by the same digest
-   under a mutex — a multi-device runtime compiles each distinct
-   kernel once, every other device reuses the loaded handle. *)
+   Shared objects are kept in a content-addressed on-disk cache.  A
+   kernel's key digests its entry's text plus the prelude and the
+   compiler command line: the entry is a faithful function of (kernel
+   AST x precision), and optimization changes the AST hence the entry,
+   so the key covers everything the kernel's code depends on.  The
+   entry is exported under a name made from its key, so any object
+   holding it serves that key: a batch's object is installed under
+   every member's own [<key>.so], each a hard link made by an atomic
+   rename, and a later process loads each kernel with one [dlopen] of
+   its own entry.  A cache entry that fails to dlopen, or lacks its
+   symbol, is treated as corrupt and rebuilt over.
+
+   Within a process, builds are memoized by the same key under a mutex:
+   a runtime asking for a kernel another device already loaded reuses
+   the handle. *)
 
 open Kernel_ast
 
@@ -109,6 +118,7 @@ let set_cache_dir d =
 
 type counters = {
   c_compiles : int;  (** cc actually ran *)
+  c_kernels_built : int;  (** kernels those cc runs built *)
   c_disk_hits : int;  (** shared object found on disk and loaded *)
   c_memo_hits : int;  (** in-process memo hit, no disk access *)
   c_cc_ns : int;  (** wall time in cc runs *)
@@ -116,6 +126,7 @@ type counters = {
 }
 
 let n_compiles = Atomic.make 0
+let n_built = Atomic.make 0
 let n_disk_hits = Atomic.make 0
 let n_memo_hits = Atomic.make 0
 let cc_ns = Atomic.make 0
@@ -124,6 +135,7 @@ let dlopen_ns = Atomic.make 0
 let counters () =
   {
     c_compiles = Atomic.get n_compiles;
+    c_kernels_built = Atomic.get n_built;
     c_disk_hits = Atomic.get n_disk_hits;
     c_memo_hits = Atomic.get n_memo_hits;
     c_cc_ns = Atomic.get cc_ns;
@@ -131,11 +143,7 @@ let counters () =
   }
 
 let reset_counters () =
-  Atomic.set n_compiles 0;
-  Atomic.set n_disk_hits 0;
-  Atomic.set n_memo_hits 0;
-  Atomic.set cc_ns 0;
-  Atomic.set dlopen_ns 0
+  List.iter (fun a -> Atomic.set a 0) [ n_compiles; n_built; n_disk_hits; n_memo_hits; cc_ns; dlopen_ns ]
 
 (* Run [f], adding its wall time to [total] whether it returns or
    raises. *)
@@ -143,7 +151,7 @@ let timed total f =
   let t0 = Clock.now_ns () in
   Fun.protect ~finally:(fun () -> ignore (Atomic.fetch_and_add total (Clock.now_ns () - t0))) f
 
-(* {2 Compilation} *)
+(* {2 Batch members} *)
 
 type compiled = {
   kernel : Cast.kernel;
@@ -160,29 +168,47 @@ type compiled = {
   n_isc : int;
   n_fsc : int;
   fn : nativeint;
-  key : string;
-  so_path : string;
 }
 
-let source ?noalias k = Native_c.kernel_source ?noalias k
+(* A kernel as a member of a batch: its entry's text and the key it
+   gives under the current toolchain. *)
+type member = {
+  m_kernel : Cast.kernel;
+  m_noalias : bool;
+  m_entry : string;
+  m_key : string;
+}
 
-(* The salt names the entry ABI (v3: int arrays as tagged words, plus a
-   slot array for byte buffers).  Bump it whenever the ABI changes, so a
-   cached binary of another ABI is never loaded.  The prelude and the
-   link line need no bump: the source and [fixed_args] are keyed
+(* The salt names the entry ABI (v4: entries named by their key, many to
+   a unit; v3: int arrays as tagged words, plus a slot array for byte
+   buffers).  Bump it whenever the ABI or the unit's fixed framing
+   changes, so a cached binary of another ABI is never loaded.  The
+   prelude, the entry and the link line need no bump: they are keyed
    whole. *)
-let key_of_source src =
+let key_of_entry entry =
   let fl, libs = fixed_args () in
-  Digest.to_hex (Digest.string (String.concat "\x00" [ "racs-native-v3"; cc (); fl; libs; src ]))
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\x00" [ "racs-native-v4"; cc (); fl; libs; Native_c.preamble; entry ]))
+
+let member ~noalias k =
+  let entry = Native_c.entry_source ~noalias k in
+  { m_kernel = k; m_noalias = noalias; m_entry = entry; m_key = key_of_entry entry }
+
+(* The exported name of a member's entry. *)
+let symbol key = "racs_kernel_" ^ key
+
+let unit_source ms = Native_c.translation_unit (List.map (fun m -> (symbol m.m_key, m.m_entry)) ms)
+let source ?(noalias = true) k = unit_source [ member ~noalias k ]
 
 (* Key of the binary a kernel would compile to under the current
    toolchain configuration (exposed so tests can check that different
    optimization outcomes produce different cache entries). *)
-let cache_key (k : Cast.kernel) = key_of_source (source k)
+let cache_key (k : Cast.kernel) = (member ~noalias:true k).m_key
 
 exception No_compiler of string
 
-let run_cc ~src_path ~out_path =
+let run_cc ~what ~src_path ~out_path =
   let err_path = out_path ^ ".err" in
   let fl, libs = fixed_args () in
   let cmd =
@@ -205,10 +231,12 @@ let run_cc ~src_path ~out_path =
      any other failure is the compiler rejecting the source *)
   if rc = 126 || rc = 127 then raise (No_compiler (cc ()));
   if rc <> 0 then
-    failwith (Printf.sprintf "native: C compilation failed (%s, exit %d)\n%s" (cc ()) rc err)
+    failwith (Printf.sprintf "native: C compilation failed for %s (%s, exit %d)\n%s" what (cc ()) rc err)
+
+let tmp_name path = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ())
 
 let write_file path contents =
-  let tmp = Printf.sprintf "%s.%d.tmp" path (Unix.getpid ()) in
+  let tmp = tmp_name path in
   let oc = open_out_bin tmp in
   output_string oc contents;
   close_out oc;
@@ -232,40 +260,6 @@ let looks_like_shared_object path =
          || String.equal magic "\xfe\xed\xfa\xcf")
 
 let load path = timed dlopen_ns (fun () -> dl_open path)
-
-(* Compile [src] (or reuse the cached object) and return the loaded
-   shared object's path and handle. *)
-let compile_source ~key src =
-  let dir = cache_dir () in
-  let so_path = Filename.concat dir (key ^ ".so") in
-  let c_path = Filename.concat dir (key ^ ".c") in
-  let build () =
-    write_file c_path src;
-    let tmp_so = Printf.sprintf "%s.%d.tmp" so_path (Unix.getpid ()) in
-    run_cc ~src_path:c_path ~out_path:tmp_so;
-    Unix.rename tmp_so so_path;
-    Atomic.incr n_compiles;
-    load so_path
-  in
-  if Sys.file_exists so_path && looks_like_shared_object so_path then (
-    match load so_path with
-    | h ->
-        Atomic.incr n_disk_hits;
-        (so_path, h)
-    | exception Failure _ ->
-        (* corrupt or truncated entry: rebuild over it *)
-        (so_path, build ()))
-  else (so_path, build ())
-
-(* In-process memo: digest -> compiled, shared across runtimes and
-   domains. *)
-let memo : (string, compiled) Hashtbl.t = Hashtbl.create 16
-let memo_mutex = Mutex.create ()
-
-let reset_memo () =
-  Mutex.lock memo_mutex;
-  Hashtbl.reset memo;
-  Mutex.unlock memo_mutex
 
 (* Slots per ABI category: real, int and byte buffers, int and real
    scalars. *)
@@ -300,47 +294,144 @@ let alias_pairs (k : Cast.kernel) bindings =
   done;
   Array.of_list (List.rev !pairs)
 
-let compile ?(noalias = true) (k : Cast.kernel) : compiled =
-  let src = source ~noalias k in
-  let key = key_of_source src in
+let so_path key = Filename.concat (cache_dir ()) (key ^ ".so")
+
+(* Load a member's installed object and find its entry.
+   @raise Failure when dlopen or dlsym fails. *)
+let load_member m =
+  let fn = dl_sym (load (so_path m.m_key)) (symbol m.m_key) in
+  let k = m.m_kernel in
+  let bindings = Array.of_list (Native_c.bindings k) in
+  let n = count_bindings bindings in
+  {
+    kernel = k;
+    bindings;
+    alias_pairs = alias_pairs k bindings;
+    grouped = Cast.grouped k;
+    noalias = m.m_noalias;
+    n_fb = n.(0);
+    n_ib = n.(1);
+    n_u8b = n.(2);
+    n_isc = n.(3);
+    n_fsc = n.(4);
+    fn;
+  }
+
+(* The member's cached object, or [None] when there is none or it is
+   corrupt: no shared-object magic, a failing dlopen, or no entry under
+   the member's name. *)
+let cached m =
+  let path = so_path m.m_key in
+  if Sys.file_exists path && looks_like_shared_object path then
+    match load_member m with
+    | c ->
+        Atomic.incr n_disk_hits;
+        Some c
+    | exception Failure _ -> None
+  else None
+
+(* Install a freshly built object [tmp] under each member's key: one
+   member takes it by rename; several each get a hard link, renamed into
+   place so a concurrent reader sees the old entry or the whole new one
+   (a copy where the file system has no hard links). *)
+let install tmp = function
+  | [ m ] -> Unix.rename tmp (so_path m.m_key)
+  | ms ->
+      List.iter
+        (fun m ->
+          let dst = so_path m.m_key in
+          let staged = tmp_name dst in
+          (try Unix.link tmp staged
+           with Unix.Unix_error _ ->
+             write_file staged (In_channel.with_open_bin tmp In_channel.input_all));
+          Unix.rename staged dst)
+        ms;
+      Sys.remove tmp
+
+(* One [cc] run for members of distinct keys.  The unit's source is kept
+   as [<id>.c] beside the objects: [id] is the sole member's key, or a
+   digest of the members' keys.
+   @raise No_compiler, or Failure when cc or a load fails. *)
+let build_unit ms =
+  let id =
+    match ms with
+    | [ m ] -> m.m_key
+    | _ -> Digest.to_hex (Digest.string (String.concat "" (List.map (fun m -> m.m_key) ms)))
+  in
+  let base = Filename.concat (cache_dir ()) id in
+  write_file (base ^ ".c") (unit_source ms);
+  let tmp = tmp_name (base ^ ".so") in
+  let what =
+    match ms with
+    | [ m ] -> "kernel " ^ m.m_kernel.Cast.name
+    | _ -> Printf.sprintf "a unit of %d kernels" (List.length ms)
+  in
+  run_cc ~what ~src_path:(base ^ ".c") ~out_path:tmp;
+  Atomic.incr n_compiles;
+  ignore (Atomic.fetch_and_add n_built (List.length ms));
+  install tmp ms;
+  List.map (fun m -> (m.m_key, Ok (load_member m))) ms
+
+(* Build members of distinct keys.  When a unit of several fails, its
+   members are built one at a time: the error names the kernel at
+   fault, and the others still load.  No compiler at all fails every
+   member at once. *)
+let rec build_members ms =
+  match build_unit ms with
+  | built -> built
+  | exception (Failure _ | Unix.Unix_error _ | Sys_error _) when List.compare_length_with ms 1 > 0
+    ->
+      List.concat_map (fun m -> build_members [ m ]) ms
+  | exception e -> List.map (fun m -> (m.m_key, Error e)) ms
+
+(* In-process memo: key -> compiled, shared across runtimes and
+   domains. *)
+let memo : (string, compiled) Hashtbl.t = Hashtbl.create 16
+let memo_mutex = Mutex.create ()
+
+let reset_memo () =
   Mutex.lock memo_mutex;
-  match Hashtbl.find_opt memo key with
-  | Some c ->
-      Atomic.incr n_memo_hits;
-      Mutex.unlock memo_mutex;
-      c
-  | None ->
-      (* hold the lock through the compile: concurrent domains asking
-         for the same kernel must not race cc on the same cache entry *)
-      let result =
-        try
-          let so_path, handle = compile_source ~key src in
-          let fn = dl_sym handle Native_c.entry_symbol in
-          let bindings = Array.of_list (Native_c.bindings k) in
-          let n = count_bindings bindings in
-          let c =
-            {
-              kernel = k;
-              bindings;
-              alias_pairs = alias_pairs k bindings;
-              grouped = Cast.grouped k;
-              noalias;
-              n_fb = n.(0);
-              n_ib = n.(1);
-              n_u8b = n.(2);
-              n_isc = n.(3);
-              n_fsc = n.(4);
-              fn;
-              key;
-              so_path;
-            }
-          in
-          Hashtbl.replace memo key c;
-          Ok c
-        with e -> Error e
-      in
-      Mutex.unlock memo_mutex;
-      (match result with Ok c -> c | Error e -> raise e)
+  Hashtbl.reset memo;
+  Mutex.unlock memo_mutex
+
+(* Each kernel from the memo, else the disk cache, else one [cc] run for
+   all the rest.  The lock is held through the build: concurrent domains
+   asking for the same kernel must not race cc on the same cache
+   entry. *)
+let build ?(noalias = true) (ks : Cast.kernel list) =
+  let ms = List.map (member ~noalias) ks in
+  Mutex.lock memo_mutex;
+  Fun.protect
+    ~finally:(fun () -> Mutex.unlock memo_mutex)
+    (fun () ->
+      let got = Hashtbl.create 8 and missing = ref [] in
+      List.iter
+        (fun m ->
+          match Hashtbl.find_opt memo m.m_key with
+          | Some c ->
+              Atomic.incr n_memo_hits;
+              Hashtbl.replace got m.m_key (Ok c)
+          | None when Hashtbl.mem got m.m_key || List.exists (fun m' -> m'.m_key = m.m_key) !missing
+            ->
+              (* the batch has this key already: the memo will hold it *)
+              Atomic.incr n_memo_hits
+          | None -> (
+              match cached m with
+              | Some c ->
+                  Hashtbl.replace memo m.m_key c;
+                  Hashtbl.replace got m.m_key (Ok c)
+              | None -> missing := m :: !missing))
+        ms;
+      if !missing <> [] then
+        List.iter
+          (fun (key, r) ->
+            (match r with Ok c -> Hashtbl.replace memo key c | Error _ -> ());
+            Hashtbl.replace got key r)
+          (build_members (List.rev !missing));
+      List.map (fun m -> Hashtbl.find got m.m_key) ms)
+
+let compile ?noalias k =
+  match build ?noalias [ k ] with [ Ok c ] -> c | [ Error e ] -> raise e | _ -> assert false
 
 (* {2 Launch}
 
@@ -399,10 +490,11 @@ let fill (c : compiled) (pk : packet) (args : Args.t array) =
              c.kernel.name)
   done
 
+(* [global] past the third entry holds only 1s (the rank rule). *)
 let rec fill_global gsz d = function
   | [] -> ()
   | n :: rest ->
-      gsz.(d) <- n;
+      if d < 3 then gsz.(d) <- n;
       fill_global gsz (d + 1) rest
 
 (* Does the binding in [pk] break the restrict promise?  Buffers of
@@ -418,13 +510,16 @@ let aliased (c : compiled) (pk : packet) =
   done;
   !hazard
 
-(* Run the full NDRange ([global] padded to 3 dimensions with 1s).  An
-   aliased launch would break the restrict promise, so it dispatches the
-   no-restrict rendering of the same kernel instead (its own
-   content-addressed cache entry, compiled at most once); both
-   renderings share the slot layout. *)
+(* Run the full NDRange ([global] padded to 3 dimensions with 1s).  The
+   entry loops only over the dimensions the kernel declares, so a launch
+   breaking the rank rule is refused first.  An aliased launch would
+   break the restrict promise, so it dispatches the no-restrict
+   rendering of the same kernel instead (its own content-addressed cache
+   entry, compiled at most once); both renderings share the slot
+   layout. *)
 let dispatch (l : launcher) (args : Args.t array) ~(global : int list) =
   let c = l.l_c and pk = l.l_pk in
+  Cast.check_ndrange c.kernel ~global;
   fill c pk args;
   pk.pk_gsz.(0) <- 1;
   pk.pk_gsz.(1) <- 1;

@@ -4,10 +4,16 @@
     pin IEEE double semantics, so launches are bit-identical to the
     reference interpreter.
 
-    Binaries live in a content-addressed on-disk cache (digest of the
-    generated C source + compiler command line), installed atomically;
-    corrupt entries are recompiled over.  In-process, compilations are
-    memoized by the same digest across runtimes and domains. *)
+    One build path: {!build} renders the kernels that miss both the
+    in-process memo and the disk cache into one translation unit and
+    runs the compiler once for all of them; {!compile} is its one-kernel
+    case.  Binaries live in a content-addressed on-disk cache, one
+    [<key>.so] per kernel (a digest of its entry's C text, the prelude
+    and the compiler command line), installed atomically; a batch's
+    object is installed under every member's key, and each entry is
+    exported under a name made from its key, so any object holding it
+    serves that key.  Corrupt entries are rebuilt over.  In-process,
+    builds are memoized by the same key across runtimes and domains. *)
 
 type compiled
 
@@ -17,13 +23,26 @@ exception No_compiler of string
     (exit 127).  {!Runtime} answers it by running the kernel on the
     interpreter. *)
 
+val build :
+  ?noalias:bool -> Kernel_ast.Cast.kernel list -> (compiled, exn) result list
+(** One result per kernel, in order.  Each kernel is rendered once and
+    loaded from the memo, else from the disk cache; all the others are
+    built by a single [cc] run of one translation unit, installed under
+    each one's own key.  Kernels with equal keys share one result.
+    [noalias] (default true) renders buffer parameters [restrict],
+    proven per launch — see {!dispatch}.
+
+    When the compiler rejects a unit of several kernels, they are built
+    one at a time, so each error names its own kernel and the others
+    still load.  A failed kernel's result is [Error]: {!No_compiler} when
+    the C compiler cannot be run (for every kernel of the call), or
+    [Failure] when it rejects the source (the compiler's stderr is
+    included). *)
+
 val compile : ?noalias:bool -> Kernel_ast.Cast.kernel -> compiled
-(** Render, then load from the memo, the disk cache, or a fresh [cc]
-    run, in that order.  [noalias] (default true) renders buffer
-    parameters [restrict], proven per launch — see {!launch}.
+(** {!build} of one kernel.
     @raise No_compiler if the C compiler cannot be run.
-    @raise Failure if the C compiler rejects the generated source (the
-    compiler's stderr is included). *)
+    @raise Failure if the C compiler rejects the generated source. *)
 
 type launcher
 (** One compiled kernel's launch packet: the argument slot arrays and
@@ -40,7 +59,7 @@ val dispatch : launcher -> Args.t array -> global:int list -> unit
 (** Fill the slots from the arguments and run the full NDRange
     ([global] padded to 3 dimensions with 1s).  Scalar arguments
     coerce: a real argument to an int parameter truncates, an int
-    argument to a real parameter widens.
+    argument to a real parameter widens.  Allocates nothing.
 
     When the compiled object carries [restrict] qualifiers, the filled
     slots are first checked for aliasing hazards, by physical
@@ -53,13 +72,18 @@ val dispatch : launcher -> Args.t array -> global:int list -> unit
     path.  A {!Kernel_ast.Cast.U8} parameter takes a {!Buffer.U8}
     argument, passed in place like every buffer.
     @raise Invalid_argument on an argument count, kind or storage
-    mismatch (a [U8] buffer for a word parameter, or the reverse). *)
+    mismatch (a [U8] buffer for a word parameter, or the reverse).
+    @raise Kernel_ast.Cast.Ndrange_rank when [global] has more
+    dimensions than the kernel declares, other than trailing 1s: the
+    entry loops over the declared ones only. *)
 
 val launch : compiled -> args:Args.t list -> global:int list -> unit
 (** {!dispatch} on a fresh {!launcher}. *)
 
 val source : ?noalias:bool -> Kernel_ast.Cast.kernel -> string
-(** The C translation unit [compile] builds (for inspection/tests). *)
+(** The C translation unit [compile] builds for a kernel alone (for
+    inspection/tests): the prelude and the kernel's entry, exported as
+    [racs_kernel_<key>]. *)
 
 val cache_key : Kernel_ast.Cast.kernel -> string
 (** Content digest keying the on-disk entry for this kernel under the
@@ -90,6 +114,7 @@ val flags : unit -> string
 
 type counters = {
   c_compiles : int;  (** cc actually ran *)
+  c_kernels_built : int;  (** kernels those cc runs built, one or more each *)
   c_disk_hits : int;  (** shared object found on disk and loaded *)
   c_memo_hits : int;  (** in-process memo hit, no disk access *)
   c_cc_ns : int;  (** wall time in cc runs, failed ones included *)
@@ -103,5 +128,5 @@ val counters : unit -> counters
 val reset_counters : unit -> unit
 
 val reset_memo : unit -> unit
-(** Drop the in-process memo so the next {!compile} exercises the disk
+(** Drop the in-process memo so the next {!build} exercises the disk
     cache (tests use this to observe cold/warm behaviour). *)

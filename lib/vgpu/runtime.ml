@@ -10,7 +10,8 @@
    step only enqueues launches and swaps buffer pointers, a launch is
    optimized, compiled, verified and bound once: later dispatches read
    their argument cells, compare their launch signature and call the
-   compiled entry. *)
+   compiled entry.  [prepare] does that for a whole step's launches
+   ahead of the first, so their kernels build in one [cc] run. *)
 
 open Kernel_ast
 
@@ -91,6 +92,9 @@ type prepared = {
       (* resolved at the first dispatch that passes verification, so a
          refused launch compiles nothing *)
   mutable verified : launch_sig option;
+  mutable fresh : bool;
+      (* [prepare] made the lookups of this launch's next dispatch, which
+         therefore counts none *)
 }
 
 (* An op whose buffer names are resolved to cells: a [Swap]'s two, or a
@@ -232,13 +236,13 @@ let rec find_prepared kernel = function
 (* The prepared launch of [raw], prepared on first sight: optimized
    through the opt cache (keyed by structural digest, so each distinct
    raw kernel is optimized once per runtime) and digested.  Finding it
-   prepared stands in for the opt-cache lookup, which counts as a hit.
-   The engine entry waits for the first dispatch that passes
-   verification. *)
+   prepared stands in for the opt-cache lookup, which counts as a hit
+   unless [prepare] counted it already.  The engine entry waits for the
+   first dispatch, or [prepare], that passes verification. *)
 let prepared t (raw : Cast.kernel) =
   match find_prepared raw t.prepared with
   | p ->
-      if t.optimize then Kcache.note_hit t.opt_cache;
+      if t.optimize && not p.fresh then Kcache.note_hit t.opt_cache;
       p
   | exception Not_found ->
       let raw_digest = digest_of raw in
@@ -254,7 +258,7 @@ let prepared t (raw : Cast.kernel) =
       (* a pipeline that changes nothing returns its input physically *)
       let digest = if kernel == raw then raw_digest else digest_of kernel in
       let entry = if native_lookups t then None else Some Interpreted in
-      let p = { raw; kernel; report; digest; entry; verified = None } in
+      let p = { raw; kernel; report; digest; entry; verified = None; fresh = false } in
       t.prepared <- remember p t.prepared;
       p
 
@@ -267,22 +271,30 @@ let fallback_logged = Atomic.make false
    unbounded kernel streams.  When the C compiler cannot be run at all
    the kernel runs on the interpreter; that verdict is cached too, so
    the kernel is not retried through a shell on every launch, and the
-   first one in the process is logged. *)
-let engine_entry t (p : prepared) =
+   first one in the process is logged.  [built] holds the results of a
+   batch build by digest; a kernel outside it is built alone.  [counted]:
+   [prepare] already counted this lookup. *)
+let engine_entry ?(built = []) t (p : prepared) ~counted =
   match p.entry with
   | Some e ->
-      if native_lookups t then Kcache.note_hit t.native_cache;
+      if native_lookups t && not counted then Kcache.note_hit t.native_cache;
       e
   | None ->
       let compiled =
         Kcache.find_or_add t.native_cache p.digest (fun () ->
-            match Native.compile p.kernel with
-            | c -> Some c
-            | exception Native.No_compiler cc ->
+            let result =
+              match List.assoc_opt p.digest built with
+              | Some r -> r
+              | None -> ( try Ok (Native.compile p.kernel) with Native.No_compiler _ as e -> Error e)
+            in
+            match result with
+            | Ok c -> Some c
+            | Error (Native.No_compiler cc) ->
                 if not (Atomic.exchange fallback_logged true) then
                   Printf.eprintf
                     "vgpu: C compiler %S cannot be run; kernels fall back to the interpreter\n%!" cc;
-                None)
+                None
+            | Error e -> raise e)
       in
       let e = match compiled with Some c -> Compiled (Native.launcher c) | None -> Interpreted in
       p.entry <- Some e;
@@ -312,9 +324,10 @@ let same_sig (p : prepared) args global =
    Clean verdicts are cached by (kernel, NDRange, argument signature);
    an [Unsafe] verdict aborts the launch.  A dispatch repeating the
    signature last verified for this prepared launch skips the lookup,
-   which counts as a check-cache hit. *)
-let verify_launch t (p : prepared) (args : Args.t array) ~global =
-  if same_sig p args global then Kcache.note_hit t.check_cache
+   which counts as a check-cache hit unless [prepare] counted it
+   ([counted]). *)
+let verify_launch t (p : prepared) (args : Args.t array) ~global ~counted =
+  if same_sig p args global then (if not counted then Kcache.note_hit t.check_cache)
   else begin
     let kernel = p.kernel and args_l = Array.to_list args in
     let lsig =
@@ -369,10 +382,12 @@ let kstat t name =
    once its engine ran it: a refused or rejected launch counts
    nowhere. *)
 let dispatch t (p : prepared) (args : Args.t array) ~global =
-  if t.verify then verify_launch t p args ~global;
+  let counted = p.fresh in
+  p.fresh <- false;
+  if t.verify then verify_launch t p args ~global ~counted;
   (* compiled code is resolved before the timer starts: a first launch's
      cc + dlopen is not kernel time *)
-  let entry = engine_entry t p in
+  let entry = engine_entry t p ~counted in
   let t0 = now () in
   (match (t.sanitizer, entry) with
   | Some s, _ ->
@@ -480,6 +495,52 @@ let run_op t = function
       ignore (dispatch t (prepared t kernel) b.args ~global)
 
 let run t (plan : plan) = List.iter (run_op t) plan
+
+(* Prepare the launches of one step on several runtimes, ahead of its
+   first launch: every kernel is optimized and, under [verify], checked
+   with the arguments of its first launch in the step as bound now, so a
+   refused launch raises before anything is built; then the kernels no
+   runtime has an entry for are built in one batch, each distinct one
+   rendered once, and every runtime takes its entries from it.  The
+   lookups are counted here and stand for the kernel's next dispatch,
+   which counts none; a later launch of the same kernel in the step
+   verifies at its own dispatch, as it would without [prepare]. *)
+let prepare (devices : (t * op list) list) =
+  let staged =
+    List.fold_left
+      (fun acc (t, ops) ->
+        List.fold_left
+          (fun acc op ->
+            match op with
+            | Launch { kernel; args; global }
+              when not (List.exists (fun (t', p, _) -> t' == t && p.raw == kernel) acc) ->
+                let p = prepared t kernel in
+                let counted = p.fresh in
+                if t.verify then
+                  verify_launch t p (Array.of_list (List.map (resolve_arg t) args)) ~global ~counted;
+                p.fresh <- true;
+                (t, p, counted) :: acc
+            | _ -> acc)
+          acc ops)
+      [] devices
+    |> List.rev
+  in
+  let to_build =
+    List.fold_left
+      (fun acc (t, p, _) ->
+        if Option.is_none p.entry
+           && (not (Kcache.mem t.native_cache p.digest))
+           && not (List.mem_assoc p.digest acc)
+        then (p.digest, p.kernel) :: acc
+        else acc)
+      [] staged
+    |> List.rev
+  in
+  let built =
+    if to_build = [] then []
+    else List.combine (List.map fst to_build) (Native.build (List.map snd to_build))
+  in
+  List.iter (fun (t, p, counted) -> ignore (engine_entry ~built t p ~counted)) staged
 
 (* -- Launch-level observability ------------------------------------- *)
 

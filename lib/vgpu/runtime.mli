@@ -189,9 +189,10 @@ val launch_resolved : t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:
     arguments at each op's list position and charges this duration to
     the device's virtual clock.
 
-    The first launch of a kernel value prepares it: optimized, its
-    native binary fetched (after verification, so a refused kernel
-    compiles nothing) and wrapped in a {!Native.launcher}.  Every later
+    The first launch of a kernel value prepares it, unless {!prepare}
+    did: optimized, its native binary fetched (after verification, so a
+    refused kernel compiles nothing) and wrapped in a
+    {!Native.launcher}.  Every later
     launch of that value reuses the preparation, and under [verify]
     compares its launch signature (NDRange, int scalars, buffer extents)
     with the last one verified clean, re-verifying only when it differs.
@@ -211,6 +212,26 @@ val run_op : t -> op -> unit
     type differs from the plan's allocation. *)
 
 val run : t -> plan -> unit
+
+val prepare : (t * op list) list -> unit
+(** Prepare the [Launch] ops of one step, given per runtime, ahead of
+    its first launch (other ops are ignored).  Each kernel is optimized
+    and, under [verify], its first launch in the step is checked with
+    its arguments as the buffer table binds them now, so a refused
+    launch raises {!Unsafe_kernel} before anything is built (a later
+    launch of the same kernel is checked at its own dispatch).  Then
+    every kernel some runtime has no native
+    entry for is built in one {!Native.build}: each distinct kernel (by
+    structural digest) rendered and looked up once, one [cc] run for all
+    that miss the disk cache, and every runtime launching it takes its
+    entry from that build.  The lookups made here stand for each
+    launch's next dispatch, which then counts none, so {!stats} reads
+    as if that dispatch had made them.  A launch that was never prepared
+    still prepares itself at its first dispatch, building its kernel
+    alone.
+    @raise Unsafe_kernel if verification refutes a launch.
+    @raise Failure if the C compiler rejects a kernel (the others are
+    built and loaded). *)
 
 (** {2 Launch-level observability} *)
 

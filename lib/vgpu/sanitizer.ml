@@ -322,6 +322,7 @@ let string_starts_with ~prefix s =
   && String.equal (String.sub s 0 (String.length prefix)) prefix
 
 let launch t (k : Kernel_ast.Cast.kernel) ~args ~global =
+  Kernel_ast.Cast.check_ndrange k ~global;
   begin_launch t ~kernel:k.name;
   t.local_lens <- local_lens_of k;
   t.phase <- 0;

@@ -92,7 +92,9 @@ val launch :
     group/barrier notifications are wired too: [__local] arrays are
     shadowed per group with barrier-phase tracking, and a barrier
     divergence is recorded as a violation instead of aborting the
-    caller. *)
+    caller.
+    @raise Kernel_ast.Cast.Ndrange_rank before the launch begins, as
+    {!Exec.launch} would. *)
 
 (** {2 Results} *)
 

@@ -27,10 +27,7 @@ module Check = Kernel_ast.Check
 (* Compiled-C artefacts go to a scratch cache, not the user's. *)
 let scratch_cache =
   lazy
-    (let dir =
-       Filename.concat (Filename.get_temp_dir_name ())
-         (Printf.sprintf "racs-conformance-test-%d" (Unix.getpid ()))
-     in
+    (let dir = Test_util.scratch_dir "conformance" in
      Vgpu.Native.set_cache_dir dir;
      dir)
 

@@ -17,8 +17,7 @@ let scratch_counter = ref 0
 let use_scratch_dir () =
   incr scratch_counter;
   let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "racs-plan-test-%d-%d" (Unix.getpid ()) !scratch_counter)
+    Filename.concat (Lazy.force Test_util.scratch_root) (Printf.sprintf "plans-%d" !scratch_counter)
   in
   PC.set_cache_dir dir;
   PC.reset_counters ();

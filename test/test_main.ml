@@ -4,6 +4,13 @@
 let release_domains (name, speed, f) =
   (name, speed, fun () -> Fun.protect ~finally:(fun () -> Vgpu.Pool.shutdown Vgpu.Pool.global) f)
 
+(* Every native binary and tuned plan goes to the scratch root, never to
+   the user's caches, from the first group on. *)
+let () =
+  Vgpu.Native.set_cache_dir (Test_util.scratch_dir "native");
+  Harness.Plan_cache.set_cache_dir (Test_util.scratch_dir "plans");
+  at_exit (fun () -> Test_util.remove_tree (Lazy.force Test_util.scratch_root))
+
 let () =
   Alcotest.run "lift-room-acoustics"
   @@ List.map (fun (group, suite) -> (group, List.map release_domains suite))

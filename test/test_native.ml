@@ -31,18 +31,22 @@
 
    Without a C compiler, or with one that cannot be executed, the
    native engine falls back to the interpreter, bit-identically; a
-   compiler that runs and fails still raises. *)
+   compiler that runs and fails still raises.
+
+   Batches: a cold simulation step builds its kernels in one cc run, on
+   one device and on shards under every schedule, installs each under
+   its own key and loads it from disk afterwards; a batch builds only
+   what is missing, a failing unit is rebuilt kernel by kernel, and a
+   step that --verify refuses builds nothing.  The NDRange rank rule
+   holds on every engine and in Check. *)
 
 open Kernel_ast.Cast
 
-(* Every test in this file runs against a scratch cache directory, not
-   the user's real one. *)
+(* Every test in this file runs against a cache directory of its own
+   under the test scratch root. *)
 let scratch_cache =
   lazy
-    (let dir =
-       Filename.concat (Filename.get_temp_dir_name ())
-         (Printf.sprintf "racs-native-test-%d" (Unix.getpid ()))
-     in
+    (let dir = Test_util.scratch_dir "native-test" in
      Vgpu.Native.set_cache_dir dir;
      dir)
 
@@ -1122,6 +1126,207 @@ let test_no_compiler_fallback () =
       | exception Failure _ -> ()
       | _ -> Alcotest.fail "a compiler that fails was not reported")
 
+(* -- Batch builds: one cc run per simulation set-up ------------------- *)
+
+(* Run [f] against a fresh cache directory [name] under the scratch
+   cache, with the memo and the counters dropped. *)
+let with_fresh_cache name f =
+  let dir = Filename.concat (Lazy.force scratch_cache) name in
+  Fun.protect
+    ~finally:(fun () -> Vgpu.Native.set_cache_dir (Lazy.force scratch_cache))
+    (fun () ->
+      Vgpu.Native.set_cache_dir dir;
+      Vgpu.Native.reset_memo ();
+      Vgpu.Native.reset_counters ();
+      f dir)
+
+let files_with_suffix dir suffix =
+  List.length (List.filter (fun f -> Filename.check_suffix f suffix) (Array.to_list (Sys.readdir dir)))
+
+(* FD-MM from an impulse on a 12x10x8 box: its two kernels as the
+   simulation dispatches them. *)
+let fdmm_sim ?shards ?schedule ?tblock ~engine ~steps () =
+  let open Acoustics in
+  let kernels =
+    [ Hand_kernels.volume ~precision:Double; Hand_kernels.boundary_fd_mm ~precision:Double ~mb:3 ]
+  in
+  let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:12 ~ny:10 ~nz:8) in
+  let sim = Gpu_sim.create ~engine ?shards ?schedule ?tblock ~n_branches:3 Params.default room in
+  let cx, cy, cz = State.centre sim.Gpu_sim.state in
+  State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+  for _ = 1 to steps do
+    Gpu_sim.step sim kernels
+  done;
+  Gpu_sim.sync sim;
+  sim
+
+let check_state msg (a : Acoustics.Gpu_sim.t) (b : Acoustics.Gpu_sim.t) =
+  let open Acoustics in
+  Test_util.check_bits (msg ^ " curr") a.Gpu_sim.state.State.curr b.Gpu_sim.state.State.curr;
+  Test_util.check_bits (msg ^ " g1") a.Gpu_sim.state.State.g1 b.Gpu_sim.state.State.g1
+
+let check_counters msg ~cc ~built ~disk ~memo =
+  let c = Vgpu.Native.counters () in
+  Alcotest.(check (list int))
+    (msg ^ ": cc runs, kernels built, disk hits, memo hits")
+    [ cc; built; disk; memo ]
+    Vgpu.Native.[ c.c_compiles; c.c_kernels_built; c.c_disk_hits; c.c_memo_hits ]
+
+(* A cold one-device FD-MM step builds both kernels in one cc run and
+   installs each under its own key; a fresh memo then loads both from
+   disk.  Every run matches the interpreter bit for bit. *)
+let test_cold_step_one_cc_run () =
+  let reference = fdmm_sim ~engine:`Interp ~steps:3 () in
+  with_fresh_cache "batch-cold" (fun dir ->
+      check_state "cold" reference (fdmm_sim ~engine:`Native ~steps:3 ());
+      check_counters "cold" ~cc:1 ~built:2 ~disk:0 ~memo:0;
+      Alcotest.(check int) "both kernels installed" 2 (files_with_suffix dir ".so");
+      Alcotest.(check int) "one unit's source" 1 (files_with_suffix dir ".c");
+      Vgpu.Native.reset_memo ();
+      Vgpu.Native.reset_counters ();
+      check_state "warm" reference (fdmm_sim ~engine:`Native ~steps:3 ());
+      check_counters "warm" ~cc:0 ~built:0 ~disk:2 ~memo:0)
+
+(* With one member already on disk, the batch compiles only the other,
+   as a unit of its own. *)
+let test_batch_builds_only_missing () =
+  with_fresh_cache "batch-partial" (fun dir ->
+      let a = unique_kernel () and b = unique_kernel () in
+      ignore (Vgpu.Native.compile a);
+      Vgpu.Native.reset_memo ();
+      Vgpu.Native.reset_counters ();
+      match Vgpu.Native.build [ a; b ] with
+      | [ Ok ca; Ok cb ] ->
+          check_counters "one on disk" ~cc:1 ~built:1 ~disk:1 ~memo:0;
+          Alcotest.(check bool) "the unit is the missing kernel's own" true
+            (Sys.file_exists (Filename.concat dir (Vgpu.Native.cache_key b ^ ".c")));
+          Test_util.check_bits "the loaded kernel" (expected_of a) (launch_and_read ca);
+          Test_util.check_bits "the built kernel" (expected_of b) (launch_and_read cb)
+      | _ -> Alcotest.fail "expected two built kernels")
+
+(* A unit the compiler rejects is rebuilt one kernel at a time: the
+   error names the kernel at fault, and the other one loads. *)
+let test_batch_failure_names_kernel () =
+  with_fresh_cache "batch-fail" (fun _ ->
+      let good = unique_kernel () in
+      let bad =
+        {
+          (unique_kernel ()) with
+          name = "native_array_too_big";
+          body =
+            [
+              Decl_arr (Real, "huge", 1 lsl 60);
+              Store ("out", Global_id 0, Load ("huge", Int_lit 0));
+            ];
+        }
+      in
+      match Vgpu.Native.build [ good; bad ] with
+      | [ Ok c; Error (Failure msg) ] ->
+          Alcotest.(check bool) "the error names the kernel" true
+            (Test_util.contains msg "C compilation failed for kernel native_array_too_big");
+          Test_util.check_bits "the other kernel runs" (expected_of good) (launch_and_read c);
+          check_counters "after the failure" ~cc:1 ~built:1 ~disk:0 ~memo:0
+      | _ -> Alcotest.fail "expected the good kernel built and the bad one failed")
+
+(* A step whose second launch [--verify] refuses builds nothing and runs
+   nothing, not even its first launch. *)
+let test_refused_step_builds_nothing () =
+  let oob =
+    {
+      name = "native_oob_shift";
+      precision = Double;
+      params = [ param "next" Real; param ~kind:Scalar_param "N" Int ];
+      global_size = [ Var "N" ];
+      local_size = [];
+      body = [ Store ("next", Global_id 0 +: Int_lit 1, Real_lit 1.0) ];
+    }
+  in
+  with_fresh_cache "batch-refused" (fun dir ->
+      let open Acoustics in
+      let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:12 ~ny:10 ~nz:8) in
+      let sim = Gpu_sim.create ~engine:`Native ~verify:true ~n_branches:3 Params.default room in
+      let cx, cy, cz = State.centre sim.Gpu_sim.state in
+      State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+      let before = Array.copy sim.Gpu_sim.state.State.curr in
+      (match Gpu_sim.step sim [ Hand_kernels.volume ~precision:Double; oob ] with
+      | exception Vgpu.Runtime.Unsafe_kernel _ -> ()
+      | () -> Alcotest.fail "an out-of-bounds launch was dispatched");
+      check_counters "refused step" ~cc:0 ~built:0 ~disk:0 ~memo:0;
+      Alcotest.(check int) "nothing installed" 0 (files_with_suffix dir ".so");
+      Alcotest.(check int) "no launch ran" 0 (Gpu_sim.stats sim).Vgpu.Runtime.s_launches;
+      Test_util.check_bits "the field is untouched" before sim.Gpu_sim.state.State.curr)
+
+(* Each schedule prepares a cold 2-shard step with one build for both
+   devices, and a warm set-up loads each kernel once from disk: no memo
+   hits (each device used to look up every kernel).  An overlapped
+   temporal block of 2 steps launches three kernels (the split volume
+   kernel at its first step, the whole one at its second), all built in
+   the block's first batch. *)
+let test_shards_one_build () =
+  let reference = fdmm_sim ~engine:`Interp ~steps:4 () in
+  List.iter
+    (fun (name, schedule, tblock, n) ->
+      let run () = fdmm_sim ~shards:2 ~schedule ~tblock ~engine:`Native ~steps:4 () in
+      with_fresh_cache ("batch-shards-" ^ name) (fun _ ->
+          check_state name reference (run ());
+          check_counters (name ^ ", cold") ~cc:1 ~built:n ~disk:0 ~memo:0;
+          Vgpu.Native.reset_memo ();
+          Vgpu.Native.reset_counters ();
+          check_state name reference (run ());
+          check_counters (name ^ ", warm") ~cc:0 ~built:0 ~disk:n ~memo:0))
+    [
+      ("seq", `Seq, 1, 2);
+      ("concurrent", `Concurrent, 1, 2);
+      ("overlap", `Overlap, 1, 2);
+      ("overlap-t2", `Overlap, 2, 3);
+    ]
+
+(* The NDRange rank rule: a 1-D kernel launched with [n; 2] is refused
+   by every engine and by [Check]; [n; 1; 1] runs, the same everywhere.
+   Its entry loops over the one dimension it declares. *)
+let test_ndrange_rank_rule () =
+  use_scratch_cache ();
+  let k =
+    {
+      name = "native_rank_probe";
+      precision = Double;
+      params = [ param "out" Real ];
+      global_size = [ Int_lit 8 ];
+      local_size = [];
+      body = [ Store ("out", Global_id 0, Unop (To_real, Global_id 0 +: Global_id 1) +: Real_lit 0.5) ];
+    }
+  in
+  let src = Vgpu.Native.source k in
+  Alcotest.(check bool) "one NDRange loop" true
+    (Test_util.contains src "rk_g0 < rk_gs0" && not (Test_util.contains src "rk_g1 < rk_gs1"));
+  let c = Vgpu.Native.compile k in
+  let san = Vgpu.Sanitizer.create () in
+  let engines =
+    [
+      ("interp", fun ~args ~global -> Vgpu.Exec.launch k ~args ~global);
+      ("native", fun ~args ~global -> Vgpu.Native.launch c ~args ~global);
+      ("sanitizer", fun ~args ~global -> Vgpu.Sanitizer.launch san k ~args ~global);
+      ( "check",
+        fun ~args:_ ~global ->
+          ignore (Kernel_ast.Check.check (Kernel_ast.Check.env ~global ()) k) );
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      let out = Array.make 8 0. in
+      let args = [ Vgpu.Args.Buf (Vgpu.Buffer.F out) ] in
+      (match run ~args ~global:[ 8; 2 ] with
+      | exception Kernel_ast.Cast.Ndrange_rank { dims = 1; _ } -> ()
+      | () -> Alcotest.failf "%s ran a 1-D kernel over [8; 2]" name);
+      Alcotest.(check (array (float 0.))) (name ^ ": the refused launch wrote nothing")
+        (Array.make 8 0.) out;
+      run ~args ~global:[ 8; 1; 1 ];
+      if name <> "check" then
+        Alcotest.(check (array (float 0.))) (name ^ ": [8; 1; 1] runs")
+          (Array.init 8 (fun i -> float_of_int i +. 0.5))
+          out)
+    engines
+
 let suite =
   [
     Alcotest.test_case "torture kernel bit-identical across engines" `Quick
@@ -1161,4 +1366,16 @@ let suite =
     Alcotest.test_case "LRU eviction at capacity" `Quick test_lru_eviction;
     Alcotest.test_case "no C compiler: the interpreter runs, bit-identically" `Quick
       test_no_compiler_fallback;
+    Alcotest.test_case "a cold step: one cc run for both kernels, then disk hits" `Quick
+      test_cold_step_one_cc_run;
+    Alcotest.test_case "a batch builds only the kernels missing on disk" `Quick
+      test_batch_builds_only_missing;
+    Alcotest.test_case "a failing unit is rebuilt kernel by kernel" `Quick
+      test_batch_failure_names_kernel;
+    Alcotest.test_case "a step --verify refuses builds and runs nothing" `Quick
+      test_refused_step_builds_nothing;
+    Alcotest.test_case "2 shards: one build, then one disk hit per kernel" `Quick
+      test_shards_one_build;
+    Alcotest.test_case "NDRange rank rule on every engine and Check" `Quick
+      test_ndrange_rank_rule;
   ]

@@ -461,10 +461,7 @@ let test_overlap_stats_per_simulation () =
    time is exactly the kernels' timed windows plus the priced exchanges. *)
 let test_busy_is_kernel_window () =
   let saved = Vgpu.Native.cache_dir () in
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "racs-overlap-test-%d" (Unix.getpid ()))
-  in
+  let dir = Test_util.scratch_dir "overlap" in
   Fun.protect
     ~finally:(fun () -> Vgpu.Native.set_cache_dir saved)
     (fun () ->

@@ -323,7 +323,7 @@ let test_tiled_kernel_goldens () =
       "tile[(get_local_id(1) + 1) * 6 + (get_local_id(0) + 1)] = curr[";
       "for (int z = 0; z < Nz; z = z + 1) {";
     ];
-  let c = Native_c.kernel_source k in
+  let c = Native_c.entry_source k in
   List.iter
     (fun needle ->
       if not (Test_util.contains c needle) then
@@ -537,13 +537,9 @@ let test_emit_c_compiles () =
   let c = Lift.Emit_c.host_program compiled in
   (* determinism: a second render is byte-identical *)
   Alcotest.(check string) "deterministic emission" c (Lift.Emit_c.host_program compiled);
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "racs-emit-c-%d" (Unix.getpid ()))
-  in
-  List.iter
-    (fun d -> try Unix.mkdir d 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ())
-    [ dir; Filename.concat dir "CL" ];
+  let dir = Test_util.scratch_dir "emit-c" in
+  (try Unix.mkdir (Filename.concat dir "CL") 0o755
+   with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
   let write path contents =
     let oc = open_out path in
     output_string oc contents;

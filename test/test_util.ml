@@ -1,5 +1,24 @@
 (* Shared helpers for the test suites. *)
 
+(* One scratch root per test process, in the temp directory: every
+   cache and file a test writes lives below it, and [Test_main] removes
+   it at exit. *)
+let scratch_root = lazy (Filename.temp_dir "racs-test-" "")
+
+(* A directory [name] under the scratch root, created on first use. *)
+let scratch_dir name =
+  let dir = Filename.concat (Lazy.force scratch_root) name in
+  (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
+  dir
+
+let rec remove_tree path =
+  match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_DIR; _ } ->
+      Array.iter (fun e -> remove_tree (Filename.concat path e)) (Sys.readdir path);
+      Unix.rmdir path
+  | _ -> Sys.remove path
+  | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
+
 (* Substring search (no external string library in the dependency set). *)
 let contains haystack needle =
   let nh = String.length haystack and nn = String.length needle in
