@@ -312,8 +312,7 @@ let launch_args ~int_scalar ~real_scalar (k : kernel) =
     k.params
 
 (* Resolve the kernel's symbolic global size against a scalar
-   environment.  Tiled kernels round their NDRange up to the work-group
-   size with [((Nx + tw - 1) / tw) * tw]-shaped expressions. *)
+   environment. *)
 let global_size ~int_scalar (k : kernel) =
   List.map
     (fun e ->

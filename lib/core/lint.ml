@@ -317,8 +317,8 @@ let check_async ?imports (plan : Vgpu.Multi.async_plan) : issue list =
    parameter environment (concrete [goff]/[count] for interior/frontier
    range launches) under which [Footprint.infer] runs.  Plane ranges are
    derived from the inferred absolute linear index interval, clamped to
-   the device's slab, so flat 1D, 3D and padded 2.5D-tiled launches are
-   all classified by the same arithmetic. *)
+   the device's slab, so 1D and 3D launches are classified by the same
+   arithmetic. *)
 
 type slab = {
   sl_nx : int;

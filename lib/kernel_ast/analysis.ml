@@ -31,8 +31,6 @@ type t = {
   per_buffer : (string, access) Hashtbl.t;
   mutable flops : float;
   mutable iops : float;
-  mutable local_loads : float;
-  mutable local_stores : float;
 }
 
 type local_info = { l_ty : ty; l_tainted : bool }
@@ -41,12 +39,10 @@ type env = {
   buffer_ty : string -> ty option;
   param_value : string -> int option;
   locals : (string, local_info) Hashtbl.t;
-  local_arrs : (string, unit) Hashtbl.t;
   acc : t;
 }
 
-let create () =
-  { per_buffer = Hashtbl.create 16; flops = 0.; iops = 0.; local_loads = 0.; local_stores = 0. }
+let create () = { per_buffer = Hashtbl.create 16; flops = 0.; iops = 0. }
 
 let access_of env buf =
   match Hashtbl.find_opt env.acc.per_buffer buf with
@@ -75,7 +71,6 @@ let env_of_kernel ?(param_value = fun _ -> None) (k : kernel) =
     buffer_ty = (fun n -> List.assoc_opt n buffers);
     param_value;
     locals;
-    local_arrs = Hashtbl.create 4;
     acc = create ();
   }
 
@@ -84,8 +79,7 @@ let eval_const env e = Cast.eval_int env.param_value (Cast.simplify e)
 (* An expression is tainted when its value depends on data loaded from
    global memory; a tainted index means a gather/scatter access. *)
 let rec tainted env = function
-  | Int_lit _ | Real_lit _ | Global_id _ | Global_size _ | Group_id _ | Local_id _
-  | Local_size _ -> false
+  | Int_lit _ | Real_lit _ | Global_id _ | Global_size _ -> false
   | Var v -> (
       match Hashtbl.find_opt env.locals v with Some l -> l.l_tainted | None -> false)
   | Load (_, _) -> true
@@ -96,8 +90,7 @@ let rec tainted env = function
 
 let rec expr_is_real env = function
   | Real_lit _ -> true
-  | Int_lit _ | Global_id _ | Global_size _ | Group_id _ | Local_id _ | Local_size _ ->
-      false
+  | Int_lit _ | Global_id _ | Global_size _ -> false
   | Var v -> (
       match Hashtbl.find_opt env.locals v with Some l -> l.l_ty = Real | None -> false)
   | Load (b, _) -> (
@@ -118,18 +111,14 @@ let rec expr_is_real env = function
 (* [mult] is the product of the trip counts of enclosing loops. *)
 let rec count_expr env ~mult e =
   match e with
-  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ | Group_id _
-  | Local_id _ | Local_size _ -> ()
+  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> ()
   | Load (b, i) ->
       count_expr env ~mult i;
-      if Hashtbl.mem env.local_arrs b then
-        env.acc.local_loads <- env.acc.local_loads +. mult
-      else (
-        match access_of env b with
-        | None -> ()
-        | Some a ->
-            a.loads <- a.loads +. mult;
-            if tainted env i then a.indirect <- true)
+      (match access_of env b with
+      | None -> ()
+      | Some a ->
+          a.loads <- a.loads +. mult;
+          if tainted env i then a.indirect <- true)
   | Unop (_, a) -> count_expr env ~mult a
   | Ternary (c, a, b) ->
       (* A select executes both sides on a GPU; count both. *)
@@ -152,11 +141,8 @@ let rec count_expr env ~mult e =
 
 let rec count_stmt env ~mult s =
   match s with
-  | Comment _ | Barrier -> ()
+  | Comment _ -> ()
   | Decl_arr (t, v, _) -> Hashtbl.replace env.locals v { l_ty = t; l_tainted = false }
-  | Decl_local (t, v, _) ->
-      Hashtbl.replace env.locals v { l_ty = t; l_tainted = false };
-      Hashtbl.replace env.local_arrs v ()
   | Decl (t, v, body) ->
       let l_tainted = match body with None -> false | Some e -> tainted env e in
       Hashtbl.replace env.locals v { l_ty = t; l_tainted };
@@ -170,14 +156,11 @@ let rec count_stmt env ~mult s =
   | Store (b, i, e) ->
       count_expr env ~mult i;
       count_expr env ~mult e;
-      if Hashtbl.mem env.local_arrs b then
-        env.acc.local_stores <- env.acc.local_stores +. mult
-      else (
-        match access_of env b with
-        | None -> ()
-        | Some a ->
-            a.stores <- a.stores +. mult;
-            if tainted env i then a.indirect <- true)
+      (match access_of env b with
+      | None -> ()
+      | Some a ->
+          a.stores <- a.stores +. mult;
+          if tainted env i then a.indirect <- true)
   | If (c, t, _f) ->
       count_expr env ~mult c;
       List.iter (count_stmt env ~mult) t
@@ -221,12 +204,8 @@ let bytes ~precision t =
     (fun acc _ a -> acc +. ((a.loads +. a.stores) *. elem_bytes ~precision a.buf_ty))
     0.
 
-let local_accesses t = t.local_loads +. t.local_stores
-
 let pp ppf t =
   Fmt.pf ppf "flops=%.0f iops=%.0f accesses=%.0f" t.flops t.iops (global_accesses t);
-  if local_accesses t > 0. then
-    Fmt.pf ppf " local=%.0f" (local_accesses t);
   fold_buffers t
     (fun () name a ->
       Fmt.pf ppf "@ %s: loads=%.1f stores=%.1f%s" name a.loads a.stores

@@ -24,10 +24,6 @@ type t = {
   per_buffer : (string, access) Hashtbl.t;
   mutable flops : float;
   mutable iops : float;
-  mutable local_loads : float;
-      (** per-work-item loads from [__local] arrays (work-group tier) *)
-  mutable local_stores : float;
-      (** per-work-item stores to [__local] arrays *)
 }
 
 val kernel_counts : ?param_value:(string -> int option) -> Cast.kernel -> t
@@ -40,7 +36,6 @@ val fold_buffers : t -> ('a -> string -> access -> 'a) -> 'a -> 'a
 val total_loads : t -> float
 val total_stores : t -> float
 val global_accesses : t -> float
-val local_accesses : t -> float
 
 val elem_bytes : precision:Cast.precision -> Cast.ty -> float
 (** Bytes per element of a buffer type at a given precision. *)

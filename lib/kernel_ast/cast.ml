@@ -56,30 +56,21 @@ type expr =
   | Int_lit of int
   | Real_lit of float
   | Var of string
-  | Load of string * expr          (* name[idx]; global buffer, local or private array *)
+  | Load of string * expr          (* name[idx]; global buffer or private array *)
   | Binop of binop * expr * expr
   | Unop of unop * expr
   | Ternary of expr * expr * expr  (* cond ? a : b *)
   | Call of builtin * expr list
   | Global_id of int               (* get_global_id(d) *)
   | Global_size of int             (* get_global_size(d) *)
-  | Group_id of int                (* get_group_id(d) *)
-  | Local_id of int                (* get_local_id(d) *)
-  | Local_size of int              (* get_local_size(d) *)
 
 type stmt =
   | Decl of ty * string * expr option
   | Decl_arr of ty * string * int         (* private array of static length *)
-  | Decl_local of ty * string * int
-      (* work-group local array of static length; must appear at the top
-         level of the body, before any use.  Zeroed once per work-group. *)
   | Assign of string * expr
   | Store of string * expr * expr         (* name[idx] = value *)
   | If of expr * stmt list * stmt list
   | For of for_loop
-  | Barrier
-      (* work-group barrier (local memory fence); every work-item of a
-         group must reach the same dynamic barrier instance *)
   | Comment of string
 
 and for_loop = {
@@ -118,12 +109,9 @@ type kernel = {
   (* Global work size per dimension, as expressions over scalar params.
      Dimension list may be shorter than 3. *)
   global_size : expr list;
-  (* Work-group size per dimension, as static ints (the paper hand-tunes
-     these per kernel, so they are compile-time constants).  [[]] means
-     the flat NDRange execution model: no groups, no local memory,
-     barriers are no-ops, [Group_id d = Global_id d] and [Local_id d =
-     0].  When non-empty, each launch dimension must be divisible by the
-     corresponding entry (missing trailing dimensions default to 1). *)
+  (* Always [[]]: every kernel runs as a flat NDRange.  The field stays
+     so existing record literals keep compiling; [launch_dims] refuses
+     any other value. *)
   local_size : int list;
 }
 
@@ -159,7 +147,7 @@ let rec stores_to name body =
       | Store (b, _, _) -> b = name
       | If (_, t, f) -> stores_to name t || stores_to name f
       | For l -> stores_to name l.body
-      | Decl _ | Decl_arr _ | Decl_local _ | Assign _ | Barrier | Comment _ -> false)
+      | Decl _ | Decl_arr _ | Assign _ | Comment _ -> false)
     body
 
 (* The kernel with global int buffer [name] stored as bytes; unchanged
@@ -176,54 +164,35 @@ let with_u8 name k =
         k.params;
   }
 
-(* Work-group geometry helpers shared by the engines. *)
-
-let grouped k = k.local_size <> []
-
-(* Work-group size padded to 3 dimensions (1 for missing entries). *)
-let local3 k =
-  let l = [| 1; 1; 1 |] in
-  List.iteri
-    (fun d n ->
-      if d > 2 then invalid_arg (Printf.sprintf "kernel %s: local_size has > 3 dims" k.name);
-      if n < 1 then
-        invalid_arg (Printf.sprintf "kernel %s: local_size dimension %d is %d" k.name d n);
-      l.(d) <- n)
-    k.local_size;
-  l
-
-(* Validate an NDRange against the kernel's work-group size and return
-   the per-dimension group counts.  [global] is the padded 3-wide launch
-   size. *)
-let group_counts k ~(global : int array) =
-  let l = local3 k in
-  Array.mapi
-    (fun d g ->
-      if g mod l.(d) <> 0 then
-        invalid_arg
-          (Printf.sprintf
-             "kernel %s: global size %d in dimension %d is not divisible by local size %d"
-             k.name g d l.(d))
-      else g / l.(d))
-    global
-
 (* The NDRange rank rule every engine and [Check] apply: a kernel
-   declares as many dimensions as its [global_size] (or its [local_size],
-   when longer) has entries, at most three, and a launch may add only
-   trailing 1s beyond them.  A missing dimension counts as 1. *)
+   declares as many dimensions as its [global_size] has entries, at most
+   three, and a launch may add only trailing 1s beyond them.  A missing
+   dimension counts as 1.  A kernel with a work-group size is refused
+   first: every kernel runs as a flat NDRange. *)
 
 exception Ndrange_rank of { kernel : string; dims : int; global : int list }
+exception Work_group_size of { kernel : string; local_size : int list }
+
+let ints l = String.concat "; " (List.map string_of_int l)
 
 let () =
   Printexc.register_printer (function
     | Ndrange_rank { kernel; dims; global } ->
         Some
           (Printf.sprintf "Ndrange_rank: kernel %s declares %d NDRange dimension(s), launched with [%s]"
-             kernel dims
-             (String.concat "; " (List.map string_of_int global)))
+             kernel dims (ints global))
+    | Work_group_size { kernel; local_size } ->
+        Some
+          (Printf.sprintf
+             "Work_group_size: kernel %s declares local_size [%s]; kernels run as flat NDRanges \
+              (local_size = [])"
+             kernel (ints local_size))
     | _ -> None)
 
-let launch_dims k = min 3 (max (List.length k.global_size) (List.length k.local_size))
+let launch_dims k =
+  if k.local_size <> [] then
+    raise (Work_group_size { kernel = k.name; local_size = k.local_size });
+  min 3 (List.length k.global_size)
 
 (* Top-level, so a check on a steady launch allocates nothing. *)
 let rec ndrange_ok dims d = function
@@ -234,19 +203,6 @@ let check_ndrange k ~global =
   let dims = launch_dims k in
   if not (ndrange_ok dims 0 global) then raise (Ndrange_rank { kernel = k.name; dims; global })
 
-(* Whether any statement in [body] is a [Barrier], at any depth.  The
-   optimizer treats barrier-containing loops as fences (no unrolling, no
-   invariant motion out of the loop header) and the native backend lowers
-   them as shared "uniform" loops. *)
-let rec contains_barrier body =
-  List.exists
-    (function
-      | Barrier -> true
-      | If (_, t, f) -> contains_barrier t || contains_barrier f
-      | For l -> contains_barrier l.body
-      | Decl _ | Decl_arr _ | Decl_local _ | Assign _ | Store _ | Comment _ -> false)
-    body
-
 (* Syntactic proof that an expression is a non-negative integer.  Only
    shapes whose leaves are non-negative int literals, NDRange ids/sizes or
    comparison results qualify, so a [true] answer also implies the
@@ -256,7 +212,7 @@ let rec contains_barrier body =
 let rec is_nonneg e =
   match e with
   | Int_lit n -> n >= 0
-  | Global_id _ | Global_size _ | Group_id _ | Local_id _ | Local_size _ -> true
+  | Global_id _ | Global_size _ -> true
   | Unop (Not, _) -> true
   | Binop ((Eq | Ne | Lt | Le | Gt | Ge | And | Or), _, _) -> true
   | Binop ((Add | Mul | Div | Mod), a, b) -> is_nonneg a && is_nonneg b
@@ -289,9 +245,7 @@ let is_pow2_real c =
    live here too, gated so they stay bit-for-bit exact. *)
 let rec simplify e =
   match e with
-  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ | Group_id _ | Local_id _
-  | Local_size _ ->
-      e
+  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> e
   | Load (b, i) -> Load (b, simplify i)
   | Unop (op, a) -> (
       let a = simplify a in
@@ -360,7 +314,7 @@ let rec simplify e =
 let rec simplify_stmt s =
   match s with
   | Decl (t, v, e) -> Decl (t, v, Option.map simplify e)
-  | Decl_arr _ | Decl_local _ | Barrier | Comment _ -> s
+  | Decl_arr _ | Comment _ -> s
   | Assign (v, e) -> Assign (v, simplify e)
   | Store (b, i, e) -> Store (b, simplify i, simplify e)
   | If (c, t, f) -> (
@@ -416,9 +370,7 @@ let offset_global_id ?(param_name = "goff") (k : kernel) =
   let rec rw e =
     match e with
     | Global_id 0 -> Binop (Add, Global_id 0, Var param_name)
-    | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ | Group_id _ | Local_id _
-    | Local_size _ ->
-        e
+    | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> e
     | Load (b, i) -> Load (b, rw i)
     | Binop (op, a, b) -> Binop (op, rw a, rw b)
     | Unop (op, a) -> Unop (op, rw a)
@@ -428,7 +380,7 @@ let offset_global_id ?(param_name = "goff") (k : kernel) =
   let rec rws s =
     match s with
     | Decl (t, v, e) -> Decl (t, v, Option.map rw e)
-    | Decl_arr _ | Decl_local _ | Barrier | Comment _ -> s
+    | Decl_arr _ | Comment _ -> s
     | Assign (v, e) -> Assign (v, rw e)
     | Store (b, i, e) -> Store (b, rw i, rw e)
     | If (c, t, f) -> If (rw c, List.map rws t, List.map rws f)

@@ -69,24 +69,14 @@ type expr =
   | Call of builtin * expr list
   | Global_id of int    (** [get_global_id(d)] *)
   | Global_size of int  (** [get_global_size(d)] *)
-  | Group_id of int     (** [get_group_id(d)] *)
-  | Local_id of int     (** [get_local_id(d)] *)
-  | Local_size of int   (** [get_local_size(d)] *)
 
 type stmt =
   | Decl of ty * string * expr option
   | Decl_arr of ty * string * int  (** private array of static length *)
-  | Decl_local of ty * string * int
-      (** work-group local array of static length; must appear at the
-          top level of the body before any use, and is zeroed once per
-          work-group *)
   | Assign of string * expr
   | Store of string * expr * expr  (** [name[idx] = value] *)
   | If of expr * stmt list * stmt list
   | For of for_loop
-  | Barrier
-      (** work-group barrier (local memory fence): every work-item of a
-          group must reach the same dynamic barrier instance *)
   | Comment of string
 
 and for_loop = {
@@ -128,12 +118,11 @@ type kernel = {
       (** NDRange extent per dimension, as expressions over scalar
           parameters; may have fewer than 3 entries. *)
   local_size : int list;
-      (** Work-group size per dimension, as static ints.  [[]] selects
-          the flat execution model (no groups, no local memory, barriers
-          are no-ops, [Group_id d = Global_id d] and [Local_id d = 0]);
-          when non-empty, every launch dimension must be divisible by
-          the corresponding entry (missing trailing dimensions default
-          to 1). *)
+      (** Always [[]]: every kernel is a flat NDRange over global
+          buffers, private arrays and registers, with no work-groups,
+          local memory or barriers.  Any other value is refused with
+          {!Work_group_size} by {!launch_dims}, hence by the C renderer,
+          every engine's launch and {!module:Check}. *)
 }
 
 (** {1 Construction helpers} *)
@@ -169,21 +158,6 @@ val with_u8 : string -> kernel -> kernel
     [name] stored as [U8]; [k] unchanged (a copy) when it has no such
     parameter. *)
 
-(** {1 Work-group geometry} *)
-
-val grouped : kernel -> bool
-(** [local_size <> []]: the kernel uses the work-group execution tier. *)
-
-val local3 : kernel -> int array
-(** Work-group size padded to 3 dimensions (1 for missing entries).
-    @raise Invalid_argument on more than 3 dims or a non-positive
-    entry. *)
-
-val group_counts : kernel -> global:int array -> int array
-(** Per-dimension work-group counts for a padded 3-wide launch size.
-    @raise Invalid_argument when a launch dimension is not divisible by
-    the work-group size. *)
-
 (** {1 NDRange rank} *)
 
 exception Ndrange_rank of { kernel : string; dims : int; global : int list }
@@ -191,19 +165,22 @@ exception Ndrange_rank of { kernel : string; dims : int; global : int list }
     other than trailing 1s.  Every engine ([Vgpu.Exec], [Vgpu.Native],
     the sanitizer) and {!module:Check} refuse such a launch with it. *)
 
+exception Work_group_size of { kernel : string; local_size : int list }
+(** A kernel whose [local_size] is not [[]].  The C renderer, every
+    engine's launch and {!module:Check} refuse it, through
+    {!launch_dims}. *)
+
 val launch_dims : kernel -> int
 (** The NDRange dimensions a kernel declares: the entries of its
-    [global_size], or of its [local_size] when that is longer, at most
-    3. *)
+    [global_size], at most 3.
+    @raise Work_group_size when the kernel's [local_size] is not [[]]. *)
 
 val check_ndrange : kernel -> global:int list -> unit
 (** Apply the rank rule to a launch; allocates nothing when it holds.
     A launch may also have fewer dimensions than declared: the missing
     ones are 1.
-    @raise Ndrange_rank when an entry past {!launch_dims} is not 1. *)
-
-val contains_barrier : stmt list -> bool
-(** Whether any statement (at any depth) is a [Barrier]. *)
+    @raise Ndrange_rank when an entry past {!launch_dims} is not 1.
+    @raise Work_group_size as {!launch_dims} does. *)
 
 val stores_to : string -> stmt list -> bool
 (** Whether any statement (at any depth) stores to the named array. *)

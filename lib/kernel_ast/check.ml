@@ -45,7 +45,7 @@ type verdict =
 
 type buf_report = {
   b_name : string;
-  b_kind : [ `Global | `Private | `Local ];
+  b_kind : [ `Global | `Private ];
   b_elems : int option;
   b_race : verdict;
   b_bounds : verdict;
@@ -55,9 +55,6 @@ type report = {
   r_kernel : string;
   r_global : int option array;
   r_bufs : buf_report list;
-  r_barrier : verdict;
-      (* barrier-divergence freedom: [Safe] when every barrier is under
-         work-group-uniform control flow only *)
 }
 
 type env = {
@@ -71,29 +68,22 @@ let env ?(param_value = fun _ -> None) ?(buffer_elems = fun _ -> None) ?global (
 
 (* -- Analysis state --------------------------------------------------- *)
 
-type access = { ac_store : bool; ac_v : absval; ac_phase : int }
-(* [ac_phase] is the number of [Barrier] statements the abstract scan
-   passed before this access: local-memory races are analysed per
-   barrier-delimited phase. *)
+type access = { ac_store : bool; ac_v : absval }
 
 type cenv = {
   e : env;
   l : Domain.launch;
   global_bufs : (string, unit) Hashtbl.t;
   private_arrs : (string, int) Hashtbl.t;
-  local_arrs : (string, int) Hashtbl.t;
   accesses : (string, access list ref) Hashtbl.t;
   loop_ranges : (int, itv) Hashtbl.t;
   mutable nloops : int;
   mutable locals : absval SMap.t;
-  mutable phase : int;
-  mutable divergent_barrier : bool;
-      (* a barrier was scanned under work-item-varying control flow *)
 }
 
 let record cenv buf ~store v =
   match Hashtbl.find_opt cenv.accesses buf with
-  | Some r -> r := { ac_store = store; ac_v = v; ac_phase = cenv.phase } :: !r
+  | Some r -> r := { ac_store = store; ac_v = v } :: !r
   | None ->
       (* a name that is neither a global buffer nor a declared private
          array: malformed kernel; the interpreter reports it *)
@@ -107,28 +97,9 @@ let eval cenv expr =
     ~load:(fun b iv -> record cenv b ~store:false iv)
     expr
 
-(* Whether an abstract value can differ between two work-items of the
-   same group: its affine form mentions a gid/lid term, or the value is
-   unknown / data-dependent.  Uniform values (constants, scalar
-   parameters, group ids, loop counters of uniform loops) are the only
-   ones under which a barrier is legal. *)
-let wi_varying (av : absval) =
-  av.v_tainted
-  ||
-  match av.v_aff with
-  | None -> true
-  | Some f ->
-      List.exists (fun (t, _) -> match t with Tgid _ | Tlid _ -> true | _ -> false) f.coeffs
-
-let rec scan cenv ~varying (s : stmt) =
+let rec scan cenv (s : stmt) =
   match s with
   | Comment _ -> ()
-  | Barrier ->
-      if cenv.l.l_grouped && varying then cenv.divergent_barrier <- true;
-      cenv.phase <- cenv.phase + 1
-  | Decl_local (_, v, n) ->
-      Hashtbl.replace cenv.local_arrs v n;
-      if not (Hashtbl.mem cenv.accesses v) then Hashtbl.replace cenv.accesses v (ref [])
   | Decl_arr (_, v, n) ->
       Hashtbl.replace cenv.private_arrs v n;
       if not (Hashtbl.mem cenv.accesses v) then Hashtbl.replace cenv.accesses v (ref [])
@@ -146,13 +117,12 @@ let rec scan cenv ~varying (s : stmt) =
       let _ = eval cenv e in
       record cenv b ~store:true iv
   | If (c, t, f) ->
-      let cv = eval cenv c in
-      let varying = varying || wi_varying cv in
+      let _ = eval cenv c in
       let saved = cenv.locals in
-      List.iter (scan cenv ~varying) t;
+      List.iter (scan cenv) t;
       let after_t = cenv.locals in
       cenv.locals <- saved;
-      List.iter (scan cenv ~varying) f;
+      List.iter (scan cenv) f;
       let after_f = cenv.locals in
       (* join the branch environments *)
       cenv.locals <-
@@ -163,7 +133,7 @@ let rec scan cenv ~varying (s : stmt) =
   | For l ->
       let init_v = eval cenv l.init in
       let bound_v = eval cenv l.bound in
-      let step_v = eval cenv l.step in
+      let _ = eval cenv l.step in
       let id = cenv.nloops in
       cenv.nloops <- id + 1;
       let range =
@@ -183,12 +153,7 @@ let rec scan cenv ~varying (s : stmt) =
         SMap.add l.var
           { v_itv = range; v_aff = Some (aff_of_term (Tloop id)); v_tainted = false }
           cenv.locals;
-      (* a loop whose trip count can differ per work-item makes every
-         barrier in its body divergent *)
-      let varying =
-        varying || wi_varying init_v || wi_varying bound_v || wi_varying step_v
-      in
-      List.iter (scan cenv ~varying) l.body
+      List.iter (scan cenv) l.body
 
 (* -- Concrete partial evaluation (witness confirmation) --------------- *)
 
@@ -207,7 +172,7 @@ type cval =
   | Kr of float
   | Kunknown
 
-type caccess = { c_buf : string; c_idx : int; c_store : bool; c_phase : int }
+type caccess = { c_buf : string; c_idx : int; c_store : bool }
 
 let builtin_c (f : builtin) (args : float list) =
   match (f, args) with
@@ -226,13 +191,10 @@ type crun = {
   ce : env;
   cgsize : int array;
   cgid : int array;
-  cl3 : int array;  (* work-group size (1s for flat kernels) *)
   scalars : (string, cval) Hashtbl.t;
   arrays : (string, cval array) Hashtbl.t;
   cglobals : (string, unit) Hashtbl.t;
-  clocal_arrs : (string, unit) Hashtbl.t;
   mutable recorded : caccess list;
-  mutable cbarriers : int;  (* barriers executed: divergence evidence *)
   mutable budget : int;
 }
 
@@ -245,9 +207,6 @@ let rec ceval r (expr : expr) : cval =
   | Real_lit x -> Kr x
   | Global_id d -> Ki r.cgid.(d)
   | Global_size d -> Ki r.cgsize.(d)
-  | Group_id d -> Ki (r.cgid.(d) / r.cl3.(d))
-  | Local_id d -> Ki (r.cgid.(d) mod r.cl3.(d))
-  | Local_size d -> Ki r.cl3.(d)
   | Var v -> (
       match Hashtbl.find_opt r.scalars v with
       | Some c -> c
@@ -259,17 +218,13 @@ let rec ceval r (expr : expr) : cval =
           match idx with
           | Some k when k >= 0 && k < Array.length a -> a.(k)
           | Some k ->
-              r.recorded <-
-                { c_buf = b; c_idx = k; c_store = false; c_phase = r.cbarriers } :: r.recorded;
+              r.recorded <- { c_buf = b; c_idx = k; c_store = false } :: r.recorded;
               Kunknown
           | None -> raise Bail)
       | None ->
-          (if Hashtbl.mem r.cglobals b || Hashtbl.mem r.clocal_arrs b then
+          (if Hashtbl.mem r.cglobals b then
              match idx with
-             | Some k ->
-                 r.recorded <-
-                   { c_buf = b; c_idx = k; c_store = false; c_phase = r.cbarriers }
-                   :: r.recorded
+             | Some k -> r.recorded <- { c_buf = b; c_idx = k; c_store = false } :: r.recorded
              | None -> raise Bail);
           Kunknown)
   | Unop (op, a) -> (
@@ -336,12 +291,6 @@ and cbinop op va vb =
 let rec cexec r (s : stmt) =
   match s with
   | Comment _ -> ()
-  | Barrier -> r.cbarriers <- r.cbarriers + 1
-  | Decl_local (_, v, _) ->
-      (* local memory is shared across work-items, so a per-work-item
-         concrete array would be unsound: keep it opaque and record
-         every access with its barrier phase instead *)
-      Hashtbl.replace r.clocal_arrs v ()
   | Decl (ty, v, init) ->
       let value =
         match init with
@@ -360,16 +309,12 @@ let rec cexec r (s : stmt) =
       | Some a -> (
           match idx with
           | Some k when k >= 0 && k < Array.length a -> a.(k) <- v
-          | Some k ->
-              r.recorded <-
-                { c_buf = b; c_idx = k; c_store = true; c_phase = r.cbarriers } :: r.recorded
+          | Some k -> r.recorded <- { c_buf = b; c_idx = k; c_store = true } :: r.recorded
           | None -> raise Bail)
       | None -> (
-          if Hashtbl.mem r.cglobals b || Hashtbl.mem r.clocal_arrs b then
+          if Hashtbl.mem r.cglobals b then
             match idx with
-            | Some k ->
-                r.recorded <-
-                  { c_buf = b; c_idx = k; c_store = true; c_phase = r.cbarriers } :: r.recorded
+            | Some k -> r.recorded <- { c_buf = b; c_idx = k; c_store = true } :: r.recorded
             | None -> raise Bail))
   | If (c, t, f) -> (
       match as_int_c (ceval r c) with
@@ -388,28 +333,24 @@ let rec cexec r (s : stmt) =
         i := !i + get l.step
       done
 
-(* Run [k]'s body for one work-item; [None] when the execution depends
-   on unknown data.  Returns the recorded accesses and the number of
-   barriers the work-item executed (divergence evidence). *)
-let crun_workitem e (k : kernel) ~gsize ~gid : (caccess list * int) option =
+(* Run [k]'s body for one work-item and return its recorded accesses;
+   [None] when the execution depends on unknown data. *)
+let crun_workitem e (k : kernel) ~gsize ~gid : caccess list option =
   let r =
     {
       ce = e;
       cgsize = gsize;
       cgid = gid;
-      cl3 = local3 k;
       scalars = Hashtbl.create 16;
       arrays = Hashtbl.create 4;
       cglobals = Hashtbl.create 8;
-      clocal_arrs = Hashtbl.create 4;
       recorded = [];
-      cbarriers = 0;
       budget = 4096;
     }
   in
   List.iter (fun p -> if p.p_kind = Global_buf then Hashtbl.replace r.cglobals p.p_name ()) k.params;
   match List.iter (cexec r) k.body with
-  | () -> Some (List.rev r.recorded, r.cbarriers)
+  | () -> Some (List.rev r.recorded)
   | exception Bail -> None
 
 (* -- Race analysis ---------------------------------------------------- *)
@@ -430,7 +371,7 @@ let loop_dims cenv (form : aff) =
   List.filter_map
     (fun (t, c) ->
       match t with
-      | Tgid _ | Tgrp _ | Tlid _ | Tparam _ -> None
+      | Tgid _ | Tparam _ -> None
       | Tloop id -> (
           match Hashtbl.find_opt cenv.loop_ranges id with
           | Some { lo = Some l; hi = Some h } ->
@@ -450,27 +391,15 @@ let radix_ok dims =
        (Some 0)
   |> Option.is_some
 
-(* For a local buffer two stores only conflict within the same
-   barrier-delimited phase (the barrier orders the phases), so the
-   collision must also match on phase. *)
-let confirm_race ?(local = false) e k ~gsize buf (g1 : int array) (g2 : int array) :
-    witness option =
+let confirm_race e k ~gsize buf (g1 : int array) (g2 : int array) : witness option =
   match (crun_workitem e k ~gsize ~gid:g1, crun_workitem e k ~gsize ~gid:g2) with
-  | Some (a1, _), Some (a2, _) ->
+  | Some a1, Some a2 ->
       let stores l =
-        List.filter_map
-          (fun a -> if a.c_store && a.c_buf = buf then Some (a.c_idx, a.c_phase) else None)
-          l
+        List.filter_map (fun a -> if a.c_store && a.c_buf = buf then Some a.c_idx else None) l
       in
-      let s1 = stores a1 and s2 = stores a2 in
-      let common =
-        List.filter
-          (fun (i, ph) ->
-            List.exists (fun (j, ph') -> j = i && ((not local) || ph = ph')) s2)
-          s1
-      in
-      (match common with
-      | (idx, _) :: _ ->
+      let s2 = stores a2 in
+      (match List.filter (fun i -> List.mem i s2) (stores a1) with
+      | idx :: _ ->
           let t a = (a.(0), a.(1), a.(2)) in
           Some
             {
@@ -478,11 +407,10 @@ let confirm_race ?(local = false) e k ~gsize buf (g1 : int array) (g2 : int arra
               w_index = idx;
               w_gids = [ t g1; t g2 ];
               w_detail =
-                Printf.sprintf "work-items %s and %s both store %s[%d]%s"
+                Printf.sprintf "work-items %s and %s both store %s[%d]"
                   (Printf.sprintf "(%d,%d,%d)" g1.(0) g1.(1) g1.(2))
                   (Printf.sprintf "(%d,%d,%d)" g2.(0) g2.(1) g2.(2))
-                  buf idx
-                  (if local then " in the same barrier phase" else "");
+                  buf idx;
             }
       | [] -> None)
   | _ -> None
@@ -491,25 +419,14 @@ let confirm_race ?(local = false) e k ~gsize buf (g1 : int array) (g2 : int arra
    pairs differing only in a gid dimension the form ignores, plus a
    greedy attempt at realising one coefficient as a combination of
    lower-significance gid coefficients. *)
-let candidate_pairs ~gsize ?(l3 = [| 1; 1; 1 |]) (form : aff) =
+let candidate_pairs ~gsize (form : aff) =
   let unit d = Array.init 3 (fun i -> if i = d then 1 else 0) in
-  let scaled d k = Array.init 3 (fun i -> if i = d then k else 0) in
   let zeros = Array.make 3 0 in
   let coeff d = Option.value ~default:0 (List.assoc_opt (Tgid d) form.coeffs) in
   let active d = gsize.(d) > 1 in
   let ignored =
     List.filter_map
       (fun d -> if active d && coeff d = 0 then Some (zeros, unit d) else None)
-      [ 0; 1; 2 ]
-  in
-  (* grouped kernels: same local id, adjacent group — catches stores
-     addressed by local id only, which collide across groups *)
-  let cross_group =
-    List.filter_map
-      (fun d ->
-        if active d && l3.(d) > 1 && gsize.(d) > l3.(d) then
-          Some (zeros, scaled d l3.(d))
-        else None)
       [ 0; 1; 2 ]
   in
   let greedy =
@@ -536,7 +453,7 @@ let candidate_pairs ~gsize ?(l3 = [| 1; 1; 1 |]) (form : aff) =
           else None)
       [ 0; 1; 2 ]
   in
-  ignored @ cross_group @ greedy
+  ignored @ greedy
 
 let race_verdict cenv e (k : kernel) buf (stores : absval list) : verdict =
   if stores = [] then Safe
@@ -580,43 +497,22 @@ let race_verdict cenv e (k : kernel) buf (stores : absval list) : verdict =
         match known_global cenv with
         | None -> Unproven "NDRange extent not statically known"
         | Some gsize ->
-            let cf t = Option.value ~default:0 (List.assoc_opt t form.coeffs) in
-            let coeff d = cf (Tgid d) in
-            (* every dimension of the combined (gid/group/lid + loop)
-               box.  Injectivity over the product box is sound even
-               though gid = grp*L + lid correlates the components: the
-               box over-approximates the set of executions, so proving
-               injectivity there is only harder. *)
+            (* every dimension of the combined (gid + loop) box; an
+               active NDRange dimension the index ignores keeps a
+               zero-coefficient marker, so the radix argument fails and
+               the candidate path runs *)
             let dims_exn () =
-              let l3 = cenv.l.l_local in
               let gid_dims =
-                List.concat_map
+                List.filter_map
                   (fun d ->
-                    if gsize.(d) <= 1 then []
+                    if gsize.(d) <= 1 then None
                     else
-                      let cg = coeff d and cgr = cf (Tgrp d) and cl = cf (Tlid d) in
-                      let groups = gsize.(d) / l3.(d) in
-                      let covered =
-                        cg <> 0 || ((cgr <> 0 || groups <= 1) && (cl <> 0 || l3.(d) <= 1))
-                      in
-                      if not covered then
-                        (* an active NDRange dimension the index ignores:
-                           keep a zero-coefficient marker so the radix
-                           argument fails and the candidate path runs *)
-                        [ { d_coeff = 0; d_extent = gsize.(d) - 1; d_gid = Some d } ]
-                      else
-                        List.concat
-                          [
-                            (if cg <> 0 then
-                               [ { d_coeff = abs cg; d_extent = gsize.(d) - 1; d_gid = Some d } ]
-                             else []);
-                            (if cgr <> 0 then
-                               [ { d_coeff = abs cgr; d_extent = groups - 1; d_gid = None } ]
-                             else []);
-                            (if cl <> 0 then
-                               [ { d_coeff = abs cl; d_extent = l3.(d) - 1; d_gid = None } ]
-                             else []);
-                          ])
+                      Some
+                        {
+                          d_coeff = abs (aff_coeff (Tgid d) form);
+                          d_extent = gsize.(d) - 1;
+                          d_gid = Some d;
+                        })
                   [ 0; 1; 2 ]
               in
               gid_dims @ loop_dims cenv form @ extra_dims
@@ -629,7 +525,7 @@ let race_verdict cenv e (k : kernel) buf (stores : absval list) : verdict =
                 else
                   (* candidate collision: only claim Unsafe when a pair of
                      work-items is concretely confirmed to collide *)
-                  let pairs = candidate_pairs ~gsize ~l3:cenv.l.l_local form in
+                  let pairs = candidate_pairs ~gsize form in
                   let rec try_pairs = function
                     | [] ->
                         Unproven
@@ -644,172 +540,6 @@ let race_verdict cenv e (k : kernel) buf (stores : absval list) : verdict =
                   in
                   try_pairs pairs))
 
-(* -- Local-memory race analysis --------------------------------------- *)
-
-(* Race freedom of a work-group-local array: within one barrier-delimited
-   phase, no two work-items of the same group may store to the same slot.
-   The injectivity argument runs over the local-id box only (group ids
-   are uniform within a group and drop out; a [Tgid] coefficient varies
-   across exactly the [l3] window within a group).  The static phase is
-   an approximation — barriers inside loops delimit phases dynamically —
-   so everything undecided stays [Unproven] for the runtime sanitizer. *)
-let local_race_verdict cenv e (k : kernel) buf (stores : (absval * int) list) : verdict =
-  if not cenv.l.l_grouped then Safe (* flat model: Decl_local is private *)
-  else if stores = [] then Safe
-  else
-    let l3 = cenv.l.l_local in
-    let confirm () =
-      match known_global cenv with
-      | None -> None
-      | Some gsize ->
-          let pairs =
-            List.filter_map
-              (fun d ->
-                if l3.(d) > 1 && gsize.(d) > 1 then
-                  Some
-                    ( Array.make 3 0,
-                      Array.init 3 (fun i -> if i = d then 1 else 0) )
-                else None)
-              [ 0; 1; 2 ]
-          in
-          List.find_map
-            (fun (g1, g2) -> confirm_race ~local:true e k ~gsize buf g1 g2)
-            pairs
-    in
-    if List.exists (fun (s, _) -> s.v_tainted) stores then
-      match confirm () with
-      | Some w -> Unsafe w
-      | None -> Unproven "local store index depends on loaded data"
-    else if List.exists (fun (s, _) -> s.v_aff = None) stores then
-      match confirm () with
-      | Some w -> Unsafe w
-      | None -> Unproven "local store index is not affine in work-item ids"
-    else
-      let phases =
-        List.sort_uniq compare (List.map snd stores)
-      in
-      let phase_verdict ph =
-        let forms =
-          List.filter_map
-            (fun (s, p) -> if p = ph then Some (Option.get s.v_aff) else None)
-            stores
-          |> List.sort_uniq compare
-        in
-        match forms with
-        | [] | [ _ ] -> (
-            match forms with
-            | [ form ] ->
-                let cf t = Option.value ~default:0 (List.assoc_opt t form.coeffs) in
-                let dims_exn () =
-                  let lid_dims =
-                    List.concat_map
-                      (fun d ->
-                        if l3.(d) <= 1 then []
-                        else
-                          let cl = cf (Tlid d) and cg = cf (Tgid d) in
-                          if cl = 0 && cg = 0 then
-                            (* every work-item along this local dimension
-                               hits the same slot *)
-                            [ { d_coeff = 0; d_extent = l3.(d) - 1; d_gid = Some d } ]
-                          else
-                            List.concat
-                              [
-                                (if cl <> 0 then
-                                   [ { d_coeff = abs cl; d_extent = l3.(d) - 1; d_gid = None } ]
-                                 else []);
-                                (if cg <> 0 then
-                                   [ { d_coeff = abs cg; d_extent = l3.(d) - 1; d_gid = None } ]
-                                 else []);
-                              ])
-                      [ 0; 1; 2 ]
-                  in
-                  lid_dims @ loop_dims cenv form
-                in
-                (match dims_exn () with
-                | exception Exit -> Unproven "loop range not statically known"
-                | dims ->
-                    let uncovered = List.exists (fun d -> d.d_coeff = 0) dims in
-                    if (not uncovered) && radix_ok dims then Safe
-                    else
-                      match confirm () with
-                      | Some w -> Unsafe w
-                      | None ->
-                          Unproven
-                            "local store strides may collide across work-items of a group")
-            | _ -> Safe)
-        | _ -> (
-            (* several distinct store shapes in one phase: the guarded
-               cooperative-load idiom; only claim Unsafe on concrete
-               confirmation *)
-            match confirm () with
-            | Some w -> Unsafe w
-            | None -> Unproven "multiple local store index shapes in one barrier phase")
-      in
-      let rec worst = function
-        | [] -> Safe
-        | ph :: rest -> (
-            match phase_verdict ph with
-            | Safe -> worst rest
-            | Unsafe w -> Unsafe w
-            | Unproven r -> (
-                match worst rest with Unsafe w -> Unsafe w | _ -> Unproven r))
-      in
-      worst phases
-
-(* -- Barrier-divergence analysis --------------------------------------- *)
-
-(* A barrier under work-item-varying control flow is only reported
-   [Unsafe] when two concrete work-items of the same group are shown to
-   execute different barrier counts. *)
-let barrier_verdict cenv e (k : kernel) : verdict =
-  if not (cenv.l.l_grouped && Cast.contains_barrier k.body) then Safe
-  else if not cenv.divergent_barrier then Safe
-  else
-    let unconfirmed =
-      Unproven "barrier under work-item-varying control flow (divergence not confirmed)"
-    in
-    match known_global cenv with
-    | None -> unconfirmed
-    | Some gsize ->
-        let l3 = cenv.l.l_local in
-        let zeros = Array.make 3 0 in
-        let candidates =
-          List.concat_map
-            (fun d ->
-              if l3.(d) > 1 && gsize.(d) > 1 then
-                [
-                  Array.init 3 (fun i -> if i = d then 1 else 0);
-                  Array.init 3 (fun i -> if i = d then min (l3.(d) - 1) (gsize.(d) - 1) else 0);
-                ]
-              else [])
-            [ 0; 1; 2 ]
-        in
-        let base = crun_workitem e k ~gsize ~gid:zeros in
-        let diverges gid =
-          match (base, crun_workitem e k ~gsize ~gid) with
-          | Some (_, b0), Some (_, b1) when b0 <> b1 -> Some (b0, b1)
-          | _ -> None
-        in
-        let rec go = function
-          | [] -> unconfirmed
-          | gid :: rest -> (
-              match diverges gid with
-              | Some (b0, b1) ->
-                  Unsafe
-                    {
-                      w_buf = "(barrier)";
-                      w_index = b1 - b0;
-                      w_gids = [ (0, 0, 0); (gid.(0), gid.(1), gid.(2)) ];
-                      w_detail =
-                        Printf.sprintf
-                          "work-items (0,0,0) and (%d,%d,%d) of the same group execute %d \
-                           and %d barriers"
-                          gid.(0) gid.(1) gid.(2) b0 b1;
-                    }
-              | None -> go rest)
-        in
-        go candidates
-
 (* -- Bounds analysis -------------------------------------------------- *)
 
 (* The gid that drives an affine index to its maximum (resp. minimum). *)
@@ -822,7 +552,7 @@ let extremal_gid ~gsize (form : aff) ~maximise =
 let confirm_oob e k ~gsize buf ~elems (gid : int array) : witness option =
   match crun_workitem e k ~gsize ~gid with
   | None -> None
-  | Some (accs, _) -> (
+  | Some accs -> (
       match
         List.find_opt (fun a -> a.c_buf = buf && (a.c_idx < 0 || a.c_idx >= elems)) accs
       with
@@ -889,11 +619,12 @@ let launch (e : env) (k : kernel) : Domain.launch =
       check_ndrange k ~global:l;
       List.iteri (fun d n -> if d < 3 then gs.(d) <- Some n) l
   | None ->
+      let dims = launch_dims k in
       List.iteri
         (fun d expr ->
-          if d < 3 then gs.(d) <- Cast.eval_int e.param_value (Cast.simplify expr))
+          if d < dims then gs.(d) <- Cast.eval_int e.param_value (Cast.simplify expr))
         k.global_size);
-  { l_global = gs; l_local = local3 k; l_grouped = grouped k; l_param = e.param_value }
+  { l_global = gs; l_param = e.param_value }
 
 let analyse (e : env) (k : kernel) =
   let cenv =
@@ -902,13 +633,10 @@ let analyse (e : env) (k : kernel) =
       l = launch e k;
       global_bufs = Hashtbl.create 8;
       private_arrs = Hashtbl.create 4;
-      local_arrs = Hashtbl.create 4;
       accesses = Hashtbl.create 16;
       loop_ranges = Hashtbl.create 4;
       nloops = 0;
       locals = SMap.empty;
-      phase = 0;
-      divergent_barrier = false;
     }
   in
   List.iter
@@ -918,7 +646,7 @@ let analyse (e : env) (k : kernel) =
         Hashtbl.replace cenv.accesses p.p_name (ref [])
       end)
     k.params;
-  List.iter (scan cenv ~varying:false) k.body;
+  List.iter (scan cenv) k.body;
   cenv
 
 let check (e : env) (k : kernel) : report =
@@ -931,48 +659,34 @@ let check (e : env) (k : kernel) : report =
       (fun name ->
         let accs = List.rev !(Hashtbl.find cenv.accesses name) in
         let is_global = Hashtbl.mem cenv.global_bufs name in
-        let is_local = Hashtbl.mem cenv.local_arrs name in
         let elems =
-          if is_global then e.buffer_elems name
-          else if is_local then Hashtbl.find_opt cenv.local_arrs name
-          else Hashtbl.find_opt cenv.private_arrs name
+          if is_global then e.buffer_elems name else Hashtbl.find_opt cenv.private_arrs name
         in
         let stores = List.filter_map (fun a -> if a.ac_store then Some a.ac_v else None) accs in
         let race =
           if is_global then race_verdict cenv e k name stores
-          else if is_local then
-            local_race_verdict cenv e k name
-              (List.filter_map
-                 (fun a -> if a.ac_store then Some (a.ac_v, a.ac_phase) else None)
-                 accs)
           else Safe (* private arrays are per-work-item: no cross-item races *)
         in
         {
           b_name = name;
-          b_kind = (if is_global then `Global else if is_local then `Local else `Private);
+          b_kind = (if is_global then `Global else `Private);
           b_elems = elems;
           b_race = race;
           b_bounds = bounds_verdict cenv e k name ~elems accs;
         })
       buf_names
   in
-  {
-    r_kernel = k.name;
-    r_global = cenv.l.l_global;
-    r_bufs = bufs;
-    r_barrier = barrier_verdict cenv e k;
-  }
+  { r_kernel = k.name; r_global = cenv.l.l_global; r_bufs = bufs }
 
 let ok r =
-  (match r.r_barrier with Unsafe _ -> false | _ -> true)
-  && List.for_all
+  List.for_all
        (fun b ->
          (match b.b_race with Unsafe _ -> false | _ -> true)
          && match b.b_bounds with Unsafe _ -> false | _ -> true)
        r.r_bufs
 
 let fully_proven r =
-  r.r_barrier = Safe && List.for_all (fun b -> b.b_race = Safe && b.b_bounds = Safe) r.r_bufs
+  List.for_all (fun b -> b.b_race = Safe && b.b_bounds = Safe) r.r_bufs
 
 let unsafe_bufs r =
   List.filter
@@ -1009,13 +723,10 @@ let pp_report ppf (r : report) =
          (Array.map (function Some n -> string_of_int n | None -> "?") r.r_global))
   in
   Fmt.pf ppf "kernel %s (NDRange %s)@." r.r_kernel gs;
-  (match r.r_barrier with
-  | Safe -> ()
-  | v -> Fmt.pf ppf "  barrier divergence: %a@." pp_verdict v);
   List.iter
     (fun b ->
       Fmt.pf ppf "  %-10s %-7s %-12s race: %a@.  %-10s %-7s %-12s bounds: %a@." b.b_name
-        (match b.b_kind with `Global -> "global" | `Private -> "private" | `Local -> "local")
+        (match b.b_kind with `Global -> "global" | `Private -> "private")
         (match b.b_elems with Some n -> Printf.sprintf "[%d]" n | None -> "[?]")
         pp_verdict b.b_race "" "" "" pp_verdict b.b_bounds)
     r.r_bufs

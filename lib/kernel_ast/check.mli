@@ -40,11 +40,9 @@ type verdict =
     bounds safety of all its accesses. *)
 type buf_report = {
   b_name : string;
-  b_kind : [ `Global | `Private | `Local ];
+  b_kind : [ `Global | `Private ];
   b_elems : int option;  (** declared extent, when known *)
   b_race : verdict;
-      (** for [`Local] buffers: no two work-items of a group store the
-          same slot within one barrier-delimited phase *)
   b_bounds : verdict;
 }
 
@@ -52,11 +50,6 @@ type report = {
   r_kernel : string;
   r_global : int option array;  (** resolved NDRange (3 dims) *)
   r_bufs : buf_report list;  (** sorted by buffer name *)
-  r_barrier : verdict;
-      (** barrier-divergence freedom: [Safe] when every barrier of a
-          grouped kernel sits under work-group-uniform control flow;
-          [Unsafe] carries two work-items of one group with different
-          concrete barrier counts *)
 }
 
 (** Checking environment: resolves scalar parameters and buffer extents
@@ -80,13 +73,16 @@ val launch : env -> Cast.kernel -> Domain.launch
 (** The launch the analyses evaluate under: [env.global] when given,
     otherwise the kernel's symbolic [global_size] simplified and
     evaluated by {!Cast.eval_int} through the environment (missing
-    dimensions are 1), plus the kernel's work-group shape and the
-    environment's scalar values.
+    dimensions are 1), plus the environment's scalar values.
     @raise Cast.Ndrange_rank when [env.global] has more dimensions than
     the kernel declares, other than trailing 1s: no engine would run
-    that launch, so no verdict is given for it. *)
+    that launch, so no verdict is given for it.
+    @raise Cast.Work_group_size on a kernel whose [local_size] is not
+    [[]], with or without [env.global]. *)
 
 val check : env -> Cast.kernel -> report
+(** @raise Cast.Ndrange_rank and {!Cast.Work_group_size} as {!launch}
+    does. *)
 
 val ok : report -> bool
 (** No [Unsafe] verdict in the report. *)

@@ -44,8 +44,6 @@ let pp_itv ppf a =
 
 type term =
   | Tgid of int
-  | Tlid of int  (* get_local_id(d), grouped kernels only *)
-  | Tgrp of int  (* get_group_id(d), grouped kernels only *)
   | Tloop of int  (* unique id per syntactic loop *)
   | Tparam of string  (* unknown but launch-uniform scalar parameter *)
 
@@ -81,8 +79,6 @@ let is_const a = a.coeffs = []
 
 let pp_term ppf = function
   | Tgid d -> Fmt.pf ppf "gid%d" d
-  | Tlid d -> Fmt.pf ppf "lid%d" d
-  | Tgrp d -> Fmt.pf ppf "grp%d" d
   | Tloop id -> Fmt.pf ppf "loop%d" id
   | Tparam v -> Fmt.string ppf v
 
@@ -114,19 +110,13 @@ let join a b =
 
 type launch = {
   l_global : int option array;  (* 3 dims; missing dims are 1 *)
-  l_local : int array;  (* work-group size, [|1;1;1|] for flat kernels *)
-  l_grouped : bool;
   l_param : string -> int option;
 }
 
 let term_itv l = function
   | Tgid d when d < 3 -> { lo = Some 0; hi = Option.map (fun n -> n - 1) l.l_global.(d) }
-  | Tgrp d when d < 3 ->
-      { lo = Some 0; hi = Option.map (fun n -> (n / l.l_local.(d)) - 1) l.l_global.(d) }
-  | Tlid d when l.l_grouped && d < 3 -> { lo = Some 0; hi = Some (l.l_local.(d) - 1) }
-  | Tlid _ -> point 0
   | Tparam v -> ( match l.l_param v with Some n -> point n | None -> top_itv)
-  | Tgid _ | Tgrp _ | Tloop _ -> top_itv
+  | Tgid _ | Tloop _ -> top_itv
 
 let of_term l t = { v_itv = term_itv l t; v_aff = Some (aff_of_term t); v_tainted = false }
 let const v = match v.v_aff with Some { base; coeffs = [] } -> Some base | _ -> None
@@ -171,11 +161,6 @@ let rec eval l ~var ~load (expr : Cast.expr) =
       match if d < 3 then l.l_global.(d) else None with
       | Some n -> known n
       | None -> { top with v_itv = { lo = Some 1; hi = None } })
-  | Group_id d ->
-      (* flat model: get_group_id(d) = get_global_id(d) *)
-      of_term l (if l.l_grouped then Tgrp d else Tgid d)
-  | Local_id d -> if l.l_grouped && d < 3 then of_term l (Tlid d) else known 0
-  | Local_size d -> known (if d < 3 then l.l_local.(d) else 1)
   | Var v -> (
       match var v with
       | Some av -> av

@@ -37,8 +37,6 @@ val pp_itv : Format.formatter -> itv -> unit
 
 type term =
   | Tgid of int  (** [get_global_id d] *)
-  | Tlid of int  (** [get_local_id d], grouped kernels only *)
-  | Tgrp of int  (** [get_group_id d], grouped kernels only *)
   | Tloop of int  (** unique id per syntactic loop *)
   | Tparam of string
       (** scalar kernel parameter with no statically known value: unknown
@@ -88,8 +86,6 @@ type launch = {
   l_global : int option array;
       (** NDRange extent per dimension (3 dims, missing dims are 1);
           [None] when not statically known *)
-  l_local : int array;  (** work-group size, [\[|1;1;1|\]] for flat kernels *)
-  l_grouped : bool;  (** the kernel uses the work-group tier *)
   l_param : string -> int option;  (** statically known scalar parameters *)
 }
 

@@ -5,12 +5,12 @@
    uses too; through its [var] and [load] hooks every value also
    collects its *provenance* — the set of global-buffer cells (buffer
    name + affine index form) it was loaded from.  Provenance
-   flows through arithmetic, scalar registers, private arrays, __local
-   staging tiles and enclosing branch conditions, and reaches a global
-   store as the store's read footprint.  Loop-carried registers are aged
-   by one iteration per trip around a bounded fixpoint, which recovers
-   the below-plane dependence of 2.5D-tiled kernels whose z-1 plane
-   lives only in a register. *)
+   flows through arithmetic, scalar registers, private arrays and
+   enclosing branch conditions, and reaches a global store as the
+   store's read footprint.  Loop-carried registers are aged by one
+   iteration per trip around a bounded fixpoint, which recovers the
+   below-plane dependence of a kernel that marches z and keeps the z-1
+   plane only in a register. *)
 
 open Cast
 open Domain
@@ -52,8 +52,8 @@ type fenv = {
   l : Domain.launch;
   global_bufs : (string, unit) Hashtbl.t;
   arrays : (string, origin list ref) Hashtbl.t;
-      (* private and __local arrays: union of origins ever stored; slots
-         are not resolved, so a load sees every store's provenance *)
+      (* private arrays: union of origins ever stored; slots are not
+         resolved, so a load sees every store's provenance *)
   loop_ranges : (int, itv) Hashtbl.t;
   mutable nloops : int;
   mutable locals : fval SMap.t;
@@ -123,9 +123,7 @@ let rec assign_sites conds nested acc = function
 
 let rec expr_has_load = function
   | Load _ -> true
-  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ | Group_id _ | Local_id _
-  | Local_size _ ->
-      false
+  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> false
   | Unop (_, a) -> expr_has_load a
   | Binop (_, a, b) -> expr_has_load a || expr_has_load b
   | Ternary (a, b, c) -> expr_has_load a || expr_has_load b || expr_has_load c
@@ -133,9 +131,7 @@ let rec expr_has_load = function
 
 let rec expr_vars acc = function
   | Var v -> v :: acc
-  | Int_lit _ | Real_lit _ | Global_id _ | Global_size _ | Group_id _ | Local_id _
-  | Local_size _ ->
-      acc
+  | Int_lit _ | Real_lit _ | Global_id _ | Global_size _ -> acc
   | Load (_, i) -> expr_vars acc i
   | Unop (_, a) -> expr_vars acc a
   | Binop (_, a, b) -> expr_vars (expr_vars acc a) b
@@ -144,8 +140,8 @@ let rec expr_vars acc = function
 
 let rec scan fenv ~ctx (s : stmt) =
   match s with
-  | Comment _ | Barrier -> ()
-  | Decl_local (_, v, _) | Decl_arr (_, v, _) ->
+  | Comment _ -> ()
+  | Decl_arr (_, v, _) ->
       (* [replace] would reset accumulated provenance on fixpoint
          re-scans; keep the existing cell *)
       if not (Hashtbl.mem fenv.arrays v) then Hashtbl.replace fenv.arrays v (ref [])

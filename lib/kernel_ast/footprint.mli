@@ -10,18 +10,19 @@
     function ({!Domain.eval}) and adds {b value provenance} through its
     hooks: every abstract value carries the set of global-buffer cells
     it was loaded from, and
-    provenance flows through scalar registers, private arrays and
-    [__local] staging buffers.  Loop-carried registers age by one
-    iteration per trip (the [z]-march idiom of 2.5D-tiled stencils), so
-    a tiled stencil's register-held below-plane reads surface as a [z-1]
-    arm even though no load instruction mentions [z-1]:
+    provenance flows through scalar registers and private arrays.
+    Loop-carried registers age by one iteration per trip (the [z]-march
+    idiom of 2.5D stencils), so a register-held below-plane read
+    surfaces as a [z-1] arm even though no load instruction mentions
+    [z-1]:
 
     - a {b flat} 7-point stencil infers reads of [curr] at
       [x±1, y±1, z±1] from the six neighbour loads directly;
-    - a {b tiled} 2.5D variant (no production kernel is one; the tests
-      keep one as a fixture) stages a plane in local memory and marches
-      [z] in a register; provenance through the tile and the aged
-      register recovers the same [±1] extents;
+    - a {b z-marching} variant (no production kernel is one; the tests
+      keep one as a fixture) runs a 2-D NDRange over the XY plane and
+      marches [z] in a loop, carrying the below-plane value in a
+      register; provenance through the aged register recovers the same
+      [±1] extents;
     - {b interior/frontier} range launches ({!Cast.offset_global_id})
       keep their extents because the unknown [goff] parameter is
       launch-uniform ({!Domain.Tparam}) and cancels in offset

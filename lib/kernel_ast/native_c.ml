@@ -19,7 +19,7 @@
      int buffer ([Cast.U8]) is a [uint8_t] vector read and written in
      place: a load zero-extends ([(int64_t)b[i]]) and a store truncates
      ([(uint8_t)(v)], wrapping mod 256 like OpenCL [uchar]).  Private
-     and [__local] int arrays are plain untagged [int64_t];
+     int arrays are plain untagged [int64_t];
    - real [Mod] is C [fmod] (= OCaml [Float.rem]); [Fmin]/[Fmax] are
      emitted as helpers replicating OCaml's [Float.min]/[Float.max]
      branch-for-branch (NaN propagation, [-0. < +0.]), not C's
@@ -103,24 +103,12 @@ type slot =
   | S_gbuf of ty  (* global buffer parameter *)
   | S_gbyte  (* byte-stored global int buffer parameter *)
   | S_parr of ty * int  (* private (work-item local) array *)
-  | S_larr of ty * int  (* work-group local array (grouped kernels) *)
 
 type env = {
   slots : (string, slot) Hashtbl.t;
   mutable locals : (string * slot) list;  (* body-declared, reversed scan order *)
   local_ix : (string, int) Hashtbl.t;  (* body-declared local -> declaration index *)
-  env_grouped : bool;
   dims : int;  (* NDRange dimensions declared: [Cast.launch_dims] *)
-  l3 : int array;  (* work-group size, [|1;1;1|] when flat *)
-  sparams : (string, unit) Hashtbl.t;  (* scalar parameter names *)
-  uniform_store : (string, unit) Hashtbl.t;
-      (* loop variables of barrier-containing ("uniform") loops: stored
-         as one plain scalar shared by the whole group *)
-  uniform_vals : (string, unit) Hashtbl.t;
-      (* per-work-item scalars whose value is provably the same in every
-         lane at the current program point: legal in uniform-loop
-         headers, rendered as [v[0]] there *)
-  mutable in_uniform : bool;  (* rendering a uniform-loop header *)
 }
 
 let declare env name s =
@@ -129,48 +117,29 @@ let declare env name s =
     env.locals <- (name, s) :: env.locals
   end
 
-let group_threads env = env.l3.(0) * env.l3.(1) * env.l3.(2)
-
+(* [launch_dims] refuses a kernel with a work-group size before anything
+   is rendered. *)
 let build_env (k : kernel) =
-  let is_grouped = grouped k in
   let env =
-    {
-      slots = Hashtbl.create 32;
-      locals = [];
-      local_ix = Hashtbl.create 32;
-      env_grouped = is_grouped;
-      dims = launch_dims k;
-      l3 = local3 k;
-      sparams = Hashtbl.create 8;
-      uniform_store = Hashtbl.create 4;
-      uniform_vals = Hashtbl.create 8;
-      in_uniform = false;
-    }
+    { slots = Hashtbl.create 32; locals = []; local_ix = Hashtbl.create 32; dims = launch_dims k }
   in
   List.iter
     (fun p ->
       match p.p_kind with
       | Global_buf when p.p_storage = U8 -> Hashtbl.replace env.slots p.p_name S_gbyte
       | Global_buf -> Hashtbl.replace env.slots p.p_name (S_gbuf p.p_ty)
-      | Scalar_param ->
-          Hashtbl.replace env.slots p.p_name (S_scalar p.p_ty);
-          Hashtbl.replace env.sparams p.p_name ())
+      | Scalar_param -> Hashtbl.replace env.slots p.p_name (S_scalar p.p_ty))
     k.params;
   let rec scan = function
     | Decl (t, v, _) -> declare env v (S_scalar t)
     | Decl_arr (t, v, n) -> declare env v (S_parr (t, n))
-    | Decl_local (t, v, n) ->
-        (* flat model: a local array is indistinguishable from private *)
-        declare env v (if is_grouped then S_larr (t, n) else S_parr (t, n))
     | If (_, a, b) ->
         List.iter scan a;
         List.iter scan b
     | For l ->
         declare env l.var (S_scalar Int);
-        if is_grouped && contains_barrier l.body then
-          Hashtbl.replace env.uniform_store l.var ();
         List.iter scan l.body
-    | Assign _ | Store _ | Barrier | Comment _ -> ()
+    | Assign _ | Store _ | Comment _ -> ()
   in
   List.iter scan k.body;
   env.locals <- List.rev env.locals;
@@ -195,44 +164,11 @@ let cname env v =
   | Some i -> Printf.sprintf "rk_v%d_%s" i (stem v)
   | None -> mangle v
 
-(* Whether [v] may appear in a uniform-loop header and how it renders
-   there: scalar parameters and uniform-loop variables are plain shared
-   scalars; a per-work-item scalar is only legal when its value is
-   provably lane-uniform (then any lane's slot serves). *)
-let is_uniform_name env v =
-  Hashtbl.mem env.sparams v
-  || Hashtbl.mem env.uniform_store v
-  || Hashtbl.mem env.uniform_vals v
-
-(* Work-group-uniform expressions: same value in every lane of a group.
-   Conservative — no loads, no per-lane ids. *)
-let rec expr_uniform env = function
-  | Int_lit _ | Real_lit _ | Global_size _ | Local_size _ | Group_id _ -> true
-  | Global_id _ | Local_id _ | Load _ -> false
-  | Var v -> is_uniform_name env v
-  | Unop (_, a) -> expr_uniform env a
-  | Binop (_, a, b) -> expr_uniform env a && expr_uniform env b
-  | Ternary (c, a, b) -> expr_uniform env c && expr_uniform env a && expr_uniform env b
-  | Call (_, args) -> List.for_all (expr_uniform env) args
-
-(* How a scalar variable reference renders at the current point. *)
-let var_ref env v =
-  let n = cname env v in
-  if not env.env_grouped then n
-  else
-    match Hashtbl.find_opt env.slots v with
-    | Some (S_scalar _) when Hashtbl.mem env.sparams v || Hashtbl.mem env.uniform_store v
-      ->
-        n
-    | Some (S_scalar _) -> if env.in_uniform then n ^ "[0]" else n ^ "[rk_l]"
-    | _ -> n
-
 (* Expression typing by C promotion rules: builtin calls are real,
    comparisons and logic are int. *)
 let rec type_of env (e : expr) : ty =
   match e with
-  | Int_lit _ | Global_id _ | Global_size _ | Group_id _ | Local_id _ | Local_size _ ->
-      Int
+  | Int_lit _ | Global_id _ | Global_size _ -> Int
   | Real_lit _ -> Real
   | Var v -> (
       match Hashtbl.find_opt env.slots v with
@@ -241,7 +177,7 @@ let rec type_of env (e : expr) : ty =
       | None -> failwith (Printf.sprintf "native_c: unbound variable %s" v))
   | Load (b, _) -> (
       match Hashtbl.find_opt env.slots b with
-      | Some (S_gbuf t | S_parr (t, _) | S_larr (t, _)) -> t
+      | Some (S_gbuf t | S_parr (t, _)) -> t
       | Some S_gbyte -> Int
       | Some _ -> failwith (Printf.sprintf "native_c: %s is not an array" b)
       | None -> failwith (Printf.sprintf "native_c: unbound buffer %s" b))
@@ -296,28 +232,14 @@ let rec emit env buf ~prec (e : expr) =
   | Int_lit n ->
       add (if n < 0 then Printf.sprintf "(%dLL)" n else Printf.sprintf "%dLL" n)
   | Real_lit r -> add (real_lit_c r)
-  | Var v -> add (var_ref env v)
-  | Global_id d when d >= env.dims && not env.env_grouped ->
+  | Var v -> add (cname env v)
+  | Global_id d when d >= env.dims ->
       (* no loop runs over an undeclared dimension: its id is 0 *)
       add "0LL"
   | Global_id d -> add (Printf.sprintf "rk_g%d" d)
   | Global_size d -> add (Printf.sprintf "rk_gs%d" d)
-  | Group_id d when d >= env.dims && not env.env_grouped -> add "0LL"
-  | Group_id d ->
-      (* flat model: every work-item is its own group *)
-      add (Printf.sprintf (if env.env_grouped then "rk_wg%d" else "rk_g%d") d)
-  | Local_id d ->
-      add (if env.env_grouped && d < 3 then Printf.sprintf "rk_l%d" d else "0LL")
-  | Local_size d ->
-      add (Printf.sprintf "%dLL" (if env.env_grouped && d < 3 then env.l3.(d) else 1))
   | Load (b, i) -> (
       match Hashtbl.find_opt env.slots b with
-      | Some (S_parr (_, n)) when env.env_grouped ->
-          (* per-work-item array: this lane's slice *)
-          add (cname env b);
-          add (Printf.sprintf "[rk_l * %dLL + " n);
-          as_int_prec env buf ~prec:10 i;
-          add "]"
       | Some (S_gbuf Int) ->
           (* a tagged OCaml word, untagged in place (Long_val) *)
           add "(";
@@ -483,47 +405,20 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
         | Int, Some e -> as_int_c env e
         | Real, Some e -> expr_c env e
       in
-      add (Printf.sprintf "%s%s = %s;\n" pad (var_ref env v) rhs)
-  | Decl_arr (_, v, n) | Decl_local (_, v, n) -> (
-      match Hashtbl.find_opt env.slots v with
-      | Some (S_larr _) ->
-          (* group-shared storage, zeroed once at group entry *)
-          ()
-      | Some (S_parr _) when env.env_grouped ->
-          (* fresh per work-item: zero this lane's slice *)
-          let n' = cname env v in
-          add
-            (Printf.sprintf "%smemset(&%s[rk_l * %dLL], 0, %d * sizeof(%s[0]));\n" pad n' n n
-               n')
-      | _ ->
-          let n' = cname env v in
-          add (Printf.sprintf "%smemset(%s, 0, sizeof(%s));\n" pad n' n'))
-  | Barrier ->
-      if env.env_grouped then
-        failwith "native_c: barrier under work-item-varying control flow"
-      (* flat model: each work-item is a singleton group; a barrier is a
-         no-op *)
+      add (Printf.sprintf "%s%s = %s;\n" pad (cname env v) rhs)
+  | Decl_arr (_, v, _) ->
+      let n' = cname env v in
+      add (Printf.sprintf "%smemset(%s, 0, sizeof(%s));\n" pad n' n')
   | Assign (v, e) ->
-      if env.env_grouped && Hashtbl.mem env.sparams v then
-        failwith
-          (Printf.sprintf "native_c: assignment to scalar parameter %s in grouped kernel"
-             v);
       let rhs =
         match Hashtbl.find_opt env.slots v with
         | Some (S_scalar Int) -> as_int_c env e
         | Some (S_scalar Real) -> expr_c env e
         | _ -> failwith (Printf.sprintf "native_c: assign to unbound %s" v)
       in
-      add (Printf.sprintf "%s%s = %s;\n" pad (var_ref env v) rhs)
+      add (Printf.sprintf "%s%s = %s;\n" pad (cname env v) rhs)
   | Store (b, i, e) ->
-      let lhs =
-        match Hashtbl.find_opt env.slots b with
-        | Some (S_parr (_, n)) when env.env_grouped ->
-            let buf' = Buffer.create 32 in
-            as_int_prec env buf' ~prec:10 i;
-            Printf.sprintf "%s[rk_l * %dLL + %s]" (cname env b) n (Buffer.contents buf')
-        | _ -> Printf.sprintf "%s[%s]" (cname env b) (as_int_c env i)
-      in
+      let lhs = Printf.sprintf "%s[%s]" (cname env b) (as_int_c env i) in
       let rhs =
         match Hashtbl.find_opt env.slots b with
         | Some (S_gbuf Int) ->
@@ -531,14 +426,14 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
                bits like OCaml int arithmetic *)
             Printf.sprintf "(int64_t)(((uint64_t)(%s) << 1) | 1u)" (as_int_c env e)
         | Some S_gbyte -> Printf.sprintf "(uint8_t)(%s)" (as_int_c env e)
-        | Some (S_parr (Int, _) | S_larr (Int, _)) -> as_int_c env e
+        | Some (S_parr (Int, _)) -> as_int_c env e
         | Some (S_gbuf Real) when round_store ->
             (* single precision: round on store to a global real buffer,
                always through double first so an int value takes the
                same widen-then-round path as [Exec]'s as_real +
                round32 *)
             Printf.sprintf "(double)(float)(double)(%s)" (expr_c env e)
-        | Some (S_gbuf Real | S_parr (Real, _) | S_larr (Real, _)) -> expr_c env e
+        | Some (S_gbuf Real | S_parr (Real, _)) -> expr_c env e
         | _ -> failwith (Printf.sprintf "native_c: store to unbound %s" b)
       in
       add (Printf.sprintf "%s%s = %s;\n" pad lhs rhs)
@@ -560,116 +455,11 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
       add (Printf.sprintf "%s{\n" pad);
       add (Printf.sprintf "%s  int64_t %s = %s;\n" pad it (as_int_c env l.init));
       add (Printf.sprintf "%s  while (%s < (%s)) {\n" pad it (as_int_c env l.bound));
-      add (Printf.sprintf "%s    %s = %s;\n" pad (var_ref env l.var) it);
+      add (Printf.sprintf "%s    %s = %s;\n" pad (cname env l.var) it);
       List.iter (emit_stmt env buf ~indent:(indent + 4) ~round_store) l.body;
       add (Printf.sprintf "%s    %s += %s;\n" pad it (as_int_c env l.step));
       add (Printf.sprintf "%s  }\n" pad);
       add (Printf.sprintf "%s}\n" pad)
-
-(* Lane-uniformity bookkeeping while walking a group-scope statement
-   spine: a per-work-item scalar is value-uniform after a spine-level
-   [Decl]/[Assign] whose right-hand side is itself uniform (every lane
-   executes the spine, so every slot holds the same value); any write
-   under divergent control conservatively revokes it. *)
-let rec kill_uniform env = function
-  | Decl (_, v, _) | Decl_arr (_, v, _) | Decl_local (_, v, _) | Assign (v, _) ->
-      Hashtbl.remove env.uniform_vals v
-  | If (_, a, b) ->
-      List.iter (kill_uniform env) a;
-      List.iter (kill_uniform env) b
-  | For l ->
-      Hashtbl.remove env.uniform_vals l.var;
-      List.iter (kill_uniform env) l.body
-  | Store _ | Barrier | Comment _ -> ()
-
-let update_uniform env s =
-  match s with
-  | Decl (_, v, None) -> Hashtbl.replace env.uniform_vals v ()
-  | Decl (_, v, Some e) | Assign (v, e) ->
-      if expr_uniform env e then Hashtbl.replace env.uniform_vals v ()
-      else Hashtbl.remove env.uniform_vals v
-  | If _ | For _ -> kill_uniform env s
-  | Decl_arr _ | Decl_local _ | Store _ | Barrier | Comment _ -> ()
-
-(* Render [e] for a uniform-loop header: per-work-item scalars read lane
-   0's slot (legal only because the value is lane-uniform there). *)
-let uniform_int_c env e =
-  env.in_uniform <- true;
-  let s = as_int_c env e in
-  env.in_uniform <- false;
-  s
-
-(* Grouped lowering: barrier synchronisation becomes loop fission.  The
-   statement spine of a group's body is split at every [Barrier]; each
-   barrier-free segment runs inside its own loop over the group's
-   work-items (lid order, matching the interpreter's resume order), so
-   all lanes finish a segment before any lane starts the next — exactly
-   the barrier guarantee for race-free kernels.  A barrier-containing
-   loop must have group-uniform bounds; it is emitted once at group
-   scope (its variable is a plain shared scalar) with its body
-   recursively fissioned.  A barrier under a conditional is divergence
-   and rejected outright — [Check.barrier_verdict] reports these
-   statically. *)
-let rec emit_group_body env buf ~indent ~round_store (stmts : stmt list) =
-  let pad = String.make indent ' ' in
-  let add = Buffer.add_string buf in
-  let flush seg =
-    match List.rev seg with
-    | [] -> ()
-    | body ->
-        let l0 = env.l3.(0) and l1 = env.l3.(1) and l2 = env.l3.(2) in
-        add (Printf.sprintf "%sfor (int64_t rk_l2 = 0; rk_l2 < %dLL; rk_l2++)\n" pad l2);
-        add (Printf.sprintf "%sfor (int64_t rk_l1 = 0; rk_l1 < %dLL; rk_l1++)\n" pad l1);
-        add (Printf.sprintf "%sfor (int64_t rk_l0 = 0; rk_l0 < %dLL; rk_l0++)\n" pad l0);
-        add (Printf.sprintf "%s{\n" pad);
-        add
-          (Printf.sprintf "%s  const int64_t rk_l = (rk_l2 * %dLL + rk_l1) * %dLL + rk_l0;\n"
-             pad l1 l0);
-        add (Printf.sprintf "%s  const int64_t rk_g0 = rk_wg0 * %dLL + rk_l0;\n" pad l0);
-        add (Printf.sprintf "%s  const int64_t rk_g1 = rk_wg1 * %dLL + rk_l1;\n" pad l1);
-        add (Printf.sprintf "%s  const int64_t rk_g2 = rk_wg2 * %dLL + rk_l2;\n" pad l2);
-        add
-          (Printf.sprintf "%s  (void)rk_l; (void)rk_g0; (void)rk_g1; (void)rk_g2;\n" pad);
-        List.iter (emit_stmt env buf ~indent:(indent + 2) ~round_store) body;
-        add (Printf.sprintf "%s}\n" pad)
-  in
-  let rec go seg = function
-    | [] -> flush seg
-    | Barrier :: rest ->
-        flush seg;
-        go [] rest
-    | (For l as s) :: rest when contains_barrier l.body ->
-        flush seg;
-        update_uniform env s;
-        emit_uniform_loop env buf ~indent ~round_store l;
-        go [] rest
-    | If (_, t, f) :: _ when contains_barrier t || contains_barrier f ->
-        failwith "native_c: barrier under conditional control flow"
-    | s :: rest ->
-        update_uniform env s;
-        go (s :: seg) rest
-  in
-  go [] stmts
-
-and emit_uniform_loop env buf ~indent ~round_store (l : for_loop) =
-  let ok e = expr_uniform env e in
-  if not (ok l.init && ok l.bound && ok l.step) then
-    failwith "native_c: barrier inside a loop with work-item-varying bounds";
-  let pad = String.make indent ' ' in
-  let add = Buffer.add_string buf in
-  let it = "rk_it_" ^ cname env l.var in
-  add (Printf.sprintf "%s{\n" pad);
-  add (Printf.sprintf "%s  int64_t %s = %s;\n" pad it (uniform_int_c env l.init));
-  add (Printf.sprintf "%s  while (%s < (%s)) {\n" pad it (uniform_int_c env l.bound));
-  add (Printf.sprintf "%s    %s = %s;\n" pad (var_ref env l.var) it);
-  emit_group_body env buf ~indent:(indent + 4) ~round_store l.body;
-  add (Printf.sprintf "%s    %s += %s;\n" pad it (uniform_int_c env l.step));
-  add (Printf.sprintf "%s  }\n" pad);
-  add (Printf.sprintf "%s}\n" pad);
-  (* the header strings above are re-evaluated every iteration: their
-     variables must still be uniform after the body's own writes *)
-  if not (ok l.bound && ok l.step) then
-    failwith "native_c: barrier-loop bound made work-item-varying inside the loop"
 
 (* The prelude includes no header: preprocessing <stdint.h>, <math.h>
    and <string.h> more than doubled the preprocessor's time per kernel
@@ -782,60 +572,26 @@ let entry_source ?(noalias = true) (k : kernel) : string =
   add "  const int64_t rk_gs1 = gsz[1];\n";
   add "  const int64_t rk_gs2 = gsz[2];\n";
   add "  (void)rk_gs0; (void)rk_gs1; (void)rk_gs2;\n";
-  (* hoisted entry-scope locals, zero-initialised like fresh registers;
-     grouped kernels widen per-work-item storage to one slot per lane *)
-  let gthreads = group_threads env in
+  (* hoisted entry-scope locals, zero-initialised like fresh registers *)
   List.iter
     (fun (v, s) ->
       match s with
-      | S_scalar t when env.env_grouped && not (Hashtbl.mem env.uniform_store v) ->
-          add (Printf.sprintf "  %s %s[%d] = {0};\n" (c_ty t) (cname env v) gthreads)
       | S_scalar t ->
           add
             (Printf.sprintf "  %s %s = %s;\n" (c_ty t) (cname env v)
                (match t with Int -> "0" | Real -> "0.0"))
-      | S_parr (t, n) ->
-          let n = if env.env_grouped then gthreads * n else n in
-          add (Printf.sprintf "  %s %s[%d] = {0};\n" (c_ty t) (cname env v) n)
-      | S_larr (t, n) -> add (Printf.sprintf "  %s %s[%d];\n" (c_ty t) (cname env v) n)
+      | S_parr (t, n) -> add (Printf.sprintf "  %s %s[%d] = {0};\n" (c_ty t) (cname env v) n)
       | S_gbuf _ | S_gbyte -> assert false)
     env.locals;
   let round_store = k.precision = Single in
-  if not env.env_grouped then begin
-    (* the NDRange loop nest over the declared dimensions: row-major
-       z/y/x like Exec.launch *)
-    for d = env.dims - 1 downto 0 do
-      add (Printf.sprintf "  for (int64_t rk_g%d = 0; rk_g%d < rk_gs%d; rk_g%d++)\n" d d d d)
-    done;
-    add "  {\n";
-    List.iter (emit_stmt env buf ~indent:4 ~round_store) k.body;
-    add "  }\n}\n"
-  end
-  else begin
-    (* group-at-a-time: row-major z/y/x over work-groups (the launcher
-       validates that the NDRange divides by the work-group size) *)
-    add
-      (Printf.sprintf "  for (int64_t rk_wg2 = 0; rk_wg2 < rk_gs2 / %dLL; rk_wg2++)\n"
-         env.l3.(2));
-    add
-      (Printf.sprintf "  for (int64_t rk_wg1 = 0; rk_wg1 < rk_gs1 / %dLL; rk_wg1++)\n"
-         env.l3.(1));
-    add
-      (Printf.sprintf "  for (int64_t rk_wg0 = 0; rk_wg0 < rk_gs0 / %dLL; rk_wg0++)\n"
-         env.l3.(0));
-    add "  {\n";
-    List.iter
-      (fun (v, s) ->
-        match s with
-        | S_larr _ ->
-            let n = cname env v in
-            add (Printf.sprintf "    memset(%s, 0, sizeof(%s));\n" n n)
-        | _ -> ())
-      env.locals;
-    Hashtbl.reset env.uniform_vals;
-    emit_group_body env buf ~indent:4 ~round_store k.body;
-    add "  }\n}\n"
-  end;
+  (* the NDRange loop nest over the declared dimensions: row-major z/y/x
+     like Exec.launch *)
+  for d = env.dims - 1 downto 0 do
+    add (Printf.sprintf "  for (int64_t rk_g%d = 0; rk_g%d < rk_gs%d; rk_g%d++)\n" d d d d)
+  done;
+  add "  {\n";
+  List.iter (emit_stmt env buf ~indent:4 ~round_store) k.body;
+  add "  }\n}\n";
   Buffer.contents buf
 
 (* One translation unit: the prelude once, then each entry under its own

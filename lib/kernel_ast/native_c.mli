@@ -52,10 +52,10 @@ val preamble : string
 val entry_source : ?noalias:bool -> Cast.kernel -> string
 (** One kernel's entry, named {!entry_macro}.  Deterministic: equal
     kernels render to equal strings, so the text can key a binary
-    cache.  A flat kernel loops over the NDRange dimensions it declares
-    ({!Cast.launch_dims}) and reads [get_global_id] of any other
-    dimension as 0, which the rank rule ({!Cast.check_ndrange}) makes
-    exact; a grouped kernel keeps its three work-group loops.
+    cache.  The entry loops over the NDRange dimensions the kernel
+    declares ({!Cast.launch_dims}) and reads [get_global_id] of any
+    other dimension as 0, which the rank rule ({!Cast.check_ndrange})
+    makes exact.
 
     Buffer parameters outside {!written_params} are emitted [const].
     With [noalias] (the default) every buffer parameter is additionally
@@ -66,7 +66,9 @@ val entry_source : ?noalias:bool -> Cast.kernel -> string
     rare aliased launch, so the fast path keeps the qualifier without
     ever lying to the C compiler.
     @raise Failure on an unbound identifier (the kernel would not
-    interpret either). *)
+    interpret either).
+    @raise Cast.Work_group_size on a kernel whose [local_size] is not
+    [[]]. *)
 
 val translation_unit : (string * string) list -> string
 (** [translation_unit [(symbol, entry); ...]]: the {!preamble} once,

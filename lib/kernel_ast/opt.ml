@@ -72,8 +72,7 @@ module StrSet = Set.Make (String)
 (* -- Structural measures -------------------------------------------- *)
 
 let rec expr_nodes = function
-  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ | Group_id _
-  | Local_id _ | Local_size _ -> 1
+  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> 1
   | Load (_, i) -> 1 + expr_nodes i
   | Unop (_, a) -> 1 + expr_nodes a
   | Binop (_, a, b) -> 1 + expr_nodes a + expr_nodes b
@@ -81,7 +80,7 @@ let rec expr_nodes = function
   | Call (_, args) -> List.fold_left (fun n a -> n + expr_nodes a) 1 args
 
 let rec stmt_nodes = function
-  | Comment _ | Decl (_, _, None) | Decl_arr _ | Decl_local _ | Barrier -> 1
+  | Comment _ | Decl (_, _, None) | Decl_arr _ -> 1
   | Decl (_, _, Some e) | Assign (_, e) -> 1 + expr_nodes e
   | Store (_, i, e) -> 1 + expr_nodes i + expr_nodes e
   | If (c, t, f) -> 1 + expr_nodes c + body_nodes t + body_nodes f
@@ -98,8 +97,7 @@ let kernel_nodes (k : kernel) =
 let rec iter_sub f e =
   f e;
   match e with
-  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ | Group_id _
-  | Local_id _ | Local_size _ -> ()
+  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> ()
   | Load (_, i) -> iter_sub f i
   | Unop (_, a) -> iter_sub f a
   | Binop (_, a, b) ->
@@ -113,8 +111,7 @@ let rec iter_sub f e =
 
 let rec expr_vars acc = function
   | Var v -> StrSet.add v acc
-  | Int_lit _ | Real_lit _ | Global_id _ | Global_size _ | Group_id _
-  | Local_id _ | Local_size _ -> acc
+  | Int_lit _ | Real_lit _ | Global_id _ | Global_size _ -> acc
   | Load (b, i) -> expr_vars (StrSet.add b acc) i
   | Unop (_, a) -> expr_vars acc a
   | Binop (_, a, b) -> expr_vars (expr_vars acc a) b
@@ -125,8 +122,7 @@ let rec expr_vars acc = function
    occurs: no loads, and no division that could start trapping. *)
 let rec hoistable = function
   | Load _ -> false
-  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ | Group_id _
-  | Local_id _ | Local_size _ -> true
+  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> true
   | Unop (_, a) -> hoistable a
   | Binop ((Div | Mod), a, b) ->
       hoistable a && hoistable b
@@ -145,8 +141,7 @@ let candidate = function
    and parameters), by C promotion rules as [Native_c] renders them;
    [None] when a variable is out of scope. *)
 let rec ty_of tenv = function
-  | Int_lit _ | Global_id _ | Global_size _ | Group_id _ | Local_id _
-  | Local_size _ -> Some Int
+  | Int_lit _ | Global_id _ | Global_size _ -> Some Int
   | Real_lit _ -> Some Real
   | Var v -> StrMap.find_opt v tenv
   | Load _ -> None
@@ -167,15 +162,15 @@ let rec stmt_mods acc = function
   | Assign (v, _) -> StrSet.add v acc
   | If (_, t, f) -> body_mods (body_mods acc t) f
   | For l -> StrSet.add l.var (body_mods acc l.body)
-  | Decl _ | Decl_arr _ | Decl_local _ | Store _ | Barrier | Comment _ -> acc
+  | Decl _ | Decl_arr _ | Store _ | Comment _ -> acc
 
 and body_mods acc b = List.fold_left stmt_mods acc b
 
 let rec stmt_decls acc = function
-  | Decl (_, v, _) | Decl_arr (_, v, _) | Decl_local (_, v, _) -> StrSet.add v acc
+  | Decl (_, v, _) | Decl_arr (_, v, _) -> StrSet.add v acc
   | If (_, t, f) -> body_decls (body_decls acc t) f
   | For l -> StrSet.add l.var (body_decls acc l.body)
-  | Assign _ | Store _ | Barrier | Comment _ -> acc
+  | Assign _ | Store _ | Comment _ -> acc
 
 and body_decls acc b = List.fold_left stmt_decls acc b
 
@@ -197,7 +192,7 @@ let iter_stmt_exprs fe s =
   let rec go s =
     match s with
     | Decl (_, _, Some e) | Assign (_, e) -> fe e
-    | Decl (_, _, None) | Decl_arr _ | Decl_local _ | Barrier | Comment _ -> ()
+    | Decl (_, _, None) | Decl_arr _ | Comment _ -> ()
     | Store (_, i, e) ->
         fe i;
         fe e
@@ -231,8 +226,7 @@ let rec rewrite_expr map e =
    temporary's own initialiser. *)
 and rewrite_children map e =
   match e with
-  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ | Group_id _
-  | Local_id _ | Local_size _ -> e
+  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> e
   | Load (b, i) -> Load (b, rewrite_expr map i)
   | Unop (op, a) -> Unop (op, rewrite_expr map a)
   | Binop (op, a, b) -> Binop (op, rewrite_expr map a, rewrite_expr map b)
@@ -243,7 +237,7 @@ and rewrite_children map e =
 let rec rewrite_stmt map s =
   match s with
   | Decl (t, v, e) -> Decl (t, v, Option.map (rewrite_expr map) e)
-  | Decl_arr _ | Decl_local _ | Barrier | Comment _ -> s
+  | Decl_arr _ | Comment _ -> s
   | Assign (v, e) -> Assign (v, rewrite_expr map e)
   | Store (b, i, e) -> Store (b, rewrite_expr map i, rewrite_expr map e)
   | If (c, t, f) ->
@@ -262,8 +256,7 @@ let rec expr_contains e s =
   e = s
   ||
   match e with
-  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ | Group_id _
-  | Local_id _ | Local_size _ -> false
+  | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> false
   | Load (_, i) -> expr_contains i s
   | Unop (_, a) -> expr_contains a s
   | Binop (_, a, b) -> expr_contains a s || expr_contains b s
@@ -322,8 +315,7 @@ let rec subst_expr ren sub e =
   | Load (b, i) ->
       let b = Option.value ~default:b (StrMap.find_opt b ren) in
       Load (b, subst_expr ren sub i)
-  | Int_lit _ | Real_lit _ | Global_id _ | Global_size _ | Group_id _
-  | Local_id _ | Local_size _ -> e
+  | Int_lit _ | Real_lit _ | Global_id _ | Global_size _ -> e
   | Unop (op, a) -> Unop (op, subst_expr ren sub a)
   | Binop (op, a, b) -> Binop (op, subst_expr ren sub a, subst_expr ren sub b)
   | Ternary (c, a, b) ->
@@ -336,8 +328,6 @@ let rec subst_stmt ren sub s =
   match s with
   | Decl (t, v, e) -> Decl (t, rn v, Option.map se e)
   | Decl_arr (t, v, n) -> Decl_arr (t, rn v, n)
-  | Decl_local (t, v, n) -> Decl_local (t, rn v, n)
-  | Barrier -> s
   | Assign (v, e) -> Assign (rn v, se e)
   | Store (b, i, e) -> Store (rn b, se i, se e)
   | If (c, t, f) -> If (se c, List.map (subst_stmt ren sub) t, List.map (subst_stmt ren sub) f)
@@ -366,7 +356,6 @@ let unroll_kernel ?(budget = unroll_budget) namer (k : kernel) =
         match (l.init, l.bound, l.step) with
         | Int_lit i0, Int_lit b, Int_lit st
           when st > 0
-               && (not (contains_barrier l.body))
                && max 0 ((b - i0 + st - 1) / st) <= unroll_limit
                && max 0 ((b - i0 + st - 1) / st) * body_nodes l.body
                   <= budget
@@ -474,7 +463,7 @@ let cse_kernel namer (k : kernel) =
                      ((e, ty) :: Option.value ~default:[] (Hashtbl.find_opt anchors j)))
            selected;
          match s with
-         | Decl (t, v, _) | Decl_arr (t, v, _) | Decl_local (t, v, _) ->
+         | Decl (t, v, _) | Decl_arr (t, v, _) ->
              tenv := StrMap.add v t !tenv
          | _ -> ())
        stmts);
@@ -506,8 +495,7 @@ let cse_kernel namer (k : kernel) =
       | s :: rest ->
           let s', tenv' =
             match s with
-            | Decl (t, v, _) -> (s, StrMap.add v t tenv)
-            | Decl_arr (t, v, _) | Decl_local (t, v, _) -> (s, StrMap.add v t tenv)
+            | Decl (t, v, _) | Decl_arr (t, v, _) -> (s, StrMap.add v t tenv)
             | If (c, t, f) -> (If (c, cse_block tenv t, cse_block tenv f), tenv)
             | For l ->
                 (For { l with body = cse_block (StrMap.add l.var Int tenv) l.body }, tenv)
@@ -537,18 +525,8 @@ let licm_kernel namer (k : kernel) =
       | s :: rest ->
           let pre, s', tenv' =
             match s with
-            | Decl (t, v, _) -> ([], s, StrMap.add v t tenv)
-            | Decl_arr (t, v, _) | Decl_local (t, v, _) -> ([], s, StrMap.add v t tenv)
+            | Decl (t, v, _) | Decl_arr (t, v, _) -> ([], s, StrMap.add v t tenv)
             | If (c, t, f) -> ([], If (c, licm_block tenv t, licm_block tenv f), tenv)
-            | For l when contains_barrier l.body ->
-                (* Barrier loops are lowered by the native backend as
-                   shared "uniform" loops whose header must stay a
-                   work-group-uniform expression; hoisting the bound into
-                   a per-work-item temporary would break that, so barrier
-                   loops are fences for invariant motion.  Their bodies
-                   are still processed (inner barrier-free loops hoist
-                   within the segment). *)
-                ([], For { l with body = licm_block (StrMap.add l.var Int tenv) l.body }, tenv)
             | For l ->
                 let body = licm_block (StrMap.add l.var Int tenv) l.body in
                 let l = { l with body } in
@@ -633,7 +611,7 @@ let dce_kernel (k : kernel) =
     List.filter_map
       (fun s ->
         match s with
-        | Decl (_, v, _) | Decl_arr (_, v, _) | Decl_local (_, v, _) | Assign (v, _) ->
+        | Decl (_, v, _) | Decl_arr (_, v, _) | Assign (v, _) ->
             if StrSet.mem v live then Some s
             else begin
               incr removed;
@@ -641,7 +619,7 @@ let dce_kernel (k : kernel) =
             end
         | If (c, t, f) -> Some (If (c, sweep live t, sweep live f))
         | For l -> Some (For { l with body = sweep live l.body })
-        | Store _ | Barrier | Comment _ -> Some s)
+        | Store _ | Comment _ -> Some s)
       body
   in
   let rec fix body =

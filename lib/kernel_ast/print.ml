@@ -57,7 +57,7 @@ let binop_prec = function
    printing is always fully typed. *)
 let rec expr_ty tyenv e =
   match e with
-  | Int_lit _ | Global_id _ | Global_size _ | Group_id _ | Local_id _ | Local_size _ -> Int
+  | Int_lit _ | Global_id _ | Global_size _ -> Int
   | Real_lit _ -> Real
   | Var v -> Option.value (tyenv v) ~default:Int
   | Load (b, _) -> Option.value (tyenv b) ~default:Int
@@ -93,9 +93,6 @@ let rec expr_prec ?(precision = Double) ?(tyenv = no_tyenv) ~prec buf e =
       add_char buf ']'
   | Global_id d -> add_string buf (Printf.sprintf "get_global_id(%d)" d)
   | Global_size d -> add_string buf (Printf.sprintf "get_global_size(%d)" d)
-  | Group_id d -> add_string buf (Printf.sprintf "get_group_id(%d)" d)
-  | Local_id d -> add_string buf (Printf.sprintf "get_local_id(%d)" d)
-  | Local_size d -> add_string buf (Printf.sprintf "get_local_size(%d)" d)
   | Call (f, args) ->
       add_string buf (builtin_name f);
       add_char buf '(';
@@ -160,14 +157,14 @@ let kernel_tyenv (k : kernel) : string -> ty option =
   let tbl = Hashtbl.create 32 in
   List.iter (fun p -> Hashtbl.replace tbl p.p_name p.p_ty) k.params;
   let rec scan = function
-    | Decl (t, v, _) | Decl_arr (t, v, _) | Decl_local (t, v, _) -> Hashtbl.replace tbl v t
+    | Decl (t, v, _) | Decl_arr (t, v, _) -> Hashtbl.replace tbl v t
     | If (_, a, b) ->
         List.iter scan a;
         List.iter scan b
     | For l ->
         Hashtbl.replace tbl l.var Int;
         List.iter scan l.body
-    | Assign _ | Store _ | Barrier | Comment _ -> ()
+    | Assign _ | Store _ | Comment _ -> ()
   in
   List.iter scan k.body;
   Hashtbl.find_opt tbl
@@ -181,8 +178,6 @@ let rec stmt ~precision ~tyenv ~indent buf s =
   | Decl (t, v, None) -> line "%s %s;" (ty_name precision t) v
   | Decl (t, v, Some e) -> line "%s %s = %s;" (ty_name precision t) v (expr_to_string e)
   | Decl_arr (t, v, n) -> line "%s %s[%d];" (ty_name precision t) v n
-  | Decl_local (t, v, n) -> line "__local %s %s[%d];" (ty_name precision t) v n
-  | Barrier -> line "barrier(CLK_LOCAL_MEM_FENCE);"
   | Assign (v, e) -> line "%s = %s;" v (expr_to_string e)
   | Store (b, i, e) -> line "%s[%s] = %s;" b (expr_to_string i) (expr_to_string e)
   | If (c, t, []) ->
@@ -220,14 +215,8 @@ let kernel_to_string (k : kernel) =
   let buf = Buffer.create 1024 in
   let tyenv = kernel_tyenv k in
   let params = List.map (kernel_param k) k.params in
-  let attr =
-    if grouped k then
-      let l = local3 k in
-      Printf.sprintf "__attribute__((reqd_work_group_size(%d, %d, %d)))\n" l.(0) l.(1) l.(2)
-    else ""
-  in
   Buffer.add_string buf
-    (Printf.sprintf "%s__kernel void %s(%s) {\n" attr k.name (String.concat ", " params));
+    (Printf.sprintf "__kernel void %s(%s) {\n" k.name (String.concat ", " params));
   List.iter (stmt ~precision:k.precision ~tyenv ~indent:2 buf) k.body;
   Buffer.add_string buf "}\n";
   Buffer.contents buf

@@ -4,8 +4,9 @@
     hand-written kernels so {!Acoustics.Gpu_sim} can run either side of
     every comparison.  Size variables: N (grid voxels), nB (boundary
     points), NM (materials); the branch count MB is a compile-time
-    constant, as in the paper's kernels.  The IR has no local-memory
-    vocabulary, so no program here emits [__local] or barriers. *)
+    constant, as in the paper's kernels.  Every program compiles to a
+    flat NDRange kernel over global buffers, private arrays and
+    registers, as the paper's listings are. *)
 
 open Lift
 

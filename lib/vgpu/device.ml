@@ -17,11 +17,6 @@
      hand-written kernel (coefficients in private memory) faster than the
      LIFT kernel (coefficients passed as a buffer) on the NVIDIA parts in
      double precision, as reported in §VII-B1;
-   - [local_bw_ratio]: on-chip local-memory (LDS / shared memory)
-     bandwidth as a multiple of DRAM bandwidth.  GCN's LDS is banked
-     per-CU and roughly an order of magnitude above DRAM; Kepler's
-     shared memory is closer to 4-5x.  Tiled kernels that stage a plane
-     in [__local] trade DRAM traffic for traffic in this faster tier;
    - [launch_overhead_s]: fixed per-kernel cost as seen by the OpenCL
      profiling API (the paper's timing method), i.e. scheduling and
      drain, not host-side queueing. *)
@@ -39,7 +34,6 @@ type t = {
   dp_ratio : float;
   mem_efficiency : float;
   l2_speedup : float;
-  local_bw_ratio : float;
   launch_overhead_s : float;
 }
 
@@ -52,7 +46,6 @@ let gtx780 =
     dp_ratio = 1. /. 24.;
     mem_efficiency = 0.75;
     l2_speedup = 3.0;
-    local_bw_ratio = 4.5;
     launch_overhead_s = 1.5e-6;
   }
 
@@ -65,7 +58,6 @@ let amd7970 =
     dp_ratio = 1. /. 4.;
     mem_efficiency = 0.72;
     l2_speedup = 3.0;
-    local_bw_ratio = 12.0;
     launch_overhead_s = 2e-6;
   }
 
@@ -78,7 +70,6 @@ let titan_black =
     dp_ratio = 1. /. 3.;
     mem_efficiency = 0.75;
     l2_speedup = 3.0;
-    local_bw_ratio = 5.0;
     launch_overhead_s = 1.5e-6;
   }
 
@@ -91,24 +82,12 @@ let radeon_r9 =
     dp_ratio = 1. /. 8.;
     mem_efficiency = 0.72;
     l2_speedup = 3.0;
-    local_bw_ratio = 12.0;
     launch_overhead_s = 2e-6;
   }
 
 (* The machine the native (compiled-C) engine actually runs on: a CPU.
    Not one of the paper's platforms — it exists so measured native times
-   are compared against a prediction with CPU cost structure.  The
-   decisive difference from the GPUs is the local tier: a CPU has no
-   dedicated on-chip local memory, so [__local] staging is ordinary
-   cached traffic through the same memory pipeline: the model *adds* the
-   local term to the memory term for [Host] instead of treating it as an
-   independent roofline arm, and [local_bw_ratio] is a modest
-   L2-resident-tile multiplier rather than a GPU LDS one.  This is what
-   BENCH_PR7 exposed: pricing the tiled kernel's staging at GTX780's
-   4.5x-DRAM shared-memory tier predicted tiling as a ~3% win, while the
-   fissioned native loop nest measures 1.6-2x *slower* than flat; with
-   this device the predicted tiled/flat ratio is ~1.8, inside the
-   measured band. *)
+   are compared against a prediction with CPU cost structure. *)
 let host =
   {
     name = "Host";
@@ -118,7 +97,6 @@ let host =
     dp_ratio = 0.5;
     mem_efficiency = 0.6;
     l2_speedup = 3.0;
-    local_bw_ratio = 1.8;
     launch_overhead_s = 5e-7;
   }
 

@@ -20,9 +20,6 @@ type t = {
   l2_speedup : float;
       (** bandwidth multiplier for cache-resident buffers on parts whose
           global loads bypass L1 (Kepler); on GCN such reloads are free *)
-  local_bw_ratio : float;
-      (** on-chip local-memory (LDS / shared) bandwidth as a multiple of
-          DRAM bandwidth; the tier tiled kernels trade DRAM traffic into *)
   launch_overhead_s : float;
       (** fixed per-kernel cost as seen by the OpenCL profiling API *)
 }
@@ -33,12 +30,8 @@ val titan_black : t
 val radeon_r9 : t
 
 val host : t
-(** The CPU the native (compiled-C) engine runs on.  Its [__local] tier
-    is ordinary cached memory (L2-class [local_bw_ratio]): the model
-    adds local-staging traffic to the memory term instead of pricing it
-    as a faster independent tier, which is why tiled kernels correctly
-    predict {e slower} than flat on the native engine (the BENCH_PR7
-    sign error).  Not included in {!all}. *)
+(** The CPU the native (compiled-C) engine runs on.  Not included in
+    {!all}. *)
 
 val all : t list
 (** The four platforms, in the paper's order ([host] excluded). *)

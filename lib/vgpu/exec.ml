@@ -6,16 +6,13 @@
    code generator are cross-validated against, and the engine the
    sanitizer runs on; benchmarks use the native backend.
 
-   Flat kernels run their work-items sequentially in row-major NDRange
-   order.  Their work-items share nothing but global buffers, so
-   sequential execution is observationally equivalent to any parallel
-   schedule as long as distinct work-items write distinct locations.
-   That claim is checked rather than assumed: [Kernel_ast.Check] proves
-   it statically where it can, and the [hook] below lets [Sanitizer]
-   observe every memory access to verify the rest at runtime.  Grouped
-   kernels (the work-group tier) also share local memory within a group,
-   ordered by barriers; they run one group at a time, each work-item a
-   fiber suspended at every barrier (see [launch]). *)
+   Work-items run sequentially in row-major NDRange order.  They share
+   nothing but global buffers, so sequential execution is observationally
+   equivalent to any parallel schedule as long as distinct work-items
+   write distinct locations.  That claim is checked rather than assumed:
+   [Kernel_ast.Check] proves it statically where it can, and the [hook]
+   below lets [Sanitizer] observe every memory access to verify the rest
+   at runtime. *)
 
 open Kernel_ast.Cast
 
@@ -60,18 +57,10 @@ type env = {
   cells : (string, cell) Hashtbl.t;
   gid : int array;
   gsize : int array;
-  lsize : int array;  (* work-group size; [|1;1;1|] when flat *)
-  is_grouped : bool;
   precision : precision;
   kernel : string;
   hook : access_hook option;
 }
-
-(* Work-group execution: each work-item of a group runs as a fiber;
-   [Barrier] performs this effect, suspending the fiber until every
-   sibling has reached the same barrier (all-or-nothing: a group whose
-   members disagree on hitting a barrier is divergent and faults). *)
-type _ Effect.t += Barrier_hit : unit Effect.t
 
 let error env fmt =
   Printf.ksprintf
@@ -113,10 +102,6 @@ let rec eval env (e : expr) : value =
   | Real_lit r -> Vr r
   | Global_id d -> Vi env.gid.(d)
   | Global_size d -> Vi env.gsize.(d)
-  (* flat model: every work-item is its own singleton group *)
-  | Group_id d -> Vi (env.gid.(d) / env.lsize.(d))
-  | Local_id d -> Vi (env.gid.(d) mod env.lsize.(d))
-  | Local_size d -> Vi env.lsize.(d)
   | Var v -> (
       match lookup env v with
       | Scalar r -> !r
@@ -187,17 +172,6 @@ let rec exec_stmt env (s : stmt) =
         match ty with Int -> Arr_int (Array.make n 0) | Real -> Arr_real (Array.make n 0.)
       in
       Hashtbl.replace env.cells v cell
-  | Decl_local (ty, v, n) ->
-      (* grouped: the shared array was allocated (zeroed) at group
-         start; the declaration itself is a no-op.  Flat: each
-         work-item is its own group, so a fresh array is exactly a
-         private one. *)
-      if not env.is_grouped then
-        Hashtbl.replace env.cells v
-          (match ty with
-          | Int -> Arr_int (Array.make n 0)
-          | Real -> Arr_real (Array.make n 0.))
-  | Barrier -> if env.is_grouped then Effect.perform Barrier_hit
   | Assign (v, e) -> (
       match lookup env v with
       | Scalar r -> r := eval env e
@@ -232,45 +206,9 @@ let rec exec_stmt env (s : stmt) =
         i := !i + step ()
       done
 
-(* Local arrays of a grouped kernel, allocated fresh (zeroed) per group
-   and shared by all its work-items. *)
-let rec local_decls acc = function
-  | [] -> acc
-  | Decl_local (ty, v, n) :: rest -> local_decls ((ty, v, n) :: acc) rest
-  | If (_, t, f) :: rest -> local_decls (local_decls (local_decls acc t) f) rest
-  | For l :: rest -> local_decls (local_decls acc l.body) rest
-  | _ :: rest -> local_decls acc rest
-
-(* One scheduling step of a work-item fiber: run until it completes,
-   hits a barrier, or raises. *)
-type wi_state =
-  | Wi_done
-  | Wi_barrier of (unit, wi_state) Effect.Deep.continuation
-
-let step_fiber (f : unit -> unit) : wi_state =
-  Effect.Deep.match_with f ()
-    {
-      retc = (fun () -> Wi_done);
-      exnc = raise;
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Barrier_hit ->
-              Some (fun (kont : (a, wi_state) Effect.Deep.continuation) -> Wi_barrier kont)
-          | _ -> None);
-    }
-
 (* Launch [k] over [global] work items (per dimension, row-major).
-   [args] are matched positionally against [k.params].
-
-   Grouped kernels run one work-group at a time (groups in row-major
-   order, like the flat NDRange loop).  Within a group each work-item is
-   a fiber; a [Barrier] suspends it, and when every member of the group
-   has suspended they are resumed together in local-id order.  A group
-   where some members finish while others wait on a barrier is
-   divergent and faults. *)
-let launch ?hook ?on_workitem ?on_group ?on_barrier (k : kernel) ~(args : Args.t list)
-    ~(global : int list) =
+   [args] are matched positionally against [k.params]. *)
+let launch ?hook ?on_workitem (k : kernel) ~(args : Args.t list) ~(global : int list) =
   if List.length args <> List.length k.params then
     invalid_arg
       (Printf.sprintf "vgpu: kernel %s expects %d args, got %d" k.name
@@ -290,135 +228,22 @@ let launch ?hook ?on_workitem ?on_group ?on_barrier (k : kernel) ~(args : Args.t
       | Global_buf, (Int_arg _ | Real_arg _) ->
           invalid_arg (Printf.sprintf "vgpu: %s: scalar passed for buffer %s" k.name p.p_name))
     k.params args;
-  if not (grouped k) then begin
-    let gid = Array.make 3 0 in
-    let env =
-      {
-        cells;
-        gid;
-        gsize;
-        lsize = [| 1; 1; 1 |];
-        is_grouped = false;
-        precision = k.precision;
-        kernel = k.name;
-        hook;
-      }
-    in
-    for z = 0 to gsize.(2) - 1 do
-      for y = 0 to gsize.(1) - 1 do
-        for x = 0 to gsize.(0) - 1 do
-          gid.(0) <- x;
-          gid.(1) <- y;
-          gid.(2) <- z;
-          (match on_workitem with Some f -> f (x, y, z) | None -> ());
-          try List.iter (exec_stmt env) k.body with
-          | Failure msg ->
-              raise (Exec_error { e_kernel = k.name; e_gid = (x, y, z); e_context = msg })
-          | Invalid_argument msg ->
-              raise
-                (Exec_error
-                   { e_kernel = k.name; e_gid = (x, y, z); e_context = "invalid access: " ^ msg })
-        done
-      done
-    done
-  end
-  else begin
-    let lsize = local3 k in
-    let groups = group_counts k ~global:gsize in
-    let l0 = lsize.(0) and l1 = lsize.(1) and l2 = lsize.(2) in
-    let nwi = l0 * l1 * l2 in
-    let locals = local_decls [] k.body in
-    let cur_gid = ref (0, 0, 0) in
-    let wrap f =
-      try f () with
-      | Failure msg ->
-          raise (Exec_error { e_kernel = k.name; e_gid = !cur_gid; e_context = msg })
-      | Invalid_argument msg ->
-          raise
-            (Exec_error
-               { e_kernel = k.name; e_gid = !cur_gid; e_context = "invalid access: " ^ msg })
-    in
-    for wz = 0 to groups.(2) - 1 do
-      for wy = 0 to groups.(1) - 1 do
-        for wx = 0 to groups.(0) - 1 do
-          (match on_group with Some f -> f (wx, wy, wz) | None -> ());
-          (* shared local arrays, fresh (zeroed) per group *)
-          let local_cells =
-            List.map
-              (fun (ty, v, n) ->
-                ( v,
-                  match (ty : ty) with
-                  | Int -> Arr_int (Array.make n 0)
-                  | Real -> Arr_real (Array.make n 0.) ))
-              locals
-          in
-          (* one env (private cells) per work-item, sharing buffers,
-             scalar-parameter snapshots and the group's local arrays *)
-          let envs =
-            Array.init nwi (fun lid ->
-                let lx = lid mod l0 and ly = lid / l0 mod l1 and lz = lid / (l0 * l1) in
-                let wi_cells = Hashtbl.create 32 in
-                Hashtbl.iter
-                  (fun name cell ->
-                    Hashtbl.replace wi_cells name
-                      (match cell with Scalar r -> Scalar (ref !r) | c -> c))
-                  cells;
-                List.iter (fun (v, c) -> Hashtbl.replace wi_cells v c) local_cells;
-                {
-                  cells = wi_cells;
-                  gid = [| (wx * l0) + lx; (wy * l1) + ly; (wz * l2) + lz |];
-                  gsize;
-                  lsize;
-                  is_grouped = true;
-                  precision = k.precision;
-                  kernel = k.name;
-                  hook;
-                })
-          in
-          let notify env =
-            let g = (env.gid.(0), env.gid.(1), env.gid.(2)) in
-            cur_gid := g;
-            match on_workitem with Some f -> f g | None -> ()
-          in
-          let states =
-            Array.map
-              (fun env ->
-                wrap (fun () ->
-                    notify env;
-                    step_fiber (fun () -> List.iter (exec_stmt env) k.body)))
-              envs
-          in
-          let divergence () =
+  let gid = Array.make 3 0 in
+  let env = { cells; gid; gsize; precision = k.precision; kernel = k.name; hook } in
+  for z = 0 to gsize.(2) - 1 do
+    for y = 0 to gsize.(1) - 1 do
+      for x = 0 to gsize.(0) - 1 do
+        gid.(0) <- x;
+        gid.(1) <- y;
+        gid.(2) <- z;
+        (match on_workitem with Some f -> f (x, y, z) | None -> ());
+        try List.iter (exec_stmt env) k.body with
+        | Failure msg ->
+            raise (Exec_error { e_kernel = k.name; e_gid = (x, y, z); e_context = msg })
+        | Invalid_argument msg ->
             raise
               (Exec_error
-                 {
-                   e_kernel = k.name;
-                   e_gid = !cur_gid;
-                   e_context =
-                     Printf.sprintf
-                       "barrier divergence in work-group (%d,%d,%d): some work-items \
-                        finished while others wait at a barrier"
-                       wx wy wz;
-                 })
-          in
-          let all p = Array.for_all p states in
-          let finished = ref (all (fun s -> s = Wi_done)) in
-          while not !finished do
-            if not (all (fun s -> s <> Wi_done)) then divergence ();
-            (match on_barrier with Some f -> f () | None -> ());
-            Array.iteri
-              (fun i s ->
-                match s with
-                | Wi_barrier kont ->
-                    states.(i) <-
-                      wrap (fun () ->
-                          notify envs.(i);
-                          Effect.Deep.continue kont ())
-                | Wi_done -> assert false)
-              states;
-            finished := all (fun s -> s = Wi_done)
-          done
-        done
+                 { e_kernel = k.name; e_gid = (x, y, z); e_context = "invalid access: " ^ msg })
       done
     done
-  end
+  done

@@ -1,15 +1,13 @@
 (** Reference interpreter for kernel ASTs.
 
     Executes a kernel over an NDRange exactly as an OpenCL device would,
-    one work-item at a time (row-major order).  Work-items of a flat
-    kernel share nothing but global buffers, so sequential execution is
+    one work-item at a time (row-major order).  Work-items share
+    nothing but global buffers, so sequential execution is
     observationally equivalent to any parallel schedule as long as
     distinct work-items write distinct locations.  That claim is
     machine-checked rather than assumed: {!module:Kernel_ast.Check}
     proves it statically per kernel, and {!module:Sanitizer} verifies it
-    dynamically through the access hook below.  Work-items of a grouped
-    kernel also share local memory within their group, ordered by
-    barriers; groups run one at a time, their work-items as fibers.
+    dynamically through the access hook below.
 
     This is the slow, obviously-correct engine: the oracle that
     {!module:Native} and the Lift code generator are cross-validated
@@ -42,8 +40,6 @@ val builtin_eval : Kernel_ast.Cast.builtin -> float list -> float
 val launch :
   ?hook:access_hook ->
   ?on_workitem:(int * int * int -> unit) ->
-  ?on_group:(int * int * int -> unit) ->
-  ?on_barrier:(unit -> unit) ->
   Kernel_ast.Cast.kernel ->
   args:Args.t list ->
   global:int list ->
@@ -51,19 +47,12 @@ val launch :
 (** Run the kernel over [global] work-items per dimension.  [args] are
     matched positionally against the kernel's parameters; buffer
     arguments are mutated in place.  [on_workitem] fires before each
-    work-item starts — and, for grouped kernels, before each resume
-    after a barrier (the sanitizer uses it to attribute accesses).
+    work-item starts (the sanitizer uses it to attribute accesses).
 
-    Grouped kernels (non-empty [local_size]) execute one work-group at
-    a time, work-items as fibers synchronised at barriers and resumed
-    in local-id order; [on_group] fires when a group starts (its local
-    arrays are fresh and zeroed), [on_barrier] when a whole group
-    releases a barrier.
-
-    @raise Invalid_argument on arity, argument-kind, or NDRange /
-    work-group-size divisibility mismatch.
+    @raise Invalid_argument on an arity or argument-kind mismatch.
     @raise Kernel_ast.Cast.Ndrange_rank when [global] has more
     dimensions than the kernel declares, other than trailing 1s.
+    @raise Kernel_ast.Cast.Work_group_size on a kernel whose
+    [local_size] is not [[]].
     @raise Exec_error on faults inside a work-item (unbound names, kind
-    confusion, out-of-range accesses when no hook intercepts, barrier
-    divergence within a work-group). *)
+    confusion, out-of-range accesses when no hook intercepts). *)

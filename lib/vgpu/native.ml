@@ -160,7 +160,6 @@ type compiled = {
       (** the parameter pairs the [restrict] promise covers: each
           written buffer (per [Native_c.written_params]) with every other
           parameter *)
-  grouped : bool;
   noalias : bool;  (** source rendered with [restrict] qualifiers *)
   n_fb : int;
   n_ib : int;
@@ -307,7 +306,6 @@ let load_member m =
     kernel = k;
     bindings;
     alias_pairs = alias_pairs k bindings;
-    grouped = Cast.grouped k;
     noalias = m.m_noalias;
     n_fb = n.(0);
     n_ib = n.(1);
@@ -535,9 +533,6 @@ let dispatch (l : launcher) (args : Args.t array) ~(global : int list) =
           p)
     else c
   in
-  (* the compiled group loops truncate-divide the NDRange, so reject a
-     non-dividing launch here like the other engines *)
-  if c.grouped then ignore (Cast.group_counts c.kernel ~global:pk.pk_gsz);
   pk.pk_fn <- c.fn;
   launch_packet pk
 

@@ -37,12 +37,15 @@ val build :
     still load.  A failed kernel's result is [Error]: {!No_compiler} when
     the C compiler cannot be run (for every kernel of the call), or
     [Failure] when it rejects the source (the compiler's stderr is
-    included). *)
+    included).
+    @raise Kernel_ast.Cast.Work_group_size before any build when a
+    kernel's [local_size] is not [[]]: no entry renders for it. *)
 
 val compile : ?noalias:bool -> Kernel_ast.Cast.kernel -> compiled
 (** {!build} of one kernel.
     @raise No_compiler if the C compiler cannot be run.
-    @raise Failure if the C compiler rejects the generated source. *)
+    @raise Failure if the C compiler rejects the generated source.
+    @raise Kernel_ast.Cast.Work_group_size as {!build} does. *)
 
 type launcher
 (** One compiled kernel's launch packet: the argument slot arrays and

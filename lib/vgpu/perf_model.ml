@@ -67,12 +67,10 @@ let group_efficiency (w : workload) ~flops =
 type breakdown = {
   bytes_per_point : float;
   flops_per_point : float;
-  local_bytes_per_point : float;  (* traffic in the on-chip __local tier *)
   raw_bytes_per_point : float;  (* same measures on the unoptimized AST *)
   raw_flops_per_point : float;
   mem_time_s : float;
   flop_time_s : float;
-  local_time_s : float;
   launch_s : float;
   total_s : float;
 }
@@ -113,14 +111,8 @@ let buffer_bytes (device : Device.t) ~(precision : Cast.precision) ~(w : workloa
     in
     (eff_loads +. a.stores) *. elem_bytes
 
-(* Static per-point work of [kernel] under [w]:
-   (effective global bytes, flops, local-tier bytes).
-
-   Local-memory accesses never touch DRAM — they land in the on-chip
-   tier ([Device.local_bw_ratio] times DRAM bandwidth) and are priced as
-   a separate roofline term.  A 2.5D-tiled stencil thus shows up as
-   fewer global bytes (halo reuse) plus a cheap local component, which
-   is exactly why tiling pays on bandwidth-bound kernels. *)
+(* Static per-point work of [kernel] under [w]: (effective global bytes,
+   flops). *)
 let point_costs (device : Device.t) (kernel : Cast.kernel) (w : workload) =
   let param_value name = List.assoc_opt name w.param_values in
   let counts = Analysis.kernel_counts ~param_value kernel in
@@ -129,10 +121,7 @@ let point_costs (device : Device.t) (kernel : Cast.kernel) (w : workload) =
       (fun acc name a -> acc +. buffer_bytes device ~precision:kernel.precision ~w name a)
       0.
   in
-  (* __local arrays hold full doubles at either global precision (the
-     engines only round on stores to global real buffers). *)
-  let local_bytes = Analysis.local_accesses counts *. 8. in
-  (bytes, counts.Analysis.flops, local_bytes)
+  (bytes, counts.Analysis.flops)
 
 (* Predict the runtime of one launch of [kernel] under [w] on [device].
    The prediction analyses the *optimized* AST — the runtime optimizes
@@ -141,11 +130,9 @@ let point_costs (device : Device.t) (kernel : Cast.kernel) (w : workload) =
    of what optimization saved is inspectable. *)
 let predict_breakdown ?unroll_budget (device : Device.t) (kernel : Cast.kernel)
     (w : workload) : breakdown =
-  let raw_bytes_per_point, raw_flops_per_point, _ = point_costs device kernel w in
+  let raw_bytes_per_point, raw_flops_per_point = point_costs device kernel w in
   let opt_kernel, _ = Opt.optimize ?unroll_budget kernel in
-  let bytes_per_point, flops_per_point, local_bytes_per_point =
-    point_costs device opt_kernel w
-  in
+  let bytes_per_point, flops_per_point = point_costs device opt_kernel w in
   (* an empty launch costs just its overhead — [group_efficiency] is 0
      at 0 points and the time terms would otherwise divide 0 by 0 *)
   let geff =
@@ -157,34 +144,15 @@ let predict_breakdown ?unroll_budget (device : Device.t) (kernel : Cast.kernel)
     flops_per_point *. w.active_points
     /. (Device.peak_flops device kernel.precision *. geff)
   in
-  (* On a GPU the local tier does not contend with DRAM, so it is a
-     third roofline arm rather than an addition to the memory term.  No
-     [mem_efficiency] derate: bank conflicts aside, on-chip SRAM runs
-     at its rated width.  On the [Host] CPU there is no such tier:
-     [__local] staging is ordinary cached traffic through the same
-     memory pipeline, so the local term *adds* to the memory term — the
-     pricing that gives "tiled slower than flat" its correct sign on
-     the native engine (BENCH_PR7). *)
-  let local_time_s =
-    local_bytes_per_point *. w.active_points
-    /. (device.mem_bw_gb_s *. 1e9 *. device.local_bw_ratio *. geff)
-  in
   let launch_s = device.launch_overhead_s in
-  let total_s =
-    match device.vendor with
-    | Device.Host -> launch_s +. Float.max (mem_time_s +. local_time_s) flop_time_s
-    | Device.Nvidia | Device.Amd ->
-        launch_s +. Float.max (Float.max mem_time_s flop_time_s) local_time_s
-  in
+  let total_s = launch_s +. Float.max mem_time_s flop_time_s in
   {
     bytes_per_point;
     flops_per_point;
-    local_bytes_per_point;
     raw_bytes_per_point;
     raw_flops_per_point;
     mem_time_s;
     flop_time_s;
-    local_time_s;
     launch_s;
     total_s;
   }
@@ -382,9 +350,6 @@ let pp_breakdown ppf b =
   Fmt.pf ppf "bytes/pt=%.1f flops/pt=%.0f mem=%.3fms flop=%.3fms total=%.3fms"
     b.bytes_per_point b.flops_per_point (b.mem_time_s *. 1e3) (b.flop_time_s *. 1e3)
     (b.total_s *. 1e3);
-  if b.local_bytes_per_point > 0. then
-    Fmt.pf ppf " local(bytes/pt=%.1f %.3fms)" b.local_bytes_per_point
-      (b.local_time_s *. 1e3);
   if b.raw_flops_per_point <> b.flops_per_point || b.raw_bytes_per_point <> b.bytes_per_point
   then
     Fmt.pf ppf " (raw: bytes/pt=%.1f flops/pt=%.0f)" b.raw_bytes_per_point

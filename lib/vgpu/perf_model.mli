@@ -47,17 +47,11 @@ type breakdown = {
       (** effective traffic of the optimized AST, which is what the
           runtime dispatches *)
   flops_per_point : float;  (** flops of the optimized AST *)
-  local_bytes_per_point : float;
-      (** traffic in the on-chip [__local] tier (LDS / shared memory);
-          priced at [Device.local_bw_ratio] times DRAM bandwidth, so a
-          tiled kernel that stages planes locally prices differently
-          from the flat kernel it replaces *)
   raw_bytes_per_point : float;
       (** same traffic measure on the unoptimized AST, for comparison *)
   raw_flops_per_point : float;  (** flops of the unoptimized AST *)
   mem_time_s : float;
   flop_time_s : float;
-  local_time_s : float;  (** time under the local-memory roofline arm *)
   launch_s : float;
   total_s : float;
 }
@@ -69,12 +63,7 @@ val predict_breakdown :
     counts exposed alongside in [raw_bytes_per_point] /
     [raw_flops_per_point].  [unroll_budget] mirrors the runtime's
     optimizer knob so a prediction prices the same code the configured
-    runtime would dispatch.
-
-    On {!Device.host} (vendor [Host]) the [__local] term is added to the
-    memory term instead of forming an independent roofline arm: a CPU
-    has no on-chip local tier, so staging traffic contends with the
-    stream. *)
+    runtime would dispatch. *)
 
 val predict : ?unroll_budget:int -> Device.t -> Kernel_ast.Cast.kernel -> workload -> float
 (** Predicted runtime of one launch, in seconds. *)

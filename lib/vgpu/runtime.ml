@@ -82,7 +82,7 @@ type entry =
 
 (* A launch resolved once per raw kernel value: the kernel as dispatched
    (after the optimizer) with its report and structural digest, its
-   engine entry, and the last launch signature verified clean. *)
+   engine entry, and the launch signatures last verified clean. *)
 type prepared = {
   raw : Cast.kernel;  (* memo key, by physical equality *)
   kernel : Cast.kernel;  (* as dispatched *)
@@ -91,7 +91,7 @@ type prepared = {
   mutable entry : entry option;
       (* resolved at the first dispatch that passes verification, so a
          refused launch compiles nothing *)
-  mutable verified : launch_sig option;
+  mutable verified : launch_sig list;  (* newest first, at most [max_verified] *)
   mutable fresh : bool;
       (* [prepare] made the lookups of this launch's next dispatch, which
          therefore counts none *)
@@ -223,7 +223,12 @@ let digest_of (kernel : Cast.kernel) =
    so adversarial kernel or op streams cannot grow them. *)
 let max_memo = 32
 
-let remember x memo = x :: List.filteri (fun i _ -> i < max_memo - 1) memo
+(* A prepared launch keeps a few signatures verified clean: an
+   overlapped step launches its split volume kernel under three, the
+   interior and two frontier ranges. *)
+let max_verified = 8
+
+let remember ?(max = max_memo) x memo = x :: List.filteri (fun i _ -> i < max - 1) memo
 
 (* Does a dispatch look the kernel up in the native cache?  Not when it
    runs on the interpreter by configuration. *)
@@ -258,7 +263,7 @@ let prepared t (raw : Cast.kernel) =
       (* a pipeline that changes nothing returns its input physically *)
       let digest = if kernel == raw then raw_digest else digest_of kernel in
       let entry = if native_lookups t then None else Some Interpreted in
-      let p = { raw; kernel; report; digest; entry; verified = None; fresh = false } in
+      let p = { raw; kernel; report; digest; entry; verified = []; fresh = false } in
       t.prepared <- remember p t.prepared;
       p
 
@@ -314,20 +319,22 @@ let rec same_args (args : Args.t array) i sigs =
          | _ -> false)
       && same_args args (i + 1) rest
 
-let same_sig (p : prepared) args global =
-  match p.verified with
-  | Some s -> List.equal Int.equal s.sig_global global && same_args args 0 s.sig_args
-  | None -> false
+(* Is the launch's signature one of [sigs]?  Allocates nothing. *)
+let rec verified_sig args global = function
+  | [] -> false
+  | s :: rest ->
+      (List.equal Int.equal s.sig_global global && same_args args 0 s.sig_args)
+      || verified_sig args global rest
 
 (* Fail-fast static verification of a launch: race/bounds-check the
    kernel exactly as dispatched (post-optimizer, resolved arguments).
    Clean verdicts are cached by (kernel, NDRange, argument signature);
-   an [Unsafe] verdict aborts the launch.  A dispatch repeating the
-   signature last verified for this prepared launch skips the lookup,
-   which counts as a check-cache hit unless [prepare] counted it
+   an [Unsafe] verdict aborts the launch.  A dispatch repeating a
+   signature this prepared launch verified skips the lookup, which
+   counts as a check-cache hit unless [prepare] counted it
    ([counted]). *)
 let verify_launch t (p : prepared) (args : Args.t array) ~global ~counted =
-  if same_sig p args global then (if not counted then Kcache.note_hit t.check_cache)
+  if verified_sig args global p.verified then (if not counted then Kcache.note_hit t.check_cache)
   else begin
     let kernel = p.kernel and args_l = Array.to_list args in
     let lsig =
@@ -366,7 +373,7 @@ let verify_launch t (p : prepared) (args : Args.t array) ~global ~counted =
         let env = Check.env ~param_value ~buffer_elems ~global () in
         let report = Check.check env kernel in
         if not (Check.ok report) then raise (Unsafe_kernel report));
-    p.verified <- Some lsig
+    p.verified <- remember ~max:max_verified lsig p.verified
   end
 
 let kstat t name =

@@ -72,7 +72,7 @@ type prepared
 (** A launch prepared once per raw kernel value: the kernel as dispatched
     with its {!module:Kernel_ast.Opt} report and structural digest, its
     engine entry (a {!Native.launcher}, or the interpreter), and the
-    last launch signature verified clean. *)
+    last few launch signatures verified clean (at most 8). *)
 
 type bound_op
 (** A [Launch] or [Swap] op whose buffer names are resolved to cells of
@@ -195,7 +195,10 @@ val launch_resolved : t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:
     {!Native.launcher}.  Every later
     launch of that value reuses the preparation, and under [verify]
     compares its launch signature (NDRange, int scalars, buffer extents)
-    with the last one verified clean, re-verifying only when it differs.
+    with the few last verified clean, without allocating, and
+    re-verifies only when none matches: a kernel launched over several
+    ranges per step, like an overlapped step's split volume kernel,
+    verifies each range once.
     Each lookup a prepared launch skips counts as a hit of the cache it
     stands in for ([opt], [check], [native]), so {!stats} reads as if
     every lookup had been made.  A launch counts in {!stats} once its

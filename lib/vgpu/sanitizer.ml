@@ -43,25 +43,11 @@ type shadow = {
   written : Bytes.t;  (* has the cell ever held a defined value? *)
 }
 
-(* Shadow of one [__local] array for the currently-executing work-group:
-   local memory has no history across groups (fresh and zeroed per
-   group), but within a group every slot remembers the barrier phase and
-   work-item of its last store. *)
-type lshadow = {
-  lw_phase : int array;  (* barrier phase of the last store, -1 = never *)
-  lw_writer : int array;  (* packed gid of the last store *)
-  lw_written : Bytes.t;  (* stored by some work-item of this group? *)
-}
-
 type kind =
   | Write_race of (int * int * int)  (* the earlier writer *)
   | Oob_store
   | Oob_load
   | Read_uninit
-  | Local_race of (int * int * int)  (* same-phase local store by the earlier writer *)
-  | Local_read_hazard of (int * int * int)  (* read of another work-item's same-phase store *)
-  | Local_uninit  (* read of a local slot no work-item has stored *)
-  | Barrier_divergence
 
 type violation = {
   v_kernel : string;
@@ -75,22 +61,18 @@ type counts = {
   n_races : int;
   n_oob : int;
   n_uninit : int;
-  n_local : int;  (* local-memory hazards: races, missing barriers, uninit reads *)
-  n_barrier : int;  (* barrier divergence *)
 }
 
-let no_violations = { n_races = 0; n_oob = 0; n_uninit = 0; n_local = 0; n_barrier = 0 }
+let no_violations = { n_races = 0; n_oob = 0; n_uninit = 0 }
 
 let add_counts a b =
   {
     n_races = a.n_races + b.n_races;
     n_oob = a.n_oob + b.n_oob;
     n_uninit = a.n_uninit + b.n_uninit;
-    n_local = a.n_local + b.n_local;
-    n_barrier = a.n_barrier + b.n_barrier;
   }
 
-let total c = c.n_races + c.n_oob + c.n_uninit + c.n_local + c.n_barrier
+let total c = c.n_races + c.n_oob + c.n_uninit
 
 type t = {
   mutable shadows : (key * shadow) list;
@@ -101,9 +83,6 @@ type t = {
   mutable kept : violation list;  (* newest first, capped *)
   mutable n_kept : int;
   max_kept : int;
-  mutable local_lens : (string * int) list;  (* __local arrays of the running kernel *)
-  locals : (string, lshadow) Hashtbl.t;  (* shadows for the current group *)
-  mutable phase : int;  (* barrier phase within the current group *)
   extents : (string, extent) Hashtbl.t;
       (* per global-buffer argument name, observed linear index ranges *)
 }
@@ -123,9 +102,6 @@ let create ?(max_kept = 64) () =
     kept = [];
     n_kept = 0;
     max_kept;
-    local_lens = [];
-    locals = Hashtbl.create 4;
-    phase = 0;
     extents = Hashtbl.create 8;
   }
 
@@ -200,10 +176,7 @@ let report t ~buf ~idx kind =
       (match kind with
       | Write_race _ -> { no_violations with n_races = 1 }
       | Oob_store | Oob_load -> { no_violations with n_oob = 1 }
-      | Read_uninit -> { no_violations with n_uninit = 1 }
-      | Local_race _ | Local_read_hazard _ | Local_uninit ->
-          { no_violations with n_local = 1 }
-      | Barrier_divergence -> { no_violations with n_barrier = 1 });
+      | Read_uninit -> { no_violations with n_uninit = 1 });
   if t.n_kept < t.max_kept then begin
     t.kept <-
       { v_kernel = t.kernel; v_buf = buf; v_idx = idx; v_gid = t.gid; v_kind = kind }
@@ -219,20 +192,7 @@ let on_store t ~name ~buf ~len ~idx =
   end
   else begin
     (match buf with
-    | None -> (
-        (* private arrays are per-work-item: no race/uninit state.
-           [__local] arrays (registered by [on_group]) are shared
-           within the group: a same-phase store by another work-item
-           is a race no barrier ordered. *)
-        match Hashtbl.find_opt t.locals name with
-        | None -> ()
-        | Some s ->
-            let me = pack t.gid in
-            if s.lw_phase.(idx) = t.phase && s.lw_writer.(idx) <> me then
-              report t ~buf:name ~idx (Local_race (unpack s.lw_writer.(idx)));
-            s.lw_phase.(idx) <- t.phase;
-            s.lw_writer.(idx) <- me;
-            Bytes.set s.lw_written idx '\001')
+    | None -> () (* private arrays are per-work-item: no race/uninit state *)
     | Some b ->
         let s = shadow_of t b in
         let me = pack t.gid in
@@ -252,19 +212,7 @@ let on_load t ~name ~buf ~len ~idx =
   end
   else begin
     (match buf with
-    | None -> (
-        match Hashtbl.find_opt t.locals name with
-        | None -> ()
-        | Some s ->
-            if Bytes.get s.lw_written idx = '\000' then begin
-              report t ~buf:name ~idx Local_uninit;
-              (* report each unwritten slot at most once *)
-              Bytes.set s.lw_written idx '\001'
-            end
-            else if s.lw_phase.(idx) = t.phase && s.lw_writer.(idx) <> pack t.gid then
-              (* another work-item stored this slot in the current
-                 phase: no barrier orders that store before this read *)
-              report t ~buf:name ~idx (Local_read_hazard (unpack s.lw_writer.(idx))))
+    | None -> ()
     | Some b ->
         let s = shadow_of t b in
         if Bytes.get s.written idx = '\000' then begin
@@ -288,54 +236,10 @@ let access_extents t =
   Hashtbl.fold (fun name e acc -> (name, e.e_load, e.e_store) :: acc) t.extents []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
-(* [__local] declarations of a kernel body (recursively). *)
-let local_lens_of (k : Kernel_ast.Cast.kernel) =
-  let open Kernel_ast.Cast in
-  let rec go acc = function
-    | [] -> acc
-    | Decl_local (_, v, n) :: rest -> go ((v, n) :: acc) rest
-    | If (_, a, b) :: rest -> go (go (go acc a) b) rest
-    | For l :: rest -> go (go acc l.body) rest
-    | _ :: rest -> go acc rest
-  in
-  go [] k.body
-
-(* A work-group starts: fresh local shadows (local memory carries no
-   history across groups), barrier phase 0. *)
-let on_group t _wg =
-  t.phase <- 0;
-  Hashtbl.reset t.locals;
-  List.iter
-    (fun (name, n) ->
-      Hashtbl.replace t.locals name
-        {
-          lw_phase = Array.make n (-1);
-          lw_writer = Array.make n 0;
-          lw_written = Bytes.make n '\000';
-        })
-    t.local_lens
-
-let on_barrier t () = t.phase <- t.phase + 1
-
-let string_starts_with ~prefix s =
-  String.length s >= String.length prefix
-  && String.equal (String.sub s 0 (String.length prefix)) prefix
-
 let launch t (k : Kernel_ast.Cast.kernel) ~args ~global =
   Kernel_ast.Cast.check_ndrange k ~global;
   begin_launch t ~kernel:k.name;
-  t.local_lens <- local_lens_of k;
-  t.phase <- 0;
-  Hashtbl.reset t.locals;
-  try
-    Exec.launch ~hook:(hook t) ~on_workitem:(set_gid t) ~on_group:(on_group t)
-      ~on_barrier:(on_barrier t) k ~args ~global
-  with
-  | Exec.Exec_error { e_context; _ }
-    when string_starts_with ~prefix:"barrier divergence" e_context ->
-    (* record it like any other violation so callers get the full
-       picture from [counts]/[violations] instead of an abort *)
-    report t ~buf:"(barrier)" ~idx:0 Barrier_divergence
+  Exec.launch ~hook:(hook t) ~on_workitem:(set_gid t) k ~args ~global
 
 (* -- Printing --------------------------------------------------------- *)
 
@@ -355,28 +259,10 @@ let pp_violation ppf v =
   | Read_uninit ->
       Fmt.pf ppf "read of uninitialised cell: kernel %s, work-item %a, %s[%d]" v.v_kernel
         pp_gid v.v_gid v.v_buf v.v_idx
-  | Local_race other ->
-      Fmt.pf ppf
-        "local race: kernel %s, __local %s[%d] stored by work-items %a and %a in the \
-         same barrier phase"
-        v.v_kernel v.v_buf v.v_idx pp_gid other pp_gid v.v_gid
-  | Local_read_hazard writer ->
-      Fmt.pf ppf
-        "missing barrier: kernel %s, work-item %a reads __local %s[%d] stored by %a in \
-         the same phase"
-        v.v_kernel pp_gid v.v_gid v.v_buf v.v_idx pp_gid writer
-  | Local_uninit ->
-      Fmt.pf ppf "read of unwritten __local slot: kernel %s, work-item %a, %s[%d]"
-        v.v_kernel pp_gid v.v_gid v.v_buf v.v_idx
-  | Barrier_divergence ->
-      Fmt.pf ppf "barrier divergence: kernel %s, work-item %a reached a barrier other \
-                  work-items skipped" v.v_kernel pp_gid v.v_gid
 
 let pp_counts ppf c =
   Fmt.pf ppf "races: %d, out-of-bounds: %d, uninitialised reads: %d" c.n_races c.n_oob
-    c.n_uninit;
-  if c.n_local > 0 || c.n_barrier > 0 then
-    Fmt.pf ppf ", local hazards: %d, barrier divergence: %d" c.n_local c.n_barrier
+    c.n_uninit
 
 let pp ppf t =
   if total t.counts = 0 then Fmt.pf ppf "sanitizer: no violations@."

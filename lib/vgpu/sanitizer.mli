@@ -25,17 +25,6 @@ type kind =
   | Oob_store
   | Oob_load
   | Read_uninit
-  | Local_race of (int * int * int)
-      (** two work-items of one group stored the same [__local] slot in
-          the same barrier phase (the earlier writer is carried) *)
-  | Local_read_hazard of (int * int * int)
-      (** a work-item read a [__local] slot another work-item stored in
-          the current phase — no barrier orders the store before the
-          read (the writer is carried) *)
-  | Local_uninit
-      (** read of a [__local] slot no work-item of the group has stored *)
-  | Barrier_divergence
-      (** work-items of one group disagreed on reaching a barrier *)
 
 type violation = {
   v_kernel : string;
@@ -49,8 +38,6 @@ type counts = {
   n_races : int;
   n_oob : int;
   n_uninit : int;
-  n_local : int;  (** local-memory hazards (races, missing barriers, unwritten reads) *)
-  n_barrier : int;  (** barrier-divergence events *)
 }
 
 val no_violations : counts
@@ -88,12 +75,9 @@ val hook : t -> Exec.access_hook
 val launch :
   t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:int list -> unit
 (** Convenience: [begin_launch] + [Exec.launch] with this sanitizer's
-    hook and work-item attribution installed.  For grouped kernels the
-    group/barrier notifications are wired too: [__local] arrays are
-    shadowed per group with barrier-phase tracking, and a barrier
-    divergence is recorded as a violation instead of aborting the
-    caller.
-    @raise Kernel_ast.Cast.Ndrange_rank before the launch begins, as
+    hook and work-item attribution installed.
+    @raise Kernel_ast.Cast.Ndrange_rank or
+    {!Kernel_ast.Cast.Work_group_size} before the launch begins, as
     {!Exec.launch} would. *)
 
 (** {2 Results} *)

@@ -70,13 +70,7 @@ let test_paper_kernel_verdicts () =
   let fd = Check.check env (Hand_kernels.boundary_fd_mm ~precision:p ~mb:3) in
   check_verdict "fd_mm g1 race" "safe" (buf_report fd "g1").Check.b_race;
   check_verdict "fd_mm v1 race" "safe" (buf_report fd "v1").Check.b_race;
-  Alcotest.(check bool) "fd_mm has no Unsafe" true (Check.ok fd);
-  (* A grouped kernel (the tests' 2.5D-tiled fixture): barriers in
-     group-uniform control flow are proven Safe, and neither its global
-     buffers nor its __local tile get an Unsafe verdict. *)
-  let tiled = Check.check env (Tiled_kernel.volume ~precision:p ~tile:(8, 8) ()) in
-  check_verdict "tiled barrier" "safe" tiled.Check.r_barrier;
-  Alcotest.(check bool) "tiled has no Unsafe" true (Check.ok tiled)
+  Alcotest.(check bool) "fd_mm has no Unsafe" true (Check.ok fd)
 
 (* The optimizer must not change any verdict: the verifier doubles as a
    differential audit of the pass pipeline. *)
@@ -100,7 +94,7 @@ let test_verdicts_invariant_under_opt () =
       Hand_kernels.boundary_fi ~precision:p;
       Hand_kernels.boundary_fi_mm ~precision:p ~betas;
       Hand_kernels.boundary_fd_mm ~precision:p ~mb:3;
-      Tiled_kernel.volume ~precision:p ~tile:(8, 8) ();
+      Z_march_kernel.volume ~precision:p ();
     ]
 
 (* -- A deliberately racy kernel: both legs must catch it ------------- *)

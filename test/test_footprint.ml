@@ -1,9 +1,9 @@
 (* Static stencil-footprint inference and whole-plan halo verification:
 
    - Kernel_ast.Footprint infers exact per-axis extents for the
-     production volume kernels (flat and fused) and for a 2.5D-tiled test
-     fixture (where the z±1 arms live in registers and local memory, not
-     in any load's index expression), and honestly gives up on the
+     production volume kernels (flat and fused) and for a z-marching
+     test fixture (where the z-1 arm lives in a loop-carried register,
+     not in any load's index expression), and honestly gives up on the
      indirect boundary scatters.
 
    - The optimizer never widens a footprint: the optimized AST's
@@ -70,21 +70,18 @@ let test_flat_exact () =
       | None -> assert false))
     [ Hand_kernels.volume ~precision:Cast.Double; Hand_kernels.fused_fi ~precision:Cast.Double ]
 
-(* The tiled fixture's below/above-plane reads live in loop-carried
-   registers and a __local tile; provenance plus register aging must
-   recover the same ±1 extents the flat kernel shows directly. *)
-let test_tiled_exact () =
+(* The z-marching fixture's below-plane read lives in a loop-carried
+   register; provenance plus register aging must recover the same ±1
+   extents the flat kernel shows directly. *)
+let test_register_exact () =
   let env = sim_env () in
-  List.iter
-    (fun tile ->
-      let k = Tiled_kernel.volume ~precision:Cast.Double ~tile () in
-      let fp = Footprint.infer ~strides env k in
-      check_rel (k.Cast.name ^ " curr") fp "curr" [ (-1, 1); (-1, 1); (-1, 1) ];
-      check_rel (k.Cast.name ^ " prev") fp "prev" [ (0, 0); (0, 0); (0, 0) ];
-      Alcotest.(check (option int))
-        (k.Cast.name ^ " halo radius") (Some 1)
-        (Footprint.read_radius fp "curr"))
-    [ (4, 4); (8, 8) ]
+  let k = Z_march_kernel.volume ~precision:Cast.Double () in
+  let fp = Footprint.infer ~strides env k in
+  check_rel (k.Cast.name ^ " curr") fp "curr" [ (-1, 1); (-1, 1); (-1, 1) ];
+  check_rel (k.Cast.name ^ " prev") fp "prev" [ (0, 0); (0, 0); (0, 0) ];
+  Alcotest.(check (option int))
+    (k.Cast.name ^ " halo radius") (Some 1)
+    (Footprint.read_radius fp "curr")
 
 (* Boundary kernels scatter through bidx: no anchor, no relative
    extents, indirect flags — the sanitizer's territory, never a silent
@@ -162,7 +159,7 @@ let test_opt_never_widens () =
     [
       Hand_kernels.volume ~precision:Cast.Double;
       Hand_kernels.fused_fi ~precision:Cast.Double;
-      Tiled_kernel.volume ~precision:Cast.Double ~tile:(4, 4) ();
+      Z_march_kernel.volume ~precision:Cast.Double ();
       Hand_kernels.boundary_fi ~precision:Cast.Double;
       Hand_kernels.boundary_fi_mm ~precision:Cast.Double ~betas;
       Hand_kernels.boundary_fd_mm ~precision:Cast.Double ~mb:3;
@@ -515,7 +512,7 @@ let qcheck_opt_never_widens =
 let suite =
   [
     Alcotest.test_case "flat kernels: exact ±1 extents" `Quick test_flat_exact;
-    Alcotest.test_case "tiled kernels: register/local ±1 recovered" `Quick test_tiled_exact;
+    Alcotest.test_case "z-marching kernel: register ±1 recovered" `Quick test_register_exact;
     Alcotest.test_case "boundary kernels: honest give-up" `Quick test_boundary_indirect;
     Alcotest.test_case "optimizer containment (production kernels)" `Quick
       test_opt_never_widens;

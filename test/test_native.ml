@@ -764,17 +764,22 @@ let test_runtime_cache_counters () =
 
 (* A steady one-device step only reads argument cells, compares launch
    signatures and calls the compiled entries: it allocates a few dozen
-   words, and verification adds none. *)
+   words, and verification adds none.  Nor does it on an overlapped
+   2-shard FD-MM step, whose split volume kernel launches over three
+   ranges per device: each range's signature is verified once. *)
 let test_steady_step_allocation () =
   use_scratch_cache ();
   let open Acoustics in
   let module P = Lift_acoustics.Programs in
   let lift name prog = (P.compile ~name ~optimize:false ~precision:Double prog).Lift.Codegen.kernel in
   let kernels = [ lift "volume" (P.volume ()); lift "boundary_fi" (P.boundary_fi ()) ] in
-  let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:32 ~ny:24 ~nz:20) in
   let steps = 20 in
-  let words verify =
-    let sim = Gpu_sim.create ~engine:`Native ~verify ~fi_beta:0.1 ~n_branches:3 Params.default room in
+  let words ?shards ?schedule ~dims kernels verify =
+    let room = Geometry.build ~n_materials:4 Geometry.Box dims in
+    let sim =
+      Gpu_sim.create ~engine:`Native ?shards ?schedule ~verify ~fi_beta:0.1 ~n_branches:3
+        Params.default room
+    in
     for _ = 1 to 3 do
       Gpu_sim.step sim kernels
     done;
@@ -784,12 +789,17 @@ let test_steady_step_allocation () =
     done;
     Gc.minor_words () -. w0
   in
-  let plain = words false and verified = words true in
+  let dims = Geometry.dims ~nx:32 ~ny:24 ~nz:20 in
+  let plain = words ~dims kernels false and verified = words ~dims kernels true in
   Alcotest.(check bool)
     (Printf.sprintf "%.0f minor words per step, at most 256" (plain /. float_of_int steps))
     true
     (plain <= 256. *. float_of_int steps);
-  Alcotest.(check (float 0.)) "verification allocates nothing per step" plain verified
+  Alcotest.(check (float 0.)) "verification allocates nothing per step" plain verified;
+  let fd_mm = [ lift "volume" (P.volume ()); lift "boundary_fd_mm" (P.boundary_fd_mm ~mb:3 ()) ] in
+  let overlapped = words ~shards:2 ~schedule:`Overlap ~dims:(Geometry.dims ~nx:16 ~ny:12 ~nz:10) fd_mm in
+  Alcotest.(check (float 0.)) "2-shard overlapped FD-MM: verification allocates nothing per step"
+    (overlapped false) (overlapped true)
 
 (* A prepared launch re-verifies when a buffer extent changes: after
    steady launches, rebinding a parameter to a shorter array is
@@ -1283,7 +1293,9 @@ let test_shards_one_build () =
 
 (* The NDRange rank rule: a 1-D kernel launched with [n; 2] is refused
    by every engine and by [Check]; [n; 1; 1] runs, the same everywhere.
-   Its entry loops over the one dimension it declares. *)
+   Its entry loops over the one dimension it declares.  A kernel with a
+   work-group size is refused before anything runs: by the C renderer,
+   every engine and [Check], with or without an explicit NDRange. *)
 let test_ndrange_rank_rule () =
   use_scratch_cache ();
   let k =
@@ -1325,7 +1337,26 @@ let test_ndrange_rank_rule () =
         Alcotest.(check (array (float 0.))) (name ^ ": [8; 1; 1] runs")
           (Array.init 8 (fun i -> float_of_int i +. 0.5))
           out)
-    engines
+    engines;
+  let grouped = { k with name = "native_grouped_probe"; local_size = [ 4 ] } in
+  let out = Array.make 8 0. in
+  let args = [ Vgpu.Args.Buf (Vgpu.Buffer.F out) ] in
+  List.iter
+    (fun (name, run) ->
+      match run () with
+      | exception Kernel_ast.Cast.Work_group_size { local_size = [ 4 ]; _ } -> ()
+      | () -> Alcotest.failf "%s accepted a kernel with local_size [4]" name)
+    [
+      ("entry_source", fun () -> ignore (Kernel_ast.Native_c.entry_source grouped));
+      ("compile", fun () -> ignore (Vgpu.Native.compile grouped));
+      ("interp", fun () -> Vgpu.Exec.launch grouped ~args ~global:[ 8 ]);
+      ("sanitizer", fun () -> Vgpu.Sanitizer.launch san grouped ~args ~global:[ 8 ]);
+      ( "check, explicit NDRange",
+        fun () -> ignore (Kernel_ast.Check.check (Kernel_ast.Check.env ~global:[ 8 ] ()) grouped)
+      );
+      ("check, symbolic NDRange", fun () -> ignore (Kernel_ast.Check.check (Kernel_ast.Check.env ()) grouped));
+    ];
+  Alcotest.(check (array (float 0.))) "the refused kernel wrote nothing" (Array.make 8 0.) out
 
 let suite =
   [

@@ -96,43 +96,6 @@ let test_breakdown_consistency () =
   Alcotest.(check bool) "stencil is memory bound" true (b.mem_time_s > b.flop_time_s);
   Alcotest.(check bool) "positive traffic" true (b.bytes_per_point > 0.)
 
-(* The work-group tier: __local traffic is priced on its own roofline
-   arm at local_bw_ratio x DRAM bandwidth.  The tiled volume kernel (a
-   test fixture) must
-   show local traffic the flat one has none of, local time must stay
-   cheaper than the (coalesced-rate) DRAM it replaces, and the total
-   must be the three-way roofline max. *)
-let test_local_memory_tier () =
-  let elems = 1_000_000 in
-  let w =
-    Vgpu.Perf_model.workload ~active_points:1e6
-      ~buffer_elems:
-        [ ("prev", elems); ("curr", elems); ("next", elems); ("nbrs", elems) ]
-      ()
-  in
-  let device = Vgpu.Device.gtx780 in
-  let flat =
-    Vgpu.Perf_model.predict_breakdown device (Hand_kernels.volume ~precision:Kernel_ast.Cast.Double) w
-  in
-  let tiled_kernel = Tiled_kernel.volume ~precision:Kernel_ast.Cast.Double ~tile:(8, 8) () in
-  let tiled = Vgpu.Perf_model.predict_breakdown device tiled_kernel w in
-  Alcotest.(check (float 0.)) "flat kernel has no local traffic" 0.
-    flat.Vgpu.Perf_model.local_bytes_per_point;
-  Alcotest.(check bool) "tiled kernel has local traffic" true
-    (tiled.Vgpu.Perf_model.local_bytes_per_point > 0.);
-  Alcotest.(check bool) "local arm is cheaper than DRAM" true
-    (tiled.Vgpu.Perf_model.local_time_s < tiled.Vgpu.Perf_model.mem_time_s);
-  Alcotest.(check bool) "total = launch + max(mem, flop, local)" true
-    (Float.abs
-       (tiled.Vgpu.Perf_model.total_s
-       -. (tiled.launch_s +. Float.max (Float.max tiled.mem_time_s tiled.flop_time_s) tiled.local_time_s))
-    < 1e-15);
-  (* a device with slower local memory prices the local arm higher *)
-  let slow = { device with Vgpu.Device.local_bw_ratio = device.Vgpu.Device.local_bw_ratio /. 4. } in
-  let tiled_slow = Vgpu.Perf_model.predict_breakdown slow tiled_kernel w in
-  Alcotest.(check bool) "local_bw_ratio scales the local arm" true
-    (tiled_slow.Vgpu.Perf_model.local_time_s > 3.9 *. tiled.Vgpu.Perf_model.local_time_s)
-
 (* Double precision can be compute-bound on the GTX 780 (1/24 DP rate)
    for flop-heavy kernels; check the roofline switches over. *)
 let test_compute_bound_switch () =
@@ -168,7 +131,6 @@ let suite =
     Alcotest.test_case "NVIDIA beta-in-global gap (paper VII-B1)" `Quick test_nvidia_beta_gap;
     Alcotest.test_case "bandwidth scaling" `Quick test_bandwidth_scaling;
     Alcotest.test_case "breakdown consistency" `Quick test_breakdown_consistency;
-    Alcotest.test_case "local-memory roofline arm" `Quick test_local_memory_tier;
     Alcotest.test_case "compute-bound switch" `Quick test_compute_bound_switch;
   ]
 

@@ -298,60 +298,144 @@ let test_printer () =
   let e2 = Cast.(Binop (Add, Var "a", Binop (Mul, Var "b", Var "c"))) in
   Alcotest.(check string) "no parens" "a + b * c" (Print.expr_to_string e2)
 
-(* The work-group tier through both renderers: the OpenCL printer must
-   produce the portable grouped-kernel surface (reqd_work_group_size,
-   __local declarations, barrier fences, the id builtin family) and the
-   native C emitter the POCL-style fissioned lowering (per-group loop
-   nest, widened per-work-item scalars, barrier segments as separate
-   local-id loops, a uniform while for the barrier-carrying z loop). *)
-let test_tiled_kernel_goldens () =
-  let k =
-    Tiled_kernel.volume ~precision:Cast.Double ~tile:(4, 2) ()
+(* The native C entries of the Lift-generated [volume] and
+   [boundary_fd_mm] kernels, in the form a one-device FD-MM simulation
+   renders them: optimized, with [nbrs] stored as bytes.  Their text
+   keys the binary cache, so any change to the renderer shows here
+   first.  Digits are stripped as in the OpenCL goldens. *)
+let test_lift_native_c_golden () =
+  let lift name prog =
+    (Lift_acoustics.Programs.compile ~name ~optimize:false ~precision:Cast.Double prog)
+      .Lift.Codegen.kernel
   in
-  let ocl = Print.kernel_to_string k in
-  List.iter
-    (fun needle ->
-      if not (Test_util.contains ocl needle) then
-        Alcotest.failf "OpenCL for tiled kernel missing %S in:\n%s" needle ocl)
-    [
-      "__attribute__((reqd_work_group_size(4, 2, 1)))";
-      "__kernel void volume_tiled_4x2";
-      "__local double tile[24];";
-      "barrier(CLK_LOCAL_MEM_FENCE);";
-      "get_local_id(0)";
-      "get_local_id(1)";
-      "tile[(get_local_id(1) + 1) * 6 + (get_local_id(0) + 1)] = curr[";
-      "for (int z = 0; z < Nz; z = z + 1) {";
-    ];
-  let c = Native_c.entry_source k in
-  List.iter
-    (fun needle ->
-      if not (Test_util.contains c needle) then
-        Alcotest.failf "native C for tiled kernel missing %S in:\n%s" needle c)
-    [
-      (* locals are renamed by declaration order, keeping their stem;
-         the local tile is one plain per-group array, cleared per group *)
-      "double rk_v2_tile[24];";
-      "memset(rk_v2_tile, 0, sizeof(rk_v2_tile));";
-      (* per-work-item registers are widened over the group *)
-      "double rk_v3_cb[8] = {0};";
-      "rk_v3_cb[rk_l] = ";
-      (* the int neighbour grid is read in place as tagged words *)
-      "(nbrs[rk_v5_idx[rk_l]] >> 1)";
-      (* the group loop nest and the flattened local id *)
-      "for (int64_t rk_wg0 = 0; rk_wg0 < rk_gs0 / 4LL; rk_wg0++)";
-      "for (int64_t rk_l0 = 0; rk_l0 < 4LL; rk_l0++)";
-      "const int64_t rk_l = (rk_l2 * 2LL + rk_l1) * 4LL + rk_l0;";
-      (* the barrier-carrying z loop becomes a uniform while *)
-      "int64_t rk_it_rk_v4_z = 0LL;";
-      "while (rk_it_rk_v4_z < (Nz)) {";
-      "rk_it_rk_v4_z += 1LL;";
-    ];
-  (* no barrier survives as a statement: fission consumed them all *)
-  Alcotest.(check bool) "no barrier() call in C" false (Test_util.contains c "barrier(");
-  (* braces balance, as for the host emitter *)
-  let count s ch = String.fold_left (fun acc c -> if c = ch then acc + 1 else acc) 0 s in
-  Alcotest.(check int) "balanced braces" (count c '{') (count c '}')
+  let entry k = Native_c.entry_source (fst (Opt.optimize (Cast.with_u8 "nbrs" k))) in
+  Test_golden.check_golden "volume (native C)"
+    {|/* kernel volume (double precision) */
+__attribute__((visibility("default")))
+void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
+                       const int64_t *isc, const double *fsc, const int64_t *gsz)
+{
+  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;
+  const uint8_t * restrict nbrs = u8b[0];
+  const double * restrict prev = fb[0];
+  const double * restrict curr = fb[1];
+  double * restrict next = fb[2];
+  int64_t Nx = isc[0];
+  int64_t NxNy = isc[1];
+  double l2 = fsc[0];
+  int64_t N = isc[2];
+  const int64_t rk_gs0 = gsz[0];
+  const int64_t rk_gs1 = gsz[1];
+  const int64_t rk_gs2 = gsz[2];
+  (void)rk_gs0; (void)rk_gs1; (void)rk_gs2;
+  int64_t rk_v0_gid0 = 0;
+  int64_t rk_v1_nbr = 0;
+  double rk_v2_sel = 0.0;
+  double rk_v3_s = 0.0;
+  for (int64_t rk_g0 = 0; rk_g0 < rk_gs0; rk_g0++)
+  {
+    rk_v0_gid0 = rk_g0;
+    if (rk_v0_gid0 < N) {
+      rk_v1_nbr = ((int64_t)nbrs[rk_v0_gid0]);
+      rk_v2_sel = 0.0;
+      if (rk_v1_nbr > 0LL) {
+        rk_v3_s = curr[rk_v0_gid0 - 1LL] + curr[rk_v0_gid0 + 1LL] + curr[rk_v0_gid0 - Nx] + curr[rk_v0_gid0 + Nx] + curr[rk_v0_gid0 - NxNy] + curr[rk_v0_gid0 + NxNy];
+        rk_v2_sel = (2.0 - l2 * (double)(rk_v1_nbr)) * curr[rk_v0_gid0] + l2 * rk_v3_s - prev[rk_v0_gid0];
+      } else {
+        rk_v2_sel = 0.0;
+      }
+      next[rk_v0_gid0] = rk_v2_sel;
+    }
+  }
+}
+|}
+    (entry (lift "volume" (Lift_acoustics.Programs.volume ())));
+  Test_golden.check_golden "boundary_fd_mm (native C)"
+    {|/* kernel boundary_fd_mm (double precision) */
+__attribute__((visibility("default")))
+void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
+                       const int64_t *isc, const double *fsc, const int64_t *gsz)
+{
+  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;
+  const int64_t * restrict bidx = ib[0];
+  const uint8_t * restrict nbrs = u8b[0];
+  const int64_t * restrict material = ib[1];
+  const double * restrict beta_fd = fb[0];
+  const double * restrict bi = fb[1];
+  const double * restrict d = fb[2];
+  const double * restrict f = fb[3];
+  const double * restrict di = fb[4];
+  const double * restrict prev = fb[5];
+  double * restrict next = fb[6];
+  double * restrict g1 = fb[7];
+  const double * restrict v2 = fb[8];
+  double * restrict v1 = fb[9];
+  double l = fsc[0];
+  int64_t N = isc[0];
+  int64_t NM = isc[1];
+  int64_t nB = isc[2];
+  const int64_t rk_gs0 = gsz[0];
+  const int64_t rk_gs1 = gsz[1];
+  const int64_t rk_gs2 = gsz[2];
+  (void)rk_gs0; (void)rk_gs1; (void)rk_gs2;
+  int64_t rk_v0_gid0 = 0;
+  int64_t rk_v1__cse0 = 0;
+  int64_t rk_v2__cse1 = 0;
+  int64_t rk_v3_idx = 0;
+  int64_t rk_v4_mi = 0;
+  int64_t rk_v5_nbr = 0;
+  double rk_v6_cf1 = 0.0;
+  double rk_v7_cf = 0.0;
+  double rk_v8_pv = 0.0;
+  double rk_v9_priv[3] = {0};
+  double rk_v10_priv[3] = {0};
+  double rk_v11_acc = 0.0;
+  int64_t rk_v12__cse5 = 0;
+  int64_t rk_v13__cse4 = 0;
+  int64_t rk_v14__cse3 = 0;
+  double rk_v15_nvf = 0.0;
+  double rk_v16__cse2 = 0.0;
+  for (int64_t rk_g0 = 0; rk_g0 < rk_gs0; rk_g0++)
+  {
+    rk_v0_gid0 = rk_g0;
+    rk_v1__cse0 = nB + rk_v0_gid0;
+    rk_v2__cse1 = 2LL * nB + rk_v0_gid0;
+    if (rk_v0_gid0 < nB) {
+      rk_v3_idx = (bidx[rk_v0_gid0] >> 1);
+      rk_v4_mi = (material[rk_v0_gid0] >> 1);
+      rk_v5_nbr = ((int64_t)nbrs[rk_v3_idx]);
+      rk_v6_cf1 = l * (double)(6LL - rk_v5_nbr);
+      rk_v7_cf = 0.5 * rk_v6_cf1 * beta_fd[rk_v4_mi];
+      rk_v8_pv = prev[rk_v3_idx];
+      memset(rk_v9_priv, 0, sizeof(rk_v9_priv));
+      rk_v9_priv[0LL] = g1[rk_v0_gid0];
+      rk_v9_priv[1LL] = g1[rk_v1__cse0];
+      rk_v9_priv[2LL] = g1[rk_v2__cse1];
+      memset(rk_v10_priv, 0, sizeof(rk_v10_priv));
+      rk_v10_priv[0LL] = v2[rk_v0_gid0];
+      rk_v10_priv[1LL] = v2[rk_v1__cse0];
+      rk_v10_priv[2LL] = v2[rk_v2__cse1];
+      rk_v11_acc = next[rk_v3_idx];
+      rk_v12__cse5 = rk_v4_mi * 3LL;
+      rk_v11_acc = rk_v11_acc - rk_v6_cf1 * bi[rk_v12__cse5] * (2.0 * d[rk_v12__cse5] * rk_v10_priv[0LL] - f[rk_v12__cse5] * rk_v9_priv[0LL]);
+      rk_v13__cse4 = rk_v12__cse5 + 1LL;
+      rk_v11_acc = rk_v11_acc - rk_v6_cf1 * bi[rk_v13__cse4] * (2.0 * d[rk_v13__cse4] * rk_v10_priv[1LL] - f[rk_v13__cse4] * rk_v9_priv[1LL]);
+      rk_v14__cse3 = rk_v12__cse5 + 2LL;
+      rk_v11_acc = rk_v11_acc - rk_v6_cf1 * bi[rk_v14__cse3] * (2.0 * d[rk_v14__cse3] * rk_v10_priv[2LL] - f[rk_v14__cse3] * rk_v9_priv[2LL]);
+      rk_v15_nvf = (rk_v11_acc + rk_v7_cf * rk_v8_pv) / (1.0 + rk_v7_cf);
+      next[rk_v3_idx] = rk_v15_nvf;
+      rk_v16__cse2 = rk_v15_nvf - rk_v8_pv;
+      g1[rk_v0_gid0] = rk_v9_priv[0LL] + 0.5 * (bi[rk_v12__cse5] * (rk_v16__cse2 + di[rk_v12__cse5] * rk_v10_priv[0LL] - 2.0 * f[rk_v12__cse5] * rk_v9_priv[0LL]) + rk_v10_priv[0LL]);
+      g1[rk_v1__cse0] = rk_v9_priv[1LL] + 0.5 * (bi[rk_v13__cse4] * (rk_v16__cse2 + di[rk_v13__cse4] * rk_v10_priv[1LL] - 2.0 * f[rk_v13__cse4] * rk_v9_priv[1LL]) + rk_v10_priv[1LL]);
+      g1[rk_v2__cse1] = rk_v9_priv[2LL] + 0.5 * (bi[rk_v14__cse3] * (rk_v16__cse2 + di[rk_v14__cse3] * rk_v10_priv[2LL] - 2.0 * f[rk_v14__cse3] * rk_v9_priv[2LL]) + rk_v10_priv[2LL]);
+      v1[rk_v0_gid0] = bi[rk_v12__cse5] * (rk_v16__cse2 + di[rk_v12__cse5] * rk_v10_priv[0LL] - 2.0 * f[rk_v12__cse5] * rk_v9_priv[0LL]);
+      v1[rk_v1__cse0] = bi[rk_v13__cse4] * (rk_v16__cse2 + di[rk_v13__cse4] * rk_v10_priv[1LL] - 2.0 * f[rk_v13__cse4] * rk_v9_priv[1LL]);
+      v1[rk_v2__cse1] = bi[rk_v14__cse3] * (rk_v16__cse2 + di[rk_v14__cse3] * rk_v10_priv[2LL] - 2.0 * f[rk_v14__cse3] * rk_v9_priv[2LL]);
+    }
+  }
+}
+|}
+    (entry (lift "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ())))
 
 let test_simplify_examples () =
   let open Cast in
@@ -573,7 +657,8 @@ let suite =
     Alcotest.test_case "stats are a snapshot" `Quick test_stats_snapshot;
     Alcotest.test_case "a refused launch is not counted" `Quick test_refused_launch_not_counted;
     Alcotest.test_case "OpenCL printer" `Quick test_printer;
-    Alcotest.test_case "tiled kernel: OpenCL and native C goldens" `Quick test_tiled_kernel_goldens;
+    Alcotest.test_case "Lift volume and boundary_fd_mm: native C golden" `Quick
+      test_lift_native_c_golden;
     Alcotest.test_case "expression simplifier" `Quick test_simplify_examples;
     Alcotest.test_case "standalone C emitter" `Quick test_emit_c;
     Alcotest.test_case "emitted host C compiles (stub OpenCL)" `Quick test_emit_c_compiles;
