@@ -29,10 +29,15 @@ val paper_sizes : dims list
 val size_label : dims -> string
 
 val inside : shape -> dims -> int -> int -> int -> bool
-(** Is voxel (x, y, z) inside the room? *)
+(** Is voxel (x, y, z) inside the room?  Along every row (y, z) the
+    voxels it accepts form one interval, which holds the centre voxel
+    (nx-1)/2 when it is not empty: the walker behind {!stats} and
+    {!build} visits each row as that span. *)
 
 (** Aggregate geometry statistics, computable at the paper's full sizes
-    (up to 73M voxels) without materialising arrays. *)
+    (up to 73M voxels) without materialising arrays: the walker hands
+    out each row as a few constant-count segments, which [stats]
+    counts. *)
 type stats = {
   s_points : int;       (** total voxels including the halo *)
   s_inside : int;       (** voxels with nbr > 0 *)
@@ -48,6 +53,9 @@ type room = {
   shape : shape;
   dims : dims;
   nbrs : int array;
+  nbrs_u8 : Bytes.t;
+      (** [nbrs] one byte per voxel: the grid the walker writes, which
+          the device binds as its [Cast.U8] [nbrs] *)
   boundary_indices : int array;  (** ascending *)
   material : int array;          (** per boundary point *)
   n_inside : int;
@@ -57,7 +65,10 @@ val material_of_voxel : n_materials:int -> nz:int -> int -> int
 (** Deterministic material assignment: horizontal bands, floor first. *)
 
 val build : ?n_materials:int -> shape -> dims -> room
-(** Materialise the geometry arrays (for simulation-sized rooms). *)
+(** Materialise the geometry arrays (for simulation-sized rooms).  The
+    grids come from {!Vgpu.Buffer}'s large-array allocator, and the
+    walker fills them one constant-count segment of a row at a time
+    (every shape's row is one interval of inside voxels). *)
 
 val n_boundary : room -> int
 val shape_label : shape -> string

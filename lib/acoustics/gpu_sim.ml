@@ -36,10 +36,13 @@
    kernel derives its boundary mask from global coordinates and is only
    correct on the full grid.
 
-   The device stores [nbrs] (0-6 per point) as bytes: [create] builds a
-   byte copy of it per device, and every kernel runs in its device form,
-   the same kernel with its [nbrs] parameter marked [Cast.U8].  Host-side
-   data ([Geometry.room.nbrs], [Shard.shard.nbrs]) stays [int array]. *)
+   The device stores [nbrs] (0-6 per point) as bytes, and every kernel
+   runs in its device form, the same kernel with its [nbrs] parameter
+   marked [Cast.U8].  No byte grid is computed here: a single device
+   binds the room's own byte grid ([Geometry.room.nbrs_u8], which the
+   geometry walker writes), and each shard binds its slab
+   ([Shard.shard.nbrs], blitted from that grid).  [Geometry.room.nbrs]
+   stays an [int array] for the host-side reference code. *)
 
 open Kernel_ast.Cast
 
@@ -100,8 +103,8 @@ type t = {
   backend : backend;
   mutable launches : int;
   nbrs_dev : Vgpu.Buffer.t;
-      (* single device: byte copy of the room's nbrs ([Buffer.I] of the
-         host array when sharded, where only its length is used) *)
+      (* the room's byte grid: bound as is on a single device; when
+         sharded, only its length is used *)
   mutable device_forms : (kernel * kernel) list;
       (* physical-equality memo of [device_form] *)
 }
@@ -122,7 +125,7 @@ let table_buffer (tables : Material.tables) name : Vgpu.Buffer.t option =
 
 (* Bind one device's buffers into its table, once: grids and branch
    state (rotated from then on by [Swap]s), the boundary data with the
-   device's byte copy of [nbrs], and the read-only coefficient tables
+   device's byte grid of [nbrs], and the read-only coefficient tables
    shared across devices. *)
 let bind_device bind (ss : Shard.shard_state) ~nbrs ~bidx ~material tables =
   bind "prev" (Vgpu.Buffer.F ss.Shard.prev);
@@ -143,7 +146,7 @@ let bind_shards multi (p : Shard.plan) tables =
   Array.iteri
     (fun i (sh : Shard.shard) ->
       bind_device (Vgpu.Multi.bind multi i) states.(i)
-        ~nbrs:(Vgpu.Buffer.u8_of_int_array sh.Shard.nbrs)
+        ~nbrs:(Vgpu.Buffer.U8 sh.Shard.nbrs)
         ~bidx:sh.Shard.bidx ~material:sh.Shard.material tables)
     p.Shard.shards
 
@@ -153,6 +156,7 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
   let re = runtime_engine engine in
   let tables = Material.tables ~n_branches materials in
   let state = State.create ~n_branches room in
+  let nbrs_dev = Vgpu.Buffer.U8 room.Geometry.nbrs_u8 in
   let backend =
     match shards with
     | None ->
@@ -168,8 +172,7 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
             vel_prev = state.vel_prev;
             vel_next = state.vel_next;
           }
-          ~nbrs:(Vgpu.Buffer.u8_of_int_array room.Geometry.nbrs)
-          ~bidx:room.Geometry.boundary_indices ~material:room.Geometry.material tables;
+          ~nbrs:nbrs_dev ~bidx:room.Geometry.boundary_indices ~material:room.Geometry.material tables;
         Single { rt; ops = [] }
     | Some n ->
         let plan = Shard.plan ~n_branches ~halo:tblock ~shards:n room in
@@ -197,11 +200,6 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
             unprepared = false;
           }
   in
-  let nbrs_dev =
-    match backend with
-    | Single { rt; _ } -> Vgpu.Runtime.buffer rt "nbrs"
-    | Sharded _ -> Vgpu.Buffer.I room.Geometry.nbrs
-  in
   {
     params;
     state;
@@ -219,7 +217,8 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
 (* The device form of a kernel: the same kernel with its [nbrs]
    parameter stored as bytes, which is how this driver binds [nbrs]
    (kernels without it are returned as they are).  A kernel that writes
-   [nbrs] is refused: its writes would land in the device copy. *)
+   [nbrs] is refused: its writes would land in the byte grid the device
+   binds, on a single device the room's own. *)
 let device_form (k : kernel) =
   if not (List.exists (fun p -> p.p_name = "nbrs") k.params) then k
   else if stores_to "nbrs" k.body then
@@ -809,7 +808,7 @@ let blocked_stats t (kernels : kernel list) =
           let h = sh.Shard.halo in
           let count_plane p =
             for q = p * sh.Shard.plane to ((p + 1) * sh.Shard.plane) - 1 do
-              if sh.Shard.nbrs.(q) > 0 then incr redundant
+              if Bytes.get sh.Shard.nbrs q <> '\000' then incr redundant
             done
           in
           for p = 1 to h - 1 do

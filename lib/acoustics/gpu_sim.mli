@@ -27,10 +27,13 @@
     boundary_fd_mm); the fused Listing-1 kernel derives its boundary
     mask from global coordinates and only runs unsharded.
 
-    The device stores [nbrs] as bytes: {!create} builds one byte copy of
-    it per device, and every kernel is launched in its {!device_form}.
-    Host-side data ([Geometry.room.nbrs], [Shard.shard.nbrs]) stays an
-    [int array], and results are bit-identical to word storage. *)
+    The device stores [nbrs] as bytes, and every kernel is launched in
+    its {!device_form}.  {!create} computes no byte grid: a single device
+    binds the room's own [Geometry.room.nbrs_u8], which the geometry
+    walker writes, and each shard its [Shard.shard.nbrs] slab, blitted
+    from that grid.  [Geometry.room.nbrs] stays an [int array] for the
+    host-side reference code, and results are bit-identical to word
+    storage. *)
 
 type engine =
   [ `Interp  (** reference interpreter *)
@@ -68,7 +71,7 @@ type backend =
       multi : Vgpu.Multi.t;
           (** one device per shard; its table binds the shard's buffers
               (grids and branch state as rotated so far, boundary data,
-              the [Buffer.U8] copy of [nbrs], the coefficient tables) *)
+              its [Buffer.U8] slab of [nbrs], the coefficient tables) *)
       plan : Shard.plan;
       schedule : schedule;
       tblock : int;  (** temporal block depth T = the shards' halo *)
@@ -104,9 +107,9 @@ type t = {
   backend : backend;
   mutable launches : int;
   nbrs_dev : Vgpu.Buffer.t;
-      (** single device: the [Buffer.U8] device copy of the room's
-          [nbrs]; when sharded, the host array (only its length is used,
-          by {!check_env}) *)
+      (** the room's byte grid [Buffer.U8 room.nbrs_u8], not a copy: a
+          single device binds it as its [nbrs]; when sharded (each shard
+          binds its own slab) only its length is used, by {!check_env} *)
   mutable device_forms : (Kernel_ast.Cast.kernel * Kernel_ast.Cast.kernel) list;
       (** physical-equality memo of {!device_form}, newest first, at most
           32 entries *)
@@ -154,7 +157,8 @@ val device_form : Kernel_ast.Cast.kernel -> Kernel_ast.Cast.kernel
     Every launch and every {!plan} op uses it (memoized per simulation
     by physical equality, so each step launches the same values).
     @raise Invalid_argument if the kernel stores to [nbrs]: its writes
-    would land in the device copy. *)
+    would land in the byte grid the device binds, on a single device
+    the room's own. *)
 
 val tblock : t -> int
 (** The effective temporal block depth: the requested [tblock] clamped

@@ -11,8 +11,8 @@
 
    Everything a kernel launch needs becomes shard-local at plan time:
 
-   - [nbrs] is the global array restricted to the owned planes, with the
-     ghost planes zeroed — so the volume kernel, which guards on
+   - [nbrs] is the room's byte grid restricted to the owned planes, with
+     the ghost planes zeroed — so the volume kernel, which guards on
      [nbr > 0], never updates a ghost point;
    - the global [boundary_indices] array is ascending (built in linear
      index order), so a shard's boundary points are one contiguous range
@@ -42,8 +42,9 @@ type shard = {
   planes : int;  (* z1 - z0 + 2*halo: owned planes plus the ghosts *)
   base : int;  (* global linear index of local index 0, i.e. (z0-halo)*plane *)
   local_n : int;  (* planes * plane *)
-  nbrs : int array;
-  (* local neighbour counts: real values on local planes [1, planes-2]
+  nbrs : Bytes.t;
+  (* local neighbour counts, one byte each (the device's [Cast.U8]
+     form): real values on local planes [1, planes-2]
      (owned planes plus the halo-1 ghost planes the blocked schedule
      recomputes redundantly), zero on the two extreme planes and
      outside the grid — the [nbr > 0] guard then keeps every stencil
@@ -78,14 +79,14 @@ let make_shard ?(halo = 1) (room : Geometry.room) index (sl : slab) =
   let planes = z1 - z0 + (2 * halo) in
   let base = (z0 - halo) * plane in
   let local_n = planes * plane in
-  let nbrs = Array.make local_n 0 in
+  let nbrs = Vgpu.Buffer.zeros_bytes local_n in
   (* real neighbour counts on every local plane except the two extreme
      ones, clamped to the grid: the halo-1 inner ghost planes carry real
      geometry so the blocked schedule can recompute them redundantly *)
   for p = 1 to planes - 2 do
     let z = z0 - halo + p in
     if z >= 0 && z < nz then
-      Array.blit room.Geometry.nbrs (z * plane) nbrs (p * plane) plane
+      Bytes.blit room.Geometry.nbrs_u8 (z * plane) nbrs (p * plane) plane
   done;
   let gb = room.Geometry.boundary_indices in
   (* boundary range extended by the halo-1 redundantly recomputed ghost
@@ -147,8 +148,8 @@ type shard_state = {
 }
 
 let create_state p (s : shard) =
-  let grid () = Array.make s.local_n 0. in
-  let bstate () = Array.make (max 1 (p.n_branches * s.n_b)) 0. in
+  let grid () = Vgpu.Buffer.zeros_float s.local_n in
+  let bstate () = Vgpu.Buffer.zeros_float (max 1 (p.n_branches * s.n_b)) in
   {
     prev = grid ();
     curr = grid ();

@@ -33,9 +33,10 @@ type shard = {
   planes : int;  (** z1 - z0 + 2*halo: owned planes plus the ghosts *)
   base : int;  (** global linear index of local index 0: (z0-halo)*plane *)
   local_n : int;  (** planes * plane *)
-  nbrs : int array;
-      (** local neighbour counts: real on local planes [1, planes-2],
-          zero on the two extreme planes and outside the grid *)
+  nbrs : Bytes.t;
+      (** local neighbour counts, one byte each, blitted from the room's
+          [nbrs_u8]: real on local planes [1, planes-2], zero on the two
+          extreme planes and outside the grid *)
   bidx : int array;  (** boundary indices re-based to local coordinates *)
   material : int array;  (** material ids of this shard's boundary points *)
   b_off : int;  (** offset of this shard's range in the global boundary array *)

@@ -20,13 +20,13 @@ type t = {
 let create ?(n_branches = 0) room =
   let n = Geometry.n_points room.Geometry.dims in
   let nb = Geometry.n_boundary room in
-  let bstate () = Array.make (max 1 (n_branches * nb)) 0. in
+  let bstate () = Vgpu.Buffer.zeros_float (max 1 (n_branches * nb)) in
   {
     room;
     n_branches;
-    prev = Array.make n 0.;
-    curr = Array.make n 0.;
-    next = Array.make n 0.;
+    prev = Vgpu.Buffer.zeros_float n;
+    curr = Vgpu.Buffer.zeros_float n;
+    next = Vgpu.Buffer.zeros_float n;
     g1 = bstate ();
     vel_prev = bstate ();
     vel_next = bstate ();

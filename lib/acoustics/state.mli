@@ -16,6 +16,9 @@ type t = {
 }
 
 val create : ?n_branches:int -> Geometry.room -> t
+(** Zeroed grids from {!Vgpu.Buffer.zeros_float}: on the paper's rooms
+    each grid is far above its 4 MiB threshold, so it faults in 2 MiB
+    huge pages where the host allows them. *)
 
 val rotate : t -> unit
 (** After a completed step: next becomes curr, curr becomes prev, and

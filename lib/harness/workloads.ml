@@ -1,7 +1,7 @@
 (* Performance-model workloads for the paper's rooms.
 
    Geometry statistics at the paper's full sizes (up to 73M voxels) are
-   streamed plane by plane ([Geometry.stats]) and cached; they provide the
+   counted row span by row span ([Geometry.stats]) and cached; they provide the
    active point counts and the boundary contiguity that parameterise the
    roofline model. *)
 

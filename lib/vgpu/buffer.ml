@@ -13,26 +13,47 @@ type t =
   | I of int array
   | U8 of Bytes.t
 
-let create_real n = F (Array.make n 0.)
-let create_int n = I (Array.make n 0)
+(* Large zeroed host arrays.  A block of [large_bytes] or more comes
+   from the major heap's large-object path without its pages touched;
+   the stubs mark its 2 MiB-aligned interior for transparent huge pages,
+   and only then zero it, so the zeroing faults it in 2 MiB at a time
+   instead of 4 KiB.  4 MiB is the smallest size whose every placement
+   holds a whole aligned 2 MiB page.  Without the advice (non-Linux, or
+   refused) the zeroing faults as [Array.make] does. *)
+let large_bytes = 4 lsl 20
+
+external zero_huge : 'a -> int -> unit = "racs_zero_huge" [@@noalloc]
+
+(* the GC scans an int array, so this stub stores every zero before it
+   returns, as [Array.make] does *)
+external zeros_int_huge : int -> int array = "racs_zeros_int"
+
+let zeros_float n =
+  if n * 8 < large_bytes then Array.make n 0.
+  else begin
+    let a = Array.create_float n in
+    zero_huge a (n * 8);
+    a
+  end
+
+let zeros_int n = if n * 8 < large_bytes then Array.make n 0 else zeros_int_huge n
+
+let zeros_bytes n =
+  if n < large_bytes then Bytes.make n '\000'
+  else begin
+    let b = Bytes.create n in
+    zero_huge b n;
+    b
+  end
+
+let create_real n = F (zeros_float n)
+let create_int n = I (zeros_int n)
 
 let create (ty : Kernel_ast.Cast.ty) n =
   match ty with Real -> create_real n | Int -> create_int n
 
 let of_float_array a = F a
 let of_int_array a = I a
-
-(* A tight loop: the paper room's nbrs grid has 9.27M entries. *)
-let u8_of_int_array a =
-  let n = Array.length a in
-  let b = Bytes.create n in
-  for i = 0 to n - 1 do
-    let v = Array.unsafe_get a i in
-    if v land lnot 0xff <> 0 then
-      invalid_arg (Printf.sprintf "Buffer.u8_of_int_array: element %d is %d" i v);
-    Bytes.unsafe_set b i (Char.unsafe_chr v)
-  done;
-  U8 b
 
 let length = function F a -> Array.length a | I a -> Array.length a | U8 b -> Bytes.length b
 

@@ -13,6 +13,25 @@ type t =
           {!Kernel_ast.Cast.U8} parameter: loads zero-extend, stores keep
           the low 8 bits; one byte per element in transfer accounting. *)
 
+(** {2 Large zeroed host arrays}
+
+    The one allocator for zero-filled grids, host and device alike
+    ([State], [Shard], [Geometry.build] and the [create_*] below).  A
+    request of [large_bytes] or more is allocated without touching its
+    pages, its 2 MiB-aligned interior is advised for transparent huge
+    pages ([madvise (MADV_HUGEPAGE)]), and only then is it zeroed, so it
+    faults in 2 MiB pages.  Where the advice is unavailable or refused
+    the result is the same array, faulted in 4 KiB pages.  Smaller
+    requests are plain [Array.make]/[Bytes.make]. *)
+
+val large_bytes : int
+(** 4 MiB: the smallest block every placement of which holds a whole
+    2 MiB-aligned page. *)
+
+val zeros_float : int -> float array
+val zeros_int : int -> int array
+val zeros_bytes : int -> Bytes.t
+
 val create_real : int -> t
 val create_int : int -> t
 val create : Kernel_ast.Cast.ty -> int -> t
@@ -21,10 +40,6 @@ val of_float_array : float array -> t
 (** Shares the array: kernel stores are visible to the caller. *)
 
 val of_int_array : int array -> t
-
-val u8_of_int_array : int array -> t
-(** A fresh [U8] copy.
-    @raise Invalid_argument on an element outside [0..255]. *)
 
 val length : t -> int
 val ty : t -> Kernel_ast.Cast.ty

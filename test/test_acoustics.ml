@@ -376,11 +376,24 @@ let test_device_form () =
     (Test_util.contains (Kernel_ast.Print.kernel_to_string dev)
        "__global const uchar* restrict nbrs");
   let sim = Gpu_sim.create ~engine:`Native params room in
-  (match sim.Gpu_sim.nbrs_dev with
-  | Vgpu.Buffer.U8 b ->
-      Alcotest.(check (array int)) "device copy" room.Geometry.nbrs
-        (Array.init (Bytes.length b) (Bytes.get_uint8 b))
-  | _ -> Alcotest.fail "nbrs is not stored as bytes");
+  (* both backends hold the room's own byte grid, which a single device
+     binds as it is *)
+  List.iter
+    (fun (backend, (s : Gpu_sim.t)) ->
+      match s.Gpu_sim.nbrs_dev with
+      | Vgpu.Buffer.U8 b ->
+          Alcotest.(check bool) (backend ^ ": the room's byte grid") true (b == room.Geometry.nbrs_u8);
+          Alcotest.(check (array int)) (backend ^ ": device bytes") room.Geometry.nbrs
+            (Array.init (Bytes.length b) (Bytes.get_uint8 b))
+      | _ -> Alcotest.failf "%s: nbrs is not stored as bytes" backend)
+    [ ("single", sim); ("sharded", Gpu_sim.create ~engine:`Native ~shards:2 params room) ];
+  (match sim.Gpu_sim.backend with
+  | Gpu_sim.Single { rt; _ } -> (
+      match Vgpu.Runtime.buffer rt "nbrs" with
+      | Vgpu.Buffer.U8 b ->
+          Alcotest.(check bool) "bound without a copy" true (b == room.Geometry.nbrs_u8)
+      | _ -> Alcotest.fail "the bound nbrs is not bytes")
+  | Gpu_sim.Sharded _ -> Alcotest.fail "a single device is sharded");
   for _ = 1 to 3 do
     Gpu_sim.step sim kernels
   done;

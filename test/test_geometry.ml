@@ -60,16 +60,76 @@ let arb_room ~max =
       Printf.sprintf "%s %dx%dx%d, %d material(s)" (Geometry.shape_label s) x y z m)
     gen
 
+(* The room's byte grid holds [nbrs], element for element. *)
+let bytes_match (room : Geometry.room) =
+  Bytes.length room.Geometry.nbrs_u8 = Array.length room.Geometry.nbrs
+  && Array.for_all2 ( = ) room.Geometry.nbrs
+       (Array.init (Bytes.length room.Geometry.nbrs_u8) (Bytes.get_uint8 room.Geometry.nbrs_u8))
+
+let matches_bruteforce ~n_materials shape dims =
+  let room = Geometry.build ~n_materials shape dims in
+  let o = brute ~n_materials shape dims in
+  room.Geometry.nbrs = o.o_nbrs
+  && bytes_match room
+  && room.Geometry.boundary_indices = o.o_boundary
+  && room.Geometry.material = o.o_material
+  && room.Geometry.n_inside = o.o_inside
+
 let qcheck_build_matches_bruteforce =
   QCheck.Test.make ~name:"build matches brute force" ~count:80 (arb_room ~max:14)
     (fun (shape, n_materials, nx, ny, nz) ->
+      matches_bruteforce ~n_materials shape (Geometry.dims ~nx ~ny ~nz))
+
+(* Rooms wider than the generator draws: longer row spans, and dome rows
+   whose ends sit far from the centre. *)
+let test_wide_rooms_match_bruteforce () =
+  List.iter
+    (fun (shape, nx, ny, nz) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s %dx%dx%d" (Geometry.shape_label shape) nx ny nz)
+        true
+        (matches_bruteforce ~n_materials:4 shape (Geometry.dims ~nx ~ny ~nz)))
+    [
+      (Geometry.Dome, 61, 45, 23);
+      (Geometry.Dome, 40, 57, 31);
+      (Geometry.L_shape, 40, 31, 9);
+      (Geometry.Box, 33, 3, 17);
+      (Geometry.Box, 3, 29, 4);
+    ]
+
+(* The walker's assumption: along every row, the voxels [inside] accepts
+   form one interval, which holds the centre voxel (nx-1)/2 when it is
+   not empty (the dome's ends are scanned outwards from there). *)
+let qcheck_rows_are_intervals =
+  QCheck.Test.make ~name:"every row's inside voxels are one interval" ~count:60
+    (arb_room ~max:40)
+    (fun (shape, _, nx, ny, nz) ->
       let dims = Geometry.dims ~nx ~ny ~nz in
-      let room = Geometry.build ~n_materials shape dims in
-      let o = brute ~n_materials shape dims in
-      room.Geometry.nbrs = o.o_nbrs
-      && room.Geometry.boundary_indices = o.o_boundary
-      && room.Geometry.material = o.o_material
-      && room.Geometry.n_inside = o.o_inside)
+      let ok = ref true in
+      for z = 0 to nz - 1 do
+        for y = 0 to ny - 1 do
+          let xs = List.filter (fun x -> Geometry.inside shape dims x y z) (List.init nx Fun.id) in
+          match xs with
+          | [] -> ()
+          | lo :: _ ->
+              let hi = List.nth xs (List.length xs - 1) in
+              if List.length xs <> hi - lo + 1 || lo > (nx - 1) / 2 || hi < (nx - 1) / 2 then
+                ok := false
+        done
+      done;
+      !ok)
+
+(* Nothing is allocated per row or per plane: rooms that differ only in
+   their row length and plane count cost the same minor words. *)
+let test_walker_allocation_flat () =
+  let words nx nz =
+    let dims = Geometry.dims ~nx ~ny:16 ~nz in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Geometry.stats Geometry.Dome dims));
+    Gc.minor_words () -. w0
+  in
+  ignore (words 5 5);
+  Alcotest.(check (float 0.)) "same minor words" (words 12 9) (words 75 40)
 
 (* Fraction of consecutive boundary indices that are adjacent in linear
    index, straight from [build]'s array: across row and plane ends too. *)
@@ -180,6 +240,9 @@ let test_degenerate_dims () =
 let suite =
   [
     QCheck_alcotest.to_alcotest qcheck_build_matches_bruteforce;
+    Alcotest.test_case "wide rooms match brute force" `Quick test_wide_rooms_match_bruteforce;
+    QCheck_alcotest.to_alcotest qcheck_rows_are_intervals;
+    Alcotest.test_case "walker allocates nothing per row" `Quick test_walker_allocation_flat;
     QCheck_alcotest.to_alcotest qcheck_stats_match_build;
     Alcotest.test_case "boundary properties" `Quick test_boundary_properties;
     Alcotest.test_case "dome inside box" `Quick test_dome_inside_box;

@@ -248,7 +248,8 @@ let test_sharded_host_program () =
     (fun i (sh : Shard.shard) ->
       let s name = name ^ string_of_int i in
       let ss = sstates.(i) in
-      Vgpu.Runtime.bind rt (s "nbrs") (Vgpu.Buffer.I sh.Shard.nbrs);
+      (* the host program's kernels take nbrs as ints *)
+      Vgpu.Runtime.bind rt (s "nbrs") (Vgpu.Buffer.I (Vgpu.Buffer.to_int_array (U8 sh.Shard.nbrs)));
       Vgpu.Runtime.bind rt (s "bidx") (Vgpu.Buffer.I sh.Shard.bidx);
       Vgpu.Runtime.bind rt (s "prev") (Vgpu.Buffer.F ss.Shard.prev);
       Vgpu.Runtime.bind rt (s "curr") (Vgpu.Buffer.F ss.Shard.curr);

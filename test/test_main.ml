@@ -39,6 +39,7 @@ let () =
       ("host", Test_host.suite);
       ("em extension", Test_em.suite);
       ("runtime & printing", Test_runtime_print.suite);
+      ("host memory", Test_host_memory.suite);
       ("native backend", Test_native.suite);
       ("autotune", Test_autotune.suite);
       ("engine conformance", Engine_conformance.suite);

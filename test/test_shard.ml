@@ -91,6 +91,33 @@ let test_sharded_bit_identical () =
     [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
 
 (* The sharded interpreter engine must agree with sharded native too. *)
+(* Each shard's byte nbrs slab, blitted from the room's byte grid: real
+   counts on local planes [1, planes-2] that lie in the grid (the halo-1
+   inner ghost planes included), zero on the two extreme planes and on
+   planes outside the grid. *)
+let test_slab_nbrs_layout () =
+  let room = Geometry.build Geometry.Dome (Geometry.dims ~nx:13 ~ny:11 ~nz:12) in
+  let nz = room.Geometry.dims.Geometry.nz in
+  List.iter
+    (fun (shards, halo) ->
+      let p = Shard.plan ~halo ~shards room in
+      Array.iter
+        (fun (sh : Shard.shard) ->
+          Alcotest.(check int) "slab length" sh.Shard.local_n (Bytes.length sh.Shard.nbrs);
+          for q = 0 to sh.Shard.local_n - 1 do
+            let lp = q / sh.Shard.plane in
+            let z = sh.Shard.z0 - sh.Shard.halo + lp in
+            let want =
+              if lp = 0 || lp = sh.Shard.planes - 1 || z < 0 || z >= nz then 0
+              else room.Geometry.nbrs.(sh.Shard.base + q)
+            in
+            if Bytes.get_uint8 sh.Shard.nbrs q <> want then
+              Alcotest.failf "%d shards, halo %d: shard %d local %d holds %d, want %d" shards halo
+                sh.Shard.index q (Bytes.get_uint8 sh.Shard.nbrs q) want
+          done)
+        p.Shard.shards)
+    [ (1, 1); (2, 1); (3, 1); (2, 2); (2, 3); (4, 2) ]
+
 let test_sharded_interp_matches_native () =
   let kernels = kernels_of `Fd_mm Double in
   let a = run ~shards:3 ~engine:`Interp ~kernels () in
@@ -326,6 +353,7 @@ let suite =
       test_sharded_bit_identical;
     Alcotest.test_case "sharded interp == sharded native" `Quick
       test_sharded_interp_matches_native;
+    Alcotest.test_case "byte nbrs slabs blitted from the room" `Quick test_slab_nbrs_layout;
     Alcotest.test_case "read addresses the owning shard" `Quick test_read_addresses_owner;
     QCheck_alcotest.to_alcotest qcheck_partition_covers;
     QCheck_alcotest.to_alcotest qcheck_exchange_round_trip;

@@ -190,6 +190,11 @@ let test_blocked_stats_profile () =
   Alcotest.(check (float 1e-9)) "T=4: (4+3) planes each way over 4 steps"
     (3.5 *. plane_bytes) b4.Gpu_sim.bs_halo_bytes_per_step;
   Alcotest.(check int) "T=1: no redundant recompute" 0 b1.Gpu_sim.bs_redundant_points;
+  (* at T = 2 each shard recomputes the one inner ghost plane beside the
+     cut: a full interior plane of the box, read off the byte slabs *)
+  Alcotest.(check int) "T=2: one box plane per shard"
+    (2 * (dims.Geometry.nx - 2) * (dims.Geometry.ny - 2))
+    b2.Gpu_sim.bs_redundant_points;
   if b4.Gpu_sim.bs_redundant_points <= b2.Gpu_sim.bs_redundant_points then
     Alcotest.failf "redundant points should grow with T: T=2 %d, T=4 %d"
       b2.Gpu_sim.bs_redundant_points b4.Gpu_sim.bs_redundant_points
