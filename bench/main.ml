@@ -654,13 +654,9 @@ let run_tblock_bench ~json_file ~smoke () =
     "bytes/step" "redundant" "ident";
   let row label (t, (per_step, final, bs)) =
     let ident = bits_equal ref_final final in
-    let ex, by, rd =
-      match bs with
-      | Some b ->
-          ( b.Gpu_sim.bs_exchanges_per_step,
-            b.Gpu_sim.bs_halo_bytes_per_step,
-            b.Gpu_sim.bs_redundant_points )
-      | None -> (0., 0., 0)
+    let { Gpu_sim.bs_exchanges_per_step = ex; bs_halo_bytes_per_step = by;
+          bs_redundant_points = rd; _ } =
+      bs
     in
     Printf.printf "%-16s %3d %13.0f %9.2f %11.1f %10d %6b\n" label t (per_step *. 1e9) ex by
       rd ident;

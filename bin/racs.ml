@@ -179,17 +179,13 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
     | None -> (kernels, shards, schedule, None, tblock)
     | Some p ->
         ( Harness.Autotune.kernels ~precision ~n_branches:3 ~scheme,
-          (if p.Harness.Plan_cache.pl_shards > 1 then Some p.Harness.Plan_cache.pl_shards
-           else None),
-          (if p.Harness.Plan_cache.pl_shards > 1 then
-             Some (p.Harness.Plan_cache.pl_schedule :> Gpu_sim.schedule)
-           else None),
+          Some p.Harness.Plan_cache.pl_shards,
+          Some (p.Harness.Plan_cache.pl_schedule :> Gpu_sim.schedule),
           p.Harness.Plan_cache.pl_unroll,
           p.Harness.Plan_cache.pl_tblock )
   in
   let sim =
-    Gpu_sim.create ~engine ~optimize:(not no_opt) ?unroll_budget ?shards ?schedule
-      ?tblock:(if tblock > 1 && shards <> None then Some tblock else None)
+    Gpu_sim.create ~engine ~optimize:(not no_opt) ?unroll_budget ?shards ?schedule ~tblock
       ~fi_beta:0.1 ~n_branches:3
       ?verify:(if verify then Some true else None)
       ~sanitize params room
@@ -229,9 +225,9 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
      | Some _ ->
          Printf.sprintf ", %d Z-shards%s%s" (Gpu_sim.n_shards sim)
            (match Gpu_sim.schedule sim with
-           | Some `Overlap -> ", overlapped async queues"
-           | Some `Seq -> ", sequential schedule"
-           | _ -> "")
+           | `Overlap -> ", overlapped async queues"
+           | `Seq -> ", sequential schedule"
+           | `Concurrent -> "")
            (if Gpu_sim.tblock sim > 1 then
               Printf.sprintf ", temporal blocks T=%d" (Gpu_sim.tblock sim)
             else "")));
@@ -258,13 +254,13 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
     (* the temporal-blocking tradeoff, observable at runtime: what one
        step costs in exchange rounds, deep-halo bytes and redundantly
        recomputed frontier points under the configured block depth *)
-    match Gpu_sim.blocked_stats sim kernels with
-    | None -> ()
-    | Some bs ->
-        Fmt.pr "temporal blocking: T=%d, %.2f exchange op(s)/step, %.1f halo bytes/step, \
-                %d redundant frontier point(s)/step@."
-          bs.Gpu_sim.bs_tblock bs.Gpu_sim.bs_exchanges_per_step
-          bs.Gpu_sim.bs_halo_bytes_per_step bs.Gpu_sim.bs_redundant_points
+    if shards <> None then begin
+      let bs = Gpu_sim.blocked_stats sim kernels in
+      Fmt.pr "temporal blocking: T=%d, %.2f exchange op(s)/step, %.1f halo bytes/step, \
+              %d redundant frontier point(s)/step@."
+        bs.Gpu_sim.bs_tblock bs.Gpu_sim.bs_exchanges_per_step
+        bs.Gpu_sim.bs_halo_bytes_per_step bs.Gpu_sim.bs_redundant_points
+    end
   end;
   if sanitize then begin
     List.iter (fun s -> Fmt.pr "%a@." Vgpu.Sanitizer.pp s) (Gpu_sim.sanitizers sim);

@@ -6,41 +6,42 @@
    prev/curr/next grids, bidx/nbrs/material boundary data, beta/bi/d/f/di
    coefficient tables, g1/v1/v2 branch state).
 
-   Launches go through a [Vgpu.Runtime] so the engine choice (reference
+   Launches go through [Vgpu.Runtime]s, so the engine choice (reference
    interpreter or compiled C), the kernel caches and the per-kernel
    launch statistics are shared with host-program plans.
 
    The per-step kernel sequence is the paper's two-kernel structure:
    volume handling first, boundary handling second, then buffer rotation.
 
-   Two backends:
+   Every simulation runs a Z-slab plan ({!Shard.plan}), one device of a
+   {!Vgpu.Multi} per slab.  Every buffer is bound into its device's table
+   once, at [create]; scalars resolve per shard (N, Nz, nB become the
+   local extents).  Each time step is one [Multi.async_plan] value built
+   by [step_ops]: the launches, the block-end halo exchanges and the
+   rotation as per-device [Swap]s.  [step] executes that value under the
+   configured schedule, and [plan] returns the same values for static
+   analysis.
 
-   - [Single]: one virtual device holding the global arrays — the
-     original driver.  [create] binds the state's arrays into the
-     device's table once, each kernel launches as one prebuilt [Launch]
-     op, and the step rotates the bindings with the same three [Swap]s
-     a shard runs; [state] then points at the arrays bound.
-   - [Sharded] ([create ~shards:n]): the grid is cut into Z slabs
-     ({!Shard.plan}), each slab running on its own device of a
-     {!Vgpu.Multi}.  Every shard buffer is bound into its device's table
-     once, at [create]; scalars re-resolve per shard (N, Nz, nB become
-     the local extents).  Each time step is one [Multi.async_plan] value
-     built by [step_ops]: the launches, the block-end halo exchanges and
-     the rotation as per-device [Swap]s.  [step] executes that value
-     under the configured schedule, and [plan] returns the same values
-     for static analysis.  The results are bit-for-bit identical to the
-     single-device run; [sync] gathers the slabs back into [state].
+   - One device runs the one-slab plan, whose shard is the room itself:
+     no ghost planes and no exchanges.  Its device binds the room's byte
+     grid and boundary data and [state]'s own arrays, so nothing is
+     scattered or gathered, and every step leaves [state] naming the
+     arrays bound.  Its step's ops carry no event, so they are built once
+     and re-run.
+   - [create ~shards:n] cuts the grid into n slabs with ghost planes,
+     each with its own arrays; [sync] gathers the slabs back into
+     [state].  The results are bit-for-bit identical to one device's.
 
    The schemes that shard are the nbrs-driven ones (volume +
    boundary_fi / boundary_fi_mm / boundary_fd_mm).  The fused Listing-1
    kernel derives its boundary mask from global coordinates and is only
-   correct on the full grid.
+   correct on the full grid, which one device holds.
 
    The device stores [nbrs] (0-6 per point) as bytes, and every kernel
    runs in its device form, the same kernel with its [nbrs] parameter
-   marked [Cast.U8].  No byte grid is computed here: a single device
-   binds the room's own byte grid ([Geometry.room.nbrs_u8], which the
-   geometry walker writes), and each shard binds its slab
+   marked [Cast.U8].  No byte grid is computed here: one device binds
+   the room's own byte grid ([Geometry.room.nbrs_u8], which the geometry
+   walker writes), and each of several shards binds its slab
    ([Shard.shard.nbrs], blitted from that grid).  [Geometry.room.nbrs]
    stays an [int array] for the host-side reference code. *)
 
@@ -50,61 +51,49 @@ type engine =
   [ `Interp  (** reference interpreter *)
   | `Native  (** compiled-C backend, loaded via [dlopen] *) ]
 
-(* How a sharded step's plan is executed:
+(* How a step's plan is executed:
    - [`Seq]: in list order on the host thread;
    - [`Concurrent]: each device's launches through the domain pool,
      then the exchanges and swaps on the host — a per-step barrier;
    - [`Overlap]: per-device in-order queues with event dependencies,
-     run by {!Vgpu.Multi.run_async} on the host thread — the volume
-     kernel splits into interior + frontier launches so halo exchanges
-     overlap interior compute on the virtual timeline, and steps
-     pipeline there (a step's frontier waits on the previous step's
-     exchange stamps).  All three are bit-for-bit identical. *)
+     run by {!Vgpu.Multi.run_async} on the host thread — on several
+     devices the volume kernel splits into interior + frontier launches
+     so halo exchanges overlap interior compute on the virtual timeline,
+     and steps pipeline there (a step's frontier waits on the previous
+     step's exchange stamps).  All three are bit-for-bit identical. *)
 type schedule = [ `Seq | `Concurrent | `Overlap ]
-
-type backend =
-  | Single of {
-      rt : Vgpu.Runtime.t;
-      mutable ops : (kernel * Vgpu.Runtime.op) list;
-          (* cache: kernel as passed -> the launch op of its device form *)
-    }
-  | Sharded of {
-      multi : Vgpu.Multi.t;
-      plan : Shard.plan;
-      schedule : schedule;
-      tblock : int;  (* temporal block depth T = the shards' halo *)
-      mutable bpos : int;  (* position within the current block, 0..T-1 *)
-      mutable scattered : bool;  (* state has been distributed to the shards *)
-      eid : int ref;  (* next fresh event id *)
-      incs : (int list * int list) array;
-          (* per device: events of the previous block's exchanges into its
-             (bottom, top) ghost zone — the block-start launches' waits *)
-      mutable imports : (int * float) list;
-          (* the events the last overlapped step signalled, with their
-             virtual-time stamps, for the next step's waits *)
-      mutable launch_ops :
-        ((Kernel_ast.Cast.kernel * bool) * (Shard.range_kind option * Vgpu.Multi.op) list array)
-        list;
-          (* cache: (kernel, ranges) -> per device, its launch ops: the
-             interior/frontier ranges of a split kernel, or one full-range
-             launch *)
-      mutable unprepared : bool;
-          (* [launch_ops] built ops since the last [Multi.prepare] *)
-    }
 
 type t = {
   params : Params.t;
   state : State.t;
   tables : Material.tables;
   fi_beta : float;  (* single-material admittance for the FI kernels *)
-  engine : engine;
   precision : Kernel_ast.Cast.precision;
-  req_tblock : int;  (* requested temporal block depth *)
-  backend : backend;
-  mutable launches : int;
-  nbrs_dev : Vgpu.Buffer.t;
-      (* the room's byte grid: bound as is on a single device; when
-         sharded, only its length is used *)
+  multi : Vgpu.Multi.t;  (* one device per shard *)
+  plan : Shard.plan;
+  schedule : schedule;
+  tblock : int;  (* temporal block depth T = the shards' halo; 1 on one device *)
+  mutable bpos : int;  (* position within the current block, 0..T-1 *)
+  mutable scattered : bool;
+      (* the devices' buffers hold the field: from the start on one
+         device, which binds [state]'s arrays *)
+  eid : int ref;  (* next fresh event id *)
+  incs : (int list * int list) array;
+      (* per device: events of the previous block's exchanges into its
+         (bottom, top) ghost zone — the block-start launches' waits *)
+  mutable imports : (int * float) list;
+      (* the events the last overlapped step signalled, with their
+         virtual-time stamps, for the next step's waits *)
+  mutable launch_ops :
+    ((Kernel_ast.Cast.kernel * bool) * (Shard.range_kind option * Vgpu.Multi.op) list array) list;
+      (* cache: (kernel, ranges) -> per device, its launch ops: the
+         interior/frontier ranges of a split kernel, or one full-range
+         launch *)
+  mutable unprepared : bool;  (* [launch_ops] built ops since the last [Multi.prepare] *)
+  mutable periodic : (kernel list * bool * Vgpu.Multi.async_plan) option;
+      (* the last step's (kernels as passed, split, ops) when the ops
+         carry no event (one device): the next step of those kernels is
+         the same value *)
   mutable device_forms : (kernel * kernel) list;
       (* physical-equality memo of [device_form] *)
 }
@@ -124,93 +113,73 @@ let table_buffer (tables : Material.tables) name : Vgpu.Buffer.t option =
   | _ -> None
 
 (* Bind one device's buffers into its table, once: grids and branch
-   state (rotated from then on by [Swap]s), the boundary data with the
-   device's byte grid of [nbrs], and the read-only coefficient tables
+   state (rotated from then on by [Swap]s), the shard's boundary data
+   with its byte grid of [nbrs], and the read-only coefficient tables
    shared across devices. *)
-let bind_device bind (ss : Shard.shard_state) ~nbrs ~bidx ~material tables =
+let bind_device bind (ss : Shard.shard_state) (sh : Shard.shard) tables =
   bind "prev" (Vgpu.Buffer.F ss.Shard.prev);
   bind "curr" (Vgpu.Buffer.F ss.Shard.curr);
   bind "next" (Vgpu.Buffer.F ss.Shard.next);
   bind "g1" (Vgpu.Buffer.F ss.Shard.g1);
   bind "v2" (Vgpu.Buffer.F ss.Shard.vel_prev);
   bind "v1" (Vgpu.Buffer.F ss.Shard.vel_next);
-  bind "nbrs" nbrs;
-  bind "bidx" (Vgpu.Buffer.I bidx);
-  bind "material" (Vgpu.Buffer.I material);
+  bind "nbrs" (Vgpu.Buffer.U8 sh.Shard.nbrs);
+  bind "bidx" (Vgpu.Buffer.I sh.Shard.bidx);
+  bind "material" (Vgpu.Buffer.I sh.Shard.material);
   List.iter
     (fun name -> Option.iter (bind name) (table_buffer tables name))
     [ "beta"; "beta_fd"; "bi"; "d"; "f"; "di" ]
 
-let bind_shards multi (p : Shard.plan) tables =
-  let states = Shard.create_states p in
-  Array.iteri
-    (fun i (sh : Shard.shard) ->
-      bind_device (Vgpu.Multi.bind multi i) states.(i)
-        ~nbrs:(Vgpu.Buffer.U8 sh.Shard.nbrs)
-        ~bidx:sh.Shard.bidx ~material:sh.Shard.material tables)
-    p.Shard.shards
-
 let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1)
-    ?(materials = Material.defaults) ?(n_branches = 3) ?shards ?schedule ?(precision = Double)
-    ?(tblock = 1) ?verify ?(sanitize = false) params room =
-  let re = runtime_engine engine in
+    ?(materials = Material.defaults) ?(n_branches = 3) ?(shards = 1) ?(schedule = `Concurrent)
+    ?(precision = Double) ?(tblock = 1) ?verify ?(sanitize = false) params room =
   let tables = Material.tables ~n_branches materials in
   let state = State.create ~n_branches room in
-  let nbrs_dev = Vgpu.Buffer.U8 room.Geometry.nbrs_u8 in
-  let backend =
-    match shards with
-    | None ->
-        let rt =
-          Vgpu.Runtime.create ~engine:re ~optimize ?unroll_budget ~precision ?verify ~sanitize ()
-        in
-        bind_device (Vgpu.Runtime.bind rt)
-          {
-            Shard.prev = state.prev;
-            curr = state.curr;
-            next = state.next;
-            g1 = state.g1;
-            vel_prev = state.vel_prev;
-            vel_next = state.vel_next;
-          }
-          ~nbrs:nbrs_dev ~bidx:room.Geometry.boundary_indices ~material:room.Geometry.material tables;
-        Single { rt; ops = [] }
-    | Some n ->
-        let plan = Shard.plan ~n_branches ~halo:tblock ~shards:n room in
-        let devices = Shard.n_shards plan in
-        let schedule = Option.value schedule ~default:`Concurrent in
-        let multi =
-          Vgpu.Multi.create ~engine:re ~optimize ?unroll_budget ~precision ?verify ~sanitize
-            ~devices ()
-        in
-        bind_shards multi plan tables;
-        Sharded
-          {
-            multi;
-            plan;
-            schedule;
-            (* effective block depth: Shard.plan clamps the halo to the
-               thinnest slab, so re-read it from the shards *)
-            tblock = plan.Shard.shards.(0).Shard.halo;
-            bpos = 0;
-            scattered = false;
-            eid = ref 0;
-            incs = Array.make devices ([], []);
-            imports = [];
-            launch_ops = [];
-            unprepared = false;
-          }
+  let plan = Shard.plan ~n_branches ~halo:tblock ~shards room in
+  let devices = Shard.n_shards plan in
+  let multi =
+    Vgpu.Multi.create ~engine:(runtime_engine engine) ~optimize ?unroll_budget ~precision ?verify
+      ~sanitize ~devices ()
   in
+  (* one device binds [state]'s own arrays: nothing to scatter or gather *)
+  let states =
+    if devices = 1 then
+      [|
+        {
+          Shard.prev = state.prev;
+          curr = state.curr;
+          next = state.next;
+          g1 = state.g1;
+          vel_prev = state.vel_prev;
+          vel_next = state.vel_next;
+        };
+      |]
+    else Shard.create_states plan
+  in
+  Array.iteri
+    (fun i sh -> bind_device (Vgpu.Multi.bind multi i) states.(i) sh tables)
+    plan.Shard.shards;
   {
     params;
     state;
     tables;
     fi_beta;
-    engine;
     precision;
-    req_tblock = max 1 tblock;
-    backend;
-    launches = 0;
-    nbrs_dev;
+    multi;
+    plan;
+    schedule;
+    (* effective block depth: Shard.plan clamps the halo to the thinnest
+       slab, so re-read it from the shards; one slab has no halo, and
+       its block is one step *)
+    tblock = max 1 plan.Shard.shards.(0).Shard.halo;
+    bpos = 0;
+    scattered = devices = 1;
+    eid = ref 0;
+    incs = Array.make devices ([], []);
+    imports = [];
+    launch_ops = [];
+    unprepared = false;
+    periodic = None;
     device_forms = [];
   }
 
@@ -218,7 +187,7 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
    parameter stored as bytes, which is how this driver binds [nbrs]
    (kernels without it are returned as they are).  A kernel that writes
    [nbrs] is refused: its writes would land in the byte grid the device
-   binds, on a single device the room's own. *)
+   binds, on one device the room's own. *)
 let device_form (k : kernel) =
   if not (List.exists (fun p -> p.p_name = "nbrs") k.params) then k
   else if stores_to "nbrs" k.body then
@@ -243,13 +212,10 @@ let device_kernel t (k : kernel) =
 let device_kernels t kernels = List.map (device_kernel t) kernels
 
 (* Effective temporal block depth: the requested [tblock] clamped by the
-   thinnest slab when sharded (the requested value on a single device,
-   where no halo constrains it). *)
-let tblock t =
-  match t.backend with Single _ -> t.req_tblock | Sharded s -> s.tblock
+   thinnest slab; 1 on one device, which has no halo to amortise. *)
+let tblock t = t.tblock
 
-let n_shards t =
-  match t.backend with Single _ -> 1 | Sharded s -> Shard.n_shards s.plan
+let n_shards t = Shard.n_shards t.plan
 
 let scalar_int t name =
   let { Geometry.nx; ny; nz } = t.state.room.Geometry.dims in
@@ -265,7 +231,8 @@ let scalar_int t name =
   | _ -> failwith (Printf.sprintf "gpu_sim: unknown int scalar %s" name)
 
 (* Per-shard scalars: the grid extents become the local slab's (owned
-   planes + 2 ghosts), the boundary count becomes the shard's range. *)
+   planes plus the ghosts), the boundary count becomes the shard's
+   range. *)
 let scalar_int_shard t (sh : Shard.shard) name =
   match name with
   | "Nz" -> sh.Shard.planes
@@ -291,7 +258,7 @@ let buffer t name : Vgpu.Buffer.t =
       | "prev" -> Vgpu.Buffer.F st.prev
       | "curr" -> Vgpu.Buffer.F st.curr
       | "next" -> Vgpu.Buffer.F st.next
-      | "nbrs" -> t.nbrs_dev
+      | "nbrs" -> Vgpu.Buffer.U8 room.Geometry.nbrs_u8
       | "bidx" -> Vgpu.Buffer.I room.Geometry.boundary_indices
       | "material" -> Vgpu.Buffer.I room.Geometry.material
       | "g1" -> Vgpu.Buffer.F st.g1
@@ -320,17 +287,6 @@ let global_size ~int_scalar (k : kernel) =
       | None -> failwith "gpu_sim: unsupported global size expression")
     k.global_size
 
-(* The single device's launch of [k]: buffers by name, scalars of the
-   global grid. *)
-let single_launch t (k : kernel) =
-  let int_scalar = scalar_int t in
-  Vgpu.Runtime.Launch
-    {
-      kernel = k;
-      args = launch_args ~int_scalar ~real_scalar:(scalar_real t) k;
-      global = global_size ~int_scalar k;
-    }
-
 (* A launch of [k] on shard [sh]: buffers by name (its device binds
    them), scalars per shard; [goff] and [global] set a ranged launch's
    element range. *)
@@ -340,7 +296,7 @@ let shard_launch t (sh : Shard.shard) ?(goff = 0) ?global (k : kernel) =
   let global = match global with Some g -> g | None -> global_size ~int_scalar k in
   Vgpu.Multi.Dev (sh.Shard.index, Vgpu.Runtime.Launch { kernel = k; args; global })
 
-(* -- The sharded step plan -------------------------------------------- *)
+(* -- The step plan ------------------------------------------------------ *)
 
 (* A kernel is splittable into interior/frontier ranges when it sweeps
    the full local grid: the volume kernels launch over [Var "N"].  The
@@ -383,19 +339,47 @@ let block_exchange_plan (p : Shard.plan) ~tblock ~has_state : Vgpu.Multi.plan =
    curr <- next, and the branch velocities advance (v2 <- v1). *)
 let rotation = Vgpu.Runtime.[ Swap ("prev", "curr"); Swap ("curr", "next"); Swap ("v2", "v1") ]
 
-(* The ops of one sharded time step at block position [bpos] (0..T-1):
-   the only place a sharded step is encoded.  Every schedule executes
-   these values and {!plan} returns them for analysis.
+(* The launch ops of [k] (in device form) per device: the interior and
+   frontier ranges of a split kernel ([ranges]), or one full-range
+   launch.  Every step launches the same values, so each kernel's are
+   built once (bounded like the device-form memo). *)
+let launch_ops t k ~ranges =
+  match List.find_opt (fun ((k', r), _) -> k' == k && r = ranges) t.launch_ops with
+  | Some (_, ops) -> ops
+  | None ->
+      let rk = if ranges then Kernel_ast.Cast.offset_global_id k else k in
+      let ops =
+        Array.map
+          (fun sh ->
+            if ranges then
+              List.map
+                (fun (kind, goff, count) ->
+                  (Some kind, shard_launch t sh ~goff ~global:[ count ] rk))
+                (Shard.split_ranges sh)
+            else [ (None, shard_launch t sh k) ])
+          t.plan.Shard.shards
+      in
+      t.launch_ops <-
+        ((k, ranges), ops) :: List.filteri (fun i _ -> i < max_device_forms - 1) t.launch_ops;
+      t.unprepared <- true;
+      ops
+
+(* The ops of one time step at block position [bpos] (0..T-1): the only
+   place a step is encoded.  Every schedule executes these values and
+   {!plan} returns them for analysis.
 
    Per device, in queue order, the step's launches.  With [split] (the
-   overlapped schedule), at a block start each splittable kernel becomes
-   an interior range first (no waits — it starts immediately), then the
-   halo-deep frontier ranges, each waiting on the events of the previous
-   block's exchanges into the ghost zone its stencil reads.  Any other
-   launch at a block start waits on both sides' events when it reads the
-   exchanged [curr] ghosts (an unsplit volume kernel) or, at T ≥ 2,
-   exchanged branch state; later launches follow by FIFO.  Mid-block
-   launches wait on nothing: they touch no freshly exchanged data.
+   overlapped schedule) on several devices, at a block start each
+   splittable kernel becomes an interior range first (no waits — it
+   starts immediately), then the halo-deep frontier ranges, each waiting
+   on the events of the previous block's exchanges into the ghost zone
+   its stencil reads.  One device never splits: its slab has no ghost
+   zone, and a halo-0 split would add empty frontier launches.  Any
+   other launch at a block start waits on both sides' events when it
+   reads the exchanged [curr] ghosts (an unsplit volume kernel) or, at
+   T ≥ 2, exchanged branch state; later launches follow by FIFO.
+   Mid-block launches wait on nothing: they touch no freshly exchanged
+   data.
 
    At a block end (bpos = T-1) the block's halo exchanges follow, each
    on its source device's queue — FIFO puts it after the source's
@@ -410,128 +394,91 @@ let rotation = Vgpu.Runtime.[ Swap ("prev", "curr"); Swap ("curr", "next"); Swap
    A step's launches always precede its exchanges and swaps.  [eid]
    supplies fresh event ids, so ids never repeat across steps. *)
 let step_ops t ~split ~eid ~incs ~bpos kernels : Vgpu.Multi.async_plan =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: step_ops on a single-device backend"
-  | Sharded s ->
-      let fresh () =
-        let e = !eid in
-        incr eid;
-        e
-      in
-      (* every step launches the same values, so each kernel's launch
-         ops are built once (bounded like the device-form memo) *)
-      let launch_ops k ~ranges =
-        match List.find_opt (fun ((k', r), _) -> k' == k && r = ranges) s.launch_ops with
-        | Some (_, ops) -> ops
-        | None ->
-            let rk = if ranges then Kernel_ast.Cast.offset_global_id k else k in
-            let ops =
-              Array.map
-                (fun sh ->
-                  if ranges then
-                    List.map
-                      (fun (kind, goff, count) ->
-                        (Some kind, shard_launch t sh ~goff ~global:[ count ] rk))
-                      (Shard.split_ranges sh)
-                  else [ (None, shard_launch t sh k) ])
-                s.plan.Shard.shards
+  let fresh () =
+    let e = !eid in
+    incr eid;
+    e
+  in
+  let ops = ref [] in
+  let push ?(waits = []) ?signal a_op =
+    ops := { Vgpu.Multi.a_op; a_waits = waits; a_signal = signal } :: !ops
+  in
+  let n = Shard.n_shards t.plan in
+  let split = split && n > 1 in
+  let tb = t.tblock in
+  let block_start = bpos = 0 in
+  let block_end = bpos = tb - 1 in
+  let reads_curr (k : kernel) = List.exists (fun p -> p.p_name = "curr") k.params in
+  let ghost_writes =
+    block_end && n > 1
+    && List.exists (fun k -> tb > 1 || (sweeps_slab k && not (split && splittable k))) kernels
+  in
+  let last_sig = Array.make n None in
+  for i = 0 to n - 1 do
+    let lo, hi = incs.(i) in
+    List.iter
+      (fun k ->
+        List.iter
+          (fun (kind, op) ->
+            let waits =
+              match kind with
+              | Some Shard.Interior -> []
+              | Some Shard.Frontier_lo -> lo
+              | Some Shard.Frontier_hi -> hi
+              | Some Shard.Frontier_both -> lo @ hi
+              | None -> if block_start && (tb > 1 || reads_curr k) then lo @ hi else []
             in
-            s.launch_ops <-
-              ((k, ranges), ops) :: List.filteri (fun i _ -> i < max_device_forms - 1) s.launch_ops;
-            s.unprepared <- true;
-            ops
-      in
-      let ops = ref [] in
-      let push ?(waits = []) ?signal a_op =
-        ops := { Vgpu.Multi.a_op; a_waits = waits; a_signal = signal } :: !ops
-      in
-      let n = Shard.n_shards s.plan in
-      let tb = s.tblock in
-      let block_start = bpos = 0 in
-      let block_end = bpos = tb - 1 in
-      let reads_curr (k : kernel) = List.exists (fun p -> p.p_name = "curr") k.params in
-      let ghost_writes =
-        block_end && n > 1
-        && List.exists (fun k -> tb > 1 || (sweeps_slab k && not (split && splittable k))) kernels
-      in
-      let last_sig = Array.make n None in
-      for i = 0 to n - 1 do
-        let lo, hi = incs.(i) in
-        List.iter
-          (fun k ->
-            List.iter
-              (fun (kind, op) ->
-                let waits =
-                  match kind with
-                  | Some Shard.Interior -> []
-                  | Some Shard.Frontier_lo -> lo
-                  | Some Shard.Frontier_hi -> hi
-                  | Some Shard.Frontier_both -> lo @ hi
-                  | None -> if block_start && (tb > 1 || reads_curr k) then lo @ hi else []
-                in
-                push ~waits op)
-              (launch_ops k ~ranges:(split && block_start && splittable k)).(i))
-          kernels;
-        (* the device's last launch signals the exchanges into it *)
-        match !ops with
-        | last :: rest when ghost_writes ->
-            let e = fresh () in
-            last_sig.(i) <- Some e;
-            ops := { last with Vgpu.Multi.a_signal = Some e } :: rest
-        | _ -> ()
-      done;
-      let next_incs = Array.make n ([], []) in
-      if block_end then
-        List.iter
-          (fun x ->
-            match x with
-            | Vgpu.Multi.Exchange { dst_dev = j; dst; dst_off; _ } ->
-                let ev = fresh () in
-                let dsh = s.plan.Shard.shards.(j) and lo, hi = next_incs.(j) in
-                (* grid-buffer exchanges land on one side of the slab;
-                   branch-state slices order both sides conservatively *)
-                next_incs.(j) <-
-                  (match dst with
-                  | "next" | "curr" | "prev" ->
-                      if dst_off < dsh.Shard.halo * dsh.Shard.plane then (lo @ [ ev ], hi)
-                      else (lo, hi @ [ ev ])
-                  | _ -> (lo @ [ ev ], hi @ [ ev ]));
-                push ~waits:(Option.to_list last_sig.(j)) ~signal:ev x
-            | Vgpu.Multi.Dev _ -> push x)
-          (block_exchange_plan s.plan ~tblock:tb ~has_state:(uses_branch_state kernels));
-      Array.blit next_incs 0 incs 0 n;
-      for i = 0 to n - 1 do
-        List.iter (fun op -> push (Vgpu.Multi.Dev (i, op))) rotation
-      done;
-      List.rev !ops
+            push ~waits op)
+          (launch_ops t k ~ranges:(split && block_start && splittable k)).(i))
+      kernels;
+    (* the device's last launch signals the exchanges into it *)
+    match !ops with
+    | last :: rest when ghost_writes ->
+        let e = fresh () in
+        last_sig.(i) <- Some e;
+        ops := { last with Vgpu.Multi.a_signal = Some e } :: rest
+    | _ -> ()
+  done;
+  let next_incs = Array.make n ([], []) in
+  if block_end then
+    List.iter
+      (fun x ->
+        match x with
+        | Vgpu.Multi.Exchange { dst_dev = j; dst; dst_off; _ } ->
+            let ev = fresh () in
+            let dsh = t.plan.Shard.shards.(j) and lo, hi = next_incs.(j) in
+            (* grid-buffer exchanges land on one side of the slab;
+               branch-state slices order both sides conservatively *)
+            next_incs.(j) <-
+              (match dst with
+              | "next" | "curr" | "prev" ->
+                  if dst_off < dsh.Shard.halo * dsh.Shard.plane then (lo @ [ ev ], hi)
+                  else (lo, hi @ [ ev ])
+              | _ -> (lo @ [ ev ], hi @ [ ev ]));
+            push ~waits:(Option.to_list last_sig.(j)) ~signal:ev x
+        | Vgpu.Multi.Dev _ -> push x)
+      (block_exchange_plan t.plan ~tblock:tb ~has_state:(uses_branch_state kernels));
+  Array.blit next_incs 0 incs 0 n;
+  for i = 0 to n - 1 do
+    List.iter (fun op -> push (Vgpu.Multi.Dev (i, op))) rotation
+  done;
+  List.rev !ops
 
 let is_launch (o : Vgpu.Multi.async_op) =
   match o.Vgpu.Multi.a_op with Vgpu.Multi.Dev (_, Vgpu.Runtime.Launch _) -> true | _ -> false
 
-(* The ops of the simulation's next step, advancing its block position
-   and event state. *)
-let next_step_ops t ~split kernels =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: next_step_ops on a single-device backend"
-  | Sharded s ->
-      let ops = step_ops t ~split ~eid:s.eid ~incs:s.incs ~bpos:s.bpos kernels in
-      s.bpos <- (s.bpos + 1) mod s.tblock;
-      t.launches <- List.fold_left (fun acc o -> if is_launch o then acc + 1 else acc) t.launches ops;
-      ops
+let no_event (o : Vgpu.Multi.async_op) = o.Vgpu.Multi.a_waits = [] && o.Vgpu.Multi.a_signal = None
 
 (* The next [steps] steps' ops of kernels in device form, built from
    copies of the simulation's event state so nothing advances. *)
 let device_plan t (kernels : kernel list) ~steps : Vgpu.Multi.async_plan =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: plan needs a sharded backend"
-  | Sharded s ->
-      let eid = ref !(s.eid) and incs = Array.copy s.incs in
-      let acc = ref [] in
-      for k = 0 to steps - 1 do
-        let bpos = (s.bpos + k) mod s.tblock in
-        acc := List.rev_append (step_ops t ~split:(s.schedule = `Overlap) ~eid ~incs ~bpos kernels) !acc
-      done;
-      List.rev !acc
+  let eid = ref !(t.eid) and incs = Array.copy t.incs in
+  let acc = ref [] in
+  for k = 0 to steps - 1 do
+    let bpos = (t.bpos + k) mod t.tblock in
+    acc := List.rev_append (step_ops t ~split:(t.schedule = `Overlap) ~eid ~incs ~bpos kernels) !acc
+  done;
+  List.rev !acc
 
 let plan t kernels ~steps = device_plan t (device_kernels t kernels) ~steps
 
@@ -542,10 +489,10 @@ let bound rt name =
   | Vgpu.Buffer.F a -> a
   | _ -> invalid_arg (Printf.sprintf "gpu_sim: device buffer %s is not real" name)
 
-let bound_states multi (p : Shard.plan) =
+let bound_states t =
   Array.map
     (fun (sh : Shard.shard) ->
-      let f = bound (Vgpu.Multi.device multi sh.Shard.index) in
+      let f = bound (Vgpu.Multi.device t.multi sh.Shard.index) in
       {
         Shard.prev = f "prev";
         curr = f "curr";
@@ -554,174 +501,143 @@ let bound_states multi (p : Shard.plan) =
         vel_prev = f "v2";
         vel_next = f "v1";
       })
-    p.Shard.shards
+    t.plan.Shard.shards
 
 (* Distribute the global state to the shards on first use, so impulses
    added through [State.add_impulse] before the first step are seen. *)
 let ensure_scattered t =
-  match t.backend with
-  | Single _ -> ()
-  | Sharded s ->
-      if not s.scattered then begin
-        Shard.scatter s.plan t.state (bound_states s.multi s.plan);
-        s.scattered <- true
-      end
+  if not t.scattered then begin
+    Shard.scatter t.plan t.state (bound_states t);
+    t.scattered <- true
+  end
 
-(* The single device's launch op of [k]'s device form, built once per
-   kernel value (bounded like the device-form memo), so every step
-   dispatches the same op value and the runtime's resolution of it to
-   cells keeps hitting. *)
-let single_op t k =
-  match t.backend with
-  | Sharded _ -> invalid_arg "gpu_sim: single_op on a sharded backend"
-  | Single s -> (
-      match List.assq k s.ops with
-      | op -> op
-      | exception Not_found ->
-          let op = single_launch t (device_kernel t k) in
-          s.ops <- (k, op) :: List.filteri (fun i _ -> i < max_device_forms - 1) s.ops;
-          op)
+(* One device binds [state]'s own arrays, and the plan's [Swap]s rotate
+   the bindings: point [state]'s fields at the arrays bound now.
+   Allocates nothing. *)
+let point_state t =
+  let rt = Vgpu.Multi.device t.multi 0 and st = t.state in
+  st.prev <- bound rt "prev";
+  st.curr <- bound rt "curr";
+  st.next <- bound rt "next";
+  st.vel_prev <- bound rt "v2";
+  st.vel_next <- bound rt "v1"
 
-(* Launch one kernel (on every shard, when sharded) without stepping. *)
+(* Copy the slabs back into the global [state] arrays (before the first
+   step, [state] still holds the only copy); on one device, whose
+   arrays [state] names, only re-point [state]'s fields. *)
+let sync t =
+  if n_shards t = 1 then point_state t
+  else if t.scattered then Shard.gather t.plan (bound_states t) t.state
+
+(* Launch one kernel on every device, in order, without stepping. *)
 let launch t (k : kernel) =
-  match t.backend with
-  | Single s ->
-      let op = single_op t k in
-      t.launches <- t.launches + 1;
-      Vgpu.Runtime.run_op s.rt op
-  | Sharded s ->
-      let k = device_kernel t k in
-      ensure_scattered t;
-      Array.iter (fun sh -> Vgpu.Multi.run_op s.multi (shard_launch t sh k)) s.plan.Shard.shards;
-      t.launches <- t.launches + Shard.n_shards s.plan
+  let ops = launch_ops t (device_kernel t k) ~ranges:false in
+  ensure_scattered t;
+  Array.iter (List.iter (fun (_, op) -> Vgpu.Multi.run_op t.multi op)) ops
 
-(* Does every kernel have its single-device op?  Allocates nothing. *)
-let rec have_ops ops = function [] -> true | k :: rest -> List.mem_assq k ops && have_ops ops rest
-
-(* Prepare a sharded step's launches when its ops [ops] hold launch ops
-   not prepared yet: one batch build across the devices before the first
+(* Prepare a step's launches when its ops [ops] hold launch ops not
+   prepared yet: one batch build across the devices before the first
    launch.  The rest of the temporal block comes along, since only a
    block's first step splits its launches (the overlapped schedule), so
    a cold block builds in one batch too.  [kernels] are in device
    form. *)
 let prepare_step t kernels (ops : Vgpu.Multi.async_plan) =
-  match t.backend with
-  | Sharded ({ unprepared = true; _ } as s) ->
-      let rest = if s.bpos = 0 then [] else device_plan t kernels ~steps:(s.tblock - s.bpos) in
-      Vgpu.Multi.prepare s.multi
-        (List.map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_op) (ops @ rest));
-      s.unprepared <- false
-  | _ -> ()
+  if t.unprepared then begin
+    let rest = if t.bpos = 0 then [] else device_plan t kernels ~steps:(t.tblock - t.bpos) in
+    Vgpu.Multi.prepare t.multi
+      (List.map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_op) (ops @ rest));
+    t.unprepared <- false
+  end
 
-(* One overlapped time step: the split plan, run by [Multi.run_async]
+(* The ops of the simulation's next step of [kernels] (as passed),
+   prepared, advancing its block position and event state.  Device forms
+   are resolved here, on the calling domain, before any shard runs.  A
+   step whose ops carry no event at T = 1 (one device: there is no
+   exchange) leaves that state as it found it, so the next step of the
+   same kernels is the same value: it is built once and re-run. *)
+let next_step_ops t ~split kernels =
+  match t.periodic with
+  | Some (ks, sp, ops) when sp = split && List.equal ( == ) ks kernels -> ops
+  | _ ->
+      let dks = device_kernels t kernels in
+      let ops = step_ops t ~split ~eid:t.eid ~incs:t.incs ~bpos:t.bpos dks in
+      t.bpos <- (t.bpos + 1) mod t.tblock;
+      prepare_step t dks ops;
+      t.periodic <-
+        (if t.tblock = 1 && List.for_all no_event ops then Some (kernels, split, ops) else None);
+      ops
+
+(* One overlapped time step: the step's plan, run by [Multi.run_async]
    in the interleaving [pick] chooses (first ready by default).  The
    block-start launches wait on the events in [incs], each stamped as
    the executor recorded it, or 0 when the step that signalled it ran
    under another schedule — that step completed, so its events count as
    fired. *)
 let step_overlap_with ?pick t (kernels : kernel list) =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: step_overlap_with needs a sharded backend"
-  | Sharded s ->
-      let kernels = device_kernels t kernels in
-      ensure_scattered t;
-      let stamp id = (id, Option.value (List.assoc_opt id s.imports) ~default:0.) in
-      let imports =
-        Array.fold_left (fun acc (lo, hi) -> List.map stamp (lo @ hi) @ acc) [] s.incs
-      in
-      let ops = next_step_ops t ~split:true kernels in
-      prepare_step t kernels ops;
-      s.imports <- Vgpu.Multi.run_async ~imports ?pick s.multi ops
+  ensure_scattered t;
+  let stamp id = (id, Option.value (List.assoc_opt id t.imports) ~default:0.) in
+  let imports = Array.fold_left (fun acc (lo, hi) -> List.map stamp (lo @ hi) @ acc) [] t.incs in
+  let ops = next_step_ops t ~split:true kernels in
+  t.imports <- Vgpu.Multi.run_async ~imports ?pick t.multi ops;
+  if n_shards t = 1 then point_state t
 
-(* One time step.  Single device: run each kernel in order, rotate the
-   bindings, and point [state] at the arrays now bound.  Sharded: build
-   the step's plan and execute it under the configured schedule.  A step
-   with launches not seen before prepares them all first (optimized,
-   verified, and built in one batch); a steady step skips that. *)
+let rec run_ops multi = function
+  | [] -> ()
+  | (o : Vgpu.Multi.async_op) :: rest ->
+      Vgpu.Multi.run_op multi o.Vgpu.Multi.a_op;
+      run_ops multi rest
+
+(* One time step: build the step's plan and execute it under the
+   configured schedule.  A step with launches not seen before prepares
+   them all first (optimized, verified, and built in one batch); a
+   steady step skips that.  On one device [state] then names the arrays
+   bound. *)
 let step t (kernels : kernel list) =
-  match t.backend with
-  | Single s ->
-      if not (have_ops s.ops kernels) then
-        Vgpu.Runtime.prepare [ (s.rt, List.map (single_op t) kernels) ];
-      List.iter (launch t) kernels;
-      List.iter (Vgpu.Runtime.run_op s.rt) rotation;
-      let st = t.state in
-      st.prev <- bound s.rt "prev";
-      st.curr <- bound s.rt "curr";
-      st.next <- bound s.rt "next";
-      st.vel_prev <- bound s.rt "v2";
-      st.vel_next <- bound s.rt "v1"
-  | Sharded s -> (
-      match s.schedule with
-      | `Overlap -> step_overlap_with t kernels
-      | (`Seq | `Concurrent) as schedule -> (
-          (* device forms are resolved here, on the calling domain, before
-             any shard runs *)
-          let kernels = device_kernels t kernels in
-          ensure_scattered t;
-          let ops = next_step_ops t ~split:false kernels in
-          prepare_step t kernels ops;
-          let run (o : Vgpu.Multi.async_op) = Vgpu.Multi.run_op s.multi o.Vgpu.Multi.a_op in
-          match schedule with
-          | `Seq -> List.iter run ops
-          | `Concurrent ->
-              (* the step's launches precede its exchanges and swaps: run each
-                 device's through the pool, then the rest on this domain *)
-              let n = Shard.n_shards s.plan in
-              let launches, rest = List.partition is_launch ops in
-              let run_device i =
-                List.iter
-                  (fun (o : Vgpu.Multi.async_op) ->
-                    match o.Vgpu.Multi.a_op with
-                    | Vgpu.Multi.Dev (d, _) when d = i -> run o
-                    | _ -> ())
-                  launches
-              in
-              if n > 1 then Vgpu.Pool.run Vgpu.Pool.global ~n run_device else List.iter run launches;
-              List.iter run rest))
+  match t.schedule with
+  | `Overlap -> step_overlap_with t kernels
+  | (`Seq | `Concurrent) as schedule ->
+      ensure_scattered t;
+      let ops = next_step_ops t ~split:false kernels in
+      let n = n_shards t in
+      (match schedule with
+      | `Concurrent when n > 1 ->
+          (* the step's launches precede its exchanges and swaps: run each
+             device's through the pool, then the rest on this domain *)
+          let launches, rest = List.partition is_launch ops in
+          let run_device i =
+            List.iter
+              (fun (o : Vgpu.Multi.async_op) ->
+                match o.Vgpu.Multi.a_op with
+                | Vgpu.Multi.Dev (d, _) when d = i -> Vgpu.Multi.run_op t.multi o.Vgpu.Multi.a_op
+                | _ -> ())
+              launches
+          in
+          Vgpu.Pool.run Vgpu.Pool.global ~n run_device;
+          run_ops t.multi rest
+      | _ -> run_ops t.multi ops);
+      if n = 1 then point_state t
 
-(* Slab geometry of the sharded backend, for the flow verifier. *)
+(* The slab geometry, for the flow verifier. *)
 let slab_geometry t =
-  match t.backend with
-  | Single _ -> invalid_arg "gpu_sim: slab_geometry needs a sharded backend"
-  | Sharded s ->
-      let d = t.state.room.Geometry.dims in
-      ( d.Geometry.nx,
-        d.Geometry.ny,
-        Array.map (fun (sh : Shard.shard) -> sh.Shard.planes) s.plan.Shard.shards )
-
-(* Copy the sharded slabs back into the global [state] arrays (no-op on
-   a single device, where [state] is live, and before the first step,
-   when [state] still holds the only copy). *)
-let sync t =
-  match t.backend with
-  | Single _ -> ()
-  | Sharded s -> if s.scattered then Shard.gather s.plan (bound_states s.multi s.plan) t.state
+  let d = t.state.room.Geometry.dims in
+  ( d.Geometry.nx,
+    d.Geometry.ny,
+    Array.map (fun (sh : Shard.shard) -> sh.Shard.planes) t.plan.Shard.shards )
 
 (* Read the current field at a grid point, wherever it lives.  A slab's
-   local index is the (range-checked) global one shifted by the planes
-   before the slab's first local plane. *)
+   local index is the (range-checked) global one less the slab's base. *)
 let read t ~x ~y ~z =
-  match t.backend with
-  | Sharded s when s.scattered ->
-      let idx = State.idx_of t.state ~x ~y ~z in
-      let sh = Shard.owner s.plan ~z in
-      let rt = Vgpu.Multi.device s.multi sh.Shard.index in
-      (bound rt "curr").(idx - ((sh.Shard.z0 - sh.Shard.halo) * sh.Shard.plane))
-  | Single _ | Sharded _ -> State.read t.state ~x ~y ~z
+  if t.scattered then
+    let idx = State.idx_of t.state ~x ~y ~z in
+    let sh = Shard.owner t.plan ~z in
+    (bound (Vgpu.Multi.device t.multi sh.Shard.index) "curr").(idx - sh.Shard.base)
+  else State.read t.state ~x ~y ~z
 
-let stats t =
-  match t.backend with
-  | Single s -> Vgpu.Runtime.stats s.rt
-  | Sharded s -> Vgpu.Multi.stats s.multi
+let stats t = Vgpu.Multi.stats t.multi
 
 (* The live sanitizers, one per device (empty unless ~sanitize:true). *)
 let sanitizers t =
-  match t.backend with
-  | Single s -> Option.to_list (Vgpu.Runtime.sanitizer s.rt)
-  | Sharded s ->
-      Array.to_list s.multi.Vgpu.Multi.devices
-      |> List.filter_map Vgpu.Runtime.sanitizer
+  Array.to_list t.multi.Vgpu.Multi.devices |> List.filter_map Vgpu.Runtime.sanitizer
 
 let violations t = (stats t).Vgpu.Runtime.s_violations
 
@@ -740,41 +656,22 @@ let check_env t =
   in
   Kernel_ast.Check.env ~param_value ~buffer_elems ()
 
-let per_shard_stats t =
-  match t.backend with
-  | Single s -> [ (0, Vgpu.Runtime.stats s.rt) ]
-  | Sharded s -> Vgpu.Multi.per_device_stats s.multi
-
-let pp_stats ppf t =
-  match t.backend with
-  | Single s -> Vgpu.Runtime.pp_stats ppf (Vgpu.Runtime.stats s.rt)
-  | Sharded s -> Vgpu.Multi.pp_stats ppf s.multi
+let per_shard_stats t = Vgpu.Multi.per_device_stats t.multi
+let pp_stats ppf t = Vgpu.Multi.pp_stats ppf t.multi
 
 (* Zero the launch/transfer counters and align the devices' virtual
    clocks, so a measurement interval starts clean. *)
-let reset_stats t =
-  match t.backend with
-  | Single s -> Vgpu.Runtime.reset_stats s.rt
-  | Sharded s -> Vgpu.Multi.reset_stats s.multi
+let reset_stats t = Vgpu.Multi.reset_stats t.multi
 
-(* Sharded schedule of this simulation, if sharded. *)
-let schedule t =
-  match t.backend with Single _ -> None | Sharded s -> Some s.schedule
+let schedule t = t.schedule
 
 (* Virtual critical path (ns) across this simulation's devices: the
-   latest device clock.  0 on a single device or when no overlapped step
-   ran. *)
-let overlap_vclock_ns t =
-  match t.backend with
-  | Single _ -> 0.
-  | Sharded s -> Vgpu.Multi.async_vclock s.multi
+   latest device clock.  0 when no overlapped step ran. *)
+let overlap_vclock_ns t = Vgpu.Multi.async_vclock t.multi
 
 (* Aggregate virtual-time statistics (busy vs critical path vs overlap
-   saved); [None] on a single device. *)
-let overlap_stats t =
-  match t.backend with
-  | Single _ -> None
-  | Sharded s -> Some (Vgpu.Multi.overlap_stats s.multi)
+   saved). *)
+let overlap_stats t = Vgpu.Multi.overlap_stats t.multi
 
 (* Static per-step cost profile of the temporal-blocking tradeoff. *)
 type blocked_stats = {
@@ -787,45 +684,37 @@ type blocked_stats = {
 }
 
 let blocked_stats t (kernels : kernel list) =
-  match t.backend with
-  | Single _ -> None
-  | Sharded s ->
-      let exs =
-        block_exchange_plan s.plan ~tblock:s.tblock ~has_state:(uses_branch_state kernels)
+  let exs = block_exchange_plan t.plan ~tblock:t.tblock ~has_state:(uses_branch_state kernels) in
+  let elem = match t.precision with Double -> 8 | Single -> 4 in
+  let bytes =
+    List.fold_left
+      (fun acc op ->
+        match op with Vgpu.Multi.Exchange { elems; _ } -> acc + (elems * elem) | _ -> acc)
+      0 exs
+  in
+  let redundant = ref 0 in
+  Array.iter
+    (fun (sh : Shard.shard) ->
+      let h = sh.Shard.halo in
+      let count_plane p =
+        for q = p * sh.Shard.plane to ((p + 1) * sh.Shard.plane) - 1 do
+          if Bytes.get sh.Shard.nbrs q <> '\000' then incr redundant
+        done
       in
-      let elem = match t.precision with Double -> 8 | Single -> 4 in
-      let bytes =
-        List.fold_left
-          (fun acc op ->
-            match op with
-            | Vgpu.Multi.Exchange { elems; _ } -> acc + (elems * elem)
-            | _ -> acc)
-          0 exs
-      in
-      let redundant = ref 0 in
-      Array.iter
-        (fun (sh : Shard.shard) ->
-          let h = sh.Shard.halo in
-          let count_plane p =
-            for q = p * sh.Shard.plane to ((p + 1) * sh.Shard.plane) - 1 do
-              if Bytes.get sh.Shard.nbrs q <> '\000' then incr redundant
-            done
-          in
-          for p = 1 to h - 1 do
-            count_plane p
-          done;
-          for p = sh.Shard.planes - h to sh.Shard.planes - 2 do
-            if p > h - 1 then count_plane p
-          done)
-        s.plan.Shard.shards;
-      let tb = float_of_int s.tblock in
-      Some
-        {
-          bs_tblock = s.tblock;
-          bs_exchanges_per_step = float_of_int (List.length exs) /. tb;
-          bs_halo_bytes_per_step = float_of_int bytes /. tb;
-          bs_redundant_points = !redundant;
-        }
+      for p = 1 to h - 1 do
+        count_plane p
+      done;
+      for p = sh.Shard.planes - h to sh.Shard.planes - 2 do
+        if p > h - 1 then count_plane p
+      done)
+    t.plan.Shard.shards;
+  let tb = float_of_int t.tblock in
+  {
+    bs_tblock = t.tblock;
+    bs_exchanges_per_step = float_of_int (List.length exs) /. tb;
+    bs_halo_bytes_per_step = float_of_int bytes /. tb;
+    bs_redundant_points = !redundant;
+  }
 
 (* Run [steps] steps recording the field at the receiver after each. *)
 let run t (kernels : kernel list) ~steps ~receiver:(rx, ry, rz) =

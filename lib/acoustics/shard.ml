@@ -21,10 +21,11 @@
      re-bases per branch as contiguous slices;
    - the per-boundary-point [material] ids are the matching sub-array.
 
-   Bit-for-bit equality with the single-device run follows: every owned
-   point is computed by exactly one shard, from inputs (owned planes
-   scattered from the global grid, ghost planes exact copies of the
-   neighbour's owned planes) identical to the unsharded arrays. *)
+   Bit-for-bit equality with the one-device run, the one-slab plan,
+   follows: every owned point is computed by exactly one shard, from
+   inputs (owned planes scattered from the global grid, ghost planes
+   exact copies of the neighbour's owned planes) identical to the
+   unsharded arrays. *)
 
 type slab = { z0 : int; z1 : int }
 
@@ -117,16 +118,44 @@ let make_shard ?(halo = 1) (room : Geometry.room) index (sl : slab) =
     b_ownn;
   }
 
+(* The one shard of a one-slab plan: the room itself.  It needs no
+   ghost planes, since its extreme planes are the room's zero shell
+   ([Geometry.inside] requires 1 <= z <= nz-2), and it shares the room's
+   byte grid, boundary indices and material ids instead of copying
+   them. *)
+let whole (room : Geometry.room) =
+  let { Geometry.nx; ny; nz } = room.Geometry.dims in
+  let n_b = Geometry.n_boundary room in
+  {
+    index = 0;
+    z0 = 0;
+    z1 = nz;
+    plane = nx * ny;
+    halo = 0;
+    planes = nz;
+    base = 0;
+    local_n = nx * ny * nz;
+    nbrs = room.Geometry.nbrs_u8;
+    bidx = room.Geometry.boundary_indices;
+    material = room.Geometry.material;
+    b_off = 0;
+    n_b;
+    b_own0 = 0;
+    b_ownn = n_b;
+  }
+
 let plan ?(n_branches = 0) ?(halo = 1) ~shards room =
-  let slabs = partition ~nz:room.Geometry.dims.Geometry.nz ~shards in
-  (* the halo exchange sources [halo] owned planes and the redundant
-     recompute reaches halo-1 planes past the cut, so the depth is
-     capped by the thinnest slab *)
-  let min_owned =
-    Array.fold_left (fun acc (sl : slab) -> min acc (sl.z1 - sl.z0)) max_int slabs
-  in
-  let halo = max 1 (min halo min_owned) in
-  { room; n_branches; shards = Array.mapi (make_shard ~halo room) slabs }
+  match partition ~nz:room.Geometry.dims.Geometry.nz ~shards with
+  | [| _ |] -> { room; n_branches; shards = [| whole room |] }
+  | slabs ->
+      (* the halo exchange sources [halo] owned planes and the redundant
+         recompute reaches halo-1 planes past the cut, so the depth is
+         capped by the thinnest slab *)
+      let min_owned =
+        Array.fold_left (fun acc (sl : slab) -> min acc (sl.z1 - sl.z0)) max_int slabs
+      in
+      let halo = max 1 (min halo min_owned) in
+      { room; n_branches; shards = Array.mapi (make_shard ~halo room) slabs }
 
 let n_shards p = Array.length p.shards
 

@@ -16,7 +16,7 @@
 
     Every owned point is computed by exactly one shard from inputs
     identical to the unsharded arrays, so sharded runs are bit-for-bit
-    equal to single-device runs. *)
+    equal to one-device runs, which run the one-slab plan. *)
 
 type slab = { z0 : int; z1 : int }  (** owns global planes [z0, z1) *)
 
@@ -35,8 +35,9 @@ type shard = {
   local_n : int;  (** planes * plane *)
   nbrs : Bytes.t;
       (** local neighbour counts, one byte each, blitted from the room's
-          [nbrs_u8]: real on local planes [1, planes-2], zero on the two
-          extreme planes and outside the grid *)
+          [nbrs_u8] (a one-slab plan's shard is that grid): real on local
+          planes [1, planes-2], zero on the two extreme planes and outside
+          the grid *)
   bidx : int array;  (** boundary indices re-based to local coordinates *)
   material : int array;  (** material ids of this shard's boundary points *)
   b_off : int;  (** offset of this shard's range in the global boundary array *)
@@ -53,7 +54,11 @@ type plan = {
 
 val plan : ?n_branches:int -> ?halo:int -> shards:int -> Geometry.room -> plan
 (** [halo] (default 1) is the ghost depth per side — the temporal block
-    depth T — clamped to the thinnest slab's owned plane count. *)
+    depth T — clamped to the thinnest slab's owned plane count.  A plan
+    of one slab ([shards] ≤ 1) has no ghost planes
+    and no exchanges: its shard is the room itself ([halo] 0, [planes] =
+    nz, [base] 0), whose extreme planes are the room's zero shell, and it
+    shares the room's [nbrs_u8], [boundary_indices] and [material]. *)
 
 val n_shards : plan -> int
 
@@ -71,9 +76,10 @@ type shard_state = {
   vel_prev : float array;  (** v2 *)
   vel_next : float array;  (** v1 *)
 }
-(** One shard's grids and branch state.  The sharded driver binds them
-    into its device tables once and rotates the bindings with [Swap]
-    ops, so it reads a shard's current arrays from those tables. *)
+(** One shard's grids and branch state.  The driver binds them into its
+    device tables once and rotates the bindings with [Swap] ops, so it
+    reads a shard's current arrays from those tables.  On one device it
+    binds the {!State.t}'s own arrays instead. *)
 
 val create_states : plan -> shard_state array
 

@@ -201,11 +201,9 @@ let median xs =
   | sorted -> List.nth sorted (List.length sorted / 2)
 
 let sim_of_plan ~engine ~precision ~n_branches ~params ~room (p : Plan_cache.plan) =
-  let shards = if p.pl_shards > 1 then Some p.pl_shards else None in
-  let schedule = if p.pl_shards > 1 then Some (p.pl_schedule :> Gpu_sim.schedule) else None in
-  let tblock = if p.pl_shards > 1 && p.pl_tblock > 1 then Some p.pl_tblock else None in
-  Gpu_sim.create ~engine ?unroll_budget:p.pl_unroll ?shards ?schedule ?tblock
-    ~fi_beta:0.1 ~n_branches ~precision params room
+  Gpu_sim.create ~engine ?unroll_budget:p.pl_unroll ~shards:p.pl_shards
+    ~schedule:(p.pl_schedule :> Gpu_sim.schedule)
+    ~tblock:p.pl_tblock ~fi_beta:0.1 ~n_branches ~precision params room
 
 (* Measure one plan: same impulse, [warmup] untimed steps (compiles and
    caches), then [repeats] timed intervals of [steps] steps each —

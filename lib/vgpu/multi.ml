@@ -357,18 +357,22 @@ let reset_stats t =
      otherwise hide or inflate the critical path; clocks never rewind *)
   Array.fill t.clocks 0 (Array.length t.clocks) (level_clock (async_vclock t))
 
+(* One device reports as its runtime does: with one queue there is no
+   aggregate to form and no overlap to show. *)
 let pp_stats ppf t =
-  let n = n_devices t in
-  Fmt.pf ppf "aggregate over %d device(s): %a" n Runtime.pp_stats (stats t);
-  if n > 1 then
-    Array.iteri
-      (fun i d -> Fmt.pf ppf "@.device %d: %a" i Runtime.pp_stats (Runtime.stats d))
-      t.devices;
-  let o = overlap_stats t in
-  if Array.exists (fun c -> c.cmds > 0) o.o_clocks then begin
-    Fmt.pf ppf "@.async queues: busy %.3f ms, critical path %.3f ms, overlap saved %.3f ms@."
-      (o.o_busy_ns /. 1e6) (o.o_span_ns /. 1e6) (o.o_saved_ns /. 1e6);
-    Array.iteri
-      (fun i c -> Fmt.pf ppf "queue %d: %d cmd(s), busy %.3f ms@." i c.cmds (c.busy_ns /. 1e6))
-      o.o_clocks
-  end
+  match t.devices with
+  | [| d |] -> Runtime.pp_stats ppf (Runtime.stats d)
+  | devices ->
+      Fmt.pf ppf "aggregate over %d device(s): %a" (Array.length devices) Runtime.pp_stats
+        (stats t);
+      Array.iteri
+        (fun i d -> Fmt.pf ppf "@.device %d: %a" i Runtime.pp_stats (Runtime.stats d))
+        devices;
+      let o = overlap_stats t in
+      if Array.exists (fun c -> c.cmds > 0) o.o_clocks then begin
+        Fmt.pf ppf "@.async queues: busy %.3f ms, critical path %.3f ms, overlap saved %.3f ms@."
+          (o.o_busy_ns /. 1e6) (o.o_span_ns /. 1e6) (o.o_saved_ns /. 1e6);
+        Array.iteri
+          (fun i c -> Fmt.pf ppf "queue %d: %d cmd(s), busy %.3f ms@." i c.cmds (c.busy_ns /. 1e6))
+          o.o_clocks
+      end

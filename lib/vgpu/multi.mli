@@ -137,7 +137,7 @@ val reset_stats : t -> unit
     (clocks never rewind), so the next interval starts level. *)
 
 val pp_stats : Format.formatter -> t -> unit
-(** Aggregate block, then one block per device when there are several,
-    then the virtual-time line (busy, critical path, overlap saved) and
-    one line per device when {!run_async} ran commands since the last
-    {!reset_stats}. *)
+(** One device: its {!Runtime.pp_stats}.  Several: the aggregate block,
+    then one block per device, then the virtual-time line (busy,
+    critical path, overlap saved) and one line per device when
+    {!run_async} ran commands since the last {!reset_stats}. *)

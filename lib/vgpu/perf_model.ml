@@ -204,16 +204,6 @@ module Calibration = struct
     |> List.sort compare
 end
 
-let predict_calibrated ?unroll_budget ?calibration (device : Device.t)
-    (kernel : Cast.kernel) (w : workload) =
-  let t = predict ?unroll_budget device kernel w in
-  match calibration with
-  | None -> t
-  | Some c ->
-      t
-      *. Calibration.factor c ~device:device.Device.name
-           ~kernel_name:kernel.Cast.name
-
 (* Throughput in the paper's metric: millions of grid-point updates per
    second (shown as gigaelements/s in the figures when divided by 1000). *)
 let updates_per_second ~points ~time_s = points /. time_s

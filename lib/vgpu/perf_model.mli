@@ -95,17 +95,6 @@ module Calibration : sig
       persistence format's source of truth. *)
 end
 
-val predict_calibrated :
-  ?unroll_budget:int ->
-  ?calibration:Calibration.t ->
-  Device.t ->
-  Kernel_ast.Cast.kernel ->
-  workload ->
-  float
-(** {!predict} scaled by the calibration factor for
-    [(device.name, kernel.name)]; identical to {!predict} when no
-    calibration is supplied or the pair has no observations. *)
-
 val updates_per_second : points:float -> time_s:float -> float
 (** The paper's throughput metric (§VI). *)
 

@@ -376,24 +376,27 @@ let test_device_form () =
     (Test_util.contains (Kernel_ast.Print.kernel_to_string dev)
        "__global const uchar* restrict nbrs");
   let sim = Gpu_sim.create ~engine:`Native params room in
-  (* both backends hold the room's own byte grid, which a single device
-     binds as it is *)
+  (* every device binds its shard's byte grid as it is: one device the
+     room's own, each of two shards its slab *)
   List.iter
-    (fun (backend, (s : Gpu_sim.t)) ->
-      match s.Gpu_sim.nbrs_dev with
-      | Vgpu.Buffer.U8 b ->
-          Alcotest.(check bool) (backend ^ ": the room's byte grid") true (b == room.Geometry.nbrs_u8);
-          Alcotest.(check (array int)) (backend ^ ": device bytes") room.Geometry.nbrs
-            (Array.init (Bytes.length b) (Bytes.get_uint8 b))
-      | _ -> Alcotest.failf "%s: nbrs is not stored as bytes" backend)
-    [ ("single", sim); ("sharded", Gpu_sim.create ~engine:`Native ~shards:2 params room) ];
-  (match sim.Gpu_sim.backend with
-  | Gpu_sim.Single { rt; _ } -> (
-      match Vgpu.Runtime.buffer rt "nbrs" with
-      | Vgpu.Buffer.U8 b ->
-          Alcotest.(check bool) "bound without a copy" true (b == room.Geometry.nbrs_u8)
-      | _ -> Alcotest.fail "the bound nbrs is not bytes")
-  | Gpu_sim.Sharded _ -> Alcotest.fail "a single device is sharded");
+    (fun (label, (s : Gpu_sim.t)) ->
+      Array.iter
+        (fun (sh : Shard.shard) ->
+          match Vgpu.Runtime.buffer (Vgpu.Multi.device s.Gpu_sim.multi sh.Shard.index) "nbrs" with
+          | Vgpu.Buffer.U8 b ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: device %d binds its shard's bytes" label sh.Shard.index)
+                true (b == sh.Shard.nbrs)
+          | _ -> Alcotest.failf "%s: nbrs is not stored as bytes" label)
+        s.Gpu_sim.plan.Shard.shards)
+    [ ("one device", sim); ("2 shards", Gpu_sim.create ~engine:`Native ~shards:2 params room) ];
+  (match sim.Gpu_sim.plan.Shard.shards with
+  | [| sh |] ->
+      Alcotest.(check bool) "one device: the room's byte grid, bound without a copy" true
+        (sh.Shard.nbrs == room.Geometry.nbrs_u8);
+      Alcotest.(check (array int)) "device bytes" room.Geometry.nbrs
+        (Array.init (Bytes.length sh.Shard.nbrs) (Bytes.get_uint8 sh.Shard.nbrs))
+  | _ -> Alcotest.fail "one device runs more than one slab");
   for _ = 1 to 3 do
     Gpu_sim.step sim kernels
   done;

@@ -265,18 +265,11 @@ let test_winner_not_slower_than_default () =
 (* -- Plans run as labelled --------------------------------------------- *)
 
 (* The simulation [racs simulate --tuned] builds from a plan: the plan's
-   runtime knobs, shards and block depth only when sharded. *)
+   runtime knob, shards, schedule and block depth as they are. *)
 let sim_of_plan ~precision room (plan : PC.plan) =
-  let shards = if plan.PC.pl_shards > 1 then Some plan.PC.pl_shards else None in
-  let schedule =
-    if plan.PC.pl_shards > 1 then Some (plan.PC.pl_schedule :> Gpu_sim.schedule) else None
-  in
-  let tblock =
-    if plan.PC.pl_shards > 1 && plan.PC.pl_tblock > 1 then Some plan.PC.pl_tblock
-    else None
-  in
-  Gpu_sim.create ~engine:`Native ?unroll_budget:plan.PC.pl_unroll ?shards ?schedule ?tblock
-    ~fi_beta:0.1 ~n_branches:3 ~precision Params.default room
+  Gpu_sim.create ~engine:`Native ?unroll_budget:plan.PC.pl_unroll ~shards:plan.PC.pl_shards
+    ~schedule:(plan.PC.pl_schedule :> Gpu_sim.schedule)
+    ~tblock:plan.PC.pl_tblock ~fi_beta:0.1 ~n_branches:3 ~precision Params.default room
 
 let room_of dims =
   Geometry.build ~n_materials:(Array.length Material.defaults) Geometry.Box dims

@@ -99,7 +99,7 @@ let test_degenerate_simulation () =
   Alcotest.(check int) "zero steps" 0 (Array.length out)
 
 (* Grid coordinates are range-checked: x = nx must not wrap into the
-   next row, on the state or on either backend's read. *)
+   next row, on the state or on a one-device or sharded read. *)
 let test_grid_range_checks () =
   let open Acoustics in
   let room = Geometry.build Geometry.Box (Geometry.dims ~nx:8 ~ny:8 ~nz:8) in

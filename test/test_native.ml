@@ -895,14 +895,28 @@ let test_reset_then_step () =
 
 (* One device binds the state's arrays once and rotates the bindings:
    after every step [state] names the arrays bound, so reads through it
-   and through the simulation agree. *)
+   and through the simulation agree.  Its boundary data are the room's
+   own arrays, bound without a copy. *)
 let test_single_device_state_live () =
   use_scratch_cache ();
   let open Acoustics in
   let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:12 ~ny:10 ~nz:8) in
   let kernels = [ Hand_kernels.volume ~precision:Double; Hand_kernels.boundary_fd_mm ~precision:Double ~mb:3 ] in
   let sim = Gpu_sim.create ~engine:`Native ~n_branches:3 Params.default room in
-  let rt = match sim.Gpu_sim.backend with Gpu_sim.Single { rt; _ } -> rt | Gpu_sim.Sharded _ -> assert false in
+  Alcotest.(check int) "one device" 1 (Vgpu.Multi.n_devices sim.Gpu_sim.multi);
+  let rt = Vgpu.Multi.device sim.Gpu_sim.multi 0 in
+  (match
+     ( Vgpu.Runtime.buffer rt "nbrs",
+       Vgpu.Runtime.buffer rt "bidx",
+       Vgpu.Runtime.buffer rt "material" )
+   with
+  | Vgpu.Buffer.U8 nbrs, Vgpu.Buffer.I bidx, Vgpu.Buffer.I material ->
+      Alcotest.(check bool) "nbrs is the room's byte grid" true (nbrs == room.Geometry.nbrs_u8);
+      Alcotest.(check bool) "bidx is the room's boundary indices" true
+        (bidx == room.Geometry.boundary_indices);
+      Alcotest.(check bool) "material is the room's material ids" true
+        (material == room.Geometry.material)
+  | _ -> Alcotest.fail "the boundary data are not bound as bytes and ints");
   let st = sim.Gpu_sim.state in
   let cx, cy, cz = State.centre st in
   State.add_impulse st ~x:cx ~y:cy ~z:cz;

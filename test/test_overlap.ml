@@ -100,14 +100,12 @@ let test_overlap_bit_identical () =
               check_state
                 (Printf.sprintf "%s overlapped shards=%d" label shards)
                 single.Gpu_sim.state ov.Gpu_sim.state;
-              match Gpu_sim.overlap_stats ov with
-              | None -> Alcotest.fail "sharded sim reports no overlap stats"
-              | Some o ->
-                  if o.Vgpu.Multi.o_span_ns <= 0. then
-                    Alcotest.failf "%s shards=%d: empty critical path" label shards;
-                  if o.Vgpu.Multi.o_busy_ns +. 1e-6 < o.Vgpu.Multi.o_span_ns then
-                    Alcotest.failf "%s shards=%d: critical path %.0f exceeds busy %.0f"
-                      label shards o.Vgpu.Multi.o_span_ns o.Vgpu.Multi.o_busy_ns)
+              let o = Gpu_sim.overlap_stats ov in
+              if o.Vgpu.Multi.o_span_ns <= 0. then
+                Alcotest.failf "%s shards=%d: empty critical path" label shards;
+              if o.Vgpu.Multi.o_busy_ns +. 1e-6 < o.Vgpu.Multi.o_span_ns then
+                Alcotest.failf "%s shards=%d: critical path %.0f exceeds busy %.0f" label shards
+                  o.Vgpu.Multi.o_span_ns o.Vgpu.Multi.o_busy_ns)
             [ 2; 3; 4 ])
         [ Cast.Double; Cast.Single ])
     schemes
@@ -206,11 +204,7 @@ let test_wait_drops_rejected_or_harmless () =
           State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
           let plan = Gpu_sim.plan sim kernels ~steps:(3 * Gpu_sim.tblock sim) in
           Gpu_sim.ensure_scattered sim;
-          let multi =
-            match sim.Gpu_sim.backend with
-            | Gpu_sim.Sharded s -> s.multi
-            | Gpu_sim.Single _ -> Alcotest.fail "not sharded"
-          in
+          let multi = sim.Gpu_sim.multi in
           let initial =
             Array.init shards (fun i ->
                 List.map
@@ -448,13 +442,11 @@ let test_overlap_stats_per_simulation () =
   for _ = 1 to 10 do
     Gpu_sim.step a kernels
   done;
-  match (Gpu_sim.overlap_stats a, Gpu_sim.overlap_stats b) with
-  | Some oa, Some ob ->
-      Alcotest.(check bool) "A's critical path is above 0" true (oa.Vgpu.Multi.o_span_ns > 0.);
-      Alcotest.(check (float 0.)) "B is not busy" 0. ob.Vgpu.Multi.o_busy_ns;
-      Alcotest.(check (float 0.)) "B has no critical path" 0. ob.Vgpu.Multi.o_span_ns;
-      Alcotest.(check (float 0.)) "B's clock never moved" 0. (Gpu_sim.overlap_vclock_ns b)
-  | _ -> Alcotest.fail "sharded sims report no overlap stats"
+  let oa = Gpu_sim.overlap_stats a and ob = Gpu_sim.overlap_stats b in
+  Alcotest.(check bool) "A's critical path is above 0" true (oa.Vgpu.Multi.o_span_ns > 0.);
+  Alcotest.(check (float 0.)) "B is not busy" 0. ob.Vgpu.Multi.o_busy_ns;
+  Alcotest.(check (float 0.)) "B has no critical path" 0. ob.Vgpu.Multi.o_span_ns;
+  Alcotest.(check (float 0.)) "B's clock never moved" 0. (Gpu_sim.overlap_vclock_ns b)
 
 (* On a fresh binary cache the first launches optimize and compile
    (cc + dlopen); none of that is device time.  From creation, the busy
@@ -481,12 +473,9 @@ let test_busy_is_kernel_window () =
       let expected =
         kernel_ns +. (float_of_int st.Vgpu.Runtime.s_d2d_bytes /. Vgpu.Multi.default_link_gb_s)
       in
-      match Gpu_sim.overlap_stats sim with
-      | None -> Alcotest.fail "sharded sim reports no overlap stats"
-      | Some o ->
-          let busy = o.Vgpu.Multi.o_busy_ns in
-          if Float.abs (busy -. expected) > 1e-9 *. expected then
-            Alcotest.failf "busy %.0f ns, kernel windows + exchanges %.0f ns" busy expected)
+      let busy = (Gpu_sim.overlap_stats sim).Vgpu.Multi.o_busy_ns in
+      if Float.abs (busy -. expected) > 1e-9 *. expected then
+        Alcotest.failf "busy %.0f ns, kernel windows + exchanges %.0f ns" busy expected)
 
 (* Checked execution keeps the overlapped schedule: FD-MM sanitized and
    overlapped at 2 and 3 shards is bit-identical to one device, with no
@@ -509,7 +498,7 @@ let test_sanitized_overlap () =
       Alcotest.(check bool)
         (Printf.sprintf "shards=%d: the schedule stays overlapped" shards)
         true
-        (Gpu_sim.schedule sim = Some `Overlap);
+        (Gpu_sim.schedule sim = `Overlap);
       for _ = 1 to steps do
         Gpu_sim.step sim kernels
       done;

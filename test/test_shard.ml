@@ -160,7 +160,8 @@ let qcheck_partition_covers =
            (Array.sub slabs 1 (n - 1)))
 
 (* Scatter a random grid, store a random pattern into every shard's
-   owned planes of [next], halo-exchange, then check: (a) gathering
+   owned planes of [next] (all of them in a one-slab plan, which has no
+   ghost planes), halo-exchange, then check: (a) gathering
    reproduces exactly the unsharded result of the same stores; (b) every
    interior ghost plane equals the neighbouring shard's owned plane. *)
 let qcheck_exchange_round_trip =
@@ -184,7 +185,7 @@ let qcheck_exchange_round_trip =
       Array.iteri
         (fun i (sh : Shard.shard) ->
           let ss = sstates.(i) in
-          for l = sh.Shard.plane to ((sh.Shard.planes - 1) * sh.Shard.plane) - 1 do
+          for l = sh.Shard.halo * sh.Shard.plane to ((sh.Shard.planes - sh.Shard.halo) * sh.Shard.plane) - 1 do
             let idx = sh.Shard.base + l in
             if idx mod 3 = 0 then ss.Shard.next.(l) <- ss.Shard.curr.(l) *. 2.
           done)
@@ -304,14 +305,11 @@ let test_plan_is_what_step_runs () =
                     Gpu_sim.step stepped kernels
                   done;
                   Gpu_sim.ensure_scattered twin;
-                  (match twin.Gpu_sim.backend with
-                  | Gpu_sim.Single _ -> Alcotest.fail "twin is not sharded"
-                  | Gpu_sim.Sharded { multi; _ } -> (
-                      match schedule with
-                      | `Overlap -> ignore (Vgpu.Multi.run_async multi plan)
-                      | `Seq | `Concurrent ->
-                          Vgpu.Multi.run multi
-                            (List.map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_op) plan)));
+                  (match schedule with
+                  | `Overlap -> ignore (Vgpu.Multi.run_async twin.Gpu_sim.multi plan)
+                  | `Seq | `Concurrent ->
+                      Vgpu.Multi.run twin.Gpu_sim.multi
+                        (List.map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_op) plan));
                   Gpu_sim.sync stepped;
                   Gpu_sim.sync twin;
                   let a = stepped.Gpu_sim.state and b = twin.Gpu_sim.state in

@@ -166,11 +166,7 @@ let test_blocked_stats_profile () =
   let plane_bytes = float_of_int (dims.Geometry.nx * dims.Geometry.ny * 8) in
   let profile tblock =
     let sim = run ~steps ~shards:2 ~tblock ~kernels () in
-    let bs =
-      match Gpu_sim.blocked_stats sim kernels with
-      | Some bs -> bs
-      | None -> Alcotest.fail "blocked_stats: sharded sim reported None"
-    in
+    let bs = Gpu_sim.blocked_stats sim kernels in
     let measured = (Gpu_sim.stats sim).Vgpu.Runtime.s_d2d_bytes in
     Alcotest.(check (float 1e-9))
       (Printf.sprintf "T=%d measured bytes match the profile" tblock)
