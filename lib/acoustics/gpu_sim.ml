@@ -63,6 +63,18 @@ type engine =
      step's exchange stamps).  All three are bit-for-bit identical. *)
 type schedule = [ `Seq | `Concurrent | `Overlap ]
 
+(* One device's state cells in its buffer table.  A runtime never
+   replaces a cell ([bind] writes one, a [Swap] exchanges two cells'
+   contents), so [create] looks them up once. *)
+type cells = {
+  c_prev : Vgpu.Buffer.t ref;
+  c_curr : Vgpu.Buffer.t ref;
+  c_next : Vgpu.Buffer.t ref;
+  c_g1 : Vgpu.Buffer.t ref;
+  c_v2 : Vgpu.Buffer.t ref;
+  c_v1 : Vgpu.Buffer.t ref;
+}
+
 type t = {
   params : Params.t;
   state : State.t;
@@ -70,6 +82,7 @@ type t = {
   fi_beta : float;  (* single-material admittance for the FI kernels *)
   precision : Kernel_ast.Cast.precision;
   multi : Vgpu.Multi.t;  (* one device per shard *)
+  cells : cells array;  (* per device *)
   plan : Shard.plan;
   schedule : schedule;
   tblock : int;  (* temporal block depth T = the shards' halo; 1 on one device *)
@@ -159,6 +172,18 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
   Array.iteri
     (fun i sh -> bind_device (Vgpu.Multi.bind multi i) states.(i) sh tables)
     plan.Shard.shards;
+  let cells =
+    Array.init devices (fun i ->
+        let c = Vgpu.Runtime.cell (Vgpu.Multi.device multi i) in
+        {
+          c_prev = c "prev";
+          c_curr = c "curr";
+          c_next = c "next";
+          c_g1 = c "g1";
+          c_v2 = c "v2";
+          c_v1 = c "v1";
+        })
+  in
   {
     params;
     state;
@@ -166,6 +191,7 @@ let create ?(engine = `Native) ?(optimize = true) ?unroll_budget ?(fi_beta = 0.1
     fi_beta;
     precision;
     multi;
+    cells;
     plan;
     schedule;
     (* effective block depth: Shard.plan clamps the halo to the thinnest
@@ -482,26 +508,25 @@ let device_plan t (kernels : kernel list) ~steps : Vgpu.Multi.async_plan =
 
 let plan t kernels ~steps = device_plan t (device_kernels t kernels) ~steps
 
-(* The array a device's table binds to [name] right now: the [Swap]s
-   rotate the bindings, so this is where the live arrays are. *)
-let bound rt name =
-  match Vgpu.Runtime.buffer rt name with
+(* The array a state cell holds right now: the [Swap]s rotate the
+   bindings, so this is where the live arrays are. *)
+let bound cell =
+  match !cell with
   | Vgpu.Buffer.F a -> a
-  | _ -> invalid_arg (Printf.sprintf "gpu_sim: device buffer %s is not real" name)
+  | _ -> invalid_arg "gpu_sim: a device's state buffer is not real"
 
 let bound_states t =
   Array.map
-    (fun (sh : Shard.shard) ->
-      let f = bound (Vgpu.Multi.device t.multi sh.Shard.index) in
+    (fun c ->
       {
-        Shard.prev = f "prev";
-        curr = f "curr";
-        next = f "next";
-        g1 = f "g1";
-        vel_prev = f "v2";
-        vel_next = f "v1";
+        Shard.prev = bound c.c_prev;
+        curr = bound c.c_curr;
+        next = bound c.c_next;
+        g1 = bound c.c_g1;
+        vel_prev = bound c.c_v2;
+        vel_next = bound c.c_v1;
       })
-    t.plan.Shard.shards
+    t.cells
 
 (* Distribute the global state to the shards on first use, so impulses
    added through [State.add_impulse] before the first step are seen. *)
@@ -515,12 +540,12 @@ let ensure_scattered t =
    the bindings: point [state]'s fields at the arrays bound now.
    Allocates nothing. *)
 let point_state t =
-  let rt = Vgpu.Multi.device t.multi 0 and st = t.state in
-  st.prev <- bound rt "prev";
-  st.curr <- bound rt "curr";
-  st.next <- bound rt "next";
-  st.vel_prev <- bound rt "v2";
-  st.vel_next <- bound rt "v1"
+  let c = t.cells.(0) and st = t.state in
+  st.prev <- bound c.c_prev;
+  st.curr <- bound c.c_curr;
+  st.next <- bound c.c_next;
+  st.vel_prev <- bound c.c_v2;
+  st.vel_next <- bound c.c_v1
 
 (* Copy the slabs back into the global [state] arrays (before the first
    step, [state] still holds the only copy); on one device, whose
@@ -630,7 +655,7 @@ let read t ~x ~y ~z =
   if t.scattered then
     let idx = State.idx_of t.state ~x ~y ~z in
     let sh = Shard.owner t.plan ~z in
-    (bound (Vgpu.Multi.device t.multi sh.Shard.index) "curr").(idx - sh.Shard.base)
+    (bound t.cells.(sh.Shard.index).c_curr).(idx - sh.Shard.base)
   else State.read t.state ~x ~y ~z
 
 let stats t = Vgpu.Multi.stats t.multi
@@ -664,10 +689,6 @@ let pp_stats ppf t = Vgpu.Multi.pp_stats ppf t.multi
 let reset_stats t = Vgpu.Multi.reset_stats t.multi
 
 let schedule t = t.schedule
-
-(* Virtual critical path (ns) across this simulation's devices: the
-   latest device clock.  0 when no overlapped step ran. *)
-let overlap_vclock_ns t = Vgpu.Multi.async_vclock t.multi
 
 (* Aggregate virtual-time statistics (busy vs critical path vs overlap
    saved). *)

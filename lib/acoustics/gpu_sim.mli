@@ -62,6 +62,20 @@ type engine =
     run the same ops in the same order. *)
 type schedule = [ `Seq | `Concurrent | `Overlap ]
 
+(** One device's state cells in its buffer table
+    ({!Vgpu.Runtime.cell}).  A runtime never replaces a cell ([bind]
+    writes one, a [Swap] exchanges two cells' contents), so {!create}
+    looks them up once, and {!read}, {!sync} and every step read the
+    live arrays through them. *)
+type cells = {
+  c_prev : Vgpu.Buffer.t ref;
+  c_curr : Vgpu.Buffer.t ref;
+  c_next : Vgpu.Buffer.t ref;
+  c_g1 : Vgpu.Buffer.t ref;
+  c_v2 : Vgpu.Buffer.t ref;
+  c_v1 : Vgpu.Buffer.t ref;
+}
+
 type t = {
   params : Params.t;
   state : State.t;
@@ -73,6 +87,7 @@ type t = {
           (grids and branch state as rotated so far, boundary data, its
           [Buffer.U8] grid of [nbrs], the coefficient tables) — on one
           device [state]'s arrays and the room's own *)
+  cells : cells array;  (** per device *)
   plan : Shard.plan;
   schedule : schedule;
   tblock : int;  (** temporal block depth T = the shards' halo; 1 on one device *)
@@ -249,11 +264,6 @@ val reset_stats : t -> unit
 
 val schedule : t -> schedule
 (** The schedule in effect. *)
-
-val overlap_vclock_ns : t -> float
-(** The virtual critical path in ns across this simulation's devices —
-    the latest device clock (see {!Vgpu.Multi.run_async}).  [0.] when
-    no overlapped step ran. *)
 
 val overlap_stats : t -> Vgpu.Multi.overlap_stats
 (** This simulation's virtual-time statistics (total busy time vs

@@ -32,18 +32,35 @@ val table2 : unit -> unit
 val table3 : unit -> unit
 (** Table III: platform metrics. *)
 
-val fig2 : unit -> string list list
+val fig2 : unit -> unit
 (** Figure 2: boundary-handling share of a step (hand-written kernels,
     GTX 780). *)
 
-val fig4 : unit -> result_row list
+val fig4 : unit -> unit
 (** Figure 4 / Table IV: FI fused kernel, box rooms. *)
 
-val fig5 : unit -> result_row list
+val fig5 : unit -> unit
 (** Figure 5 / Table V: FI-MM boundary kernel. *)
 
-val fig6 : unit -> result_row list
+val fig6 : unit -> unit
 (** Figure 6 / Table VI: FD-MM boundary kernel (3 branches). *)
 
-val all : unit -> result_row list * result_row list * result_row list
-(** Run and print everything; returns the fig4/fig5/fig6 rows. *)
+val all : unit -> unit
+(** Every table and figure above, through the model. *)
+
+(** {1 Outside [all]} *)
+
+val ablations : unit -> unit
+(** The FD-MM design ablations through the model (GTX 780, the largest
+    box, double): private staging vs global re-reads of the branch
+    state, branch-major vs point-major layout, and sorted vs scattered
+    boundary indices. *)
+
+val measured : unit -> unit
+(** The hand-written and Lift-generated kernels measured on this host's
+    native engine, with the pure-OCaml reference: a 48x40x32 box in
+    double precision, per-launch medians on {!Vgpu.Clock} with Lift and
+    hand interleaved in rounds after a warm-up; then Figure 2's
+    boundary shares and the FD-MM staging ablation, measured.  Wall
+    times vary from run to run, so nothing compares them with a
+    committed file. *)

@@ -156,6 +156,12 @@ val bind : t -> string -> Buffer.t -> unit
     use.  Ops already resolved to that cell see the new buffer at their
     next dispatch. *)
 
+val cell : t -> string -> Buffer.t ref
+(** A name's cell.  A cell is never replaced, so a caller may keep it
+    and read the name's current buffer through it after any {!bind} or
+    [Swap].
+    @raise Failure if the name is unbound. *)
+
 val buffer : t -> string -> Buffer.t
 (** The buffer a name's cell holds now.
     @raise Failure if the name is unbound. *)

@@ -140,6 +140,40 @@ let test_read_addresses_owner () =
     done
   done
 
+(* [read] and [sync] read each device's state cells, looked up once at
+   [create]: after steps have rotated the bindings, rebinding a device's
+   [curr] (as an executor of [Gpu_sim.plan] does) must be seen by both,
+   on one device and on two shards.  Each fresh array holds, at every
+   local index, the global index it stands for. *)
+let test_read_after_rebind () =
+  let kernels = kernels_of `Fi Double in
+  List.iter
+    (fun shards ->
+      let sim = run ~shards ~engine:`Native ~kernels () in
+      Array.iter
+        (fun (sh : Shard.shard) ->
+          let fresh = Array.init sh.Shard.local_n (fun l -> float_of_int (sh.Shard.base + l)) in
+          Vgpu.Multi.bind sim.Gpu_sim.multi sh.Shard.index "curr" (Vgpu.Buffer.F fresh))
+        sim.Gpu_sim.plan.Shard.shards;
+      let { Geometry.nx; ny; nz } = dims in
+      for z = 0 to nz - 1 do
+        for y = 0 to ny - 1 do
+          for x = 0 to nx - 1 do
+            let idx = State.idx_of sim.Gpu_sim.state ~x ~y ~z in
+            let v = Gpu_sim.read sim ~x ~y ~z in
+            if v <> float_of_int idx then
+              Alcotest.failf "%d shard(s): read (%d,%d,%d) = %g, want %d" shards x y z v idx
+          done
+        done
+      done;
+      Gpu_sim.sync sim;
+      Array.iteri
+        (fun idx v ->
+          if v <> float_of_int idx then
+            Alcotest.failf "%d shard(s): synced curr.(%d) = %g" shards idx v)
+        sim.Gpu_sim.state.State.curr)
+    [ 1; 2 ]
+
 (* -- Properties ------------------------------------------------------ *)
 
 (* The Z-partition is an exact disjoint cover: non-empty contiguous
@@ -353,6 +387,7 @@ let suite =
       test_sharded_interp_matches_native;
     Alcotest.test_case "byte nbrs slabs blitted from the room" `Quick test_slab_nbrs_layout;
     Alcotest.test_case "read addresses the owning shard" `Quick test_read_addresses_owner;
+    Alcotest.test_case "read and sync see a rebound curr" `Quick test_read_after_rebind;
     QCheck_alcotest.to_alcotest qcheck_partition_covers;
     QCheck_alcotest.to_alcotest qcheck_exchange_round_trip;
     Alcotest.test_case "launch stats scale with the shard count" `Quick
