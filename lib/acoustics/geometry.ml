@@ -21,9 +21,9 @@
    Geometry at the paper's full sizes (up to 73M voxels) is needed only
    in aggregate by the performance model, so [stats] counts the walker's
    row segments instead of materialising arrays; [build] materialises
-   everything for simulation-sized rooms, the [nbrs] counts both as ints
-   and as the bytes the device binds.  Both share one row-span walker
-   ([walk]). *)
+   everything for simulation-sized rooms, the [nbrs] counts as the bytes
+   the device binds and, copied from them in one pass, as ints.  Both
+   share one row-span walker ([walk]). *)
 
 type shape =
   | Box
@@ -201,7 +201,7 @@ type room = {
   shape : shape;
   dims : dims;
   nbrs : int array;              (* per voxel, length nx*ny*nz *)
-  nbrs_u8 : Bytes.t;             (* the same counts, one byte each *)
+  nbrs_u8 : Bytes.t;             (* the same counts, one byte each: the walker's grid *)
   boundary_indices : int array;  (* linear indices of boundary voxels, ascending *)
   material : int array;          (* per boundary point, same length *)
   n_inside : int;
@@ -218,17 +218,13 @@ let material_of_voxel ~n_materials ~nz z =
 
 let build ?(n_materials = 1) shape d =
   let n = n_points d in
-  let nbrs = Vgpu.Buffer.zeros_int n and nbrs_u8 = Vgpu.Buffer.zeros_bytes n in
+  let nbrs_u8 = Vgpu.Buffer.zeros_bytes n in
   let n_inside = ref 0 and n_b = ref 0 in
   (* boundary indices in walk order (ascending), grown by doubling from
      the box's surface *)
   let bidx = ref (Array.make (2 * ((d.nx * d.ny) + (d.ny * d.nz) + (d.nx * d.nz))) 0) in
   walk shape d (fun i len nbr ->
       Bytes.unsafe_fill nbrs_u8 i len (Char.unsafe_chr nbr);
-      (* a plain store loop: [Array.fill] checks every old element *)
-      for j = i to i + len - 1 do
-        Array.unsafe_set nbrs j nbr
-      done;
       n_inside := !n_inside + len;
       if nbr < 6 then begin
         if !n_b + len > Array.length !bidx then begin
@@ -244,7 +240,7 @@ let build ?(n_materials = 1) shape d =
       end);
   let boundary_indices = Array.sub !bidx 0 !n_b in
   let plane = d.nx * d.ny in
-  { shape; dims = d; nbrs; nbrs_u8; boundary_indices;
+  { shape; dims = d; nbrs = Vgpu.Buffer.ints_of_bytes nbrs_u8; nbrs_u8; boundary_indices;
     material = Array.map (fun i -> material_of_voxel ~n_materials ~nz:d.nz (i / plane)) boundary_indices;
     n_inside = !n_inside }
 

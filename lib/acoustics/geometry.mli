@@ -52,7 +52,7 @@ val stats : shape -> dims -> stats
 type room = {
   shape : shape;
   dims : dims;
-  nbrs : int array;
+  nbrs : int array;  (** [nbrs_u8] as ints, derived from it in one pass *)
   nbrs_u8 : Bytes.t;
       (** [nbrs] one byte per voxel: the grid the walker writes, which
           the device binds as its [Cast.U8] [nbrs] *)
@@ -66,9 +66,10 @@ val material_of_voxel : n_materials:int -> nz:int -> int -> int
 
 val build : ?n_materials:int -> shape -> dims -> room
 (** Materialise the geometry arrays (for simulation-sized rooms).  The
-    grids come from {!Vgpu.Buffer}'s large-array allocator, and the
-    walker fills them one constant-count segment of a row at a time
-    (every shape's row is one interval of inside voxels). *)
+    grids come from {!Vgpu.Buffer}'s large-array allocator.  The walker
+    fills the byte grid one constant-count segment of a row at a time
+    (every shape's row is one interval of inside voxels), and the int
+    grid is written once from it ({!Vgpu.Buffer.ints_of_bytes}). *)
 
 val n_boundary : room -> int
 val shape_label : shape -> string

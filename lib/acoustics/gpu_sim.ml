@@ -20,7 +20,9 @@
    by [step_ops]: the launches, the block-end halo exchanges and the
    rotation as per-device [Swap]s.  [step] executes that value under the
    configured schedule, and [plan] returns the same values for static
-   analysis.
+   analysis.  A volume launch sweeps only the planes that can hold a
+   room point ({!Shard.live_planes}), in the offset form the overlapped
+   schedule splits: no ghost plane and none of the room's shell.
 
    - One device runs the one-slab plan, whose shard is the room itself:
      no ghost planes and no exchanges.  Its device binds the room's byte
@@ -75,6 +77,10 @@ type cells = {
   c_v1 : Vgpu.Buffer.t ref;
 }
 
+(* Per device, the launch ops of one kernel, each with its range kind
+   ([None]: unsplit). *)
+type launches = (Shard.range_kind option * Vgpu.Multi.op) list array
+
 type t = {
   params : Params.t;
   state : State.t;
@@ -97,11 +103,9 @@ type t = {
   mutable imports : (int * float) list;
       (* the events the last overlapped step signalled, with their
          virtual-time stamps, for the next step's waits *)
-  mutable launch_ops :
-    ((Kernel_ast.Cast.kernel * bool) * (Shard.range_kind option * Vgpu.Multi.op) list array) list;
-      (* cache: (kernel, ranges) -> per device, its launch ops: the
-         interior/frontier ranges of a split kernel, or one full-range
-         launch *)
+  mutable launch_ops : (kernel * launches * launches) list;
+      (* cache: kernel in device form -> its unsplit and its split
+         launches *)
   mutable unprepared : bool;  (* [launch_ops] built ops since the last [Multi.prepare] *)
   mutable periodic : (kernel list * bool * Vgpu.Multi.async_plan) option;
       (* the last step's (kernels as passed, split, ops) when the ops
@@ -324,18 +328,23 @@ let shard_launch t (sh : Shard.shard) ?(goff = 0) ?global (k : kernel) =
 
 (* -- The step plan ------------------------------------------------------ *)
 
-(* A kernel is splittable into interior/frontier ranges when it sweeps
-   the full local grid: the volume kernels launch over [Var "N"].  The
-   boundary kernels ([Var "nB"]) touch owned points only, so plain FIFO
-   order behind the volume launches already orders them correctly. *)
+(* A kernel is ranged when it sweeps the local grid flat ([Var "N"]) and
+   takes [nbrs], the convention [device_form] keys on: the volume
+   kernels, which update only points with [nbrs] > 0.  Their launches
+   then cover only the planes that can hold a room point: every unsplit
+   launch sweeps {!Shard.live_planes}, and a block start of the
+   overlapped schedule splits into interior/frontier ranges.  The
+   boundary kernels ([Var "nB"]) touch boundary points only, so plain
+   FIFO order behind the volume launches already orders them
+   correctly. *)
 let splittable (k : kernel) =
-  match k.global_size with [ Var "N" ] -> true | _ -> false
+  k.global_size = [ Var "N" ] && List.exists (fun p -> p.p_name = "nbrs") k.params
 
-(* Does a full-range launch of [k] write ghost planes?  Grid kernels
-   sweep the whole local slab, ghost planes included (flat over N, or
-   3D padded to the tile); boundary kernels run over the shard's nB
-   boundary points, which at T = 1 all lie in owned planes. *)
-let sweeps_slab (k : kernel) = k.global_size <> [ Var "nB" ]
+(* Does a launch of [k] write ghost planes at T = 1?  A ranged kernel
+   sweeps live planes only, and a boundary kernel the shard's boundary
+   points, which at T = 1 all lie in owned planes; any other kernel
+   launches over its full NDRange, ghost planes included. *)
+let sweeps_slab (k : kernel) = not (splittable k) && k.global_size <> [ Var "nB" ]
 
 (* Does the kernel sequence carry persistent per-boundary-point branch
    state (the FD-MM scheme)?  If so, a block boundary must also refresh
@@ -365,56 +374,70 @@ let block_exchange_plan (p : Shard.plan) ~tblock ~has_state : Vgpu.Multi.plan =
    curr <- next, and the branch velocities advance (v2 <- v1). *)
 let rotation = Vgpu.Runtime.[ Swap ("prev", "curr"); Swap ("curr", "next"); Swap ("v2", "v1") ]
 
-(* The launch ops of [k] (in device form) per device: the interior and
-   frontier ranges of a split kernel ([ranges]), or one full-range
-   launch.  Every step launches the same values, so each kernel's are
-   built once (bounded like the device-form memo). *)
-let launch_ops t k ~ranges =
-  match List.find_opt (fun ((k', r), _) -> k' == k && r = ranges) t.launch_ops with
-  | Some (_, ops) -> ops
-  | None ->
-      let rk = if ranges then Kernel_ast.Cast.offset_global_id k else k in
-      let ops =
-        Array.map
-          (fun sh ->
-            if ranges then
-              List.map
-                (fun (kind, goff, count) ->
-                  (Some kind, shard_launch t sh ~goff ~global:[ count ] rk))
+(* The launch ops of [k] (in device form) per device: [split] selects
+   the overlapped schedule's block-start launches.  A ranged kernel runs
+   in one offset form ({!Kernel_ast.Cast.offset_global_id}): unsplit
+   over the shard's live planes (a zero-count launch where there are
+   none), split into its interior and frontier ranges.  Any other
+   kernel is one full-range launch either way.  Every step launches the
+   same values, so each kernel's are built once (bounded like the
+   device-form memo). *)
+let launch_ops t k ~split =
+  let _, whole, parts =
+    match List.find_opt (fun (k', _, _) -> k' == k) t.launch_ops with
+    | Some e -> e
+    | None ->
+        let shards = t.plan.Shard.shards in
+        let e =
+          if not (splittable k) then
+            let whole = Array.map (fun sh -> [ (None, shard_launch t sh k) ]) shards in
+            (k, whole, whole)
+          else
+            let rk = offset_global_id k in
+            let ranged sh kind goff count = (kind, shard_launch t sh ~goff ~global:[ count ] rk) in
+            let live (sh : Shard.shard) =
+              let first, n = Shard.live_planes t.plan sh in
+              [ ranged sh None (first * sh.Shard.plane) (n * sh.Shard.plane) ]
+            in
+            let split sh =
+              List.map (fun (kind, goff, count) -> ranged sh (Some kind) goff count)
                 (Shard.split_ranges sh)
-            else [ (None, shard_launch t sh k) ])
-          t.plan.Shard.shards
-      in
-      t.launch_ops <-
-        ((k, ranges), ops) :: List.filteri (fun i _ -> i < max_device_forms - 1) t.launch_ops;
-      t.unprepared <- true;
-      ops
+            in
+            (k, Array.map live shards, Array.map split shards)
+        in
+        t.launch_ops <- e :: List.filteri (fun i _ -> i < max_device_forms - 1) t.launch_ops;
+        t.unprepared <- true;
+        e
+  in
+  if split then parts else whole
 
 (* The ops of one time step at block position [bpos] (0..T-1): the only
    place a step is encoded.  Every schedule executes these values and
    {!plan} returns them for analysis.
 
-   Per device, in queue order, the step's launches.  With [split] (the
-   overlapped schedule) on several devices, at a block start each
-   splittable kernel becomes an interior range first (no waits — it
-   starts immediately), then the halo-deep frontier ranges, each waiting
-   on the events of the previous block's exchanges into the ghost zone
-   its stencil reads.  One device never splits: its slab has no ghost
-   zone, and a halo-0 split would add empty frontier launches.  Any
-   other launch at a block start waits on both sides' events when it
-   reads the exchanged [curr] ghosts (an unsplit volume kernel) or, at
-   T ≥ 2, exchanged branch state; later launches follow by FIFO.
-   Mid-block launches wait on nothing: they touch no freshly exchanged
-   data.
+   Per device, in queue order, the step's launches: a volume kernel
+   over its shard's live planes.  With [split] (the overlapped schedule)
+   on several devices, at a block start each splittable kernel becomes
+   an interior range first (no waits — it starts immediately), then the
+   halo-deep frontier ranges, each waiting on the events of the previous
+   block's exchanges into the ghost zone its stencil reads.  One device
+   never splits: its slab has no ghost zone, and a halo-0 split would
+   add empty frontier launches.  Any other launch at a block start waits
+   on both sides' events when it reads the exchanged [curr] ghosts (an
+   unsplit volume kernel) or, at T ≥ 2, exchanged branch state; later
+   launches follow by FIFO.  Mid-block launches wait on nothing: they
+   touch no freshly exchanged data.
 
    At a block end (bpos = T-1) the block's halo exchanges follow, each
    on its source device's queue — FIFO puts it after the source's
    writes — and each signalling a fresh event that the next block start
    waits on ([incs], updated in place).  When an in-block launch writes
-   the ghost planes the exchanges fill (any launch at T ≥ 2, and an
-   unsplit slab sweep at T = 1), each exchange also waits on its
-   destination's last launch, which then signals.  Split T = 1 steps
-   write no ghost plane, so their exchanges overlap freely.
+   the ghost planes the exchanges fill (any launch at T ≥ 2, which
+   recomputes the inner ghost planes), each exchange also waits on its
+   destination's last launch, which then signals.  At T = 1 the volume
+   and boundary launches write no ghost plane, so the exchanges wait on
+   nothing (only a kernel launched over its full NDRange, which is
+   neither, would bring the wait back).
 
    Last, the rotation: per-device [Swap]s of prev/curr/next and v2/v1.
    A step's launches always precede its exchanges and swaps.  [eid]
@@ -435,10 +458,7 @@ let step_ops t ~split ~eid ~incs ~bpos kernels : Vgpu.Multi.async_plan =
   let block_start = bpos = 0 in
   let block_end = bpos = tb - 1 in
   let reads_curr (k : kernel) = List.exists (fun p -> p.p_name = "curr") k.params in
-  let ghost_writes =
-    block_end && n > 1
-    && List.exists (fun k -> tb > 1 || (sweeps_slab k && not (split && splittable k))) kernels
-  in
+  let ghost_writes = block_end && n > 1 && List.exists (fun k -> tb > 1 || sweeps_slab k) kernels in
   let last_sig = Array.make n None in
   for i = 0 to n - 1 do
     let lo, hi = incs.(i) in
@@ -455,7 +475,7 @@ let step_ops t ~split ~eid ~incs ~bpos kernels : Vgpu.Multi.async_plan =
               | None -> if block_start && (tb > 1 || reads_curr k) then lo @ hi else []
             in
             push ~waits op)
-          (launch_ops t k ~ranges:(split && block_start && splittable k)).(i))
+          (launch_ops t k ~split:(split && block_start)).(i))
       kernels;
     (* the device's last launch signals the exchanges into it *)
     match !ops with
@@ -556,7 +576,7 @@ let sync t =
 
 (* Launch one kernel on every device, in order, without stepping. *)
 let launch t (k : kernel) =
-  let ops = launch_ops t (device_kernel t k) ~ranges:false in
+  let ops = launch_ops t (device_kernel t k) ~split:false in
   ensure_scattered t;
   Array.iter (List.iter (fun (_, op) -> Vgpu.Multi.run_op t.multi op)) ops
 

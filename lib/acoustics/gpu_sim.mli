@@ -14,7 +14,12 @@
     {!create}.  A time step is one {!Vgpu.Multi.async_plan} value — the
     launches, the ghost-plane halo exchanges and the buffer rotation as
     per-device [Swap]s — which {!step} executes and {!plan} returns for
-    analysis.
+    analysis.  A volume launch (a flat [N] kernel taking [nbrs]) sweeps
+    only the planes that can hold a room point ({!Shard.live_planes}),
+    in the offset form ({!Kernel_ast.Cast.offset_global_id}) that the
+    overlapped schedule splits into interior and frontier ranges: no
+    ghost plane, and none of the room's two shell planes, whose [nbrs]
+    are zero.  Any other kernel launches over its full NDRange.
 
     - One device (the default) runs the one-slab plan, whose shard is
       the room itself: no ghost planes and no exchanges.  Its device
@@ -76,6 +81,10 @@ type cells = {
   c_v1 : Vgpu.Buffer.t ref;
 }
 
+(** Per device, the launch ops of one kernel, each with its range kind
+    ([None]: unsplit). *)
+type launches = (Shard.range_kind option * Vgpu.Multi.op) list array
+
 type t = {
   params : Params.t;
   state : State.t;
@@ -102,11 +111,10 @@ type t = {
   mutable imports : (int * float) list;
       (** the events the last overlapped step signalled, with their
           virtual-time stamps *)
-  mutable launch_ops :
-    ((Kernel_ast.Cast.kernel * bool) * (Shard.range_kind option * Vgpu.Multi.op) list array) list;
-      (** cache: (kernel, ranges) -> per device, its launch ops: the
-          interior/frontier ranges of a split kernel, or one full-range
-          launch *)
+  mutable launch_ops : (Kernel_ast.Cast.kernel * launches * launches) list;
+      (** cache: kernel in device form -> its unsplit launches (over the
+          live planes when the kernel is a volume sweep) and its split
+          ones (the overlapped schedule's block starts) *)
   mutable unprepared : bool;
       (** [launch_ops] has built ops since the last {!Vgpu.Multi.prepare} *)
   mutable periodic : (Kernel_ast.Cast.kernel list * bool * Vgpu.Multi.async_plan) option;
@@ -185,7 +193,8 @@ val n_shards : t -> int
 
 val launch : t -> Kernel_ast.Cast.kernel -> unit
 (** Launch one kernel against the current bindings (compiled once per
-    kernel) on every device, sequentially.
+    kernel) on every device, sequentially, as an unsplit step launches
+    it (a volume kernel over the live planes).
     @raise Failure on unknown parameter names. *)
 
 val stats : t -> Vgpu.Runtime.stats
@@ -237,13 +246,16 @@ val plan : t -> Kernel_ast.Cast.kernel list -> steps:int -> Vgpu.Multi.async_pla
 (** Op for op, what the next [steps] calls of {!step} would run, from
     the simulation's current block position and event ids; binds
     nothing and does not advance the simulation.  Per step, per device:
-    the launches, buffers named as the device tables bind them (split
-    into interior and frontier ranges at block starts under [`Overlap]
-    on several devices); at a block end the halo exchanges, each signalling an
+    the launches, buffers named as the device tables bind them (a volume
+    kernel over the shard's live planes, split into interior and
+    frontier ranges at block starts under [`Overlap] on several
+    devices); at a block end the halo exchanges, each signalling an
     event the next block's launches wait on; then the rotation as
-    per-device [Swap]s of prev/curr/next and v2/v1; an exchange also
+    per-device [Swap]s of prev/curr/next and v2/v1.  An exchange also
     waits on its destination's last launch when the block's launches
-    write the ghost planes it fills.  The sync schedules order more
+    write the ghost planes it fills: at T ≥ 2, where they recompute the
+    inner ghost planes, and never at T = 1 for the volume and boundary
+    kernels.  The sync schedules order more
     than the events do ([`Seq] runs the ops in list order,
     [`Concurrent] each device's launches before the exchanges and
     swaps), so their events state the barrier they provide.  Executing

@@ -3,11 +3,13 @@
 
    The Nx*Ny*Nz grid is cut into contiguous slabs of whole XY planes;
    shard [i] owns global planes [z0, z1) and holds a local grid of
-   (z1-z0)+2 planes — its owned planes plus one ghost plane on each
-   side.  Ghost planes that fall outside the global grid stay zero (the
-   same zero halo the stencil relies on at the grid edge); interior
+   (z1-z0)+2*halo planes — its owned planes plus [halo] ghost planes on
+   each side.  Ghost planes that fall outside the global grid stay zero
+   (the same zero halo the stencil relies on at the grid edge); interior
    ghost planes are refreshed from the neighbouring shard's freshly
-   written plane by a halo exchange after the kernels of each time step.
+   written planes by a halo exchange after the kernels of each block of
+   [halo] time steps.  A volume launch sweeps only the shard's live
+   planes ([live_planes]).
 
    Everything a kernel launch needs becomes shard-local at plan time:
 
@@ -256,6 +258,17 @@ type range_kind =
   | Frontier_hi  (* last owned plane: stencil reads the top ghost *)
   | Frontier_both  (* single owned plane adjacent to both ghosts *)
 
+(* The local planes that can hold a room point: planes 1 .. planes-2
+   (the extreme two are ghosts, or on one slab the room's shell, and
+   their [nbrs] are zero) clipped to the room's planes 1 .. nz-2, outside
+   which [Geometry.inside] admits no point.  [(first, count)], [count]
+   0 when the shard owns shell planes only. *)
+let live_planes p (s : shard) =
+  let nz = p.room.Geometry.dims.Geometry.nz in
+  let local z = z - s.z0 + s.halo in
+  let first = max 1 (local 1) and last = min (s.planes - 2) (local (nz - 2)) in
+  (first, max 0 (last - first + 1))
+
 (* Cut a shard's flat local index range into the launches of the
    overlapped schedule: one (possibly empty) interior range covering
    owned planes whose stencils touch no ghost data, plus thin frontier
@@ -263,10 +276,12 @@ type range_kind =
    therefore wait on the previous step's halo exchange.  Offsets and
    counts are in elements of the local slab; the ghost planes themselves
    (local planes 0 and planes-1) are in no range — their [nbrs] entries
-   are zero, so the sequential volume kernel only ever writes zeros
-   there, and those cells are either rewritten by the exchange (interior
-   cuts) or scattered as zero and never touched again (grid edges),
-   which keeps the split bit-identical to the full-range launch. *)
+   are zero, so a volume kernel writes nothing or zeros there, and those
+   cells are either rewritten by the exchange (interior cuts) or
+   scattered as zero and never touched again (grid edges), which keeps
+   the split bit-identical to a launch over every plane.  The ranges
+   are not clipped to [live_planes]: the room's shell planes they cover
+   are zero-[nbrs] planes like the ghosts. *)
 let split_ranges (s : shard) : (range_kind * int * int) list =
   let owned = s.z1 - s.z0 and h = s.halo in
   if owned <= 1 then [ (Frontier_both, s.plane, (s.planes - 2) * s.plane) ]

@@ -102,15 +102,29 @@ type range_kind =
   | Frontier_hi  (** planes whose stencils read the top ghost zone *)
   | Frontier_both  (** planes reading both ghost zones (thin shard) *)
 
+val live_planes : plan -> shard -> int * int
+(** [(first, count)]: the shard's local planes that can hold a room
+    point, those a volume sweep must cover — its planes 1 .. planes−2
+    (the two extreme planes are ghosts, or on one slab the room's shell)
+    clipped to the room's planes 1 .. nz−2, outside which
+    {!Geometry.inside} admits no point.  One slab: the room minus its
+    two shell planes; a T = 1 shard: its owned planes minus the room's
+    shell; a T ≥ 2 shard: also the inner ghost planes its block
+    recomputes.  [count] is 0 when the shard owns shell planes only (nz
+    = 3 on 3 shards). *)
+
 val split_ranges : shard -> (range_kind * int * int) list
 (** Cut the shard's flat local index range into the launches of the
     overlapped schedule: [(kind, offset, count)] in elements, interior
     range (when the shard owns ≥ 3 planes) first.  Frontier ranges are
     [halo] planes deep — exactly the writes whose stencils read data the
     previous block's exchange delivered.  The two extreme ghost planes
-    are in no range — their [nbrs] are zero, the kernels only write
-    zeros there, and the exchange or the scattered zeros supply those
-    cells, so the split is bit-identical to the full-range launch. *)
+    are in no range — their [nbrs] are zero, the volume kernels write
+    nothing (hand) or only zeros (Lift) there, and the exchange or the
+    scattered zeros supply those cells, so the split is bit-identical to
+    a launch over every plane.  The ranges are not clipped to
+    {!live_planes}: the room's shell planes they still cover hold zero
+    [nbrs] too. *)
 
 val exchange_ops : ?depth:int -> plan -> buffer:string -> Vgpu.Multi.plan
 (** The halo exchange over [buffer]: across each interior cut, the lower

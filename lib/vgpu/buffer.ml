@@ -38,6 +38,21 @@ let zeros_float n =
 
 let zeros_int n = if n * 8 < large_bytes then Array.make n 0 else zeros_int_huge n
 
+(* the same for an int array filled from bytes, in one pass *)
+external ints_of_bytes_huge : Bytes.t -> int array = "racs_ints_of_bytes"
+
+let ints_of_bytes b =
+  let n = Bytes.length b in
+  if n * 8 >= large_bytes then ints_of_bytes_huge b
+  else begin
+    (* a store loop on an [int array]: no write barrier, unlike [Array.init] *)
+    let a = Array.make n 0 in
+    for i = 0 to n - 1 do
+      Array.unsafe_set a i (Bytes.get_uint8 b i)
+    done;
+    a
+  end
+
 let zeros_bytes n =
   if n < large_bytes then Bytes.make n '\000'
   else begin

@@ -32,6 +32,12 @@ val zeros_float : int -> float array
 val zeros_int : int -> int array
 val zeros_bytes : int -> Bytes.t
 
+val ints_of_bytes : Bytes.t -> int array
+(** The int array of [b]'s unsigned bytes ([Geometry.build]'s int grid
+    of [nbrs]).  From [large_bytes] on it is allocated and advised as
+    {!zeros_int} allocates and written once, with no zeroing first;
+    below, it is an [Array.make] filled by a store loop. *)
+
 val create_real : int -> t
 val create_int : int -> t
 val create : Kernel_ast.Cast.ty -> int -> t

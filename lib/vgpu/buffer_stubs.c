@@ -59,3 +59,23 @@ CAMLprim value racs_zeros_int(value vlen)
   caml_process_pending_actions();
   CAMLreturn(res);
 }
+
+/* An int array holding each byte of [vb], built as racs_zeros_int builds
+ * its zeros: allocate, advise, then store [Val_int] of every byte
+ * before anything can run the GC.  The source is read after the
+ * allocation, through the registered root. */
+CAMLprim value racs_ints_of_bytes(value vb)
+{
+  CAMLparam1(vb);
+  CAMLlocal1(res);
+  mlsize_t n = caml_string_length(vb), i;
+  const unsigned char *s;
+  if (n == 0) CAMLreturn(Atom(0));
+  if (n > Max_wosize) caml_invalid_argument("Buffer.ints_of_bytes");
+  res = caml_alloc_shr(n, 0);
+  advise_interior((char *)Op_val(res), Bsize_wsize(n));
+  s = Bytes_val(vb);
+  for (i = 0; i < n; i++) Field(res, i) = Val_int(s[i]);
+  caml_process_pending_actions();
+  CAMLreturn(res);
+}

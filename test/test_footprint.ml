@@ -267,8 +267,9 @@ let test_dropped_wait_detected () =
 
 (* An exchange must land after the destination's launches that write
    the ghost planes it fills: every in-block launch at T ≥ 2 (checked on
-   the overlapped plans), and at T = 1 every volume launch of the sync
-   plans, each of which sweeps its whole slab, ghost planes included.
+   the overlapped plans).  At T = 1 no launch writes a ghost plane, so
+   the sync plans' exchanges carry no wait (the next test mutates their
+   launches instead).
    Across the mutation sweep's configurations, dropping the wait of any
    exchange that carries that order must be rejected as an unordered
    ghost write.
@@ -320,8 +321,59 @@ let test_unordered_ghost_write_detected () =
         [ (2, 1); (3, 1); (4, 1); (2, 2); (3, 2); (2, 3); (3, 3) ])
     (schemes Cast.Double);
   (* the sweep's size: a change means the plans changed shape *)
-  Alcotest.(check int) "mutants checked" 216 !total;
+  Alcotest.(check int) "mutants checked" 108 !total;
   Alcotest.(check (list string)) "every unwaited exchange rejected" [] (List.rev !accepted)
+
+(* At T = 1 a sharded volume launch sweeps its shard's live planes, no
+   ghost plane, so the exchanges wait on no launch.  Widening one back
+   to the whole slab ([goff] 0, every plane) without adding a wait lets
+   it race the exchange into its ghost planes: every such mutant of the
+   sync plans (each scheme, 2-4 shards, each step and device) must be
+   rejected as an unordered ghost write. *)
+let test_t1_whole_slab_launch_detected () =
+  let dims = Geometry.dims ~nx:12 ~ny:10 ~nz:12 in
+  let accepted = ref [] and total = ref 0 in
+  List.iter
+    (fun (sname, kernels) ->
+      List.iter
+        (fun shards ->
+          let sim = mk_sim ~dims ~shards () in
+          let nx, ny, planes = Gpu_sim.slab_geometry sim in
+          let plan = Gpu_sim.plan sim kernels ~steps:3 in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s shards=%d: intact plan error-free" sname shards)
+            [] (err_codes (verify sim plan));
+          List.iteri
+            (fun i (o : Vgpu.Multi.async_op) ->
+              match o.Vgpu.Multi.a_op with
+              | Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch l)
+                when List.exists (fun p -> p.Cast.p_name = "goff") l.kernel.Cast.params ->
+                  incr total;
+                  let args =
+                    List.map2
+                      (fun (p : Cast.param) a ->
+                        if p.Cast.p_name = "goff" then Vgpu.Runtime.A_int 0 else a)
+                      l.kernel.Cast.params l.args
+                  in
+                  let wide =
+                    Vgpu.Multi.Dev
+                      (d, Vgpu.Runtime.Launch { l with args; global = [ planes.(d) * nx * ny ] })
+                  in
+                  let m =
+                    List.mapi
+                      (fun j (o : Vgpu.Multi.async_op) ->
+                        if j = i then { o with Vgpu.Multi.a_op = wide } else o)
+                      plan
+                  in
+                  if not (List.mem "unordered-ghost-write" (err_codes (verify sim m))) then
+                    accepted :=
+                      Printf.sprintf "%s shards=%d: launch op %d" sname shards i :: !accepted
+              | _ -> ())
+            plan)
+        [ 2; 3; 4 ])
+    (schemes Cast.Double);
+  Alcotest.(check int) "mutants checked" 81 !total;
+  Alcotest.(check (list string)) "every widened launch rejected" [] (List.rev !accepted)
 
 let test_uninit_read_detected () =
   let open Cast in
@@ -524,6 +576,8 @@ let suite =
       test_dropped_wait_detected;
     Alcotest.test_case "exchange racing a ghost write: unordered write" `Quick
       test_unordered_ghost_write_detected;
+    Alcotest.test_case "T = 1 whole-slab launch: unordered write" `Quick
+      test_t1_whole_slab_launch_detected;
     Alcotest.test_case "read of unwritten allocation" `Quick test_uninit_read_detected;
     Alcotest.test_case "every dropped exchange rejected" `Quick
       test_dropped_exchanges_all_rejected;

@@ -68,6 +68,45 @@ let test_bytes () =
       check_zeros (Printf.sprintf "bytes %d" n) n (Bytes.length b) (Bytes.get_uint8 b))
     (sizes 1)
 
+(* [ints_of_bytes] across the int threshold: every byte value, high
+   bits included, read back as its unsigned int, and the array stays a
+   live, scanned block. *)
+let test_ints_of_bytes () =
+  List.iter
+    (fun n ->
+      dirty (8 * n);
+      let b = Bytes.init n (fun i -> Char.unsafe_chr (i * 37 land 255)) in
+      let a = Buffer.ints_of_bytes b in
+      churn ();
+      Alcotest.(check int) (Printf.sprintf "ints of %d bytes: length" n) n (Array.length a);
+      for i = 0 to n - 1 do
+        if a.(i) <> i * 37 land 255 then
+          Alcotest.failf "ints of %d bytes: element %d is %d, byte %d" n i a.(i) (i * 37 land 255)
+      done)
+    (0 :: sizes 8)
+
+(* The room's int grid of [nbrs] is its byte grid, element for element,
+   for every shape: at a small size and at one whose grids both take
+   the large path. *)
+let test_room_nbrs_of_bytes () =
+  let open Acoustics in
+  List.iter
+    (fun dims ->
+      List.iter
+        (fun shape ->
+          let room = Geometry.build shape dims in
+          churn ();
+          let n = Bytes.length room.Geometry.nbrs_u8 in
+          let where = Printf.sprintf "%s, %d voxels" (Geometry.shape_label shape) n in
+          Alcotest.(check int) (where ^ ": length") n (Array.length room.Geometry.nbrs);
+          for i = 0 to n - 1 do
+            if room.Geometry.nbrs.(i) <> Char.code (Bytes.get room.Geometry.nbrs_u8 i) then
+              Alcotest.failf "%s: nbrs.(%d) = %d, byte %d" where i room.Geometry.nbrs.(i)
+                (Char.code (Bytes.get room.Geometry.nbrs_u8 i))
+          done)
+        [ Geometry.Box; Geometry.Dome; Geometry.L_shape ])
+    [ Geometry.dims ~nx:13 ~ny:11 ~nz:9; Geometry.dims ~nx:161 ~ny:161 ~nz:162 ]
+
 let test_empty_and_buffers () =
   Alcotest.(check int) "empty floats" 0 (Array.length (Buffer.zeros_float 0));
   Alcotest.(check int) "empty ints" 0 (Array.length (Buffer.zeros_int 0));
@@ -84,5 +123,7 @@ let suite =
     Alcotest.test_case "float arrays across the threshold" `Quick test_floats;
     Alcotest.test_case "int arrays across the threshold" `Quick test_ints;
     Alcotest.test_case "byte arrays across the threshold" `Quick test_bytes;
+    Alcotest.test_case "ints of bytes across the threshold" `Quick test_ints_of_bytes;
+    Alcotest.test_case "room nbrs: the byte grid as ints" `Quick test_room_nbrs_of_bytes;
     Alcotest.test_case "empty requests and device buffers" `Quick test_empty_and_buffers;
   ]

@@ -1283,9 +1283,10 @@ let test_refused_step_builds_nothing () =
 (* Each schedule prepares a cold 2-shard step with one build for both
    devices, and a warm set-up loads each kernel once from disk: no memo
    hits (each device used to look up every kernel).  An overlapped
-   temporal block of 2 steps launches three kernels (the split volume
-   kernel at its first step, the whole one at its second), all built in
-   the block's first batch. *)
+   temporal block of 2 steps launches two kernels: the volume kernel's
+   one ranged form (split at the block's first step, over the live
+   planes at its second) and the boundary kernel, both built in the
+   block's first batch. *)
 let test_shards_one_build () =
   let reference = fdmm_sim ~engine:`Interp ~steps:4 () in
   List.iter
@@ -1302,7 +1303,7 @@ let test_shards_one_build () =
       ("seq", `Seq, 1, 2);
       ("concurrent", `Concurrent, 1, 2);
       ("overlap", `Overlap, 1, 2);
-      ("overlap-t2", `Overlap, 2, 3);
+      ("overlap-t2", `Overlap, 2, 2);
     ]
 
 (* The NDRange rank rule: a 1-D kernel launched with [n; 2] is refused

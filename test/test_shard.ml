@@ -379,6 +379,277 @@ let test_early_sync_keeps_impulses () =
   Gpu_sim.sync sim;
   check_state "impulse after an early sync" reference.Gpu_sim.state sim.Gpu_sim.state
 
+(* -- Live planes -------------------------------------------------------- *)
+
+(* The (goff, count) of a ranged launch, in elements; [None] for a
+   launch over its kernel's full NDRange. *)
+let launch_range (o : Vgpu.Multi.async_op) =
+  match o.Vgpu.Multi.a_op with
+  | Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch { kernel; args; global }) ->
+      let goff =
+        List.find_map
+          (fun ((p : param), a) ->
+            match a with Vgpu.Runtime.A_int n when p.p_name = "goff" -> Some n | _ -> None)
+          (List.combine kernel.params args)
+      in
+      Some (d, kernel, Option.map (fun g -> (g, List.hd global)) goff)
+  | _ -> None
+
+(* A plan's ops cut into steps: a step ends with the last device's last
+   [Swap]. *)
+let steps_of ~n (plan : Vgpu.Multi.async_plan) =
+  let steps, cur =
+    List.fold_left
+      (fun (steps, cur) (o : Vgpu.Multi.async_op) ->
+        match o.Vgpu.Multi.a_op with
+        | Vgpu.Multi.Dev (d, Vgpu.Runtime.Swap ("v2", "v1")) when d = n - 1 ->
+            (List.rev (o :: cur) :: steps, [])
+        | _ -> (steps, o :: cur))
+      ([], []) plan
+  in
+  assert (cur = []);
+  List.rev steps
+
+(* Every unsplit volume launch of [Gpu_sim.plan] sweeps exactly its
+   shard's live planes, on every schedule, 1-4 shards and T 1-3; a
+   block start of the overlapped schedule on several devices launches
+   [Shard.split_ranges] as they are; split and unsplit launches share
+   one kernel value per device; the boundary kernels keep their full
+   NDRange; and no T = 1 exchange waits on a launch. *)
+let test_launches_cover_live_planes () =
+  let room = Geometry.build ~n_materials:4 Geometry.Dome (Geometry.dims ~nx:9 ~ny:8 ~nz:12) in
+  let nz = room.Geometry.dims.Geometry.nz in
+  let check_config label kernels ~shards ~tblock (sname, schedule) =
+    let sim =
+      Gpu_sim.create ~engine:`Interp ~shards ~schedule ~tblock ~fi_beta:0.1 ~n_branches:3 params
+        room
+    in
+    let n = Gpu_sim.n_shards sim and t = Gpu_sim.tblock sim in
+    let p = sim.Gpu_sim.plan in
+    let where = Printf.sprintf "%s shards=%d T=%d %s" label shards t sname in
+    let forms = Array.make n None in
+    List.iteri
+      (fun k ops ->
+        let split = schedule = `Overlap && n > 1 && k mod t = 0 in
+        Array.iter
+          (fun (sh : Shard.shard) ->
+            let d = sh.Shard.index in
+            let ranges =
+              List.filter_map
+                (fun o ->
+                  match launch_range o with
+                  | Some (d', kernel, Some r) when d' = d ->
+                      (match forms.(d) with
+                      | None -> forms.(d) <- Some kernel
+                      | Some f ->
+                          if f != kernel then
+                            Alcotest.failf "%s step %d device %d: two volume forms" where k d);
+                      Some r
+                  | _ -> None)
+                ops
+            in
+            let first, count = Shard.live_planes p sh in
+            (* the local planes 1 .. planes-2 that map into the room's
+               planes 1 .. nz-2 *)
+            let live =
+              List.filter
+                (fun lp ->
+                  let z = sh.Shard.z0 - sh.Shard.halo + lp in
+                  z >= 1 && z <= nz - 2)
+                (List.init (sh.Shard.planes - 2) (fun i -> i + 1))
+            in
+            Alcotest.(check (list int))
+              (Printf.sprintf "%s device %d live planes" where d)
+              live
+              (List.init count (fun i -> first + i));
+            let want =
+              if split then List.map (fun (_, g, c) -> (g, c)) (Shard.split_ranges sh)
+              else [ (first * sh.Shard.plane, count * sh.Shard.plane) ]
+            in
+            Alcotest.(check (list (pair int int)))
+              (Printf.sprintf "%s step %d device %d ranges" where k d)
+              want ranges)
+          p.Shard.shards;
+        List.iter
+          (fun (o : Vgpu.Multi.async_op) ->
+            match (launch_range o, o.Vgpu.Multi.a_op) with
+            | Some (_, kernel, None), _ when kernel.global_size <> [ Var "nB" ] ->
+                Alcotest.failf "%s: %s launched over its full NDRange" where kernel.name
+            | Some _, _ when t = 1 && o.Vgpu.Multi.a_signal <> None ->
+                Alcotest.failf "%s: a T = 1 launch signals an event" where
+            | None, Vgpu.Multi.Exchange _ when t = 1 && o.Vgpu.Multi.a_waits <> [] ->
+                Alcotest.failf "%s: a T = 1 exchange waits" where
+            | _ -> ())
+          ops)
+      (steps_of ~n (Gpu_sim.plan sim kernels ~steps:((2 * t) + 1)))
+  in
+  List.iter
+    (fun (label, kernels) ->
+      List.iter
+        (fun shards ->
+          List.iter
+            (fun tblock ->
+              List.iter
+                (check_config label kernels ~shards ~tblock)
+                [ ("seq", `Seq); ("concurrent", `Concurrent); ("overlap", `Overlap) ])
+            [ 1; 2; 3 ])
+        [ 1; 2; 3; 4 ])
+    [
+      ("fi", kernels_of `Fi Double);
+      ("fi-mm", kernels_of `Fi_mm Double);
+      ("fd-mm", kernels_of `Fd_mm Double);
+    ]
+
+let lift_kernels scheme precision =
+  let c name lam = (Lift_acoustics.Programs.compile ~name ~precision lam).Lift.Codegen.kernel in
+  c "volume" (Lift_acoustics.Programs.volume ())
+  ::
+  (match scheme with
+  | `Fi -> [ c "boundary_fi" (Lift_acoustics.Programs.boundary_fi ()) ]
+  | `Fi_mm -> [ c "boundary_fi_mm" (Lift_acoustics.Programs.boundary_fi_mm ()) ]
+  | `Fd_mm -> [ c "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ()) ])
+
+(* [plan] with every ranged launch widened to its shard's whole slab
+   ([goff] 0, every element): what a launch over the full NDRange
+   computes. *)
+let widen (plan : Vgpu.Multi.async_plan) ~local_n =
+  List.map
+    (fun (o : Vgpu.Multi.async_op) ->
+      match o.Vgpu.Multi.a_op with
+      | Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch l)
+        when List.exists (fun (p : param) -> p.p_name = "goff") l.kernel.params ->
+          let args =
+            List.map2
+              (fun (p : param) a -> if p.p_name = "goff" then Vgpu.Runtime.A_int 0 else a)
+              l.kernel.params l.args
+          in
+          {
+            o with
+            Vgpu.Multi.a_op =
+              Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch { l with args; global = [ local_n ] });
+          }
+      | _ -> o)
+    plan
+
+(* One device sweeps the room minus its two shell planes: after 50
+   steps of each scheme, hand and Lift kernels, in both precisions, the
+   shell planes of prev/curr/next still hold zeros, and the field
+   matches the same kernels launched over the whole grid bit for bit —
+   and, in double precision, the OCaml reference. *)
+let test_one_device_shell_stays_zero () =
+  let steps = 50 in
+  let room = Geometry.build ~n_materials:4 Geometry.Dome (Geometry.dims ~nx:11 ~ny:9 ~nz:8) in
+  let { Geometry.nx; ny; nz } = room.Geometry.dims in
+  let tables = Material.tables ~n_branches:3 Material.defaults in
+  let beta = 0.2 in
+  List.iter
+    (fun (label, scheme) ->
+      List.iter
+        (fun (origin, kernels_of) ->
+          List.iter
+            (fun precision ->
+              let kernels = kernels_of scheme precision in
+              let mk () =
+                let sim =
+                  Gpu_sim.create ~engine:`Native ~precision ~fi_beta:beta ~n_branches:3 params
+                    room
+                in
+                let cx, cy, cz = State.centre sim.Gpu_sim.state in
+                State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+                sim
+              in
+              let sim = mk () and whole = mk () in
+              let wplan = widen (Gpu_sim.plan whole kernels ~steps:1) ~local_n:(nx * ny * nz) in
+              for _ = 1 to steps do
+                Gpu_sim.step sim kernels;
+                Vgpu.Multi.run whole.Gpu_sim.multi
+                  (List.map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_op) wplan)
+              done;
+              Gpu_sim.sync whole;
+              let st = sim.Gpu_sim.state in
+              let where =
+                Printf.sprintf "%s %s %s" label origin
+                  (match precision with Single -> "single" | Double -> "double")
+              in
+              List.iter
+                (fun (name, a) ->
+                  List.iter
+                    (fun z ->
+                      for q = z * nx * ny to ((z + 1) * nx * ny) - 1 do
+                        if Int64.bits_of_float a.(q) <> 0L then
+                          Alcotest.failf "%s: %s holds %g on shell plane %d" where name a.(q) z
+                      done)
+                    [ 0; nz - 1 ])
+                [ ("prev", st.State.prev); ("curr", st.State.curr); ("next", st.State.next) ];
+              check_state (where ^ " vs whole-grid launches") whole.Gpu_sim.state st;
+              Test_util.check_bits (where ^ " next vs whole-grid launches")
+                whole.Gpu_sim.state.State.next st.State.next;
+              if precision = Double then begin
+                let r = State.create ~n_branches:3 room in
+                let cx, cy, cz = State.centre r in
+                State.add_impulse r ~x:cx ~y:cy ~z:cz;
+                for _ = 1 to steps do
+                  match scheme with
+                  | `Fi -> Ref_kernels.step_fi params r ~beta
+                  | `Fi_mm -> Ref_kernels.step_fi_mm params r ~beta:tables.Material.t_beta
+                  | `Fd_mm ->
+                      Ref_kernels.step_fd_mm params r ~beta:tables.Material.t_beta_fd
+                        ~bi:tables.Material.t_bi ~d:tables.Material.t_d ~f:tables.Material.t_f
+                        ~di:tables.Material.t_di
+                done;
+                check_state (where ^ " vs reference") r st
+              end)
+            [ Double; Single ])
+        [ ("hand", kernels_of); ("lift", lift_kernels) ])
+    [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
+
+(* nz = 3 on 3 shards: the outer shards own only the room's shell
+   planes, so their live ranges are empty (zero-count launches), and
+   every schedule is bit-identical to one device; the plans verify
+   clean. *)
+let test_empty_live_ranges () =
+  let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:9 ~ny:8 ~nz:3) in
+  let p = Shard.plan ~shards:3 room in
+  Alcotest.(check (list (pair int int)))
+    "live planes" [ (2, 0); (1, 1); (1, 0) ]
+    (Array.to_list (Array.map (Shard.live_planes p) p.Shard.shards));
+  List.iter
+    (fun (label, scheme) ->
+      let kernels = kernels_of scheme Double in
+      let mk ?shards ?schedule () =
+        let sim =
+          Gpu_sim.create ~engine:`Native ?shards ?schedule ~fi_beta:0.2 ~n_branches:3 params room
+        in
+        let cx, cy, cz = State.centre sim.Gpu_sim.state in
+        State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+        sim
+      in
+      let one = mk () in
+      for _ = 1 to steps do
+        Gpu_sim.step one kernels
+      done;
+      List.iter
+        (fun schedule ->
+          let sim = mk ~shards:3 ~schedule () in
+          let nx, ny, planes = Gpu_sim.slab_geometry sim in
+          Alcotest.(check (list string))
+            (label ^ ": plan verifies clean")
+            []
+            (List.map
+               (fun (i : Lift.Lint.issue) -> i.Lift.Lint.code)
+               (Lift.Lint.errors
+                  (Lift.Lint.verify_async ~halo:1 ~state_bufs:[ "g1"; "v1" ]
+                     { Lift.Lint.sl_nx = nx; sl_ny = ny; sl_planes = planes }
+                     (Gpu_sim.plan sim kernels ~steps:2))));
+          for _ = 1 to steps do
+            Gpu_sim.step sim kernels
+          done;
+          Gpu_sim.sync sim;
+          check_state (label ^ " nz=3, 3 shards vs one device") one.Gpu_sim.state
+            sim.Gpu_sim.state)
+        [ `Seq; `Concurrent; `Overlap ])
+    [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
+
 let suite =
   [
     Alcotest.test_case "FI/FI-MM/FD-MM bit-identical under 1-4 shards" `Slow
@@ -398,4 +669,9 @@ let suite =
       test_plan_is_what_step_runs;
     Alcotest.test_case "an impulse added after an early sync is stepped" `Quick
       test_early_sync_keeps_impulses;
+    Alcotest.test_case "volume launches cover the live planes" `Quick
+      test_launches_cover_live_planes;
+    Alcotest.test_case "one device: shell planes stay zero" `Quick
+      test_one_device_shell_stays_zero;
+    Alcotest.test_case "nz = 3 on 3 shards: empty live ranges" `Quick test_empty_live_ranges;
   ]
