@@ -239,6 +239,11 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
     (Energy.max_abs sim.Gpu_sim.state.State.curr);
   if show_stats then begin
     Fmt.pr "\n%a" Gpu_sim.pp_stats sim;
+    (* the volume launches visit the room's points only, not their
+       hulls' dead ones *)
+    let visited, hull = Gpu_sim.volume_sweep sim kernels in
+    let count x = if Float.is_integer x then Printf.sprintf "%.0f" x else Printf.sprintf "%.1f" x in
+    Fmt.pr "volume sweep: %s of %s work items per step@." (count visited) (count hull);
     (* the process-wide compile cache: a cold run builds a step's
        kernels in one cc run, a warm rerun of the same configuration runs
        cc zero times; then the wall time cc and dlopen took *)

@@ -112,6 +112,19 @@ let plane_spans shape ({ nx; ny; nz } as d) z k lo hi at =
           end
   done
 
+(* The row intervals of planes [z0, z1): [f i n] for each row inside
+   the room on [n] > 0 voxels from linear index [i], ascending in [i].
+   These are [plane_spans]' intervals, so nothing is tested per voxel. *)
+let row_spans shape ({ nx; ny; _ } as d) ~z0 ~z1 f =
+  let lo = Array.make (ny + 1) 1 and hi = Array.make (ny + 1) 0 and k = Array.make 4 0. in
+  for z = z0 to z1 - 1 do
+    plane_spans shape d z k lo hi 0;
+    for y = 0 to ny - 1 do
+      let a = lo.(y + 1) and b = hi.(y + 1) in
+      if a <= b then f ((((z * ny) + y) * nx) + a) (b - a + 1)
+    done
+  done
+
 (* One row's neighbour counts over its span [a, b]: the count at x is
    how many of the six intervals in [iv] (lo at even, hi at odd
    positions) hold x, so it is constant between the points where one of

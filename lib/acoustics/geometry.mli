@@ -34,6 +34,13 @@ val inside : shape -> dims -> int -> int -> int -> bool
     (nx-1)/2 when it is not empty: the walker behind {!stats} and
     {!build} visits each row as that span. *)
 
+val row_spans : shape -> dims -> z0:int -> z1:int -> (int -> int -> unit) -> unit
+(** [row_spans shape d ~z0 ~z1 f] calls [f i n] for every row of planes
+    [z0 .. z1-1] that {!inside} accepts on [n] > 0 voxels, from linear
+    index [i], in ascending [i]: each row's one interval, as the walker
+    computes it, without testing a voxel.  Every voxel with a nonzero
+    neighbour count lies in one of them. *)
+
 (** Aggregate geometry statistics, computable at the paper's full sizes
     (up to 73M voxels) without materialising arrays: the walker hands
     out each row as a few constant-count segments, which [stats]

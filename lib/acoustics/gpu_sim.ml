@@ -20,9 +20,17 @@
    by [step_ops]: the launches, the block-end halo exchanges and the
    rotation as per-device [Swap]s.  [step] executes that value under the
    configured schedule, and [plan] returns the same values for static
-   analysis.  A volume launch sweeps only the planes that can hold a
-   room point ({!Shard.live_planes}), in the offset form the overlapped
-   schedule splits: no ghost plane and none of the room's shell.
+   analysis.  A volume launch's hull is the planes that can hold a room
+   point ({!Shard.live_planes}), in the offset form the overlapped
+   schedule splits: no ghost plane and none of the room's shell.  Within
+   it the launch visits only the room's row intervals, the span set it
+   carries ({!Shard.launch_spans}, built once with the plan): every work
+   item skipped has [nbrs] = 0, where the hand kernel writes nothing and
+   the Lift kernel writes 0 into a cell that always holds 0 ([State] and
+   the slabs start zeroed, [State.add_impulse] refuses such points, the
+   boundary kernels write boundary points only, and exchanges copy zeros
+   there).  The verifiers see the hull: a span launch's work items are a
+   subset of it, each independent of the others.
 
    - One device runs the one-slab plan, whose shard is the room itself:
      no ghost planes and no exchanges.  Its device binds the room's byte
@@ -319,12 +327,12 @@ let global_size ~int_scalar (k : kernel) =
 
 (* A launch of [k] on shard [sh]: buffers by name (its device binds
    them), scalars per shard; [goff] and [global] set a ranged launch's
-   element range. *)
-let shard_launch t (sh : Shard.shard) ?(goff = 0) ?global (k : kernel) =
+   element range, and [spans] the work items in it that it visits. *)
+let shard_launch t (sh : Shard.shard) ?(goff = 0) ?global ?spans (k : kernel) =
   let int_scalar name = if name = "goff" then goff else scalar_int_shard t sh name in
   let args = launch_args ~int_scalar ~real_scalar:(scalar_real t) k in
   let global = match global with Some g -> g | None -> global_size ~int_scalar k in
-  Vgpu.Multi.Dev (sh.Shard.index, Vgpu.Runtime.Launch { kernel = k; args; global })
+  Vgpu.Multi.Dev (sh.Shard.index, Vgpu.Runtime.Launch { kernel = k; args; global; spans })
 
 (* -- The step plan ------------------------------------------------------ *)
 
@@ -333,10 +341,11 @@ let shard_launch t (sh : Shard.shard) ?(goff = 0) ?global (k : kernel) =
    kernels, which update only points with [nbrs] > 0.  Their launches
    then cover only the planes that can hold a room point: every unsplit
    launch sweeps {!Shard.live_planes}, and a block start of the
-   overlapped schedule splits into interior/frontier ranges.  The
-   boundary kernels ([Var "nB"]) touch boundary points only, so plain
-   FIFO order behind the volume launches already orders them
-   correctly. *)
+   overlapped schedule splits into interior/frontier ranges.  Within
+   its range, each launch visits only the room's row intervals
+   ({!Shard.launch_spans}).  The boundary kernels ([Var "nB"]) touch
+   boundary points only, so plain FIFO order behind the volume launches
+   already orders them correctly. *)
 let splittable (k : kernel) =
   k.global_size = [ Var "N" ] && List.exists (fun p -> p.p_name = "nbrs") k.params
 
@@ -378,10 +387,12 @@ let rotation = Vgpu.Runtime.[ Swap ("prev", "curr"); Swap ("curr", "next"); Swap
    the overlapped schedule's block-start launches.  A ranged kernel runs
    in one offset form ({!Kernel_ast.Cast.offset_global_id}): unsplit
    over the shard's live planes (a zero-count launch where there are
-   none), split into its interior and frontier ranges.  Any other
-   kernel is one full-range launch either way.  Every step launches the
-   same values, so each kernel's are built once (bounded like the
-   device-form memo). *)
+   none), split into its interior and frontier ranges, each launch
+   visiting only the shard's spans in its range (a frontier with none
+   stays a zero-span launch, so every device keeps its ops and
+   signals).  Any other kernel is one full-range launch either way.
+   Every step launches the same values, so each kernel's are built once
+   (bounded like the device-form memo). *)
 let launch_ops t k ~split =
   let _, whole, parts =
     match List.find_opt (fun (k', _, _) -> k' == k) t.launch_ops with
@@ -394,7 +405,10 @@ let launch_ops t k ~split =
             (k, whole, whole)
           else
             let rk = offset_global_id k in
-            let ranged sh kind goff count = (kind, shard_launch t sh ~goff ~global:[ count ] rk) in
+            let ranged sh kind goff count =
+              let spans = Shard.launch_spans sh ~goff ~count in
+              (kind, shard_launch t sh ~goff ~global:[ count ] ~spans rk)
+            in
             let live (sh : Shard.shard) =
               let first, n = Shard.live_planes t.plan sh in
               [ ranged sh None (first * sh.Shard.plane) (n * sh.Shard.plane) ]
@@ -416,7 +430,8 @@ let launch_ops t k ~split =
    {!plan} returns them for analysis.
 
    Per device, in queue order, the step's launches: a volume kernel
-   over its shard's live planes.  With [split] (the overlapped schedule)
+   over its shard's live planes, visiting their spans.  With [split]
+   (the overlapped schedule)
    on several devices, at a block start each splittable kernel becomes
    an interior range first (no waits — it starts immediately), then the
    halo-deep frontier ranges, each waiting on the events of the previous
@@ -756,6 +771,23 @@ let blocked_stats t (kernels : kernel list) =
     bs_halo_bytes_per_step = float_of_int bytes /. tb;
     bs_redundant_points = !redundant;
   }
+
+(* The volume sweep of a step of [kernels]: the work items its ranged
+   launches visit (their spans) and those of their hulls (their
+   NDRanges), over every device, averaged over one temporal block, whose
+   first step is split under the overlapped schedule. *)
+let volume_sweep t kernels =
+  let visited = ref 0 and hull = ref 0 in
+  List.iter
+    (fun (o : Vgpu.Multi.async_op) ->
+      match o.Vgpu.Multi.a_op with
+      | Vgpu.Multi.Dev (_, Vgpu.Runtime.Launch { global = [ n ]; spans = Some s; _ }) ->
+          visited := !visited + Vgpu.Spans.items s;
+          hull := !hull + n
+      | _ -> ())
+    (plan t kernels ~steps:t.tblock);
+  let per_step n = float_of_int n /. float_of_int t.tblock in
+  (per_step !visited, per_step !hull)
 
 (* Run [steps] steps recording the field at the receiver after each. *)
 let run t (kernels : kernel list) ~steps ~receiver:(rx, ry, rz) =

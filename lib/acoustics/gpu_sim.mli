@@ -14,12 +14,18 @@
     {!create}.  A time step is one {!Vgpu.Multi.async_plan} value — the
     launches, the ghost-plane halo exchanges and the buffer rotation as
     per-device [Swap]s — which {!step} executes and {!plan} returns for
-    analysis.  A volume launch (a flat [N] kernel taking [nbrs]) sweeps
-    only the planes that can hold a room point ({!Shard.live_planes}),
-    in the offset form ({!Kernel_ast.Cast.offset_global_id}) that the
-    overlapped schedule splits into interior and frontier ranges: no
-    ghost plane, and none of the room's two shell planes, whose [nbrs]
-    are zero.  Any other kernel launches over its full NDRange.
+    analysis.  A volume launch (a flat [N] kernel taking [nbrs]) has as
+    its hull only the planes that can hold a room point
+    ({!Shard.live_planes}), in the offset form
+    ({!Kernel_ast.Cast.offset_global_id}) that the overlapped schedule
+    splits into interior and frontier ranges: no ghost plane, and none
+    of the room's two shell planes, whose [nbrs] are zero.  Within its
+    hull it visits only the room's row intervals, the span set
+    ({!Vgpu.Spans}) it carries ({!Shard.launch_spans}): every work item
+    it skips has [nbrs] = 0, where the hand kernel writes nothing and
+    the Lift kernel a 0 over a 0, so results stay bit-identical.
+    Verification sees the hull only.  Any other kernel launches over its
+    full NDRange.
 
     - One device (the default) runs the one-slab plan, whose shard is
       the room itself: no ghost planes and no exchanges.  Its device
@@ -113,8 +119,8 @@ type t = {
           virtual-time stamps *)
   mutable launch_ops : (Kernel_ast.Cast.kernel * launches * launches) list;
       (** cache: kernel in device form -> its unsplit launches (over the
-          live planes when the kernel is a volume sweep) and its split
-          ones (the overlapped schedule's block starts) *)
+          live planes' spans when the kernel is a volume sweep) and its
+          split ones (the overlapped schedule's block starts) *)
   mutable unprepared : bool;
       (** [launch_ops] has built ops since the last {!Vgpu.Multi.prepare} *)
   mutable periodic : (Kernel_ast.Cast.kernel list * bool * Vgpu.Multi.async_plan) option;
@@ -194,7 +200,7 @@ val n_shards : t -> int
 val launch : t -> Kernel_ast.Cast.kernel -> unit
 (** Launch one kernel against the current bindings (compiled once per
     kernel) on every device, sequentially, as an unsplit step launches
-    it (a volume kernel over the live planes).
+    it (a volume kernel over the live planes' spans).
     @raise Failure on unknown parameter names. *)
 
 val stats : t -> Vgpu.Runtime.stats
@@ -249,7 +255,8 @@ val plan : t -> Kernel_ast.Cast.kernel list -> steps:int -> Vgpu.Multi.async_pla
     the launches, buffers named as the device tables bind them (a volume
     kernel over the shard's live planes, split into interior and
     frontier ranges at block starts under [`Overlap] on several
-    devices); at a block end the halo exchanges, each signalling an
+    devices, each launch carrying the shard's spans in its range); at a
+    block end the halo exchanges, each signalling an
     event the next block's launches wait on; then the rotation as
     per-device [Swap]s of prev/curr/next and v2/v1.  An exchange also
     waits on its destination's last launch when the block's launches
@@ -295,6 +302,14 @@ val blocked_stats : t -> Kernel_ast.Cast.kernel list -> blocked_stats
 (** The temporal-blocking cost profile of this simulation's block
     exchange plan for the given kernel sequence (T = 1 and no exchange
     on one device). *)
+
+val volume_sweep : t -> Kernel_ast.Cast.kernel list -> float * float
+(** [(visited, hull)]: per step of the given kernels, the work items its
+    volume launches visit (their spans: the room's points in the live
+    planes) and the work items of their hulls (their NDRanges), summed
+    over the devices and averaged over one temporal block (under
+    [`Overlap] on several devices a block's first step launches the
+    split ranges, whose hulls also cover shell planes). *)
 
 val sync : t -> unit
 (** Gather the sharded slabs back into [state] (nothing to gather

@@ -9,7 +9,8 @@
    ghost planes are refreshed from the neighbouring shard's freshly
    written planes by a halo exchange after the kernels of each block of
    [halo] time steps.  A volume launch sweeps only the shard's live
-   planes ([live_planes]).
+   planes ([live_planes]), and within them visits only the room's row
+   intervals ([spans]).
 
    Everything a kernel launch needs becomes shard-local at plan time:
 
@@ -58,6 +59,10 @@ type shard = {
   n_b : int;  (* boundary points in this shard's extended (owned + ghost) range *)
   b_own0 : int;  (* offset of the first owned boundary point within [bidx] *)
   b_ownn : int;  (* boundary points actually owned by this shard *)
+  spans : Vgpu.Spans.t;
+      (* the room's row intervals in the live planes, as offsets from
+         the first live plane's first point: the only points a volume
+         launch updates, as the unsplit launch's work items *)
 }
 
 type plan = {
@@ -74,6 +79,37 @@ let lower_bound (a : int array) v =
     if a.(mid) < v then lo := mid + 1 else hi := mid
   done;
   !lo
+
+(* The local planes that can hold a room point: planes 1 .. planes-2
+   (the extreme two are ghosts, or on one slab the room's shell, and
+   their [nbrs] are zero) clipped to the room's planes 1 .. nz-2, outside
+   which [Geometry.inside] admits no point.  [(first, count)], [count]
+   0 when the shard owns shell planes only; [first] does not depend on
+   nz. *)
+let first_live ~z0 ~halo = max 1 (1 - z0 + halo)
+
+let live_range ~nz ~z0 ~halo ~planes =
+  let first = first_live ~z0 ~halo and last = min (planes - 2) (nz - 2 - z0 + halo) in
+  (first, max 0 (last - first + 1))
+
+(* The room's row intervals in the live planes of a slab from global
+   plane [z0 - halo], as offsets from the first live plane's first
+   point: the walker's own intervals ([Geometry.row_spans]), so no byte
+   of the grid is scanned.  Every nonzero [nbrs] byte of the live planes
+   lies in one of them.  A plane's first and last rows are outside every
+   room, so [ny - 2] rows a plane bound the count (exactly, for the box
+   and the L-shape). *)
+let live_spans (room : Geometry.room) ~z0 ~halo ~planes =
+  let { Geometry.nx; ny; nz } = room.Geometry.dims in
+  let first, count = live_range ~nz ~z0 ~halo ~planes in
+  let gz = z0 - halo + first in
+  let base = gz * nx * ny in
+  let flat = Array.make (2 * count * (ny - 2)) 0 and n = ref 0 in
+  Geometry.row_spans room.Geometry.shape room.Geometry.dims ~z0:gz ~z1:(gz + count) (fun i len ->
+      flat.(2 * !n) <- i - base;
+      flat.((2 * !n) + 1) <- i - base + len;
+      incr n);
+  Vgpu.Spans.of_flat flat ~n:!n
 
 let make_shard ?(halo = 1) (room : Geometry.room) index (sl : slab) =
   let z0 = sl.z0 and z1 = sl.z1 in
@@ -118,6 +154,7 @@ let make_shard ?(halo = 1) (room : Geometry.room) index (sl : slab) =
     n_b;
     b_own0;
     b_ownn;
+    spans = live_spans room ~z0 ~halo ~planes;
   }
 
 (* The one shard of a one-slab plan: the room itself.  It needs no
@@ -144,6 +181,7 @@ let whole (room : Geometry.room) =
     n_b;
     b_own0 = 0;
     b_ownn = n_b;
+    spans = live_spans room ~z0:0 ~halo:0 ~planes:nz;
   }
 
 let plan ?(n_branches = 0) ?(halo = 1) ~shards room =
@@ -258,16 +296,16 @@ type range_kind =
   | Frontier_hi  (* last owned plane: stencil reads the top ghost *)
   | Frontier_both  (* single owned plane adjacent to both ghosts *)
 
-(* The local planes that can hold a room point: planes 1 .. planes-2
-   (the extreme two are ghosts, or on one slab the room's shell, and
-   their [nbrs] are zero) clipped to the room's planes 1 .. nz-2, outside
-   which [Geometry.inside] admits no point.  [(first, count)], [count]
-   0 when the shard owns shell planes only. *)
 let live_planes p (s : shard) =
-  let nz = p.room.Geometry.dims.Geometry.nz in
-  let local z = z - s.z0 + s.halo in
-  let first = max 1 (local 1) and last = min (s.planes - 2) (local (nz - 2)) in
-  (first, max 0 (last - first + 1))
+  live_range ~nz:p.room.Geometry.dims.Geometry.nz ~z0:s.z0 ~halo:s.halo ~planes:s.planes
+
+(* The spans of a ranged launch over local elements [goff, goff +
+   count): the shard's spans in that range, re-based to the launch's
+   work items.  The unsplit launch over the live planes takes the
+   shard's spans themselves. *)
+let launch_spans (s : shard) ~goff ~count =
+  let d = goff - (first_live ~z0:s.z0 ~halo:s.halo * s.plane) in
+  Vgpu.Spans.shift (Vgpu.Spans.inter s.spans ~lo:d ~hi:(d + count)) (-d)
 
 (* Cut a shard's flat local index range into the launches of the
    overlapped schedule: one (possibly empty) interior range covering
@@ -280,8 +318,9 @@ let live_planes p (s : shard) =
    cells are either rewritten by the exchange (interior cuts) or
    scattered as zero and never touched again (grid edges), which keeps
    the split bit-identical to a launch over every plane.  The ranges
-   are not clipped to [live_planes]: the room's shell planes they cover
-   are zero-[nbrs] planes like the ghosts. *)
+   are not clipped to [live_planes]: they are the launches' hulls, and
+   each launch visits only the shard's spans inside its range
+   ([launch_spans]), which lie in the live planes. *)
 let split_ranges (s : shard) : (range_kind * int * int) list =
   let owned = s.z1 - s.z0 and h = s.halo in
   if owned <= 1 then [ (Frontier_both, s.plane, (s.planes - 2) * s.plane) ]

@@ -44,6 +44,14 @@ type shard = {
   n_b : int;  (** boundary points in the extended (owned + ghost) range *)
   b_own0 : int;  (** offset of the first owned boundary point within [bidx] *)
   b_ownn : int;  (** boundary points actually owned by this shard *)
+  spans : Vgpu.Spans.t;
+      (** the room's row intervals ({!Geometry.row_spans}) in the shard's
+          {!live_planes}, built once with the plan, as offsets from the
+          first live plane's first point: the work items of the unsplit
+          volume launch, which visits only these points.  They hold
+          every nonzero byte of [nbrs] in the live planes, and on the
+          built-in shapes every interval is exactly one run of nonzero
+          bytes *)
 }
 
 type plan = {
@@ -104,14 +112,22 @@ type range_kind =
 
 val live_planes : plan -> shard -> int * int
 (** [(first, count)]: the shard's local planes that can hold a room
-    point, those a volume sweep must cover — its planes 1 .. planes−2
-    (the two extreme planes are ghosts, or on one slab the room's shell)
-    clipped to the room's planes 1 .. nz−2, outside which
+    point, the hull of an unsplit volume launch — its planes 1 ..
+    planes−2 (the two extreme planes are ghosts, or on one slab the
+    room's shell) clipped to the room's planes 1 .. nz−2, outside which
     {!Geometry.inside} admits no point.  One slab: the room minus its
     two shell planes; a T = 1 shard: its owned planes minus the room's
     shell; a T ≥ 2 shard: also the inner ghost planes its block
     recomputes.  [count] is 0 when the shard owns shell planes only (nz
-    = 3 on 3 shards). *)
+    = 3 on 3 shards).  The launch visits only the shard's [spans] in
+    these planes. *)
+
+val launch_spans : shard -> goff:int -> count:int -> Vgpu.Spans.t
+(** The spans of a ranged volume launch over the shard's local elements
+    [[goff, goff + count)]: the shard's [spans] clipped to that range
+    and re-based to the launch's work items (local index − [goff]); the
+    unsplit launch over the {!live_planes} takes [spans] itself.  Empty
+    when the range holds no room point, as an emptied frontier does. *)
 
 val split_ranges : shard -> (range_kind * int * int) list
 (** Cut the shard's flat local index range into the launches of the
@@ -122,9 +138,9 @@ val split_ranges : shard -> (range_kind * int * int) list
     are in no range — their [nbrs] are zero, the volume kernels write
     nothing (hand) or only zeros (Lift) there, and the exchange or the
     scattered zeros supply those cells, so the split is bit-identical to
-    a launch over every plane.  The ranges are not clipped to
-    {!live_planes}: the room's shell planes they still cover hold zero
-    [nbrs] too. *)
+    a launch over every plane.  The ranges are the launches' hulls and
+    are not clipped to {!live_planes}; each launch visits only
+    {!launch_spans} of its range, which hold no shell-plane point. *)
 
 val exchange_ops : ?depth:int -> plan -> buffer:string -> Vgpu.Multi.plan
 (** The halo exchange over [buffer]: across each interior cut, the lower

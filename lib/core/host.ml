@@ -297,7 +297,7 @@ and compile_kernel_call st ~k_name ~f ~args ~out_override : denot =
     (String.concat ", " (List.map string_of_int global));
   (* The second kernel consumes the first kernel's output: an in-order
      queue provides the synchronisation the paper describes in §V-A. *)
-  push_op st (Vgpu.Runtime.Launch { kernel = k; args = rargs; global });
+  push_op st (Vgpu.Runtime.Launch { kernel = k; args = rargs; global; spans = None });
   match (c.Codegen.out_param, out_override) with
   | Some _, Some name -> D_buf (name, c.Codegen.result_ty)
   | Some out, None -> List.assoc out bindings

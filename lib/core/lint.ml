@@ -807,7 +807,7 @@ let flow_dev_op fl ~hb i d (op : Vgpu.Runtime.op) =
               fl_age_side fl d dp side ~op:i ~wrange:(Some (wl, wh)) ~c:0 ~cf:0
                 ~cexch:(-1) ~clobbering:true)
           [ `Lo; `Hi ]
-  | Vgpu.Runtime.Launch { kernel; args; global } ->
+  | Vgpu.Runtime.Launch { kernel; args; global; _ } ->
       flow_launch fl ~hb i d kernel args global
 
 let verify_async ?halo ?state_bufs (slab : slab) (plan : Vgpu.Multi.async_plan) : issue list =

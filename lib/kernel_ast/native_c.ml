@@ -33,10 +33,15 @@
    The fixed entry ABI (see {!entry_source}) receives the kernel's
    parameters split by kind — real buffers as [double*], int buffers as
    [int64_t*] to their tagged words, byte buffers as [uint8_t*],
-   scalars (untagged) in two flat arrays — plus the NDRange sizes.  The
-   work-item loops live inside the entry, row-major z/y/x exactly like
-   [Exec.launch], one loop per dimension the kernel declares
-   ([Cast.launch_dims]); the rank rule makes every other dimension 1.
+   scalars (untagged) in two flat arrays — plus the NDRange sizes and
+   the launch's span table ([Vgpu.Spans]: [lo, hi) pairs of tagged
+   words, and their count).  The work-item loops live inside the entry,
+   row-major z/y/x exactly like [Exec.launch], one loop per dimension
+   the kernel declares ([Cast.launch_dims]); the rank rule makes every
+   other dimension 1.  Dimension 0 always runs over the span table: the
+   loop visits each span's work items in turn, and a plain launch is the
+   one span [0, gsz[0]), so there is one loop form and no second entry
+   for span launches.
 
    An entry is named by the [RK_ENTRY] macro, which the translation unit
    defines before it: one unit can hold several entries, and an entry's
@@ -525,6 +530,30 @@ let written_params (k : kernel) : string list =
       else None)
     k.params
 
+(* Does the entry call one of the prelude's eight libm functions: a math
+   builtin other than [Fmin]/[Fmax] (rendered as the prelude's helpers),
+   or a real [Mod] ([fmod])?  Only such an entry needs libm linked. *)
+let calls_libm (k : kernel) =
+  let env = build_env k in
+  let rec expr e =
+    match e with
+    | Call ((Fmin | Fmax), args) -> List.exists expr args
+    | Call (_, _) -> true
+    | Binop (Mod, _, _) when type_of env e = Real -> true
+    | Binop (_, a, b) -> expr a || expr b
+    | Unop (_, a) | Load (_, a) -> expr a
+    | Ternary (c, a, b) -> expr c || expr a || expr b
+    | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> false
+  and stmt = function
+    | Decl (_, _, init) -> Option.fold ~none:false ~some:expr init
+    | Assign (_, e) -> expr e
+    | Store (_, i, e) -> expr i || expr e
+    | If (c, a, b) -> expr c || List.exists stmt a || List.exists stmt b
+    | For l -> expr l.init || expr l.bound || expr l.step || List.exists stmt l.body
+    | Decl_arr _ | Comment _ -> false
+  in
+  List.exists stmt k.body
+
 (* The macro an entry is named by: {!translation_unit} defines it. *)
 let entry_macro = "RK_ENTRY"
 
@@ -539,7 +568,8 @@ let entry_source ?(noalias = true) (k : kernel) : string =
     (Printf.sprintf
        "__attribute__((visibility(\"default\")))\n\
         void %s(double **fb, int64_t **ib, uint8_t **u8b,\n\
-       \                       const int64_t *isc, const double *fsc, const int64_t *gsz)\n{\n"
+       \                       const int64_t *isc, const double *fsc, const int64_t *gsz,\n\
+       \                       const int64_t *rk_sp, int64_t rk_nsp)\n{\n"
        entry_macro);
   add "  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;\n";
   (* parameter prologue, in [bindings] order: read-only buffers (proven
@@ -585,10 +615,15 @@ let entry_source ?(noalias = true) (k : kernel) : string =
     env.locals;
   let round_store = k.precision = Single in
   (* the NDRange loop nest over the declared dimensions: row-major z/y/x
-     like Exec.launch *)
-  for d = env.dims - 1 downto 0 do
+     like Exec.launch, dimension 0 over the launch's spans, tagged words
+     [lo, hi) in pairs (a plain launch passes the one span [0, gs0)) *)
+  for d = env.dims - 1 downto 1 do
     add (Printf.sprintf "  for (int64_t rk_g%d = 0; rk_g%d < rk_gs%d; rk_g%d++)\n" d d d d)
   done;
+  add "  for (int64_t rk_s = 0; rk_s < rk_nsp; rk_s++)\n";
+  add
+    "  for (int64_t rk_g0 = rk_sp[2 * rk_s] >> 1, rk_e0 = rk_sp[2 * rk_s + 1] >> 1; rk_g0 < rk_e0; \
+     rk_g0++)\n";
   add "  {\n";
   List.iter (emit_stmt env buf ~indent:4 ~round_store) k.body;
   add "  }\n}\n";

@@ -16,12 +16,16 @@ val entry_macro : string
 (** [RK_ENTRY], the name every entry is rendered under.  An entry is
     [void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
                    const int64_t *isc, const double *fsc,
-                   const int64_t *gsz)]
+                   const int64_t *gsz,
+                   const int64_t *rk_sp, int64_t rk_nsp)]
     — real buffers, int buffers (tagged OCaml words), byte-stored int
     buffers ({!Cast.U8}), int scalars, real scalars (each indexed by the
-    slots of {!bindings}), and the three NDRange sizes (missing
-    dimensions padded with 1).  {!translation_unit} defines the macro to
-    each entry's exported name. *)
+    slots of {!bindings}), the three NDRange sizes (missing dimensions
+    padded with 1), and the span table: [rk_nsp] pairs [lo, hi) of
+    dimension-0 work items, as tagged OCaml words, ascending and
+    disjoint inside [[0, gsz[0])] (a plain launch passes the one span
+    [[0, gsz[0])]).  {!translation_unit} defines the macro to each
+    entry's exported name. *)
 
 type binding =
   | Arg_fbuf of int  (** real buffer -> [fb[slot]] *)
@@ -45,6 +49,12 @@ val written_params : Cast.kernel -> string list
     conservative floor: a buffer is reported read-only only when both
     analyses agree it is never written. *)
 
+val calls_libm : Cast.kernel -> bool
+(** Does the kernel's entry call one of the eight libm functions the
+    {!preamble} declares ([sqrt], [fabs], [exp], [log], [sin], [cos],
+    [floor], and [fmod] for a real [Mod])?  [Vgpu.Native] links libm
+    only into units holding such an entry. *)
+
 val preamble : string
 (** The prelude every translation unit starts with: types, libm
     prototypes and the [Fmin]/[Fmax] helpers. *)
@@ -53,9 +63,9 @@ val entry_source : ?noalias:bool -> Cast.kernel -> string
 (** One kernel's entry, named {!entry_macro}.  Deterministic: equal
     kernels render to equal strings, so the text can key a binary
     cache.  The entry loops over the NDRange dimensions the kernel
-    declares ({!Cast.launch_dims}) and reads [get_global_id] of any
-    other dimension as 0, which the rank rule ({!Cast.check_ndrange})
-    makes exact.
+    declares ({!Cast.launch_dims}), dimension 0 over the span table,
+    and reads [get_global_id] of any other dimension as 0, which the
+    rank rule ({!Cast.check_ndrange}) makes exact.
 
     Buffer parameters outside {!written_params} are emitted [const].
     With [noalias] (the default) every buffer parameter is additionally

@@ -206,9 +206,10 @@ let rec exec_stmt env (s : stmt) =
         i := !i + step ()
       done
 
-(* Launch [k] over [global] work items (per dimension, row-major).
-   [args] are matched positionally against [k.params]. *)
-let launch ?hook ?on_workitem (k : kernel) ~(args : Args.t list) ~(global : int list) =
+(* Launch [k] over [global] work items (per dimension, row-major),
+   dimension 0 over [spans] (all of it by default).  [args] are matched
+   positionally against [k.params]. *)
+let launch ?hook ?on_workitem ?spans (k : kernel) ~(args : Args.t list) ~(global : int list) =
   if List.length args <> List.length k.params then
     invalid_arg
       (Printf.sprintf "vgpu: kernel %s expects %d args, got %d" k.name
@@ -216,6 +217,13 @@ let launch ?hook ?on_workitem (k : kernel) ~(args : Args.t list) ~(global : int 
   check_ndrange k ~global;
   let gsize = Array.make 3 1 in
   List.iteri (fun d n -> if d < 3 then gsize.(d) <- n) global;
+  let spans =
+    match spans with
+    | Some s ->
+        Spans.check s ~n:gsize.(0);
+        s
+    | None -> Spans.full gsize.(0)
+  in
   let cells = Hashtbl.create 32 in
   List.iter2
     (fun p (a : Args.t) ->
@@ -232,18 +240,20 @@ let launch ?hook ?on_workitem (k : kernel) ~(args : Args.t list) ~(global : int 
   let env = { cells; gid; gsize; precision = k.precision; kernel = k.name; hook } in
   for z = 0 to gsize.(2) - 1 do
     for y = 0 to gsize.(1) - 1 do
-      for x = 0 to gsize.(0) - 1 do
-        gid.(0) <- x;
-        gid.(1) <- y;
-        gid.(2) <- z;
-        (match on_workitem with Some f -> f (x, y, z) | None -> ());
-        try List.iter (exec_stmt env) k.body with
-        | Failure msg ->
-            raise (Exec_error { e_kernel = k.name; e_gid = (x, y, z); e_context = msg })
-        | Invalid_argument msg ->
-            raise
-              (Exec_error
-                 { e_kernel = k.name; e_gid = (x, y, z); e_context = "invalid access: " ^ msg })
+      for s = 0 to Spans.length spans - 1 do
+        for x = Spans.lo spans s to Spans.hi spans s - 1 do
+          gid.(0) <- x;
+          gid.(1) <- y;
+          gid.(2) <- z;
+          (match on_workitem with Some f -> f (x, y, z) | None -> ());
+          try List.iter (exec_stmt env) k.body with
+          | Failure msg ->
+              raise (Exec_error { e_kernel = k.name; e_gid = (x, y, z); e_context = msg })
+          | Invalid_argument msg ->
+              raise
+                (Exec_error
+                   { e_kernel = k.name; e_gid = (x, y, z); e_context = "invalid access: " ^ msg })
+        done
       done
     done
   done

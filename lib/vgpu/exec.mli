@@ -40,16 +40,21 @@ val builtin_eval : Kernel_ast.Cast.builtin -> float list -> float
 val launch :
   ?hook:access_hook ->
   ?on_workitem:(int * int * int -> unit) ->
+  ?spans:Spans.t ->
   Kernel_ast.Cast.kernel ->
   args:Args.t list ->
   global:int list ->
   unit
-(** Run the kernel over [global] work-items per dimension.  [args] are
-    matched positionally against the kernel's parameters; buffer
-    arguments are mutated in place.  [on_workitem] fires before each
-    work-item starts (the sanitizer uses it to attribute accesses).
+(** Run the kernel over [global] work-items per dimension.  With
+    [spans], dimension 0 visits only the work items they hold, for
+    every index of the other dimensions; the default is all of them
+    ({!Spans.full}).  [args] are matched positionally against the
+    kernel's parameters; buffer arguments are mutated in place.
+    [on_workitem] fires before each work-item starts (the sanitizer uses
+    it to attribute accesses).
 
-    @raise Invalid_argument on an arity or argument-kind mismatch.
+    @raise Invalid_argument on an arity or argument-kind mismatch, or
+    when a span ends past [global]'s dimension 0.
     @raise Kernel_ast.Cast.Ndrange_rank when [global] has more
     dimensions than the kernel declares, other than trailing 1s.
     @raise Kernel_ast.Cast.Work_group_size on a kernel whose

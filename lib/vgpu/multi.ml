@@ -147,13 +147,13 @@ let compile_async t (plan : async_plan) : cmd list =
       | Dev (i, ((Runtime.Alloc _ | Runtime.Swap _) as op)) ->
           Runtime.run_op (device t i) op;
           None
-      | Dev (i, Runtime.Launch { kernel; args; global }) ->
+      | Dev (i, Runtime.Launch { kernel; args; global; spans }) ->
           let d = device t i in
           let args = List.map (Runtime.resolve_arg d) args in
           (* the kernel window only: optimize, verify and a first
              launch's compile are not device time *)
           cmd i kernel.Kernel_ast.Cast.name (fun () ->
-              1e9 *. Runtime.launch_resolved d kernel ~args ~global)
+              1e9 *. Runtime.launch_resolved ?spans d kernel ~args ~global)
       | Dev (i, Runtime.Copy_to_gpu name) ->
           let d = device t i in
           let b = Runtime.buffer d name in

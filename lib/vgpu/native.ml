@@ -47,6 +47,7 @@ type packet = {
   pk_isc : int array;
   pk_fsc : float array;
   pk_gsz : int array;
+  mutable pk_spans : int array;  (* the launch's [Spans.t] *)
 }
 
 external launch_packet : packet -> unit = "racs_native_launch"
@@ -60,20 +61,21 @@ let cc () = match Sys.getenv_opt "RACS_CC" with Some c when c <> "" -> c | _ -> 
    engines; -fwrapv: OCaml-style wraparound on the (unreachable in
    generated kernels) signed-overflow paths; -nostdlib: no C start files
    and no default libraries, since no kernel runs start-up code.  libm
-   is linked explicitly (see [fixed_args]).  A libc symbol a binary
-   imports ([memset] for a large private array, [__stack_chk_fail]
-   under a default stack protector) resolves at the [RTLD_NOW] dlopen
-   against the libc the process has loaded. *)
+   is linked explicitly, into the units that call it (see [libs]).  A
+   libc symbol a binary imports ([memset] for a large private array,
+   [__stack_chk_fail] under a default stack protector) resolves at the
+   [RTLD_NOW] dlopen against the libc the process has loaded. *)
 let default_flags = "-O2 -fPIC -shared -nostdlib -fno-fast-math -ffp-contract=off -fwrapv"
 
 let flags () =
   match Sys.getenv_opt "RACS_CFLAGS" with Some f when f <> "" -> f | _ -> default_flags
 
-(* The fixed part of the command line: the flags before the source file,
-   and the libraries after the output, where the linker resolves the
-   object's undefined symbols.  [run_cc] runs it and the cache key
-   digests it, so a binary is keyed by everything it was built with. *)
-let fixed_args () = (flags (), "-lm")
+(* The libraries an entry needs after the output file, where the linker
+   resolves the object's undefined symbols: libm for an entry calling
+   one of the prelude's libm functions, none otherwise (linking it cost
+   about 3 ms of a cold [cc] run that needs none).  A unit links the
+   union of its members'.  The cache key digests an entry's own. *)
+let libs k = if Native_c.calls_libm k then "-lm" else ""
 
 (* {2 Cache directory} *)
 
@@ -175,24 +177,30 @@ type member = {
   m_kernel : Cast.kernel;
   m_noalias : bool;
   m_entry : string;
+  m_libs : string;  (* what the entry needs linked ([libs]) *)
   m_key : string;
 }
 
-(* The salt names the entry ABI (v4: entries named by their key, many to
-   a unit; v3: int arrays as tagged words, plus a slot array for byte
-   buffers).  Bump it whenever the ABI or the unit's fixed framing
-   changes, so a cached binary of another ABI is never loaded.  The
-   prelude, the entry and the link line need no bump: they are keyed
-   whole. *)
-let key_of_entry entry =
-  let fl, libs = fixed_args () in
+(* The salt names the entry ABI (v5: a span table after the NDRange
+   sizes; v4: entries named by their key, many to a unit; v3: int arrays
+   as tagged words, plus a slot array for byte buffers).  Bump it
+   whenever the ABI or the unit's fixed framing changes, so a cached
+   binary of another ABI is never loaded.  The prelude, the entry and
+   its link line need no bump: they are keyed whole. *)
+let key_of_entry ~libs entry =
   Digest.to_hex
     (Digest.string
-       (String.concat "\x00" [ "racs-native-v4"; cc (); fl; libs; Native_c.preamble; entry ]))
+       (String.concat "\x00" [ "racs-native-v5"; cc (); flags (); libs; Native_c.preamble; entry ]))
 
 let member ~noalias k =
-  let entry = Native_c.entry_source ~noalias k in
-  { m_kernel = k; m_noalias = noalias; m_entry = entry; m_key = key_of_entry entry }
+  let entry = Native_c.entry_source ~noalias k and libs = libs k in
+  {
+    m_kernel = k;
+    m_noalias = noalias;
+    m_entry = entry;
+    m_libs = libs;
+    m_key = key_of_entry ~libs entry;
+  }
 
 (* The exported name of a member's entry. *)
 let symbol key = "racs_kernel_" ^ key
@@ -207,11 +215,10 @@ let cache_key (k : Cast.kernel) = (member ~noalias:true k).m_key
 
 exception No_compiler of string
 
-let run_cc ~what ~src_path ~out_path =
+let run_cc ~what ~libs ~src_path ~out_path =
   let err_path = out_path ^ ".err" in
-  let fl, libs = fixed_args () in
   let cmd =
-    Printf.sprintf "%s %s %s -o %s %s 2> %s" (cc ()) fl (Filename.quote src_path)
+    Printf.sprintf "%s %s %s -o %s %s 2> %s" (cc ()) (flags ()) (Filename.quote src_path)
       (Filename.quote out_path) libs (Filename.quote err_path)
   in
   let rc = timed cc_ns (fun () -> Sys.command cmd) in
@@ -364,7 +371,8 @@ let build_unit ms =
     | [ m ] -> "kernel " ^ m.m_kernel.Cast.name
     | _ -> Printf.sprintf "a unit of %d kernels" (List.length ms)
   in
-  run_cc ~what ~src_path:(base ^ ".c") ~out_path:tmp;
+  let libs = if List.exists (fun m -> m.m_libs <> "") ms then "-lm" else "" in
+  run_cc ~what ~libs ~src_path:(base ^ ".c") ~out_path:tmp;
   Atomic.incr n_compiles;
   ignore (Atomic.fetch_and_add n_built (List.length ms));
   install tmp ms;
@@ -448,6 +456,7 @@ type launcher = {
   mutable l_plain : compiled option;
       (* the [~noalias:false] compile, fetched at the first aliased launch *)
   l_pk : packet;
+  l_full : int array;  (* a plain launch's one span [0, gsz0), rewritten per launch *)
 }
 
 let launcher (c : compiled) =
@@ -463,7 +472,9 @@ let launcher (c : compiled) =
         pk_isc = Array.make (max 1 c.n_isc) 0;
         pk_fsc = Array.make (max 1 c.n_fsc) 0.;
         pk_gsz = [| 1; 1; 1 |];
+        pk_spans = [||];
       };
+    l_full = [| 0; 1 |];
   }
 
 (* Scalar coercions: a real argument to an int parameter truncates, an
@@ -508,14 +519,16 @@ let aliased (c : compiled) (pk : packet) =
   done;
   !hazard
 
-(* Run the full NDRange ([global] padded to 3 dimensions with 1s).  The
-   entry loops only over the dimensions the kernel declares, so a launch
+(* Run the NDRange ([global] padded to 3 dimensions with 1s), dimension
+   0 over [spans], or over the one span [0, global0) of a plain launch,
+   which the launcher keeps: the entry has one loop form.  The entry
+   loops only over the dimensions the kernel declares, so a launch
    breaking the rank rule is refused first.  An aliased launch would
    break the restrict promise, so it dispatches the no-restrict
    rendering of the same kernel instead (its own content-addressed cache
    entry, compiled at most once); both renderings share the slot
    layout. *)
-let dispatch (l : launcher) (args : Args.t array) ~(global : int list) =
+let dispatch ?spans (l : launcher) (args : Args.t array) ~(global : int list) =
   let c = l.l_c and pk = l.l_pk in
   Cast.check_ndrange c.kernel ~global;
   fill c pk args;
@@ -523,6 +536,13 @@ let dispatch (l : launcher) (args : Args.t array) ~(global : int list) =
   pk.pk_gsz.(1) <- 1;
   pk.pk_gsz.(2) <- 1;
   fill_global pk.pk_gsz 0 global;
+  (match spans with
+  | Some s ->
+      Spans.check s ~n:pk.pk_gsz.(0);
+      pk.pk_spans <- (s :> int array)
+  | None ->
+      l.l_full.(1) <- pk.pk_gsz.(0);
+      pk.pk_spans <- l.l_full);
   let c =
     if c.noalias && aliased c pk then (
       match l.l_plain with
@@ -536,5 +556,5 @@ let dispatch (l : launcher) (args : Args.t array) ~(global : int list) =
   pk.pk_fn <- c.fn;
   launch_packet pk
 
-let launch (c : compiled) ~(args : Args.t list) ~(global : int list) =
-  dispatch (launcher c) (Array.of_list args) ~global
+let launch ?spans (c : compiled) ~(args : Args.t list) ~(global : int list) =
+  dispatch ?spans (launcher c) (Array.of_list args) ~global

@@ -58,11 +58,15 @@ type launcher
 
 val launcher : compiled -> launcher
 
-val dispatch : launcher -> Args.t array -> global:int list -> unit
-(** Fill the slots from the arguments and run the full NDRange
-    ([global] padded to 3 dimensions with 1s).  Scalar arguments
-    coerce: a real argument to an int parameter truncates, an int
-    argument to a real parameter widens.  Allocates nothing.
+val dispatch : ?spans:Spans.t -> launcher -> Args.t array -> global:int list -> unit
+(** Fill the slots from the arguments and run the NDRange ([global]
+    padded to 3 dimensions with 1s), dimension 0 over [spans]: the
+    entry visits only the work items they hold.  Without [spans] it runs
+    the full NDRange, as the one span [[0, global0)] the launcher keeps,
+    so the entry has one loop form.  Scalar arguments coerce: a real
+    argument to an int parameter truncates, an int argument to a real
+    parameter widens.  The span table is passed in place.  Allocates
+    nothing.
 
     When the compiled object carries [restrict] qualifiers, the filled
     slots are first checked for aliasing hazards, by physical
@@ -75,12 +79,13 @@ val dispatch : launcher -> Args.t array -> global:int list -> unit
     path.  A {!Kernel_ast.Cast.U8} parameter takes a {!Buffer.U8}
     argument, passed in place like every buffer.
     @raise Invalid_argument on an argument count, kind or storage
-    mismatch (a [U8] buffer for a word parameter, or the reverse).
+    mismatch (a [U8] buffer for a word parameter, or the reverse), or a
+    span ending past [global]'s dimension 0.
     @raise Kernel_ast.Cast.Ndrange_rank when [global] has more
     dimensions than the kernel declares, other than trailing 1s: the
     entry loops over the declared ones only. *)
 
-val launch : compiled -> args:Args.t list -> global:int list -> unit
+val launch : ?spans:Spans.t -> compiled -> args:Args.t list -> global:int list -> unit
 (** {!dispatch} on a fresh {!launcher}. *)
 
 val source : ?noalias:bool -> Kernel_ast.Cast.kernel -> string
@@ -108,11 +113,13 @@ val flags : unit -> string
     default pins IEEE semantics and links no start files or default
     libraries:
     [-O2 -fPIC -shared -nostdlib -fno-fast-math -ffp-contract=off -fwrapv].
-    [-lm] follows the output file on every command line, whatever the
-    flags; a libc symbol a binary imports resolves at load time against
-    the process's libc.  A toolchain that needs its start files gets
-    them back with a [RACS_CFLAGS] that leaves out [-nostdlib].  The
-    cache key digests the flags and [-lm] with the compiler and the
+    [-lm] follows the output file, whatever the flags, when an entry of
+    the unit calls one of the prelude's libm functions
+    ({!Kernel_ast.Native_c.calls_libm}), and only then; a libc symbol a
+    binary imports resolves at load time against the process's libc.  A
+    toolchain that needs its start files gets them back with a
+    [RACS_CFLAGS] that leaves out [-nostdlib].  The cache key digests
+    the flags and the entry's own link line with the compiler and the
     source. *)
 
 type counters = {

@@ -11,7 +11,8 @@
  * Every buffer is passed in place: a float array is a flat double
  * vector, an int array is a vector of tagged words that the generated
  * code untags on load and retags on store (Native_c), and a byte
- * buffer (Bytes.t) is a flat uint8_t vector.  A store writes an
+ * buffer (Bytes.t) is a flat uint8_t vector.  So is the launch's span
+ * table, an int array of tagged words.  A store writes an
  * immediate or raw bytes, neither of which needs a write barrier.  The domain
  * keeps the runtime lock for the whole launch; a concurrent domain
  * requesting a stop-the-world collection simply waits until the kernel
@@ -62,15 +63,18 @@ CAMLprim value racs_native_dlclose(value vh)
   return Val_unit;
 }
 
-/* Must match Native_c.entry_symbol's signature. */
+/* Must match Native_c.entry_macro's signature. */
 typedef void (*racs_kernel_fn)(double **fb, int64_t **ib, uint8_t **u8b,
                                const int64_t *isc, const double *fsc,
-                               const int64_t *gsz);
+                               const int64_t *gsz,
+                               const int64_t *sp, int64_t nsp);
 
 #define RACS_MAX_SLOTS 64
 
 /* value layout of Native.packet — field order is the record's
- * declaration order: fn, fb, ib, u8b, isc, fsc, gsz. */
+ * declaration order: fn, fb, ib, u8b, isc, fsc, gsz, spans.  The span
+ * table (Vgpu.Spans: [lo, hi) pairs) is an int array passed in place,
+ * as tagged words the entry untags. */
 CAMLprim value racs_native_launch(value vpk)
 {
   value vfn = Field(vpk, 0);
@@ -80,6 +84,7 @@ CAMLprim value racs_native_launch(value vpk)
   value visc = Field(vpk, 4);
   value vfsc = Field(vpk, 5);
   value vgsz = Field(vpk, 6);
+  value vsp = Field(vpk, 7);
 
   racs_kernel_fn fn = (racs_kernel_fn)Nativeint_val(vfn);
 
@@ -110,7 +115,8 @@ CAMLprim value racs_native_launch(value vpk)
   for (i = 0; i < nisc; i++) isc[i] = (int64_t)Long_val(Field(visc, i));
   for (i = 0; i < 3; i++) gsz[i] = (int64_t)Long_val(Field(vgsz, i));
 
-  fn(fb, ib, u8b, isc, (const double *)vfsc, gsz);
+  fn(fb, ib, u8b, isc, (const double *)vfsc, gsz, (const int64_t *)Op_val(vsp),
+     (int64_t)(Wosize_val(vsp) / 2));
   return Val_unit;
 }
 

@@ -24,7 +24,7 @@ type op =
   | Alloc of { name : string; ty : Cast.ty; elems : int }
   | Copy_to_gpu of string
   | Copy_to_host of string
-  | Launch of { kernel : Cast.kernel; args : arg list; global : int list }
+  | Launch of { kernel : Cast.kernel; args : arg list; global : int list; spans : Spans.t option }
   | Swap of string * string
       (* exchange two buffer bindings: the host-side pointer rotation
          between time steps *)
@@ -388,7 +388,7 @@ let kstat t name =
    seconds, the duration the kernel stats record.  The launch counts
    once its engine ran it: a refused or rejected launch counts
    nowhere. *)
-let dispatch t (p : prepared) (args : Args.t array) ~global =
+let dispatch t (p : prepared) (args : Args.t array) ~global ~spans =
   let counted = p.fresh in
   p.fresh <- false;
   if t.verify then verify_launch t p args ~global ~counted;
@@ -400,9 +400,9 @@ let dispatch t (p : prepared) (args : Args.t array) ~global =
   | Some s, _ ->
       (* checked execution needs the interpreter's access hooks, so the
          sanitizer overrides the configured engine *)
-      Sanitizer.launch s p.kernel ~args:(Array.to_list args) ~global
-  | None, Compiled l -> Native.dispatch l args ~global
-  | None, Interpreted -> Exec.launch p.kernel ~args:(Array.to_list args) ~global);
+      Sanitizer.launch ?spans s p.kernel ~args:(Array.to_list args) ~global
+  | None, Compiled l -> Native.dispatch ?spans l args ~global
+  | None, Interpreted -> Exec.launch ?spans p.kernel ~args:(Array.to_list args) ~global);
   let dt = now () -. t0 in
   t.launches <- t.launches + 1;
   let bytes = ref 0 in
@@ -424,8 +424,8 @@ let dispatch t (p : prepared) (args : Args.t array) ~global =
    scalars.  [Multi.run_async] resolves names at each op's list
    position — the clSetKernelArg moment — and may run the launch after
    a later [Swap] has rebound them. *)
-let launch_resolved t kernel ~(args : Args.t list) ~global =
-  dispatch t (prepared t kernel) (Array.of_list args) ~global
+let launch_resolved ?spans t kernel ~(args : Args.t list) ~global =
+  dispatch t (prepared t kernel) (Array.of_list args) ~global ~spans
 
 let rec find_bound op = function
   | [] -> raise_notrace Not_found
@@ -494,12 +494,12 @@ let run_op t = function
       t.h2d_bytes <- t.h2d_bytes + transfer_bytes ~precision:t.precision (buffer t name)
   | Copy_to_host name ->
       t.d2h_bytes <- t.d2h_bytes + transfer_bytes ~precision:t.precision (buffer t name)
-  | Launch { kernel; global; _ } as op ->
+  | Launch { kernel; global; spans; _ } as op ->
       let b = bound_op t op in
       for j = 0 to Array.length b.cells - 1 do
         b.args.(b.slots.(j)) <- Args.Buf !(b.cells.(j))
       done;
-      ignore (dispatch t (prepared t kernel) b.args ~global)
+      ignore (dispatch t (prepared t kernel) b.args ~global ~spans)
 
 let run t (plan : plan) = List.iter (run_op t) plan
 
@@ -519,7 +519,7 @@ let prepare (devices : (t * op list) list) =
         List.fold_left
           (fun acc op ->
             match op with
-            | Launch { kernel; args; global }
+            | Launch { kernel; args; global; _ }
               when not (List.exists (fun (t', p, _) -> t' == t && p.raw == kernel) acc) ->
                 let p = prepared t kernel in
                 let counted = p.fresh in

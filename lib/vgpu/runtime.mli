@@ -17,7 +17,16 @@ type op =
   | Alloc of { name : string; ty : Kernel_ast.Cast.ty; elems : int }
   | Copy_to_gpu of string
   | Copy_to_host of string
-  | Launch of { kernel : Kernel_ast.Cast.kernel; args : arg list; global : int list }
+  | Launch of {
+      kernel : Kernel_ast.Cast.kernel;
+      args : arg list;
+      global : int list;
+      spans : Spans.t option;
+    }
+      (** [spans]: the dimension-0 work items the launch visits ([None]:
+          all of them).  Verification sees the launch's NDRange alone,
+          the hull of its spans: they hold a subset of its work items,
+          each independent of the others. *)
   | Swap of string * string
       (** exchange two buffer bindings (host pointer rotation between
           time steps) *)
@@ -188,10 +197,12 @@ val resolve_arg : t -> arg -> Args.t
     clSetKernelArg moment: a buffer name reads its cell.
     @raise Failure on an unbound buffer name. *)
 
-val launch_resolved : t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:int list -> float
+val launch_resolved :
+  ?spans:Spans.t -> t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:int list -> float
 (** Dispatch a launch whose arguments were already resolved with
-    {!resolve_arg}, and return its timed kernel window in seconds — the
-    duration its kernel stats record.  {!Multi.run_async} resolves
+    {!resolve_arg}, dimension 0 over [spans] (default: all of it), and
+    return its timed kernel window in seconds — the duration its kernel
+    stats record.  {!Multi.run_async} resolves
     arguments at each op's list position and charges this duration to
     the device's virtual clock.
 

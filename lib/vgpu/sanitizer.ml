@@ -236,10 +236,10 @@ let access_extents t =
   Hashtbl.fold (fun name e acc -> (name, e.e_load, e.e_store) :: acc) t.extents []
   |> List.sort (fun (a, _, _) (b, _, _) -> String.compare a b)
 
-let launch t (k : Kernel_ast.Cast.kernel) ~args ~global =
+let launch ?spans t (k : Kernel_ast.Cast.kernel) ~args ~global =
   Kernel_ast.Cast.check_ndrange k ~global;
   begin_launch t ~kernel:k.name;
-  Exec.launch ~hook:(hook t) ~on_workitem:(set_gid t) k ~args ~global
+  Exec.launch ~hook:(hook t) ~on_workitem:(set_gid t) ?spans k ~args ~global
 
 (* -- Printing --------------------------------------------------------- *)
 

@@ -73,12 +73,13 @@ val hook : t -> Exec.access_hook
 (** The access hook to pass to [Exec.launch ~hook]. *)
 
 val launch :
-  t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:int list -> unit
+  ?spans:Spans.t -> t -> Kernel_ast.Cast.kernel -> args:Args.t list -> global:int list -> unit
 (** Convenience: [begin_launch] + [Exec.launch] with this sanitizer's
-    hook and work-item attribution installed.
+    hook and work-item attribution installed, over the same [spans].
     @raise Kernel_ast.Cast.Ndrange_rank or
     {!Kernel_ast.Cast.Work_group_size} before the launch begins, as
-    {!Exec.launch} would. *)
+    {!Exec.launch} would, and [Invalid_argument] as it does on a span
+    past the NDRange. *)
 
 (** {2 Results} *)
 

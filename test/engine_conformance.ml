@@ -8,7 +8,11 @@
    Byte storage ([Cast.U8], OpenCL [uchar *]) gets its own case: stores
    wrap mod 256 and loads zero-extend identically on every engine and
    under the sanitizer, and a launch whose buffer storage does not match
-   the parameter's is rejected by native. *)
+   the parameter's is rejected by native.
+
+   Span launches ([Vgpu.Spans]) get a property: on every engine and
+   under the sanitizer a launch writes exactly the work items its spans
+   hold. *)
 
 open Kernel_ast.Cast
 
@@ -203,9 +207,131 @@ let test_u8_mismatch () =
         ])
     (List.filter (fun (l, _) -> l = "native") engines)
 
+(* -- Span launches ------------------------------------------------------ *)
+
+(* A pointwise kernel: work item i writes out[i] = 2 src[i] + 1. *)
+let span_kernel =
+  {
+    name = "span_probe";
+    precision = Double;
+    params = [ param "out" Real; param "src" Real ];
+    global_size = [ Int_lit 1 ];
+    local_size = [];
+    body = [ Store ("out", Global_id 0, (Load ("src", Global_id 0) *: Real_lit 2.) +: Real_lit 1.) ];
+  }
+
+(* Spans of [0, n) from (gap, length) steps: a gap of 0 makes two spans
+   adjacent. *)
+let spans_of n steps =
+  let rec go p acc = function
+    | (gap, len) :: rest when p + gap < n -> go (min n (p + gap + len)) ((p + gap, min n (p + gap + len)) :: acc) rest
+    | _ -> List.rev acc
+  in
+  go 0 [] steps
+
+let gen_span_launch =
+  QCheck.Gen.(
+    int_range 0 40 >>= fun n ->
+    frequency
+      [
+        (1, return []);
+        (1, return (if n = 0 then [] else [ (0, n) ]));
+        (6, map (spans_of n) (list_size (int_range 0 12) (pair (int_range 0 3) (int_range 1 6))));
+      ]
+    >|= fun spans -> (n, spans))
+
+(* Interp, native and the sanitizer: a span launch writes exactly the
+   work items of its spans (the empty set, one full span, adjacent
+   spans included) and leaves every other cell as it was. *)
+let qcheck_span_launches =
+  let native = lazy (use_scratch_cache (); Vgpu.Native.compile span_kernel) in
+  QCheck.Test.make ~name:"span launches write exactly their spans, on every engine" ~count:150
+    (QCheck.make
+       ~print:(fun (n, l) ->
+         Printf.sprintf "n=%d spans=[%s]" n
+           (String.concat "; " (List.map (fun (a, b) -> Printf.sprintf "%d,%d" a b) l)))
+       gen_span_launch)
+    (fun (n, ranges) ->
+      let spans = Vgpu.Spans.of_list ranges in
+      let engines =
+        [
+          ("interp", fun args -> Vgpu.Exec.launch ~spans span_kernel ~args ~global:[ n ]);
+          ("native", fun args -> Vgpu.Native.launch ~spans (Lazy.force native) ~args ~global:[ n ]);
+          ( "sanitizer",
+            fun args ->
+              let s = Vgpu.Sanitizer.create () in
+              Vgpu.Sanitizer.launch ~spans s span_kernel ~args ~global:[ n ];
+              if Vgpu.Sanitizer.total (Vgpu.Sanitizer.counts s) <> 0 then
+                QCheck.Test.fail_report "sanitizer: violations" );
+        ]
+      in
+      List.for_all
+        (fun (label, launch) ->
+          let out = Array.init n (fun i -> -1000. -. float_of_int i) in
+          let src = Array.init n (fun i -> float_of_int ((3 * i) + 1)) in
+          launch Vgpu.Args.[ Buf (Vgpu.Buffer.F out); Buf (Vgpu.Buffer.F src) ];
+          Array.iteri
+            (fun i v ->
+              let inside = List.exists (fun (a, b) -> a <= i && i < b) ranges in
+              let want = if inside then (src.(i) *. 2.) +. 1. else -1000. -. float_of_int i in
+              if Int64.bits_of_float v <> Int64.bits_of_float want then
+                QCheck.Test.fail_reportf "%s: cell %d holds %g, want %g" label i v want)
+            out;
+          true)
+        engines)
+
+(* [Spans.inter] and [Spans.shift], which cut and re-base a shard's
+   spans for each ranged launch, agree with a list model. *)
+let qcheck_span_algebra =
+  QCheck.Test.make ~name:"span intersection and shift match a list model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun ((n, l), (a, b)) ->
+          Printf.sprintf "n=%d spans=[%s] range [%d, %d)" n
+            (String.concat "; " (List.map (fun (x, y) -> Printf.sprintf "%d,%d" x y) l))
+            a b)
+        Gen.(pair gen_span_launch (pair (int_range 0 45) (int_range 0 45))))
+    (fun ((_, ranges), (a, b)) ->
+      let s = Vgpu.Spans.of_list ranges in
+      let model =
+        List.filter_map
+          (fun (x, y) ->
+            let x = max x a and y = min y b in
+            if x < y then Some (x, y) else None)
+          ranges
+      in
+      Vgpu.Spans.to_list (Vgpu.Spans.inter s ~lo:a ~hi:b) = model
+      && Vgpu.Spans.to_list (Vgpu.Spans.shift (Vgpu.Spans.inter s ~lo:a ~hi:b) 7)
+         = List.map (fun (x, y) -> (x + 7, y + 7)) model
+      && Vgpu.Spans.items s = List.fold_left (fun acc (x, y) -> acc + y - x) 0 ranges)
+
+(* A span past the NDRange is refused by every engine before it runs. *)
+let test_span_past_ndrange () =
+  use_scratch_cache ();
+  let spans = Vgpu.Spans.of_list [ (2, 9) ] in
+  let args () = Vgpu.Args.[ Buf (Vgpu.Buffer.F (Array.make 9 0.)); Buf (Vgpu.Buffer.F (Array.make 9 0.)) ] in
+  List.iter
+    (fun (label, launch) ->
+      match launch (args ()) with
+      | () -> Alcotest.failf "%s: a span past the NDRange ran" label
+      | exception Invalid_argument _ -> ())
+    [
+      ("interp", fun args -> Vgpu.Exec.launch ~spans span_kernel ~args ~global:[ 8 ]);
+      ( "native",
+        fun args -> Vgpu.Native.launch ~spans (Vgpu.Native.compile span_kernel) ~args ~global:[ 8 ] );
+      ( "sanitizer",
+        fun args -> Vgpu.Sanitizer.launch ~spans (Vgpu.Sanitizer.create ()) span_kernel ~args ~global:[ 8 ] );
+    ];
+  match Vgpu.Spans.of_list [ (0, 4); (3, 6) ] with
+  | _ -> Alcotest.fail "overlapping spans accepted"
+  | exception Invalid_argument _ -> ()
+
 let suite =
   [
     Alcotest.test_case "torture kernel, all engines x precisions x opt" `Quick test_torture;
     Alcotest.test_case "u8 storage: wrap, zero-extend, empty binding" `Quick test_u8_storage;
     Alcotest.test_case "u8 storage mismatch rejected (native)" `Quick test_u8_mismatch;
+    QCheck_alcotest.to_alcotest qcheck_span_launches;
+    QCheck_alcotest.to_alcotest qcheck_span_algebra;
+    Alcotest.test_case "a span past the NDRange is refused" `Quick test_span_past_ndrange;
   ]

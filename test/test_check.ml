@@ -184,7 +184,7 @@ let test_runtime_fail_fast () =
   Vgpu.Runtime.bind rt "src" (Vgpu.Buffer.F (Array.make 8 0.));
   let launch ?(bufs = [ "out" ]) k global =
     let args = List.map (fun b -> Vgpu.Runtime.A_buf b) bufs @ [ Vgpu.Runtime.A_int 8 ] in
-    Vgpu.Runtime.run_op rt (Vgpu.Runtime.Launch { kernel = k; args; global })
+    Vgpu.Runtime.run_op rt (Vgpu.Runtime.Launch { kernel = k; args; global; spans = None })
   in
   let refused ?bufs k global =
     match launch ?bufs k global with

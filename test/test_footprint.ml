@@ -357,7 +357,8 @@ let test_t1_whole_slab_launch_detected () =
                   in
                   let wide =
                     Vgpu.Multi.Dev
-                      (d, Vgpu.Runtime.Launch { l with args; global = [ planes.(d) * nx * ny ] })
+                      (d, Vgpu.Runtime.Launch
+                         { l with args; global = [ planes.(d) * nx * ny ]; spans = None })
                   in
                   let m =
                     List.mapi
@@ -394,7 +395,7 @@ let test_uninit_read_detected () =
         Vgpu.Multi.Dev (0, Vgpu.Runtime.Alloc { name = "a"; ty = Real; elems = 8 });
         Vgpu.Multi.Dev (0, Vgpu.Runtime.Alloc { name = "b"; ty = Real; elems = 8 });
         Vgpu.Multi.Dev
-          (0, Vgpu.Runtime.Launch { kernel = k; args = [ Vgpu.Runtime.A_buf "a"; Vgpu.Runtime.A_buf "b" ]; global = [ 8 ] });
+          (0, Vgpu.Runtime.Launch { kernel = k; args = [ Vgpu.Runtime.A_buf "a"; Vgpu.Runtime.A_buf "b" ]; global = [ 8 ]; spans = None });
       ]
   in
   let slab = { Lift.Lint.sl_nx = 2; sl_ny = 2; sl_planes = [| 2 |] } in

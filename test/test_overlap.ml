@@ -309,6 +309,7 @@ let exchange_probe_plan ~waits : Vgpu.Multi.async_plan =
                 kernel = probe_kernel;
                 args = [ Vgpu.Runtime.A_buf "dst"; Vgpu.Runtime.A_buf "out"; Vgpu.Runtime.A_int 8 ];
                 global = [ 8 ];
+                spans = None;
               } );
       a_waits = (if waits then [ 0 ] else []);
       a_signal = None;

@@ -33,6 +33,7 @@ let test_runtime_plan () =
           kernel = double_kernel;
           args = [ Vgpu.Runtime.A_buf "a"; Vgpu.Runtime.A_real 10.; Vgpu.Runtime.A_int 4 ];
           global = [ 4 ];
+          spans = None;
         };
       Vgpu.Runtime.Copy_to_host "a";
     ]
@@ -55,7 +56,8 @@ let test_runtime_plan () =
     [ Vgpu.Runtime.Launch
         { kernel = double_kernel;
           args = [ Vgpu.Runtime.A_buf "a"; Vgpu.Runtime.A_real 3.; Vgpu.Runtime.A_int 2 ];
-          global = [ 2 ] } ];
+          global = [ 2 ];
+          spans = None } ];
   Alcotest.(check (list (float 0.))) "interp engine" [ 3.; 6. ] (Array.to_list data2)
 
 (* Alloc reuse must be validated: rebinding a name is fine only when the
@@ -148,6 +150,7 @@ let test_multi_devices () =
             kernel = double_kernel;
             args = [ Vgpu.Runtime.A_buf "a"; Vgpu.Runtime.A_real k_scale; Vgpu.Runtime.A_int 4 ];
             global = [ 4 ];
+            spans = None;
           } )
   in
   Vgpu.Multi.run multi
@@ -193,6 +196,7 @@ let test_launch_stats () =
         kernel = double_kernel;
         args = [ Vgpu.Runtime.A_buf "a"; Vgpu.Runtime.A_real 2.; Vgpu.Runtime.A_int 4 ];
         global = [ 4 ];
+        spans = None;
       }
   in
   Vgpu.Runtime.run rt [ launch; launch; launch ];
@@ -264,7 +268,8 @@ let test_refused_launch_not_counted () =
   Vgpu.Runtime.bind rt "a" (Vgpu.Buffer.F (Array.make 8 0.));
   (match
      Vgpu.Runtime.run_op rt
-       (Vgpu.Runtime.Launch { kernel = k; args = [ Vgpu.Runtime.A_buf "a" ]; global = [ 8 ] })
+       (Vgpu.Runtime.Launch
+          { kernel = k; args = [ Vgpu.Runtime.A_buf "a" ]; global = [ 8 ]; spans = None })
    with
   | exception Vgpu.Runtime.Unsafe_kernel _ -> ()
   | () -> Alcotest.fail "the verifying runtime dispatched a store past the end");
@@ -313,7 +318,8 @@ let test_lift_native_c_golden () =
     {|/* kernel volume (double precision) */
 __attribute__((visibility("default")))
 void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
-                       const int64_t *isc, const double *fsc, const int64_t *gsz)
+                       const int64_t *isc, const double *fsc, const int64_t *gsz,
+                       const int64_t *rk_sp, int64_t rk_nsp)
 {
   (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;
   const uint8_t * restrict nbrs = u8b[0];
@@ -332,7 +338,8 @@ void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
   int64_t rk_v1_nbr = 0;
   double rk_v2_sel = 0.0;
   double rk_v3_s = 0.0;
-  for (int64_t rk_g0 = 0; rk_g0 < rk_gs0; rk_g0++)
+  for (int64_t rk_s = 0; rk_s < rk_nsp; rk_s++)
+  for (int64_t rk_g0 = rk_sp[2 * rk_s] >> 1, rk_e0 = rk_sp[2 * rk_s + 1] >> 1; rk_g0 < rk_e0; rk_g0++)
   {
     rk_v0_gid0 = rk_g0;
     if (rk_v0_gid0 < N) {
@@ -354,7 +361,8 @@ void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
     {|/* kernel boundary_fd_mm (double precision) */
 __attribute__((visibility("default")))
 void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
-                       const int64_t *isc, const double *fsc, const int64_t *gsz)
+                       const int64_t *isc, const double *fsc, const int64_t *gsz,
+                       const int64_t *rk_sp, int64_t rk_nsp)
 {
   (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;
   const int64_t * restrict bidx = ib[0];
@@ -395,7 +403,8 @@ void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
   int64_t rk_v14__cse3 = 0;
   double rk_v15_nvf = 0.0;
   double rk_v16__cse2 = 0.0;
-  for (int64_t rk_g0 = 0; rk_g0 < rk_gs0; rk_g0++)
+  for (int64_t rk_s = 0; rk_s < rk_nsp; rk_s++)
+  for (int64_t rk_g0 = rk_sp[2 * rk_s] >> 1, rk_e0 = rk_sp[2 * rk_s + 1] >> 1; rk_g0 < rk_e0; rk_g0++)
   {
     rk_v0_gid0 = rk_g0;
     rk_v1__cse0 = nB + rk_v0_gid0;

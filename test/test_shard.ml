@@ -381,18 +381,18 @@ let test_early_sync_keeps_impulses () =
 
 (* -- Live planes -------------------------------------------------------- *)
 
-(* The (goff, count) of a ranged launch, in elements; [None] for a
-   launch over its kernel's full NDRange. *)
+(* The (goff, count) of a ranged launch, in elements, with its spans;
+   [None] for a launch over its kernel's full NDRange. *)
 let launch_range (o : Vgpu.Multi.async_op) =
   match o.Vgpu.Multi.a_op with
-  | Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch { kernel; args; global }) ->
+  | Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch { kernel; args; global; spans }) ->
       let goff =
         List.find_map
           (fun ((p : param), a) ->
             match a with Vgpu.Runtime.A_int n when p.p_name = "goff" -> Some n | _ -> None)
           (List.combine kernel.params args)
       in
-      Some (d, kernel, Option.map (fun g -> (g, List.hd global)) goff)
+      Some (d, kernel, Option.map (fun g -> ((g, List.hd global), spans)) goff)
   | _ -> None
 
 (* A plan's ops cut into steps: a step ends with the last device's last
@@ -413,9 +413,11 @@ let steps_of ~n (plan : Vgpu.Multi.async_plan) =
 (* Every unsplit volume launch of [Gpu_sim.plan] sweeps exactly its
    shard's live planes, on every schedule, 1-4 shards and T 1-3; a
    block start of the overlapped schedule on several devices launches
-   [Shard.split_ranges] as they are; split and unsplit launches share
-   one kernel value per device; the boundary kernels keep their full
-   NDRange; and no T = 1 exchange waits on a launch. *)
+   [Shard.split_ranges] as they are; every such launch visits exactly
+   the shard's spans in its range ([Shard.launch_spans]), an emptied
+   frontier none; split and unsplit launches share one kernel value per
+   device; the boundary kernels keep their full NDRange; and no T = 1
+   exchange waits on a launch. *)
 let test_launches_cover_live_planes () =
   let room = Geometry.build ~n_materials:4 Geometry.Dome (Geometry.dims ~nx:9 ~ny:8 ~nz:12) in
   let nz = room.Geometry.dims.Geometry.nz in
@@ -438,12 +440,17 @@ let test_launches_cover_live_planes () =
               List.filter_map
                 (fun o ->
                   match launch_range o with
-                  | Some (d', kernel, Some r) when d' = d ->
+                  | Some (d', kernel, Some (((goff, count) as r), spans)) when d' = d ->
                       (match forms.(d) with
                       | None -> forms.(d) <- Some kernel
                       | Some f ->
                           if f != kernel then
                             Alcotest.failf "%s step %d device %d: two volume forms" where k d);
+                      Alcotest.(check (option (list (pair int int))))
+                        (Printf.sprintf "%s step %d device %d spans of [%d, +%d)" where k d goff
+                           count)
+                        (Some (Vgpu.Spans.to_list (Shard.launch_spans sh ~goff ~count)))
+                        (Option.map Vgpu.Spans.to_list spans);
                       Some r
                   | _ -> None)
                 ops
@@ -500,6 +507,66 @@ let test_launches_cover_live_planes () =
       ("fd-mm", kernels_of `Fd_mm Double);
     ]
 
+(* The nonzero runs of [b] in [lo, hi), as [(start, stop)]. *)
+let nonzero_runs b ~lo ~hi =
+  let runs = ref [] and start = ref (-1) in
+  for i = lo to hi do
+    let live = i < hi && Bytes.get b i <> '\000' in
+    if live && !start < 0 then start := i
+    else if (not live) && !start >= 0 then begin
+      runs := (!start, i) :: !runs;
+      start := -1
+    end
+  done;
+  List.rev !runs
+
+(* Each device's span set, for box, dome and L-shape, 1-4 shards, T
+   1-3: ascending, disjoint and inside its hull (its live planes); it
+   covers every nonzero byte of its slab there, and on these rooms each
+   span is exactly one run of nonzero bytes. *)
+let test_span_sets () =
+  List.iter
+    (fun shape ->
+      let room = Geometry.build ~n_materials:4 shape (Geometry.dims ~nx:13 ~ny:11 ~nz:12) in
+      List.iter
+        (fun shards ->
+          List.iter
+            (fun halo ->
+              let p = Shard.plan ~n_branches:3 ~halo ~shards room in
+              Array.iter
+                (fun (sh : Shard.shard) ->
+                  let where =
+                    Printf.sprintf "%s shards=%d T=%d device %d" (Geometry.shape_label shape)
+                      shards sh.Shard.halo sh.Shard.index
+                  in
+                  let first, count = Shard.live_planes p sh in
+                  let lo = first * sh.Shard.plane and hi = (first + count) * sh.Shard.plane in
+                  (* as local indices *)
+                  let spans =
+                    List.map (fun (a, b) -> (a + lo, b + lo)) (Vgpu.Spans.to_list sh.Shard.spans)
+                  in
+                  ignore
+                    (List.fold_left
+                       (fun prev (a, b) ->
+                         if a < prev || b <= a || a < lo || b > hi then
+                           Alcotest.failf "%s: span [%d, %d) after %d, hull [%d, %d)" where a b
+                             prev lo hi;
+                         b)
+                       lo spans);
+                  for q = lo to hi - 1 do
+                    if Bytes.get sh.Shard.nbrs q <> '\000'
+                       && not (List.exists (fun (a, b) -> a <= q && q < b) spans)
+                    then Alcotest.failf "%s: nonzero byte %d in no span" where q
+                  done;
+                  Alcotest.(check (list (pair int int)))
+                    (where ^ ": the nonzero runs")
+                    (nonzero_runs sh.Shard.nbrs ~lo ~hi)
+                    spans)
+                p.Shard.shards)
+            [ 1; 2; 3 ])
+        [ 1; 2; 3; 4 ])
+    [ Geometry.Box; Geometry.Dome; Geometry.L_shape ]
+
 let lift_kernels scheme precision =
   let c name lam = (Lift_acoustics.Programs.compile ~name ~precision lam).Lift.Codegen.kernel in
   c "volume" (Lift_acoustics.Programs.volume ())
@@ -510,8 +577,8 @@ let lift_kernels scheme precision =
   | `Fd_mm -> [ c "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ()) ])
 
 (* [plan] with every ranged launch widened to its shard's whole slab
-   ([goff] 0, every element): what a launch over the full NDRange
-   computes. *)
+   ([goff] 0, every element, no spans): what a launch over the full
+   NDRange computes. *)
 let widen (plan : Vgpu.Multi.async_plan) ~local_n =
   List.map
     (fun (o : Vgpu.Multi.async_op) ->
@@ -526,7 +593,8 @@ let widen (plan : Vgpu.Multi.async_plan) ~local_n =
           {
             o with
             Vgpu.Multi.a_op =
-              Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch { l with args; global = [ local_n ] });
+              Vgpu.Multi.Dev
+                (d, Vgpu.Runtime.Launch { l with args; global = [ local_n ]; spans = None });
           }
       | _ -> o)
     plan
@@ -603,16 +671,122 @@ let test_one_device_shell_stays_zero () =
         [ ("hand", kernels_of); ("lift", lift_kernels) ])
     [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
 
+(* The field on every device's [prev]/[curr]/[next] cells whose global
+   point has [nbrs] = 0 in the room's grid (a slab zeroes its ghost
+   planes' [nbrs], though they hold copies of the neighbour's live
+   points), and on the out-of-grid ghost cells: all [+0.0]. *)
+let check_dead_points where (sim : Gpu_sim.t) =
+  let room = sim.Gpu_sim.state.State.room in
+  let n = Geometry.n_points room.Geometry.dims in
+  Array.iteri
+    (fun d (sh : Shard.shard) ->
+      let c = sim.Gpu_sim.cells.(d) in
+      List.iter
+        (fun (name, cell) ->
+          match !cell with
+          | Vgpu.Buffer.F a ->
+              for q = 0 to sh.Shard.local_n - 1 do
+                let g = sh.Shard.base + q in
+                if (g < 0 || g >= n || Bytes.get room.Geometry.nbrs_u8 g = '\000')
+                   && Int64.bits_of_float a.(q) <> 0L
+                then
+                  Alcotest.failf "%s: device %d %s holds %g at dead point %d" where d name a.(q) g
+              done
+          | _ -> Alcotest.failf "%s: %s is not real" where name)
+        [ ("prev", c.Gpu_sim.c_prev); ("curr", c.Gpu_sim.c_curr); ("next", c.Gpu_sim.c_next) ])
+    sim.Gpu_sim.plan.Shard.shards
+
+(* The volume launches skip the dead points inside their hulls, where
+   the hand kernel would write nothing and the Lift kernel 0: after 50
+   steps of each scheme, Lift and hand, both precisions, on 1-3 shards
+   under every schedule, every dead point still holds +0.0. *)
+let test_dead_points_stay_zero () =
+  let room = Geometry.build ~n_materials:4 Geometry.Dome (Geometry.dims ~nx:11 ~ny:9 ~nz:10) in
+  List.iter
+    (fun (label, scheme) ->
+      List.iter
+        (fun (origin, kernels_of) ->
+          List.iter
+            (fun precision ->
+              let kernels = kernels_of scheme precision in
+              List.iter
+                (fun (shards, tblock) ->
+                  List.iter
+                    (fun (sname, schedule) ->
+                      let sim =
+                        Gpu_sim.create ~engine:`Native ~shards ~schedule ~tblock ~precision
+                          ~fi_beta:0.2 ~n_branches:3 params room
+                      in
+                      let cx, cy, cz = State.centre sim.Gpu_sim.state in
+                      State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+                      for _ = 1 to 50 do
+                        Gpu_sim.step sim kernels
+                      done;
+                      check_dead_points
+                        (Printf.sprintf "%s %s %s shards=%d T=%d %s" label origin
+                           (match precision with Single -> "single" | Double -> "double")
+                           shards tblock sname)
+                        sim)
+                    [ ("seq", `Seq); ("concurrent", `Concurrent); ("overlap", `Overlap) ])
+                [ (1, 1); (2, 1); (3, 2) ])
+            [ Double; Single ])
+        [ ("hand", kernels_of); ("lift", lift_kernels) ])
+    [ ("fi", `Fi); ("fi-mm", `Fi_mm); ("fd-mm", `Fd_mm) ]
+
+(* The identity tests see the span set: a plan whose volume launch
+   drops the impulse's own point from its span diverges from the OCaml
+   reference within 2 steps, while the plan as built matches it. *)
+let test_span_mutation_diverges () =
+  let room = Geometry.build ~n_materials:4 Geometry.Dome (Geometry.dims ~nx:11 ~ny:9 ~nz:8) in
+  let kernels = kernels_of `Fi Double and steps = 2 in
+  let run mutate =
+    let sim = Gpu_sim.create ~engine:`Native ~fi_beta:0.2 ~n_branches:3 params room in
+    let cx, cy, cz = State.centre sim.Gpu_sim.state in
+    State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+    let i = State.idx_of sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz in
+    (* the launch's spans without work item [i - goff] *)
+    let drop goff s =
+      let w = i - goff in
+      Vgpu.Spans.of_list
+        (List.concat_map
+           (fun (a, b) -> if a <= w && w < b then [ (a, w); (w + 1, b) ] else [ (a, b) ])
+           (Vgpu.Spans.to_list s))
+    in
+    let op (o : Vgpu.Multi.async_op) =
+      match (launch_range o, o.Vgpu.Multi.a_op) with
+      | Some (_, _, Some ((goff, _), Some s)), Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch l) when mutate
+        ->
+          Vgpu.Multi.Dev (d, Vgpu.Runtime.Launch { l with spans = Some (drop goff s) })
+      | _ -> o.Vgpu.Multi.a_op
+    in
+    Vgpu.Multi.run sim.Gpu_sim.multi (List.map op (Gpu_sim.plan sim kernels ~steps));
+    Gpu_sim.sync sim;
+    sim.Gpu_sim.state
+  in
+  let r = State.create ~n_branches:3 room in
+  let cx, cy, cz = State.centre r in
+  State.add_impulse r ~x:cx ~y:cy ~z:cz;
+  for _ = 1 to steps do
+    Ref_kernels.step_fi params r ~beta:0.2
+  done;
+  Test_util.check_bits "the plan as built vs reference" r.State.curr (run false).State.curr;
+  let mutant = (run true).State.curr in
+  Alcotest.(check bool) "a dropped impulse point diverges from the reference" true
+    (Array.exists2 (fun a b -> Int64.bits_of_float a <> Int64.bits_of_float b) r.State.curr mutant)
+
 (* nz = 3 on 3 shards: the outer shards own only the room's shell
-   planes, so their live ranges are empty (zero-count launches), and
-   every schedule is bit-identical to one device; the plans verify
-   clean. *)
+   planes, so their live ranges and span sets are empty (zero-count,
+   zero-span launches), and every schedule is bit-identical to one
+   device; the plans verify clean. *)
 let test_empty_live_ranges () =
   let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:9 ~ny:8 ~nz:3) in
   let p = Shard.plan ~shards:3 room in
   Alcotest.(check (list (pair int int)))
     "live planes" [ (2, 0); (1, 1); (1, 0) ]
     (Array.to_list (Array.map (Shard.live_planes p) p.Shard.shards));
+  Alcotest.(check (list int))
+    "spans per shard" [ 0; 6; 0 ]
+    (Array.to_list (Array.map (fun (sh : Shard.shard) -> Vgpu.Spans.length sh.Shard.spans) p.Shard.shards));
   List.iter
     (fun (label, scheme) ->
       let kernels = kernels_of scheme Double in
@@ -674,4 +848,8 @@ let suite =
     Alcotest.test_case "one device: shell planes stay zero" `Quick
       test_one_device_shell_stays_zero;
     Alcotest.test_case "nz = 3 on 3 shards: empty live ranges" `Quick test_empty_live_ranges;
+    Alcotest.test_case "span sets: the room's nonzero runs" `Quick test_span_sets;
+    Alcotest.test_case "dead points stay +0.0 on every device" `Quick test_dead_points_stay_zero;
+    Alcotest.test_case "a span without the impulse point diverges" `Quick
+      test_span_mutation_diverges;
   ]
