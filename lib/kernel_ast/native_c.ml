@@ -35,18 +35,28 @@
    [int64_t*] to their tagged words, byte buffers as [uint8_t*],
    scalars (untagged) in two flat arrays — plus the NDRange sizes and
    the launch's span table ([Vgpu.Spans]: [lo, hi) pairs of tagged
-   words, and their count).  The work-item loops live inside the entry,
-   row-major z/y/x exactly like [Exec.launch], one loop per dimension
-   the kernel declares ([Cast.launch_dims]); the rank rule makes every
-   other dimension 1.  Dimension 0 always runs over the span table: the
-   loop visits each span's work items in turn, and a plain launch is the
-   one span [0, gsz[0]), so there is one loop form and no second entry
-   for span launches.
+   words, and their count).  The exported entry only unpacks these and
+   calls the entry's body once: a [static], always-inlined function
+   whose parameters are the kernel's own, one per buffer and scalar,
+   then the sizes and the span table.  The buffer parameters carry the
+   qualifiers ([const] on read-only buffers, [restrict] under
+   [noalias]), since the C compiler honours [restrict] on a function's
+   parameters, also once inlined, but not on block-scope pointers loaded
+   from an array (gcc 12 compiled those identically with and without
+   it).  The work-item loops live inside the body, row-major z/y/x
+   exactly like [Exec.launch], one loop per dimension the kernel
+   declares ([Cast.launch_dims]); the rank rule makes every other
+   dimension 1.  Dimension 0 always runs over the span table: the loop
+   visits each span's work items in turn, and a plain launch is the one
+   span [0, gsz[0]), so there is one loop form and no second entry for
+   span launches.
 
    An entry is named by the [RK_ENTRY] macro, which the translation unit
-   defines before it: one unit can hold several entries, and an entry's
-   text, hence the binary cache key digesting it, does not depend on the
-   name it is built under or on the other entries beside it.
+   defines before it, and its body by [RK_BODY], which the prelude
+   defines as [RK_ENTRY]'s expansion with [_body] appended: one unit can
+   hold several entries, and an entry's text, hence the binary cache key
+   digesting it, does not depend on the name it is built under or on the
+   other entries beside it.
 
    Body-declared locals are renamed [rk_v<i>_<stem>], numbered in
    declaration order, where the stem drops Lift's gensym suffixes
@@ -392,7 +402,7 @@ let comment_c c =
     c;
   Buffer.contents buf
 
-(* Statement emission.  All declarations are hoisted to entry scope
+(* Statement emission.  All declarations are hoisted to body scope
    (built from [env.locals]); the statement stream only assigns.  A
    [Decl] with no initializer zeroes its variable like the reference
    interpreter; [Decl_arr] re-zeroes per evaluation (fresh per
@@ -453,7 +463,7 @@ let rec emit_stmt env buf ~indent ~round_store (s : stmt) =
   | For l ->
       (* Replicates [Exec]'s loop structure literally: a hidden iterator
          advances by [step] evaluated after the body; the loop variable
-         is the entry-scope register, assigned at the top of each
+         is the body-scope register, assigned at the top of each
          iteration; [bound] is re-evaluated per iteration before that
          assignment. *)
       let it = "rk_it_" ^ cname env l.var in
@@ -498,7 +508,11 @@ let preamble =
    static inline double rk_fmax(double x, double y) {\n\
    \  if (y < x || (signbit(y) && !signbit(x))) return (y != y) ? y : x;\n\
    \  return (x != x) ? x : y;\n\
-   }\n"
+   }\n\n\
+   /* An entry's body function: the entry's name with _body appended. */\n\
+   #define RK_CAT_(a, b) a##b\n\
+   #define RK_CAT(a, b) RK_CAT_(a, b)\n\
+   #define RK_BODY RK_CAT(RK_ENTRY, _body)\n"
 
 (* {2 Write-set analysis for restrict emission}
 
@@ -508,10 +522,11 @@ let preamble =
    site, indirect scatters included); a plain syntactic walk over
    [Store] targets is unioned in as a conservative floor so a footprint
    blind spot can never demote a written buffer to read-only.  The
-   result licenses the C qualifiers below: [const] on read-only buffer
-   params unconditionally, and [restrict] only under the launcher's
-   no-aliased-bindings guarantee ([Vgpu.Native.launch] checks it per
-   launch and falls back to a [~noalias:false] compilation). *)
+   result licenses the C qualifiers on the body's buffer parameters:
+   [const] on read-only buffers unconditionally, and [restrict] only
+   under the launcher's no-aliased-bindings guarantee
+   ([Vgpu.Native.dispatch] checks it per launch and falls back to a
+   [~noalias:false] compilation). *)
 
 let written_params (k : kernel) : string list =
   let fp_writes =
@@ -530,19 +545,16 @@ let written_params (k : kernel) : string list =
       else None)
     k.params
 
-(* Does the entry call one of the prelude's eight libm functions: a math
-   builtin other than [Fmin]/[Fmax] (rendered as the prelude's helpers),
-   or a real [Mod] ([fmod])?  Only such an entry needs libm linked. *)
-let calls_libm (k : kernel) =
-  let env = build_env k in
+(* Does [p] hold for an expression of [body], at any depth? *)
+let body_exists p body =
   let rec expr e =
+    p e
+    ||
     match e with
-    | Call ((Fmin | Fmax), args) -> List.exists expr args
-    | Call (_, _) -> true
-    | Binop (Mod, _, _) when type_of env e = Real -> true
     | Binop (_, a, b) -> expr a || expr b
     | Unop (_, a) | Load (_, a) -> expr a
     | Ternary (c, a, b) -> expr c || expr a || expr b
+    | Call (_, args) -> List.exists expr args
     | Int_lit _ | Real_lit _ | Var _ | Global_id _ | Global_size _ -> false
   and stmt = function
     | Decl (_, _, init) -> Option.fold ~none:false ~some:expr init
@@ -552,7 +564,20 @@ let calls_libm (k : kernel) =
     | For l -> expr l.init || expr l.bound || expr l.step || List.exists stmt l.body
     | Decl_arr _ | Comment _ -> false
   in
-  List.exists stmt k.body
+  List.exists stmt body
+
+(* Does the entry call one of the prelude's eight libm functions: a math
+   builtin other than [Fmin]/[Fmax] (rendered as the prelude's helpers),
+   or a real [Mod] ([fmod])?  Only such an entry needs libm linked. *)
+let calls_libm (k : kernel) =
+  let env = build_env k in
+  body_exists
+    (function
+      | Call ((Fmin | Fmax), _) -> false
+      | Call (_, _) -> true
+      | Binop (Mod, _, _) as e -> type_of env e = Real
+      | _ -> false)
+    k.body
 
 (* The macro an entry is named by: {!translation_unit} defines it. *)
 let entry_macro = "RK_ENTRY"
@@ -564,45 +589,55 @@ let entry_source ?(noalias = true) (k : kernel) : string =
   add
     (Printf.sprintf "/* kernel %s (%s precision) */\n" k.name
        (match k.precision with Single -> "single" | Double -> "double"));
-  add
-    (Printf.sprintf
-       "__attribute__((visibility(\"default\")))\n\
-        void %s(double **fb, int64_t **ib, uint8_t **u8b,\n\
-       \                       const int64_t *isc, const double *fsc, const int64_t *gsz,\n\
-       \                       const int64_t *rk_sp, int64_t rk_nsp)\n{\n"
-       entry_macro);
-  add "  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;\n";
-  (* parameter prologue, in [bindings] order: read-only buffers (proven
-     by [written_params]) are [const]; [restrict] is emitted only when
-     the launcher vouches that no written buffer aliases another
-     binding *)
+  (* The body's parameters, as (C type, name, the wrapper's argument,
+     read by the body?): the kernel's, in [bindings] order, then the
+     NDRange sizes and the span table.  Read-only buffers (proven by
+     [written_params]) are [const]; [restrict] is emitted only when the
+     launcher vouches that no written buffer aliases another binding. *)
   let written = written_params k in
-  let quals name =
-    let cst = if List.mem name written then "" else "const " in
-    let res = if noalias then " restrict" else "" in
-    (cst, res)
-  in
-  List.iter2
-    (fun p b ->
-      let n = cname env p.p_name in
+  let reads name = body_exists (function Var v | Load (v, _) -> v = name | _ -> false) k.body in
+  let param p b =
+    let buffer elt slot =
+      let cst = if List.mem p.p_name written then "" else "const " in
+      let res = if noalias then " restrict" else "" in
+      (cst ^ elt ^ " *" ^ res, slot, reads p.p_name || stores_to p.p_name k.body)
+    in
+    let ty, arg, used =
       match b with
-      | Arg_fbuf s ->
-          let cst, res = quals p.p_name in
-          add (Printf.sprintf "  %sdouble *%s %s = fb[%d];\n" cst res n s)
-      | Arg_ibuf s ->
-          let cst, res = quals p.p_name in
-          add (Printf.sprintf "  %sint64_t *%s %s = ib[%d];\n" cst res n s)
-      | Arg_u8buf s ->
-          let cst, res = quals p.p_name in
-          add (Printf.sprintf "  %suint8_t *%s %s = u8b[%d];\n" cst res n s)
-      | Arg_iscalar s -> add (Printf.sprintf "  int64_t %s = isc[%d];\n" n s)
-      | Arg_rscalar s -> add (Printf.sprintf "  double %s = fsc[%d];\n" n s))
-    k.params (bindings k);
-  add "  const int64_t rk_gs0 = gsz[0];\n";
-  add "  const int64_t rk_gs1 = gsz[1];\n";
-  add "  const int64_t rk_gs2 = gsz[2];\n";
-  add "  (void)rk_gs0; (void)rk_gs1; (void)rk_gs2;\n";
-  (* hoisted entry-scope locals, zero-initialised like fresh registers *)
+      | Arg_fbuf s -> buffer "double" (Printf.sprintf "fb[%d]" s)
+      | Arg_ibuf s -> buffer "int64_t" (Printf.sprintf "ib[%d]" s)
+      | Arg_u8buf s -> buffer "uint8_t" (Printf.sprintf "u8b[%d]" s)
+      | Arg_iscalar s -> ("int64_t", Printf.sprintf "isc[%d]" s, reads p.p_name)
+      | Arg_rscalar s -> ("double", Printf.sprintf "fsc[%d]" s, reads p.p_name)
+    in
+    (ty, cname env p.p_name, arg, used)
+  in
+  (* the loop nest reads the sizes of dimensions 1 and up it declares *)
+  let size d =
+    ( "int64_t",
+      Printf.sprintf "rk_gs%d" d,
+      Printf.sprintf "gsz[%d]" d,
+      (d > 0 && d < env.dims) || body_exists (function Global_size d' -> d' = d | _ -> false) k.body
+    )
+  in
+  let params =
+    List.map2 param k.params (bindings k)
+    @ [
+        size 0;
+        size 1;
+        size 2;
+        ("const int64_t *", "rk_sp", "rk_sp", true);
+        ("int64_t", "rk_nsp", "rk_nsp", true);
+      ]
+  in
+  add "static inline __attribute__((always_inline))\nvoid RK_BODY(";
+  add (String.concat ",\n             " (List.map (fun (ty, n, _, _) -> ty ^ " " ^ n) params));
+  add ")\n{\n";
+  (* a parameter the body never reads would warn under -Wextra *)
+  (match List.filter_map (fun (_, n, _, used) -> if used then None else Some n) params with
+  | [] -> ()
+  | unused -> add ("  " ^ String.concat " " (List.map (Printf.sprintf "(void)%s;") unused) ^ "\n"));
+  (* hoisted body-scope locals, zero-initialised like fresh registers *)
   List.iter
     (fun (v, s) ->
       match s with
@@ -626,7 +661,19 @@ let entry_source ?(noalias = true) (k : kernel) : string =
      rk_g0++)\n";
   add "  {\n";
   List.iter (emit_stmt env buf ~indent:4 ~round_store) k.body;
-  add "  }\n}\n";
+  add "  }\n}\n\n";
+  (* the exported entry: unpack the slot arrays and call the body once *)
+  add
+    (Printf.sprintf
+       "__attribute__((visibility(\"default\")))\n\
+        void %s(double **fb, int64_t **ib, uint8_t **u8b,\n\
+       \                       const int64_t *isc, const double *fsc, const int64_t *gsz,\n\
+       \                       const int64_t *rk_sp, int64_t rk_nsp)\n{\n"
+       entry_macro);
+  add "  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;\n";
+  add "  RK_BODY(";
+  add (String.concat ", " (List.map (fun (_, _, arg, _) -> arg) params));
+  add ");\n}\n";
   Buffer.contents buf
 
 (* One translation unit: the prelude once, then each entry under its own

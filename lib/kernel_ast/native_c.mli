@@ -13,7 +13,9 @@
     compiler and dispatches launches through their entries. *)
 
 val entry_macro : string
-(** [RK_ENTRY], the name every entry is rendered under.  An entry is
+(** [RK_ENTRY], the name every entry is rendered under (its body
+    function is [RK_BODY], which the {!preamble} names after it).  An
+    entry is
     [void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
                    const int64_t *isc, const double *fsc,
                    const int64_t *gsz,
@@ -57,24 +59,36 @@ val calls_libm : Cast.kernel -> bool
 
 val preamble : string
 (** The prelude every translation unit starts with: types, libm
-    prototypes and the [Fmin]/[Fmax] helpers. *)
+    prototypes, the [Fmin]/[Fmax] helpers and the [RK_BODY] macro. *)
 
 val entry_source : ?noalias:bool -> Cast.kernel -> string
-(** One kernel's entry, named {!entry_macro}.  Deterministic: equal
-    kernels render to equal strings, so the text can key a binary
-    cache.  The entry loops over the NDRange dimensions the kernel
-    declares ({!Cast.launch_dims}), dimension 0 over the span table,
-    and reads [get_global_id] of any other dimension as 0, which the
-    rank rule ({!Cast.check_ndrange}) makes exact.
+(** One kernel's entry, named {!entry_macro}, and its body function.
+    Deterministic: equal kernels render to equal strings, so the text
+    can key a binary cache.
+
+    The body is a [static], always-inlined function taking the kernel's
+    parameters as C parameters, in parameter order, then the three
+    NDRange sizes and the span table; the exported entry unpacks the
+    slot arrays and calls it once.  Parameters, not locals, because the
+    C compiler honours [restrict] on parameters (also after inlining)
+    and ignores it on block-scope pointers loaded from the slot arrays.
+    A parameter the body never reads is cast to [void], so the source
+    compiles without warnings under [-Wall -Wextra].  The body loops
+    over the NDRange dimensions the kernel declares
+    ({!Cast.launch_dims}), dimension 0 over the span table, and reads
+    [get_global_id] of any other dimension as 0, which the rank rule
+    ({!Cast.check_ndrange}) makes exact.
 
     Buffer parameters outside {!written_params} are emitted [const].
     With [noalias] (the default) every buffer parameter is additionally
     qualified [restrict] — licensed only when no buffer in
     {!written_params} is bound to the same array as any other buffer
-    parameter.  [Vgpu.Native.launch] checks exactly that per launch and
-    re-renders with [~noalias:false] (a distinct cache entry) for the
-    rare aliased launch, so the fast path keeps the qualifier without
-    ever lying to the C compiler.
+    parameter.  [Vgpu.Native.dispatch] checks exactly that per launch
+    and dispatches a [~noalias:false] rendering (a distinct cache entry)
+    for the rare aliased launch, so the fast path keeps the qualifier
+    without ever lying to the C compiler, which does act on it: a
+    [restrict] build may keep a value loaded through one buffer in a
+    register across a store through another.
     @raise Failure on an unbound identifier (the kernel would not
     interpret either).
     @raise Cast.Work_group_size on a kernel whose [local_size] is not

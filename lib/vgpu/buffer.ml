@@ -22,19 +22,23 @@ type t =
    refused) the zeroing faults as [Array.make] does. *)
 let large_bytes = 4 lsl 20
 
+(* Advise a block's aligned interior (none below 2 MiB), then zero its
+   first [n] bytes with libc's [memset]. *)
 external zero_huge : 'a -> int -> unit = "racs_zero_huge" [@@noalloc]
 
 (* the GC scans an int array, so this stub stores every zero before it
    returns, as [Array.make] does *)
 external zeros_int_huge : int -> int array = "racs_zeros_int"
 
+(* A float array of every size is zeroed by [memset]: the GC never scans
+   its contents, so it may stay unset until then.  [Array.make]'s store
+   loop, the runtime's [caml_make_vect], sits after all OCaml code in the
+   binary, so its speed moved with the size of the program (set-up read
+   up to 25% slower after code elsewhere grew: EXPERIMENTS.md). *)
 let zeros_float n =
-  if n * 8 < large_bytes then Array.make n 0.
-  else begin
-    let a = Array.create_float n in
-    zero_huge a (n * 8);
-    a
-  end
+  let a = Array.create_float n in
+  zero_huge a (n * 8);
+  a
 
 let zeros_int n = if n * 8 < large_bytes then Array.make n 0 else zeros_int_huge n
 

@@ -21,7 +21,8 @@ type t =
     pages, its 2 MiB-aligned interior is advised for transparent huge
     pages ([madvise (MADV_HUGEPAGE)]), and only then is it zeroed, so it
     faults in 2 MiB pages.  Where the advice is unavailable or refused
-    the result is the same array, faulted in 4 KiB pages.  Smaller
+    the result is the same array, faulted in 4 KiB pages.  A float array
+    of any size is zeroed by libc's [memset]; smaller int and byte
     requests are plain [Array.make]/[Bytes.make]. *)
 
 val large_bytes : int

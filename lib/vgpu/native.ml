@@ -285,10 +285,11 @@ let count_bindings bs =
     bs;
   n
 
-(* The generated C marks buffer parameters [restrict], which is licensed
-   only when no written buffer is bound to the same array as any other
-   buffer parameter.  Read-only buffers may alias each other freely —
-   C99 restrict only constrains objects that are modified. *)
+(* The generated C marks the entry body's buffer parameters [restrict],
+   which is licensed only when no written buffer is bound to the same
+   array as any other buffer parameter.  Read-only buffers may alias
+   each other freely — C99 restrict only constrains objects that are
+   modified. *)
 let alias_pairs (k : Cast.kernel) bindings =
   let written = Native_c.written_params k in
   let w = Array.of_list (List.map (fun (p : Cast.param) -> List.mem p.p_name written) k.params) in

@@ -29,8 +29,10 @@ val build :
     loaded from the memo, else from the disk cache; all the others are
     built by a single [cc] run of one translation unit, installed under
     each one's own key.  Kernels with equal keys share one result.
-    [noalias] (default true) renders buffer parameters [restrict],
-    proven per launch — see {!dispatch}.
+    [noalias] (default true) renders the entry body's buffer
+    parameters [restrict], which the C compiler acts on; {!dispatch}
+    proves the promise per launch, and [~noalias:false] builds the
+    rendering an aliased launch runs.
 
     When the compiler rejects a unit of several kernels, they are built
     one at a time, so each error names its own kernel and the others
@@ -71,13 +73,16 @@ val dispatch : ?spans:Spans.t -> launcher -> Args.t array -> global:int list -> 
     When the compiled object carries [restrict] qualifiers, the filled
     slots are first checked for aliasing hazards, by physical
     comparison: a buffer in {!Kernel_ast.Native_c.written_params} bound
-    to the same array as any other buffer parameter.  A hazardous
-    launch transparently dispatches a [~noalias:false] compilation of
-    the same kernel (its own cache entry, fetched once per launcher) so
-    the restrict promise is never broken; alias-free launches — every
-    launch the simulation runtimes issue — keep the qualified fast
-    path.  A {!Kernel_ast.Cast.U8} parameter takes a {!Buffer.U8}
-    argument, passed in place like every buffer.
+    to the same array as any other buffer parameter.  The promise
+    reaches the compiler, which may keep a value loaded through one
+    buffer across a store through another, so a hazardous launch would
+    compute a different answer on that object.  It transparently
+    dispatches a [~noalias:false] compilation of the same kernel
+    instead (its own cache entry, fetched once per launcher), whose
+    results match the interpreter's; alias-free launches — every launch
+    the simulation runtimes issue — keep the qualified fast path.  A
+    {!Kernel_ast.Cast.U8} parameter takes a {!Buffer.U8} argument,
+    passed in place like every buffer.
     @raise Invalid_argument on an argument count, kind or storage
     mismatch (a [U8] buffer for a word parameter, or the reverse), or a
     span ending past [global]'s dimension 0.

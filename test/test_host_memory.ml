@@ -36,6 +36,8 @@ let check_zeros name n len get =
 
 let sizes elem = [ (large / elem) - 1; large / elem; (large / elem) + 4099 ]
 
+(* Floats take one path at every size: also across the minor heap's
+   largest block (256 words) and at a small room's grid (32x24x20). *)
 let test_floats () =
   List.iter
     (fun n ->
@@ -44,7 +46,7 @@ let test_floats () =
       churn ();
       check_zeros (Printf.sprintf "float %d" n) n (Array.length a) (fun i ->
           if a.(i) = 0. && not (Float.sign_bit a.(i)) then 0 else 1))
-    (sizes 8)
+    ([ 0; 1; 255; 256; 257; 32 * 24 * 20 ] @ sizes 8)
 
 let test_ints () =
   List.iter

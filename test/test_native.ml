@@ -1079,12 +1079,13 @@ let test_restrict_qualifiers () =
   let open Acoustics in
   let src = Vgpu.Native.source (Hand_kernels.volume ~precision:Double) in
   let has needle = Test_util.contains src needle in
+  (* the qualifiers sit on the body function's parameters *)
   Alcotest.(check bool) "read-only buffer is const restrict" true
-    (has "const double * restrict curr = ");
+    (has "const double * restrict curr,");
   Alcotest.(check bool) "nbrs is const restrict" true
-    (has "const int64_t * restrict nbrs = ");
+    (has "const int64_t * restrict nbrs,");
   Alcotest.(check bool) "written buffer is restrict but not const" true
-    (has "  double * restrict next = ");
+    (has "double * restrict next," && not (has "const double * restrict next"));
   let plain = Vgpu.Native.source ~noalias:false (Hand_kernels.volume ~precision:Double) in
   Alcotest.(check bool) "noalias:false drops restrict" false
     (Test_util.contains plain "restrict");
@@ -1158,6 +1159,60 @@ let test_aliased_launch_falls_back () =
     (Bytes.to_string b);
   Alcotest.(check int) "u8 aliasing detected: no-restrict variant compiled" 1
     (Vgpu.Native.counters ()).Vgpu.Native.c_compiles
+
+(* A probe whose answer depends on whether the C compiler trusts
+   [restrict]: each work item runs dst[i] = src[i] + 1, then dst[i] =
+   dst[i] + src[i].  Launched with dst == src, [Exec] reads the first
+   store back through src and computes 2x + 2, while a build that keeps
+   src[i] in a register across the store to dst computes 2x + 1.  So the
+   launcher must dispatch the no-restrict build on that launch, for real
+   and byte buffers alike, and keep the restrict build, with no further
+   cc run, on a disjoint one. *)
+let test_aliased_probe_answer () =
+  use_scratch_cache ();
+  List.iter
+    (fun (what, ty, one, fresh) ->
+      let k =
+        {
+          name = "native_alias_answer_" ^ what;
+          precision = Double;
+          params = [ param "dst" ty; param "src" ty ];
+          global_size = [ Int_lit 8 ];
+          local_size = [];
+          body =
+            [
+              Store ("dst", Global_id 0, Load ("src", Global_id 0) +: one);
+              Store ("dst", Global_id 0, Load ("dst", Global_id 0) +: Load ("src", Global_id 0));
+            ];
+        }
+      in
+      let k = if ty = Int then with_u8 "dst" (with_u8 "src" k) else k in
+      let ints b = Array.init 8 (Vgpu.Buffer.get_int b) in
+      let c = Vgpu.Native.compile k in
+      let want = fresh () in
+      Vgpu.Exec.launch k ~args:[ Vgpu.Args.Buf want; Vgpu.Args.Buf want ] ~global:[ 8 ];
+      Alcotest.(check (array int)) (what ^ ": Exec computes 2x + 2 in place")
+        (Array.init 8 (fun x -> (2 * x) + 2))
+        (ints want);
+      Vgpu.Native.reset_counters ();
+      let got = fresh () in
+      Vgpu.Native.launch c ~args:[ Vgpu.Args.Buf got; Vgpu.Args.Buf got ] ~global:[ 8 ];
+      Alcotest.(check (array int)) (what ^ ": the aliased launch matches Exec") (ints want)
+        (ints got);
+      Alcotest.(check int) (what ^ ": the no-restrict build was compiled") 1
+        (Vgpu.Native.counters ()).Vgpu.Native.c_compiles;
+      Vgpu.Native.reset_counters ();
+      let dst = fresh () and src = fresh () in
+      Vgpu.Native.launch c ~args:[ Vgpu.Args.Buf dst; Vgpu.Args.Buf src ] ~global:[ 8 ];
+      Alcotest.(check (array int)) (what ^ ": a disjoint launch computes 2x + 1")
+        (Array.init 8 (fun x -> (2 * x) + 1))
+        (ints dst);
+      Alcotest.(check int) (what ^ ": the disjoint launch keeps the restrict build") 0
+        (Vgpu.Native.counters ()).Vgpu.Native.c_compiles)
+    [
+      ("f", Real, Real_lit 1.0, fun () -> Vgpu.Buffer.F (Array.init 8 float_of_int));
+      ("u8", Int, Int_lit 1, fun () -> Vgpu.Buffer.U8 (Bytes.init 8 Char.chr));
+    ]
 
 (* A first native launch compiles (cc + dlopen) before the launch timer
    starts: on a fresh cache the compile happens, yet the recorded launch
@@ -1535,4 +1590,6 @@ let suite =
       test_ndrange_rank_rule;
     Alcotest.test_case "libm linked only where an entry calls it" `Quick
       test_libm_only_where_called;
+    Alcotest.test_case "aliased launch: Exec's answer where restrict would differ" `Quick
+      test_aliased_probe_answer;
   ]

@@ -316,23 +316,21 @@ let test_lift_native_c_golden () =
   let entry k = Native_c.entry_source (fst (Opt.optimize (Cast.with_u8 "nbrs" k))) in
   Test_golden.check_golden "volume (native C)"
     {|/* kernel volume (double precision) */
-__attribute__((visibility("default")))
-void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
-                       const int64_t *isc, const double *fsc, const int64_t *gsz,
-                       const int64_t *rk_sp, int64_t rk_nsp)
+static inline __attribute__((always_inline))
+void RK_BODY(const uint8_t * restrict nbrs,
+             const double * restrict prev,
+             const double * restrict curr,
+             double * restrict next,
+             int64_t Nx,
+             int64_t NxNy,
+             double l2,
+             int64_t N,
+             int64_t rk_gs0,
+             int64_t rk_gs1,
+             int64_t rk_gs2,
+             const int64_t * rk_sp,
+             int64_t rk_nsp)
 {
-  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;
-  const uint8_t * restrict nbrs = u8b[0];
-  const double * restrict prev = fb[0];
-  const double * restrict curr = fb[1];
-  double * restrict next = fb[2];
-  int64_t Nx = isc[0];
-  int64_t NxNy = isc[1];
-  double l2 = fsc[0];
-  int64_t N = isc[2];
-  const int64_t rk_gs0 = gsz[0];
-  const int64_t rk_gs1 = gsz[1];
-  const int64_t rk_gs2 = gsz[2];
   (void)rk_gs0; (void)rk_gs1; (void)rk_gs2;
   int64_t rk_v0_gid0 = 0;
   int64_t rk_v1_nbr = 0;
@@ -355,37 +353,44 @@ void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
     }
   }
 }
-|}
-    (entry (lift "volume" (Lift_acoustics.Programs.volume ())));
-  Test_golden.check_golden "boundary_fd_mm (native C)"
-    {|/* kernel boundary_fd_mm (double precision) */
+
 __attribute__((visibility("default")))
 void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
                        const int64_t *isc, const double *fsc, const int64_t *gsz,
                        const int64_t *rk_sp, int64_t rk_nsp)
 {
   (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;
-  const int64_t * restrict bidx = ib[0];
-  const uint8_t * restrict nbrs = u8b[0];
-  const int64_t * restrict material = ib[1];
-  const double * restrict beta_fd = fb[0];
-  const double * restrict bi = fb[1];
-  const double * restrict d = fb[2];
-  const double * restrict f = fb[3];
-  const double * restrict di = fb[4];
-  const double * restrict prev = fb[5];
-  double * restrict next = fb[6];
-  double * restrict g1 = fb[7];
-  const double * restrict v2 = fb[8];
-  double * restrict v1 = fb[9];
-  double l = fsc[0];
-  int64_t N = isc[0];
-  int64_t NM = isc[1];
-  int64_t nB = isc[2];
-  const int64_t rk_gs0 = gsz[0];
-  const int64_t rk_gs1 = gsz[1];
-  const int64_t rk_gs2 = gsz[2];
-  (void)rk_gs0; (void)rk_gs1; (void)rk_gs2;
+  RK_BODY(u8b[0], fb[0], fb[1], fb[2], isc[0], isc[1], fsc[0], isc[2], gsz[0], gsz[1], gsz[2], rk_sp, rk_nsp);
+}
+|}
+    (entry (lift "volume" (Lift_acoustics.Programs.volume ())));
+  Test_golden.check_golden "boundary_fd_mm (native C)"
+    {|/* kernel boundary_fd_mm (double precision) */
+static inline __attribute__((always_inline))
+void RK_BODY(const int64_t * restrict bidx,
+             const uint8_t * restrict nbrs,
+             const int64_t * restrict material,
+             const double * restrict beta_fd,
+             const double * restrict bi,
+             const double * restrict d,
+             const double * restrict f,
+             const double * restrict di,
+             const double * restrict prev,
+             double * restrict next,
+             double * restrict g1,
+             const double * restrict v2,
+             double * restrict v1,
+             double l,
+             int64_t N,
+             int64_t NM,
+             int64_t nB,
+             int64_t rk_gs0,
+             int64_t rk_gs1,
+             int64_t rk_gs2,
+             const int64_t * rk_sp,
+             int64_t rk_nsp)
+{
+  (void)N; (void)NM; (void)rk_gs0; (void)rk_gs1; (void)rk_gs2;
   int64_t rk_v0_gid0 = 0;
   int64_t rk_v1__cse0 = 0;
   int64_t rk_v2__cse1 = 0;
@@ -442,6 +447,15 @@ void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
       v1[rk_v2__cse1] = bi[rk_v14__cse3] * (rk_v16__cse2 + di[rk_v14__cse3] * rk_v10_priv[2LL] - 2.0 * f[rk_v14__cse3] * rk_v9_priv[2LL]);
     }
   }
+}
+
+__attribute__((visibility("default")))
+void RK_ENTRY(double **fb, int64_t **ib, uint8_t **u8b,
+                       const int64_t *isc, const double *fsc, const int64_t *gsz,
+                       const int64_t *rk_sp, int64_t rk_nsp)
+{
+  (void)fb; (void)ib; (void)u8b; (void)isc; (void)fsc;
+  RK_BODY(ib[0], u8b[0], ib[1], fb[0], fb[1], fb[2], fb[3], fb[4], fb[5], fb[6], fb[7], fb[8], fb[9], fsc[0], isc[0], isc[1], isc[2], gsz[0], gsz[1], gsz[2], rk_sp, rk_nsp);
 }
 |}
     (entry (lift "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ())))
