@@ -92,6 +92,33 @@ let cmd_kernels precision no_opt =
 (* ------------------------------------------------------------------ *)
 (* racs simulate *)
 
+(* The kernels [racs simulate] steps a scheme with.  Lift kernels are
+   compiled without optimizing: the runtime optimizes at dispatch, so the
+   per-kernel reports show up under --stats (and --no-opt disables it). *)
+let sim_kernels ~precision (scheme : scheme) backend =
+  let betas = (Material.tables ~n_branches:3 Material.defaults).Material.t_beta in
+  let lift name prog =
+    (Lift_acoustics.Programs.compile ~name ~optimize:false ~precision prog).Lift.Codegen.kernel
+  in
+  match (scheme, backend) with
+  | `Fi, `Hand ->
+      [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ]
+  | `Fi, `Lift ->
+      [ lift "volume" (Lift_acoustics.Programs.volume ());
+        lift "boundary_fi" (Lift_acoustics.Programs.boundary_fi ()) ]
+  | `Fi_mm, `Hand ->
+      [ Hand_kernels.volume ~precision;
+        Hand_kernels.boundary_fi_mm ~precision ~betas ]
+  | `Fi_mm, `Lift ->
+      [ lift "volume" (Lift_acoustics.Programs.volume ());
+        lift "boundary_fi_mm" (Lift_acoustics.Programs.boundary_fi_mm ()) ]
+  | `Fd_mm, `Hand ->
+      [ Hand_kernels.volume ~precision;
+        Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]
+  | `Fd_mm, `Lift ->
+      [ lift "volume" (Lift_acoustics.Programs.volume ());
+        lift "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ()) ]
+
 let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overlap
     no_overlap no_opt show_stats sanitize verify tuned =
   let params = Params.default in
@@ -107,32 +134,7 @@ let cmd_simulate shape nx ny nz scheme steps backend engine shards tblock overla
   let n_materials = Array.length Material.defaults in
   let room = Geometry.build ~n_materials shape dims in
   let precision = Kernel_ast.Cast.Double in
-  let betas = (Material.tables ~n_branches:3 Material.defaults).Material.t_beta in
-  (* Compile without optimizing: the runtime optimizes at dispatch, so the
-     per-kernel reports show up under --stats (and --no-opt disables it). *)
-  let lift name prog =
-    (Lift_acoustics.Programs.compile ~name ~optimize:false ~precision prog).Lift.Codegen.kernel
-  in
-  let kernels =
-    match (scheme, backend) with
-    | `Fi, `Hand ->
-        [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ]
-    | `Fi, `Lift ->
-        [ lift "volume" (Lift_acoustics.Programs.volume ());
-          lift "boundary_fi" (Lift_acoustics.Programs.boundary_fi ()) ]
-    | `Fi_mm, `Hand ->
-        [ Hand_kernels.volume ~precision;
-          Hand_kernels.boundary_fi_mm ~precision ~betas ]
-    | `Fi_mm, `Lift ->
-        [ lift "volume" (Lift_acoustics.Programs.volume ());
-          lift "boundary_fi_mm" (Lift_acoustics.Programs.boundary_fi_mm ()) ]
-    | `Fd_mm, `Hand ->
-        [ Hand_kernels.volume ~precision;
-          Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]
-    | `Fd_mm, `Lift ->
-        [ lift "volume" (Lift_acoustics.Programs.volume ());
-          lift "boundary_fd_mm" (Lift_acoustics.Programs.boundary_fd_mm ~mb:3 ()) ]
-  in
+  let kernels = sim_kernels ~precision scheme backend in
   let scheme = scheme_name scheme in
   if tblock < 1 then begin
     Fmt.epr "racs: --tblock expects a positive depth, got %d@." tblock;
@@ -346,44 +348,34 @@ let listing5_compiled () =
   let program, sizes = listing5_program () in
   Lift.Host.compile ~precision:Kernel_ast.Cast.Double ~sizes program
 
-(* Listing 5 extended to two virtual devices: per-shard kernel launches
-   plus the halo exchange of the freshly written next ghost planes. *)
-let sharded_host_program ?overlap () =
-  let dims = Geometry.dims ~nx:64 ~ny:48 ~nz:40 in
-  let room = Geometry.build ~n_materials:4 Geometry.Box dims in
-  let plan = Shard.plan ~shards:2 room in
-  let sh0 = plan.Shard.shards.(0) in
-  let params = Params.default in
-  let prog =
-    Lift_acoustics.Programs.sharded_fi_step_host ?overlap ~nx:dims.Geometry.nx
-      ~ny:dims.Geometry.ny
-      ~slab_planes:(sh0.Shard.z1 - sh0.Shard.z0)
-      ~l:(Params.l params) ~l2:(Params.l2 params) ~beta:0.1 ()
-  in
-  let sizes = function
-    | "N" -> Some sh0.Shard.local_n
-    | "nB" -> Some sh0.Shard.n_b
-    | _ -> None
-  in
-  (prog, sizes)
-
-let sharded_host_compiled () =
-  let prog, sizes = sharded_host_program () in
-  Lift.Host.compile ~precision:Kernel_ast.Cast.Double ~sizes prog
-
-let cmd_host_demo sharded =
-  let compiled = if sharded then sharded_host_compiled () else listing5_compiled () in
-  Printf.printf "/* host program (%s) */\n%s\n"
-    (if sharded then "Z-sharded two-device FI step" else "paper Listing 5")
-    compiled.Lift.Host.source;
+let cmd_host_demo () =
+  let compiled = listing5_compiled () in
+  Printf.printf "/* host program (paper Listing 5) */\n%s\n" compiled.Lift.Host.source;
   List.iter
     (fun (c : Lift.Codegen.compiled) ->
       Printf.printf "%s\n" (Kernel_ast.Print.kernel_to_string c.Lift.Codegen.kernel))
     compiled.Lift.Host.kernels
 
-(* Emit a complete, compilable OpenCL .c program for the Listing 5
-   pipeline (cc prog.c -lOpenCL). *)
-let cmd_emit_c () = print_string (Lift.Emit_c.host_program (listing5_compiled ()))
+(* Emit a complete, compilable OpenCL .c program (cc prog.c -lOpenCL):
+   the Listing 5 pipeline, or with [sharded] the plan [racs simulate
+   --shards 2] steps the Lift FI kernels with, for two steps (the second
+   step's launches wait on the first step's exchange events), on the
+   interpreter so that nothing compiles. *)
+let cmd_emit_c sharded =
+  print_string
+    (if not sharded then Lift.Emit_c.of_host (listing5_compiled ())
+     else
+       let dims = Geometry.dims ~nx:64 ~ny:48 ~nz:40 in
+       let room = Geometry.build ~n_materials:4 Geometry.Box dims in
+       let sim =
+         Gpu_sim.create ~engine:`Interp ~shards:2 ~fi_beta:0.1 ~n_branches:3 Params.default room
+       in
+       let kernels = sim_kernels ~precision:Kernel_ast.Cast.Double `Fi `Lift in
+       let extent i name =
+         Option.map Vgpu.Buffer.length
+           (Vgpu.Runtime.buffer_opt (Vgpu.Multi.device sim.Gpu_sim.multi i) name)
+       in
+       Lift.Emit_c.host_program ~extent (Gpu_sim.plan sim kernels ~steps:2))
 
 (* ------------------------------------------------------------------ *)
 (* racs check: static race/bounds verdicts + host-plan lint *)
@@ -493,7 +485,7 @@ let cmd_check shape nx ny nz precision engine json =
          | Error e -> raise e)
        variants results);
   (* host-plan lint and whole-plan dataflow verification
-     (footprint-driven): the paper's host programs, plus the real
+     (footprint-driven): the paper's Listing 5 host program, plus the real
      sequential and overlapped multi-device plans of every scheme at 1-4
      shards, checked against the slab geometry they launch over *)
   let lint_errors = ref 0 in
@@ -514,10 +506,6 @@ let cmd_check shape nx ny nz precision engine json =
   in
   lint ~scope:"host" "paper Listing 5 host program"
     (Lift.Lint.check_host (fst (listing5_program ())));
-  lint ~scope:"host" "Z-sharded two-device FI step"
-    (Lift.Lint.check_host (fst (sharded_host_program ())));
-  lint ~scope:"host" "Z-sharded two-device FI step, event-annotated (overlap)"
-    (Lift.Lint.check_host (fst (sharded_host_program ~overlap:true ())));
   let betas = (Material.tables ~n_branches:3 Material.defaults).Material.t_beta in
   let plan_schemes =
     [
@@ -875,13 +863,8 @@ let experiments_cmd =
     Term.(const cmd_experiments $ which)
 
 let host_demo_cmd =
-  let sharded =
-    Arg.(
-      value & flag
-      & info [ "sharded" ] ~doc:"show the Z-sharded two-device step instead")
-  in
   Cmd.v (Cmd.info "host-demo" ~doc:"Show the compiled host program of paper Listing 5")
-    Term.(const cmd_host_demo $ sharded)
+    Term.(const cmd_host_demo $ const ())
 
 let check_cmd =
   let shape = Arg.(value & opt shape_conv Geometry.Box & info [ "shape" ] ~doc:"box, dome or l-shape") in
@@ -976,10 +959,18 @@ let tune_cmd =
       $ model $ max_shards $ topk $ repeats $ steps $ warmup)
 
 let emit_c_cmd =
+  let sharded =
+    Arg.(
+      value & flag
+      & info [ "sharded" ]
+          ~doc:
+            "emit the plan that $(b,simulate --shards 2) runs instead: two steps of the \
+             Lift FI kernels on a 64x48x40 box, two devices with halo exchanges and events")
+  in
   Cmd.v
     (Cmd.info "emit-c"
        ~doc:"Emit a complete OpenCL .c program for the Listing 5 pipeline")
-    Term.(const cmd_emit_c $ const ())
+    Term.(const cmd_emit_c $ sharded)
 
 let () =
   let default = Term.(ret (const (`Help (`Pager, None)))) in

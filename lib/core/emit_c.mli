@@ -1,7 +1,33 @@
 (** Emission of a complete, compilable OpenCL host program ([.c]) for a
-    compiled host plan: kernel sources embedded as string literals,
-    buffer creation, argument setup, profiled NDRange launches and
-    read-back.  Buildable with [cc prog.c -lOpenCL]; host data arrays
-    are zero-initialised with marked hooks. *)
+    plan: kernel sources embedded as string literals, buffer creation,
+    argument setup, profiled NDRange launches and read-back.  Buildable
+    with [cc prog.c -lOpenCL]; host data arrays are zero-initialised
+    with marked hooks. *)
 
-val host_program : ?precision:Kernel_ast.Cast.precision -> Host.compiled_host -> string
+val host_program :
+  ?precision:Kernel_ast.Cast.precision ->
+  extent:(int -> string -> int option) ->
+  Vgpu.Multi.async_plan ->
+  string
+(** The program of a plan, on as many devices as it addresses: one
+    context with one in-order command queue per device.  Each launch
+    sets its resolved arguments and is profiled; a ranged launch
+    ({!Vgpu.Spans}) covers its hull, with a comment giving the work
+    items its spans hold, and a zero-count launch is a marker, which
+    keeps its waits and its event.  An [Exchange] is a
+    [clEnqueueCopyBuffer] on its source device's queue, each signal a
+    named [cl_event], each op's waits its wait list, and each [Swap] a
+    pointer swap.  One kernel source is embedded per distinct kernel.
+    On one device, buffers and the queue keep Listing 5's names
+    ([d_<name>], [queue]); on several, [d<i>_<name>] and [queue<i>].
+
+    [extent dev name] is the element count of a buffer that no [Alloc]
+    sizes.  A byte-stored buffer ({!Kernel_ast.Cast.U8}) is allocated
+    as [unsigned char].
+    @raise Invalid_argument on a buffer without an extent, two different
+    kernels sharing a name, or an event waited on before it is
+    signalled or signalled twice. *)
+
+val of_host : ?precision:Kernel_ast.Cast.precision -> Host.compiled_host -> string
+(** {!host_program} of a compiled host program (paper Listing 5) on one
+    device, its buffers sized by [buffer_elems]. *)

@@ -29,53 +29,12 @@ type hexpr =
   | H_write_to of hexpr * hexpr   (* target, value *)
   | H_let of Ast.param * hexpr * hexpr
   | H_tuple of hexpr list
-  | H_copy of { src : hexpr; src_off : int; dst : hexpr; dst_off : int; elems : int }
-      (* device-to-device sub-buffer copy (clEnqueueCopyBuffer): the
-         ghost-slab transfer of the sharded backend *)
-  | H_event of string * hexpr
-      (* the last enqueue compiled from the inner expression signals the
-         named cl_event *)
-  | H_wait of string list * hexpr
-      (* the first enqueue compiled from the inner expression carries
-         the named events as its wait list *)
 
 let input p = H_input p
 let to_gpu e = H_to_gpu e
 let to_host e = H_to_host e
 let ocl_kernel ~name f args = H_kernel { k_name = name; f; args }
 let write_to t v = H_write_to (t, v)
-
-let copy ~src ~src_off ~dst ~dst_off ~elems =
-  H_copy { src; src_off; dst; dst_off; elems }
-
-let event name e = H_event (name, e)
-let wait names e = H_wait (names, e)
-
-(* One halo exchange across a Z cut between the [lo] slab (owning planes
-   below the cut, [lo_planes] local planes including its two ghosts) and
-   the [hi] slab above it: lo's top owned plane refreshes hi's bottom
-   ghost, hi's bottom owned plane refreshes lo's top ghost.  [plane] is
-   the XY plane size in elements. *)
-let halo_exchange ~plane ~lo ~lo_planes ~hi =
-  H_tuple
-    [
-      H_copy
-        {
-          src = lo;
-          src_off = (lo_planes - 2) * plane;
-          dst = hi;
-          dst_off = 0;
-          elems = plane;
-        };
-      H_copy
-        {
-          src = hi;
-          src_off = plane;
-          dst = lo;
-          dst_off = (lo_planes - 1) * plane;
-          elems = plane;
-        };
-    ]
 
 (* What a host expression denotes after compilation. *)
 type denot =
@@ -92,11 +51,7 @@ type compiled_host = {
   buffer_elems : (string * int) list;
       (* extent of every buffer the plan touches, as resolved at compile
          time — inputs, kernel outputs and temporaries alike; consumed
-         by the emitted C skeleton and the host-plan lint *)
-  op_events : (int * string) list;
-      (* plan index -> cl_event the op signals (H_event annotations) *)
-  op_waits : (int * string list) list;
-      (* plan index -> cl_events the op waits on (H_wait annotations) *)
+         by the emitted C skeleton ([Emit_c.of_host]) *)
 }
 
 type st = {
@@ -105,22 +60,12 @@ type st = {
   mutable kernels : Codegen.compiled list;
   mutable fresh : int;
   mutable elems : (string * int) list; (* buffer extents, reversed *)
-  mutable op_events : (int * string) list;   (* reversed *)
-  mutable op_waits : (int * string list) list;  (* reversed *)
-  mutable pending_waits : string list;
-      (* H_wait annotations to attach to the next pushed op *)
   sizes : string -> int option;
   precision : Cast.precision;
   venv : (int, denot) Hashtbl.t;
 }
 
-let push_op st op =
-  (match st.pending_waits with
-  | [] -> ()
-  | waits ->
-      st.op_waits <- (List.length st.ops, waits) :: st.op_waits;
-      st.pending_waits <- []);
-  st.ops <- op :: st.ops
+let push_op st op = st.ops <- op :: st.ops
 let push_line st fmt = Printf.ksprintf (fun s -> st.lines <- s :: st.lines) fmt
 
 let note_elems st name n =
@@ -185,17 +130,6 @@ let rec compile_hexpr st (e : hexpr) : denot =
       Hashtbl.replace st.venv p.Ast.p_id d;
       compile_hexpr st b
   | H_tuple es -> D_tuple (List.map (compile_hexpr st) es)
-  | H_copy { src; src_off; dst; dst_off; elems } -> (
-      match (compile_hexpr st src, compile_hexpr st dst) with
-      | D_buf (sname, sty), D_buf (dname, dty) ->
-          push_op st
-            (Vgpu.Runtime.Copy_buffer { src = sname; src_off; dst = dname; dst_off; elems });
-          let tyn = Print.ty_name st.precision (cast_ty_of sty) in
-          push_line st
-            "enqueueCopyBuffer(queue, %s_g, %s_g, sizeof(%s)*%d, sizeof(%s)*%d, sizeof(%s)*%d);"
-            sname dname tyn src_off tyn dst_off tyn elems;
-          D_buf (dname, dty)
-      | _ -> err "host: copy endpoints must be buffers")
   | H_write_to (t, v) -> (
       let dt = compile_hexpr st t in
       match (dt, v) with
@@ -207,26 +141,6 @@ let rec compile_hexpr st (e : hexpr) : denot =
           dt
       | _ -> err "host: WriteTo target is not a buffer")
   | H_kernel { k_name; f; args } -> compile_kernel_call st ~k_name ~f ~args ~out_override:None
-  | H_event (name, e) ->
-      let before = List.length st.ops in
-      let d = compile_hexpr st e in
-      if List.length st.ops = before then
-        err "host: Event(%s) wraps an expression that enqueues nothing" name;
-      if List.exists (fun (_, n) -> n = name) st.op_events then
-        err "host: event %s signaled twice" name;
-      (* annotate the most recently enqueued op *)
-      st.op_events <- (List.length st.ops - 1, name) :: st.op_events;
-      push_line st "/* previous enqueue signals ev_%s */" name;
-      d
-  | H_wait (names, e) ->
-      let before = List.length st.ops in
-      st.pending_waits <- st.pending_waits @ names;
-      push_line st "/* next enqueue waits on: %s */"
-        (String.concat ", " (List.map (( ^ ) "ev_") names));
-      let d = compile_hexpr st e in
-      if List.length st.ops = before then
-        err "host: Wait wraps an expression that enqueues nothing";
-      d
 
 and compile_kernel_call st ~k_name ~f ~args ~out_override : denot =
   let c = Codegen.compile_kernel ~name:k_name ~precision:st.precision f in
@@ -321,9 +235,6 @@ let compile ?(precision = Cast.Double) ~sizes (e : hexpr) : compiled_host =
       kernels = [];
       fresh = 0;
       elems = [];
-      op_events = [];
-      op_waits = [];
-      pending_waits = [];
       sizes;
       precision;
       venv = Hashtbl.create 8;
@@ -336,8 +247,6 @@ let compile ?(precision = Cast.Double) ~sizes (e : hexpr) : compiled_host =
     source = String.concat "\n" (List.rev st.lines) ^ "\n";
     result;
     buffer_elems = List.rev st.elems;
-    op_events = List.rev st.op_events;
-    op_waits = List.rev st.op_waits;
   }
 
 (* Execute a compiled host program on a runtime whose buffer table

@@ -20,42 +20,12 @@ type hexpr =
       (** share a result (e.g. a kernel output) without re-launching;
           the bound param is referenced with {!constructor:H_input} *)
   | H_tuple of hexpr list
-  | H_copy of { src : hexpr; src_off : int; dst : hexpr; dst_off : int; elems : int }
-      (** device-to-device sub-buffer copy ([clEnqueueCopyBuffer]): the
-          ghost-slab transfer of the sharded backend *)
-  | H_event of string * hexpr
-      (** the last enqueue compiled from the inner expression signals
-          the named [cl_event] *)
-  | H_wait of string list * hexpr
-      (** the first enqueue compiled from the inner expression carries
-          the named events as its wait list — with [H_event], the
-          host-IR face of the overlapped schedule's explicit
-          synchronisation (out-of-order queues need the event edges the
-          in-order queue provided implicitly) *)
 
 val input : Ast.param -> hexpr
 val to_gpu : hexpr -> hexpr
 val to_host : hexpr -> hexpr
 val ocl_kernel : name:string -> Ast.lam -> hexpr list -> hexpr
 val write_to : hexpr -> hexpr -> hexpr
-
-val copy : src:hexpr -> src_off:int -> dst:hexpr -> dst_off:int -> elems:int -> hexpr
-
-val event : string -> hexpr -> hexpr
-(** [event name e]: the last operation enqueued while compiling [e]
-    signals [cl_event ev_<name>].  A name may be signaled once per
-    program. *)
-
-val wait : string list -> hexpr -> hexpr
-(** [wait names e]: the first operation enqueued while compiling [e]
-    waits on all the named events. *)
-
-val halo_exchange : plane:int -> lo:hexpr -> lo_planes:int -> hi:hexpr -> hexpr
-(** One halo exchange across a Z cut between the [lo] slab (owning the
-    planes below the cut; [lo_planes] local planes including its two
-    ghost planes) and the [hi] slab above it: lo's top owned plane
-    refreshes hi's bottom ghost plane, hi's bottom owned plane refreshes
-    lo's top ghost plane.  [plane] is the XY plane size in elements. *)
 
 (** What a host expression denotes after compilation. *)
 type denot =
@@ -72,12 +42,7 @@ type compiled_host = {
   buffer_elems : (string * int) list;
       (** extent of every buffer the plan touches, as resolved at
           compile time — inputs, kernel outputs and temporaries;
-          consumed by {!Emit_c.host_program} to size host allocations
-          and by {!Lint} *)
-  op_events : (int * string) list;
-      (** plan index -> event the op signals ({!event} annotations) *)
-  op_waits : (int * string list) list;
-      (** plan index -> events the op waits on ({!wait} annotations) *)
+          consumed by {!Emit_c.of_host} to size host allocations *)
 }
 
 val compile :

@@ -4,7 +4,7 @@
    Three families of diagnostics:
 
    - data movement on a single device ([check_host], over [Host.hexpr]):
-     kernel/copy operands that were never transferred with ToGPU
+     kernel operands that were never transferred with ToGPU
      (use-before-ToGPU), and ToGPU transfers whose buffer is never
      consumed afterwards (dead transfer);
    - kernel calls ([check_host]): argument arity against the Lift
@@ -46,7 +46,6 @@ type hstate = {
   mutable issues : issue list;  (* reversed *)
   on_device : (string, unit) Hashtbl.t;
   pending_to_gpu : (string, unit) Hashtbl.t;  (* transferred, not yet consumed *)
-  signaled : (string, unit) Hashtbl.t;  (* events signaled so far *)
   venv : (int, hkind) Hashtbl.t;
 }
 
@@ -93,20 +92,6 @@ let rec lint_hexpr st (e : Host.hexpr) : hkind =
   | H_tuple es ->
       List.iter (fun e -> ignore (lint_hexpr st e)) es;
       K_tuple
-  | H_copy { src; dst; _ } -> (
-      let sk = lint_hexpr st src in
-      let dk = lint_hexpr st dst in
-      (match sk with
-      | K_buf name -> require_on_device st ~what:"a device copy" name
-      | K_out -> ()
-      | K_scalar | K_tuple ->
-          report st (issue Error "kind-mismatch" "copy source is not a buffer"));
-      (match dk with
-      | K_buf name -> require_on_device st ~what:"a device copy" name
-      | K_out -> ()
-      | K_scalar | K_tuple ->
-          report st (issue Error "kind-mismatch" "copy destination is not a buffer"));
-      dk)
   | H_write_to (t, v) -> (
       let tk = lint_hexpr st t in
       (match tk with
@@ -116,21 +101,6 @@ let rec lint_hexpr st (e : Host.hexpr) : hkind =
           report st (issue Error "kind-mismatch" "WriteTo target is not a buffer"));
       let _ = lint_hexpr st v in
       match tk with K_buf _ | K_out -> tk | _ -> K_out)
-  | H_event (name, e) ->
-      let k = lint_hexpr st e in
-      if Hashtbl.mem st.signaled name then
-        report st (issue Error "duplicate-event" "event %s is signaled twice" name)
-      else Hashtbl.replace st.signaled name ();
-      k
-  | H_wait (names, e) ->
-      List.iter
-        (fun n ->
-          if not (Hashtbl.mem st.signaled n) then
-            report st
-              (issue Error "wait-unsignaled"
-                 "wait on event %s, which no earlier enqueue signals" n))
-        names;
-      lint_hexpr st e
   | H_kernel { k_name; f; args } ->
       let params = f.Ast.l_params in
       if List.length args <> List.length params then begin
@@ -172,7 +142,6 @@ let check_host (e : Host.hexpr) : issue list =
       issues = [];
       on_device = Hashtbl.create 8;
       pending_to_gpu = Hashtbl.create 8;
-      signaled = Hashtbl.create 8;
       venv = Hashtbl.create 8;
     }
   in
@@ -789,24 +758,6 @@ let flow_dev_op fl ~hb i d (op : Vgpu.Runtime.op) =
         fl_add fl
           (issue Error "uninit-read"
              "op %d: readback of %s on device %d before it is written" i p d)
-  | Vgpu.Runtime.Copy_buffer { src; dst; dst_off; elems; _ } ->
-      let sp = fl_resolve fl d src and dp = fl_resolve fl d dst in
-      if Hashtbl.mem fl.funinit (d, sp) then
-        fl_add fl
-          (issue Error "uninit-read"
-             "op %d: device copy reads %s on device %d before it is written" i sp d);
-      Hashtbl.remove fl.funinit (d, dp);
-      let wl = dst_off / fl.plane and wh = (dst_off + max 0 (elems - 1)) / fl.plane in
-      let r = fl_writes fl d dp in
-      r := (i, wl, wh, false) :: !r;
-      if Hashtbl.mem fl.fhalo dst || Hashtbl.mem fl.fhalo dp then
-        List.iter
-          (fun side ->
-            let ok = match side with `Lo -> d > 0 | `Hi -> d < fl.ndev - 1 in
-            if ok then
-              fl_age_side fl d dp side ~op:i ~wrange:(Some (wl, wh)) ~c:0 ~cf:0
-                ~cexch:(-1) ~clobbering:true)
-          [ `Lo; `Hi ]
   | Vgpu.Runtime.Launch { kernel; args; global; _ } ->
       flow_launch fl ~hb i d kernel args global
 

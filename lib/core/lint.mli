@@ -3,8 +3,8 @@
 
     {!check_host} walks a {!Host.hexpr} mirroring the compiler's
     evaluation order and reports:
-    - {b use-before-ToGPU} (error): a kernel argument, copy endpoint or
-      WriteTo target buffer that was never transferred to the device;
+    - {b use-before-ToGPU} (error): a kernel argument or WriteTo target
+      buffer that was never transferred to the device;
     - {b dead transfers} (warning): ToGPU whose buffer is never consumed
       afterwards, double transfers with no use in between, ToHost of a
       buffer that never lived on the device;
@@ -96,7 +96,7 @@ val verify_async :
       that an earlier launch on the destination writes (at an affine,
       statically known range) but is not ordered after that launch, so
       the launch can land last and overwrite the fresh halo;
-    - {b uninit-read} (error): a launch, readback, copy or exchange
+    - {b uninit-read} (error): a launch, readback or exchange
       consumes a buffer that an [Alloc] created but nothing wrote or
       uploaded;
     - {b exchange-wrong-source} (error): a ghost filled from a device

@@ -695,20 +695,6 @@ let unsafe_bufs r =
       || match b.b_bounds with Unsafe _ -> true | _ -> false)
     r.r_bufs
 
-let required_extents (e : env) (k : kernel) : (string * int) list =
-  let cenv = analyse e k in
-  Hashtbl.fold
-    (fun name accs acc ->
-      if not (Hashtbl.mem cenv.global_bufs name) then acc
-      else
-        let his = List.map (fun a -> a.ac_v.v_itv.hi) !accs in
-        if his = [] || List.exists Option.is_none his then acc
-        else
-          let hi = List.fold_left (fun m h -> max m (Option.get h)) 0 his in
-          (name, hi + 1) :: acc)
-    cenv.accesses []
-  |> List.sort compare
-
 (* -- Printing --------------------------------------------------------- *)
 
 let pp_verdict ppf = function

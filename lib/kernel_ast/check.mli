@@ -93,11 +93,5 @@ val fully_proven : report -> bool
 val unsafe_bufs : report -> buf_report list
 (** The buffers carrying an [Unsafe] verdict (race or bounds). *)
 
-val required_extents : env -> Cast.kernel -> (string * int) list
-(** Minimal safe extent per global buffer — one past the largest
-    statically derivable access index — for buffers whose every access
-    has a known upper bound.  Used to size host-side allocations in the
-    emitted C skeleton ({!module:Lift.Emit_c}). *)
-
 val pp_verdict : Format.formatter -> verdict -> unit
 val pp_report : Format.formatter -> report -> unit

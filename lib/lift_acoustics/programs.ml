@@ -434,81 +434,3 @@ let compile ?(name = "lift_kernel") ?(optimize = true) ~precision (prog : Ast.la
     let kernel, _report = Kernel_ast.Opt.optimize compiled.Codegen.kernel in
     { compiled with Codegen.kernel }
   else compiled
-
-(* Listing-5-style host program for a Z-sharded two-device FI time step:
-   each shard runs the volume and boundary kernels on its slab-local
-   buffers (parameter suffix 0 / 1; one ghost plane on each side of the
-   slab), then the [Host.halo_exchange] primitive copies the freshly
-   computed ghost planes of [next] across the cut.  The two slabs are
-   equal — a symmetric split of an even-Nz box — so both shards share
-   the size variables N (slab-local points, ghosts included) and nB
-   (per-slab boundary points). *)
-let sharded_fi_step_host ?(overlap = false) ~nx ~ny ~slab_planes ~l ~l2 ~beta () :
-    Host.hexpr =
-  let open Host in
-  let p name ty = Ast.named_param name ty in
-  let plane = nx * ny in
-  let shard d =
-    let s name = name ^ string_of_int d in
-    let nbrs = p (s "nbrs") nbrs_ty in
-    let prev = p (s "prev") grid_ty in
-    let curr = p (s "curr") grid_ty in
-    let next = p (s "next") grid_ty in
-    let bidx = p (s "bidx") bidx_ty in
-    let next_g = p (s "next_g") grid_ty in
-    ( H_let
-        ( next_g,
-          ocl_kernel ~name:(s "volume_s") (volume ())
-            [
-              to_gpu (input nbrs);
-              to_gpu (input prev);
-              to_gpu (input curr);
-              to_gpu (input next);
-              H_int nx;
-              H_int plane;
-              H_real l2;
-            ],
-          write_to (input next_g)
-            (ocl_kernel ~name:(s "boundary_fi_s") (boundary_fi ())
-               [
-                 to_gpu (input bidx);
-                 input nbrs;
-                 input prev;
-                 input next_g;
-                 H_real l;
-                 H_real beta;
-               ]) ),
-      next )
-  in
-  let step0, next0 = shard 0 and step1, next1 = shard 1 in
-  if not overlap then
-    H_tuple
-      [
-        step0;
-        step1;
-        halo_exchange ~plane ~lo:(input next0) ~lo_planes:(slab_planes + 2)
-          ~hi:(input next1);
-        to_host (input next0);
-        to_host (input next1);
-      ]
-  else
-    (* Event-annotated variant for out-of-order queues: each halo copy
-       signals a cl_event and the read-back of a slab waits on the copy
-       into *its* ghost plane — the explicit edges that replace the
-       in-order queue's implicit ordering (the overlapped schedule of
-       [Acoustics.Gpu_sim]).  Same data movement, same results. *)
-    H_tuple
-      [
-        step0;
-        step1;
-        event "halo_up"
-          (copy ~src:(input next0)
-             ~src_off:(slab_planes * plane)
-             ~dst:(input next1) ~dst_off:0 ~elems:plane);
-        event "halo_dn"
-          (copy ~src:(input next1) ~src_off:plane ~dst:(input next0)
-             ~dst_off:((slab_planes + 1) * plane)
-             ~elems:plane);
-        wait [ "halo_dn" ] (to_host (input next0));
-        wait [ "halo_up" ] (to_host (input next1));
-      ]

@@ -79,28 +79,3 @@ val compile :
     {!module:Kernel_ast.Opt} pass pipeline; pass [false] for the raw
     codegen output, e.g. when launching through a runtime that
     optimizes at dispatch time. *)
-
-val sharded_fi_step_host :
-  ?overlap:bool ->
-  nx:int ->
-  ny:int ->
-  slab_planes:int ->
-  l:float ->
-  l2:float ->
-  beta:float ->
-  unit ->
-  Host.hexpr
-(** Listing-5-style host program for a Z-sharded two-device FI time
-    step: per-shard volume + boundary_fi launches on slab-local buffers
-    (parameter suffix 0 / 1), then a {!Host.halo_exchange} of the fresh
-    [next] ghost planes across the cut, then read-back.  The two slabs
-    are equal ([slab_planes] owned planes each, one ghost plane on each
-    side), so both shards resolve the same size variables:
-    N = (slab_planes + 2) * nx * ny and nB = per-slab boundary count.
-
-    [overlap] (default [false]) emits the event-annotated variant for
-    out-of-order queues: each halo copy signals a [cl_event]
-    ({!Host.event}) and each slab's read-back waits on the copy into its
-    ghost plane ({!Host.wait}) — the explicit edges that replace the
-    in-order queue's implicit ordering.  Same data movement, same
-    results. *)

@@ -166,11 +166,6 @@ let compile_async t (plan : async_plan) : cmd list =
           let bytes = Runtime.slice_bytes ~precision:d.Runtime.precision b (Buffer.length b) in
           cmd i ("d2h " ^ name) (fun () ->
               timed (fun () -> d.Runtime.d2h_bytes <- d.Runtime.d2h_bytes + bytes))
-      | Dev (i, Runtime.Copy_buffer { src; src_off; dst; dst_off; elems }) ->
-          let d = device t i in
-          let sb = Runtime.buffer d src and db = Runtime.buffer d dst in
-          cmd i ("copy " ^ src ^ "->" ^ dst) (fun () ->
-              timed (fun () -> exchange t ~src_dev:i ~sb ~src_off ~dst_dev:i ~db ~dst_off ~elems))
       | Exchange { src_dev; src; src_off; dst_dev; dst; dst_off; elems } ->
           let sdev = device t src_dev in
           let sb = Runtime.buffer sdev src and db = Runtime.buffer (device t dst_dev) dst in

@@ -100,7 +100,7 @@ val run_async :
     command starts at the later of the device clock and the stamps of
     the events it waits on, and lasts its launch's measured kernel
     window, [bytes / default_link_gb_s] ns for an exchange, or its
-    measured wall time for a transfer or copy.  A signalled event's
+    measured wall time for a transfer.  A signalled event's
     stamp is its command's retirement time.
 
     [imports] are events of earlier plans with their stamps.  The

@@ -28,9 +28,6 @@ type op =
   | Swap of string * string
       (* exchange two buffer bindings: the host-side pointer rotation
          between time steps *)
-  | Copy_buffer of { src : string; src_off : int; dst : string; dst_off : int; elems : int }
-      (* device-to-device sub-buffer copy (clEnqueueCopyBuffer): the
-         halo-exchange primitive of the sharded backend *)
 
 type plan = op list
 
@@ -483,13 +480,6 @@ let run_op t = function
                  name (Buffer.length b)
                  (ty_label (Buffer.ty b))
                  elems (ty_label ty)))
-  | Copy_buffer { src; src_off; dst; dst_off; elems } ->
-      let sb = buffer t src and db = buffer t dst in
-      blit_buffers ~src:sb ~src_off ~dst:db ~dst_off ~elems;
-      (match t.sanitizer with
-      | Some s -> Sanitizer.note_blit s db ~off:dst_off ~len:elems
-      | None -> ());
-      account_d2d t (slice_bytes ~precision:t.precision sb elems)
   | Copy_to_gpu name ->
       t.h2d_bytes <- t.h2d_bytes + transfer_bytes ~precision:t.precision (buffer t name)
   | Copy_to_host name ->
@@ -555,7 +545,7 @@ type stats = {
   s_launches : int;
   s_h2d_bytes : int;
   s_d2h_bytes : int;
-  s_d2d_bytes : int;  (* halo-exchange / device-copy bytes *)
+  s_d2d_bytes : int;  (* halo-exchange bytes *)
   s_violations : Sanitizer.counts option;  (* Some iff sanitizing *)
   s_caches : (string * Kcache.counters) list;
       (* per-cache hit/miss/eviction counters: opt, check, native *)

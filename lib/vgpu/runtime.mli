@@ -30,9 +30,6 @@ type op =
   | Swap of string * string
       (** exchange two buffer bindings (host pointer rotation between
           time steps) *)
-  | Copy_buffer of { src : string; src_off : int; dst : string; dst_off : int; elems : int }
-      (** device-to-device sub-buffer copy ([clEnqueueCopyBuffer]): the
-          halo-exchange primitive of the sharded backend *)
 
 type plan = op list
 
@@ -259,7 +256,7 @@ type stats = {
   s_launches : int;
   s_h2d_bytes : int;
   s_d2h_bytes : int;
-  s_d2d_bytes : int;  (** halo-exchange / device-copy bytes *)
+  s_d2d_bytes : int;  (** halo-exchange bytes *)
   s_violations : Sanitizer.counts option;
       (** dynamic violation counts; [Some] iff the runtime sanitizes *)
   s_caches : (string * Kcache.counters) list;

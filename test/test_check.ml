@@ -491,7 +491,7 @@ let test_emit_c_sized () =
   let compiled = Lift.Host.compile ~sizes prog in
   Alcotest.(check bool) "compiler resolved every extent" true
     (List.for_all (fun (_, n) -> n > 0) compiled.Lift.Host.buffer_elems);
-  let c = Lift.Emit_c.host_program compiled in
+  let c = Lift.Emit_c.of_host compiled in
   let contains needle hay =
     let nl = String.length needle and hl = String.length hay in
     let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
@@ -501,7 +501,18 @@ let test_emit_c_sized () =
     (contains "extent not statically derivable" c);
   Alcotest.(check bool) "no size TODO" false (contains "TODO: size" c);
   Alcotest.(check bool) "grid extent appears" true
-    (contains (string_of_int (14 * 12 * 10)) c)
+    (contains (string_of_int (14 * 12 * 10)) c);
+  (* a buffer without an extent is refused, by name *)
+  match
+    Lift.Emit_c.of_host
+      {
+        compiled with
+        Lift.Host.buffer_elems = List.remove_assoc "curr" compiled.Lift.Host.buffer_elems;
+      }
+  with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) "the refusal names the buffer" true (contains "buffer curr" msg)
+  | _ -> Alcotest.fail "an unsized buffer was emitted"
 
 let suite =
   [

@@ -2,7 +2,8 @@
    two kernels per time step (volume handling then in-place boundary
    handling) orchestrated by host primitives — and check it against the
    reference step.  Also checks the emitted host pseudo-C and the
-   transfer bookkeeping. *)
+   transfer bookkeeping, and the OpenCL program emitted for the plans a
+   simulation runs. *)
 
 open Acoustics
 
@@ -95,11 +96,7 @@ let test_listing5 () =
   Alcotest.(check int) "two kernel launches" 2 rt.Vgpu.Runtime.launches;
   if rt.Vgpu.Runtime.h2d_bytes = 0 then Alcotest.fail "no host->device transfers recorded";
   if rt.Vgpu.Runtime.d2h_bytes = 0 then Alcotest.fail "no device->host transfers recorded";
-  Array.iteri
-    (fun i x ->
-      if Float.abs (x -. st.next.(i)) > 1e-12 then
-        Alcotest.failf "host pipeline differs at %d: %.17g vs %.17g" i x st.next.(i))
-    st_ref.next
+  Test_util.check_bits "host pipeline next" st_ref.next st.next
 
 (* Iterated host execution with buffer rotation (paper §V-A): the plan
    repeated N times with prev/curr/next rotation must match the
@@ -139,143 +136,201 @@ let test_iterate () =
   Vgpu.Runtime.run rt plan;
   Alcotest.(check int) "2 launches per step" (2 * steps) rt.Vgpu.Runtime.launches;
   (* after rotation, the binding named "curr" holds the latest field *)
-  let final = Vgpu.Buffer.to_float_array (Vgpu.Runtime.buffer rt "curr") in
-  Array.iteri
-    (fun i x ->
-      if Float.abs (x -. st_ref.curr.(i)) > 1e-11 *. (1. +. Float.abs x) then
-        Alcotest.failf "iterated host differs at %d: %.17g vs %.17g" i x st_ref.curr.(i))
-    final
+  Test_util.check_bits "iterated host curr" st_ref.curr
+    (Vgpu.Buffer.to_float_array (Vgpu.Runtime.buffer rt "curr"))
 
-(* H_copy / halo_exchange: the host-IR device-copy primitive moves the
-   ghost planes across a Z cut, is emitted as enqueueCopyBuffer in both
-   the pseudo-C and the standalone C artifact, and accounts its bytes as
-   device-to-device traffic. *)
-let test_halo_exchange () =
-  let plane = 4 in
-  let lo_planes = 5 and hi_planes = 4 in
-  let p name sz = Lift.Ast.named_param name (Lift.Ty.array Lift.Ty.real (Lift.Size.var sz)) in
-  let prog =
-    Lift.Host.halo_exchange ~plane ~lo:(Lift.Host.input (p "lo" "NL")) ~lo_planes
-      ~hi:(Lift.Host.input (p "hi" "NH"))
+(* -- The emitted program of the plan that runs ------------------------- *)
+
+let is_exchange (o : Vgpu.Multi.async_op) =
+  match o.Vgpu.Multi.a_op with Vgpu.Multi.Exchange _ -> true | Vgpu.Multi.Dev _ -> false
+
+let is_swap (o : Vgpu.Multi.async_op) =
+  match o.Vgpu.Multi.a_op with
+  | Vgpu.Multi.Dev (_, Vgpu.Runtime.Swap _) -> true
+  | Vgpu.Multi.Dev _ | Vgpu.Multi.Exchange _ -> false
+
+(* A plan's exchanges, signals, waiting ops and swaps, and the copies,
+   events, wait lists and pointer swaps of its emitted program. *)
+let plan_counts plan =
+  let n p = List.length (List.filter p plan) in
+  [
+    n is_exchange;
+    n (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_signal <> None);
+    n (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_waits <> []);
+    n is_swap;
+  ]
+
+let program_counts c =
+  List.map (Test_util.count c)
+    [ "clEnqueueCopyBuffer("; "  cl_event ev_"; "cl_event wl["; "{ cl_mem t = " ]
+
+(* The sharded plan's halo exchange ({!Shard.exchange_ops}), run through
+   {!Vgpu.Multi}: across each cut the lower slab's top owned plane
+   refreshes the upper slab's bottom ghost plane and vice versa, the
+   bytes count as device-to-device traffic, and the emitted program has
+   one clEnqueueCopyBuffer per Exchange, on its source device's queue. *)
+let test_exchange_ops () =
+  let room = Geometry.build Geometry.Box (Geometry.dims ~nx:5 ~ny:4 ~nz:9) in
+  let p = Shard.plan ~shards:3 room in
+  let n = Shard.n_shards p in
+  let ops = Shard.exchange_ops p ~buffer:"g" in
+  Alcotest.(check int) "two exchanges per cut" (2 * (n - 1)) (List.length ops);
+  let slabs =
+    Array.map
+      (fun (sh : Shard.shard) ->
+        Array.init sh.Shard.local_n (fun i -> float_of_int ((1000 * sh.Shard.index) + i)))
+      p.Shard.shards
   in
-  let sizes = function
-    | "NL" -> Some (lo_planes * plane)
-    | "NH" -> Some (hi_planes * plane)
-    | _ -> None
-  in
-  let compiled = Lift.Host.compile ~sizes prog in
-  Alcotest.(check bool) "pseudo-C has enqueueCopyBuffer" true
-    (Test_util.contains compiled.Lift.Host.source "enqueueCopyBuffer");
-  let c = Lift.Emit_c.host_program compiled in
-  Alcotest.(check bool) "standalone C has clEnqueueCopyBuffer" true
-    (Test_util.contains c "clEnqueueCopyBuffer");
-  (* execute: lo's top owned plane -> hi's bottom ghost, hi's bottom
-     owned plane -> lo's top ghost *)
-  let lo = Array.init (lo_planes * plane) (fun i -> 100. +. float_of_int i) in
-  let hi = Array.init (hi_planes * plane) (fun i -> 200. +. float_of_int i) in
-  let rt = Vgpu.Runtime.create () in
-  Vgpu.Runtime.bind rt "lo" (Vgpu.Buffer.F lo);
-  Vgpu.Runtime.bind rt "hi" (Vgpu.Buffer.F hi);
-  Lift.Host.run compiled rt;
-  for j = 0 to plane - 1 do
-    Alcotest.(check (float 0.))
-      (Printf.sprintf "hi ghost %d" j)
-      (100. +. float_of_int (((lo_planes - 2) * plane) + j))
-      hi.(j);
-    Alcotest.(check (float 0.))
-      (Printf.sprintf "lo ghost %d" j)
-      (200. +. float_of_int (plane + j))
-      lo.(((lo_planes - 1) * plane) + j)
+  let multi = Vgpu.Multi.create ~engine:Vgpu.Runtime.Interp ~devices:n () in
+  Array.iteri (fun i a -> Vgpu.Multi.bind multi i "g" (Vgpu.Buffer.F a)) slabs;
+  Vgpu.Multi.run multi ops;
+  let plane = p.Shard.shards.(0).Shard.plane in
+  for c = 0 to n - 2 do
+    let top = p.Shard.shards.(c).Shard.planes - 1 in
+    for j = 0 to plane - 1 do
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "cut %d: upper ghost %d" c j)
+        (float_of_int ((1000 * c) + ((top - 1) * plane) + j))
+        slabs.(c + 1).(j);
+      Alcotest.(check (float 0.))
+        (Printf.sprintf "cut %d: lower ghost %d" c j)
+        (float_of_int ((1000 * (c + 1)) + plane + j))
+        slabs.(c).((top * plane) + j)
+    done
   done;
-  Alcotest.(check int) "d2d bytes accounted" (2 * plane * 8) rt.Vgpu.Runtime.d2d_bytes;
-  (* copy endpoints must denote buffers *)
-  match
-    Lift.Host.compile ~sizes
-      (Lift.Host.copy ~src:(Lift.Host.H_int 3) ~src_off:0
-         ~dst:(Lift.Host.input (p "lo" "NL"))
-         ~dst_off:0 ~elems:1)
-  with
-  | exception Lift.Host.Host_error _ -> ()
-  | _ -> Alcotest.fail "scalar copy endpoint accepted"
-
-(* The two-shard Listing-5-style host program
-   ({!Lift_acoustics.Programs.sharded_fi_step_host}): per-shard kernel
-   names survive into the pseudo-C and the standalone C artifact, the
-   halo exchange shows up as enqueueCopyBuffer, and executing the plan
-   on shard-local buffers reproduces the unsharded FI step. *)
-let test_sharded_host_program () =
-  let dims = Geometry.dims ~nx:10 ~ny:8 ~nz:8 in
-  let room = Geometry.build Geometry.Box dims in
-  let p = Shard.plan ~shards:2 room in
-  let sh0 = p.Shard.shards.(0) and sh1 = p.Shard.shards.(1) in
-  (* an even-Nz box splits into two symmetric slabs, so one (N, nB)
-     size assignment serves both shards *)
-  Alcotest.(check int) "equal slab boundary counts" sh0.Shard.n_b sh1.Shard.n_b;
-  Alcotest.(check int) "equal slab planes" sh0.Shard.planes sh1.Shard.planes;
-  let beta = 0.3 in
-  let prog =
-    Lift_acoustics.Programs.sharded_fi_step_host ~nx:dims.Geometry.nx
-      ~ny:dims.Geometry.ny
-      ~slab_planes:(sh0.Shard.z1 - sh0.Shard.z0)
-      ~l:(Params.l params) ~l2:(Params.l2 params) ~beta ()
+  Alcotest.(check int) "d2d bytes accounted"
+    (List.length ops * plane * 8)
+    (Vgpu.Multi.stats multi).Vgpu.Runtime.s_d2d_bytes;
+  let c =
+    Lift.Emit_c.host_program
+      ~extent:(fun i _ -> Some (Array.length slabs.(i)))
+      (List.map (fun a_op -> { Vgpu.Multi.a_op; a_waits = []; a_signal = None }) ops)
   in
-  let sizes = function
-    | "N" -> Some sh0.Shard.local_n
-    | "nB" -> Some sh0.Shard.n_b
-    | _ -> None
-  in
-  let compiled = Lift.Host.compile ~precision:Kernel_ast.Cast.Double ~sizes prog in
-  List.iter
-    (fun needle ->
-      if not (Test_util.contains compiled.Lift.Host.source needle) then
-        Alcotest.failf "sharded host source missing %s:\n%s" needle
-          compiled.Lift.Host.source)
-    [ "volume_s0"; "volume_s1"; "boundary_fi_s0"; "boundary_fi_s1"; "enqueueCopyBuffer" ];
-  Alcotest.(check int) "four kernels compiled" 4 (List.length compiled.Lift.Host.kernels);
-  let c = Lift.Emit_c.host_program compiled in
+  Alcotest.(check int) "one clEnqueueCopyBuffer per Exchange" (List.length ops)
+    (Test_util.count c "clEnqueueCopyBuffer(");
   List.iter
     (fun needle ->
       if not (Test_util.contains c needle) then Alcotest.failf "emitted C missing %s" needle)
-    [ "clEnqueueCopyBuffer"; "volume_s1" ];
-  (* execute on shard-local buffers *)
-  let st = State.create room in
-  let cx, cy, cz = State.centre st in
-  State.add_impulse st ~x:cx ~y:cy ~z:cz;
-  let sstates = Shard.create_states p in
-  Shard.scatter p st sstates;
-  let rt = Vgpu.Runtime.create () in
-  Array.iteri
-    (fun i (sh : Shard.shard) ->
-      let s name = name ^ string_of_int i in
-      let ss = sstates.(i) in
-      (* the host program's kernels take nbrs as ints *)
-      Vgpu.Runtime.bind rt (s "nbrs") (Vgpu.Buffer.I (Vgpu.Buffer.to_int_array (U8 sh.Shard.nbrs)));
-      Vgpu.Runtime.bind rt (s "bidx") (Vgpu.Buffer.I sh.Shard.bidx);
-      Vgpu.Runtime.bind rt (s "prev") (Vgpu.Buffer.F ss.Shard.prev);
-      Vgpu.Runtime.bind rt (s "curr") (Vgpu.Buffer.F ss.Shard.curr);
-      Vgpu.Runtime.bind rt (s "next") (Vgpu.Buffer.F ss.Shard.next))
-    p.Shard.shards;
-  Lift.Host.run compiled rt;
-  Alcotest.(check int) "four launches" 4 rt.Vgpu.Runtime.launches;
-  if rt.Vgpu.Runtime.d2d_bytes = 0 then Alcotest.fail "no halo traffic recorded";
-  (* the unsharded reference step *)
-  Ref_kernels.volume_step params ~dims ~nbrs:room.Geometry.nbrs ~prev:st.prev
-    ~curr:st.curr ~next:st.next;
-  Ref_kernels.boundary_fi params ~boundary_indices:room.Geometry.boundary_indices
-    ~nbrs:room.Geometry.nbrs ~beta ~prev:st.prev ~next:st.next;
-  let gathered = State.create room in
-  Shard.gather p sstates gathered;
-  Array.iteri
-    (fun i x ->
-      if Float.abs (x -. gathered.State.next.(i)) > 1e-12 then
-        Alcotest.failf "sharded host step differs at %d: %.17g vs %.17g" i
-          gathered.State.next.(i) x)
-    st.next
+    [ "clEnqueueCopyBuffer(queue0, d0_g, d1_g, "; "clEnqueueCopyBuffer(queue2, d2_g, d1_g, " ]
+
+(* The program [racs emit-c --sharded] prints: two steps of the 2-shard
+   FI plan that [racs simulate --shards 2] runs with the Lift kernels, on
+   a 64x48x40 box.  Its copies, events, wait lists and pointer swaps are
+   the plan's own, on both devices' queues; and executing the plan steps
+   the sharded simulation bit for bit as one device steps the room. *)
+let test_sharded_host_program () =
+  let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:64 ~ny:48 ~nz:40) in
+  let lift name prog =
+    (Lift_acoustics.Programs.compile ~name ~optimize:false ~precision:Kernel_ast.Cast.Double prog)
+      .Lift.Codegen.kernel
+  in
+  let kernels =
+    [ lift "volume" (Lift_acoustics.Programs.volume ());
+      lift "boundary_fi" (Lift_acoustics.Programs.boundary_fi ()) ]
+  in
+  let make shards =
+    let sim = Gpu_sim.create ~engine:`Interp ~shards ~fi_beta:0.1 ~n_branches:3 params room in
+    let cx, cy, cz = State.centre sim.Gpu_sim.state in
+    State.add_impulse sim.Gpu_sim.state ~x:cx ~y:cy ~z:cz;
+    sim
+  in
+  let sim = make 2 in
+  let plan = Gpu_sim.plan sim kernels ~steps:2 in
+  let c = Test_util.emit_plan sim plan in
+  Alcotest.(check (list int)) "exchanges, signals, waiting ops, swaps" [ 4; 4; 2; 12 ]
+    (plan_counts plan);
+  Alcotest.(check (list int)) "one copy, event, wait list and swap each" (plan_counts plan)
+    (program_counts c);
+  List.iter
+    (fun needle ->
+      if not (Test_util.contains c needle) then Alcotest.failf "emitted C missing %s" needle)
+    [
+      "clEnqueueNDRangeKernel(queue0, k_volume,";
+      "clEnqueueNDRangeKernel(queue1, k_volume,";
+      "clEnqueueNDRangeKernel(queue0, k_boundary_fi,";
+      "clEnqueueNDRangeKernel(queue1, k_boundary_fi,";
+      "clEnqueueCopyBuffer(queue0, d0_next, d1_next,";
+      "clEnqueueCopyBuffer(queue1, d1_next, d0_next,";
+      "cl_event wl[1] = { ev_0 }";
+      "cl_event wl[1] = { ev_1 }";
+      "unsigned char *h0_nbrs";
+      "/* volume: its spans hold 54188 of these 58368 work items */";
+    ];
+  Alcotest.(check int) "one kernel source per kernel" 2
+    (Test_util.count c "static const char *kernel_src_");
+  (* a program starts with no event: a wait on one it has not signalled
+     (the second step alone), or a second signal of one, is refused; so
+     are two different kernels under one name *)
+  let refused what plan =
+    match Test_util.emit_plan sim plan with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.failf "emitted %s" what
+  in
+  refused "a wait on an earlier plan's event" (List.filteri (fun i _ -> i >= 12) plan);
+  refused "an event signalled twice"
+    (List.map
+       (fun (o : Vgpu.Multi.async_op) ->
+         if o.Vgpu.Multi.a_signal = Some 2 then { o with Vgpu.Multi.a_signal = Some 0 } else o)
+       plan);
+  refused "two kernels named volume"
+    (List.map
+       (fun (o : Vgpu.Multi.async_op) ->
+         match o.Vgpu.Multi.a_op with
+         | Vgpu.Multi.Dev (1, Vgpu.Runtime.Launch l) ->
+             let kernel = { l.kernel with Kernel_ast.Cast.name = "volume" } in
+             { o with Vgpu.Multi.a_op = Vgpu.Multi.Dev (1, Vgpu.Runtime.Launch { l with kernel }) }
+         | _ -> o)
+       plan);
+  Gpu_sim.ensure_scattered sim;
+  ignore (Vgpu.Multi.run_async sim.Gpu_sim.multi plan);
+  Gpu_sim.sync sim;
+  let one = make 1 in
+  Gpu_sim.step one kernels;
+  Gpu_sim.step one kernels;
+  Test_util.check_bits "sharded plan curr" one.Gpu_sim.state.State.curr sim.Gpu_sim.state.State.curr;
+  Test_util.check_bits "sharded plan prev" one.Gpu_sim.state.State.prev sim.Gpu_sim.state.State.prev
+
+(* The emitted program of every plan [racs check] verifies: FI, FI-MM
+   and FD-MM at its (shards, T) sweep, under every schedule, for two
+   temporal blocks.  Each has one copy per Exchange, one named event per
+   signal, one wait list per waiting op and one pointer swap per Swap,
+   and its braces balance. *)
+let test_emit_every_plan () =
+  let precision = Kernel_ast.Cast.Double in
+  let betas = (Material.tables ~n_branches:3 Material.defaults).Material.t_beta in
+  let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:12 ~ny:10 ~nz:24) in
+  List.iter
+    (fun (label, kernels) ->
+      List.iter
+        (fun (shards, tblock) ->
+          List.iter
+            (fun schedule ->
+              let sim =
+                Gpu_sim.create ~engine:`Interp ~shards ~schedule ~tblock ~fi_beta:0.1
+                  ~n_branches:3 params room
+              in
+              Alcotest.(check int) "T as asked" tblock (Gpu_sim.tblock sim);
+              let plan = Gpu_sim.plan sim kernels ~steps:(2 * tblock) in
+              let c = Test_util.emit_plan sim plan in
+              let what = Printf.sprintf "%s, %d shard(s), T=%d" label shards tblock in
+              Alcotest.(check (list int)) what (plan_counts plan) (program_counts c);
+              Alcotest.(check int) (what ^ ": braces balance") (Test_util.count c "{")
+                (Test_util.count c "}"))
+            [ `Seq; `Concurrent; `Overlap ])
+        [ (1, 1); (2, 1); (3, 1); (4, 1); (2, 2); (3, 3) ])
+    [
+      ("fi", [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi ~precision ]);
+      ("fi-mm",
+       [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fi_mm ~precision ~betas ]);
+      ("fd-mm",
+       [ Hand_kernels.volume ~precision; Hand_kernels.boundary_fd_mm ~precision ~mb:3 ]);
+    ]
 
 let suite =
   [
     Alcotest.test_case "listing 5 host pipeline" `Quick test_listing5;
     Alcotest.test_case "iterated stepping with rotation" `Quick test_iterate;
-    Alcotest.test_case "halo-exchange host primitive" `Quick test_halo_exchange;
+    Alcotest.test_case "halo-exchange host primitive" `Quick test_exchange_ops;
     Alcotest.test_case "sharded two-device host program" `Quick test_sharded_host_program;
+    Alcotest.test_case "emitted program of every step plan" `Quick test_emit_every_plan;
   ]

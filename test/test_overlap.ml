@@ -561,48 +561,57 @@ let test_opt_noop_returns_input_physically () =
   Alcotest.(check bool) "fd-mm boundary is transformed" true (k' != k);
   Alcotest.(check bool) "fd-mm branch loops still unroll" true (r.Opt.unrolled > 0)
 
-(* -- Host-IR events: lint rules and C emission ----------------------- *)
+(* -- Event rules and the emitted program --------------------------------- *)
 
-let host_param name sz =
-  Lift.Ast.named_param name (Lift.Ty.array Lift.Ty.real (Lift.Size.var sz))
+let codes issues = List.map (fun (i : Lift.Lint.issue) -> i.Lift.Lint.code) issues
 
+(* [Lint.check_async]'s two event rules on mutants of a real plan: two
+   steps of the 2-shard FI plan at T = 1, whose exchanges signal events
+   0-3 and whose second step's launches wait on the first step's.
+   Dropping the exchange that signals event 1 leaves a wait on it
+   (event 0 would not do: a wait below every signalled id counts as
+   imported from an earlier plan), and re-signalling event 0 from a
+   later exchange signals it twice. *)
 let test_host_event_lint_rules () =
-  let open Lift.Host in
-  let unsignaled = wait [ "ghost" ] (to_host (to_gpu (input (host_param "a" "N")))) in
-  let errs = Lift.Lint.errors (Lift.Lint.check_host unsignaled) in
-  Alcotest.(check bool) "waiting on an unsignaled event is an error" true
-    (List.exists (fun (i : Lift.Lint.issue) -> i.Lift.Lint.code = "wait-unsignaled") errs);
-  let dup =
-    H_tuple
-      [
-        event "e" (to_gpu (input (host_param "a" "N")));
-        event "e" (to_gpu (input (host_param "b" "N")));
-      ]
+  let plan = Gpu_sim.plan (make ~shards:2 ()) (kernels_of `Fi Cast.Double) ~steps:2 in
+  let signals =
+    List.filter_map (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_signal) plan
   in
-  let errs = Lift.Lint.errors (Lift.Lint.check_host dup) in
-  Alcotest.(check bool) "signaling an event twice is an error" true
-    (List.exists (fun (i : Lift.Lint.issue) -> i.Lift.Lint.code = "duplicate-event") errs)
+  Alcotest.(check (list int)) "events 0-3" [ 0; 1; 2; 3 ] signals;
+  Alcotest.(check (list string)) "the plan is clean" [] (codes (Lift.Lint.check_async plan));
+  let dropped =
+    List.filter (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_signal <> Some 1) plan
+  in
+  Alcotest.(check (list string)) "a wait on a dropped signal" [ "wait-unsignaled" ]
+    (codes (Lift.Lint.errors (Lift.Lint.check_async dropped)));
+  let resignalled =
+    List.map
+      (fun (o : Vgpu.Multi.async_op) ->
+        if o.Vgpu.Multi.a_signal = Some 2 then { o with Vgpu.Multi.a_signal = Some 0 } else o)
+      plan
+  in
+  Alcotest.(check (list string)) "an event signalled twice" [ "duplicate-event" ]
+    (codes (Lift.Lint.errors (Lift.Lint.check_async resignalled)))
 
+(* The 2-shard overlapped plan of every scheme verifies clean, events
+   and halo dataflow, and its emitted program declares one cl_event per
+   signal and one wait list per waiting op. *)
 let test_overlap_host_program_lints_and_emits () =
-  let nx = 8 and ny = 6 and slab_planes = 4 in
-  let prog =
-    Lift_acoustics.Programs.sharded_fi_step_host ~overlap:true ~nx ~ny ~slab_planes
-      ~l:(Params.l params) ~l2:(Params.l2 params) ~beta:0.1 ()
-  in
-  Alcotest.(check int) "event-annotated sharded step lints clean" 0
-    (List.length (Lift.Lint.errors (Lift.Lint.check_host prog)));
-  let sizes = function
-    | "N" -> Some ((slab_planes + 2) * nx * ny)
-    | "nB" -> Some 16
-    | _ -> None
-  in
-  let compiled = Lift.Host.compile ~precision:Cast.Double ~sizes prog in
-  let c = Lift.Emit_c.host_program compiled in
   List.iter
-    (fun needle ->
-      if not (Test_util.contains c needle) then
-        Alcotest.failf "emitted C missing %s" needle)
-    [ "cl_event ev_halo_up"; "cl_event ev_halo_dn"; "wl" ]
+    (fun (label, scheme) ->
+      let sim = make ~shards:2 ~schedule:`Overlap () in
+      let plan = Gpu_sim.plan sim (kernels_of scheme Cast.Double) ~steps:2 in
+      Alcotest.(check (list string)) (label ^ ": lints clean") []
+        (codes (Lift.Lint.errors (Lift.Lint.check_async plan @ verify sim plan)));
+      let c = Test_util.emit_plan sim plan in
+      let n p = List.length (List.filter p plan) in
+      Alcotest.(check int) (label ^ ": one cl_event per signal")
+        (n (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_signal <> None))
+        (Test_util.count c "  cl_event ev_");
+      Alcotest.(check int) (label ^ ": one wait list per waiting op")
+        (n (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_waits <> []))
+        (Test_util.count c "cl_event wl["))
+    schemes
 
 let suite =
   [

@@ -98,21 +98,24 @@ let test_transfer_precision () =
     ((6 * 4) + (6 * 4), 6 * 4)
     (count Cast.Single)
 
-(* Copy_buffer moves a sub-buffer slice device-side and accounts the
-   bytes at the runtime's precision. *)
-let test_copy_buffer () =
+(* An Exchange moves a sub-buffer slice between two devices and
+   accounts the bytes on the source device, at its precision. *)
+let test_d2d_exchange () =
+  let exchange ?(src = "src") ?(dst = "dst") ~src_off ~dst_off elems =
+    Vgpu.Multi.Exchange { src_dev = 0; src; src_off; dst_dev = 1; dst; dst_off; elems }
+  in
+  let multi ?precision (src, dst) =
+    let m = Vgpu.Multi.create ~engine:Vgpu.Runtime.Interp ?precision ~devices:2 () in
+    Vgpu.Multi.bind m 0 "src" src;
+    Vgpu.Multi.bind m 1 "dst" dst;
+    m
+  in
+  let d2d m = (Vgpu.Multi.stats m).Vgpu.Runtime.s_d2d_bytes in
   let run precision =
-    let rt = Vgpu.Runtime.create ~precision () in
-    Vgpu.Runtime.bind rt "src" (Vgpu.Buffer.F [| 0.; 1.; 2.; 3.; 4.; 5. |]);
-    Vgpu.Runtime.bind rt "dst" (Vgpu.Buffer.F (Array.make 6 9.));
-    Vgpu.Runtime.run rt
-      [ Vgpu.Runtime.Copy_buffer { src = "src"; src_off = 2; dst = "dst"; dst_off = 1; elems = 3 } ];
-    let dst =
-      match Vgpu.Runtime.buffer rt "dst" with
-      | Vgpu.Buffer.F a -> a
-      | _ -> Alcotest.fail "dst is not a real buffer"
-    in
-    (Array.to_list dst, rt.Vgpu.Runtime.d2d_bytes)
+    let dst = Array.make 6 9. in
+    let m = multi ~precision (Vgpu.Buffer.F [| 0.; 1.; 2.; 3.; 4.; 5. |], Vgpu.Buffer.F dst) in
+    Vgpu.Multi.run m [ exchange ~src_off:2 ~dst_off:1 3 ];
+    (Array.to_list dst, d2d m)
   in
   let dst, bytes = run Cast.Double in
   Alcotest.(check (list (float 0.))) "slice copied" [ 9.; 2.; 3.; 4.; 9.; 9. ] dst;
@@ -120,18 +123,12 @@ let test_copy_buffer () =
   let _, bytes_s = run Cast.Single in
   Alcotest.(check int) "single d2d bytes" (3 * 4) bytes_s;
   (* int buffers move 4 bytes per element regardless of precision *)
-  let rt = Vgpu.Runtime.create () in
-  Vgpu.Runtime.bind rt "si" (Vgpu.Buffer.I [| 1; 2; 3; 4 |]);
-  Vgpu.Runtime.bind rt "di" (Vgpu.Buffer.I (Array.make 4 0));
-  Vgpu.Runtime.run rt
-    [ Vgpu.Runtime.Copy_buffer { src = "si"; src_off = 0; dst = "di"; dst_off = 0; elems = 4 } ];
-  Alcotest.(check int) "int d2d bytes" (4 * 4) rt.Vgpu.Runtime.d2d_bytes;
+  let m = multi (Vgpu.Buffer.I [| 1; 2; 3; 4 |], Vgpu.Buffer.I (Array.make 4 0)) in
+  Vgpu.Multi.run m [ exchange ~src_off:0 ~dst_off:0 4 ];
+  Alcotest.(check int) "int d2d bytes" (4 * 4) (d2d m);
   (* type-mismatched endpoints rejected, as by clEnqueueCopyBuffer *)
-  Vgpu.Runtime.bind rt "df" (Vgpu.Buffer.F (Array.make 4 0.));
-  match
-    Vgpu.Runtime.run rt
-      [ Vgpu.Runtime.Copy_buffer { src = "si"; src_off = 0; dst = "df"; dst_off = 0; elems = 4 } ]
-  with
+  Vgpu.Multi.bind m 1 "df" (Vgpu.Buffer.F (Array.make 4 0.));
+  match Vgpu.Multi.run m [ exchange ~dst:"df" ~src_off:0 ~dst_off:0 4 ] with
   | exception Failure _ -> ()
   | () -> Alcotest.fail "int->real copy accepted"
 
@@ -507,7 +504,7 @@ let emit_c_compiled () =
 
 let test_emit_c () =
   let compiled = emit_c_compiled () in
-  let c = Lift.Emit_c.host_program compiled in
+  let c = Lift.Emit_c.of_host compiled in
   List.iter
     (fun needle ->
       if not (Test_util.contains c needle) then
@@ -526,7 +523,7 @@ let test_emit_c () =
   Alcotest.(check int) "balanced braces" (count c '{') (count c '}');
   (* an iterated plan emits pointer swaps for the buffer rotation *)
   let plan2 = Lift.Host.iterate ~times:2 ~rotate:[ [ "prev"; "next" ] ] compiled in
-  let c2 = Lift.Emit_c.host_program { compiled with Lift.Host.plan = plan2 } in
+  let c2 = Lift.Emit_c.of_host { compiled with Lift.Host.plan = plan2 } in
   Alcotest.(check bool) "swap emitted" true
     (Test_util.contains c2 "{ cl_mem t = d_prev; d_prev = d_next; d_next = t; }");
   Alcotest.(check int) "iterated braces balance" (count c2 '{') (count c2 '}')
@@ -576,11 +573,13 @@ let test_harness_agreement () =
 
 
 (* The emitted host program must be real, compilable C: render the
-   Listing 5 pipeline, pair it with a stub <CL/cl.h> carrying the exact
-   OpenCL 1.2 signatures it calls, and push it through the system C
-   compiler in syntax-only mode.  Also pins emission determinism:
-   buffers are declared in name order, so the same plan renders
-   byte-identical C. *)
+   Listing 5 pipeline, the same with a zero-count launch (a marker), and
+   the 2-shard overlapped FD-MM plan at T = 2 (split launches, frontier
+   waits, the g1/v1 state exchanges), pair each with a stub <CL/cl.h>
+   carrying the exact OpenCL 1.2 signatures it calls, and push it
+   through the system C compiler in syntax-only mode.  Also pins
+   emission determinism: buffers are declared in name order, so the
+   same plan renders byte-identical C. *)
 let cl_stub_header =
   {header|#ifndef RACS_CL_STUB_H
 #define RACS_CL_STUB_H
@@ -634,16 +633,14 @@ cl_int clEnqueueCopyBuffer(cl_command_queue, cl_mem, cl_mem, size_t, size_t, siz
 cl_int clEnqueueNDRangeKernel(cl_command_queue, cl_kernel, cl_uint, const size_t *,
                               const size_t *, const size_t *, cl_uint, const cl_event *,
                               cl_event *);
+cl_int clEnqueueMarkerWithWaitList(cl_command_queue, cl_uint, const cl_event *, cl_event *);
 cl_int clWaitForEvents(cl_uint, const cl_event *);
 cl_int clGetEventProfilingInfo(cl_event, cl_profiling_info, size_t, void *, size_t *);
 #endif
 |header}
 
-let test_emit_c_compiles () =
-  let compiled = emit_c_compiled () in
-  let c = Lift.Emit_c.host_program compiled in
-  (* determinism: a second render is byte-identical *)
-  Alcotest.(check string) "deterministic emission" c (Lift.Emit_c.host_program compiled);
+(* Compile one emitted program against the stub header, syntax only. *)
+let compiles name c =
   let dir = Test_util.scratch_dir "emit-c" in
   (try Unix.mkdir (Filename.concat dir "CL") 0o755
    with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
@@ -653,9 +650,9 @@ let test_emit_c_compiles () =
     close_out oc
   in
   write (Filename.concat dir "CL/cl.h") cl_stub_header;
-  let prog = Filename.concat dir "prog.c" in
+  let prog = Filename.concat dir (name ^ ".c") in
   write prog c;
-  let log = Filename.concat dir "cc.log" in
+  let log = Filename.concat dir (name ^ ".log") in
   let cmd =
     Printf.sprintf "cc -std=c99 -fsyntax-only -I %s %s 2> %s" (Filename.quote dir)
       (Filename.quote prog) (Filename.quote log)
@@ -666,15 +663,57 @@ let test_emit_c_compiles () =
     let n = in_channel_length ic in
     let err = really_input_string ic n in
     close_in ic;
-    Alcotest.failf "emitted host C does not compile (exit %d):\n%s" rc err
+    Alcotest.failf "emitted host C %s does not compile (exit %d):\n%s" name rc err
   end
+
+let test_emit_c_compiles () =
+  let compiled = emit_c_compiled () in
+  let c = Lift.Emit_c.of_host compiled in
+  (* determinism: a second render is byte-identical *)
+  Alcotest.(check string) "deterministic emission" c (Lift.Emit_c.of_host compiled);
+  let zero_count =
+    Lift.Emit_c.of_host
+      {
+        compiled with
+        Lift.Host.plan =
+          List.map
+            (function
+              | Vgpu.Runtime.Launch l -> Vgpu.Runtime.Launch { l with global = [ 0 ] }
+              | op -> op)
+            compiled.Lift.Host.plan;
+      }
+  in
+  Alcotest.(check bool) "a zero-count launch is a marker" true
+    (Test_util.contains zero_count "clEnqueueMarkerWithWaitList(queue, 0, NULL, NULL)");
+  let sharded =
+    let room =
+      Acoustics.Geometry.build ~n_materials:4 Acoustics.Geometry.Box
+        (Acoustics.Geometry.dims ~nx:12 ~ny:10 ~nz:12)
+    in
+    let sim =
+      Acoustics.Gpu_sim.create ~engine:`Interp ~shards:2 ~schedule:`Overlap ~tblock:2
+        ~fi_beta:0.1 ~n_branches:3 Acoustics.Params.default room
+    in
+    let kernels =
+      [ Acoustics.Hand_kernels.volume ~precision:Cast.Double;
+        Acoustics.Hand_kernels.boundary_fd_mm ~precision:Cast.Double ~mb:3 ]
+    in
+    Test_util.emit_plan sim (Acoustics.Gpu_sim.plan sim kernels ~steps:4)
+  in
+  List.iter
+    (fun needle ->
+      if not (Test_util.contains sharded needle) then
+        Alcotest.failf "sharded FD-MM program missing %S" needle)
+    [ "clEnqueueCopyBuffer(queue0, d0_g1, d1_g1,"; "clEnqueueCopyBuffer(queue1, d1_v1, d0_v1,";
+      "cl_event wl[" ];
+  List.iteri (fun i c -> compiles (Printf.sprintf "prog%d" i) c) [ c; zero_count; sharded ]
 
 let suite =
   [
     Alcotest.test_case "runtime plan execution" `Quick test_runtime_plan;
     Alcotest.test_case "alloc reuse validation" `Quick test_alloc_validation;
     Alcotest.test_case "precision-aware transfer accounting" `Quick test_transfer_precision;
-    Alcotest.test_case "device-to-device sub-buffer copies" `Quick test_copy_buffer;
+    Alcotest.test_case "device-to-device sub-buffer copies" `Quick test_d2d_exchange;
     Alcotest.test_case "multi-device plans and stats merging" `Quick test_multi_devices;
     Alcotest.test_case "per-kernel launch stats" `Quick test_launch_stats;
     Alcotest.test_case "stats are a snapshot" `Quick test_stats_snapshot;

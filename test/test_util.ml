@@ -25,6 +25,25 @@ let contains haystack needle =
   let rec go i = i + nn <= nh && (String.sub haystack i nn = needle || go (i + 1)) in
   nn = 0 || go 0
 
+(* Non-overlapping occurrences of [needle] (non-empty) in [haystack]. *)
+let count haystack needle =
+  let nh = String.length haystack and nn = String.length needle in
+  let rec go i acc =
+    if i + nn > nh then acc
+    else if String.sub haystack i nn = needle then go (i + nn) (acc + 1)
+    else go (i + 1) acc
+  in
+  go 0 0
+
+(* The OpenCL host program of a simulation's plan, each buffer sized as
+   the simulation bound it on its device. *)
+let emit_plan (sim : Acoustics.Gpu_sim.t) plan =
+  Lift.Emit_c.host_program
+    ~extent:(fun i name ->
+      Option.map Vgpu.Buffer.length
+        (Vgpu.Runtime.buffer_opt (Vgpu.Multi.device sim.Acoustics.Gpu_sim.multi i) name))
+    plan
+
 (* Assert two float arrays are bit-for-bit identical — the equality the
    engine/backend cross-validation suites rely on (plain [=] would
    conflate 0. with -0. and fail on NaN). *)
