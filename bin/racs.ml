@@ -371,11 +371,7 @@ let cmd_emit_c sharded =
          Gpu_sim.create ~engine:`Interp ~shards:2 ~fi_beta:0.1 ~n_branches:3 Params.default room
        in
        let kernels = sim_kernels ~precision:Kernel_ast.Cast.Double `Fi `Lift in
-       let extent i name =
-         Option.map Vgpu.Buffer.length
-           (Vgpu.Runtime.buffer_opt (Vgpu.Multi.device sim.Gpu_sim.multi i) name)
-       in
-       Lift.Emit_c.host_program ~extent (Gpu_sim.plan sim kernels ~steps:2))
+       Lift.Emit_c.host_program ~extent:(Gpu_sim.extent sim) (Gpu_sim.plan sim kernels ~steps:2))
 
 (* ------------------------------------------------------------------ *)
 (* racs check: static race/bounds verdicts + host-plan lint *)

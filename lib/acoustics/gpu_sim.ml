@@ -684,6 +684,9 @@ let slab_geometry t =
     d.Geometry.ny,
     Array.map (fun (sh : Shard.shard) -> sh.Shard.planes) t.plan.Shard.shards )
 
+let extent t i name =
+  Option.map Vgpu.Buffer.length (Vgpu.Runtime.buffer_opt (Vgpu.Multi.device t.multi i) name)
+
 (* Read the current field at a grid point, wherever it lives.  A slab's
    local index is the (range-checked) global one less the slab's base. *)
 let read t ~x ~y ~z =

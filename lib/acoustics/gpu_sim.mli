@@ -276,6 +276,11 @@ val slab_geometry : t -> int * int * int array
     depth in planes, ghost planes included ([[|nz|]] on one device) —
     the geometry {!Lift.Lint.verify_async} interprets plans against. *)
 
+val extent : t -> int -> string -> int option
+(** [extent t i name]: the length of the buffer device [i] binds as
+    [name], if any — the extents {!Lift.Emit_c.host_program} sizes a
+    plan's buffers by. *)
+
 val reset_stats : t -> unit
 (** Zero the launch/transfer counters and align the devices' virtual
     clocks to the latest one (never rewinding), so a measurement

@@ -13,14 +13,25 @@
    event id is a named [cl_event], an op's waits its wait list, and a
    [Swap] a pointer swap.  Buffers are named per device ([d<i>_<name>]),
    except on one device, which keeps Listing 5's plain names ([queue],
-   [d_<name>]).
+   [d_<name>]).  Every enqueue that signals an event flushes its queue,
+   so that another queue may wait on the event (OpenCL 1.2, 5.13).
 
-   Scalar buffer contents are left as zero-initialised allocations: the
-   artifact is a faithful skeleton of the paper's benchmark driver, not
-   a data file.  Emission is deterministic — buffers are declared in
-   device and name order — so the same plan always renders
-   byte-identical C (the native backend's binary cache keys on rendered
-   source; this file follows the same discipline). *)
+   A launch or a transfer blocks the host until it retires, so only
+   copies and markers are ever in flight.  Still, as in the plan, two
+   copies across a cut, or a copy and another queue's launch, may use
+   one buffer at the same time, at cells the flow verifier
+   ([Lint.verify_async]) proves disjoint.  The program relies on that:
+   OpenCL 1.2 (Appendix A.1) leaves one memory object used from two
+   queues at once undefined, disjoint cells or not.
+
+   Buffer contents are zero-initialised host arrays: the artifact is a
+   faithful skeleton of the paper's benchmark driver, not a data file.
+   A buffer the plan uploads is written from its array by the plan's
+   transfer; any other is created as a copy of it.  Emission is
+   deterministic — buffers are declared in device and name order — so
+   the same plan always renders byte-identical C (the native backend's
+   binary cache keys on rendered source; this file follows the same
+   discipline). *)
 
 open Kernel_ast
 
@@ -125,20 +136,11 @@ let host_program ?(precision = Cast.Double) ~extent (plan : Vgpu.Multi.async_pla
       buffers []
     |> List.sort compare
   in
-  (* events: one per signal, each waited on only after it is signalled *)
-  let signalled = Hashtbl.create 16 in
-  List.iter
-    (fun (o : Vgpu.Multi.async_op) ->
-      List.iter
-        (fun e ->
-          if not (Hashtbl.mem signalled e) then refuse "a wait on event %d, not signalled before" e)
-        o.Vgpu.Multi.a_waits;
-      Option.iter
-        (fun e ->
-          if Hashtbl.mem signalled e then refuse "event %d signalled twice" e;
-          Hashtbl.replace signalled e ())
-        o.Vgpu.Multi.a_signal)
-    plan;
+  (* a program starts with no event: each is signalled once, before
+     any wait on it *)
+  (match Lint.errors (Lint.check_async ~imports:[] plan) with
+  | [] -> ()
+  | i :: _ -> refuse "%s" i.Lint.message);
   line "/* Generated by the Lift room-acoustics code generator.";
   line "   Build: cc -O2 prog.c -lOpenCL -o prog */";
   line "#include <stdio.h>";
@@ -184,8 +186,14 @@ let host_program ?(precision = Cast.Double) ~extent (plan : Vgpu.Multi.async_pla
     (fun ((i, name), (elems, ty)) ->
       line "  size_t %s = %d;" (n i name) elems;
       line "  %s *%s = calloc(%s, sizeof(%s));" ty (h i name) (n i name) ty;
-      line "  cl_mem %s = clCreateBuffer(ctx, CL_MEM_READ_WRITE, %s * sizeof(%s), NULL, &err); CHECK(err);"
-        (d i name) (n i name) ty)
+      (* a buffer the plan never uploads starts as a copy of its array *)
+      let flags, init =
+        if List.mem (Vgpu.Multi.Dev (i, Vgpu.Runtime.Copy_to_gpu name)) ops then
+          ("CL_MEM_READ_WRITE", "NULL")
+        else ("CL_MEM_READ_WRITE | CL_MEM_COPY_HOST_PTR", h i name)
+      in
+      line "  cl_mem %s = clCreateBuffer(ctx, %s, %s * sizeof(%s), %s, &err); CHECK(err);"
+        (d i name) flags (n i name) ty init)
     buffer_list;
   line "";
   line "  cl_event ev; cl_ulong t0, t1; double total_ms = 0.0;";
@@ -205,28 +213,31 @@ let host_program ?(precision = Cast.Double) ~extent (plan : Vgpu.Multi.async_pla
       in
       let signal = Option.map (Printf.sprintf "ev_%d") o.Vgpu.Multi.a_signal in
       let evp = match signal with Some e -> "&" ^ e | None -> "NULL" in
+      (* another queue may wait on an event once its queue is flushed *)
+      let flush i = if signal = None then "" else Printf.sprintf " CHECK(clFlush(%s));" (queue i) in
       match o.Vgpu.Multi.a_op with
       | Vgpu.Multi.Dev (_, Vgpu.Runtime.Alloc _) -> ()
       | Vgpu.Multi.Dev (i, Vgpu.Runtime.Swap (a, b)) ->
           line "  { cl_mem t = %s; %s = %s; %s = t; }" (d i a) (d i a) (d i b) (d i b)
       | Vgpu.Multi.Dev (i, Vgpu.Runtime.Copy_to_gpu name) ->
           line
-            "  { %sCHECK(clEnqueueWriteBuffer(%s, %s, CL_TRUE, 0, %s * sizeof(*%s), %s, %s, %s)); }"
-            pre (queue i) (d i name) (n i name) (h i name) (h i name) wl evp
+            "  { %sCHECK(clEnqueueWriteBuffer(%s, %s, CL_TRUE, 0, %s * sizeof(*%s), %s, %s, %s));%s }"
+            pre (queue i) (d i name) (n i name) (h i name) (h i name) wl evp (flush i)
       | Vgpu.Multi.Dev (i, Vgpu.Runtime.Copy_to_host name) ->
           line
-            "  { %sCHECK(clEnqueueReadBuffer(%s, %s, CL_TRUE, 0, %s * sizeof(*%s), %s, %s, %s)); }"
-            pre (queue i) (d i name) (n i name) (h i name) (h i name) wl evp
+            "  { %sCHECK(clEnqueueReadBuffer(%s, %s, CL_TRUE, 0, %s * sizeof(*%s), %s, %s, %s));%s }"
+            pre (queue i) (d i name) (n i name) (h i name) (h i name) wl evp (flush i)
       | Vgpu.Multi.Exchange { src_dev = i; src; src_off; dst_dev; dst; dst_off; elems } ->
           let s = h i src in
           line
-            "  { %sCHECK(clEnqueueCopyBuffer(%s, %s, %s, %d * sizeof(*%s), %d * sizeof(*%s), %d * sizeof(*%s), %s, %s)); }"
-            pre (queue i) (d i src) (d dst_dev dst) src_off s dst_off s elems s wl evp
+            "  { %sCHECK(clEnqueueCopyBuffer(%s, %s, %s, %d * sizeof(*%s), %d * sizeof(*%s), %d * sizeof(*%s), %s, %s));%s }"
+            pre (queue i) (d i src) (d dst_dev dst) src_off s dst_off s elems s wl evp (flush i)
       | Vgpu.Multi.Dev (i, Vgpu.Runtime.Launch { kernel; global; _ }) when List.mem 0 global ->
           (* OpenCL refuses a zero global size: a marker keeps the
              launch's place in the queue, its waits and its event *)
           line "  /* %s: no work items */" kernel.Cast.name;
-          line "  { %sCHECK(clEnqueueMarkerWithWaitList(%s, %s, %s)); }" pre (queue i) wl evp
+          line "  { %sCHECK(clEnqueueMarkerWithWaitList(%s, %s, %s));%s }" pre (queue i) wl evp
+            (flush i)
       | Vgpu.Multi.Dev (i, Vgpu.Runtime.Launch { kernel; args; global; spans }) ->
           let kn = kernel.Cast.name in
           (* a span set has no OpenCL form: the launch covers its hull *)
@@ -255,8 +266,8 @@ let host_program ?(precision = Cast.Double) ~extent (plan : Vgpu.Multi.async_pla
           (* a signalling launch profiles its named event, so later wait
              lists reference the real handle *)
           let lev = Option.value signal ~default:"ev" in
-          line "    CHECK(clEnqueueNDRangeKernel(%s, k_%s, %d, NULL, gsz, NULL, %s, &%s));"
-            (queue i) kn dims wl lev;
+          line "    CHECK(clEnqueueNDRangeKernel(%s, k_%s, %d, NULL, gsz, NULL, %s, &%s));%s"
+            (queue i) kn dims wl lev (flush i);
           line "    CHECK(clWaitForEvents(1, &%s));" lev;
           line "    CHECK(clGetEventProfilingInfo(%s, CL_PROFILING_COMMAND_START, sizeof(t0), &t0, NULL));" lev;
           line "    CHECK(clGetEventProfilingInfo(%s, CL_PROFILING_COMMAND_END, sizeof(t1), &t1, NULL));" lev;

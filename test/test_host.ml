@@ -153,16 +153,20 @@ let is_swap (o : Vgpu.Multi.async_op) =
    events, wait lists and pointer swaps of its emitted program. *)
 let plan_counts plan =
   let n p = List.length (List.filter p plan) in
+  let signals = n (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_signal <> None) in
   [
     n is_exchange;
-    n (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_signal <> None);
+    signals;
+    signals;
     n (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_waits <> []);
     n is_swap;
   ]
 
+(* copies, named events, flushes (one per signalling enqueue), wait
+   lists and pointer swaps *)
 let program_counts c =
   List.map (Test_util.count c)
-    [ "clEnqueueCopyBuffer("; "  cl_event ev_"; "cl_event wl["; "{ cl_mem t = " ]
+    [ "clEnqueueCopyBuffer("; "  cl_event ev_"; "CHECK(clFlush("; "cl_event wl["; "{ cl_mem t = " ]
 
 (* The sharded plan's halo exchange ({!Shard.exchange_ops}), run through
    {!Vgpu.Multi}: across each cut the lower slab's top owned plane
@@ -216,8 +220,10 @@ let test_exchange_ops () =
 (* The program [racs emit-c --sharded] prints: two steps of the 2-shard
    FI plan that [racs simulate --shards 2] runs with the Lift kernels, on
    a 64x48x40 box.  Its copies, events, wait lists and pointer swaps are
-   the plan's own, on both devices' queues; and executing the plan steps
-   the sharded simulation bit for bit as one device steps the room. *)
+   the plan's own, on both devices' queues, each signalling enqueue
+   flushes its queue so the other queue may wait on the event; and
+   executing the plan steps the sharded simulation bit for bit as one
+   device steps the room. *)
 let test_sharded_host_program () =
   let room = Geometry.build ~n_materials:4 Geometry.Box (Geometry.dims ~nx:64 ~ny:48 ~nz:40) in
   let lift name prog =
@@ -237,9 +243,9 @@ let test_sharded_host_program () =
   let sim = make 2 in
   let plan = Gpu_sim.plan sim kernels ~steps:2 in
   let c = Test_util.emit_plan sim plan in
-  Alcotest.(check (list int)) "exchanges, signals, waiting ops, swaps" [ 4; 4; 2; 12 ]
+  Alcotest.(check (list int)) "exchanges, signals (twice), waiting ops, swaps" [ 4; 4; 4; 2; 12 ]
     (plan_counts plan);
-  Alcotest.(check (list int)) "one copy, event, wait list and swap each" (plan_counts plan)
+  Alcotest.(check (list int)) "one copy, event, flush, wait list and swap each" (plan_counts plan)
     (program_counts c);
   List.iter
     (fun needle ->
@@ -251,9 +257,13 @@ let test_sharded_host_program () =
       "clEnqueueNDRangeKernel(queue1, k_boundary_fi,";
       "clEnqueueCopyBuffer(queue0, d0_next, d1_next,";
       "clEnqueueCopyBuffer(queue1, d1_next, d0_next,";
+      "&ev_0)); CHECK(clFlush(queue0)); }";
+      "&ev_1)); CHECK(clFlush(queue1)); }";
       "cl_event wl[1] = { ev_0 }";
       "cl_event wl[1] = { ev_1 }";
       "unsigned char *h0_nbrs";
+      (* nothing uploads the plan's buffers: each starts as its array *)
+      "CL_MEM_COPY_HOST_PTR, n1_nbrs * sizeof(unsigned char), h1_nbrs, &err)";
       "/* volume: its spans hold 54188 of these 58368 work items */";
     ];
   Alcotest.(check int) "one kernel source per kernel" 2
@@ -292,9 +302,9 @@ let test_sharded_host_program () =
 
 (* The emitted program of every plan [racs check] verifies: FI, FI-MM
    and FD-MM at its (shards, T) sweep, under every schedule, for two
-   temporal blocks.  Each has one copy per Exchange, one named event per
-   signal, one wait list per waiting op and one pointer swap per Swap,
-   and its braces balance. *)
+   temporal blocks.  Each has one copy per Exchange, one named event and
+   one flush per signal, one wait list per waiting op and one pointer
+   swap per Swap, and its braces balance. *)
 let test_emit_every_plan () =
   let precision = Kernel_ast.Cast.Double in
   let betas = (Material.tables ~n_branches:3 Material.defaults).Material.t_beta in

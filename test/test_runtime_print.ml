@@ -608,6 +608,7 @@ typedef struct _cl_event *cl_event;
 #define CL_DEVICE_TYPE_GPU (1 << 2)
 #define CL_QUEUE_PROFILING_ENABLE (1 << 1)
 #define CL_MEM_READ_WRITE (1 << 0)
+#define CL_MEM_COPY_HOST_PTR (1 << 5)
 #define CL_PROFILING_COMMAND_START 0x1282
 #define CL_PROFILING_COMMAND_END 0x1283
 cl_int clGetPlatformIDs(cl_uint, cl_platform_id *, cl_uint *);
@@ -635,6 +636,7 @@ cl_int clEnqueueNDRangeKernel(cl_command_queue, cl_kernel, cl_uint, const size_t
                               cl_event *);
 cl_int clEnqueueMarkerWithWaitList(cl_command_queue, cl_uint, const cl_event *, cl_event *);
 cl_int clWaitForEvents(cl_uint, const cl_event *);
+cl_int clFlush(cl_command_queue);
 cl_int clGetEventProfilingInfo(cl_event, cl_profiling_info, size_t, void *, size_t *);
 #endif
 |header}

@@ -37,12 +37,7 @@ let count haystack needle =
 
 (* The OpenCL host program of a simulation's plan, each buffer sized as
    the simulation bound it on its device. *)
-let emit_plan (sim : Acoustics.Gpu_sim.t) plan =
-  Lift.Emit_c.host_program
-    ~extent:(fun i name ->
-      Option.map Vgpu.Buffer.length
-        (Vgpu.Runtime.buffer_opt (Vgpu.Multi.device sim.Acoustics.Gpu_sim.multi i) name))
-    plan
+let emit_plan sim plan = Lift.Emit_c.host_program ~extent:(Acoustics.Gpu_sim.extent sim) plan
 
 (* Assert two float arrays are bit-for-bit identical — the equality the
    engine/backend cross-validation suites rely on (plain [=] would
