@@ -149,8 +149,9 @@ let is_swap (o : Vgpu.Multi.async_op) =
   | Vgpu.Multi.Dev (_, Vgpu.Runtime.Swap _) -> true
   | Vgpu.Multi.Dev _ | Vgpu.Multi.Exchange _ -> false
 
-(* A plan's exchanges, signals, waiting ops and swaps, and the copies,
-   events, wait lists and pointer swaps of its emitted program. *)
+(* A plan's exchanges, signals (counted twice: one event and one flush
+   each), waiting ops and swaps, and the copies, events, flushes, wait
+   lists and pointer swaps of its emitted program. *)
 let plan_counts plan =
   let n p = List.length (List.filter p plan) in
   let signals = n (fun (o : Vgpu.Multi.async_op) -> o.Vgpu.Multi.a_signal <> None) in
@@ -162,8 +163,6 @@ let plan_counts plan =
     n is_swap;
   ]
 
-(* copies, named events, flushes (one per signalling enqueue), wait
-   lists and pointer swaps *)
 let program_counts c =
   List.map (Test_util.count c)
     [ "clEnqueueCopyBuffer("; "  cl_event ev_"; "CHECK(clFlush("; "cl_event wl["; "{ cl_mem t = " ]
